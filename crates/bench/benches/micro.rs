@@ -12,8 +12,10 @@ use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::rng::RcbRng;
 use rcb_mathkit::sample::{binomial, sample_slots};
+use rcb_sim::deadline::Deadline;
 use rcb_sim::duel::{run_duel, DuelConfig};
 use rcb_sim::fast::{run_broadcast, FastConfig};
+use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 use std::hint::black_box;
 
@@ -65,6 +67,8 @@ fn bench_duel(c: &mut Criterion) {
                 &mut adv,
                 &mut rng,
                 DuelConfig::default(),
+                &FaultPlan::none(),
+                &Deadline::NONE,
             ))
         });
     });
@@ -83,9 +87,13 @@ fn bench_broadcast(c: &mut Criterion) {
                 black_box(run_broadcast(
                     &params,
                     n,
+                    &[0],
                     &mut adv,
                     &mut rng,
                     FastConfig::default(),
+                    &mut (),
+                    &FaultPlan::none(),
+                    &Deadline::NONE,
                 ))
             });
         });
@@ -105,7 +113,14 @@ fn bench_runner(c: &mut Criterion) {
                 b.iter(|| {
                     black_box(run_trials(100, 9, Parallelism::Fixed(threads), |_, rng| {
                         let mut adv = NoJamRep;
-                        run_duel(&profile, &mut adv, rng, DuelConfig::default())
+                        run_duel(
+                            &profile,
+                            &mut adv,
+                            rng,
+                            DuelConfig::default(),
+                            &FaultPlan::none(),
+                            &Deadline::NONE,
+                        )
                     }))
                 });
             },

@@ -8,10 +8,13 @@
 //! time. Used to pick the shipped constants; re-run after any change to
 //! the practical preset.
 
+use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
+use rcb_adversary::traits::RepetitionAdversary;
 use rcb_core::one_to_n::{OneToNNode, OneToNParams};
 use rcb_mathkit::rng::RcbRng;
-use rcb_sim::fast::BroadcastObserver;
-use rcb_sim::scenario::{AdversarySpec, ScenarioSpec, Workload};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::fast::{run_broadcast, BroadcastObserver, FastConfig};
+use rcb_sim::faults::FaultPlan;
 use std::time::Instant;
 
 #[derive(Default)]
@@ -51,22 +54,23 @@ impl BroadcastObserver for Probe {
 fn one(params: &OneToNParams, n: usize, budget: u64, seed: u64) {
     let mut probe = Probe::new();
     let mut rng = RcbRng::new(seed);
-    let adversary = if budget == 0 {
-        AdversarySpec::NoJam
+    let mut adversary: Box<dyn RepetitionAdversary> = if budget == 0 {
+        Box::new(NoJamRep)
     } else {
-        AdversarySpec::Budgeted {
-            budget,
-            fraction: 1.0,
-        }
+        Box::new(BudgetedRepBlocker::new(budget, 1.0))
     };
-    let mut spec = ScenarioSpec::broadcast_with(*params, n)
-        .with_adversary(adversary)
-        .with_seed(seed);
-    if let Workload::Broadcast(w) = &mut spec.workload {
-        w.max_epoch = 26;
-    }
     let t0 = Instant::now();
-    let (out, err) = spec.run_observed(&mut rng, &mut probe);
+    let (out, err) = run_broadcast(
+        params,
+        n,
+        &[0],
+        adversary.as_mut(),
+        &mut rng,
+        FastConfig { max_epoch: 26 },
+        &mut probe,
+        &FaultPlan::none(),
+        &Deadline::NONE,
+    );
     let dt = t0.elapsed().as_secs_f64();
     println!(
         "n={n:>4} T={:>8} | epoch {:>2} (ideal {:>2}) | informed {:>4}/{n:<4} safety {:>3} | \

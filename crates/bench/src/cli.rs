@@ -33,7 +33,7 @@ use rcb_sim::faults::FaultPlan;
 use rcb_sim::journal::{Journal, JournalHeader};
 use rcb_sim::json::Json;
 use rcb_sim::lowerbound::{golden_ratio_game, product_game};
-use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome, StreamOutcome};
+use rcb_sim::outcome::StreamOutcome;
 use rcb_sim::runner::Parallelism;
 use rcb_sim::scenario::{
     find_scenario, fnv1a, registry, AdversarySpec, DuelProtocol, Outcome, ScenarioSpec, Workload,
@@ -230,8 +230,85 @@ FAULT INJECTION (duel and broadcast):
        rcbsim broadcast --n 16 --adversary none --fault-crash 3:2:8:lose
 ";
 
+/// The `--fault-*` flags [`fault_plan_from_args`] reads.
+const FAULT_FLAGS: [&str; 4] = ["fault-loss", "fault-crash", "fault-skew", "fault-battery"];
+
+/// The `--flag` names each command reads (`None` for an unknown command).
+/// [`run_cli`] rejects any other flag, so a typo such as `--trails` fails
+/// loudly instead of silently running with the default.
+fn command_flags(command: &str) -> Option<Vec<&'static str>> {
+    let (own, shared): (&[&str], &[&str]) = match command {
+        "help" => (&[], &[]),
+        "duel" => (
+            &[
+                "profile",
+                "epsilon",
+                "start-epoch",
+                "budget",
+                "q",
+                "trials",
+                "seed",
+            ],
+            &FAULT_FLAGS,
+        ),
+        "broadcast" => (
+            &["n", "budget", "adversary", "q", "trials", "seed"],
+            &FAULT_FLAGS,
+        ),
+        "product" => (&["budget", "delta", "trials", "seed"], &[]),
+        "golden" => (&["budget", "trials", "seed"], &[]),
+        "conformance" => (&["trials", "seed", "alpha"], &[]),
+        "perf" => (
+            &[
+                "scale",
+                "cpus",
+                "out",
+                "against",
+                "strict",
+                "threshold",
+                "report-only",
+                "notes",
+                "seed",
+                "only",
+            ],
+            &RUN_CONTROL_FLAGS,
+        ),
+        "scenario" => (&["trials", "seed"], &RUN_CONTROL_FLAGS),
+        _ => return None,
+    };
+    Some(own.iter().chain(shared).copied().collect())
+}
+
 /// Executes a parsed command line, returning the report text.
 pub fn run_cli(args: &Args) -> Result<String, String> {
+    let command = args.command().unwrap_or("help");
+    if let Some(valid) = command_flags(command) {
+        let mut unknown: Vec<&str> = args
+            .options
+            .keys()
+            .map(String::as_str)
+            .filter(|flag| !valid.contains(flag))
+            .collect();
+        if !unknown.is_empty() {
+            unknown.sort_unstable();
+            let render = |flags: &[&str]| {
+                flags
+                    .iter()
+                    .map(|f| format!("--{f}"))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            };
+            return Err(format!(
+                "unknown flag {} for `{command}`; valid flags: {}",
+                render(&unknown),
+                if valid.is_empty() {
+                    "none".to_string()
+                } else {
+                    render(&valid)
+                }
+            ));
+        }
+    }
     if args.command() != Some("scenario") {
         if let Some(extra) = args.positional(0) {
             return Err(format!("unexpected positional argument `{extra}`"));
@@ -251,15 +328,12 @@ pub fn run_cli(args: &Args) -> Result<String, String> {
 }
 
 fn duel_report(spec: &ScenarioSpec) -> String {
-    render_duel(spec.trials, spec.run_batch())
+    render_duel(spec.trials, spec.run_batch_raw())
 }
 
-fn render_duel(trials: u64, results: Vec<Result<Outcome, SimError>>) -> String {
-    let results: Vec<Result<DuelOutcome, SimError>> = results
-        .into_iter()
-        .map(|r| r.map(Outcome::into_duel))
-        .collect();
-    let (outcomes, truncated) = split_truncated(results);
+fn render_duel(trials: u64, results: Vec<(Outcome, Option<SimError>)>) -> String {
+    let (outcomes, truncated) =
+        split_truncated(results.into_iter().map(|(o, err)| (o.into_duel(), err)));
     if outcomes.is_empty() {
         return format!("every one of the {trials} trials truncated at an engine cap\n");
     }
@@ -347,15 +421,15 @@ fn cmd_duel(args: &Args) -> Result<String, String> {
 }
 
 fn broadcast_report(spec: &ScenarioSpec) -> String {
-    render_broadcast(spec.trials, spec.run_batch())
+    render_broadcast(spec.trials, spec.run_batch_raw())
 }
 
-fn render_broadcast(trials: u64, results: Vec<Result<Outcome, SimError>>) -> String {
-    let results: Vec<Result<BroadcastOutcome, SimError>> = results
-        .into_iter()
-        .map(|r| r.map(Outcome::into_broadcast))
-        .collect();
-    let (outcomes, truncated) = split_truncated(results);
+fn render_broadcast(trials: u64, results: Vec<(Outcome, Option<SimError>)>) -> String {
+    let (outcomes, truncated) = split_truncated(
+        results
+            .into_iter()
+            .map(|(o, err)| (o.into_broadcast(), err)),
+    );
     if outcomes.is_empty() {
         return format!("every one of the {trials} trials truncated at the epoch cap\n");
     }
@@ -405,13 +479,13 @@ fn render_broadcast(trials: u64, results: Vec<Result<Outcome, SimError>>) -> Str
     )
 }
 
-fn render_stream(trials: u64, results: Vec<Result<Outcome, SimError>>) -> String {
+fn render_stream(trials: u64, results: Vec<(Outcome, Option<SimError>)>) -> String {
     // Stream trials only fail as a whole on a deadline cut (per-message
     // caps are folded into `truncated_msgs`); both arms carry a stream
     // outcome worth summarising, so flatten errors away here.
     let outcomes: Vec<StreamOutcome> = results
         .into_iter()
-        .filter_map(|r| r.ok().map(Outcome::into_stream))
+        .filter_map(|(o, err)| err.is_none().then(|| o.into_stream()))
         .collect();
     if outcomes.is_empty() {
         return format!("every one of the {trials} trials was cut off by the deadline\n");
@@ -568,18 +642,11 @@ fn cmd_scenario(args: &Args) -> Result<String, String> {
             }
             spec.validate()?;
             let rc = run_control_args(args)?;
-            let raw = run_scenario_trials(name, &spec, args, &rc)?;
+            let results = run_scenario_trials(name, &spec, args, &rc)?;
             let mut checksum = FNV_OFFSET;
-            for (outcome, _) in &raw {
+            for (outcome, _) in &results {
                 checksum = fnv1a(checksum, &[spec.outcome_checksum(outcome)]);
             }
-            let results: Vec<Result<Outcome, SimError>> = raw
-                .into_iter()
-                .map(|(outcome, err)| match err {
-                    Some(e) => Err(e),
-                    None => Ok(outcome),
-                })
-                .collect();
             let header = format!(
                 "scenario {name}: {summary}\n{engine} · {workload} · {adversary} · faults: {faults} \
                  · seed {seed} · {trials} trials\n",
@@ -780,6 +847,9 @@ struct RunControlArgs {
     resume: Option<PathBuf>,
     deadline_budget: Option<Duration>,
 }
+
+/// The crash-safety flags [`run_control_args`] reads.
+const RUN_CONTROL_FLAGS: [&str; 3] = ["journal", "resume", "deadline"];
 
 fn run_control_args(args: &Args) -> Result<RunControlArgs, String> {
     let journal = args.get_opt::<String>("journal")?.map(PathBuf::from);
@@ -998,6 +1068,53 @@ mod tests {
         assert!(parse_cpus_list("").is_err(), "empty list");
         assert!(parse_cpus_list("0").is_err(), "zero workers");
         assert!(parse_cpus_list("two").is_err(), "non-numeric");
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let err = run_cli(&parse(&["duel", "--trails", "5"]).expect("parse"))
+            .expect_err("a typo must not fall back to the default trial count");
+        assert!(err.contains("--trails"), "names the flag: {err}");
+        assert!(err.contains("--trials"), "lists the valid ones: {err}");
+        // A flag valid for one command is still foreign to another.
+        let err = run_cli(&parse(&["golden", "--fault-loss", "0.2"]).expect("parse"))
+            .expect_err("golden takes no fault flags");
+        assert!(err.contains("--fault-loss"), "{err}");
+        assert!(run_cli(&parse(&["help", "--n", "3"]).expect("parse")).is_err());
+    }
+
+    #[test]
+    fn documented_invocations_use_accepted_flags() {
+        // Every `rcbsim` command line in CI and the docs must pass the
+        // unknown-flag gate, or the gate would break them.
+        let sources = [
+            ("ci.yml", include_str!("../../../.github/workflows/ci.yml")),
+            ("README.md", include_str!("../../../README.md")),
+            ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+        ];
+        let mut checked = 0;
+        for (file, text) in sources {
+            let joined = text.replace("\\\n", " ");
+            for line in joined.lines() {
+                let Some((_, tail)) = line.rsplit_once("rcbsim") else {
+                    continue;
+                };
+                let tail = tail.trim_start().trim_start_matches("-- ");
+                let end = tail.find(['`', '|', '#', ';', '&', '>', ')']);
+                let mut tokens = tail[..end.unwrap_or(tail.len())].split_whitespace();
+                let Some(valid) = tokens.next().and_then(command_flags) else {
+                    continue;
+                };
+                for token in tokens {
+                    if let Some(flag) = token.strip_prefix("--") {
+                        let flag = flag.split('=').next().unwrap_or(flag);
+                        assert!(valid.contains(&flag), "{file}: `--{flag}` in `{line}`");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 40, "only {checked} documented flags found");
     }
 
     #[test]

@@ -75,15 +75,18 @@ pub struct DuelSweepPoint {
     pub outcomes: Vec<DuelOutcome>,
 }
 
-/// Splits checked-trial results into completed outcomes and the number of
-/// trials the engine truncated at a budget cap.
-pub fn split_truncated<T>(results: Vec<Result<T, SimError>>) -> (Vec<T>, u64) {
-    let mut out = Vec::with_capacity(results.len());
+/// Splits tolerant trial results — each outcome next to its optional
+/// engine error — into completed outcomes and the number of trials the
+/// engine truncated at a budget cap.
+pub fn split_truncated<T>(
+    results: impl IntoIterator<Item = (T, Option<SimError>)>,
+) -> (Vec<T>, u64) {
+    let mut out = Vec::new();
     let mut truncated = 0u64;
-    for r in results {
-        match r {
-            Ok(v) => out.push(v),
-            Err(_) => truncated += 1,
+    for (v, err) in results {
+        match err {
+            None => out.push(v),
+            Some(_) => truncated += 1,
         }
     }
     (out, truncated)
@@ -217,7 +220,7 @@ const SWEEP_MAX_ATTEMPTS: u32 = 2;
 
 /// The sweep execution core: [`run_specs_ctl`] with the crash-safety
 /// environment wired in. With no journal dir and no deadline this returns
-/// exactly what [`run_specs`](rcb_sim::executor::run_specs) would (every
+/// exactly what a per-spec `run_batch_raw` would (every
 /// trial still runs on its unchanged seed fold; the bounded same-seed
 /// retry policy cannot alter a successful trial's stream), so the default
 /// path stays byte-identical. Quarantined trials abort the sweep with a
@@ -355,14 +358,8 @@ pub fn duel_budget_sweep(base: &ScenarioSpec, budgets: &[u64]) -> Vec<DuelSweepP
         .iter()
         .zip(run_sweep_specs(&specs, base.parallelism))
         .map(|(&budget, batch)| {
-            let results: Vec<Result<DuelOutcome, SimError>> = batch
-                .into_iter()
-                .map(|(outcome, err)| match err {
-                    None => Ok(outcome.into_duel()),
-                    Some(e) => Err(e),
-                })
-                .collect();
-            let (outcomes, truncated) = split_truncated(results);
+            let (outcomes, truncated) =
+                split_truncated(batch.into_iter().map(|(o, err)| (o.into_duel(), err)));
             summarize_duels(budget, outcomes, truncated)
         })
         .collect()
@@ -432,14 +429,8 @@ pub fn broadcast_budget_sweep(base: &ScenarioSpec, budgets: &[u64]) -> Vec<Broad
         .iter()
         .zip(run_sweep_specs(&specs, base.parallelism))
         .map(|(&budget, batch)| {
-            let results: Vec<Result<BroadcastOutcome, SimError>> = batch
-                .into_iter()
-                .map(|(outcome, err)| match err {
-                    None => Ok(outcome.into_broadcast()),
-                    Some(e) => Err(e),
-                })
-                .collect();
-            let (outcomes, truncated) = split_truncated(results);
+            let (outcomes, truncated) =
+                split_truncated(batch.into_iter().map(|(o, err)| (o.into_broadcast(), err)));
             summarize_broadcasts(budget, n, outcomes, truncated)
         })
         .collect()
@@ -578,7 +569,6 @@ mod tests {
     fn sweep_results_match_per_cell_run_batch() {
         // The work-stealing execution must reproduce the historical
         // serial per-cell path bit-for-bit: same seed folds, same trials.
-        use rcb_sim::scenario::Outcome;
         let base = duel_sweep_base(DuelProtocol::fig1(0.1, 7), 1.0, 5, 3);
         let budgets = [512u64, 1024, 4096];
         let pts = duel_budget_sweep(&base, &budgets);
@@ -587,9 +577,9 @@ mod tests {
                 .clone()
                 .with_adversary(base.adversary.with_budget(budget))
                 .with_seed(base.seeds.master ^ budget)
-                .run_batch()
+                .run_batch_raw()
                 .into_iter()
-                .filter_map(|r| r.ok().map(Outcome::into_duel))
+                .filter_map(|(o, err)| err.is_none().then(|| o.into_duel()))
                 .collect();
             assert_eq!(pt.outcomes, direct, "budget {budget} diverged");
         }
@@ -597,17 +587,23 @@ mod tests {
 
     #[test]
     fn split_truncated_partitions_and_counts() {
-        let results: Vec<Result<u32, SimError>> = vec![
-            Ok(1),
-            Err(SimError::EpochBudgetExhausted {
-                max_epoch: 3,
-                slots: 99,
-            }),
-            Ok(2),
-            Err(SimError::EpochBudgetExhausted {
-                max_epoch: 3,
-                slots: 7,
-            }),
+        let results = vec![
+            (1u32, None),
+            (
+                8,
+                Some(SimError::EpochBudgetExhausted {
+                    max_epoch: 3,
+                    slots: 99,
+                }),
+            ),
+            (2, None),
+            (
+                9,
+                Some(SimError::EpochBudgetExhausted {
+                    max_epoch: 3,
+                    slots: 7,
+                }),
+            ),
         ];
         let (ok, truncated) = split_truncated(results);
         assert_eq!(ok, vec![1, 2]);

@@ -13,7 +13,8 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::node::Status;
 use rcb_core::one_to_n::{OneToNNode, OneToNParams};
 use rcb_mathkit::rng::RcbRng;
-use rcb_sim::fast::{run_broadcast_checked, BroadcastObserver, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::fast::{run_broadcast, BroadcastObserver, FastConfig};
 use rcb_sim::faults::FaultPlan;
 
 /// (epoch, rep, S_min, S_max, uninformed, informed, helpers, terminated).
@@ -76,7 +77,7 @@ pub fn run(scale: &Scale) -> String {
     let mut probe = DynamicsProbe::default();
     let mut rng = RcbRng::new(scale.seed ^ 0xE10);
     let mut adv = NoJamRep;
-    let outcome = run_broadcast_checked(
+    let (outcome, err) = run_broadcast(
         &params,
         n,
         &[0],
@@ -85,8 +86,11 @@ pub fn run(scale: &Scale) -> String {
         FastConfig::default(),
         &mut probe,
         &FaultPlan::none(),
-    )
-    .expect("unjammed instrumented run must terminate before the epoch cap");
+        &Deadline::NONE,
+    );
+    if let Some(e) = err {
+        panic!("unjammed instrumented run must terminate before the epoch cap: {e}");
+    }
 
     let mut table = TableBuilder::new(vec![
         "epoch", "rep", "S min", "S max", "uninf", "inf", "helper", "term",
@@ -130,7 +134,7 @@ pub fn run(scale: &Scale) -> String {
     // This run is *expected* to hit the epoch cap — the probe only needs
     // the first epoch — so the typed truncation error is acknowledged
     // explicitly instead of being swallowed.
-    let capped = run_broadcast_checked(
+    let capped = run_broadcast(
         &params,
         n,
         &[0],
@@ -141,8 +145,10 @@ pub fn run(scale: &Scale) -> String {
         },
         &mut probe2,
         &FaultPlan::none(),
+        &Deadline::NONE,
     )
-    .is_err();
+    .1
+    .is_some();
     let start_sv = probe2.s_v_by_rep.first().copied().unwrap_or(0.0);
     let end_first_epoch = probe2
         .s_v_by_rep

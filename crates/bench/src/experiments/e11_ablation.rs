@@ -32,8 +32,9 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::duel::{run_duel_checked, DuelConfig};
-use rcb_sim::fast::{run_broadcast_checked, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{run_duel, DuelConfig};
+use rcb_sim::fast::{run_broadcast, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
@@ -95,12 +96,13 @@ pub fn run(scale: &Scale) -> String {
         let duel_results = run_trials(duel_trials, scale.seed ^ 0xA11, Parallelism::Auto, {
             move |i, rng| {
                 let mut adv = strategy.build(budget, i ^ 0xE11);
-                run_duel_checked(
+                run_duel(
                     &profile,
                     adv.as_mut(),
                     rng,
                     DuelConfig::default(),
                     &FaultPlan::none(),
+                    &Deadline::NONE,
                 )
             }
         });
@@ -121,7 +123,7 @@ pub fn run(scale: &Scale) -> String {
         let bc_results = run_trials(bc_trials, scale.seed ^ 0xB11, Parallelism::Auto, {
             move |i, rng| {
                 let mut adv = strategy.build(budget, i ^ 0xB11);
-                run_broadcast_checked(
+                run_broadcast(
                     &params,
                     n,
                     &[0],
@@ -130,6 +132,7 @@ pub fn run(scale: &Scale) -> String {
                     FastConfig::default(),
                     &mut (),
                     &FaultPlan::none(),
+                    &Deadline::NONE,
                 )
             }
         });

@@ -16,7 +16,8 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNNode;
 use rcb_core::one_to_n::OneToNParams;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::fast::{run_broadcast_checked, BroadcastObserver, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::fast::{run_broadcast, BroadcastObserver, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
@@ -50,7 +51,7 @@ fn sweep(
             Box::new(BudgetedRepBlocker::new(budget, 1.0))
         };
         let mut probe = DisseminationProbe::default();
-        run_broadcast_checked(
+        let (o, err) = run_broadcast(
             params,
             n,
             &source_ids,
@@ -59,8 +60,9 @@ fn sweep(
             FastConfig::default(),
             &mut probe,
             &FaultPlan::none(),
-        )
-        .map(|o| (o, probe.complete_at))
+            &Deadline::NONE,
+        );
+        ((o, probe.complete_at), err)
     });
     let (outcomes, truncated) = split_truncated(results);
     assert!(

@@ -16,7 +16,8 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::duel::{run_duel_checked, DuelConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{run_duel, DuelConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
@@ -39,12 +40,13 @@ pub fn run(scale: &Scale) -> String {
             Parallelism::Auto,
             move |_, rng| {
                 let mut adv = BudgetedRepBlocker::new(budget, q);
-                run_duel_checked(
+                run_duel(
                     &profile,
                     &mut adv,
                     rng,
                     DuelConfig::default(),
                     &FaultPlan::none(),
+                    &Deadline::NONE,
                 )
             },
         );
@@ -82,23 +84,21 @@ pub fn run(scale: &Scale) -> String {
     for t in 0..trials {
         let mut rng = seeds.rng(t);
         adv.refill(budget);
-        let result = run_duel_checked(
+        let (o, err) = run_duel(
             &profile,
             &mut adv,
             &mut rng,
             DuelConfig::default(),
             &FaultPlan::none(),
+            &Deadline::NONE,
         );
         adv.settle_now();
-        let o = match result {
-            Ok(o) => o,
-            // A truncated run still taught the bandit; only the victim
-            // statistics are unusable.
-            Err(_) => {
-                truncated_total += 1;
-                continue;
-            }
-        };
+        // A truncated run still taught the bandit; only the victim
+        // statistics are unusable.
+        if err.is_some() {
+            truncated_total += 1;
+            continue;
+        }
         bandit_runs += 1;
         cost.push(o.max_cost() as f64);
         if t >= trials / 2 {

@@ -21,7 +21,8 @@ use rcb_core::one_to_n::{OneToNParams, OneToNSchedule, OneToNSlotNode};
 use rcb_core::protocol::SlotProtocol;
 use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::exact::{run_exact_checked, ExactConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::exact::{run_exact, ExactConfig};
 use rcb_sim::faults::FaultPlan;
 
 struct CellResult {
@@ -72,7 +73,7 @@ fn run_cell(
         for node in nodes.iter_mut() {
             refs.push(node);
         }
-        let out = match run_exact_checked(
+        let (out, err) = run_exact(
             &mut refs,
             adv.as_mut(),
             &schedule,
@@ -83,13 +84,12 @@ fn run_cell(
             },
             None,
             &FaultPlan::none(),
-        ) {
-            Ok(out) => out,
-            Err(_) => {
-                truncated += 1;
-                continue;
-            }
-        };
+            &Deadline::NONE,
+        );
+        if err.is_some() {
+            truncated += 1;
+            continue;
+        }
         completed += 1;
         informed_runs += nodes.iter().all(|v| v.received_message()) as u64;
         cost.push(out.ledger.mean_node_cost());

@@ -24,8 +24,9 @@ use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::duel::{run_duel_checked, DuelConfig};
-use rcb_sim::fast::{run_broadcast_checked, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{run_duel, DuelConfig};
+use rcb_sim::fast::{run_broadcast, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
@@ -49,7 +50,14 @@ fn duel_cell(budget: u64, loss: f64, trials: u64, seed: u64) -> DuelCellResult {
         } else {
             Box::new(BudgetedRepBlocker::new(budget, 1.0))
         };
-        run_duel_checked(&profile, adv.as_mut(), rng, DuelConfig::default(), &plan)
+        run_duel(
+            &profile,
+            adv.as_mut(),
+            rng,
+            DuelConfig::default(),
+            &plan,
+            &Deadline::NONE,
+        )
     });
     let (outcomes, truncated) = split_truncated(results);
     assert!(
@@ -84,7 +92,7 @@ fn broadcast_cell(n: usize, plan: FaultPlan, trials: u64, seed: u64) -> Broadcas
     let params = OneToNParams::practical();
     let results = run_trials(trials, seed, Parallelism::Auto, |_, rng| {
         let mut adv = NoJamRep;
-        run_broadcast_checked(
+        run_broadcast(
             &params,
             n,
             &[0],
@@ -93,6 +101,7 @@ fn broadcast_cell(n: usize, plan: FaultPlan, trials: u64, seed: u64) -> Broadcas
             FastConfig::default(),
             &mut (),
             &plan,
+            &Deadline::NONE,
         )
     });
     let (outcomes, truncated) = split_truncated(results);

@@ -20,7 +20,8 @@ use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_core::one_to_one::schedule::DuelSchedule;
 use rcb_core::protocol::SlotProtocol;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::exact::{run_exact_checked, ExactConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::exact::{run_exact, ExactConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
@@ -42,7 +43,7 @@ fn combined_cost(budget: u64, trials: u64, seed: u64) -> (f64, f64, u64) {
         let mut adv = BudgetedPhaseBlocker::new(budget, 1.0);
         let schedule = DuelSchedule::new(8);
         let partition = Partition::pair();
-        let out = run_exact_checked(
+        let (out, err) = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
@@ -53,8 +54,12 @@ fn combined_cost(budget: u64, trials: u64, seed: u64) -> (f64, f64, u64) {
             },
             None,
             &FaultPlan::none(),
+            &Deadline::NONE,
         );
-        out.map(|o| (o.ledger.max_node_cost() as f64, bob.received_message()))
+        (
+            (out.ledger.max_node_cost() as f64, bob.received_message()),
+            err,
+        )
     });
     let (outcomes, truncated) = split_truncated(results);
     assert!(

@@ -238,9 +238,10 @@ fn measure_scenario(entry: &NamedScenario, seed: u64, scale: PerfScale, serial: 
         let mut checksum = FNV_OFFSET;
         for i in 0..trials {
             let mut rng = seeds.rng(i);
-            let outcome = spec
-                .run_trial(i, &mut rng)
-                .expect("pinned perf scenarios complete within their caps");
+            let (outcome, err) = spec.run_trial_raw(i, &mut rng);
+            if let Some(e) = err {
+                panic!("pinned perf scenarios complete within their caps: {e}");
+            }
             slots += outcome.slots();
             checksum = fnv1a(checksum, &[spec.outcome_checksum(&outcome)]);
         }

@@ -201,16 +201,6 @@ impl SeedSequence {
     pub fn rng(&self, index: u64) -> RcbRng {
         RcbRng::new(self.child(index))
     }
-
-    /// Batched child derivation: writes children `start .. start + out.len()`
-    /// into `out`, so `out[j] == self.child(start + j)`. The scenario
-    /// executor derives a claimed chunk's trial seeds in one pass with this
-    /// instead of re-entering [`child`](Self::child) per trial.
-    pub fn children_into(&self, start: u64, out: &mut [u64]) {
-        for (j, slot) in out.iter_mut().enumerate() {
-            *slot = self.child(start.wrapping_add(j as u64));
-        }
-    }
 }
 
 /// Convenience: the `index`-th independent generator for `master`.
@@ -313,22 +303,6 @@ mod tests {
             assert_eq!(v.to_bits(), looped.f64().to_bits(), "element {j} diverged");
         }
         assert_eq!(batched, looped);
-    }
-
-    #[test]
-    fn children_into_matches_child() {
-        let seq = SeedSequence::new(2014);
-        let mut buf = [0u64; 16];
-        for start in [0u64, 1, 7, u64::MAX - 3] {
-            seq.children_into(start, &mut buf);
-            for (j, &s) in buf.iter().enumerate() {
-                assert_eq!(
-                    s,
-                    seq.child(start.wrapping_add(j as u64)),
-                    "start {start}, j {j}"
-                );
-            }
-        }
     }
 
     #[test]

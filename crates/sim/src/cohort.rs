@@ -171,107 +171,66 @@ fn cohort_key(node: &OneToNNode) -> CohortKey {
     }
 }
 
-/// Runs one 1-to-n execution on the cohort engine: node 0 is the sender.
+/// Runs one 1-to-n execution on the cohort engine: every node in
+/// `sources` starts informed.
+///
+/// `faults` layers a fault-injection plan with the other engines'
+/// semantics; every fault target is a tracked singleton, and a battery
+/// fault forces all-singleton mode (the energy gauge is per-node state
+/// that anonymous cohorts cannot carry). Budget exhaustion and a fired
+/// `deadline` come back as the typed [`SimError`] next to the partial
+/// (`truncated`) outcome.
 ///
 /// ```
 /// use rcb_sim::cohort::{run_cohort, CohortConfig};
+/// use rcb_sim::deadline::Deadline;
+/// use rcb_sim::faults::FaultPlan;
 /// use rcb_adversary::rep_strategies::NoJamRep;
 /// use rcb_core::one_to_n::OneToNParams;
 /// use rcb_mathkit::rng::RcbRng;
 ///
 /// let params = OneToNParams::practical();
 /// let mut rng = RcbRng::new(7);
-/// let out = run_cohort(&params, 16, &mut NoJamRep, &mut rng, CohortConfig::default());
-/// assert!(out.all_informed && out.all_terminated);
+/// let (out, err) = run_cohort(
+///     &params,
+///     16,
+///     &[0],
+///     &mut NoJamRep,
+///     &mut rng,
+///     CohortConfig::default(),
+///     &FaultPlan::none(),
+///     &Deadline::NONE,
+/// );
+/// assert!(err.is_none() && out.all_informed && out.all_terminated);
 /// ```
+#[allow(clippy::too_many_arguments)]
 pub fn run_cohort(
     params: &OneToNParams,
     n: usize,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-) -> BroadcastOutcome {
-    run_cohort_from(params, n, &[0], adversary, rng, config)
-}
-
-/// Multi-source variant: every node in `sources` starts informed.
-pub fn run_cohort_from(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-) -> BroadcastOutcome {
-    run_cohort_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-        &mut CohortStats::default(),
-    )
-    .0
-}
-
-/// [`run_cohort_from`] with a fault-injection plan. Fault semantics match
-/// the other engines; every fault target is a tracked singleton, and a
-/// battery fault forces all-singleton mode (the energy gauge is per-node
-/// state that anonymous cohorts cannot carry).
-pub fn run_cohort_faulted(
-    params: &OneToNParams,
-    n: usize,
     sources: &[usize],
     adversary: &mut dyn RepetitionAdversary,
     rng: &mut RcbRng,
     config: CohortConfig,
     faults: &FaultPlan,
-) -> BroadcastOutcome {
-    run_cohort_core(
+    deadline: &Deadline,
+) -> (BroadcastOutcome, Option<SimError>) {
+    let mut state = CohortState::new(params, n, sources, config, faults);
+    run_cohort_in(
+        &mut state,
         params,
         n,
-        sources,
         adversary,
         rng,
         config,
         faults,
-        &Deadline::NONE,
+        deadline,
         &mut CohortStats::default(),
     )
-    .0
 }
 
-/// [`run_cohort_faulted`] reporting budget exhaustion as a typed error.
-pub fn run_cohort_checked(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-    faults: &FaultPlan,
-) -> Result<BroadcastOutcome, SimError> {
-    match run_cohort_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        faults,
-        &Deadline::NONE,
-        &mut CohortStats::default(),
-    ) {
-        (outcome, None) => Ok(outcome),
-        (_, Some(err)) => Err(err),
-    }
-}
-
-/// [`run_cohort_from`] that also reports compression diagnostics — how
-/// many cohorts existed, when the first symmetry break split one.
+/// A fault-free, unbounded [`run_cohort`] that also reports compression
+/// diagnostics — how many cohorts existed, when the first symmetry break
+/// split one.
 pub fn run_cohort_instrumented(
     params: &OneToNParams,
     n: usize,
@@ -280,15 +239,17 @@ pub fn run_cohort_instrumented(
     rng: &mut RcbRng,
     config: CohortConfig,
 ) -> (BroadcastOutcome, CohortStats) {
+    let faults = FaultPlan::none();
+    let mut state = CohortState::new(params, n, sources, config, &faults);
     let mut stats = CohortStats::default();
-    let (out, _) = run_cohort_core(
+    let (out, _) = run_cohort_in(
+        &mut state,
         params,
         n,
-        sources,
         adversary,
         rng,
         config,
-        &FaultPlan::none(),
+        &faults,
         &Deadline::NONE,
         &mut stats,
     );
@@ -305,7 +266,7 @@ const CAT_TRACKED_BASE: usize = 2;
 /// Retained per-session state of the cohort engine: the materialized
 /// (tracked) singletons, the anonymous cohort list, and every reusable
 /// sampling buffer. One `CohortState` serves a whole [`CohortSession`];
-/// the legacy entry points build a fresh one per run, so both paths
+/// [`run_cohort`] builds a fresh one per run, so both paths
 /// execute the identical repetition loop.
 #[derive(Debug)]
 struct CohortState {
@@ -421,7 +382,7 @@ impl CohortState {
 /// [`rearm`](Self::rearm) collapses whatever population structure the
 /// previous run materialized back into the initial cohorts; the golden
 /// equivalence suite pins that a re-armed run is bit-identical to a fresh
-/// [`run_cohort_from`] at the same seed.
+/// [`run_cohort`] at the same seed.
 #[derive(Debug)]
 pub struct CohortSession {
     params: OneToNParams,
@@ -482,24 +443,6 @@ impl CohortSession {
             &mut CohortStats::default(),
         )
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_cohort_core(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-    stats: &mut CohortStats,
-) -> (BroadcastOutcome, Option<SimError>) {
-    let mut state = CohortState::new(params, n, sources, config, faults);
-    run_cohort_in(
-        &mut state, params, n, adversary, rng, config, faults, deadline, stats,
-    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1100,6 +1043,27 @@ mod tests {
         OneToNParams::practical()
     }
 
+    /// Node 0 the source, no faults, no deadline.
+    fn plain(
+        p: &OneToNParams,
+        n: usize,
+        adversary: &mut dyn RepetitionAdversary,
+        rng: &mut RcbRng,
+        config: CohortConfig,
+    ) -> BroadcastOutcome {
+        let (out, _) = run_cohort(
+            p,
+            n,
+            &[0],
+            adversary,
+            rng,
+            config,
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        );
+        out
+    }
+
     /// Force aggregate (anonymous-cohort) mode regardless of n.
     fn aggregate_config() -> CohortConfig {
         CohortConfig {
@@ -1112,7 +1076,7 @@ mod tests {
     fn single_node_terminates_alone() {
         let p = params();
         let mut rng = RcbRng::new(1);
-        let out = run_cohort(&p, 1, &mut NoJamRep, &mut rng, CohortConfig::default());
+        let out = plain(&p, 1, &mut NoJamRep, &mut rng, CohortConfig::default());
         assert!(out.all_terminated, "last epoch {}", out.last_epoch);
         assert!(out.all_informed);
         assert!(!out.truncated);
@@ -1125,7 +1089,7 @@ mod tests {
         let trials = 10;
         for seed in 0..trials {
             let mut rng = RcbRng::new(seed);
-            let out = run_cohort(&p, 16, &mut NoJamRep, &mut rng, CohortConfig::default());
+            let out = plain(&p, 16, &mut NoJamRep, &mut rng, CohortConfig::default());
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed && out.all_terminated {
                 ok += 1;
@@ -1141,7 +1105,7 @@ mod tests {
         let trials = 10;
         for seed in 0..trials {
             let mut rng = RcbRng::new(100 + seed);
-            let out = run_cohort(&p, 64, &mut NoJamRep, &mut rng, aggregate_config());
+            let out = plain(&p, 64, &mut NoJamRep, &mut rng, aggregate_config());
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed && out.all_terminated {
                 ok += 1;
@@ -1155,7 +1119,7 @@ mod tests {
         let p = params();
         for (n, cfg) in [(32usize, CohortConfig::default()), (64, aggregate_config())] {
             let mut rng = RcbRng::new(3);
-            let out = run_cohort(&p, n, &mut NoJamRep, &mut rng, cfg);
+            let out = plain(&p, n, &mut NoJamRep, &mut rng, cfg);
             let ideal = p.ideal_epoch(n);
             assert!(
                 out.last_epoch <= ideal + 3,
@@ -1170,11 +1134,11 @@ mod tests {
         let p = params();
         let n = 16;
         let mut rng = RcbRng::new(4);
-        let free = run_cohort(&p, n, &mut NoJamRep, &mut rng, CohortConfig::default());
+        let free = plain(&p, n, &mut NoJamRep, &mut rng, CohortConfig::default());
 
         let mut rng = RcbRng::new(4);
         let mut adv = BudgetedRepBlocker::new(16 * free.slots, 1.0);
-        let jammed = run_cohort(&p, n, &mut adv, &mut rng, CohortConfig::default());
+        let jammed = plain(&p, n, &mut adv, &mut rng, CohortConfig::default());
         assert!(jammed.adversary_cost > 0);
         assert!(jammed.slots > free.slots);
         assert!(jammed.all_informed, "budget exhausted ⇒ delivery resumes");
@@ -1189,7 +1153,7 @@ mod tests {
             max_epoch: p.first_epoch + 2,
             ..CohortConfig::default()
         };
-        let out = run_cohort(&p, 4, &mut adv, &mut rng, cfg);
+        let out = plain(&p, 4, &mut adv, &mut rng, cfg);
         assert!(out.truncated);
         assert!(!out.all_terminated);
         assert_eq!(out.last_epoch, p.first_epoch + 2);
@@ -1204,8 +1168,18 @@ mod tests {
             max_epoch: p.first_epoch + 2,
             ..CohortConfig::default()
         };
-        let err = run_cohort_checked(&p, 4, &[0], &mut adv, &mut rng, cfg, &FaultPlan::none())
-            .expect_err("fully blocked nodes never terminate");
+        let err = run_cohort(
+            &p,
+            4,
+            &[0],
+            &mut adv,
+            &mut rng,
+            cfg,
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .1
+        .expect("fully blocked nodes never terminate");
         assert!(matches!(
             err,
             SimError::EpochBudgetExhausted { max_epoch, .. } if max_epoch == p.first_epoch + 2
@@ -1216,7 +1190,7 @@ mod tests {
     fn an_elapsed_deadline_truncates_with_a_typed_error() {
         let p = params();
         let mut rng = RcbRng::new(7);
-        let (out, err) = run_cohort_core(
+        let (out, err) = run_cohort(
             &p,
             16,
             &[0],
@@ -1225,7 +1199,6 @@ mod tests {
             CohortConfig::default(),
             &FaultPlan::none(),
             &Deadline::after(std::time::Duration::ZERO),
-            &mut CohortStats::default(),
         );
         assert!(out.truncated);
         assert_eq!(out.slots, 0);
@@ -1239,10 +1212,10 @@ mod tests {
             for seed in 0..5u64 {
                 let mut rng_a = RcbRng::new(seed);
                 let mut adv_a = BudgetedRepBlocker::new(40_000, 1.0);
-                let a = run_cohort(&p, 48, &mut adv_a, &mut rng_a, cfg);
+                let a = plain(&p, 48, &mut adv_a, &mut rng_a, cfg);
                 let mut rng_b = RcbRng::new(seed);
                 let mut adv_b = BudgetedRepBlocker::new(40_000, 1.0);
-                let b = run_cohort(&p, 48, &mut adv_b, &mut rng_b, cfg);
+                let b = plain(&p, 48, &mut adv_b, &mut rng_b, cfg);
                 assert_eq!(a, b, "seed {seed}");
                 assert_eq!(rng_a, rng_b, "seed {seed}: RNG state must match");
             }
@@ -1262,7 +1235,7 @@ mod tests {
             let mut acc = 0.0;
             for s in 0..trials {
                 let mut rng = RcbRng::new(base + s);
-                let out = run_cohort(&p, n, &mut NoJamRep, &mut rng, cfg);
+                let out = plain(&p, n, &mut NoJamRep, &mut rng, cfg);
                 acc += out.mean_cost();
             }
             acc / trials as f64
@@ -1307,7 +1280,7 @@ mod tests {
         let trials = 10;
         for seed in 0..trials {
             let mut rng = RcbRng::new(900 + seed);
-            let out = run_cohort_faulted(
+            let out = run_cohort(
                 &p,
                 8,
                 &[0],
@@ -1315,7 +1288,9 @@ mod tests {
                 &mut rng,
                 CohortConfig::default(),
                 &FaultPlan::none().with_crash(3, 2, 6, true),
-            );
+                &Deadline::NONE,
+            )
+            .0;
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed {
                 informed_runs += 1;
@@ -1331,15 +1306,17 @@ mod tests {
     fn crash_target_is_tracked_in_aggregate_mode() {
         let p = params();
         let mut rng = RcbRng::new(31);
+        let faults = FaultPlan::none().with_crash(7, 1, 4, false);
+        let mut state = CohortState::new(&p, 64, &[0], aggregate_config(), &faults);
         let mut stats = CohortStats::default();
-        let (out, _) = run_cohort_core(
+        let (out, _) = run_cohort_in(
+            &mut state,
             &p,
             64,
-            &[0],
             &mut NoJamRep,
             &mut rng,
             aggregate_config(),
-            &FaultPlan::none().with_crash(7, 1, 4, false),
+            &faults,
             &Deadline::NONE,
             &mut stats,
         );
@@ -1351,9 +1328,9 @@ mod tests {
     fn battery_fault_forces_exact_mode_and_caps_cost() {
         let p = params();
         let mut rng = RcbRng::new(9);
-        let plain = run_cohort(&p, 8, &mut NoJamRep, &mut rng, CohortConfig::default());
+        let uncapped = plain(&p, 8, &mut NoJamRep, &mut rng, CohortConfig::default());
         let mut rng = RcbRng::new(9);
-        let capped = run_cohort_faulted(
+        let capped = run_cohort(
             &p,
             8,
             &[0],
@@ -1361,13 +1338,15 @@ mod tests {
             &mut rng,
             aggregate_config(), // battery overrides the aggregate request
             &FaultPlan::none().with_battery(20),
-        );
+            &Deadline::NONE,
+        )
+        .0;
         assert!(!capped.truncated, "dead nodes count as halted");
         assert!(
-            capped.max_cost() < plain.max_cost(),
-            "capped {} vs plain {}",
+            capped.max_cost() < uncapped.max_cost(),
+            "capped {} vs uncapped {}",
             capped.max_cost(),
-            plain.max_cost()
+            uncapped.max_cost()
         );
     }
 
@@ -1378,7 +1357,7 @@ mod tests {
         let trials = 10;
         for seed in 0..trials {
             let mut rng = RcbRng::new(300 + seed);
-            let out = run_cohort_faulted(
+            let out = run_cohort(
                 &p,
                 16,
                 &[0],
@@ -1386,7 +1365,9 @@ mod tests {
                 &mut rng,
                 CohortConfig::default(),
                 &FaultPlan::none().with_loss(0.2),
-            );
+                &Deadline::NONE,
+            )
+            .0;
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed {
                 informed_runs += 1;

@@ -652,8 +652,9 @@ mod tests {
     use rcb_core::one_to_one::slot::{AliceProtocol, BobProtocol};
     use rcb_core::protocol::SlotProtocol;
 
-    use crate::duel::{run_duel_faulted, DuelConfig};
-    use crate::exact::{run_exact_faulted, ExactConfig};
+    use crate::deadline::Deadline;
+    use crate::duel::{run_duel, DuelConfig};
+    use crate::exact::{run_exact, ExactConfig};
     use crate::runner::run_trials;
 
     fn small_cfg() -> ConformanceConfig {
@@ -813,7 +814,7 @@ mod tests {
             let schedule = DuelSchedule::new(6);
             let partition = Partition::pair();
             let mut adv = RepAsSlotAdversary::duel(jammed.build(0));
-            let out = run_exact_faulted(
+            let out = run_exact(
                 &mut [&mut alice, &mut bob],
                 &mut adv,
                 &schedule,
@@ -822,18 +823,22 @@ mod tests {
                 ExactConfig::default(),
                 None,
                 &FaultPlan::none(),
-            );
+                &Deadline::NONE,
+            )
+            .0;
             out.ledger.max_node_cost() as f64
         });
         let fast: Vec<f64> = run_trials(cfg.trials, cfg.fast_seed(), cfg.parallelism, |_, rng| {
             let mut adv = AdversarySpec::NoJam.build(0);
-            run_duel_faulted(
+            run_duel(
                 &profile,
                 &mut adv,
                 rng,
                 DuelConfig::default(),
                 &FaultPlan::none(),
+                &Deadline::NONE,
             )
+            .0
             .max_cost() as f64
         });
         let verdict = MetricVerdict::compare("max_cost", &exact, &fast, false);
@@ -1035,7 +1040,7 @@ mod tests {
             let mut probe = BoundaryProbe::default();
             let mut adv = RepAsSlotAdversary::duel(Box::new(NoJamRep));
             let mut rng = RcbRng::new(9);
-            run_exact_faulted(
+            run_exact(
                 &mut [&mut sender, &mut probe],
                 &mut adv,
                 &FourSlotPeriods,
@@ -1044,19 +1049,22 @@ mod tests {
                 ExactConfig::default(),
                 None,
                 &FaultPlan::none().with_skew(1, s),
+                &Deadline::NONE,
             );
             probe.first_decode
         };
         let fast_delivery = |s: u64| {
             let mut rng = RcbRng::new(9);
             let mut adv = NoJamRep;
-            run_duel_faulted(
+            run_duel(
                 &AlwaysOnProfile,
                 &mut adv,
                 &mut rng,
                 DuelConfig::default(),
                 &FaultPlan::none().with_skew(1, s),
+                &Deadline::NONE,
             )
+            .0
             .delivery_slot
         };
         for s in 0..=PERIOD {

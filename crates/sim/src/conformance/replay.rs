@@ -237,7 +237,9 @@ pub fn replay_broadcast_trace(n: usize, trace: &Trace) -> BroadcastReplay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deadline::Deadline;
     use crate::exact::{run_exact, ExactConfig};
+    use crate::faults::FaultPlan;
     use rcb_adversary::rep_strategies::BudgetedRepBlocker;
     use rcb_adversary::slot_strategies::NoJam;
     use rcb_adversary::RepAsSlotAdversary;
@@ -265,7 +267,10 @@ mod tests {
             &mut rng,
             ExactConfig::default(),
             Some(&mut trace),
-        );
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0;
         assert!(out.completed);
         assert_eq!(trace.dropped(), 0, "trace must hold the whole run");
         (profile, schedule, trace, bob.received_message())
@@ -358,7 +363,10 @@ mod tests {
                     max_slots: 40_000_000,
                 },
                 Some(&mut trace),
-            );
+                &FaultPlan::none(),
+                &Deadline::NONE,
+            )
+            .0;
             assert!(out.completed);
             assert_eq!(trace.dropped(), 0);
             let replay = replay_broadcast_trace(n, &trace);

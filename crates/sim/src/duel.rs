@@ -65,39 +65,12 @@ fn scan_listens(listens: &[u64], sends: &[u64], mut on_listen: impl FnMut(u64, b
 }
 
 /// Runs one execution of a two-party epoch protocol described by `profile`
-/// against a repetition-granularity adversary.
+/// against a repetition-granularity adversary, under a fault-injection
+/// plan (see [`crate::faults`]) and a cooperative [`Deadline`].
 ///
-/// ```
-/// use rcb_sim::duel::{run_duel, DuelConfig};
-/// use rcb_adversary::rep_strategies::BudgetedRepBlocker;
-/// use rcb_core::one_to_one::profile::Fig1Profile;
-/// use rcb_mathkit::rng::RcbRng;
-///
-/// let profile = Fig1Profile::with_start_epoch(0.05, 8);
-/// let mut jammer = BudgetedRepBlocker::new(50_000, 1.0);
-/// let mut rng = RcbRng::new(1);
-/// let out = run_duel(&profile, &mut jammer, &mut rng, DuelConfig::default());
-/// assert!(out.delivered);
-/// assert!(out.max_cost() < out.adversary_cost / 4); // √T ≪ T
-/// ```
-pub fn run_duel<P: DuelProfile>(
-    profile: &P,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: DuelConfig,
-) -> DuelOutcome {
-    run_duel_core(
-        profile,
-        adversary,
-        rng,
-        config,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-    )
-    .0
-}
-
-/// [`run_duel`] with a fault-injection plan (see [`crate::faults`]).
+/// Budget exhaustion (the slot cap or the epoch-62 runaway guard) and a
+/// fired deadline come back as the typed [`SimError`] next to the partial
+/// outcome, whose `truncated` flag is set.
 ///
 /// Node convention: Alice is node 0, Bob node 1 (matching the exact
 /// engine's pair partition); periods are phases. A crashed or
@@ -105,35 +78,51 @@ pub fn run_duel<P: DuelProfile>(
 /// epilogue with zero counts — exactly what the exact engine's slot
 /// clock does for a sleeping radio — so a quiet window can push it into
 /// premature halting, which is measured degradation, not a bug.
-pub fn run_duel_faulted<P: DuelProfile>(
+///
+/// ```
+/// use rcb_sim::deadline::Deadline;
+/// use rcb_sim::duel::{run_duel, DuelConfig};
+/// use rcb_sim::faults::FaultPlan;
+/// use rcb_adversary::rep_strategies::BudgetedRepBlocker;
+/// use rcb_core::one_to_one::profile::Fig1Profile;
+/// use rcb_mathkit::rng::RcbRng;
+///
+/// let profile = Fig1Profile::with_start_epoch(0.05, 8);
+/// let mut jammer = BudgetedRepBlocker::new(50_000, 1.0);
+/// let mut rng = RcbRng::new(1);
+/// let (out, err) = run_duel(
+///     &profile,
+///     &mut jammer,
+///     &mut rng,
+///     DuelConfig::default(),
+///     &FaultPlan::none(),
+///     &Deadline::NONE,
+/// );
+/// assert!(err.is_none() && out.delivered);
+/// assert!(out.max_cost() < out.adversary_cost / 4); // √T ≪ T
+/// ```
+pub fn run_duel<P: DuelProfile>(
     profile: &P,
     adversary: &mut dyn RepetitionAdversary,
     rng: &mut RcbRng,
     config: DuelConfig,
     faults: &FaultPlan,
-) -> DuelOutcome {
-    run_duel_core(profile, adversary, rng, config, faults, &Deadline::NONE).0
-}
-
-/// [`run_duel_faulted`] that reports budget exhaustion (the slot cap or
-/// the epoch-62 runaway guard) as a typed [`SimError`] instead of a
-/// silent `truncated` flag.
-pub fn run_duel_checked<P: DuelProfile>(
-    profile: &P,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: DuelConfig,
-    faults: &FaultPlan,
-) -> Result<DuelOutcome, SimError> {
-    match run_duel_core(profile, adversary, rng, config, faults, &Deadline::NONE) {
-        (outcome, None) => Ok(outcome),
-        (_, Some(err)) => Err(err),
-    }
+    deadline: &Deadline,
+) -> (DuelOutcome, Option<SimError>) {
+    run_duel_in(
+        &mut DuelScratch::default(),
+        profile,
+        adversary,
+        rng,
+        config,
+        faults,
+        deadline,
+    )
 }
 
 /// Reusable phase buffers: the transmitting party's slot set and the
 /// listening party's. One pair of allocations serves a whole session (or
-/// one legacy run) instead of two fresh `Vec`s per epoch.
+/// one [`run_duel`] call) instead of two fresh `Vec`s per epoch.
 #[derive(Debug, Default)]
 pub struct DuelScratch {
     sends_buf: Vec<u64>,
@@ -169,7 +158,7 @@ impl<P: DuelProfile> DuelSession<P> {
 
     /// Re-arms the session for its next run on a fresh RNG stream. After
     /// `rearm(seed)`, [`run`](Self::run) is bit-identical to a freshly
-    /// constructed session (or the legacy entry points) at `seed`.
+    /// constructed session (or [`run_duel`]) at `seed`.
     pub fn rearm(&mut self, seed: u64) {
         self.rng = RcbRng::new(seed);
     }
@@ -190,25 +179,6 @@ impl<P: DuelProfile> DuelSession<P> {
             deadline,
         )
     }
-}
-
-pub(crate) fn run_duel_core<P: DuelProfile>(
-    profile: &P,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: DuelConfig,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-) -> (DuelOutcome, Option<SimError>) {
-    run_duel_in(
-        &mut DuelScratch::default(),
-        profile,
-        adversary,
-        rng,
-        config,
-        faults,
-        deadline,
-    )
 }
 
 fn run_duel_in<P: DuelProfile>(
@@ -261,9 +231,9 @@ fn run_duel_in<P: DuelProfile>(
         listens_buf,
     } = scratch;
 
-    // The deadline checkpoint consumes no RNG, so an unbounded deadline
-    // (the default on every legacy path) stays byte-identical; the
-    // `is_unbounded` gate keeps even the clock read off the default path.
+    // The deadline checkpoint consumes no RNG, so a deadline that never
+    // fires is byte-identical to an unbounded one; the `is_unbounded`
+    // gate keeps even the clock read off the default path.
     let bounded = !deadline.is_unbounded();
 
     while !((alice.is_done() || alice_dead) && (bob.is_done() || bob_dead)) {
@@ -480,6 +450,24 @@ mod tests {
     use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
     use rcb_core::one_to_one::profile::Fig1Profile;
 
+    /// No faults, no deadline: the outcome alone.
+    fn plain<P: DuelProfile>(
+        profile: &P,
+        adversary: &mut dyn RepetitionAdversary,
+        rng: &mut RcbRng,
+        config: DuelConfig,
+    ) -> DuelOutcome {
+        run_duel(
+            profile,
+            adversary,
+            rng,
+            config,
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0
+    }
+
     #[test]
     fn unjammed_run_delivers_with_high_probability() {
         let profile = Fig1Profile::new(0.1); // paper start epoch (14)
@@ -488,7 +476,7 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(seed);
             let mut adv = NoJamRep;
-            let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+            let out = plain(&profile, &mut adv, &mut rng, DuelConfig::default());
             assert!(!out.truncated);
             assert_eq!(out.adversary_cost, 0);
             if out.delivered {
@@ -511,7 +499,7 @@ mod tests {
         let trials = 50;
         for _ in 0..trials {
             let mut adv = NoJamRep;
-            let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+            let out = plain(&profile, &mut adv, &mut rng, DuelConfig::default());
             total += out.max_cost();
         }
         let mean = total as f64 / trials as f64;
@@ -529,7 +517,7 @@ mod tests {
         let mut rng = RcbRng::new(1);
         // Budget enough to fully block epochs 8 and 9 (4 phases: 2·256+2·512).
         let mut adv = BudgetedRepBlocker::new(1536, 1.0);
-        let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+        let out = plain(&profile, &mut adv, &mut rng, DuelConfig::default());
         assert!(out.adversary_cost > 0);
         assert!(
             out.last_epoch >= 10,
@@ -547,10 +535,10 @@ mod tests {
         for seed in 0..20 {
             let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(2_000, 1.0);
-            slots_small += run_duel(&profile, &mut adv, &mut rng, DuelConfig::default()).slots;
+            slots_small += plain(&profile, &mut adv, &mut rng, DuelConfig::default()).slots;
             let mut rng = RcbRng::new(seed + 1000);
             let mut adv = BudgetedRepBlocker::new(64_000, 1.0);
-            slots_large += run_duel(&profile, &mut adv, &mut rng, DuelConfig::default()).slots;
+            slots_large += plain(&profile, &mut adv, &mut rng, DuelConfig::default()).slots;
         }
         // 32× budget should yield far more than 4× latency (it is ~linear).
         assert!(
@@ -572,11 +560,11 @@ mod tests {
             let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(4096, 1.0);
             cost_small +=
-                run_duel(&profile, &mut adv, &mut rng, DuelConfig::default()).max_cost() as f64;
+                plain(&profile, &mut adv, &mut rng, DuelConfig::default()).max_cost() as f64;
             let mut rng = RcbRng::new(seed + 500);
             let mut adv = BudgetedRepBlocker::new(262_144, 1.0);
             cost_large +=
-                run_duel(&profile, &mut adv, &mut rng, DuelConfig::default()).max_cost() as f64;
+                plain(&profile, &mut adv, &mut rng, DuelConfig::default()).max_cost() as f64;
         }
         let ratio = cost_large / cost_small;
         assert!(
@@ -590,7 +578,7 @@ mod tests {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
         let mut rng = RcbRng::new(3);
         let mut adv = BudgetedRepBlocker::new(10_000, 1.0);
-        let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig { max_slots: 100 });
+        let out = plain(&profile, &mut adv, &mut rng, DuelConfig { max_slots: 100 });
         assert!(out.truncated);
     }
 
@@ -622,7 +610,7 @@ mod tests {
             let mut adv = RecordingRep {
                 observed: Vec::new(),
             };
-            let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+            let out = plain(&profile, &mut adv, &mut rng, DuelConfig::default());
 
             let mut alice_total = 0u64;
             let mut bob_total = 0u64;
@@ -673,7 +661,7 @@ mod tests {
     fn runaway_epochs_truncate_instead_of_panicking() {
         let mut rng = RcbRng::new(5);
         let mut adv = NoJamRep;
-        let out = run_duel(
+        let out = plain(
             &NeverHaltProfile,
             &mut adv,
             &mut rng,
@@ -687,31 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_is_bit_identical() {
-        let profile = Fig1Profile::with_start_epoch(0.1, 8);
-        for seed in 0..20 {
-            let mut rng_a = RcbRng::new(seed);
-            let mut adv_a = BudgetedRepBlocker::new(4096, 1.0);
-            let plain = run_duel(&profile, &mut adv_a, &mut rng_a, DuelConfig::default());
-            let mut rng_b = RcbRng::new(seed);
-            let mut adv_b = BudgetedRepBlocker::new(4096, 1.0);
-            let faulted = run_duel_faulted(
-                &profile,
-                &mut adv_b,
-                &mut rng_b,
-                DuelConfig::default(),
-                &FaultPlan::none(),
-            );
-            assert_eq!(plain, faulted, "seed {seed}");
-            assert_eq!(rng_a, rng_b, "no extra randomness was drawn");
-        }
-    }
-
-    #[test]
     fn checked_run_reports_epoch_cap_as_typed_error() {
         let mut rng = RcbRng::new(5);
         let mut adv = NoJamRep;
-        let err = run_duel_checked(
+        let err = run_duel(
             &NeverHaltProfile,
             &mut adv,
             &mut rng,
@@ -719,8 +686,10 @@ mod tests {
                 max_slots: u64::MAX,
             },
             &FaultPlan::none(),
+            &Deadline::NONE,
         )
-        .expect_err("runaway profile must exhaust the epoch budget");
+        .1
+        .expect("runaway profile must exhaust the epoch budget");
         assert!(matches!(
             err,
             SimError::EpochBudgetExhausted { max_epoch: 62, .. }
@@ -732,14 +701,16 @@ mod tests {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
         let mut rng = RcbRng::new(3);
         let mut adv = BudgetedRepBlocker::new(10_000, 1.0);
-        let err = run_duel_checked(
+        let err = run_duel(
             &profile,
             &mut adv,
             &mut rng,
             DuelConfig { max_slots: 100 },
             &FaultPlan::none(),
+            &Deadline::NONE,
         )
-        .expect_err("100 slots cannot finish a jammed duel");
+        .1
+        .expect("100 slots cannot finish a jammed duel");
         assert!(matches!(
             err,
             SimError::SlotBudgetExhausted { max_slots: 100, .. }
@@ -754,13 +725,15 @@ mod tests {
         for seed in 0..10 {
             let mut rng = RcbRng::new(seed);
             let mut adv = NoJamRep;
-            let out = run_duel_faulted(
+            let out = run_duel(
                 &profile,
                 &mut adv,
                 &mut rng,
                 DuelConfig::default(),
                 &FaultPlan::none().with_loss(1.0),
-            );
+                &Deadline::NONE,
+            )
+            .0;
             assert!(!out.delivered, "seed {seed}: lossy radio cannot decode m");
             assert!(!out.truncated, "seed {seed}: the duel still halts");
         }
@@ -774,13 +747,15 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(seed);
             let mut adv = NoJamRep;
-            let out = run_duel_faulted(
+            let out = run_duel(
                 &profile,
                 &mut adv,
                 &mut rng,
                 DuelConfig::default(),
                 &FaultPlan::none().with_loss(0.2),
-            );
+                &Deadline::NONE,
+            )
+            .0;
             if out.delivered {
                 delivered += 1;
             }
@@ -798,13 +773,15 @@ mod tests {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
         let mut rng = RcbRng::new(9);
         let mut adv = NoJamRep;
-        let out = run_duel_faulted(
+        let out = run_duel(
             &profile,
             &mut adv,
             &mut rng,
             DuelConfig::default(),
             &FaultPlan::none().with_crash(1, 0, u64::MAX, false),
-        );
+            &Deadline::NONE,
+        )
+        .0;
         assert_eq!(out.bob_cost, 0);
         assert!(!out.delivered);
         assert!(out.bob_premature, "quiet phases push Bob out");
@@ -819,13 +796,15 @@ mod tests {
         for seed in 0..10 {
             let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(1 << 20, 1.0);
-            let out = run_duel_faulted(
+            let out = run_duel(
                 &profile,
                 &mut adv,
                 &mut rng,
                 DuelConfig::default(),
                 &FaultPlan::none().with_battery(cap),
-            );
+                &Deadline::NONE,
+            )
+            .0;
             assert!(!out.truncated, "seed {seed}: dead parties end the run");
             // Overshoot is bounded by one phase of sampled activity: at
             // start epoch 8 that is ≈ rate·len ≈ 47 expected actions, so
@@ -869,13 +848,15 @@ mod tests {
         let run = |skew_slots: u64| {
             let mut rng = RcbRng::new(4);
             let mut adv = NoJamRep;
-            run_duel_faulted(
+            run_duel(
                 &AlwaysOnProfile,
                 &mut adv,
                 &mut rng,
                 DuelConfig::default(),
                 &FaultPlan::none().with_skew(1, skew_slots),
+                &Deadline::NONE,
             )
+            .0
         };
         // No skew: Alice sends every slot, Bob decodes at offset 0.
         assert_eq!(run(0).delivery_slot, Some(0));
@@ -893,7 +874,7 @@ mod tests {
     fn an_elapsed_deadline_truncates_with_a_typed_error() {
         let mut rng = RcbRng::new(5);
         let mut adv = NoJamRep;
-        let (out, err) = run_duel_core(
+        let (out, err) = run_duel(
             &NeverHaltProfile,
             &mut adv,
             &mut rng,
@@ -913,11 +894,11 @@ mod tests {
         for seed in 0..10 {
             let mut rng_a = RcbRng::new(seed);
             let mut adv_a = BudgetedRepBlocker::new(4096, 1.0);
-            let plain = run_duel(&profile, &mut adv_a, &mut rng_a, DuelConfig::default());
+            let untimed = plain(&profile, &mut adv_a, &mut rng_a, DuelConfig::default());
             let mut rng_b = RcbRng::new(seed);
             let mut adv_b = BudgetedRepBlocker::new(4096, 1.0);
             let far = Deadline::after(std::time::Duration::from_secs(3600));
-            let (timed, err) = run_duel_core(
+            let (timed, err) = run_duel(
                 &profile,
                 &mut adv_b,
                 &mut rng_b,
@@ -925,7 +906,7 @@ mod tests {
                 &FaultPlan::none(),
                 &far,
             );
-            assert_eq!(plain, timed, "seed {seed}");
+            assert_eq!(untimed, timed, "seed {seed}");
             assert_eq!(rng_a, rng_b, "seed {seed}: no extra randomness drawn");
             assert!(err.is_none());
         }

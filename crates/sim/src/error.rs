@@ -118,8 +118,9 @@ impl SimError {
 
 impl std::error::Error for SimError {}
 
-/// A trial that panicked inside
-/// [`run_trials_isolated`](crate::runner::run_trials_isolated).
+/// A trial whose closure panicked: re-raised by
+/// [`run_trials`](crate::runner::run_trials), quarantined by
+/// [`run_specs_ctl`](crate::executor::run_specs_ctl).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialFailure {
     /// The trial index whose closure panicked.

@@ -48,6 +48,16 @@ pub struct ExactOutcome {
 /// Runs `protocols` against `adversary` until every node is done (or the
 /// slot cap is hit). `schedule` supplies the public period structure handed
 /// to the adversary; `trace`, when provided, records per-slot summaries.
+///
+/// `faults` layers a fault-injection plan (see [`crate::faults`]) between
+/// the channel and the receivers: battery-dead and crashed nodes are forced
+/// to [`Action::Sleep`]; battery-dead nodes additionally count as halted
+/// for the completion check (they can never act again). The trace and the
+/// adversary's observations record the **raw** channel resolution —
+/// receiver-side degradation is invisible on the air. Slot-budget
+/// exhaustion and a fired `deadline` come back as the typed [`SimError`]
+/// next to the partial (`completed = false`) outcome.
+#[allow(clippy::too_many_arguments)]
 pub fn run_exact(
     protocols: &mut [&mut dyn SlotProtocol],
     adversary: &mut dyn SlotAdversary,
@@ -56,41 +66,12 @@ pub fn run_exact(
     rng: &mut RcbRng,
     config: ExactConfig,
     trace: Option<&mut Trace>,
-) -> ExactOutcome {
-    run_exact_core(
-        protocols,
-        adversary,
-        schedule,
-        partition,
-        rng,
-        config,
-        trace,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-    )
-    .0
-}
-
-/// [`run_exact`] with a fault-injection plan (see [`crate::faults`])
-/// layered between the channel and the receivers.
-///
-/// Battery-dead and crashed nodes are forced to [`Action::Sleep`];
-/// battery-dead nodes additionally count as halted for the completion
-/// check (they can never act again). The trace and the adversary's
-/// observations record the **raw** channel resolution — receiver-side
-/// degradation is invisible on the air.
-#[allow(clippy::too_many_arguments)]
-pub fn run_exact_faulted(
-    protocols: &mut [&mut dyn SlotProtocol],
-    adversary: &mut dyn SlotAdversary,
-    schedule: &dyn Schedule,
-    partition: &Partition,
-    rng: &mut RcbRng,
-    config: ExactConfig,
-    trace: Option<&mut Trace>,
     faults: &FaultPlan,
-) -> ExactOutcome {
-    run_exact_core(
+    deadline: &Deadline,
+) -> (ExactOutcome, Option<SimError>) {
+    let mut scratch = ExactScratch::new(protocols.len());
+    run_exact_in(
+        &mut scratch,
         protocols,
         adversary,
         schedule,
@@ -99,38 +80,8 @@ pub fn run_exact_faulted(
         config,
         trace,
         faults,
-        &Deadline::NONE,
+        deadline,
     )
-    .0
-}
-
-/// [`run_exact_faulted`] that reports budget exhaustion as a typed
-/// [`SimError`] instead of a silent `completed = false`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_exact_checked(
-    protocols: &mut [&mut dyn SlotProtocol],
-    adversary: &mut dyn SlotAdversary,
-    schedule: &dyn Schedule,
-    partition: &Partition,
-    rng: &mut RcbRng,
-    config: ExactConfig,
-    trace: Option<&mut Trace>,
-    faults: &FaultPlan,
-) -> Result<ExactOutcome, SimError> {
-    match run_exact_core(
-        protocols,
-        adversary,
-        schedule,
-        partition,
-        rng,
-        config,
-        trace,
-        faults,
-        &Deadline::NONE,
-    ) {
-        (outcome, None) => Ok(outcome),
-        (_, Some(err)) => Err(err),
-    }
 }
 
 /// Slots between deadline checkpoints in the exact engine's hot loop: the
@@ -138,8 +89,8 @@ pub fn run_exact_checked(
 const DEADLINE_CHECK_MASK: u64 = 0xFFF;
 
 /// Retained per-session state of the exact engine: the energy ledger and
-/// every per-slot buffer. Sessions hold one across runs; the legacy entry
-/// points build a fresh one per run, so both paths execute the identical
+/// every per-slot buffer. Sessions hold one across runs; [`run_exact`]
+/// builds a fresh one per run, so both paths execute the identical
 /// slot loop. The outcome clones the ledger (node counts, not slots — the
 /// only per-run copy the session layer introduces).
 #[derive(Debug)]
@@ -178,33 +129,6 @@ impl ExactScratch {
         self.ledger.reset();
         self.dead.fill(false);
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_exact_core(
-    protocols: &mut [&mut dyn SlotProtocol],
-    adversary: &mut dyn SlotAdversary,
-    schedule: &dyn Schedule,
-    partition: &Partition,
-    rng: &mut RcbRng,
-    config: ExactConfig,
-    trace: Option<&mut Trace>,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-) -> (ExactOutcome, Option<SimError>) {
-    let mut scratch = ExactScratch::new(protocols.len());
-    run_exact_in(
-        &mut scratch,
-        protocols,
-        adversary,
-        schedule,
-        partition,
-        rng,
-        config,
-        trace,
-        faults,
-        deadline,
-    )
 }
 
 /// The slot loop over caller-retained [`ExactScratch`] state. The scratch
@@ -410,7 +334,10 @@ mod tests {
                 &mut rng,
                 ExactConfig::default(),
                 None,
-            );
+                &FaultPlan::none(),
+                &Deadline::NONE,
+            )
+            .0;
             assert!(out.completed, "unjammed duel must halt");
             assert_eq!(out.ledger.adversary_cost(), 0);
             if bob.received_message() {
@@ -443,7 +370,10 @@ mod tests {
             &mut rng,
             ExactConfig::default(),
             None,
-        );
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0;
         assert!(out.completed);
         assert!(out.ledger.adversary_cost() > 0);
         // Heavy early jamming must push the pair past the first epoch.
@@ -465,7 +395,10 @@ mod tests {
             &mut rng,
             ExactConfig::default(),
             Some(&mut trace),
-        );
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0;
         assert!(out.completed);
         assert!(!trace.is_empty());
     }
@@ -484,7 +417,10 @@ mod tests {
             &mut rng,
             ExactConfig { max_slots: 10 },
             None,
-        );
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0;
         assert_eq!(out.slots, 10);
         assert!(!out.completed);
     }
@@ -495,7 +431,7 @@ mod tests {
         let mut rng = RcbRng::new(9);
         let mut adv = NoJam;
         let partition = Partition::pair();
-        let err = run_exact_checked(
+        let err = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
@@ -504,8 +440,10 @@ mod tests {
             ExactConfig { max_slots: 10 },
             None,
             &FaultPlan::none(),
+            &Deadline::NONE,
         )
-        .expect_err("10 slots cannot finish a duel");
+        .1
+        .expect("10 slots cannot finish a duel");
         assert_eq!(
             err,
             SimError::SlotBudgetExhausted {
@@ -521,7 +459,7 @@ mod tests {
         let mut rng = RcbRng::new(9);
         let mut adv = NoJam;
         let partition = Partition::pair();
-        let (out, err) = run_exact_core(
+        let (out, err) = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
@@ -539,50 +477,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_is_bit_identical() {
-        let partition = Partition::pair();
-        let run = |faulted: bool| {
-            let (mut alice, mut bob, schedule) = fig1_pair(6);
-            let mut rng = RcbRng::new(77);
-            let mut adv = BudgetedPhaseBlocker::new(500, 1.0);
-            let protocols: &mut [&mut dyn SlotProtocol] = &mut [&mut alice, &mut bob];
-            if faulted {
-                run_exact_faulted(
-                    protocols,
-                    &mut adv,
-                    &schedule,
-                    &partition,
-                    &mut rng,
-                    ExactConfig::default(),
-                    None,
-                    &FaultPlan::none(),
-                )
-            } else {
-                run_exact(
-                    protocols,
-                    &mut adv,
-                    &schedule,
-                    &partition,
-                    &mut rng,
-                    ExactConfig::default(),
-                    None,
-                )
-            }
-        };
-        let plain = run(false);
-        let faulted = run(true);
-        assert_eq!(plain.slots, faulted.slots);
-        assert_eq!(plain.completed, faulted.completed);
-        for i in 0..2 {
-            assert_eq!(plain.ledger.node_cost(i), faulted.ledger.node_cost(i));
-        }
-        assert_eq!(
-            plain.ledger.adversary_cost(),
-            faulted.ledger.adversary_cost()
-        );
-    }
-
-    #[test]
     fn battery_brownout_halts_the_run() {
         // A 1-unit battery dies at the first period boundary after any
         // activity; the run then completes with both nodes offline.
@@ -590,7 +484,7 @@ mod tests {
         let mut rng = RcbRng::new(11);
         let mut adv = NoJam;
         let partition = Partition::pair();
-        let out = run_exact_faulted(
+        let out = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
@@ -599,7 +493,9 @@ mod tests {
             ExactConfig::default(),
             None,
             &FaultPlan::none().with_battery(1),
-        );
+            &Deadline::NONE,
+        )
+        .0;
         assert!(out.completed, "dead nodes count as halted");
         assert!(
             out.slots < 4096,
@@ -623,7 +519,7 @@ mod tests {
         let mut rng = RcbRng::new(12);
         let mut adv = NoJam;
         let partition = Partition::pair();
-        let out = run_exact_faulted(
+        let out = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
@@ -632,7 +528,9 @@ mod tests {
             ExactConfig::default(),
             None,
             &FaultPlan::none().with_crash(1, 0, u64::MAX, false),
-        );
+            &Deadline::NONE,
+        )
+        .0;
         assert_eq!(out.ledger.node_cost(1), 0, "radio off costs nothing");
         assert!(out.ledger.node_cost(0) > 0, "Alice still runs");
     }
@@ -652,6 +550,8 @@ mod tests {
             &mut rng,
             ExactConfig::default(),
             None,
+            &FaultPlan::none(),
+            &Deadline::NONE,
         );
     }
 }

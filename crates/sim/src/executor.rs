@@ -1,19 +1,19 @@
 //! Deterministic work-stealing scenario executor.
 //!
-//! [`run_trials`](crate::runner::run_trials) shards the *trials* of one
-//! batch across cores; this module generalises the same atomic-cursor
-//! pattern to heterogeneous work lists, which is what the serial consumers
-//! (experiment sweeps, the conformance grid, the perf grid) actually hold:
+//! One worker pool serves every parallel consumer — experiment sweeps, the
+//! conformance grid, the perf grid, and
+//! [`run_trials`](crate::runner::run_trials) for a single batch. Workers
+//! claim one work unit at a time from an atomic cursor, so heterogeneous
+//! units balance across workers, and results merge back in work-list
+//! order whatever the thread count or scheduling:
 //!
 //! * [`run_cells`] — cell-granular: a deterministic parallel map over any
-//!   slice. The shard unit is one list element; results come back in list
-//!   order regardless of thread count or scheduling.
-//! * [`run_specs`] — trial-granular: flattens a `ScenarioSpec` list into
-//!   one global trial work list (prefix sums over per-spec trial counts),
-//!   so stealing crosses cell boundaries and a long tail cell cannot
-//!   serialise the sweep. Workers claim fixed-size chunks of consecutive
-//!   global indices and derive each chunk's trial seeds in one batched
-//!   [`SeedSequence::children_into`] pass.
+//!   slice. The shard unit is one list element.
+//! * [`run_specs_ctl`] — trial-granular: flattens a `ScenarioSpec` list
+//!   into one global trial work list (prefix sums over per-spec trial
+//!   counts), so stealing crosses cell boundaries and a long tail cell
+//!   cannot serialise the sweep, and even a batch of a few trials spreads
+//!   over every worker.
 //!
 //! ## Seed-fold invariant
 //!
@@ -27,8 +27,8 @@
 //!
 //! ## Nested parallelism
 //!
-//! Executor workers mark their thread with the runner's `IN_WORKER` flag,
-//! so `Parallelism::Auto` *inside* a cell (e.g. a conformance cell's
+//! Pool workers mark their thread with the runner's `IN_WORKER` flag, so
+//! `Parallelism::Auto` *inside* a unit (e.g. a conformance cell's
 //! `run_batch_raw`) degrades to sequential instead of spawning cores²
 //! threads. `Fixed(n > 1)` at both tiers is honoured by name and therefore
 //! oversubscribes — callers that nest must pick one parallel tier
@@ -36,19 +36,19 @@
 //!
 //! ## Crash-safe control ([`run_cells_ctl`] / [`run_specs_ctl`])
 //!
-//! The `_ctl` variants accept a [`SpecsControl`] (deadline, same-seed
-//! retry budget, resume-skip predicate) and report **partial** results:
-//! every completed unit is `Some`, everything the deadline cut off or the
-//! skip predicate elided is `None`, and the run's `deadline_hit` flag
-//! says why. The run-level deadline is checked *between* work units —
-//! an in-flight trial or cell always finishes, so every `Some` is a
-//! deterministic, journal-safe result. A panicking trial is retried on
-//! its **same** derived seed up to `max_attempts` times, then quarantined
-//! ([`QuarantinedTrial`]) instead of aborting the sweep; the seed streams
-//! of every other trial are untouched either way.
+//! The `_ctl` functions accept a deadline and a resume-skip predicate (for
+//! specs, a [`SpecsControl`] that adds a same-seed retry budget) and report
+//! **partial** results: every completed unit is `Some`, everything the
+//! deadline cut off or the skip predicate elided is `None`, and the run's
+//! `deadline_hit` flag says why. The run-level deadline is checked
+//! *between* work units — an in-flight trial or cell always finishes, so
+//! every `Some` is a deterministic, journal-safe result. A panicking trial
+//! is retried on its **same** derived seed up to `max_attempts` times,
+//! then quarantined ([`QuarantinedTrial`]) instead of aborting the sweep;
+//! the seed streams of every other trial are untouched either way.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use rcb_mathkit::rng::{RcbRng, SeedSequence};
@@ -56,23 +56,14 @@ use rcb_mathkit::rng::{RcbRng, SeedSequence};
 use crate::deadline::Deadline;
 use crate::error::{SimError, TrialFailure};
 use crate::runner::{enter_worker, panic_payload, Parallelism};
-use crate::scenario::{fnv1a, Outcome, ScenarioSpec, FNV_OFFSET};
-
-/// Trials claimed per cursor bump in [`run_specs`]. Small enough that a
-/// sweep of a few hundred trials still balances across workers, large
-/// enough to amortise the atomic traffic and the batched seed derivation.
-const TRIAL_CHUNK: u64 = 16;
-
-/// One trial's result (or quarantined failure) paired with its global
-/// index, pre-merge.
-type IndexedTrial = (u64, Result<(Outcome, Option<SimError>), TrialFailure>);
+use crate::scenario::{Outcome, ScenarioSpec};
 
 /// One spec's per-trial slots: `None` for skipped/never-started trials,
 /// `Some` for completed deterministic results.
 pub type TrialSlots = Vec<Option<(Outcome, Option<SimError>)>>;
 
 /// Crash-safety knobs for [`run_specs_ctl`]. [`SpecsControl::DEFAULT`]
-/// reproduces the uncontrolled [`run_specs`] behaviour exactly.
+/// runs every trial once, with no deadline.
 pub struct SpecsControl<'a> {
     /// Run-level wall-clock budget / cancellation token, checked *between*
     /// trials: in-flight trials finish, so partial results stay
@@ -95,7 +86,7 @@ pub struct SpecsControl<'a> {
 }
 
 impl SpecsControl<'static> {
-    /// No deadline, no retries, no skips — [`run_specs`] semantics.
+    /// No deadline, no retries, no skips.
     pub const DEFAULT: SpecsControl<'static> = SpecsControl {
         deadline: Deadline::NONE,
         trial_deadline: None,
@@ -146,16 +137,79 @@ pub struct CellsRun<T> {
     pub deadline_hit: bool,
 }
 
+/// The worker pool: applies `f` to every index in `0..total` and returns
+/// the results in index order — `None` where `f` declined the index or the
+/// deadline stopped the pool before running it — plus whether the deadline
+/// fired.
+///
+/// Workers claim one index at a time from an atomic cursor and keep
+/// `(index, value)` pairs locally, merged once at the end: no shared
+/// results lock, and the output is independent of thread count and
+/// scheduling. The deadline is checked after each claim, before the index
+/// runs, so an in-flight unit always finishes. Spawned workers set the
+/// runner's `IN_WORKER` flag; with one thread `f` runs on the caller's
+/// thread. A panic in `f` propagates.
+pub(crate) fn run_pool<T, F>(
+    total: usize,
+    parallelism: Parallelism,
+    deadline: &Deadline,
+    f: F,
+) -> (Vec<Option<T>>, bool)
+where
+    T: Send,
+    F: Fn(usize) -> Option<T> + Sync,
+{
+    let threads = parallelism.threads().min(total.max(1));
+    let bounded = !deadline.is_unbounded();
+    let hit = AtomicBool::new(false);
+    let cursor = AtomicUsize::new(0);
+    let work = |collected: &mut Vec<(usize, T)>| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= total {
+            return;
+        }
+        if bounded && (hit.load(Ordering::Relaxed) || deadline.exceeded()) {
+            hit.store(true, Ordering::Relaxed);
+            return;
+        }
+        if let Some(value) = f(i) {
+            collected.push((i, value));
+        }
+    };
+
+    let mut per_worker: Vec<Vec<(usize, T)>> = Vec::with_capacity(threads);
+    per_worker.resize_with(threads, Vec::new);
+    if threads == 1 {
+        work(&mut per_worker[0]);
+    } else {
+        std::thread::scope(|scope| {
+            for collected in &mut per_worker {
+                scope.spawn(|| {
+                    enter_worker();
+                    work(collected)
+                });
+            }
+        });
+    }
+
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(total);
+    slots.resize_with(total, || None);
+    for (i, value) in per_worker.into_iter().flatten() {
+        debug_assert!(slots[i].is_none(), "index {i} claimed twice");
+        slots[i] = Some(value);
+    }
+    (slots, hit.load(Ordering::Relaxed))
+}
+
 /// Deterministic parallel map over a heterogeneous work list: applies `f`
 /// to every element of `items` and returns the results **in list order**,
 /// independent of thread count or scheduling.
 ///
 /// The shard unit is one element (a conformance cell, a perf scenario);
-/// distribution is dynamic via an atomic cursor, so expensive cells next
-/// to cheap ones balance across workers exactly like heterogeneous trials
-/// do in [`run_trials`](crate::runner::run_trials). Workers set the
-/// runner's `IN_WORKER` flag, so `Parallelism::Auto` inside `f` degrades
-/// to sequential. A panic in `f` propagates and aborts the map.
+/// distribution is dynamic, so expensive cells next to cheap ones balance
+/// across workers. Workers set the runner's `IN_WORKER` flag, so
+/// `Parallelism::Auto` inside `f` degrades to sequential. A panic in `f`
+/// propagates and aborts the map.
 pub fn run_cells<I, T, F>(items: &[I], parallelism: Parallelism, f: F) -> Vec<T>
 where
     I: Sync,
@@ -187,108 +241,31 @@ where
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    let bounded = !deadline.is_unbounded();
-    let hit = AtomicBool::new(false);
-    let threads = parallelism.threads().min(items.len().max(1));
-
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(items.len());
-    slots.resize_with(items.len(), || None);
-
-    if threads <= 1 {
-        for (i, item) in items.iter().enumerate() {
-            if bounded && deadline.exceeded() {
-                hit.store(true, Ordering::Relaxed);
-                break;
-            }
-            if skip.is_some_and(|s| s(i)) {
-                continue;
-            }
-            slots[i] = Some(f(i, item));
-        }
-        return CellsRun {
-            results: slots,
-            deadline_hit: hit.load(Ordering::Relaxed),
-        };
-    }
-
-    let cursor = AtomicU64::new(0);
-    let worker = |collected: &mut Vec<(usize, T)>| {
-        enter_worker();
-        loop {
-            if bounded && (hit.load(Ordering::Relaxed) || deadline.exceeded()) {
-                hit.store(true, Ordering::Relaxed);
-                return;
-            }
-            let i = cursor.fetch_add(1, Ordering::Relaxed) as usize;
-            if i >= items.len() {
-                return;
-            }
-            if skip.is_some_and(|s| s(i)) {
-                continue;
-            }
-            collected.push((i, f(i, &items[i])));
-        }
-    };
-
-    let mut per_worker: Vec<Vec<(usize, T)>> = Vec::with_capacity(threads);
-    per_worker.resize_with(threads, Vec::new);
-    std::thread::scope(|scope| {
-        for collected in &mut per_worker {
-            scope.spawn(|| worker(collected));
-        }
+    let (results, deadline_hit) = run_pool(items.len(), parallelism, deadline, |i| {
+        (!skip.is_some_and(|s| s(i))).then(|| f(i, &items[i]))
     });
-
-    for (i, value) in per_worker.into_iter().flatten() {
-        debug_assert!(slots[i].is_none(), "cell {i} claimed twice");
-        slots[i] = Some(value);
-    }
     CellsRun {
-        results: slots,
-        deadline_hit: hit.load(Ordering::Relaxed),
+        results,
+        deadline_hit,
     }
 }
 
 /// Runs every trial of every spec through one global work-stealing pool
-/// and returns the tolerant per-trial results grouped by spec, in spec and
-/// trial order.
+/// under a [`SpecsControl`] — cooperative deadlines, resume skips, and a
+/// bounded same-seed retry-then-quarantine policy for panicking trials —
+/// and returns the tolerant per-trial results grouped by spec, in spec
+/// and trial order, with **partial results reported**, never a silent
+/// clip.
 ///
 /// The work list is the disjoint union of all specs' trial ranges (prefix
 /// sums map a global index back to `(spec, trial)`), so workers steal
 /// across cell boundaries: a sweep whose last cell is 10× the others keeps
 /// every core busy until the true end of the work, which cell-granular
-/// sharding cannot. Each trial runs with the exact
-/// [`run_batch_raw`](ScenarioSpec::run_batch_raw) seed derivation, so the
-/// grouped output is bit-identical to calling `run_batch_raw` per spec —
-/// at any thread count.
-pub fn run_specs(
-    specs: &[ScenarioSpec],
-    parallelism: Parallelism,
-) -> Vec<Vec<(Outcome, Option<SimError>)>> {
-    let run = run_specs_ctl(specs, parallelism, &SpecsControl::DEFAULT);
-    if let Some(q) = run.quarantined.first() {
-        panic!("spec {}, trial {}: {}", q.spec, q.trial, q.failure.payload);
-    }
-    run.results
-        .into_iter()
-        .map(|batch| {
-            batch
-                .into_iter()
-                .map(|t| t.expect("unbounded, skip-free run: every trial completed"))
-                .collect()
-        })
-        .collect()
-}
-
-/// [`run_specs`] under a [`SpecsControl`]: cooperative deadlines, resume
-/// skips, and a bounded same-seed retry-then-quarantine policy for
-/// panicking trials — with **partial results reported**, never a silent
-/// clip.
-///
-/// Every completed trial still runs on the exact
+/// sharding cannot. Every trial runs on the exact
 /// [`run_batch_raw`](ScenarioSpec::run_batch_raw) seed derivation
 /// (retries re-create the RNG from the *same* child seed), so whatever
-/// subset completes is bit-identical to the corresponding trials of an
-/// uninterrupted run at any thread count.
+/// subset completes is bit-identical to the corresponding trials of a
+/// per-spec `run_batch_raw` at any thread count.
 pub fn run_specs_ctl(
     specs: &[ScenarioSpec],
     parallelism: Parallelism,
@@ -302,116 +279,52 @@ pub fn run_specs_ctl(
         total += spec.trials;
     }
     offsets.push(total);
-
-    let bounded = !ctl.deadline.is_unbounded();
-    let hit = AtomicBool::new(false);
-
-    let run_chunk = |start: u64, end: u64, sink: &mut Vec<IndexedTrial>| {
-        let mut g = start;
-        // A chunk of consecutive global indices may straddle spec
-        // boundaries; split it into per-spec sub-ranges.
-        while g < end {
-            let cell = offsets.partition_point(|&o| o <= g) - 1;
-            let spec = &specs[cell];
-            let sub_end = end.min(offsets[cell + 1]);
-            let first_trial = g - offsets[cell];
-            let len = (sub_end - g) as usize;
-            let mut child_seeds = vec![0u64; len];
-            SeedSequence::new(spec.seeds.master).children_into(first_trial, &mut child_seeds);
-            for (j, &seed) in child_seeds.iter().enumerate() {
-                let trial = first_trial + j as u64;
-                if bounded && ctl.deadline.exceeded() {
-                    hit.store(true, Ordering::Relaxed);
-                    return;
-                }
-                if ctl.skip.is_some_and(|s| s(cell, trial)) {
-                    continue;
-                }
-                let result = run_with_retries(seed, trial, ctl.max_attempts, |rng| {
-                    let trial_dl = ctl
-                        .trial_deadline
-                        .map(Deadline::after)
-                        .unwrap_or(Deadline::NONE);
-                    spec.run_trial_ctl(trial, rng, &trial_dl)
-                });
-                sink.push((g + j as u64, result));
-            }
-            g = sub_end;
-        }
+    let locate = |g: u64| {
+        let cell = offsets.partition_point(|&o| o <= g) - 1;
+        (cell, g - offsets[cell])
     };
 
-    let threads = parallelism
-        .threads()
-        .min(total.div_ceil(TRIAL_CHUNK).max(1) as usize);
-    let mut flat: Vec<IndexedTrial> = Vec::with_capacity(total as usize);
-    if threads <= 1 {
-        let mut start = 0;
-        while start < total && !hit.load(Ordering::Relaxed) {
-            let end = (start + TRIAL_CHUNK).min(total);
-            run_chunk(start, end, &mut flat);
-            start = end;
+    let total = usize::try_from(total).expect("trial count fits in usize");
+    let (flat, deadline_hit) = run_pool(total, parallelism, &ctl.deadline, |g| {
+        let (cell, trial) = locate(g as u64);
+        if ctl.skip.is_some_and(|s| s(cell, trial)) {
+            return None;
         }
-    } else {
-        let cursor = AtomicU64::new(0);
-        let worker = |collected: &mut Vec<IndexedTrial>| {
-            enter_worker();
-            loop {
-                if hit.load(Ordering::Relaxed) {
-                    return;
-                }
-                let start = cursor.fetch_add(TRIAL_CHUNK, Ordering::Relaxed);
-                if start >= total {
-                    return;
-                }
-                run_chunk(start, (start + TRIAL_CHUNK).min(total), collected);
-            }
-        };
-        let mut per_worker: Vec<Vec<IndexedTrial>> = Vec::with_capacity(threads);
-        per_worker.resize_with(threads, Vec::new);
-        std::thread::scope(|scope| {
-            for collected in &mut per_worker {
-                scope.spawn(|| worker(collected));
-            }
-        });
-        flat = per_worker.into_iter().flatten().collect();
-    }
+        let spec = &specs[cell];
+        let seed = SeedSequence::new(spec.seeds.master).child(trial);
+        Some(run_with_retries(seed, trial, ctl.max_attempts, |rng| {
+            let trial_dl = ctl
+                .trial_deadline
+                .map(Deadline::after)
+                .unwrap_or(Deadline::NONE);
+            spec.run_trial_ctl(trial, rng, &trial_dl)
+        }))
+    });
 
-    let mut slots: Vec<Option<(Outcome, Option<SimError>)>> = Vec::with_capacity(total as usize);
-    slots.resize_with(total as usize, || None);
-    let mut quarantined_flat: Vec<(u64, TrialFailure)> = Vec::new();
-    for (g, value) in flat {
-        debug_assert!(slots[g as usize].is_none(), "trial {g} claimed twice");
-        match value {
-            Ok(result) => slots[g as usize] = Some(result),
-            Err(failure) => quarantined_flat.push((g, failure)),
-        }
-    }
-    quarantined_flat.sort_unstable_by_key(|(g, _)| *g);
-    let quarantined = quarantined_flat
-        .into_iter()
-        .map(|(g, failure)| {
-            let spec = offsets.partition_point(|&o| o <= g) - 1;
-            QuarantinedTrial {
-                spec,
-                trial: g - offsets[spec],
-                failure,
-            }
-        })
-        .collect();
-
-    let mut slots = slots.into_iter();
-    let results = specs
+    let mut results: Vec<TrialSlots> = specs
         .iter()
-        .map(|spec| {
-            (0..spec.trials)
-                .map(|_| slots.next().expect("slot per global index"))
-                .collect()
-        })
+        .map(|spec| Vec::with_capacity(spec.trials as usize))
         .collect();
+    let mut quarantined = Vec::new();
+    for (g, slot) in flat.into_iter().enumerate() {
+        let (spec, trial) = locate(g as u64);
+        results[spec].push(match slot {
+            Some(Ok(result)) => Some(result),
+            Some(Err(failure)) => {
+                quarantined.push(QuarantinedTrial {
+                    spec,
+                    trial,
+                    failure,
+                });
+                None
+            }
+            None => None,
+        });
+    }
     SpecsRun {
         results,
         quarantined,
-        deadline_hit: hit.load(Ordering::Relaxed),
+        deadline_hit,
     }
 }
 
@@ -443,35 +356,15 @@ fn run_with_retries<T>(
     }
 }
 
-/// Per-spec FNV-1a batch checksums over [`run_specs`] results: each spec's
-/// per-trial [`outcome_checksum`](ScenarioSpec::outcome_checksum)s folded
-/// in trial order from [`FNV_OFFSET`] — the exact fold the perf grid
-/// records, so these values are comparable with `BENCH_*.json` history.
-pub fn batch_checksums(
-    specs: &[ScenarioSpec],
-    results: &[Vec<(Outcome, Option<SimError>)>],
-) -> Vec<u64> {
-    specs
-        .iter()
-        .zip(results)
-        .map(|(spec, batch)| {
-            batch.iter().fold(FNV_OFFSET, |h, (outcome, _)| {
-                fnv1a(h, &[spec.outcome_checksum(outcome)])
-            })
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::scenario::{AdversarySpec, DuelProtocol, Engine};
+    use crate::scenario::{fnv1a, AdversarySpec, DuelProtocol, Engine, Workload, FNV_OFFSET};
 
     /// A heterogeneous spec list: jammed fast duel, faulted duel, fast
     /// broadcast, exact-engine duel — mixed workloads, engines, fault
-    /// plans, trial counts, and masters, so chunks straddle cell
-    /// boundaries (trial counts are not multiples of `TRIAL_CHUNK`).
+    /// plans, trial counts, and masters.
     fn mixed_specs() -> Vec<ScenarioSpec> {
         let jammed = AdversarySpec::Budgeted {
             budget: 1024,
@@ -505,18 +398,32 @@ mod tests {
         ]
     }
 
+    /// Every trial of every spec: no deadline, no skips, no quarantine.
+    fn run_all(specs: &[ScenarioSpec], parallelism: Parallelism) -> Vec<TrialSlots> {
+        let run = run_specs_ctl(specs, parallelism, &SpecsControl::DEFAULT);
+        assert!(!run.deadline_hit && run.quarantined.is_empty());
+        run.results
+    }
+
     #[test]
     fn run_specs_is_bit_identical_across_parallelism() {
         let specs = mixed_specs();
-        let one = run_specs(&specs, Parallelism::Fixed(1));
-        let eight = run_specs(&specs, Parallelism::Fixed(8));
-        let auto = run_specs(&specs, Parallelism::Auto);
+        let one = run_all(&specs, Parallelism::Fixed(1));
+        let eight = run_all(&specs, Parallelism::Fixed(8));
+        let auto = run_all(&specs, Parallelism::Auto);
         assert_eq!(one, eight, "Fixed(8) diverged from Fixed(1)");
         assert_eq!(one, auto, "Auto diverged from Fixed(1)");
-        let sums = batch_checksums(&specs, &one);
-        assert_eq!(sums, batch_checksums(&specs, &eight));
-        assert_eq!(sums, batch_checksums(&specs, &auto));
-        // Distinct cells folded distinct outcomes.
+        // Distinct cells folded distinct outcomes (the perf grid's fold).
+        let sums: Vec<u64> = specs
+            .iter()
+            .zip(&one)
+            .map(|(spec, batch)| {
+                batch.iter().fold(FNV_OFFSET, |h, trial| {
+                    let (outcome, _) = trial.as_ref().expect("every trial ran");
+                    fnv1a(h, &[spec.outcome_checksum(outcome)])
+                })
+            })
+            .collect();
         let mut dedup = sums.clone();
         dedup.sort_unstable();
         dedup.dedup();
@@ -530,26 +437,29 @@ mod tests {
     #[test]
     fn run_specs_matches_per_spec_run_batch_raw() {
         let specs = mixed_specs();
-        let stolen = run_specs(&specs, Parallelism::Fixed(4));
+        let stolen = run_all(&specs, Parallelism::Fixed(4));
         for (spec, batch) in specs.iter().zip(&stolen) {
-            let direct = spec
+            let direct: TrialSlots = spec
                 .clone()
                 .with_parallelism(Parallelism::Fixed(1))
-                .run_batch_raw();
+                .run_batch_raw()
+                .into_iter()
+                .map(Some)
+                .collect();
             assert_eq!(batch, &direct, "executor perturbed a trial stream");
         }
     }
 
     #[test]
     fn run_specs_handles_empty_and_zero_trial_specs() {
-        assert!(run_specs(&[], Parallelism::Fixed(4)).is_empty());
+        assert!(run_all(&[], Parallelism::Fixed(4)).is_empty());
         let specs = vec![
             ScenarioSpec::duel(DuelProtocol::fig1(0.1, 7)).with_trials(0),
             ScenarioSpec::duel(DuelProtocol::fig1(0.1, 7))
                 .with_trials(2)
                 .with_seed(5),
         ];
-        let out = run_specs(&specs, Parallelism::Fixed(4));
+        let out = run_all(&specs, Parallelism::Fixed(4));
         assert_eq!(out.len(), 2);
         assert!(out[0].is_empty());
         assert_eq!(out[1].len(), 2);
@@ -649,7 +559,7 @@ mod tests {
     #[test]
     fn skip_predicate_resumes_bit_identically_to_a_straight_run() {
         let specs = mixed_specs();
-        let straight = run_specs(&specs, Parallelism::Fixed(2));
+        let straight = run_all(&specs, Parallelism::Fixed(2));
         // Simulate a resume where every even trial is already journaled.
         let skip = |_spec: usize, trial: u64| trial.is_multiple_of(2);
         let ctl = SpecsControl {
@@ -666,13 +576,46 @@ mod tests {
                     assert!(slot.is_none(), "spec {s} trial {t} was journaled");
                 } else {
                     assert_eq!(
-                        slot.as_ref().expect("unjournaled trial ran"),
-                        &straight[s][t],
+                        slot, &straight[s][t],
                         "spec {s} trial {t}: resume perturbed the seed fold"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_small_batch_spreads_over_every_worker() {
+        // Eight trials on two workers: while one worker holds trial 0, the
+        // other must claim trial 1. The skip predicate runs on the worker
+        // that claimed the trial, so it records which threads ran trials;
+        // trial 0 waits (bounded) until a second thread shows up.
+        use std::collections::HashSet;
+        use std::sync::{Condvar, Mutex};
+        let specs = vec![ScenarioSpec::duel(DuelProtocol::fig1(0.1, 7))
+            .with_trials(8)
+            .with_seed(21)];
+        let seen = Mutex::new(HashSet::new());
+        let arrived = Condvar::new();
+        let skip = |_spec: usize, trial: u64| {
+            let mut threads = seen.lock().expect("no test thread panics");
+            threads.insert(std::thread::current().id());
+            arrived.notify_all();
+            if trial == 0 {
+                let _ = arrived
+                    .wait_timeout_while(threads, Duration::from_secs(10), |t| t.len() < 2)
+                    .expect("no test thread panics");
+            }
+            false
+        };
+        let ctl = SpecsControl {
+            skip: Some(&skip),
+            ..SpecsControl::DEFAULT
+        };
+        let run = run_specs_ctl(&specs, Parallelism::Fixed(2), &ctl);
+        assert!(run.results[0].iter().all(Option::is_some));
+        let threads = seen.lock().expect("no test thread panics").len();
+        assert_eq!(threads, 2, "an 8-trial batch ran on {threads} worker(s)");
     }
 
     #[test]
@@ -724,6 +667,55 @@ mod tests {
         assert_eq!(failure.attempts, 3);
         assert!(failure.payload.contains("always broken"));
         assert!(failure.to_string().contains("3 same-seed attempts"));
+    }
+
+    #[test]
+    fn a_panicking_spec_is_quarantined_and_its_neighbours_run_clean() {
+        // The middle spec names a source outside the population, so every
+        // one of its trials panics (`run_specs_ctl` does not call
+        // `validate`; the debug assertion in `run_trial_ctl` or, in release
+        // builds, the engine rejects it). Its trials are retried, then
+        // quarantined; the specs on either side are untouched.
+        let broken = {
+            let mut s = ScenarioSpec::broadcast(4).with_trials(3).with_seed(8);
+            if let Workload::Broadcast(w) = &mut s.workload {
+                w.sources = vec![4];
+            }
+            s
+        };
+        let specs = vec![
+            ScenarioSpec::duel(DuelProtocol::fig1(0.1, 7))
+                .with_trials(5)
+                .with_seed(7),
+            broken,
+            ScenarioSpec::broadcast(5).with_trials(4).with_seed(9),
+        ];
+        let ctl = SpecsControl {
+            max_attempts: 2,
+            ..SpecsControl::DEFAULT
+        };
+        let run = run_specs_ctl(&specs, Parallelism::Fixed(2), &ctl);
+        assert!(!run.deadline_hit);
+
+        let quarantined: Vec<(usize, u64)> =
+            run.quarantined.iter().map(|q| (q.spec, q.trial)).collect();
+        assert_eq!(quarantined, vec![(1, 0), (1, 1), (1, 2)]);
+        for q in &run.quarantined {
+            assert_eq!(q.failure.trial, q.trial);
+            assert_eq!(q.failure.attempts, 2, "retried on its own seed first");
+        }
+        assert_eq!(run.results[1], vec![None, None, None]);
+
+        for s in [0, 2] {
+            let direct: TrialSlots = specs[s]
+                .clone()
+                .with_parallelism(Parallelism::Fixed(1))
+                .run_batch_raw()
+                .into_iter()
+                .map(Some)
+                .collect();
+            assert_eq!(run.results[s], direct, "spec {s} was perturbed");
+        }
     }
 
     #[test]

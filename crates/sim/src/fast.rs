@@ -68,138 +68,70 @@ impl BroadcastObserver for () {
     fn on_repetition(&mut self, _: u32, _: u64, _: u64, _: &[OneToNNode]) {}
 }
 
-/// Runs one 1-to-n execution: node 0 is the designated sender.
+/// Runs one 1-to-n execution: every node in `sources` starts informed.
+///
+/// Figure 2 never uses the fact that exactly one node holds `m` initially —
+/// the analysis works for any informed set `A` with `|A| ≥ 1` (Lemma 9
+/// explicitly tracks a growing `A`). Multiple sources simply shorten the
+/// dissemination phase; rates, helper logic, and termination are untouched.
+///
+/// `observer` sees every repetition epilogue (pass `&mut ()` for none).
+/// `faults` layers a fault-injection plan (see [`crate::faults`]) between
+/// the channel and the receivers, with the exact engine's semantics:
+/// crashed and battery-dead nodes are radio-off (no sampling, no coin
+/// flips) while their protocol clock keeps ticking through zero-count
+/// repetition epilogues; the loss coin is drawn only on decodable `m`
+/// receptions; skewed boundary slots decode as noise; the battery gauge is
+/// sampled at repetition boundaries, so overshoot is at most one repetition
+/// of activity. Battery-dead nodes count as halted for the completion
+/// check. Budget exhaustion and a fired `deadline` come back as the typed
+/// [`SimError`] next to the partial (`truncated`) outcome.
 ///
 /// ```
+/// use rcb_sim::deadline::Deadline;
 /// use rcb_sim::fast::{run_broadcast, FastConfig};
+/// use rcb_sim::faults::FaultPlan;
 /// use rcb_adversary::rep_strategies::NoJamRep;
 /// use rcb_core::one_to_n::OneToNParams;
 /// use rcb_mathkit::rng::RcbRng;
 ///
 /// let params = OneToNParams::practical();
 /// let mut rng = RcbRng::new(7);
-/// let out = run_broadcast(&params, 16, &mut NoJamRep, &mut rng, FastConfig::default());
-/// assert!(out.all_informed && out.all_terminated);
+/// let (out, err) = run_broadcast(
+///     &params,
+///     16,
+///     &[0],
+///     &mut NoJamRep,
+///     &mut rng,
+///     FastConfig::default(),
+///     &mut (),
+///     &FaultPlan::none(),
+///     &Deadline::NONE,
+/// );
+/// assert!(err.is_none() && out.all_informed && out.all_terminated);
 /// ```
+#[allow(clippy::too_many_arguments)]
 pub fn run_broadcast(
     params: &OneToNParams,
     n: usize,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-) -> BroadcastOutcome {
-    run_broadcast_from(params, n, &[0], adversary, rng, config, &mut ())
-}
-
-/// [`run_broadcast`] with a per-repetition observer.
-pub fn run_broadcast_observed(
-    params: &OneToNParams,
-    n: usize,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-) -> BroadcastOutcome {
-    run_broadcast_from(params, n, &[0], adversary, rng, config, observer)
-}
-
-/// Multi-source variant: every node in `sources` starts informed.
-///
-/// Figure 2 never uses the fact that exactly one node holds `m` initially —
-/// the analysis works for any informed set `A` with `|A| ≥ 1` (Lemma 9
-/// explicitly tracks a growing `A`). Multiple sources simply shorten the
-/// dissemination phase; rates, helper logic, and termination are untouched.
-pub fn run_broadcast_from(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-) -> BroadcastOutcome {
-    run_broadcast_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        observer,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-    )
-    .0
-}
-
-/// [`run_broadcast_from`] with a fault-injection plan (see
-/// [`crate::faults`]) layered between the channel and the receivers.
-///
-/// Semantics match the exact engine: crashed and battery-dead nodes are
-/// radio-off (no sampling, no coin flips) while their protocol clock keeps
-/// ticking through zero-count repetition epilogues; the loss coin is drawn
-/// only on decodable `m` receptions; skewed boundary slots decode as noise;
-/// the battery gauge is sampled at repetition boundaries, so overshoot is
-/// at most one repetition of activity. Battery-dead nodes count as halted
-/// for the completion check.
-#[allow(clippy::too_many_arguments)]
-pub fn run_broadcast_faulted(
-    params: &OneToNParams,
-    n: usize,
     sources: &[usize],
     adversary: &mut dyn RepetitionAdversary,
     rng: &mut RcbRng,
     config: FastConfig,
     observer: &mut dyn BroadcastObserver,
     faults: &FaultPlan,
-) -> BroadcastOutcome {
-    run_broadcast_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        observer,
-        faults,
-        &Deadline::NONE,
+    deadline: &Deadline,
+) -> (BroadcastOutcome, Option<SimError>) {
+    let mut state = FastState::new(params, n, sources);
+    run_broadcast_in(
+        &mut state, params, adversary, rng, config, observer, faults, deadline,
     )
-    .0
-}
-
-/// [`run_broadcast_faulted`] that reports budget exhaustion as a typed
-/// [`SimError`] instead of a silent `truncated = true`.
-#[allow(clippy::too_many_arguments)]
-pub fn run_broadcast_checked(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-    faults: &FaultPlan,
-) -> Result<BroadcastOutcome, SimError> {
-    match run_broadcast_core(
-        params,
-        n,
-        sources,
-        adversary,
-        rng,
-        config,
-        observer,
-        faults,
-        &Deadline::NONE,
-    ) {
-        (outcome, None) => Ok(outcome),
-        (_, Some(err)) => Err(err),
-    }
 }
 
 /// Retained per-run state of the fast broadcast engine: the node state
 /// machines, cost/fault bookkeeping, and every reusable sampling buffer.
-/// One `FastState` serves a whole [`BroadcastSession`]; the legacy entry
-/// points build a fresh one per run, so both paths execute the identical
+/// One `FastState` serves a whole [`BroadcastSession`]; [`run_broadcast`]
+/// builds a fresh one per run, so both paths execute the identical
 /// loop body.
 #[derive(Debug)]
 struct FastState {
@@ -257,7 +189,7 @@ impl FastState {
 /// vector, cost counters, sampling buffers) serves a stream of runs.
 /// [`rearm`](Self::rearm) returns everything to the just-constructed
 /// state in place; the golden equivalence suite pins that a re-armed run
-/// is bit-identical to a fresh [`run_broadcast_from`] at the same seed.
+/// is bit-identical to a fresh [`run_broadcast`] at the same seed.
 #[derive(Debug)]
 pub struct BroadcastSession {
     params: OneToNParams,
@@ -315,24 +247,6 @@ impl BroadcastSession {
             deadline,
         )
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_broadcast_core(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-) -> (BroadcastOutcome, Option<SimError>) {
-    let mut state = FastState::new(params, n, sources);
-    run_broadcast_in(
-        &mut state, params, adversary, rng, config, observer, faults, deadline,
-    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -606,6 +520,28 @@ mod tests {
         OneToNParams::practical()
     }
 
+    /// Node 0 the source, no observer, no faults, no deadline.
+    fn plain(
+        p: &OneToNParams,
+        n: usize,
+        adversary: &mut dyn RepetitionAdversary,
+        rng: &mut RcbRng,
+        config: FastConfig,
+    ) -> BroadcastOutcome {
+        let (out, _) = run_broadcast(
+            p,
+            n,
+            &[0],
+            adversary,
+            rng,
+            config,
+            &mut (),
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        );
+        out
+    }
+
     #[test]
     fn single_node_terminates_alone() {
         // n = 1: the sender hears only silence, S grows, and the safety
@@ -613,7 +549,7 @@ mod tests {
         let p = params();
         let mut rng = RcbRng::new(1);
         let mut adv = NoJamRep;
-        let out = run_broadcast(&p, 1, &mut adv, &mut rng, FastConfig::default());
+        let out = plain(&p, 1, &mut adv, &mut rng, FastConfig::default());
         assert!(out.all_terminated, "last epoch {}", out.last_epoch);
         assert!(out.all_informed);
         assert!(!out.truncated);
@@ -627,7 +563,7 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(seed);
             let mut adv = NoJamRep;
-            let out = run_broadcast(&p, 16, &mut adv, &mut rng, FastConfig::default());
+            let out = plain(&p, 16, &mut adv, &mut rng, FastConfig::default());
             assert!(
                 !out.truncated,
                 "seed {seed}: truncated at epoch {}",
@@ -646,7 +582,7 @@ mod tests {
         let n = 32;
         let mut rng = RcbRng::new(3);
         let mut adv = NoJamRep;
-        let out = run_broadcast(&p, n, &mut adv, &mut rng, FastConfig::default());
+        let out = plain(&p, n, &mut adv, &mut rng, FastConfig::default());
         let ideal = p.ideal_epoch(n);
         assert!(
             out.last_epoch <= ideal + 3,
@@ -661,7 +597,7 @@ mod tests {
         let n = 16;
         let mut rng = RcbRng::new(4);
         let mut adv_free = NoJamRep;
-        let free = run_broadcast(&p, n, &mut adv_free, &mut rng, FastConfig::default());
+        let free = plain(&p, n, &mut adv_free, &mut rng, FastConfig::default());
 
         let mut rng = RcbRng::new(4);
         // T must comfortably exceed the unjammed slot total: at comparable
@@ -669,7 +605,7 @@ mod tests {
         // epochs suppress the expensive growth-phase listening).
         let budget = 16 * free.slots;
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let jammed = run_broadcast(&p, n, &mut adv, &mut rng, FastConfig::default());
+        let jammed = plain(&p, n, &mut adv, &mut rng, FastConfig::default());
         assert!(jammed.adversary_cost > 0);
         assert!(
             jammed.max_cost() > free.max_cost(),
@@ -693,7 +629,7 @@ mod tests {
             for s in 0..trials {
                 let mut rng = RcbRng::new(seed + s);
                 let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-                let out = run_broadcast(&p, n, &mut adv, &mut rng, FastConfig::default());
+                let out = plain(&p, n, &mut adv, &mut rng, FastConfig::default());
                 total += out.mean_cost();
             }
             total / trials as f64
@@ -726,7 +662,7 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(400 + seed);
             let mut adv = NoJamRep;
-            let out = run_broadcast_from(
+            let out = run_broadcast(
                 &p,
                 n,
                 &[0],
@@ -734,13 +670,16 @@ mod tests {
                 &mut rng,
                 FastConfig::default(),
                 &mut (),
-            );
+                &FaultPlan::none(),
+                &Deadline::NONE,
+            )
+            .0;
             assert!(out.all_informed);
             single_slots += out.slots;
 
             let mut rng = RcbRng::new(800 + seed);
             let mut adv = NoJamRep;
-            let out = run_broadcast_from(
+            let out = run_broadcast(
                 &p,
                 n,
                 &[0, 5, 11, 17],
@@ -748,7 +687,10 @@ mod tests {
                 &mut rng,
                 FastConfig::default(),
                 &mut (),
-            );
+                &FaultPlan::none(),
+                &Deadline::NONE,
+            )
+            .0;
             assert!(out.all_informed);
             assert!(out.informed == n);
             multi_slots += out.slots;
@@ -767,7 +709,7 @@ mod tests {
         let p = params();
         let mut rng = RcbRng::new(1);
         let mut adv = NoJamRep;
-        run_broadcast_from(
+        run_broadcast(
             &p,
             4,
             &[4],
@@ -775,6 +717,8 @@ mod tests {
             &mut rng,
             FastConfig::default(),
             &mut (),
+            &FaultPlan::none(),
+            &Deadline::NONE,
         );
     }
 
@@ -784,7 +728,7 @@ mod tests {
         let mut rng = RcbRng::new(5);
         // Unlimited full blocking: nobody can ever terminate.
         let mut adv = rcb_adversary::rep_strategies::SuffixFractionRep::new(1.0);
-        let out = run_broadcast(
+        let out = plain(
             &p,
             4,
             &mut adv,
@@ -803,7 +747,7 @@ mod tests {
         let p = params();
         let mut rng = RcbRng::new(5);
         let mut adv = rcb_adversary::rep_strategies::SuffixFractionRep::new(1.0);
-        let err = run_broadcast_checked(
+        let err = run_broadcast(
             &p,
             4,
             &[0],
@@ -814,8 +758,10 @@ mod tests {
             },
             &mut (),
             &FaultPlan::none(),
+            &Deadline::NONE,
         )
-        .expect_err("fully blocked nodes never terminate");
+        .1
+        .expect("fully blocked nodes never terminate");
         assert!(matches!(
             err,
             SimError::EpochBudgetExhausted { max_epoch, .. } if max_epoch == p.first_epoch + 2
@@ -826,7 +772,7 @@ mod tests {
     fn an_elapsed_deadline_truncates_with_a_typed_error() {
         let p = params();
         let mut rng = RcbRng::new(7);
-        let (out, err) = run_broadcast_core(
+        let (out, err) = run_broadcast(
             &p,
             16,
             &[0],
@@ -843,34 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_is_bit_identical() {
-        let p = params();
-        for seed in 0..10u64 {
-            let mut rng_a = RcbRng::new(seed);
-            let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-            let plain = run_broadcast(&p, 12, &mut adv, &mut rng_a, FastConfig::default());
-
-            let mut rng_b = RcbRng::new(seed);
-            let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-            let faulted = run_broadcast_faulted(
-                &p,
-                12,
-                &[0],
-                &mut adv,
-                &mut rng_b,
-                FastConfig::default(),
-                &mut (),
-                &FaultPlan::none(),
-            );
-            assert_eq!(plain.node_costs, faulted.node_costs, "seed {seed}");
-            assert_eq!(plain.slots, faulted.slots, "seed {seed}");
-            assert_eq!(plain.informed, faulted.informed, "seed {seed}");
-            assert_eq!(plain.adversary_cost, faulted.adversary_cost);
-            assert_eq!(rng_a, rng_b, "seed {seed}: RNG streams must not diverge");
-        }
-    }
-
-    #[test]
     fn crash_restart_reconverges() {
         // Node 3 goes dark for six early periods and reboots with its
         // volatile state wiped. The informed helpers keep transmitting m,
@@ -882,7 +800,7 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(900 + seed);
             let mut adv = NoJamRep;
-            let out = run_broadcast_faulted(
+            let out = run_broadcast(
                 &p,
                 8,
                 &[0],
@@ -891,7 +809,9 @@ mod tests {
                 FastConfig::default(),
                 &mut (),
                 &FaultPlan::none().with_crash(3, 2, 6, true),
-            );
+                &Deadline::NONE,
+            )
+            .0;
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed {
                 informed_runs += 1;
@@ -913,7 +833,7 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(300 + seed);
             let mut adv = NoJamRep;
-            let out = run_broadcast_faulted(
+            let out = run_broadcast(
                 &p,
                 16,
                 &[0],
@@ -922,7 +842,9 @@ mod tests {
                 FastConfig::default(),
                 &mut (),
                 &FaultPlan::none().with_loss(0.2),
-            );
+                &Deadline::NONE,
+            )
+            .0;
             assert!(!out.truncated, "seed {seed}");
             if out.all_informed {
                 informed_runs += 1;
@@ -939,11 +861,11 @@ mod tests {
         let p = params();
         let mut rng = RcbRng::new(9);
         let mut adv = NoJamRep;
-        let plain = run_broadcast(&p, 8, &mut adv, &mut rng, FastConfig::default());
+        let uncapped = plain(&p, 8, &mut adv, &mut rng, FastConfig::default());
 
         let mut rng = RcbRng::new(9);
         let mut adv = NoJamRep;
-        let capped = run_broadcast_faulted(
+        let capped = run_broadcast(
             &p,
             8,
             &[0],
@@ -952,13 +874,15 @@ mod tests {
             FastConfig::default(),
             &mut (),
             &FaultPlan::none().with_battery(20),
-        );
+            &Deadline::NONE,
+        )
+        .0;
         assert!(!capped.truncated, "dead nodes count as halted");
         assert!(
-            capped.max_cost() < plain.max_cost(),
-            "capped {} vs plain {}",
+            capped.max_cost() < uncapped.max_cost(),
+            "capped {} vs uncapped {}",
             capped.max_cost(),
-            plain.max_cost()
+            uncapped.max_cost()
         );
     }
 }

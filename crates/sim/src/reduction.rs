@@ -23,7 +23,9 @@ use rcb_mathkit::rng::RcbRng;
 use rcb_mathkit::stats::RunningStats;
 use serde::{Deserialize, Serialize};
 
+use crate::deadline::Deadline;
 use crate::fast::{run_broadcast, FastConfig};
+use crate::faults::FaultPlan;
 use crate::runner::{run_trials, Parallelism};
 
 /// Aggregated outcome of running the reduction over many trials.
@@ -65,7 +67,18 @@ pub fn simulate_reduction(
     );
     let outcomes = run_trials(trials, seed, Parallelism::Auto, |_, rng: &mut RcbRng| {
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        run_broadcast(params, n, &mut adv, rng, FastConfig::default())
+        run_broadcast(
+            params,
+            n,
+            &[0],
+            &mut adv,
+            rng,
+            FastConfig::default(),
+            &mut (),
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0
     });
 
     let mut sender = RunningStats::new();

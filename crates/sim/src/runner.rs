@@ -1,18 +1,21 @@
 //! Parallel Monte-Carlo trial runner.
 //!
 //! Expected-cost estimates need hundreds of independent executions per
-//! parameter cell. [`run_trials`] fans trial indices out over `std::thread`
-//! scoped workers; every trial gets its own deterministic RNG stream
-//! derived from `(master_seed, trial_index)` via
-//! [`SeedSequence`], so results are
-//! bit-identical regardless of thread count or scheduling.
+//! parameter cell. [`run_trials`] fans trial indices out over the
+//! executor's worker pool ([`crate::executor`]); every trial gets its own
+//! deterministic RNG stream derived from `(master_seed, trial_index)` via
+//! [`SeedSequence`], so results are bit-identical regardless of thread
+//! count or scheduling. This module also owns the thread-count policy
+//! ([`Parallelism`]) and the worker flag that makes nested `Auto`
+//! parallelism degrade to sequential.
 
 use rcb_mathkit::rng::{RcbRng, SeedSequence};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::deadline::Deadline;
 use crate::error::TrialFailure;
+use crate::executor::run_pool;
 
 thread_local! {
     /// Set while this OS thread is executing trials as a `run_trials`
@@ -24,9 +27,7 @@ thread_local! {
 
 /// Marks the current thread as a worker for the rest of its lifetime.
 /// Worker threads are short-lived scoped threads, so there is no paired
-/// exit: the flag dies with the thread. The cell-granular executor
-/// ([`crate::executor`]) shares the runner's flag so nested `Auto`
-/// parallelism degrades identically whichever tier spawned the worker.
+/// exit: the flag dies with the thread.
 pub(crate) fn enter_worker() {
     IN_WORKER.with(|w| w.set(true));
 }
@@ -69,84 +70,33 @@ impl Parallelism {
 /// Runs `trials` independent executions of `f` and returns the results in
 /// trial order. `f` receives the trial index and a private RNG.
 ///
-/// Work is distributed dynamically (an atomic cursor), so heterogeneous
+/// Work is distributed dynamically (one trial per claim), so heterogeneous
 /// trial durations — long jammed runs next to short clean ones — balance
-/// across workers. Each worker accumulates `(index, value)` pairs locally
-/// and the pairs are merged once at the end: no shared results lock, and
-/// the output is a pure function of `(trials, master_seed, f)`.
+/// across workers, and the output is a pure function of
+/// `(trials, master_seed, f)`. A panicking trial does not stop the others;
+/// once all have run, the first failure is re-raised as a panic naming its
+/// trial index.
 pub fn run_trials<T, F>(trials: u64, master_seed: u64, parallelism: Parallelism, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(u64, &mut RcbRng) -> T + Sync,
 {
-    run_trials_isolated(trials, master_seed, parallelism, f)
+    let seeds = SeedSequence::new(master_seed);
+    let total = usize::try_from(trials).expect("trial count fits in usize");
+    let (results, _) = run_pool(total, parallelism, &Deadline::NONE, |i| {
+        let i = i as u64;
+        let mut rng = seeds.rng(i);
+        Some(
+            catch_unwind(AssertUnwindSafe(|| f(i, &mut rng)))
+                .map_err(|payload| TrialFailure::new(i, panic_payload(payload))),
+        )
+    });
+    results
         .into_iter()
-        .map(|r| match r {
+        .map(|r| match r.expect("an unbounded pool runs every trial") {
             Ok(v) => v,
             Err(failure) => panic!("{failure}"),
         })
-        .collect()
-}
-
-/// [`run_trials`] with per-trial panic isolation: a trial whose closure
-/// panics yields an `Err(`[`TrialFailure`]`)` carrying the trial index and
-/// the stringified panic payload, while every other trial completes
-/// normally (and bit-identically to a clean run — each trial's RNG stream
-/// is independent, so a poisoned trial cannot perturb its neighbours).
-///
-/// One poisoned parameter cell in a long sweep then costs one row, not the
-/// whole run. Use [`run_trials`] when a panic should abort the sweep.
-pub fn run_trials_isolated<T, F>(
-    trials: u64,
-    master_seed: u64,
-    parallelism: Parallelism,
-    f: F,
-) -> Vec<Result<T, TrialFailure>>
-where
-    T: Send,
-    F: Fn(u64, &mut RcbRng) -> T + Sync,
-{
-    let threads = parallelism.threads().min(trials.max(1) as usize);
-    let seeds = SeedSequence::new(master_seed);
-    let run_one = |i: u64| -> Result<T, TrialFailure> {
-        let mut rng = seeds.rng(i);
-        catch_unwind(AssertUnwindSafe(|| f(i, &mut rng)))
-            .map_err(|payload| TrialFailure::new(i, panic_payload(payload)))
-    };
-
-    if threads <= 1 {
-        return (0..trials).map(run_one).collect();
-    }
-
-    let cursor = AtomicU64::new(0);
-    let worker = |collected: &mut Vec<(u64, Result<T, TrialFailure>)>| {
-        enter_worker();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= trials {
-                return;
-            }
-            collected.push((i, run_one(i)));
-        }
-    };
-
-    let mut per_worker: Vec<Vec<(u64, Result<T, TrialFailure>)>> = Vec::with_capacity(threads);
-    per_worker.resize_with(threads, Vec::new);
-    std::thread::scope(|scope| {
-        for collected in &mut per_worker {
-            scope.spawn(|| worker(collected));
-        }
-    });
-
-    let mut slots: Vec<Option<Result<T, TrialFailure>>> = Vec::with_capacity(trials as usize);
-    slots.resize_with(trials as usize, || None);
-    for (i, value) in per_worker.into_iter().flatten() {
-        debug_assert!(slots[i as usize].is_none(), "trial {i} claimed twice");
-        slots[i as usize] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|v| v.expect("every trial index was claimed exactly once"))
         .collect()
 }
 
@@ -281,29 +231,6 @@ mod tests {
     }
 
     #[test]
-    fn panicking_trial_is_isolated() {
-        // Trial 5 panics; the other trials must complete with values
-        // bit-identical to a run where nothing panicked.
-        let clean = run_trials(16, 42, Parallelism::Fixed(4), |i, rng| (i, rng.f64()));
-        let isolated = run_trials_isolated(16, 42, Parallelism::Fixed(4), |i, rng| {
-            if i == 5 {
-                panic!("injected failure in trial {i}");
-            }
-            (i, rng.f64())
-        });
-        assert_eq!(isolated.len(), 16);
-        for (i, r) in isolated.iter().enumerate() {
-            if i == 5 {
-                let failure = r.as_ref().expect_err("trial 5 panicked");
-                assert_eq!(failure.trial, 5);
-                assert!(failure.payload.contains("injected failure"));
-            } else {
-                assert_eq!(r.as_ref().unwrap(), &clean[i], "trial {i} perturbed");
-            }
-        }
-    }
-
-    #[test]
     fn run_trials_propagates_trial_panics() {
         let caught = std::panic::catch_unwind(|| {
             run_trials(4, 1, Parallelism::Fixed(1), |i, _rng| {
@@ -320,27 +247,59 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_trial_does_not_stop_or_perturb_the_others() {
+        // Four workers, trial 5 panics: every other trial still runs, on
+        // the same stream as in a clean run, before the panic is re-raised.
+        use std::sync::Mutex;
+        let recorded = Mutex::new(Vec::new());
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            run_trials(16, 42, Parallelism::Fixed(4), |i, rng| {
+                if i == 5 {
+                    panic!("trial five is broken");
+                }
+                recorded
+                    .lock()
+                    .expect("no recording thread panics")
+                    .push((i, rng.f64()));
+            })
+        }));
+        let msg = panic_payload(caught.expect_err("the panic must propagate"));
+        assert!(msg.contains("trial 5"), "got: {msg}");
+        assert!(msg.contains("trial five is broken"), "got: {msg}");
+
+        let mut survivors = recorded.into_inner().expect("no recording thread panics");
+        survivors.sort_by_key(|&(i, _)| i);
+        let clean: Vec<(u64, f64)> =
+            run_trials(16, 42, Parallelism::Fixed(1), |i, rng| (i, rng.f64()))
+                .into_iter()
+                .filter(|&(i, _)| i != 5)
+                .collect();
+        assert_eq!(
+            survivors, clean,
+            "the other 15 trials must match a clean run"
+        );
+    }
+
+    #[test]
     fn typed_panic_payloads_keep_their_type_names() {
         use crate::error::SimError;
-        let results = run_trials_isolated(4, 9, Parallelism::Fixed(1), |i, _| match i {
-            0 => std::panic::panic_any(SimError::SlotBudgetExhausted {
+        let payload = |f: fn()| panic_payload(catch_unwind(f).expect_err("f panics"));
+        let sim = payload(|| {
+            std::panic::panic_any(SimError::SlotBudgetExhausted {
                 max_slots: 8,
                 slots: 8,
-            }),
-            1 => std::panic::panic_any(42u64),
-            2 => std::panic::panic_any(vec![1u8]), // unprobed type stays opaque
-            _ => (),
+            })
         });
-        let sim = &results[0].as_ref().expect_err("trial 0 panicked").payload;
         assert!(
             sim.starts_with("SimError: slot budget exhausted"),
             "got: {sim}"
         );
-        let num = &results[1].as_ref().expect_err("trial 1 panicked").payload;
-        assert_eq!(num, "u64: 42");
-        let opaque = &results[2].as_ref().expect_err("trial 2 panicked").payload;
-        assert_eq!(opaque, "non-string panic payload");
-        assert!(results[3].is_ok());
+        assert_eq!(payload(|| std::panic::panic_any(42u64)), "u64: 42");
+        // An unprobed type stays opaque.
+        assert_eq!(
+            payload(|| std::panic::panic_any(vec![1u8])),
+            "non-string panic payload"
+        );
     }
 
     #[test]

@@ -5,15 +5,18 @@
 //! re-invent its own ad-hoc bundle of (protocol, engine, params,
 //! adversary, faults, seeds). A [`ScenarioSpec`] replaces all of them: it
 //! names the workload, the engine, the adversary policy, the fault plan,
-//! and the seed policy, and exposes one checked run path
-//! ([`ScenarioSpec::run`]) plus a [`run_trials`]-integrated batch form
-//! ([`ScenarioSpec::run_batch`]).
+//! and the seed policy, and exposes one tolerant trial path
+//! ([`ScenarioSpec::run_trial_raw`], or [`ScenarioSpec::run_trial_ctl`]
+//! under a deadline) plus a [`run_trials`]-integrated batch form
+//! ([`ScenarioSpec::run_batch_raw`]). Every path returns the outcome next
+//! to an optional typed [`SimError`], so a truncated run is data, never a
+//! silent clip.
 //!
-//! The run paths call the *same* engine cores as the legacy
-//! `run_{duel,exact,broadcast}*` entry points with the same argument
-//! values and the same RNG stream usage, so a spec run is **bit-identical**
-//! to the legacy call it subsumes (certified by the golden equivalence
-//! suite in `crates/sim/tests/scenario_equivalence.rs`).
+//! The trial path calls the engines' single entry points
+//! ([`run_duel`], [`run_broadcast`], [`run_cohort`], [`run_exact`]) with
+//! the same argument values and RNG stream usage a hand-built call would
+//! use, so a spec run is **bit-identical** to that call (certified by the
+//! golden equivalence suite in `crates/sim/tests/scenario_equivalence.rs`).
 //!
 //! ## Seed policy
 //!
@@ -49,12 +52,12 @@ use rcb_core::one_to_one::slot::{AliceProtocol, BobProtocol};
 use rcb_core::protocol::SlotProtocol;
 use rcb_mathkit::rng::RcbRng;
 
-use crate::cohort::{run_cohort_core, CohortConfig, CohortSession, CohortStats};
+use crate::cohort::{run_cohort, CohortConfig, CohortSession};
 use crate::deadline::Deadline;
-use crate::duel::{run_duel_core, DuelConfig};
+use crate::duel::{run_duel, DuelConfig};
 use crate::error::SimError;
-use crate::exact::{run_exact_core, ExactConfig};
-use crate::fast::{run_broadcast_core, BroadcastObserver, BroadcastSession, FastConfig};
+use crate::exact::{run_exact, ExactConfig};
+use crate::fast::{run_broadcast, BroadcastSession, FastConfig};
 use crate::faults::FaultPlan;
 use crate::json::Json;
 use crate::outcome::{BroadcastOutcome, DuelOutcome, StreamOutcome};
@@ -410,7 +413,8 @@ impl SeedPolicy {
 /// The canonical, declarative description of a simulation run (or a batch
 /// of them). Construct with [`ScenarioSpec::duel`] /
 /// [`ScenarioSpec::broadcast`], refine with the `with_*` builders, execute
-/// with [`run`](ScenarioSpec::run) / [`run_batch`](ScenarioSpec::run_batch).
+/// with [`run_trial_raw`](ScenarioSpec::run_trial_raw) /
+/// [`run_batch_raw`](ScenarioSpec::run_batch_raw).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     pub workload: Workload,
@@ -418,7 +422,7 @@ pub struct ScenarioSpec {
     pub adversary: AdversarySpec,
     pub faults: FaultPlan,
     pub seeds: SeedPolicy,
-    /// Batch size for [`run_batch`](ScenarioSpec::run_batch).
+    /// Batch size for [`run_batch_raw`](ScenarioSpec::run_batch_raw).
     pub trials: u64,
     pub parallelism: Parallelism,
 }
@@ -616,25 +620,11 @@ impl ScenarioSpec {
 
     // -- run paths ----------------------------------------------------------
 
-    /// Runs the scenario once on the caller's RNG. Truncation (an engine
-    /// cap) surfaces as a typed [`SimError`]; the spec's trial index is 0
-    /// for adversary-seed purposes.
-    pub fn run(&self, rng: &mut RcbRng) -> Result<Outcome, SimError> {
-        self.run_trial(0, rng)
-    }
-
-    /// [`run`](Self::run) for an explicit trial index (the index feeds
-    /// seeded adversaries via [`SeedPolicy::adversary_seed`]).
-    pub fn run_trial(&self, trial: u64, rng: &mut RcbRng) -> Result<Outcome, SimError> {
-        match self.run_trial_raw(trial, rng) {
-            (outcome, None) => Ok(outcome),
-            (_, Some(err)) => Err(err),
-        }
-    }
-
-    /// Tolerant form: returns the (possibly truncated) outcome *and* the
-    /// error. The conformance differ samples truncated runs too — a cap is
-    /// data about the engine, not a failure of the comparison.
+    /// Runs trial `trial` of the scenario on the caller's RNG and returns
+    /// the (possibly truncated) outcome *and* the typed error. The trial
+    /// index feeds seeded adversaries via [`SeedPolicy::adversary_seed`].
+    /// The conformance differ samples truncated runs too — a cap is data
+    /// about the engine, not a failure of the comparison.
     pub fn run_trial_raw(&self, trial: u64, rng: &mut RcbRng) -> (Outcome, Option<SimError>) {
         self.run_trial_ctl(trial, rng, &Deadline::NONE)
     }
@@ -662,7 +652,7 @@ impl ScenarioSpec {
                     DuelProtocol::Fig1 {
                         epsilon,
                         start_epoch,
-                    } => run_duel_core(
+                    } => run_duel(
                         &Fig1Profile::with_start_epoch(epsilon, start_epoch),
                         adv.as_mut(),
                         rng,
@@ -670,7 +660,7 @@ impl ScenarioSpec {
                         &self.faults,
                         deadline,
                     ),
-                    DuelProtocol::Ksy { start_epoch } => run_duel_core(
+                    DuelProtocol::Ksy { start_epoch } => run_duel(
                         &KsyProfile::with_start_epoch(start_epoch),
                         adv.as_mut(),
                         rng,
@@ -705,7 +695,7 @@ impl ScenarioSpec {
             }
             (Workload::Broadcast(w), Engine::Fast) => {
                 let mut adv = self.adversary.build(self.seeds.adversary_seed(trial));
-                let (out, err) = run_broadcast_core(
+                let (out, err) = run_broadcast(
                     &w.params,
                     w.n,
                     &w.sources,
@@ -726,7 +716,7 @@ impl ScenarioSpec {
             }
             (Workload::Broadcast(w), Engine::CohortFast) => {
                 let mut adv = self.adversary.build(self.seeds.adversary_seed(trial));
-                let (out, err) = run_cohort_core(
+                let (out, err) = run_cohort(
                     &w.params,
                     w.n,
                     &w.sources,
@@ -738,7 +728,6 @@ impl ScenarioSpec {
                     },
                     &self.faults,
                     deadline,
-                    &mut CohortStats::default(),
                 );
                 (Outcome::Broadcast(out), err)
             }
@@ -828,7 +817,7 @@ impl ScenarioSpec {
         let schedule = DuelSchedule::new(profile.start_epoch());
         let partition = Partition::pair();
         let mut adv = RepAsSlotAdversary::duel(adversary);
-        let (out, err) = run_exact_core(
+        let (out, err) = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
@@ -877,7 +866,7 @@ impl ScenarioSpec {
         let schedule = OneToNSchedule::new(w.params);
         let partition = Partition::uniform(w.n);
         let mut adv = RepAsSlotAdversary::broadcast(adversary, w.n);
-        let (out, err) = run_exact_core(
+        let (out, err) = run_exact(
             &mut refs,
             &mut adv,
             &schedule,
@@ -910,17 +899,7 @@ impl ScenarioSpec {
 
     /// Runs `self.trials` independent executions through [`run_trials`]
     /// (deterministic per-trial streams; results independent of thread
-    /// count). Truncated trials surface as `Err` entries.
-    pub fn run_batch(&self) -> Vec<Result<Outcome, SimError>> {
-        run_trials(
-            self.trials,
-            self.seeds.master,
-            self.parallelism,
-            |i, rng| self.run_trial(i, rng),
-        )
-    }
-
-    /// Tolerant batch: every trial yields its (possibly truncated) outcome.
+    /// count). Every trial yields its (possibly truncated) outcome.
     pub fn run_batch_raw(&self) -> Vec<(Outcome, Option<SimError>)> {
         run_trials(
             self.trials,
@@ -928,41 +907,6 @@ impl ScenarioSpec {
             self.parallelism,
             |i, rng| self.run_trial_raw(i, rng),
         )
-    }
-
-    /// Single run with a per-repetition observer (calibration tooling).
-    /// Tolerant like [`run_trial_raw`](Self::run_trial_raw): a truncated
-    /// run still yields its partial outcome, because calibration wants the
-    /// numbers *and* the cap diagnosis.
-    ///
-    /// # Panics
-    ///
-    /// Only the fast broadcast engine has an observer hook; any other
-    /// (workload, engine) combination panics.
-    pub fn run_observed(
-        &self,
-        rng: &mut RcbRng,
-        observer: &mut dyn BroadcastObserver,
-    ) -> (BroadcastOutcome, Option<SimError>) {
-        match (&self.workload, self.engine) {
-            (Workload::Broadcast(w), Engine::Fast) => {
-                let mut adv = self.adversary.build(self.seeds.adversary_seed(0));
-                run_broadcast_core(
-                    &w.params,
-                    w.n,
-                    &w.sources,
-                    adv.as_mut(),
-                    rng,
-                    FastConfig {
-                        max_epoch: w.max_epoch,
-                    },
-                    observer,
-                    &self.faults,
-                    &Deadline::NONE,
-                )
-            }
-            _ => panic!("run_observed: only the fast broadcast engine has an observer hook"),
-        }
     }
 
     // -- checksums ----------------------------------------------------------
@@ -1947,8 +1891,14 @@ pub fn find_scenario(name: &str) -> Option<NamedScenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duel::run_duel;
-    use crate::fast::run_broadcast;
+
+    /// Trial 0 on `rng`; panics if the run hit an engine cap.
+    fn run_ok(spec: &ScenarioSpec, rng: &mut RcbRng) -> Outcome {
+        match spec.run_trial_raw(0, rng) {
+            (out, None) => out,
+            (_, Some(err)) => panic!("{err}"),
+        }
+    }
 
     #[test]
     fn registry_names_are_unique_and_resolvable() {
@@ -1976,16 +1926,18 @@ mod tests {
         );
         for seed in 0..5 {
             let mut rng_a = RcbRng::new(seed);
-            let via_spec = spec.run(&mut rng_a).expect("no cap hit").into_duel();
+            let via_spec = run_ok(&spec, &mut rng_a).into_duel();
             let mut rng_b = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(4096, 1.0);
-            let legacy = run_duel(
+            let (direct, _) = run_duel(
                 &Fig1Profile::with_start_epoch(0.1, 8),
                 &mut adv,
                 &mut rng_b,
                 DuelConfig::default(),
+                &FaultPlan::none(),
+                &Deadline::NONE,
             );
-            assert_eq!(via_spec, legacy, "seed {seed}");
+            assert_eq!(via_spec, direct, "seed {seed}");
             assert_eq!(rng_a, rng_b, "seed {seed}: RNG streams diverged");
         }
     }
@@ -1998,17 +1950,21 @@ mod tests {
         });
         for seed in 0..3 {
             let mut rng_a = RcbRng::new(seed);
-            let via_spec = spec.run(&mut rng_a).expect("no cap hit").into_broadcast();
+            let via_spec = run_ok(&spec, &mut rng_a).into_broadcast();
             let mut rng_b = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-            let legacy = run_broadcast(
+            let (direct, _) = run_broadcast(
                 &OneToNParams::practical(),
                 12,
+                &[0],
                 &mut adv,
                 &mut rng_b,
                 FastConfig::default(),
+                &mut (),
+                &FaultPlan::none(),
+                &Deadline::NONE,
             );
-            assert_eq!(via_spec, legacy, "seed {seed}");
+            assert_eq!(via_spec, direct, "seed {seed}");
             assert_eq!(rng_a, rng_b, "seed {seed}: RNG streams diverged");
         }
     }
@@ -2017,7 +1973,7 @@ mod tests {
     fn exact_duel_outcome_maps_the_ledger() {
         let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.05, 6)).with_engine(Engine::Exact);
         let mut rng = RcbRng::new(7);
-        let out = spec.run(&mut rng).expect("completes").into_duel();
+        let out = run_ok(&spec, &mut rng).into_duel();
         assert!(!out.truncated);
         assert!(out.alice_cost > 0);
         assert_eq!(out.adversary_cost, 0);
@@ -2026,7 +1982,7 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_equals_sequential_run_trial() {
+    fn run_batch_raw_equals_sequential_run_trial_raw() {
         let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 8))
             .with_adversary(AdversarySpec::Budgeted {
                 budget: 1024,
@@ -2034,11 +1990,11 @@ mod tests {
             })
             .with_trials(8)
             .with_seed(99);
-        let batch = spec.run_batch();
+        let batch = spec.run_batch_raw();
         let sequential: Vec<_> = (0..8)
             .map(|i| {
                 let mut rng = rcb_mathkit::rng::SeedSequence::new(99).rng(i);
-                spec.run_trial(i, &mut rng)
+                spec.run_trial_raw(i, &mut rng)
             })
             .collect();
         assert_eq!(batch, sequential);
@@ -2054,14 +2010,16 @@ mod tests {
             .with_faults(FaultPlan::none());
         for seed in 0..5 {
             let mut rng_a = RcbRng::new(seed);
-            let spec_out = spec.run(&mut rng_a).unwrap().into_duel();
+            let spec_out = run_ok(&spec, &mut rng_a).into_duel();
             let mut rng_b = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(2048, 1.0);
-            let clean = run_duel(
+            let (clean, _) = run_duel(
                 &Fig1Profile::with_start_epoch(0.1, 8),
                 &mut adv,
                 &mut rng_b,
                 DuelConfig::default(),
+                &FaultPlan::none(),
+                &Deadline::NONE,
             );
             assert_eq!(spec_out, clean, "seed {seed}");
             assert_eq!(rng_a, rng_b, "seed {seed}: no extra randomness drawn");
@@ -2165,7 +2123,7 @@ mod tests {
             });
         let run = || {
             let mut rng = RcbRng::new(3);
-            spec.run(&mut rng).unwrap().into_duel()
+            run_ok(&spec, &mut rng).into_duel()
         };
         assert_eq!(run(), run(), "same (seed, trial) must replay exactly");
     }
@@ -2207,17 +2165,20 @@ mod tests {
             });
         for seed in 0..3 {
             let mut rng_a = RcbRng::new(seed);
-            let via_spec = spec.run(&mut rng_a).expect("no cap hit").into_broadcast();
+            let via_spec = run_ok(&spec, &mut rng_a).into_broadcast();
             let mut rng_b = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-            let legacy = crate::cohort::run_cohort(
+            let (direct, _) = run_cohort(
                 &OneToNParams::practical(),
                 24,
+                &[0],
                 &mut adv,
                 &mut rng_b,
                 CohortConfig::default(),
+                &FaultPlan::none(),
+                &Deadline::NONE,
             );
-            assert_eq!(via_spec, legacy, "seed {seed}");
+            assert_eq!(via_spec, direct, "seed {seed}");
             assert_eq!(rng_a, rng_b, "seed {seed}: RNG streams diverged");
         }
     }
@@ -2234,16 +2195,13 @@ mod tests {
             w.max_slots = 100;
         }
         let mut rng = RcbRng::new(3);
-        let err = spec.run(&mut rng).expect_err("100 slots cannot finish");
+        let (out, err) = spec.run_trial_raw(0, &mut rng);
         assert!(matches!(
-            err,
+            err.expect("100 slots cannot finish"),
             SimError::SlotBudgetExhausted { max_slots: 100, .. }
         ));
-        // The tolerant path still hands back the truncated outcome.
-        let mut rng = RcbRng::new(3);
-        let (out, err) = spec.run_trial_raw(0, &mut rng);
+        // The truncated outcome still comes back next to the error.
         assert!(out.truncated());
-        assert!(err.is_some());
     }
 
     #[test]
@@ -2363,7 +2321,7 @@ mod tests {
             });
             assert!(spec.validate().is_ok());
             let mut rng = RcbRng::new(5);
-            let out = spec.run(&mut rng).expect("stream completes").into_stream();
+            let out = run_ok(&spec, &mut rng).into_stream();
             assert_eq!(out.arrivals, 4, "{engine:?}");
             assert_eq!(out.delivered, 4, "{engine:?}: jamming delays, not kills");
             assert_eq!(out.truncated_msgs, 0, "{engine:?}");
@@ -2375,7 +2333,7 @@ mod tests {
             );
             let mut rng2 = RcbRng::new(5);
             assert_eq!(
-                spec.run(&mut rng2).unwrap().into_stream(),
+                run_ok(&spec, &mut rng2).into_stream(),
                 out,
                 "{engine:?}: stream trials must replay exactly"
             );
@@ -2397,7 +2355,7 @@ mod tests {
             fraction: 1.0,
         });
         let mut rng = RcbRng::new(9);
-        let persistent = base.clone().run(&mut rng).unwrap().into_stream();
+        let persistent = run_ok(&base, &mut rng).into_stream();
         assert!(
             persistent.adversary_cost <= 3_000,
             "one budget spans the stream: spent {}",
@@ -2405,7 +2363,7 @@ mod tests {
         );
         let per_msg = base.with_stream_alloc(StreamAlloc::PerMessage);
         let mut rng = RcbRng::new(9);
-        let refill = per_msg.run(&mut rng).unwrap().into_stream();
+        let refill = run_ok(&per_msg, &mut rng).into_stream();
         assert!(
             refill.adversary_cost >= persistent.adversary_cost,
             "a refilled jammer can spend at least as much ({} vs {})",

@@ -1,7 +1,10 @@
 //! Re-armable protocol sessions: construct once, run many times.
 //!
-//! The legacy entry points (`run_duel*`, `run_broadcast*`, `run_cohort*`,
-//! `run_exact*`) follow a construct-run-discard lifecycle: every execution
+//! The engine entry points ([`run_duel`](crate::duel::run_duel),
+//! [`run_broadcast`](crate::fast::run_broadcast),
+//! [`run_cohort`](crate::cohort::run_cohort),
+//! [`run_exact`](crate::exact::run_exact)) follow a construct-run-discard
+//! lifecycle: every execution
 //! allocates fresh protocol state, runs it to completion, and drops it. A
 //! *session* keeps the allocation alive across executions:
 //! [`Session::rearm`] resets protocol state, epoch position, and cost

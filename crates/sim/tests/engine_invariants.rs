@@ -3,12 +3,56 @@
 //! reproducibility guarantees.
 
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
+use rcb_adversary::traits::RepetitionAdversary;
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::rng::RcbRng;
+use rcb_sim::deadline::Deadline;
 use rcb_sim::duel::{run_duel, DuelConfig};
 use rcb_sim::fast::{run_broadcast, FastConfig};
+use rcb_sim::faults::FaultPlan;
+use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
 use rcb_sim::runner::{run_trials, Parallelism};
+
+/// A fault-free, unbounded duel: the outcome alone.
+fn duel(
+    profile: &Fig1Profile,
+    adversary: &mut dyn RepetitionAdversary,
+    rng: &mut RcbRng,
+    config: DuelConfig,
+) -> DuelOutcome {
+    run_duel(
+        profile,
+        adversary,
+        rng,
+        config,
+        &FaultPlan::none(),
+        &Deadline::NONE,
+    )
+    .0
+}
+
+/// A fault-free, unbounded broadcast from node 0: the outcome alone.
+fn broadcast(
+    params: &OneToNParams,
+    n: usize,
+    adversary: &mut dyn RepetitionAdversary,
+    rng: &mut RcbRng,
+    config: FastConfig,
+) -> BroadcastOutcome {
+    let (out, _) = run_broadcast(
+        params,
+        n,
+        &[0],
+        adversary,
+        rng,
+        config,
+        &mut (),
+        &FaultPlan::none(),
+        &Deadline::NONE,
+    );
+    out
+}
 
 #[test]
 fn duel_same_seed_same_outcome() {
@@ -16,7 +60,7 @@ fn duel_same_seed_same_outcome() {
     let run = |seed| {
         let mut rng = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(5000, 1.0);
-        run_duel(&profile, &mut adv, &mut rng, DuelConfig::default())
+        duel(&profile, &mut adv, &mut rng, DuelConfig::default())
     };
     assert_eq!(run(7), run(7), "bitwise reproducibility");
     // And different seeds differ somewhere across a few tries.
@@ -30,7 +74,7 @@ fn broadcast_same_seed_same_outcome() {
     let run = |seed| {
         let mut rng = RcbRng::new(seed);
         let mut adv = NoJamRep;
-        run_broadcast(&params, 12, &mut adv, &mut rng, FastConfig::default())
+        broadcast(&params, 12, &mut adv, &mut rng, FastConfig::default())
     };
     assert_eq!(run(3), run(3));
 }
@@ -41,7 +85,7 @@ fn adversary_cost_never_exceeds_budget() {
     for budget in [0u64, 100, 5_000, 100_000] {
         let mut rng = RcbRng::new(budget ^ 11);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+        let out = duel(&profile, &mut adv, &mut rng, DuelConfig::default());
         assert!(
             out.adversary_cost <= budget,
             "spent {} on budget {budget}",
@@ -56,7 +100,7 @@ fn broadcast_adversary_cost_never_exceeds_budget() {
     for budget in [0u64, 1000, 50_000] {
         let mut rng = RcbRng::new(budget ^ 5);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let out = run_broadcast(&params, 8, &mut adv, &mut rng, FastConfig::default());
+        let out = broadcast(&params, 8, &mut adv, &mut rng, FastConfig::default());
         assert!(out.adversary_cost <= budget);
     }
 }
@@ -67,7 +111,7 @@ fn duel_costs_grow_with_budget_on_average() {
     let mean_cost = |budget: u64| {
         let outs = run_trials(40, 17 ^ budget, Parallelism::Auto, |_, rng| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_duel(&profile, &mut adv, rng, DuelConfig::default())
+            duel(&profile, &mut adv, rng, DuelConfig::default())
         });
         outs.iter().map(|o| o.max_cost() as f64).sum::<f64>() / outs.len() as f64
     };
@@ -83,7 +127,7 @@ fn delivery_slot_is_within_run() {
     for seed in 0..30 {
         let mut rng = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(2000, 1.0);
-        let out = run_duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+        let out = duel(&profile, &mut adv, &mut rng, DuelConfig::default());
         if let Some(t) = out.delivery_slot {
             assert!(out.delivered);
             assert!(t < out.slots, "delivery slot {t} vs total {}", out.slots);
@@ -97,7 +141,7 @@ fn broadcast_outcome_counts_are_consistent() {
     for seed in 0..10 {
         let mut rng = RcbRng::new(seed);
         let mut adv = NoJamRep;
-        let out = run_broadcast(&params, 16, &mut adv, &mut rng, FastConfig::default());
+        let out = broadcast(&params, 16, &mut adv, &mut rng, FastConfig::default());
         assert_eq!(out.n, 16);
         assert_eq!(out.node_costs.len(), 16);
         assert!(out.informed <= out.n);
@@ -115,7 +159,7 @@ fn sender_alone_is_node_zero_semantics() {
     let params = OneToNParams::practical();
     let mut rng = RcbRng::new(1);
     let mut adv = NoJamRep;
-    let out = run_broadcast(&params, 1, &mut adv, &mut rng, FastConfig::default());
+    let out = broadcast(&params, 1, &mut adv, &mut rng, FastConfig::default());
     assert!(out.all_informed);
     assert!(out.all_terminated);
 }
@@ -130,7 +174,7 @@ fn duel_engine_matches_closed_form_prediction() {
     for budget in [0u64, 1 << 12, 1 << 16] {
         let outs = run_trials(80, 3 ^ budget, Parallelism::Auto, |_, rng| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_duel(&profile, &mut adv, rng, DuelConfig::default())
+            duel(&profile, &mut adv, rng, DuelConfig::default())
         });
         let mean_alice: f64 =
             outs.iter().map(|o| o.alice_cost as f64).sum::<f64>() / outs.len() as f64;
@@ -161,7 +205,7 @@ fn unjammed_broadcast_latency_matches_schedule_estimate() {
         for seed in 0..trials {
             let mut rng = RcbRng::new(900 + seed + n as u64);
             let mut adv = NoJamRep;
-            let out = run_broadcast(&params, n, &mut adv, &mut rng, FastConfig::default());
+            let out = broadcast(&params, n, &mut adv, &mut rng, FastConfig::default());
             assert!(out.all_terminated);
             slots_sum += out.slots;
         }

@@ -1,15 +1,16 @@
 //! Property tests for the fault-injection layer.
 //!
-//! Three invariants the whole subsystem leans on:
+//! Two invariants the whole subsystem leans on:
 //!
-//! 1. `FaultPlan::none()` is a *byte-identical* no-op — the faulted entry
-//!    points with an empty plan replay exactly the unfaulted engine,
-//!    including the caller's RNG stream position afterwards.
-//! 2. Fault-injected runs are deterministic under seed replay: the same
+//! 1. Fault-injected runs are deterministic under seed replay: the same
 //!    `(seed, plan)` always produces the same outcome.
-//! 3. Loss and skew only ever *remove* information: a receiver condition
+//! 2. Loss and skew only ever *remove* information: a receiver condition
 //!    can turn a decoded payload into noise, never conjure a payload out
 //!    of a clear or noisy slot.
+//!
+//! (That `FaultPlan::none()` leaves a run byte-identical, RNG position
+//! included, is pinned against a spec run by the empty-plan property
+//! tests in `scenario_equivalence.rs`.)
 
 use proptest::prelude::*;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
@@ -19,8 +20,9 @@ use rcb_channel::Payload;
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::Fig1Profile;
 use rcb_mathkit::rng::RcbRng;
-use rcb_sim::duel::{run_duel, run_duel_faulted, DuelConfig};
-use rcb_sim::fast::{run_broadcast_faulted, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{run_duel, DuelConfig};
+use rcb_sim::fast::{run_broadcast, FastConfig};
 use rcb_sim::faults::FaultPlan;
 
 /// Assembles a plan from flat primitives (the vendored proptest stub has
@@ -54,31 +56,7 @@ fn plan_from(
 }
 
 proptest! {
-    /// Invariant 1, duel engine: an empty plan replays the unfaulted run
-    /// bit for bit, and leaves the caller's RNG in the identical state.
-    #[test]
-    fn empty_plan_is_byte_identical_noop(seed in any::<u64>(), budget in 0u64..4096) {
-        let profile = Fig1Profile::with_start_epoch(0.1, 6);
-
-        let mut rng_plain = RcbRng::new(seed);
-        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let plain = run_duel(&profile, &mut adv, &mut rng_plain, DuelConfig::default());
-
-        let mut rng_faulted = RcbRng::new(seed);
-        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let faulted = run_duel_faulted(
-            &profile,
-            &mut adv,
-            &mut rng_faulted,
-            DuelConfig::default(),
-            &FaultPlan::none(),
-        );
-
-        prop_assert_eq!(plain, faulted);
-        prop_assert_eq!(rng_plain, rng_faulted, "RNG stream position must match");
-    }
-
-    /// Invariant 2, duel engine: identical `(seed, plan)` → identical run.
+    /// Invariant 1, duel engine: identical `(seed, plan)` → identical run.
     #[test]
     fn faulted_duel_is_deterministic_under_seed_replay(
         seed in any::<u64>(),
@@ -101,12 +79,12 @@ proptest! {
         let run = || {
             let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(512, 1.0);
-            run_duel_faulted(&profile, &mut adv, &mut rng, config, &plan)
+            run_duel(&profile, &mut adv, &mut rng, config, &plan, &Deadline::NONE).0
         };
         prop_assert_eq!(run(), run());
     }
 
-    /// Invariant 2, fast broadcast engine.
+    /// Invariant 1, fast broadcast engine.
     #[test]
     fn faulted_broadcast_is_deterministic_under_seed_replay(
         seed in any::<u64>(),
@@ -124,16 +102,7 @@ proptest! {
         let run = || {
             let mut rng = RcbRng::new(seed);
             let mut adv = NoJamRep;
-            run_broadcast_faulted(
-                &params,
-                6,
-                &[0],
-                &mut adv,
-                &mut rng,
-                FastConfig::default(),
-                &mut (),
-                &plan,
-            )
+            run_broadcast(&params, 6, &[0], &mut adv, &mut rng, FastConfig::default(), &mut (), &plan, &Deadline::NONE).0
         };
         let a = run();
         let b = run();
@@ -143,7 +112,7 @@ proptest! {
         prop_assert_eq!(a.truncated, b.truncated);
     }
 
-    /// Invariant 3: a receiver condition never creates a reception. Loss
+    /// Invariant 2: a receiver condition never creates a reception. Loss
     /// and skew map payloads to noise (and clear slots stay clear unless
     /// skewed); nothing maps *to* a decoded payload.
     #[test]

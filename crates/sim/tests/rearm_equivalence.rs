@@ -191,7 +191,7 @@ fn cohort_session_rearm_all_tracked_regime() {
 }
 
 // ---------------------------------------------------------------------------
-// Session-vs-legacy: a fresh session run equals the construct-run-discard
+// Session-vs-entry-point: a fresh session run equals the construct-run-discard
 // entry point at the same seed, so the session layer is a pure refactor.
 // ---------------------------------------------------------------------------
 
@@ -208,13 +208,16 @@ fn fresh_sessions_match_legacy_entry_points() {
         let (via_session, _) = session.run(&mut adv, &Deadline::NONE);
         let mut rng = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(4096, 1.0);
-        let legacy = run_duel(
+        let direct = run_duel(
             &Fig1Profile::with_start_epoch(0.1, 8),
             &mut adv,
             &mut rng,
             DuelConfig::default(),
-        );
-        assert_eq!(via_session, legacy, "duel seed {seed}");
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0;
+        assert_eq!(via_session, direct, "duel seed {seed}");
 
         let mut session = BroadcastSession::new(
             OneToNParams::practical(),
@@ -228,14 +231,19 @@ fn fresh_sessions_match_legacy_entry_points() {
         let (via_session, _) = session.run(&mut adv, &Deadline::NONE);
         let mut rng = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-        let legacy = run_broadcast(
+        let direct = run_broadcast(
             &OneToNParams::practical(),
             12,
+            &[0],
             &mut adv,
             &mut rng,
             FastConfig::default(),
-        );
-        assert_eq!(via_session, legacy, "broadcast seed {seed}");
+            &mut (),
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0;
+        assert_eq!(via_session, direct, "broadcast seed {seed}");
 
         let mut session = CohortSession::new(
             OneToNParams::practical(),
@@ -249,13 +257,17 @@ fn fresh_sessions_match_legacy_entry_points() {
         let (via_session, _) = session.run(&mut adv, &Deadline::NONE);
         let mut rng = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-        let legacy = run_cohort(
+        let direct = run_cohort(
             &OneToNParams::practical(),
             24,
+            &[0],
             &mut adv,
             &mut rng,
             CohortConfig::default(),
-        );
-        assert_eq!(via_session, legacy, "cohort seed {seed}");
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0;
+        assert_eq!(via_session, direct, "cohort seed {seed}");
     }
 }

@@ -1,5 +1,5 @@
-//! Golden equivalence: `ScenarioSpec::run_*` against the legacy entry
-//! points it subsumes.
+//! Golden equivalence: `ScenarioSpec::run_*` against direct calls of the
+//! engine entry points it subsumes.
 //!
 //! The scenario layer promises *bit-identical* behavior — same outcomes,
 //! same slot counts, same FNV-1a checksum folds — for every (workload,
@@ -9,14 +9,15 @@
 //! * every cell of the conformance differ's default grid, on both engines;
 //! * every named registry entry behind `rcbsim scenario run`.
 //!
-//! Each spec is replayed through a hand-built legacy harness that calls
-//! `run_duel_faulted` / `run_broadcast_faulted` / `run_exact_faulted`
-//! directly, mirroring the constructions `ScenarioSpec` performs. A drift
-//! in either direction — the spec layer or the legacy path — fails here.
+//! Each spec is replayed through a hand-built legacy harness — the
+//! pre-scenario construction for each (workload, engine) — that calls
+//! `run_duel` / `run_broadcast` / `run_cohort` / `run_exact` directly,
+//! mirroring the constructions `ScenarioSpec` performs. A drift in either
+//! direction — the spec layer or the legacy harness — fails here.
 //!
 //! A property test additionally pins that a spec with an empty `FaultPlan`
-//! replays the *clean* (unfaulted) entry point byte for byte, including
-//! the caller's RNG stream position afterwards.
+//! replays a direct fault-free engine call with a hand-built adversary
+//! byte for byte, including the caller's RNG stream position afterwards.
 
 use proptest::prelude::*;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, KeepAliveBlocker, NoJamRep, RandomRep};
@@ -30,11 +31,12 @@ use rcb_core::one_to_one::schedule::DuelSchedule;
 use rcb_core::one_to_one::slot::{AliceProtocol, BobProtocol};
 use rcb_core::protocol::SlotProtocol;
 use rcb_mathkit::rng::RcbRng;
-use rcb_sim::cohort::{run_cohort_faulted, CohortConfig};
+use rcb_sim::cohort::{run_cohort, CohortConfig};
 use rcb_sim::conformance::default_grid;
-use rcb_sim::duel::{run_duel, run_duel_faulted, DuelConfig};
-use rcb_sim::exact::{run_exact_faulted, ExactConfig};
-use rcb_sim::fast::{run_broadcast, run_broadcast_faulted, FastConfig};
+use rcb_sim::deadline::Deadline;
+use rcb_sim::duel::{run_duel, DuelConfig};
+use rcb_sim::exact::{run_exact, ExactConfig};
+use rcb_sim::fast::{run_broadcast, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
 use rcb_sim::runner::run_trials;
@@ -75,20 +77,28 @@ fn legacy_fast_duel(
         DuelProtocol::Fig1 {
             epsilon,
             start_epoch,
-        } => run_duel_faulted(
-            &Fig1Profile::with_start_epoch(epsilon, start_epoch),
-            adv,
-            rng,
-            config,
-            faults,
-        ),
-        DuelProtocol::Ksy { start_epoch } => run_duel_faulted(
-            &KsyProfile::with_start_epoch(start_epoch),
-            adv,
-            rng,
-            config,
-            faults,
-        ),
+        } => {
+            run_duel(
+                &Fig1Profile::with_start_epoch(epsilon, start_epoch),
+                adv,
+                rng,
+                config,
+                faults,
+                &Deadline::NONE,
+            )
+            .0
+        }
+        DuelProtocol::Ksy { start_epoch } => {
+            run_duel(
+                &KsyProfile::with_start_epoch(start_epoch),
+                adv,
+                rng,
+                config,
+                faults,
+                &Deadline::NONE,
+            )
+            .0
+        }
     }
 }
 
@@ -104,7 +114,7 @@ fn legacy_exact_duel<P: DuelProfile + Copy>(
     let schedule = DuelSchedule::new(profile.start_epoch());
     let partition = Partition::pair();
     let mut adv = RepAsSlotAdversary::duel(adversary);
-    let out = run_exact_faulted(
+    let out = run_exact(
         &mut [&mut alice, &mut bob],
         &mut adv,
         &schedule,
@@ -115,7 +125,9 @@ fn legacy_exact_duel<P: DuelProfile + Copy>(
         },
         None,
         faults,
-    );
+        &Deadline::NONE,
+    )
+    .0;
     let delivered = bob.received_message();
     DuelOutcome {
         delivered,
@@ -146,7 +158,7 @@ fn legacy_exact_broadcast(
     let schedule = OneToNSchedule::new(w.params);
     let partition = Partition::uniform(w.n);
     let mut adv = RepAsSlotAdversary::broadcast(adversary, w.n);
-    let out = run_exact_faulted(
+    let out = run_exact(
         &mut refs,
         &mut adv,
         &schedule,
@@ -157,7 +169,9 @@ fn legacy_exact_broadcast(
         },
         None,
         faults,
-    );
+        &Deadline::NONE,
+    )
+    .0;
     let informed = nodes.iter().filter(|v| v.received_message()).count();
     BroadcastOutcome {
         n: w.n,
@@ -206,18 +220,22 @@ fn legacy_trial(spec: &ScenarioSpec, trial: u64, rng: &mut RcbRng) -> Outcome {
         }
         (Workload::Broadcast(w), Engine::Fast) => {
             let mut adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Broadcast(run_broadcast_faulted(
-                &w.params,
-                w.n,
-                &w.sources,
-                adv.as_mut(),
-                rng,
-                FastConfig {
-                    max_epoch: w.max_epoch,
-                },
-                &mut (),
-                &spec.faults,
-            ))
+            Outcome::Broadcast(
+                run_broadcast(
+                    &w.params,
+                    w.n,
+                    &w.sources,
+                    adv.as_mut(),
+                    rng,
+                    FastConfig {
+                        max_epoch: w.max_epoch,
+                    },
+                    &mut (),
+                    &spec.faults,
+                    &Deadline::NONE,
+                )
+                .0,
+            )
         }
         (Workload::Broadcast(w), Engine::Exact) => {
             let adv = legacy_adversary(&spec.adversary, seed);
@@ -225,18 +243,22 @@ fn legacy_trial(spec: &ScenarioSpec, trial: u64, rng: &mut RcbRng) -> Outcome {
         }
         (Workload::Broadcast(w), Engine::CohortFast) => {
             let mut adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Broadcast(run_cohort_faulted(
-                &w.params,
-                w.n,
-                &w.sources,
-                adv.as_mut(),
-                rng,
-                CohortConfig {
-                    max_epoch: w.max_epoch,
-                    ..CohortConfig::default()
-                },
-                &spec.faults,
-            ))
+            Outcome::Broadcast(
+                run_cohort(
+                    &w.params,
+                    w.n,
+                    &w.sources,
+                    adv.as_mut(),
+                    rng,
+                    CohortConfig {
+                        max_epoch: w.max_epoch,
+                        ..CohortConfig::default()
+                    },
+                    &spec.faults,
+                    &Deadline::NONE,
+                )
+                .0,
+            )
         }
         (Workload::Duel(_), Engine::CohortFast) => {
             unreachable!("validate() rejects duel workloads on the cohort engine")
@@ -375,9 +397,9 @@ fn registry_entries_match_legacy() {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    /// A duel spec carrying `FaultPlan::none()` replays the *clean*
-    /// (pre-faults) entry point bit for bit, and leaves the caller's RNG
-    /// in the identical stream position.
+    /// A duel spec carrying `FaultPlan::none()` replays a direct fault-free
+    /// `run_duel` bit for bit, and leaves the caller's RNG in the
+    /// identical stream position.
     #[test]
     fn empty_fault_plan_spec_is_byte_identical_to_clean_duel(
         seed in any::<u64>(),
@@ -389,21 +411,21 @@ proptest! {
             .with_seed(seed);
 
         let mut rng_spec = RcbRng::new(seed);
-        let via_spec = spec.run(&mut rng_spec);
+        let (via_spec, spec_err) = spec.run_trial_raw(0, &mut rng_spec);
 
         let mut rng_clean = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let clean = run_duel(
+        let (clean, clean_err) = run_duel(
             &Fig1Profile::with_start_epoch(0.1, 6),
             &mut adv,
             &mut rng_clean,
             DuelConfig::default(),
+            &FaultPlan::none(),
+            &Deadline::NONE,
         );
 
-        match via_spec {
-            Ok(out) => prop_assert_eq!(out.into_duel(), clean),
-            Err(_) => prop_assert!(clean.truncated, "spec errored but clean run completed"),
-        }
+        prop_assert_eq!(via_spec.into_duel(), clean);
+        prop_assert_eq!(spec_err, clean_err);
         prop_assert_eq!(rng_spec, rng_clean, "RNG stream position must match");
     }
 
@@ -423,16 +445,24 @@ proptest! {
         };
 
         let mut rng_spec = RcbRng::new(seed);
-        let via_spec = spec.run(&mut rng_spec);
+        let (via_spec, spec_err) = spec.run_trial_raw(0, &mut rng_spec);
 
         let mut rng_clean = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let clean = run_broadcast(&params, 5, &mut adv, &mut rng_clean, FastConfig::default());
+        let (clean, clean_err) = run_broadcast(
+            &params,
+            5,
+            &[0],
+            &mut adv,
+            &mut rng_clean,
+            FastConfig::default(),
+            &mut (),
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        );
 
-        match via_spec {
-            Ok(out) => prop_assert_eq!(out.into_broadcast(), clean),
-            Err(_) => prop_assert!(clean.truncated, "spec errored but clean run completed"),
-        }
+        prop_assert_eq!(via_spec.into_broadcast(), clean);
+        prop_assert_eq!(spec_err, clean_err);
         prop_assert_eq!(rng_spec, rng_clean, "RNG stream position must match");
     }
 }

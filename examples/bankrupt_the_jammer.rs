@@ -34,15 +34,15 @@ fn main() {
         let mut truncated = 0u64;
         for seed in 0..trials {
             let mut rng = RcbRng::new(0xBA77E5 + seed + factor);
-            match spec.run(&mut rng) {
-                Ok(outcome) => {
+            match spec.run_trial_raw(0, &mut rng) {
+                (outcome, None) => {
                     let out = outcome.into_duel();
                     alice_used += out.alice_cost;
                     bob_used += out.bob_cost;
                     jam_used += out.adversary_cost;
                     delivered += out.delivered as u64;
                 }
-                Err(_) => truncated += 1,
+                (_, Some(_)) => truncated += 1,
             }
         }
         let completed = (trials - truncated).max(1);

@@ -28,13 +28,13 @@ fn mean_duel_cost(protocol: DuelProtocol, budget: u64, trials: u64) -> (f64, u64
     let mut sum = 0.0;
     let mut completed = 0u64;
     let mut truncated = 0u64;
-    for result in spec.run_batch() {
+    for result in spec.run_batch_raw() {
         match result {
-            Ok(out) => {
+            (out, None) => {
                 sum += out.max_cost() as f64;
                 completed += 1;
             }
-            Err(_) => truncated += 1,
+            (_, Some(_)) => truncated += 1,
         }
     }
     (sum / completed.max(1) as f64, truncated)
@@ -49,7 +49,7 @@ fn mean_combined_cost(budget: u64, trials: u64) -> (f64, u64) {
         let mut adv = BudgetedPhaseBlocker::new(budget, 1.0);
         let schedule = DuelSchedule::new(8);
         let partition = Partition::pair();
-        run_exact_checked(
+        let (out, err) = run_exact(
             &mut [&mut alice, &mut bob],
             &mut adv,
             &schedule,
@@ -60,19 +60,20 @@ fn mean_combined_cost(budget: u64, trials: u64) -> (f64, u64) {
             },
             None,
             &FaultPlan::none(),
-        )
-        .map(|out| out.ledger.max_node_cost() as f64)
+            &Deadline::NONE,
+        );
+        (out.ledger.max_node_cost() as f64, err)
     });
     let mut sum = 0.0;
     let mut completed = 0u64;
     let mut truncated = 0u64;
     for r in results {
         match r {
-            Ok(c) => {
+            (c, None) => {
                 sum += c;
                 completed += 1;
             }
-            Err(_) => truncated += 1,
+            (_, Some(_)) => truncated += 1,
         }
     }
     (sum / completed.max(1) as f64, truncated)

@@ -24,15 +24,15 @@ fn main() {
             fraction: 1.0,
         });
         let mut rng = RcbRng::new(2014);
-        match spec.run(&mut rng) {
-            Ok(outcome) => {
+        match spec.run_trial_raw(0, &mut rng) {
+            (outcome, None) => {
                 let out = outcome.into_duel();
                 println!(
                     "{:>18} | {:>10} | {:>8} | {:>5} | {}",
                     out.adversary_cost, out.alice_cost, out.bob_cost, out.slots, out.delivered
                 );
             }
-            Err(e) => println!("{budget:>18} | TRUNCATED before completion: {e}"),
+            (_, Some(e)) => println!("{budget:>18} | TRUNCATED before completion: {e}"),
         }
     }
 

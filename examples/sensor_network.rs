@@ -29,10 +29,10 @@ fn main() {
             .with_seed(0xA1A7 + n as u64);
         let mut outcomes = Vec::new();
         let mut truncated = 0u64;
-        for result in spec.run_batch() {
+        for result in spec.run_batch_raw() {
             match result {
-                Ok(out) => outcomes.push(out.into_broadcast()),
-                Err(_) => truncated += 1,
+                (out, None) => outcomes.push(out.into_broadcast()),
+                (_, Some(_)) => truncated += 1,
             }
         }
         if outcomes.is_empty() {

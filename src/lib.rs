@@ -30,7 +30,9 @@
 //! let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.01, 8))
 //!     .with_adversary(AdversarySpec::Budgeted { budget: 10_000, fraction: 1.0 });
 //! let mut rng = RcbRng::new(42);
-//! let outcome = spec.run(&mut rng).expect("well under the engine cap").into_duel();
+//! let (outcome, err) = spec.run_trial_raw(0, &mut rng);
+//! assert!(err.is_none(), "well under the engine cap");
+//! let outcome = outcome.into_duel();
 //!
 //! assert!(outcome.delivered, "after the budget is spent, m gets through");
 //! // Resource competitiveness: the good nodes spend far less than T.
@@ -46,17 +48,19 @@
 //! // (T = 0: the efficiency-function regime).
 //! let spec = ScenarioSpec::broadcast(32);
 //! let mut rng = RcbRng::new(7);
-//! let out = spec.run(&mut rng).expect("unjammed runs finish early").into_broadcast();
+//! let (out, err) = spec.run_trial_raw(0, &mut rng);
+//! assert!(err.is_none(), "unjammed runs finish early");
+//! let out = out.into_broadcast();
 //! assert!(out.all_informed && out.all_terminated);
 //! ```
 //!
 //! The pinned perf scenarios are published as a named registry:
 //! [`registry()`](rcb_sim::scenario::registry) /
 //! [`find_scenario`](rcb_sim::scenario::find_scenario) in the library,
-//! `rcbsim scenario list` / `rcbsim scenario run <name>` on the CLI. The
-//! low-level entry points (`run_duel`, `run_broadcast`, `run_exact`, and
-//! their checked/faulted variants) remain for direct engine access and
-//! are bit-identical to the spec path.
+//! `rcbsim scenario list` / `rcbsim scenario run <name>` on the CLI. Each
+//! engine also has one low-level entry point (`run_duel`, `run_broadcast`,
+//! `run_cohort`, `run_exact`) for callers that hold their own protocol or
+//! adversary instances; it is bit-identical to the spec path.
 
 pub use rcb_adversary as adversary;
 pub use rcb_analysis as analysis;
@@ -93,15 +97,14 @@ pub mod prelude {
         default_grid, replay_broadcast_trace, replay_duel_trace, run_broadcast_cell, run_duel_cell,
         run_grid, BroadcastCell, ConformanceConfig, DuelCell, GridReport,
     };
-    pub use rcb_sim::duel::{run_duel, run_duel_checked, run_duel_faulted, DuelConfig};
+    pub use rcb_sim::deadline::Deadline;
+    pub use rcb_sim::duel::{run_duel, DuelConfig};
     pub use rcb_sim::error::{SimError, TrialFailure};
-    pub use rcb_sim::exact::{run_exact, run_exact_checked, run_exact_faulted, ExactConfig};
-    pub use rcb_sim::fast::{
-        run_broadcast, run_broadcast_checked, run_broadcast_faulted, FastConfig,
-    };
+    pub use rcb_sim::exact::{run_exact, ExactConfig};
+    pub use rcb_sim::fast::{run_broadcast, FastConfig};
     pub use rcb_sim::faults::{FaultConfigError, FaultPlan};
     pub use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
-    pub use rcb_sim::runner::{run_trials, run_trials_isolated, Parallelism};
+    pub use rcb_sim::runner::{run_trials, Parallelism};
     pub use rcb_sim::scenario::{
         find_scenario, registry, AdversarySpec, BroadcastWorkload, DuelProtocol, DuelWorkload,
         Engine, NamedScenario, Outcome, ScenarioSpec, SeedPolicy, Workload,

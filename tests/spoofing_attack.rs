@@ -29,7 +29,10 @@ fn run_with_spoofer(budget: u64, seed: u64) -> (u64, u64, bool, bool) {
             max_slots: 10_000_000,
         },
         None,
-    );
+        &FaultPlan::none(),
+        &Deadline::NONE,
+    )
+    .0;
     (
         out.ledger.node_cost(0),
         out.ledger.adversary_cost(),
@@ -122,7 +125,10 @@ fn trace_exposes_spoofed_nacks_and_replays_cleanly() {
             max_slots: 10_000_000,
         },
         Some(&mut trace),
-    );
+        &FaultPlan::none(),
+        &Deadline::NONE,
+    )
+    .0;
     assert!(out.completed);
     assert_eq!(trace.dropped(), 0);
 
@@ -173,7 +179,10 @@ fn without_spoofing_alice_halts_cheaply() {
         &mut rng,
         ExactConfig::default(),
         None,
-    );
+        &FaultPlan::none(),
+        &Deadline::NONE,
+    )
+    .0;
     assert!(out.completed);
     assert!(out.slots <= 4 * 128, "one or two epochs at most");
 }

@@ -16,7 +16,15 @@ fn theorem1_success_probability_under_attack() {
     let trials = 200u64;
     let outcomes = run_trials(trials, 77, Parallelism::Auto, |_, rng| {
         let mut adv = BudgetedRepBlocker::new(20_000, 1.0);
-        run_duel(&profile, &mut adv, rng, DuelConfig::default())
+        run_duel(
+            &profile,
+            &mut adv,
+            rng,
+            DuelConfig::default(),
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0
     });
     let delivered = outcomes.iter().filter(|o| o.delivered).count();
     // ε = 0.05 nominal with a scaled-down start epoch: allow 3× slack.
@@ -36,7 +44,15 @@ fn theorem1_cost_scaling_exponent() {
         let budget = 1u64 << k;
         let outcomes = run_trials(60, 123 ^ budget, Parallelism::Auto, |_, rng| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_duel(&profile, &mut adv, rng, DuelConfig::default())
+            run_duel(
+                &profile,
+                &mut adv,
+                rng,
+                DuelConfig::default(),
+                &FaultPlan::none(),
+                &Deadline::NONE,
+            )
+            .0
         });
         let mean_t: f64 = outcomes
             .iter()
@@ -69,7 +85,18 @@ fn theorem3_cost_decreases_with_n() {
     for n in [8usize, 32, 64] {
         let outcomes = run_trials(8, 55 + n as u64, Parallelism::Auto, |_, rng| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_broadcast(&params, n, &mut adv, rng, FastConfig::default())
+            run_broadcast(
+                &params,
+                n,
+                &[0],
+                &mut adv,
+                rng,
+                FastConfig::default(),
+                &mut (),
+                &FaultPlan::none(),
+                &Deadline::NONE,
+            )
+            .0
         });
         let mean: f64 = outcomes.iter().map(|o| o.mean_cost()).sum::<f64>() / outcomes.len() as f64;
         means.push((n, mean));
@@ -88,7 +115,18 @@ fn theorem3_all_informed_under_attack() {
     let params = OneToNParams::practical();
     let outcomes = run_trials(12, 99, Parallelism::Auto, |_, rng| {
         let mut adv = BudgetedRepBlocker::new(30_000, 1.0);
-        run_broadcast(&params, 24, &mut adv, rng, FastConfig::default())
+        run_broadcast(
+            &params,
+            24,
+            &[0],
+            &mut adv,
+            rng,
+            FastConfig::default(),
+            &mut (),
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0
     });
     let ok = outcomes
         .iter()
@@ -142,7 +180,15 @@ fn ksy_baseline_has_golden_ratio_exponent() {
         let budget = 1u64 << k;
         let outcomes = run_trials(60, 31 ^ budget, Parallelism::Auto, |_, rng| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_duel(&profile, &mut adv, rng, DuelConfig::default())
+            run_duel(
+                &profile,
+                &mut adv,
+                rng,
+                DuelConfig::default(),
+                &FaultPlan::none(),
+                &Deadline::NONE,
+            )
+            .0
         });
         let mean_t: f64 = outcomes
             .iter()
@@ -295,7 +341,15 @@ fn latency_linear_in_t() {
     let budget = 1u64 << 16;
     let outcomes = run_trials(40, 31, Parallelism::Auto, |_, rng| {
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        run_duel(&profile, &mut adv, rng, DuelConfig::default())
+        run_duel(
+            &profile,
+            &mut adv,
+            rng,
+            DuelConfig::default(),
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0
     });
     for o in &outcomes {
         assert!(
