@@ -20,7 +20,6 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use crate::experiments::common::{parse_trial_payload, split_truncated, trial_payload};
-use crate::perf::{self, PerfScale};
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
@@ -183,28 +182,14 @@ COMMANDS:
   conformance  cross-engine agreement grid (exact vs fast engines)
              --trials N (default 200)   --seed N (default 2014)
              --alpha F (default 0.001)
-  perf       pinned perf grid → BENCH_<git-sha>.json (slots/sec,
-             trials/sec, peak RSS, determinism checksums per engine)
-             --scale standard|smoke (default standard)
-             --cpus N[,N...] (default 1; one timed full-grid pass per
-             worker count, recorded as a scaling curve; per-scenario
-             stats and RSS come from the first pass)
-             --out PATH (default BENCH_<sha>.json; `-` skips the write)
-             --against FILE (compare to a recorded baseline; warnings go
-             to stderr)   --strict true (warnings fail the gate too)
-             --threshold F (default 0.35)   --report-only true
-             --notes TEXT   --seed N (default 2014)
-             --only NAME[,NAME...] (restrict the grid to these registry
-             entries; overrides the smoke scale's exclusion of the
-             large-n cohort cells)
-  scenario   named declarative scenarios (the perf grid's registry)
+  scenario   named declarative scenarios (the pinned registry)
              scenario list          table of every registry entry
              scenario names         bare names, one per line
              scenario run <NAME>    run one entry
                --trials N   --seed N  (override the registry defaults)
   help       this text
 
-CRASH SAFETY (perf and scenario run):
+CRASH SAFETY (scenario run):
   --journal PATH     checkpoint completed cells to an FNV-1a-checksummed
                      JSONL journal (flushed atomically as the run goes)
   --resume PATH      skip the journal's completed cells and continue; a
@@ -258,21 +243,6 @@ fn command_flags(command: &str) -> Option<Vec<&'static str>> {
         "product" => (&["budget", "delta", "trials", "seed"], &[]),
         "golden" => (&["budget", "trials", "seed"], &[]),
         "conformance" => (&["trials", "seed", "alpha"], &[]),
-        "perf" => (
-            &[
-                "scale",
-                "cpus",
-                "out",
-                "against",
-                "strict",
-                "threshold",
-                "report-only",
-                "notes",
-                "seed",
-                "only",
-            ],
-            &RUN_CONTROL_FLAGS,
-        ),
         "scenario" => (&["trials", "seed"], &RUN_CONTROL_FLAGS),
         _ => return None,
     };
@@ -309,6 +279,9 @@ pub fn run_cli(args: &Args) -> Result<String, String> {
             ));
         }
     }
+    if args.get_opt::<u64>("trials")? == Some(0) {
+        return Err("--trials must be at least 1".into());
+    }
     if args.command() != Some("scenario") {
         if let Some(extra) = args.positional(0) {
             return Err(format!("unexpected positional argument `{extra}`"));
@@ -321,7 +294,6 @@ pub fn run_cli(args: &Args) -> Result<String, String> {
         Some("product") => cmd_product(args),
         Some("golden") => cmd_golden(args),
         Some("conformance") => cmd_conformance(args),
-        Some("perf") => cmd_perf(args),
         Some("scenario") => cmd_scenario(args),
         Some(other) => Err(format!("unknown command `{other}`; try `rcbsim help`")),
     }
@@ -534,15 +506,6 @@ fn render_stream(trials: u64, results: Vec<(Outcome, Option<SimError>)>) -> Stri
     )
 }
 
-/// Comma-separated registry names for unknown-name error messages.
-fn registry_name_list() -> String {
-    registry()
-        .iter()
-        .map(|e| e.name)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
 fn cmd_broadcast(args: &Args) -> Result<String, String> {
     let n: usize = args.get("n", 32)?;
     let budget: u64 = args.get("budget", 1 << 20)?;
@@ -580,11 +543,11 @@ fn cmd_broadcast(args: &Args) -> Result<String, String> {
     Ok(broadcast_report(&spec))
 }
 
-/// `scenario list|names|run <NAME>` — the named registry behind the perf
-/// grid, exposed for direct use. `run` accepts `--trials`/`--seed`
-/// overrides and reports the same FNV-1a determinism checksum the perf
-/// harness records, folded in trial order over every outcome (including
-/// truncated trials, which surface as a count rather than vanishing).
+/// `scenario list|names|run <NAME>` — the pinned scenario registry,
+/// exposed for direct use. `run` accepts `--trials`/`--seed` overrides and
+/// reports an FNV-1a determinism checksum folded in trial order over every
+/// outcome (including truncated trials, which surface as a count rather
+/// than vanishing).
 fn cmd_scenario(args: &Args) -> Result<String, String> {
     let entries = registry();
     match args.positional(0) {
@@ -628,9 +591,10 @@ fn cmd_scenario(args: &Args) -> Result<String, String> {
                 return Err(format!("unexpected positional argument `{extra}`"));
             }
             let entry = find_scenario(name).ok_or_else(|| {
+                let names: Vec<&str> = entries.iter().map(|e| e.name).collect();
                 format!(
                     "unknown scenario `{name}`; valid names: {}",
-                    registry_name_list()
+                    names.join(", ")
                 )
             })?;
             let mut spec = entry.spec;
@@ -815,9 +779,6 @@ fn cmd_conformance(args: &Args) -> Result<String, String> {
     let trials: u64 = args.get("trials", 200)?;
     let seed: u64 = args.get("seed", 2014)?;
     let alpha: f64 = args.get("alpha", 1e-3)?;
-    if trials == 0 {
-        return Err("--trials must be at least 1".into());
-    }
     if !(0.0..1.0).contains(&alpha) || alpha <= 0.0 {
         return Err("--alpha must be in (0,1)".into());
     }
@@ -839,7 +800,7 @@ fn cmd_conformance(args: &Args) -> Result<String, String> {
     }
 }
 
-/// The shared crash-safety flags (`perf` and `scenario run`):
+/// The crash-safety flags of `scenario run`:
 /// `--journal PATH` checkpoints, `--resume PATH` continues a previous
 /// journal, `--deadline SECS` bounds the run's wall clock.
 struct RunControlArgs {
@@ -917,119 +878,6 @@ fn cut_report(what: &str, journal: Option<&Path>, base_invocation: &str) -> Stri
     }
 }
 
-/// `--cpus 1,2,4` → worker counts for the perf scaling passes.
-fn parse_cpus_list(raw: &str) -> Result<Vec<u64>, String> {
-    let cpus = raw
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| match s.parse::<u64>() {
-            Ok(0) | Err(_) => Err(format!(
-                "--cpus entries must be positive integers, got `{s}`"
-            )),
-            Ok(n) => Ok(n),
-        })
-        .collect::<Result<Vec<u64>, String>>()?;
-    if cpus.is_empty() {
-        return Err("--cpus needs at least one worker count".into());
-    }
-    Ok(cpus)
-}
-
-fn cmd_perf(args: &Args) -> Result<String, String> {
-    let seed: u64 = args.get("seed", 2014)?;
-    let scale = PerfScale::parse(&args.get_str("scale", "standard"))?;
-    let threshold: f64 = args.get("threshold", perf::DEFAULT_THRESHOLD)?;
-    if !threshold.is_finite() || threshold <= 0.0 {
-        return Err("--threshold must be a positive number".into());
-    }
-    let report_only: bool = args.get("report-only", false)?;
-    let strict: bool = args.get("strict", false)?;
-    let notes = args.get_str("notes", "");
-    let cpus_raw = args.get_str("cpus", "1");
-    let cpus = parse_cpus_list(&cpus_raw)?;
-    let sha = perf::git_short_sha();
-    let out_path = args.get_str("out", &format!("BENCH_{sha}.json"));
-
-    let only: Vec<String> = args
-        .get_str("only", "")
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect();
-    let unknown = perf::resolve_only(&only);
-    if !unknown.is_empty() {
-        return Err(format!(
-            "--only names not in the registry: {}; valid names: {}",
-            unknown.join(", "),
-            registry_name_list()
-        ));
-    }
-
-    let rc = run_control_args(args)?;
-    let ctl = perf::PerfControl {
-        journal: rc.journal.clone(),
-        resume: rc.resume.clone(),
-        deadline: rc.deadline(),
-        only,
-    };
-    let run =
-        perf::run_perf_ctl(seed, scale, &sha, &notes, &cpus, &ctl).map_err(|e| e.to_string())?;
-    let report = match run.report {
-        Some(report) => report,
-        None => {
-            // A cut grid is a nonzero exit (no report was produced), but a
-            // typed one: say why, and how to pick the run back up.
-            let base = format!(
-                "rcbsim perf --scale {} --seed {seed} --cpus {cpus_raw}",
-                scale.label()
-            );
-            return Err(cut_report("perf grid", run.journal_path.as_deref(), &base));
-        }
-    };
-
-    let mut text = String::new();
-    if run.resumed_cells > 0 {
-        let from = rc.resume.as_ref().expect("resumed cells imply --resume");
-        text.push_str(&format!(
-            "resumed {} journaled cell(s) from {}\n\n",
-            run.resumed_cells,
-            from.display()
-        ));
-    }
-    text.push_str(&report.render());
-    if out_path != "-" {
-        std::fs::write(&out_path, report.to_json().render())
-            .map_err(|e| format!("cannot write {out_path}: {e}"))?;
-        text.push_str(&format!("\nwrote {out_path}\n"));
-    }
-
-    if let Some(baseline_path) = args.get_opt::<String>("against")? {
-        let baseline_text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
-        let baseline = perf::BenchReport::parse(&baseline_text)
-            .map_err(|e| format!("{baseline_path}: {e}"))?;
-        let cmp = perf::compare(&baseline, &report, threshold);
-        // Warnings are advisory diagnostics, not report content: stderr.
-        for warning in &cmp.warnings {
-            eprintln!("warning: {warning}");
-        }
-        text.push('\n');
-        text.push_str(&cmp.text);
-        let gate_failed = if strict {
-            !cmp.passed_strict()
-        } else {
-            !cmp.passed()
-        };
-        if gate_failed && !report_only {
-            // Nonzero exit so CI can gate on `rcbsim perf --against`.
-            return Err(text);
-        }
-    }
-    Ok(text)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,15 +907,6 @@ mod tests {
         assert!(parse(&["--"]).is_err(), "bare dashes");
         let a = parse(&["duel", "--budget", "abc"]).expect("parse ok");
         assert!(a.get::<u64>("budget", 0).is_err(), "type error surfaces");
-    }
-
-    #[test]
-    fn cpus_list_parses_and_rejects_garbage() {
-        assert_eq!(parse_cpus_list("1").expect("single"), vec![1]);
-        assert_eq!(parse_cpus_list("1, 2,4").expect("list"), vec![1, 2, 4]);
-        assert!(parse_cpus_list("").is_err(), "empty list");
-        assert!(parse_cpus_list("0").is_err(), "zero workers");
-        assert!(parse_cpus_list("two").is_err(), "non-numeric");
     }
 
     #[test]
@@ -1114,7 +953,7 @@ mod tests {
                 }
             }
         }
-        assert!(checked > 40, "only {checked} documented flags found");
+        assert!(checked > 35, "only {checked} documented flags found");
     }
 
     #[test]
@@ -1241,49 +1080,50 @@ mod tests {
 
     #[test]
     fn crash_safety_flags_parse_and_reject_conflicts() {
-        let a = parse(&["perf", "--journal", "j.jsonl", "--deadline", "1.5"]).expect("parse");
+        let a = parse(&["scenario", "--journal", "j.jsonl", "--deadline", "1.5"]).expect("parse");
         let rc = run_control_args(&a).expect("valid flags");
         assert!(rc.active());
         assert_eq!(rc.journal.as_deref(), Some(Path::new("j.jsonl")));
         assert_eq!(rc.deadline_budget, Some(Duration::from_millis(1500)));
 
-        let none = run_control_args(&parse(&["perf"]).expect("parse")).expect("no flags");
+        let none = run_control_args(&parse(&["scenario"]).expect("parse")).expect("no flags");
         assert!(!none.active());
         assert!(
             none.deadline().is_unbounded(),
             "no flags → unbounded, handler-free"
         );
 
-        let both = parse(&["perf", "--journal", "a", "--resume", "b"]).expect("parse");
+        let both = parse(&["scenario", "--journal", "a", "--resume", "b"]).expect("parse");
         assert!(run_control_args(&both).is_err(), "journal+resume conflict");
-        let neg = parse(&["perf", "--deadline", "-1"]).expect("parse");
+        let neg = parse(&["scenario", "--deadline", "-1"]).expect("parse");
         assert!(run_control_args(&neg).is_err(), "negative deadline");
     }
 
     #[test]
-    fn perf_deadline_cut_exits_nonzero_with_a_resume_hint() {
-        let journal = tmp_journal("perf_cut");
+    fn scenario_deadline_cut_exits_nonzero_with_a_resume_hint() {
+        let journal = tmp_journal("scenario_cut");
         let a = parse(&[
-            "perf",
-            "--scale",
-            "smoke",
-            "--cpus",
-            "1",
-            "--out",
-            "-",
+            "scenario",
+            "run",
+            "duel_jammed",
+            "--trials",
+            "6",
             "--deadline",
             "0",
             "--journal",
             &journal,
         ])
         .expect("parse");
-        let err = run_cli(&a).expect_err("a cut grid produces no report");
+        let err = run_cli(&a).expect_err("a cut run produces no report");
         assert!(err.contains("deadline exceeded"), "{err}");
         assert!(
-            err.contains(&format!("--resume {journal}")),
+            err.contains(&format!(
+                "rcbsim scenario run duel_jammed --trials 6 --resume {journal}"
+            )),
             "the exact resume invocation must be printed: {err}"
         );
-        assert!(err.contains("--scale smoke"), "{err}");
+        let j = Journal::load(Path::new(&journal)).expect("the journal was flushed on the cut");
+        assert_eq!(j.header().kind, "scenario");
         std::fs::remove_file(&journal).ok();
     }
 
@@ -1316,6 +1156,22 @@ mod tests {
         let resumed = run_cli(&base_args(&["--resume", &journal])).expect("resume");
         assert_eq!(checksum_line(&straight), checksum_line(&resumed));
         assert!(resumed.contains("resumed journal:"), "{resumed}");
+
+        // A killed run leaves only some trials journaled: the resume runs
+        // the rest and still folds the identical checksum, checkpointing
+        // the new trials into the journal it continues.
+        let partial = tmp_journal("scenario_resume_partial");
+        let full = Journal::load(Path::new(&journal)).expect("full journal");
+        let mut part = Journal::create(Path::new(&partial), full.header().clone());
+        for cell in full.cells().take(2) {
+            part.append(cell.to_string(), full.get(cell).expect("listed").clone());
+        }
+        part.flush().expect("flush partial journal");
+        let resumed = run_cli(&base_args(&["--resume", &partial])).expect("partial resume");
+        assert_eq!(checksum_line(&straight), checksum_line(&resumed));
+        let grown = Journal::load(Path::new(&partial)).expect("resumed journal");
+        assert_eq!(grown.len(), 6, "the resume journals the trials it ran");
+        std::fs::remove_file(&partial).ok();
 
         // A different seed is different work: typed refusal.
         let mut v = vec!["scenario", "run", name, "--trials", "6", "--seed", "10"];
@@ -1376,9 +1232,33 @@ mod tests {
     }
 
     #[test]
+    fn zero_trials_are_rejected_by_every_command() {
+        for command in [
+            &["duel"][..],
+            &["broadcast"],
+            &["product"],
+            &["golden"],
+            &["conformance"],
+            &["scenario", "run", "duel_jammed"],
+        ] {
+            let mut v = command.to_vec();
+            v.extend_from_slice(&["--trials", "0"]);
+            let err = run_cli(&parse(&v).expect("parse")).expect_err("zero trials");
+            assert_eq!(err, "--trials must be at least 1", "{v:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_epsilon_is_an_error_not_a_panic() {
+        for eps in ["2", "0", "nan"] {
+            let a = parse(&["duel", "--epsilon", eps, "--trials", "2"]).expect("parse");
+            let err = run_cli(&a).expect_err("epsilon outside (0, 1)");
+            assert!(err.contains("epsilon"), "--epsilon {eps}: {err}");
+        }
+    }
+
+    #[test]
     fn conformance_rejects_bad_flags() {
-        let zero = parse(&["conformance", "--trials", "0"]).expect("parse");
-        assert!(run_cli(&zero).is_err());
         let alpha = parse(&["conformance", "--alpha", "2.0"]).expect("parse");
         assert!(run_cli(&alpha).is_err());
     }

@@ -5,7 +5,7 @@
 //! re-stamps the adversary budget and the per-cell seed for each point.
 //! All per-budget specs are built up front and executed through the
 //! trial-granular work-stealing executor
-//! ([`run_specs_ctl`](rcb_sim::executor::run_specs_ctl)), so cores stay
+//! ([`rcb_sim::executor::run_specs_ctl`]), so cores stay
 //! busy across cell boundaries; the per-cell seed folds (and therefore
 //! every trial's RNG stream) are unchanged from the historical serial
 //! loop. Crash safety rides on the environment — [`SWEEP_JOURNAL_DIR_ENV`]

@@ -5,7 +5,7 @@
 //! FIFO single-server queue: messages arrive by a Poisson process, each is
 //! served by re-arming one `BroadcastSession` and running it to
 //! completion. Classical queueing says the system is stable iff
-//! ρ = λ·E[service] < 1; past that the queue grows with the horizon and
+//! ρ = λ·E\[service\] < 1; past that the queue grows with the horizon and
 //! latency diverges. The jammer bends this picture, and *how* it bends it
 //! depends on the allocation policy:
 //!
@@ -16,7 +16,7 @@
 //!   arrival rate.
 //! - **refill T/msg** — `adversary.rearm()` before every message restores
 //!   the budget, modelling an attacker whose budget regenerates faster
-//!   than the queue drains. This inflates E[service] permanently, so the
+//!   than the queue drains. This inflates E\[service\] permanently, so the
 //!   throughput cliff moves to a *lower* arrival rate.
 //!
 //! The cliff is located empirically by horizon doubling: in the stable

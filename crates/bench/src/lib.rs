@@ -8,11 +8,12 @@
 //! performance benchmarks).
 //!
 //! Outputs are markdown tables plus scaling verdicts, designed to be pasted
-//! into EXPERIMENTS.md verbatim.
+//! into EXPERIMENTS.md verbatim. The crate also hosts the `rcbsim` CLI
+//! ([`cli`]). End-to-end throughput is measured by the standalone
+//! benchmark package in `benchmark/` (see its README), not by this crate.
 
 pub mod cli;
 pub mod experiments;
-pub mod perf;
 pub mod scale;
 
 pub use scale::Scale;

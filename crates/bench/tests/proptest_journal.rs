@@ -1,8 +1,8 @@
-//! Property tests for the crash-safe run journal: record payloads across
-//! the full `Json::Str` scalar range (the surrogate-pair harness from the
-//! perf schema tests, reused), and torn-tail recovery — a truncated final
-//! record line is detected and dropped, never fatal and never silently
-//! misread.
+//! Property tests for the crash-safe run journal and the JSON layer under
+//! it: `Json::Str` round trips over the full scalar range, raw and forced
+//! through `\uXXXX` surrogate-pair escapes; record payloads across the
+//! same range; and torn-tail recovery — a truncated final record line is
+//! detected and dropped, never fatal and never silently misread.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,6 +39,40 @@ fn header_from(kind_codes: &[u32], fingerprint: u64) -> JournalHeader {
 }
 
 proptest! {
+    /// `Json::Str` survives render → parse for every Unicode scalar,
+    /// including astral-plane characters the renderer emits raw.
+    #[test]
+    fn json_strings_round_trip_over_the_full_char_range(
+        codes in prop::collection::vec(any::<u32>(), 0..64),
+    ) {
+        let s = string_from(&codes);
+        let text = Json::Str(s.clone()).render();
+        let back = Json::parse(&text);
+        prop_assert!(back.is_ok(), "reparse failed: {:?}", back.err());
+        let parsed = back.unwrap();
+        prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
+    }
+
+    /// The same strings forced through `\uXXXX` escaping — every char
+    /// encoded as its UTF-16 units, so non-BMP characters arrive as
+    /// surrogate pairs the parser must recombine.
+    #[test]
+    fn json_forced_utf16_escapes_round_trip(
+        codes in prop::collection::vec(any::<u32>(), 0..64),
+    ) {
+        let s = string_from(&codes);
+        let mut text = String::from("[\"");
+        for unit in s.encode_utf16() {
+            text.push_str(&format!("\\u{unit:04x}"));
+        }
+        text.push_str("\"]");
+        let back = Json::parse(&text);
+        prop_assert!(back.is_ok(), "reparse failed: {:?}", back.err());
+        let arr = back.unwrap();
+        let items = arr.as_arr().expect("array document");
+        prop_assert_eq!(items[0].as_str(), Some(s.as_str()));
+    }
+
     /// Every record — arbitrary Unicode cell keys, arbitrary Unicode
     /// string payloads, arbitrary header metadata — survives
     /// flush → load byte-exactly, with append order and the per-record

@@ -354,7 +354,7 @@ fn slot_capacity_hint(n: u64, p: f64) -> usize {
     slot_capacity_hint_capped(n, p, DEFAULT_CAPACITY_CLAMP)
 }
 
-/// [`slot_capacity_hint`] with a caller-chosen clamp.
+/// The slot-capacity hint with a caller-chosen clamp.
 ///
 /// The fixed `1 << 16` default was tuned for per-node repetition draws; a
 /// large-`n` caller that knows it will collect millions of events pays for

@@ -1,7 +1,7 @@
 //! Deterministic work-stealing scenario executor.
 //!
 //! One worker pool serves every parallel consumer — experiment sweeps, the
-//! conformance grid, the perf grid, and
+//! conformance grid, `rcbsim scenario run`, and
 //! [`run_trials`](crate::runner::run_trials) for a single batch. Workers
 //! claim one work unit at a time from an atomic cursor, so heterogeneous
 //! units balance across workers, and results merge back in work-list
@@ -34,15 +34,15 @@
 //! oversubscribes — callers that nest must pick one parallel tier
 //! (DESIGN.md §11).
 //!
-//! ## Crash-safe control ([`run_cells_ctl`] / [`run_specs_ctl`])
+//! ## Crash-safe control ([`run_specs_ctl`])
 //!
-//! The `_ctl` functions accept a deadline and a resume-skip predicate (for
-//! specs, a [`SpecsControl`] that adds a same-seed retry budget) and report
-//! **partial** results: every completed unit is `Some`, everything the
+//! [`run_specs_ctl`] accepts a [`SpecsControl`] — a deadline, a
+//! resume-skip predicate and a same-seed retry budget — and reports
+//! **partial** results: every completed trial is `Some`, everything the
 //! deadline cut off or the skip predicate elided is `None`, and the run's
 //! `deadline_hit` flag says why. The run-level deadline is checked
-//! *between* work units — an in-flight trial or cell always finishes, so
-//! every `Some` is a deterministic, journal-safe result. A panicking trial
+//! *between* trials — an in-flight trial always finishes, so every `Some`
+//! is a deterministic, journal-safe result. A panicking trial
 //! is retried on its **same** derived seed up to `max_attempts` times,
 //! then quarantined ([`QuarantinedTrial`]) instead of aborting the sweep;
 //! the seed streams of every other trial are untouched either way.
@@ -128,15 +128,6 @@ pub struct SpecsRun {
     pub deadline_hit: bool,
 }
 
-/// Partial, typed result of [`run_cells_ctl`].
-#[derive(Debug)]
-pub struct CellsRun<T> {
-    /// Per-cell results in list order; `None` = skipped or cut off.
-    pub results: Vec<Option<T>>,
-    /// The deadline (or cancellation flag) fired before all cells ran.
-    pub deadline_hit: bool,
-}
-
 /// The worker pool: applies `f` to every index in `0..total` and returns
 /// the results in index order — `None` where `f` declined the index or the
 /// deadline stopped the pool before running it — plus whether the deadline
@@ -205,7 +196,7 @@ where
 /// to every element of `items` and returns the results **in list order**,
 /// independent of thread count or scheduling.
 ///
-/// The shard unit is one element (a conformance cell, a perf scenario);
+/// The shard unit is one element (a conformance cell, an experiment point);
 /// distribution is dynamic, so expensive cells next to cheap ones balance
 /// across workers. Workers set the runner's `IN_WORKER` flag, so
 /// `Parallelism::Auto` inside `f` degrades to sequential. A panic in `f`
@@ -216,38 +207,13 @@ where
     T: Send,
     F: Fn(usize, &I) -> T + Sync,
 {
-    run_cells_ctl(items, parallelism, &Deadline::NONE, None, f)
-        .results
-        .into_iter()
-        .map(|v| v.expect("unbounded, skip-free run: every cell completed"))
-        .collect()
-}
-
-/// [`run_cells`] with a cooperative deadline and a resume-skip predicate.
-///
-/// The deadline is checked before *starting* each cell — an in-flight
-/// cell always finishes, so every `Some` in the result is a complete,
-/// deterministic value safe to journal. `skip(i) == true` elides cell `i`
-/// entirely (its slot stays `None`); remaining cells are unperturbed.
-pub fn run_cells_ctl<I, T, F>(
-    items: &[I],
-    parallelism: Parallelism,
-    deadline: &Deadline,
-    skip: Option<&(dyn Fn(usize) -> bool + Sync)>,
-    f: F,
-) -> CellsRun<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let (results, deadline_hit) = run_pool(items.len(), parallelism, deadline, |i| {
-        (!skip.is_some_and(|s| s(i))).then(|| f(i, &items[i]))
-    });
-    CellsRun {
-        results,
-        deadline_hit,
-    }
+    run_pool(items.len(), parallelism, &Deadline::NONE, |i| {
+        Some(f(i, &items[i]))
+    })
+    .0
+    .into_iter()
+    .map(|v| v.expect("unbounded run: every cell completed"))
+    .collect()
 }
 
 /// Runs every trial of every spec through one global work-stealing pool
@@ -360,11 +326,13 @@ fn run_with_retries<T>(
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::scenario::{fnv1a, AdversarySpec, DuelProtocol, Engine, Workload, FNV_OFFSET};
+    use crate::scenario::{
+        fnv1a, AdversarySpec, ArrivalSpec, DuelProtocol, Engine, Workload, FNV_OFFSET,
+    };
 
     /// A heterogeneous spec list: jammed fast duel, faulted duel, fast
-    /// broadcast, exact-engine duel — mixed workloads, engines, fault
-    /// plans, trial counts, and masters.
+    /// broadcast, exact-engine duel, fast stream — mixed workloads,
+    /// engines, fault plans, trial counts, and masters.
     fn mixed_specs() -> Vec<ScenarioSpec> {
         let jammed = AdversarySpec::Budgeted {
             budget: 1024,
@@ -395,6 +363,13 @@ mod tests {
                 })
                 .with_trials(3)
                 .with_seed(14),
+            ScenarioSpec::stream(4, ArrivalSpec::Poisson { rate: 2e-4 }, 20_000)
+                .with_adversary(AdversarySpec::Budgeted {
+                    budget: 4_000,
+                    fraction: 1.0,
+                })
+                .with_trials(5)
+                .with_seed(15),
         ]
     }
 
@@ -413,7 +388,7 @@ mod tests {
         let auto = run_all(&specs, Parallelism::Auto);
         assert_eq!(one, eight, "Fixed(8) diverged from Fixed(1)");
         assert_eq!(one, auto, "Auto diverged from Fixed(1)");
-        // Distinct cells folded distinct outcomes (the perf grid's fold).
+        // Distinct cells folded distinct outcomes (`rcbsim scenario run`'s fold).
         let sums: Vec<u64> = specs
             .iter()
             .zip(&one)
@@ -716,37 +691,6 @@ mod tests {
                 .collect();
             assert_eq!(run.results[s], direct, "spec {s} was perturbed");
         }
-    }
-
-    #[test]
-    fn run_cells_ctl_skips_and_deadlines_report_partials() {
-        let items: Vec<u64> = (0..8).collect();
-        let skip = |i: usize| i.is_multiple_of(3);
-        let run = run_cells_ctl(
-            &items,
-            Parallelism::Fixed(2),
-            &Deadline::NONE,
-            Some(&skip),
-            |_, &x| x * 10,
-        );
-        assert!(!run.deadline_hit);
-        for (i, slot) in run.results.iter().enumerate() {
-            if i.is_multiple_of(3) {
-                assert!(slot.is_none());
-            } else {
-                assert_eq!(*slot, Some(i as u64 * 10));
-            }
-        }
-
-        let cut = run_cells_ctl(
-            &items,
-            Parallelism::Fixed(2),
-            &Deadline::after(Duration::ZERO),
-            None,
-            |_, &x| x,
-        );
-        assert!(cut.deadline_hit);
-        assert!(cut.results.iter().all(|s| s.is_none()));
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //! long sweeps resumable.
 //!
 //! A journal is a JSONL file. Line 1 is the **header** — the consumer kind
-//! (`"perf"`, `"scenario"`, `"sweep"`), the [`ScenarioSpec`
+//! (`"scenario"`, `"sweep"`), the [`ScenarioSpec`
 //! fingerprint](crate::scenario::ScenarioSpec::fingerprint) (or a
 //! grid-level fold of several), and free-form metadata. Every subsequent
 //! line is one **record**: a cell key, an arbitrary JSON payload, and an
 //! FNV-1a checksum of the payload's canonical compact rendering:
 //!
 //! ```text
-//! {"rcb_journal":1,"kind":"perf","fingerprint":"9f86d081884c7d65","meta":{...}}
-//! {"cell":"pass1/duel_clean","payload":{...},"fnv":"b94d27b9934d3e08"}
+//! {"rcb_journal":1,"kind":"scenario","fingerprint":"9f86d081884c7d65","meta":{...}}
+//! {"cell":"trial/0","payload":{...},"fnv":"b94d27b9934d3e08"}
 //! ```
 //!
 //! Durability model: consumers hold results in memory and call
@@ -44,7 +44,7 @@ pub const JOURNAL_VERSION: u64 = 1;
 /// Identity line of a journal: which consumer wrote it, for which work.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalHeader {
-    /// Consumer tag: `"perf"`, `"scenario"`, `"sweep"`, …
+    /// Consumer tag: `"scenario"`, `"sweep"`, …
     pub kind: String,
     /// The spec (or grid) fingerprint the records belong to.
     pub fingerprint: u64,
@@ -362,7 +362,7 @@ mod tests {
 
     fn sample_header() -> JournalHeader {
         JournalHeader::new(
-            "perf",
+            "sweep",
             0x9f86_d081_884c_7d65,
             Json::obj(vec![("seed", Json::Str("2014".into()))]),
         )
@@ -480,8 +480,8 @@ mod tests {
         j.flush().expect("flush");
 
         let fp = sample_header().fingerprint;
-        assert!(Journal::open_resume(&path, "perf", fp).is_ok());
-        let err = Journal::open_resume(&path, "perf", fp ^ 1).expect_err("wrong fingerprint");
+        assert!(Journal::open_resume(&path, "sweep", fp).is_ok());
+        let err = Journal::open_resume(&path, "sweep", fp ^ 1).expect_err("wrong fingerprint");
         assert!(matches!(err, JournalError::FingerprintMismatch { .. }));
         assert!(err.to_string().contains("refusing"));
         let err = Journal::open_resume(&path, "scenario", fp).expect_err("wrong kind");

@@ -1,18 +1,14 @@
-//! Minimal JSON tree, writer, and parser shared by the journal and the
-//! perf telemetry files.
+//! Minimal JSON tree, writer, and parser for the run journals and
+//! serialized scenario specs.
 //!
 //! The workspace's `serde` is an offline no-op stub (derives expand to
-//! nothing), so on-disk artifacts — `BENCH_*.json`, run journals,
-//! serialized `ScenarioSpec`s — are produced and consumed by this
+//! nothing), so on-disk artifacts — run journals, serialized
+//! `ScenarioSpec`s — are produced and consumed by this
 //! hand-rolled module instead. It covers exactly the JSON subset those
 //! schemas need — objects, arrays, strings, finite numbers, booleans,
 //! null — and round-trips losslessly: numbers are written with Rust's
 //! shortest `f64` representation, which `str::parse::<f64>` recovers
 //! exactly.
-//!
-//! This module started life in `rcb-bench` next to the perf report code;
-//! it moved here when the journal ([`crate::journal`]) needed the same
-//! layer one crate lower; perf code imports it from here directly.
 
 use std::fmt::Write as _;
 
@@ -400,7 +396,7 @@ mod tests {
     #[test]
     fn renders_and_reparses_a_nested_document() {
         let doc = Json::obj(vec![
-            ("name", Json::Str("perf \"grid\"\n".into())),
+            ("name", Json::Str("sweep \"grid\"\n".into())),
             ("version", Json::Num(1.0)),
             ("ok", Json::Bool(true)),
             ("nothing", Json::Null),

@@ -75,9 +75,7 @@ pub use deadline::{install_sigint_handler, interrupted, Deadline};
 pub use duel::{run_duel, DuelConfig};
 pub use error::{SimError, TrialFailure};
 pub use exact::{run_exact, ExactConfig, ExactOutcome};
-pub use executor::{
-    run_cells, run_cells_ctl, run_specs_ctl, CellsRun, QuarantinedTrial, SpecsControl, SpecsRun,
-};
+pub use executor::{run_cells, run_specs_ctl, QuarantinedTrial, SpecsControl, SpecsRun};
 pub use fast::{run_broadcast, BroadcastObserver, FastConfig};
 pub use faults::{BatteryFault, CrashFault, FaultConfigError, FaultPlan, LossFault, SkewFault};
 pub use journal::{Journal, JournalError, JournalHeader};

@@ -1,7 +1,7 @@
 //! Declarative scenario layer: one canonical description of "a run".
 //!
 //! Every consumer of the engines — the `rcbsim` CLI, the experiment
-//! drivers' sweeps, the conformance grid, the perf grid — used to
+//! drivers' sweeps, the conformance grid, the benchmark — used to
 //! re-invent its own ad-hoc bundle of (protocol, engine, params,
 //! adversary, faults, seeds). A [`ScenarioSpec`] replaces all of them: it
 //! names the workload, the engine, the adversary policy, the fault plan,
@@ -32,9 +32,9 @@
 //!
 //! ## Registry
 //!
-//! The perf grid's pinned scenarios are published as named registry
-//! entries ([`registry`]); `rcbsim scenario list` / `rcbsim scenario run
-//! <name>` expose them from the CLI. Adding a protocol, engine, or
+//! The pinned scenarios are published as named registry entries
+//! ([`registry`]); `rcbsim scenario list` / `rcbsim scenario run <name>`
+//! expose them from the CLI. Adding a protocol, engine, or
 //! adversary now costs one registry entry instead of one change per
 //! consumer.
 
@@ -77,12 +77,14 @@ pub const FAST_STREAM_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// word.)
 pub const COHORT_STREAM_SALT: u64 = 0xdaa6_6d2c_7ddf_743f;
 
-/// FNV-1a offset basis; the perf grid's checksums start here.
+/// FNV-1a offset basis; every determinism checksum starts here.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `words` into an FNV-1a hash byte-wise (little-endian), starting
-/// from `h`. This is the exact fold the perf grid has always recorded, so
-/// checksums in historical `BENCH_*.json` files stay comparable.
+/// from `h`. This is the fold behind every determinism checksum
+/// (`rcbsim scenario run`, the benchmark's pinned folds, the registry pins
+/// in `crates/sim/tests/scenario_equivalence.rs`), so changing it moves
+/// every recorded checksum.
 pub fn fnv1a(mut h: u64, words: &[u64]) -> u64 {
     for &w in words {
         for b in w.to_le_bytes() {
@@ -556,7 +558,13 @@ impl ScenarioSpec {
             Ok(())
         };
         match &self.workload {
-            Workload::Duel(_) => {}
+            Workload::Duel(w) => {
+                if let DuelProtocol::Fig1 { epsilon, .. } = w.protocol {
+                    if !(epsilon > 0.0 && epsilon < 1.0) {
+                        return Err(format!("figure 1 epsilon {epsilon} outside (0, 1)"));
+                    }
+                }
+            }
             Workload::Broadcast(w) => check_population(w.n, &w.sources)?,
             Workload::Stream(w) => {
                 check_population(w.n, &w.sources)?;
@@ -602,8 +610,8 @@ impl ScenarioSpec {
         }
     }
 
-    /// The engine label recorded in `BENCH_*.json` files (pinned: renaming
-    /// a label would orphan the perf history).
+    /// The engine label `rcbsim scenario` prints and the benchmark reports
+    /// (pinned: renaming a label would orphan recorded results).
     pub fn engine_label(&self) -> &'static str {
         match (&self.engine, &self.workload) {
             (Engine::Fast, Workload::Duel(_)) => "duel-fast",
@@ -911,8 +919,8 @@ impl ScenarioSpec {
 
     // -- checksums ----------------------------------------------------------
 
-    /// FNV-1a fold of one outcome, in the exact word order the perf grid
-    /// has always recorded for this (workload, engine). Batch checksums
+    /// FNV-1a fold of one outcome, in a pinned word order per
+    /// (workload, engine). Batch checksums
     /// fold these per-trial hashes: `fnv1a(acc, &[outcome_checksum(..)])`.
     pub fn outcome_checksum(&self, outcome: &Outcome) -> u64 {
         match (outcome, self.engine) {
@@ -985,7 +993,7 @@ impl ScenarioSpec {
     /// workload, engine, adversary, faults, seed policy, trials.
     /// `parallelism` is deliberately excluded: the executor's seed folds
     /// make outcomes thread-count-invariant, so two runs of the same spec
-    /// at different `--cpus` share a fingerprint and can resume each
+    /// at different worker counts share a fingerprint and can resume each
     /// other's journals. `u64` fields are written as decimal strings
     /// (`Json::Num` is an `f64` and would round above 2^53).
     pub fn to_json(&self) -> Json {
@@ -1711,10 +1719,10 @@ impl Outcome {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// A named, pinned scenario — the unit the perf grid measures and the
-/// `rcbsim scenario` subcommand runs. Names, parameters, and order are
-/// part of the recorded baselines' meaning: the perf comparator matches by
-/// name, so renaming an entry orphans its history.
+/// A named, pinned scenario — the unit the `rcbsim scenario` subcommand
+/// runs. Names and parameters are part of the recorded checksums' meaning
+/// (`crates/sim/tests/scenario_equivalence.rs` pins them by name), so
+/// renaming or retuning an entry orphans its history.
 #[derive(Debug, Clone)]
 pub struct NamedScenario {
     pub name: &'static str,
@@ -1723,8 +1731,8 @@ pub struct NamedScenario {
     pub spec: ScenarioSpec,
 }
 
-/// The pinned scenario registry. The specs carry their perf-grid trial
-/// counts; `rcbsim scenario run` and the perf harness both read them.
+/// The pinned scenario registry. The specs carry their default trial
+/// counts, which `rcbsim scenario run` uses unless `--trials` overrides.
 pub fn registry() -> Vec<NamedScenario> {
     let duel = |adversary, faults: FaultPlan, trials| {
         ScenarioSpec::duel(DuelProtocol::fig1(0.1, 8))
@@ -1746,8 +1754,8 @@ pub fn registry() -> Vec<NamedScenario> {
             name: "duel_clean",
             summary: "fast duel, no jamming (hot-path baseline)",
             // Clean duels finish in a couple of epochs, so the count is
-            // high: a perf repeat must run for ≥ ~100 ms or scheduler
-            // jitter (not engine speed) dominates the measurement.
+            // high: a default run lasts ≥ ~100 ms, long enough that its
+            // wall time measures the engine rather than scheduler jitter.
             spec: duel(AdversarySpec::NoJam, FaultPlan::none(), 30_000),
         },
         NamedScenario {
@@ -1864,10 +1872,9 @@ pub fn registry() -> Vec<NamedScenario> {
             })
             .with_trials(4),
         },
-        // The large-n cohort entries sit last deliberately: their heap
-        // high-water marks (tens of MiB at n = 10^6) would otherwise leak
-        // into the following entries' per-scenario RSS attribution on a
-        // serial perf pass.
+        // The large-n cohort entries sit last deliberately: they are the
+        // slowest (n = 10^6 takes over a minute per trial), so a loop over
+        // `rcbsim scenario names` reports every cheap entry first.
         NamedScenario {
             name: "bcast_n65536",
             summary: "cohort broadcast, n=65536, 2 M-budget blocker",
@@ -2111,6 +2118,11 @@ mod tests {
                 fraction: 1.5,
             });
         assert!(bad_fraction.validate().is_err());
+        for epsilon in [2.0, 0.0, f64::NAN] {
+            let bad_epsilon = ScenarioSpec::duel(DuelProtocol::fig1(epsilon, 8));
+            let err = bad_epsilon.validate().expect_err("epsilon outside (0, 1)");
+            assert!(err.contains("epsilon"), "{epsilon}: {err}");
+        }
         assert!(ScenarioSpec::duel(DuelProtocol::ksy()).validate().is_ok());
     }
 
@@ -2261,7 +2273,7 @@ mod tests {
                 .with_parallelism(Parallelism::Fixed(4))
                 .fingerprint(),
             "thread count is a runtime concern: seed folds make outcomes \
-             thread-count-invariant, so any --cpus run may share a journal"
+             thread-count-invariant, so runs at any worker count may share a journal"
         );
     }
 

@@ -271,7 +271,8 @@ fn legacy_trial(spec: &ScenarioSpec, trial: u64, rng: &mut RcbRng) -> Outcome {
 
 /// Runs `spec` through both paths and asserts outcome equality, slot
 /// equality, and identical FNV-1a checksum folds over the whole batch.
-fn assert_spec_matches_legacy(spec: &ScenarioSpec, label: &str) {
+/// Returns the batch checksum both paths folded.
+fn assert_spec_matches_legacy(spec: &ScenarioSpec, label: &str) -> u64 {
     spec.validate().unwrap_or_else(|e| panic!("{label}: {e}"));
     let via_spec = spec.run_batch_raw();
     let via_legacy = run_trials(
@@ -306,6 +307,7 @@ fn assert_spec_matches_legacy(spec: &ScenarioSpec, label: &str) {
         checksum_spec, checksum_legacy,
         "{label}: batch checksum diverged"
     );
+    checksum_spec
 }
 
 // ---------------------------------------------------------------------------
@@ -355,41 +357,62 @@ fn default_grid_broadcast_cells_match_legacy() {
     }
 }
 
+/// Each registry entry's batch checksum at its pinned seed and a trial
+/// count kept small so the suite stays cheap (8 fast, 4 exact, 2 cohort or
+/// stream trials) while still folding a multi-trial checksum. Equal to what
+/// `rcbsim scenario run NAME --trials N` prints; a change here is a
+/// behaviour change and must be declared.
+const REGISTRY_CHECKSUMS: [(&str, u64, u64); 11] = [
+    ("duel_clean", 8, 0x2e0b_dcc5_9927_6e72),
+    ("duel_jammed", 8, 0xa38e_32ef_65af_3072),
+    ("duel_jammed_faulted", 8, 0xa43d_e131_a14e_d53f),
+    ("exact_duel_jammed", 4, 0xada9_5718_607f_9235),
+    ("bcast_n8_jammed", 8, 0x31c9_8e3e_00b5_7734),
+    ("bcast_n64_jammed", 8, 0xe10d_7c22_b4e6_b125),
+    ("bcast_n256_jammed", 8, 0x4c8a_e33c_049c_ea53),
+    ("bcast_n64_faulted", 8, 0xa31b_4f27_3aa2_563d),
+    ("stream_n8_poisson", 2, 0x714e_e71a_2e46_dde7),
+    ("stream_n4_exact_burst", 2, 0x9a0d_a48f_61ce_134c),
+    ("bcast_n65536", 2, 0x135c_3798_5676_283b),
+];
+
 #[test]
 fn registry_entries_match_legacy() {
     let entries = registry();
-    assert!(!entries.is_empty(), "registry must not be empty");
+    let mut unpinned = Vec::new();
     for entry in &entries {
-        // The 10^6 scale-ceiling entry takes ~70 s per trial even on the
-        // cohort engine; replaying it through both paths would dominate
-        // the whole suite. Its engine dispatch is the same code path the
-        // n = 65536 entry certifies below, and the perf harness asserts
-        // its batch determinism end-to-end on every run.
-        if let Workload::Broadcast(w) = &entry.spec.workload {
-            if w.n > 65_536 {
-                continue;
-            }
-        }
-        // Stream entries predate no legacy entry point — there is nothing
-        // to replay. Their determinism and re-arm equivalence are pinned
-        // by `crates/sim/tests/rearm_equivalence.rs`.
-        if matches!(entry.spec.workload, Workload::Stream(_)) {
+        let Some(&(name, trials, expected)) =
+            REGISTRY_CHECKSUMS.iter().find(|pin| pin.0 == entry.name)
+        else {
+            unpinned.push(entry.name);
             continue;
-        }
-        // Registry trial counts are sized for perf runs; cap them so the
-        // equivalence check stays cheap while still folding a multi-trial
-        // checksum. Seeds are the entries' own pinned seeds.
-        let cap = match entry.spec.engine {
-            Engine::Exact => 4,
-            // The cohort entry runs at n = 65536; two trials still fold
-            // a multi-trial checksum through both paths without
-            // dominating the suite.
-            Engine::CohortFast => 2,
-            Engine::Fast => 8,
         };
-        let spec = entry.spec.clone().with_trials(entry.spec.trials.min(cap));
-        assert_spec_matches_legacy(&spec, entry.name);
+        assert!(trials <= entry.spec.trials, "{name}: pin exceeds the entry");
+        let spec = entry.spec.clone().with_trials(trials);
+        let checksum = if matches!(spec.workload, Workload::Stream(_)) {
+            // Streams predate no legacy entry point — there is nothing to
+            // replay, so only the checksum is pinned. Their re-arm
+            // equivalence is certified by `rearm_equivalence.rs`.
+            spec.run_batch_raw().iter().fold(FNV_OFFSET, |h, (out, _)| {
+                fnv1a(h, &[spec.outcome_checksum(out)])
+            })
+        } else {
+            assert_spec_matches_legacy(&spec, name)
+        };
+        assert_eq!(
+            checksum, expected,
+            "{name}: checksum {checksum:016x} at {trials} trials moved from the pinned \
+             {expected:016x}"
+        );
     }
+    // The n = 4096 cohort stream is left to the re-arm suite, and the 10^6
+    // scale-ceiling entry takes over a minute per trial; its engine
+    // dispatch is the code path the n = 65536 entry certifies above.
+    assert_eq!(
+        unpinned,
+        ["stream_n4096_cohort", "bcast_n1e6"],
+        "a new registry entry needs a pinned checksum"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@
 //! assert!(out.all_informed && out.all_terminated);
 //! ```
 //!
-//! The pinned perf scenarios are published as a named registry:
+//! The pinned scenarios are published as a named registry:
 //! [`registry()`](rcb_sim::scenario::registry) /
 //! [`find_scenario`](rcb_sim::scenario::find_scenario) in the library,
 //! `rcbsim scenario list` / `rcbsim scenario run <name>` on the CLI. Each
