@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Duration;
 
-use crate::experiments::common::{parse_trial_payload, split_truncated, trial_payload};
+use crate::experiments::common::split_truncated;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
@@ -27,7 +27,7 @@ use rcb_mathkit::PHI_MINUS_ONE;
 use rcb_sim::conformance::{default_grid, run_grid, ConformanceConfig};
 use rcb_sim::deadline::{install_sigint_handler, interrupted, Deadline};
 use rcb_sim::error::SimError;
-use rcb_sim::executor::{run_specs_ctl, SpecsControl};
+use rcb_sim::executor::run_specs_journaled;
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::journal::{Journal, JournalHeader};
 use rcb_sim::json::Json;
@@ -606,7 +606,54 @@ fn cmd_scenario(args: &Args) -> Result<String, String> {
             }
             spec.validate()?;
             let rc = run_control_args(args)?;
-            let results = run_scenario_trials(name, &spec, args, &rc)?;
+            let fingerprint = spec.fingerprint();
+            let mut journal = match (&rc.resume, &rc.journal) {
+                (Some(path), _) => Some(Journal::open_resume(path, "scenario", fingerprint)),
+                (None, Some(path)) => {
+                    let meta = Json::obj(vec![("scenario", Json::Str(name.to_string()))]);
+                    let header = JournalHeader::new("scenario", fingerprint, meta);
+                    Some(Journal::create(path, header))
+                }
+                (None, None) => None,
+            }
+            .transpose()
+            .map_err(|e| e.to_string())?;
+            let run = run_specs_journaled(
+                std::slice::from_ref(&spec),
+                spec.parallelism,
+                rc.deadline(),
+                1,
+                journal.as_mut(),
+            )
+            .map_err(|e| e.to_string())?;
+            if let Some(q) = run.quarantined.first() {
+                return Err(format!(
+                    "scenario `{name}`: trial {} quarantined: {}",
+                    q.trial, q.failure
+                ));
+            }
+            if run.deadline_hit {
+                let mut base = format!("rcbsim scenario run {name}");
+                if args.get_opt::<u64>("trials")?.is_some() {
+                    base.push_str(&format!(" --trials {}", spec.trials));
+                }
+                if args.get_opt::<u64>("seed")?.is_some() {
+                    base.push_str(&format!(" --seed {}", spec.seeds.master));
+                }
+                return Err(cut_report(
+                    &format!("scenario `{name}`"),
+                    journal.as_ref().map(Journal::path),
+                    &base,
+                ));
+            }
+            let results: Vec<(Outcome, Option<SimError>)> = run
+                .results
+                .into_iter()
+                .flatten()
+                .map(|slot| {
+                    slot.expect("uncut and unquarantined: every trial ran or was journaled")
+                })
+                .collect();
             let mut checksum = FNV_OFFSET;
             for (outcome, _) in &results {
                 checksum = fnv1a(checksum, &[spec.outcome_checksum(outcome)]);
@@ -637,100 +684,6 @@ fn cmd_scenario(args: &Args) -> Result<String, String> {
             "unknown scenario action `{other}`; expected list, names, or run"
         )),
     }
-}
-
-/// Runs one scenario's trial batch under the crash-safety flags. With no
-/// flags this is exactly [`ScenarioSpec::run_batch_raw`] — a byte-identical
-/// no-op relative to the uncontrolled path. With a journal, completed
-/// trials are checkpointed (`trial/<i>` cells) and a resume skips them;
-/// the seed fold per trial is untouched, so resumed runs are bit-identical
-/// to uninterrupted ones.
-fn run_scenario_trials(
-    name: &str,
-    spec: &ScenarioSpec,
-    args: &Args,
-    rc: &RunControlArgs,
-) -> Result<Vec<(Outcome, Option<SimError>)>, String> {
-    if !rc.active() {
-        return Ok(spec.run_batch_raw());
-    }
-    let fingerprint = spec.fingerprint();
-    let mut journal = match (&rc.resume, &rc.journal) {
-        (Some(path), _) => {
-            Some(Journal::open_resume(path, "scenario", fingerprint).map_err(|e| e.to_string())?)
-        }
-        (None, Some(path)) => Some(Journal::create(
-            path,
-            JournalHeader::new(
-                "scenario",
-                fingerprint,
-                Json::obj(vec![("scenario", Json::Str(name.to_string()))]),
-            ),
-        )),
-        (None, None) => None,
-    };
-
-    let trial_key = |i: u64| format!("trial/{i}");
-    let done: Vec<bool> = (0..spec.trials)
-        .map(|i| journal.as_ref().is_some_and(|j| j.contains(&trial_key(i))))
-        .collect();
-    let skip = |_spec: usize, trial: u64| done[trial as usize];
-    let ctl = SpecsControl {
-        deadline: rc.deadline(),
-        trial_deadline: None,
-        max_attempts: 1,
-        skip: Some(&skip),
-    };
-    let specs = [spec.clone()];
-    let run = run_specs_ctl(&specs, spec.parallelism, &ctl);
-    let fresh = &run.results[0];
-
-    if let Some(j) = journal.as_mut() {
-        for (i, slot) in fresh.iter().enumerate() {
-            if let Some((outcome, err)) = slot {
-                if !matches!(err, Some(SimError::DeadlineExceeded { .. })) {
-                    j.append(trial_key(i as u64), trial_payload(outcome, err));
-                }
-            }
-        }
-        j.flush().map_err(|e| e.to_string())?;
-    }
-
-    if let Some(q) = run.quarantined.first() {
-        return Err(format!(
-            "scenario `{name}`: trial {} quarantined: {}",
-            q.trial, q.failure
-        ));
-    }
-    if run.deadline_hit {
-        let mut base = format!("rcbsim scenario run {name}");
-        if args.get_opt::<u64>("trials").ok().flatten().is_some() {
-            base.push_str(&format!(" --trials {}", spec.trials));
-        }
-        if args.get_opt::<u64>("seed").ok().flatten().is_some() {
-            base.push_str(&format!(" --seed {}", spec.seeds.master));
-        }
-        return Err(cut_report(
-            &format!("scenario `{name}`"),
-            journal.as_ref().map(Journal::path),
-            &base,
-        ));
-    }
-
-    (0..spec.trials as usize)
-        .map(|i| {
-            if done[i] {
-                let j = journal.as_ref().expect("done trials imply a journal");
-                let payload = j.get(&trial_key(i as u64)).expect("done implies journaled");
-                parse_trial_payload(payload)
-                    .map_err(|e| format!("{}: trial {i}: {e}", j.path().display()))
-            } else {
-                Ok(fresh[i]
-                    .clone()
-                    .expect("neither skipped nor deadline-cut: the trial ran"))
-            }
-        })
-        .collect()
 }
 
 fn cmd_product(args: &Args) -> Result<String, String> {
@@ -788,8 +741,7 @@ fn cmd_conformance(args: &Args) -> Result<String, String> {
         alpha,
         parallelism: Parallelism::Auto,
     };
-    let (duels, broadcasts) = default_grid();
-    let report = run_grid(&duels, &broadcasts, &cfg);
+    let report = run_grid(&default_grid(), &cfg);
     let text = report.render();
     if report.passed() {
         Ok(text)
@@ -1102,19 +1054,23 @@ mod tests {
     #[test]
     fn scenario_deadline_cut_exits_nonzero_with_a_resume_hint() {
         let journal = tmp_journal("scenario_cut");
-        let a = parse(&[
-            "scenario",
-            "run",
-            "duel_jammed",
-            "--trials",
-            "6",
-            "--deadline",
-            "0",
-            "--journal",
-            &journal,
-        ])
-        .expect("parse");
-        let err = run_cli(&a).expect_err("a cut run produces no report");
+        let run = |extra: &[&str]| {
+            let mut v = vec!["scenario", "run", "duel_jammed", "--trials", "6"];
+            v.extend_from_slice(extra);
+            run_cli(&parse(&v).expect("parse"))
+        };
+        run(&["--journal", &journal]).expect("an uncut run completes");
+        // Keep three records and tear the fourth, as a kill mid-write
+        // would. Loading drops a torn final line; only a flush removes it
+        // from the file.
+        let text = std::fs::read_to_string(&journal).expect("read journal");
+        let lines: Vec<&str> = text.lines().collect();
+        let torn = &lines[4][..lines[4].len() / 2];
+        std::fs::write(&journal, format!("{}\n{torn}", lines[..4].join("\n")))
+            .expect("tear journal");
+
+        let err = run(&["--deadline", "0", "--resume", &journal])
+            .expect_err("a cut run produces no report");
         assert!(err.contains("deadline exceeded"), "{err}");
         assert!(
             err.contains(&format!(
@@ -1122,9 +1078,30 @@ mod tests {
             )),
             "the exact resume invocation must be printed: {err}"
         );
-        let j = Journal::load(Path::new(&journal)).expect("the journal was flushed on the cut");
-        assert_eq!(j.header().kind, "scenario");
+        let j = Journal::load(Path::new(&journal)).expect("load the cut run's journal");
+        assert!(!j.dropped_tail(), "the cut run flushed the journal");
+        assert_eq!(j.len(), 3, "the cut keeps every journaled trial");
         std::fs::remove_file(&journal).ok();
+    }
+
+    #[test]
+    fn scenario_journal_in_a_missing_directory_is_an_error() {
+        let missing = std::env::temp_dir()
+            .join(format!("rcb_cli_missing_{}", std::process::id()))
+            .join("x.jsonl");
+        let missing = missing.to_string_lossy();
+        let a = parse(&[
+            "scenario",
+            "run",
+            "duel_jammed",
+            "--trials",
+            "2",
+            "--journal",
+            &missing,
+        ])
+        .expect("parse");
+        let err = run_cli(&a).expect_err("the journal cannot be created");
+        assert!(err.contains("journal io error"), "{err}");
     }
 
     #[test]
@@ -1162,7 +1139,8 @@ mod tests {
         // the new trials into the journal it continues.
         let partial = tmp_journal("scenario_resume_partial");
         let full = Journal::load(Path::new(&journal)).expect("full journal");
-        let mut part = Journal::create(Path::new(&partial), full.header().clone());
+        let mut part =
+            Journal::create(Path::new(&partial), full.header().clone()).expect("create partial");
         for cell in full.cells().take(2) {
             part.append(cell.to_string(), full.get(cell).expect("listed").clone());
         }

@@ -10,8 +10,9 @@
 //! every trial's RNG stream) are unchanged from the historical serial
 //! loop. Crash safety rides on the environment — [`SWEEP_JOURNAL_DIR_ENV`]
 //! checkpoints (and auto-resumes) per-trial journals,
-//! [`SWEEP_DEADLINE_ENV`] bounds the wall clock — so every experiment
-//! binary is resumable without per-binary flag plumbing.
+//! [`SWEEP_DEADLINE_ENV`] bounds the wall clock — so the budget sweeps
+//! (E1–E3, E5–E7, E9) are resumable without per-binary flag plumbing. The
+//! other experiments run their engines directly and are not.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -20,7 +21,7 @@ use std::time::Duration;
 use rcb_analysis::report::{Cell, SweepSeries};
 use rcb_sim::deadline::{install_sigint_handler, Deadline};
 use rcb_sim::error::SimError;
-use rcb_sim::executor::{run_specs_ctl, QuarantinedTrial, SpecsControl};
+use rcb_sim::executor::{run_specs_journaled, QuarantinedTrial};
 use rcb_sim::journal::{Journal, JournalHeader};
 use rcb_sim::json::Json;
 use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
@@ -155,38 +156,6 @@ pub fn sweep_fingerprint(specs: &[ScenarioSpec]) -> u64 {
         .fold(FNV_OFFSET, |h, s| fnv1a(h, &[s.fingerprint()]))
 }
 
-fn trial_cell(spec: usize, trial: u64) -> String {
-    format!("spec{spec}/trial{trial}")
-}
-
-/// One journaled trial record: the outcome plus any typed engine error.
-/// Deadline-cut trials (wall-clock dependent) are never journaled.
-pub fn trial_payload(outcome: &Outcome, err: &Option<SimError>) -> Json {
-    Json::obj(vec![
-        ("outcome", outcome.to_json()),
-        (
-            "err",
-            match err {
-                Some(e) => e.to_json(),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-/// Inverse of [`trial_payload`].
-pub fn parse_trial_payload(payload: &Json) -> Result<(Outcome, Option<SimError>), String> {
-    let outcome = payload
-        .get("outcome")
-        .ok_or("journal record missing `outcome`")?;
-    let outcome = Outcome::from_json(outcome)?;
-    let err = match payload.get("err") {
-        None | Some(Json::Null) => None,
-        Some(value) => Some(SimError::from_json(value)?),
-    };
-    Ok((outcome, err))
-}
-
 /// Renders quarantined trials with **identical panic messages deduped**:
 /// one line per distinct message with its multiplicity and first site, so
 /// a bug that kills 500 trials the same way reads as one fact, not 500.
@@ -218,7 +187,7 @@ pub fn quarantine_report(quarantined: &[QuarantinedTrial]) -> String {
 /// Same-seed retry budget for sweep trials before quarantine.
 const SWEEP_MAX_ATTEMPTS: u32 = 2;
 
-/// The sweep execution core: [`run_specs_ctl`] with the crash-safety
+/// The sweep execution core: [`run_specs_journaled`] with the crash-safety
 /// environment wired in. With no journal dir and no deadline this returns
 /// exactly what a per-spec `run_batch_raw` would (every
 /// trial still runs on its unchanged seed fold; the bounded same-seed
@@ -243,56 +212,24 @@ pub fn run_sweep_specs_with(
     let mut journal = sweep_ctl.journal_dir.as_ref().map(|dir| {
         let fingerprint = sweep_fingerprint(specs);
         let path = dir.join(format!("sweep_{fingerprint:016x}.jsonl"));
-        if path.exists() {
-            Journal::open_resume(&path, "sweep", fingerprint)
-                .unwrap_or_else(|e| panic!("cannot resume {}: {e}", path.display()))
+        let (verb, opened) = if path.exists() {
+            ("resume", Journal::open_resume(&path, "sweep", fingerprint))
         } else {
-            Journal::create(
-                path,
-                JournalHeader::new(
-                    "sweep",
-                    fingerprint,
-                    Json::obj(vec![("cells", Json::Num(specs.len() as f64))]),
-                ),
-            )
-        }
+            let meta = Json::obj(vec![("cells", Json::Num(specs.len() as f64))]);
+            let header = JournalHeader::new("sweep", fingerprint, meta);
+            ("create", Journal::create(&path, header))
+        };
+        opened.unwrap_or_else(|e| panic!("cannot {verb} {}: {e}", path.display()))
     });
 
-    let done: Vec<Vec<bool>> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            (0..spec.trials)
-                .map(|t| {
-                    journal
-                        .as_ref()
-                        .is_some_and(|j| j.contains(&trial_cell(i, t)))
-                })
-                .collect()
-        })
-        .collect();
-    let skip = |spec: usize, trial: u64| done[spec][trial as usize];
-    let ctl = SpecsControl {
-        deadline: sweep_ctl.deadline(),
-        trial_deadline: None,
-        max_attempts: SWEEP_MAX_ATTEMPTS,
-        skip: Some(&skip),
-    };
-    let run = run_specs_ctl(specs, parallelism, &ctl);
-
-    if let Some(j) = journal.as_mut() {
-        for (i, batch) in run.results.iter().enumerate() {
-            for (t, slot) in batch.iter().enumerate() {
-                if let Some((outcome, err)) = slot {
-                    if !matches!(err, Some(SimError::DeadlineExceeded { .. })) {
-                        j.append(trial_cell(i, t as u64), trial_payload(outcome, err));
-                    }
-                }
-            }
-        }
-        j.flush()
-            .unwrap_or_else(|e| panic!("sweep journal flush failed: {e}"));
-    }
+    let run = run_specs_journaled(
+        specs,
+        parallelism,
+        sweep_ctl.deadline(),
+        SWEEP_MAX_ATTEMPTS,
+        journal.as_mut(),
+    )
+    .unwrap_or_else(|e| panic!("sweep journal: {e}"));
 
     if !run.quarantined.is_empty() {
         panic!("{}", quarantine_report(&run.quarantined));
@@ -316,20 +253,11 @@ pub fn run_sweep_specs_with(
 
     run.results
         .into_iter()
-        .enumerate()
-        .map(|(i, batch)| {
+        .map(|batch| {
             batch
                 .into_iter()
-                .enumerate()
-                .map(|(t, slot)| match slot {
-                    Some(result) => result,
-                    None => {
-                        let j = journal.as_ref().expect("skipped trials imply a journal");
-                        let cell = trial_cell(i, t as u64);
-                        let payload = j.get(&cell).expect("skipped implies journaled");
-                        parse_trial_payload(payload)
-                            .unwrap_or_else(|e| panic!("{}: {cell}: {e}", j.path().display()))
-                    }
+                .map(|slot| {
+                    slot.expect("uncut and unquarantined: every trial ran or was journaled")
                 })
                 .collect()
         })

@@ -30,14 +30,14 @@ use rcb_sim::fast::{run_broadcast, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
-struct DuelCellResult {
+struct DuelSummary {
     delivered_rate: f64,
     mean_max_cost: f64,
     mean_slots: f64,
     truncated: u64,
 }
 
-fn duel_cell(budget: u64, loss: f64, trials: u64, seed: u64) -> DuelCellResult {
+fn duel_cell(budget: u64, loss: f64, trials: u64, seed: u64) -> DuelSummary {
     let profile = Fig1Profile::with_start_epoch(0.1, 8);
     let plan = if loss > 0.0 {
         FaultPlan::none().with_loss(loss)
@@ -72,7 +72,7 @@ fn duel_cell(budget: u64, loss: f64, trials: u64, seed: u64) -> DuelCellResult {
         slots.push(o.slots as f64);
         delivered += o.delivered as u64;
     }
-    DuelCellResult {
+    DuelSummary {
         delivered_rate: delivered as f64 / outcomes.len() as f64,
         mean_max_cost: max_cost.mean(),
         mean_slots: slots.mean(),
@@ -80,7 +80,7 @@ fn duel_cell(budget: u64, loss: f64, trials: u64, seed: u64) -> DuelCellResult {
     }
 }
 
-struct BroadcastCellResult {
+struct BroadcastSummary {
     informed_fraction: f64,
     all_informed_rate: f64,
     mean_max_cost: f64,
@@ -88,7 +88,7 @@ struct BroadcastCellResult {
     truncated: u64,
 }
 
-fn broadcast_cell(n: usize, plan: FaultPlan, trials: u64, seed: u64) -> BroadcastCellResult {
+fn broadcast_cell(n: usize, plan: FaultPlan, trials: u64, seed: u64) -> BroadcastSummary {
     let params = OneToNParams::practical();
     let results = run_trials(trials, seed, Parallelism::Auto, |_, rng| {
         let mut adv = NoJamRep;
@@ -116,7 +116,7 @@ fn broadcast_cell(n: usize, plan: FaultPlan, trials: u64, seed: u64) -> Broadcas
         slots.push(o.slots as f64);
         all_informed += o.all_informed as u64;
     }
-    BroadcastCellResult {
+    BroadcastSummary {
         informed_fraction: informed.mean(),
         all_informed_rate: all_informed as f64 / outcomes.len() as f64,
         mean_max_cost: max_cost.mean(),

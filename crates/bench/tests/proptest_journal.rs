@@ -89,7 +89,7 @@ proptest! {
     ) {
         let path = case_path("round_trip");
         let header = header_from(&kind, fingerprint);
-        let mut journal = Journal::create(&path, header.clone());
+        let mut journal = Journal::create(&path, header.clone()).expect("create");
         let mut expected: Vec<(String, String)> = Vec::new();
         for (i, (key_codes, payload_codes)) in cells.iter().enumerate() {
             // The index prefix keeps keys unique: a duplicate key is
@@ -127,7 +127,7 @@ proptest! {
         cut_fraction in 0.0f64..1.0,
     ) {
         let path = case_path("torn_tail");
-        let mut journal = Journal::create(&path, header_from(&[0x70], 7));
+        let mut journal = Journal::create(&path, header_from(&[0x70], 7)).expect("create");
         for (i, codes) in payload_codes.iter().enumerate() {
             journal.append(
                 format!("cell{i}"),

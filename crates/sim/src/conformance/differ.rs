@@ -2,8 +2,9 @@
 //!
 //! Each *cell* fixes a protocol configuration and an adversary policy; the
 //! harness runs `trials` independent executions per engine (deterministic
-//! per-trial RNG streams via [`run_trials`](crate::runner::run_trials))
-//! and compares the load-bearing
+//! per-trial RNG streams; the whole grid is one
+//! [`run_specs_ctl`] call) and compares the
+//! load-bearing
 //! metrics with two nonparametric tests: Mann–Whitney U (location shifts)
 //! and two-sample Kolmogorov–Smirnov (any distributional difference). Under
 //! the null — both engines sample the same distribution — p-values are
@@ -33,13 +34,14 @@
 //! (`offset < skew_slots`, certified deterministically by
 //! `skew_boundary_is_strict_in_both_engines`). Cells known to sit near the
 //! verdict threshold can raise their own sample size via
-//! [`DuelCell::trial_multiplier`] instead of loosening the gate for the
-//! whole grid.
+//! [`Cell::trial_multiplier`] instead of loosening the gate for the whole
+//! grid.
 
 use rcb_core::one_to_n::OneToNParams;
 use rcb_mathkit::gof::ks_two_sample;
 use rcb_mathkit::hypothesis::mann_whitney_u;
 
+use crate::executor::{run_specs_ctl, SpecsControl};
 use crate::faults::FaultPlan;
 use crate::runner::Parallelism;
 use crate::scenario::{
@@ -51,14 +53,19 @@ use crate::scenario::{
 // `conformance::AdversarySpec` paths keep working.
 pub use crate::scenario::AdversarySpec;
 
-/// One 1-to-1 (Figure 1) grid cell: an engine-agnostic [`ScenarioSpec`]
-/// that [`run_duel_cell`] stamps with each engine in turn (plus the
-/// config's seed, trial count, and parallelism).
+/// One grid cell: an engine-agnostic [`ScenarioSpec`] (a duel or a
+/// broadcast workload) that [`run_grid`] stamps with each engine of the
+/// pair in turn, plus the config's seed, trial count, and parallelism.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DuelCell {
+pub struct Cell {
     /// The scenario both engines run. Its `engine`, `seeds`, `trials`, and
     /// `parallelism` fields are placeholders — the harness overwrites them.
     pub spec: ScenarioSpec,
+    /// The engine pair under comparison, default `(Exact, Fast)` — the
+    /// historical differ. [`Cell::versus`] swaps in any other pair;
+    /// cohort cells compare against `Exact` where the slot-level engine is
+    /// affordable (small n) and against `Fast` beyond that.
+    pub engines: (Engine, Engine),
     /// Multiplies `ConformanceConfig::trials` for this cell only. Use > 1
     /// for cells whose p-values historically land near the verdict
     /// threshold: more samples sharpen the test where it matters without
@@ -66,79 +73,35 @@ pub struct DuelCell {
     pub trial_multiplier: u64,
 }
 
-impl DuelCell {
-    /// A clean Figure-1 cell: error tolerance ε, start epoch (kept small so
-    /// the exact engine stays fast), adversary policy.
-    pub fn new(error_rate: f64, start_epoch: u32, adversary: AdversarySpec) -> Self {
+impl Cell {
+    fn new(spec: ScenarioSpec) -> Self {
         Self {
-            spec: ScenarioSpec::duel(DuelProtocol::fig1(error_rate, start_epoch))
-                .with_adversary(adversary),
+            spec,
+            engines: (Engine::Exact, Engine::Fast),
             trial_multiplier: 1,
         }
+    }
+
+    /// A clean Figure-1 cell: error tolerance ε, start epoch (kept small so
+    /// the exact engine stays fast), adversary policy.
+    pub fn duel(error_rate: f64, start_epoch: u32, adversary: AdversarySpec) -> Self {
+        Self::new(
+            ScenarioSpec::duel(DuelProtocol::fig1(error_rate, start_epoch))
+                .with_adversary(adversary),
+        )
+    }
+
+    /// A clean Figure-2 cell: `n` nodes on `OneToNParams::practical()`
+    /// with the given `first_epoch`, node 0 the source.
+    pub fn broadcast(n: usize, first_epoch: u32, adversary: AdversarySpec) -> Self {
+        let mut params = OneToNParams::practical();
+        params.first_epoch = first_epoch;
+        Self::new(ScenarioSpec::broadcast_with(params, n).with_adversary(adversary))
     }
 
     /// Adds a non-adversarial fault plan, applied to both engines. Fault
     /// cells are how the differ certifies that the two fault
     /// implementations agree in distribution, not just the clean paths.
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.spec = self.spec.with_faults(fault);
-        self
-    }
-
-    pub fn with_trial_multiplier(mut self, trial_multiplier: u64) -> Self {
-        self.trial_multiplier = trial_multiplier;
-        self
-    }
-
-    fn name(&self) -> String {
-        let tag = fault_tag(&self.spec.faults);
-        let adversary = &self.spec.adversary;
-        match &self.spec.workload {
-            Workload::Duel(w) => match w.protocol {
-                DuelProtocol::Fig1 {
-                    epsilon,
-                    start_epoch,
-                } => format!("duel ε={epsilon} i₀={start_epoch} {adversary}{tag}"),
-                DuelProtocol::Ksy { start_epoch } => {
-                    format!("duel ksy i₀={start_epoch} {adversary}{tag}")
-                }
-            },
-            Workload::Broadcast(_) | Workload::Stream(_) => {
-                unreachable!("DuelCell holds a duel workload")
-            }
-        }
-    }
-}
-
-/// One 1-to-n (Figure 2) grid cell; see [`DuelCell`] for the scheme.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BroadcastCell {
-    /// The scenario both engines run (harness stamps engine/seed/trials).
-    pub spec: ScenarioSpec,
-    /// Per-cell multiplier on `ConformanceConfig::trials`; see
-    /// [`DuelCell::trial_multiplier`].
-    pub trial_multiplier: u64,
-    /// The engine pair under comparison, default `(Exact, Fast)` — the
-    /// historical differ. [`BroadcastCell::versus`] swaps in any other
-    /// pair; cohort cells compare against `Exact` where the slot-level
-    /// engine is affordable (small n) and against `Fast` beyond that.
-    pub engines: (Engine, Engine),
-}
-
-impl BroadcastCell {
-    /// A clean broadcast cell: `n` nodes on `OneToNParams::practical()`
-    /// with the given `first_epoch`, node 0 the source.
-    pub fn new(n: usize, first_epoch: u32, adversary: AdversarySpec) -> Self {
-        let mut params = OneToNParams::practical();
-        params.first_epoch = first_epoch;
-        Self {
-            spec: ScenarioSpec::broadcast_with(params, n).with_adversary(adversary),
-            trial_multiplier: 1,
-            engines: (Engine::Exact, Engine::Fast),
-        }
-    }
-
-    /// Adds a non-adversarial fault plan, applied to both engines.
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.spec = self.spec.with_faults(fault);
         self
@@ -170,15 +133,20 @@ impl BroadcastCell {
             )
         };
         match &self.spec.workload {
-            Workload::Broadcast(w) => {
-                format!(
-                    "broadcast n={} i₀={} {adversary}{tag}{pair}",
-                    w.n, w.params.first_epoch
-                )
-            }
-            Workload::Duel(_) | Workload::Stream(_) => {
-                unreachable!("BroadcastCell holds a broadcast workload")
-            }
+            Workload::Duel(w) => match w.protocol {
+                DuelProtocol::Fig1 {
+                    epsilon,
+                    start_epoch,
+                } => format!("duel ε={epsilon} i₀={start_epoch} {adversary}{tag}{pair}"),
+                DuelProtocol::Ksy { start_epoch } => {
+                    format!("duel ksy i₀={start_epoch} {adversary}{tag}{pair}")
+                }
+            },
+            Workload::Broadcast(w) => format!(
+                "broadcast n={} i₀={} {adversary}{tag}{pair}",
+                w.n, w.params.first_epoch
+            ),
+            Workload::Stream(_) => unreachable!("a cell holds a duel or broadcast workload"),
         }
     }
 }
@@ -194,21 +162,17 @@ fn engine_tag(engine: Engine) -> &'static str {
 
 /// Stamps a cell's engine-agnostic spec with one engine plus the harness
 /// parameters (seed stream, sample size, parallelism).
-fn stamp(
-    spec: &ScenarioSpec,
-    engine: Engine,
-    trial_multiplier: u64,
-    cfg: &ConformanceConfig,
-) -> ScenarioSpec {
+fn stamp(cell: &Cell, engine: Engine, cfg: &ConformanceConfig) -> ScenarioSpec {
     let seed = match engine {
         Engine::Exact => cfg.seed,
         Engine::Fast => cfg.fast_seed(),
         Engine::CohortFast => cfg.cohort_seed(),
     };
-    spec.clone()
+    cell.spec
+        .clone()
         .with_engine(engine)
         .with_seed(seed)
-        .with_trials(cfg.trials.saturating_mul(trial_multiplier.max(1)))
+        .with_trials(cfg.trials.saturating_mul(cell.trial_multiplier.max(1)))
         .with_parallelism(cfg.parallelism)
 }
 
@@ -384,76 +348,51 @@ impl GridReport {
     }
 }
 
-struct DuelSample {
-    alice: f64,
-    bob: f64,
-    max: f64,
-    delivered: f64,
-    slots: f64,
+/// The metrics a cell compares, read off one outcome by its kind:
+/// `(name, value, advisory)`.
+fn metrics_of(outcome: &Outcome) -> Vec<(&'static str, f64, bool)> {
+    match outcome {
+        Outcome::Duel(o) => vec![
+            ("alice_cost", o.alice_cost as f64, false),
+            ("bob_cost", o.bob_cost as f64, false),
+            ("max_cost", o.max_cost() as f64, false),
+            ("delivered", o.delivered as u64 as f64, false),
+            ("slots", o.slots as f64, true),
+        ],
+        Outcome::Broadcast(o) => vec![
+            ("mean_cost", o.mean_cost(), false),
+            ("max_cost", o.max_cost() as f64, false),
+            ("informed", o.informed as f64 / o.n as f64, false),
+            ("slots", o.slots as f64, true),
+        ],
+        Outcome::Stream(_) => unreachable!("a cell holds a duel or broadcast workload"),
+    }
 }
 
-/// Runs one duel cell on both engines and compares the metrics. Truncated
+/// Compares one cell's two trial batches metric by metric. Truncated
 /// trials are sampled too — hitting a cap is data about the engine, not a
-/// failure of the comparison — via the tolerant
-/// [`run_batch_raw`](ScenarioSpec::run_batch_raw) path.
-pub fn run_duel_cell(cell: &DuelCell, cfg: &ConformanceConfig) -> CellReport {
-    let sample = |outcome: Outcome| {
-        let o = outcome.into_duel();
-        DuelSample {
-            alice: o.alice_cost as f64,
-            bob: o.bob_cost as f64,
-            max: o.max_cost() as f64,
-            delivered: o.delivered as u64 as f64,
-            slots: o.slots as f64,
-        }
+/// failure of the comparison.
+fn cell_report(cell: &Cell, reference: &[Outcome], candidate: &[Outcome]) -> CellReport {
+    let rows = |batch: &[Outcome]| batch.iter().map(metrics_of).collect::<Vec<_>>();
+    let (reference, candidate) = (rows(reference), rows(candidate));
+    let column = |rows: &[Vec<(&str, f64, bool)>], k: usize| {
+        rows.iter().map(|row| row[k].1).collect::<Vec<f64>>()
     };
-    let batch = |engine| {
-        stamp(&cell.spec, engine, cell.trial_multiplier, cfg)
-            .run_batch_raw()
-            .into_iter()
-            .map(|(outcome, _)| sample(outcome))
-            .collect::<Vec<DuelSample>>()
-    };
-    let exact = batch(Engine::Exact);
-    let fast = batch(Engine::Fast);
-    let trials = cfg.trials.saturating_mul(cell.trial_multiplier.max(1));
-
-    let col = |f: fn(&DuelSample) -> f64, v: &[DuelSample]| v.iter().map(f).collect::<Vec<_>>();
-    let metrics = vec![
-        MetricVerdict::compare(
-            "alice_cost",
-            &col(|s| s.alice, &exact),
-            &col(|s| s.alice, &fast),
-            false,
-        ),
-        MetricVerdict::compare(
-            "bob_cost",
-            &col(|s| s.bob, &exact),
-            &col(|s| s.bob, &fast),
-            false,
-        ),
-        MetricVerdict::compare(
-            "max_cost",
-            &col(|s| s.max, &exact),
-            &col(|s| s.max, &fast),
-            false,
-        ),
-        MetricVerdict::compare(
-            "delivered",
-            &col(|s| s.delivered, &exact),
-            &col(|s| s.delivered, &fast),
-            false,
-        ),
-        MetricVerdict::compare(
-            "slots",
-            &col(|s| s.slots, &exact),
-            &col(|s| s.slots, &fast),
-            true,
-        ),
-    ];
+    let metrics = reference[0]
+        .iter()
+        .enumerate()
+        .map(|(k, &(metric, _, advisory))| {
+            MetricVerdict::compare(
+                metric,
+                &column(&reference, k),
+                &column(&candidate, k),
+                advisory,
+            )
+        })
+        .collect();
     CellReport {
         name: cell.name(),
-        trials,
+        trials: reference.len() as u64,
         metrics,
     }
 }
@@ -467,85 +406,16 @@ fn fault_tag(fault: &FaultPlan) -> String {
     }
 }
 
-struct BroadcastSample {
-    mean: f64,
-    max: f64,
-    informed: f64,
-    slots: f64,
-}
-
-/// Runs one 1-to-n cell on both engines and compares the metrics.
-pub fn run_broadcast_cell(cell: &BroadcastCell, cfg: &ConformanceConfig) -> CellReport {
-    let n = match &cell.spec.workload {
-        Workload::Broadcast(w) => w.n,
-        Workload::Duel(_) | Workload::Stream(_) => {
-            unreachable!("BroadcastCell holds a broadcast workload")
-        }
-    };
-    let sample = |outcome: Outcome| {
-        let o = outcome.into_broadcast();
-        BroadcastSample {
-            mean: o.mean_cost(),
-            max: o.max_cost() as f64,
-            informed: o.informed as f64 / n as f64,
-            slots: o.slots as f64,
-        }
-    };
-    let batch = |engine| {
-        stamp(&cell.spec, engine, cell.trial_multiplier, cfg)
-            .run_batch_raw()
-            .into_iter()
-            .map(|(outcome, _)| sample(outcome))
-            .collect::<Vec<BroadcastSample>>()
-    };
-    let exact = batch(cell.engines.0);
-    let fast = batch(cell.engines.1);
-    let trials = cfg.trials.saturating_mul(cell.trial_multiplier.max(1));
-
-    let col =
-        |f: fn(&BroadcastSample) -> f64, v: &[BroadcastSample]| v.iter().map(f).collect::<Vec<_>>();
-    let metrics = vec![
-        MetricVerdict::compare(
-            "mean_cost",
-            &col(|s| s.mean, &exact),
-            &col(|s| s.mean, &fast),
-            false,
-        ),
-        MetricVerdict::compare(
-            "max_cost",
-            &col(|s| s.max, &exact),
-            &col(|s| s.max, &fast),
-            false,
-        ),
-        MetricVerdict::compare(
-            "informed",
-            &col(|s| s.informed, &exact),
-            &col(|s| s.informed, &fast),
-            false,
-        ),
-        MetricVerdict::compare(
-            "slots",
-            &col(|s| s.slots, &exact),
-            &col(|s| s.slots, &fast),
-            true,
-        ),
-    ];
-    CellReport {
-        name: cell.name(),
-        trials,
-        metrics,
-    }
-}
-
 /// The default (profile × adversary × budget × fault × engine-pair) grid:
 /// unjammed
 /// baselines, blanket blockers at two budgets, a partial-fraction blocker,
 /// a keep-alive schedule, and fault-injection cells (loss under jamming,
 /// battery brownout, clock skew, crash–restart) for both protocol
-/// families.
-pub fn default_grid() -> (Vec<DuelCell>, Vec<BroadcastCell>) {
-    let duel = |adversary| DuelCell::new(0.05, 6, adversary);
-    let duels = vec![
+/// families. Duel cells come first, then broadcast cells.
+pub fn default_grid() -> Vec<Cell> {
+    let duel = |adversary| Cell::duel(0.05, 6, adversary);
+    let broadcast = |adversary| Cell::broadcast(5, 4, adversary);
+    vec![
         duel(AdversarySpec::NoJam),
         duel(AdversarySpec::Budgeted {
             budget: 512,
@@ -577,9 +447,6 @@ pub fn default_grid() -> (Vec<DuelCell>, Vec<BroadcastCell>) {
             // deterministic test. The larger sample keeps its p-values
             // comfortably away from the verdict threshold anyway.
             .with_trial_multiplier(4),
-    ];
-    let broadcast = |adversary| BroadcastCell::new(5, 4, adversary);
-    let broadcasts = vec![
         broadcast(AdversarySpec::NoJam),
         broadcast(AdversarySpec::Budgeted {
             budget: 256,
@@ -591,8 +458,8 @@ pub fn default_grid() -> (Vec<DuelCell>, Vec<BroadcastCell>) {
         // still cheap, so the cohort engine faces the ground truth
         // directly; at n ∈ {64, 256} it is differed against the fast
         // engine, which the cells above have already certified.
-        BroadcastCell::new(8, 4, AdversarySpec::NoJam).versus(Engine::Exact, Engine::CohortFast),
-        BroadcastCell::new(
+        Cell::broadcast(8, 4, AdversarySpec::NoJam).versus(Engine::Exact, Engine::CohortFast),
+        Cell::broadcast(
             64,
             4,
             AdversarySpec::Budgeted {
@@ -601,40 +468,54 @@ pub fn default_grid() -> (Vec<DuelCell>, Vec<BroadcastCell>) {
             },
         )
         .versus(Engine::Fast, Engine::CohortFast),
-        BroadcastCell::new(256, 4, AdversarySpec::NoJam).versus(Engine::Fast, Engine::CohortFast),
-        BroadcastCell::new(64, 4, AdversarySpec::NoJam)
+        Cell::broadcast(256, 4, AdversarySpec::NoJam).versus(Engine::Fast, Engine::CohortFast),
+        Cell::broadcast(64, 4, AdversarySpec::NoJam)
             .with_fault(FaultPlan::none().with_crash(1, 2, 6, true))
             .versus(Engine::Fast, Engine::CohortFast),
-    ];
-    (duels, broadcasts)
+    ]
 }
 
-/// Runs a grid of cells and collects the verdicts. Cells are sharded
-/// across cores by the deterministic executor
-/// ([`run_cells`](crate::executor::run_cells)) at `cfg.parallelism` —
-/// duels first, then broadcasts, report order unchanged. Inside a worker
-/// the cells' own `Auto` batches degrade to sequential, so the grid keeps
-/// one parallel tier; with `Fixed(1)` the whole run is sequential and
-/// byte-identical to the historical serial loop (each cell's per-trial
-/// streams are seed-derived either way).
-pub fn run_grid(
-    duels: &[DuelCell],
-    broadcasts: &[BroadcastCell],
-    cfg: &ConformanceConfig,
-) -> GridReport {
-    enum GridCell<'a> {
-        Duel(&'a DuelCell),
-        Broadcast(&'a BroadcastCell),
-    }
-    let work: Vec<GridCell> = duels
+/// Runs a grid of cells and collects the verdicts, in cell order. Every
+/// cell's two stamped specs go into one
+/// [`run_specs_ctl`] call at
+/// `cfg.parallelism`, so workers steal trials across cell boundaries; each
+/// trial's stream is seed-derived, so the report is byte-identical at any
+/// thread count. A trial that panics is a harness bug, not a verdict: it
+/// panics naming the cell and trial.
+pub fn run_grid(cells: &[Cell], cfg: &ConformanceConfig) -> GridReport {
+    let specs: Vec<ScenarioSpec> = cells
         .iter()
-        .map(GridCell::Duel)
-        .chain(broadcasts.iter().map(GridCell::Broadcast))
+        .flat_map(|cell| {
+            [
+                stamp(cell, cell.engines.0, cfg),
+                stamp(cell, cell.engines.1, cfg),
+            ]
+        })
         .collect();
-    let cells = crate::executor::run_cells(&work, cfg.parallelism, |_, cell| match cell {
-        GridCell::Duel(c) => run_duel_cell(c, cfg),
-        GridCell::Broadcast(c) => run_broadcast_cell(c, cfg),
-    });
+    let run = run_specs_ctl(&specs, cfg.parallelism, &SpecsControl::DEFAULT);
+    if let Some(q) = run.quarantined.first() {
+        panic!(
+            "conformance cell `{}`: trial {} panicked: {}",
+            cells[q.spec / 2].name(),
+            q.trial,
+            q.failure
+        );
+    }
+    let outcomes: Vec<Vec<Outcome>> = run
+        .results
+        .into_iter()
+        .map(|batch| {
+            batch
+                .into_iter()
+                .map(|slot| slot.expect("an unbounded run completes every trial").0)
+                .collect()
+        })
+        .collect();
+    let cells = cells
+        .iter()
+        .zip(outcomes.chunks(2))
+        .map(|(cell, pair)| cell_report(cell, &pair[0], &pair[1]))
+        .collect();
     GridReport {
         alpha: cfg.alpha,
         cells,
@@ -657,6 +538,10 @@ mod tests {
     use crate::exact::{run_exact, ExactConfig};
     use crate::runner::run_trials;
 
+    fn run_cell(cell: &Cell, cfg: &ConformanceConfig) -> CellReport {
+        run_grid(std::slice::from_ref(cell), cfg).cells.remove(0)
+    }
+
     fn small_cfg() -> ConformanceConfig {
         ConformanceConfig {
             trials: 40,
@@ -668,8 +553,8 @@ mod tests {
 
     #[test]
     fn unjammed_duel_cell_agrees() {
-        let cell = DuelCell::new(0.05, 6, AdversarySpec::NoJam);
-        let report = run_duel_cell(&cell, &small_cfg());
+        let cell = Cell::duel(0.05, 6, AdversarySpec::NoJam);
+        let report = run_cell(&cell, &small_cfg());
         assert!(
             !report.diverges(1e-3),
             "engines diverge on an unjammed cell:\n{:#?}",
@@ -679,7 +564,7 @@ mod tests {
 
     #[test]
     fn jammed_duel_cell_agrees() {
-        let cell = DuelCell::new(
+        let cell = Cell::duel(
             0.05,
             6,
             AdversarySpec::Budgeted {
@@ -687,7 +572,7 @@ mod tests {
                 fraction: 1.0,
             },
         );
-        let report = run_duel_cell(&cell, &small_cfg());
+        let report = run_cell(&cell, &small_cfg());
         assert!(
             !report.diverges(1e-3),
             "engines diverge under jamming:\n{:#?}",
@@ -700,7 +585,7 @@ mod tests {
         // The fault implementations are engine-specific (receiver
         // condition vs. sampled-event coin); the differ must certify they
         // sample the same distribution.
-        let cell = DuelCell::new(
+        let cell = Cell::duel(
             0.05,
             6,
             AdversarySpec::Budgeted {
@@ -709,7 +594,7 @@ mod tests {
             },
         )
         .with_fault(FaultPlan::none().with_loss(0.15));
-        let report = run_duel_cell(&cell, &small_cfg());
+        let report = run_cell(&cell, &small_cfg());
         assert!(report.name.contains("faults[loss=0.15]"), "{}", report.name);
         assert!(
             !report.diverges(1e-3),
@@ -720,13 +605,13 @@ mod tests {
 
     #[test]
     fn crash_broadcast_cell_agrees() {
-        let cell = BroadcastCell::new(5, 4, AdversarySpec::NoJam)
+        let cell = Cell::broadcast(5, 4, AdversarySpec::NoJam)
             .with_fault(FaultPlan::none().with_crash(1, 2, 6, true));
         let cfg = ConformanceConfig {
             trials: 25,
             ..small_cfg()
         };
-        let report = run_broadcast_cell(&cell, &cfg);
+        let report = run_cell(&cell, &cfg);
         assert!(
             !report.diverges(1e-3),
             "engines diverge on a crash–restart cell:\n{:#?}",
@@ -738,13 +623,13 @@ mod tests {
     fn cohort_vs_exact_broadcast_cell_agrees() {
         // The cohort engine against ground truth at a population small
         // enough for the slot-level engine.
-        let cell = BroadcastCell::new(8, 4, AdversarySpec::NoJam)
-            .versus(Engine::Exact, Engine::CohortFast);
+        let cell =
+            Cell::broadcast(8, 4, AdversarySpec::NoJam).versus(Engine::Exact, Engine::CohortFast);
         let cfg = ConformanceConfig {
             trials: 30,
             ..small_cfg()
         };
-        let report = run_broadcast_cell(&cell, &cfg);
+        let report = run_cell(&cell, &cfg);
         assert!(report.name.contains("[exact vs cohort]"), "{}", report.name);
         assert!(
             !report.diverges(1e-3),
@@ -755,7 +640,7 @@ mod tests {
 
     #[test]
     fn cohort_vs_fast_jammed_broadcast_cell_agrees() {
-        let cell = BroadcastCell::new(
+        let cell = Cell::broadcast(
             64,
             4,
             AdversarySpec::Budgeted {
@@ -768,7 +653,7 @@ mod tests {
             trials: 25,
             ..small_cfg()
         };
-        let report = run_broadcast_cell(&cell, &cfg);
+        let report = run_cell(&cell, &cfg);
         assert!(report.name.contains("[fast vs cohort]"), "{}", report.name);
         assert!(
             !report.diverges(1e-3),
@@ -781,14 +666,14 @@ mod tests {
     fn cohort_vs_fast_crash_cell_agrees() {
         // Crash targets are tracked individually by the cohort engine;
         // this certifies the materialized path against the fast engine.
-        let cell = BroadcastCell::new(64, 4, AdversarySpec::NoJam)
+        let cell = Cell::broadcast(64, 4, AdversarySpec::NoJam)
             .with_fault(FaultPlan::none().with_crash(1, 2, 6, true))
             .versus(Engine::Fast, Engine::CohortFast);
         let cfg = ConformanceConfig {
             trials: 25,
             ..small_cfg()
         };
-        let report = run_broadcast_cell(&cell, &cfg);
+        let report = run_cell(&cell, &cfg);
         assert!(
             !report.diverges(1e-3),
             "cohort engine diverges from fast on a crash–restart cell:\n{:#?}",
@@ -850,7 +735,7 @@ mod tests {
 
     #[test]
     fn reports_are_deterministic() {
-        let cell = DuelCell::new(
+        let cell = Cell::duel(
             0.05,
             6,
             AdversarySpec::Budgeted {
@@ -862,8 +747,8 @@ mod tests {
             trials: 20,
             ..small_cfg()
         };
-        let a = run_duel_cell(&cell, &cfg);
-        let b = run_duel_cell(&cell, &cfg);
+        let a = run_cell(&cell, &cfg);
+        let b = run_cell(&cell, &cfg);
         for (ma, mb) in a.metrics.iter().zip(&b.metrics) {
             assert_eq!(ma.mw_p, mb.mw_p, "{}", ma.metric);
             assert_eq!(ma.ks_d, mb.ks_d, "{}", ma.metric);
@@ -872,29 +757,25 @@ mod tests {
 
     #[test]
     fn grid_verdicts_are_identical_across_parallelism() {
-        // The executor shards cells, not trials; every cell's trial
-        // streams are seed-derived, so the grid's statistics must be
-        // bit-identical at any thread count.
-        let duels = vec![DuelCell::new(
-            0.05,
-            6,
-            AdversarySpec::Budgeted {
-                budget: 256,
-                fraction: 1.0,
-            },
-        )];
-        let broadcasts = vec![BroadcastCell::new(5, 4, AdversarySpec::NoJam)];
+        // The executor steals trials across cells; every trial's stream is
+        // seed-derived, so the grid's statistics must be bit-identical at
+        // any thread count.
+        let cells = vec![
+            Cell::duel(
+                0.05,
+                6,
+                AdversarySpec::Budgeted {
+                    budget: 256,
+                    fraction: 1.0,
+                },
+            ),
+            Cell::broadcast(5, 4, AdversarySpec::NoJam),
+        ];
         let cfg = ConformanceConfig {
             trials: 15,
             ..small_cfg()
         };
-        let grid = |parallelism| {
-            run_grid(
-                &duels,
-                &broadcasts,
-                &ConformanceConfig { parallelism, ..cfg },
-            )
-        };
+        let grid = |parallelism| run_grid(&cells, &ConformanceConfig { parallelism, ..cfg });
         let one = grid(Parallelism::Fixed(1));
         let four = grid(Parallelism::Fixed(4));
         let auto = grid(Parallelism::Auto);
@@ -926,12 +807,12 @@ mod tests {
 
     #[test]
     fn trial_multiplier_scales_the_cell_sample() {
-        let cell = DuelCell::new(0.05, 6, AdversarySpec::NoJam).with_trial_multiplier(3);
+        let cell = Cell::duel(0.05, 6, AdversarySpec::NoJam).with_trial_multiplier(3);
         let cfg = ConformanceConfig {
             trials: 10,
             ..small_cfg()
         };
-        let report = run_duel_cell(&cell, &cfg);
+        let report = run_cell(&cell, &cfg);
         assert_eq!(report.trials, 30, "multiplier must scale the sample");
         assert!(report.metrics.iter().all(|m| m.mw_p.is_finite()));
     }

@@ -24,8 +24,8 @@ pub mod differ;
 pub mod replay;
 
 pub use differ::{
-    default_grid, run_broadcast_cell, run_duel_cell, run_grid, AdversarySpec, BroadcastCell,
-    CellReport, ConformanceConfig, DuelCell, GridReport, MetricVerdict,
+    default_grid, run_grid, AdversarySpec, Cell, CellReport, ConformanceConfig, GridReport,
+    MetricVerdict,
 };
 pub use replay::{
     replay_broadcast_trace, replay_duel_trace, BroadcastReplay, Divergence, DuelReplay,

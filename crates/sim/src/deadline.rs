@@ -50,14 +50,6 @@ impl Deadline {
         }
     }
 
-    /// Expires at `instant`.
-    pub fn at(instant: Instant) -> Deadline {
-        Deadline {
-            expires_at: Some(instant),
-            cancel: None,
-        }
-    }
-
     /// Adds a cancellation flag (e.g. the SIGINT latch) to this deadline.
     pub fn with_cancel(mut self, flag: &'static AtomicBool) -> Deadline {
         self.cancel = Some(flag);
@@ -81,19 +73,6 @@ impl Deadline {
         match self.expires_at {
             Some(t) => Instant::now() >= t,
             None => false,
-        }
-    }
-
-    /// The tighter of two deadlines: earliest expiry, and a cancel flag
-    /// from either side (`self`'s wins if both carry one).
-    pub fn intersect(self, other: Deadline) -> Deadline {
-        let expires_at = match (self.expires_at, other.expires_at) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Deadline {
-            expires_at,
-            cancel: self.cancel.or(other.cancel),
         }
     }
 }
@@ -184,21 +163,6 @@ mod tests {
         FLAG.store(true, Ordering::Relaxed);
         assert!(d.exceeded());
         FLAG.store(false, Ordering::Relaxed);
-    }
-
-    #[test]
-    fn intersect_takes_the_earlier_expiry_and_either_flag() {
-        static FLAG: AtomicBool = AtomicBool::new(false);
-        let soon = Instant::now();
-        let late = soon + Duration::from_secs(3600);
-        let a = Deadline::at(soon);
-        let b = Deadline::at(late).with_cancel(&FLAG);
-        let both = b.intersect(a);
-        assert!(both.exceeded(), "earlier expiry must win");
-        let unbounded = Deadline::NONE.intersect(Deadline::NONE);
-        assert!(unbounded.is_unbounded());
-        let flagged = Deadline::NONE.intersect(Deadline::NONE.with_cancel(&FLAG));
-        assert!(!flagged.is_unbounded());
     }
 
     #[test]

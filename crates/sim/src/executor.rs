@@ -5,15 +5,14 @@
 //! [`run_trials`](crate::runner::run_trials) for a single batch. Workers
 //! claim one work unit at a time from an atomic cursor, so heterogeneous
 //! units balance across workers, and results merge back in work-list
-//! order whatever the thread count or scheduling:
+//! order whatever the thread count or scheduling.
 //!
-//! * [`run_cells`] — cell-granular: a deterministic parallel map over any
-//!   slice. The shard unit is one list element.
-//! * [`run_specs_ctl`] — trial-granular: flattens a `ScenarioSpec` list
-//!   into one global trial work list (prefix sums over per-spec trial
-//!   counts), so stealing crosses cell boundaries and a long tail cell
-//!   cannot serialise the sweep, and even a batch of a few trials spreads
-//!   over every worker.
+//! A list of specs runs one way: [`run_specs_ctl`] flattens a
+//! `ScenarioSpec` list into one global trial work list (prefix sums over
+//! per-spec trial counts), so stealing crosses cell boundaries and a long
+//! tail cell cannot serialise the sweep, and even a batch of a few trials
+//! spreads over every worker. [`run_specs_journaled`] puts an optional
+//! [`Journal`] in front of it for the resumable front ends.
 //!
 //! ## Seed-fold invariant
 //!
@@ -28,8 +27,8 @@
 //! ## Nested parallelism
 //!
 //! Pool workers mark their thread with the runner's `IN_WORKER` flag, so
-//! `Parallelism::Auto` *inside* a unit (e.g. a conformance cell's
-//! `run_batch_raw`) degrades to sequential instead of spawning cores²
+//! `Parallelism::Auto` *inside* a unit (e.g. a `run_trials` batch inside a
+//! trial closure) degrades to sequential instead of spawning cores²
 //! threads. `Fixed(n > 1)` at both tiers is honoured by name and therefore
 //! oversubscribes — callers that nest must pick one parallel tier
 //! (DESIGN.md §11).
@@ -55,6 +54,8 @@ use rcb_mathkit::rng::{RcbRng, SeedSequence};
 
 use crate::deadline::Deadline;
 use crate::error::{SimError, TrialFailure};
+use crate::journal::{Journal, JournalError};
+use crate::json::Json;
 use crate::runner::{enter_worker, panic_payload, Parallelism};
 use crate::scenario::{Outcome, ScenarioSpec};
 
@@ -192,30 +193,6 @@ where
     (slots, hit.load(Ordering::Relaxed))
 }
 
-/// Deterministic parallel map over a heterogeneous work list: applies `f`
-/// to every element of `items` and returns the results **in list order**,
-/// independent of thread count or scheduling.
-///
-/// The shard unit is one element (a conformance cell, an experiment point);
-/// distribution is dynamic, so expensive cells next to cheap ones balance
-/// across workers. Workers set the runner's `IN_WORKER` flag, so
-/// `Parallelism::Auto` inside `f` degrades to sequential. A panic in `f`
-/// propagates and aborts the map.
-pub fn run_cells<I, T, F>(items: &[I], parallelism: Parallelism, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    run_pool(items.len(), parallelism, &Deadline::NONE, |i| {
-        Some(f(i, &items[i]))
-    })
-    .0
-    .into_iter()
-    .map(|v| v.expect("unbounded run: every cell completed"))
-    .collect()
-}
-
 /// Runs every trial of every spec through one global work-stealing pool
 /// under a [`SpecsControl`] — cooperative deadlines, resume skips, and a
 /// bounded same-seed retry-then-quarantine policy for panicking trials —
@@ -292,6 +269,111 @@ pub fn run_specs_ctl(
         quarantined,
         deadline_hit,
     }
+}
+
+/// [`run_specs_ctl`] behind an optional [`Journal`]: the resumable way to
+/// run a spec list, shared by `rcbsim scenario run` and the budget sweeps.
+///
+/// Trial `t` of spec `i` is journaled under the key `spec{i}/trial{t}`
+/// with its outcome and typed engine error as payload. Every journaled
+/// trial is parsed before any trial runs — a bad record is a
+/// [`JournalError::Corrupt`] before compute is spent — and then skipped;
+/// the trials that do run are appended (a deadline-cut trial never is),
+/// the journal is flushed, and the journaled results are spliced back
+/// into [`SpecsRun::results`]. A resumed run is therefore bit-identical to
+/// an uninterrupted one, and with `journal: None` this is exactly
+/// [`run_specs_ctl`] with no per-trial deadline.
+pub fn run_specs_journaled(
+    specs: &[ScenarioSpec],
+    parallelism: Parallelism,
+    deadline: Deadline,
+    max_attempts: u32,
+    journal: Option<&mut Journal>,
+) -> Result<SpecsRun, JournalError> {
+    let journaled: Vec<TrialSlots> = match journal.as_deref() {
+        None => Vec::new(),
+        Some(j) => specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| (0..spec.trials).map(|t| read_trial(j, i, t)).collect())
+            .collect::<Result<_, _>>()?,
+    };
+    let skip: &(dyn Fn(usize, u64) -> bool + Sync) =
+        &|spec, trial| journaled[spec][trial as usize].is_some();
+    let ctl = SpecsControl {
+        deadline,
+        trial_deadline: None,
+        max_attempts,
+        skip: journal.is_some().then_some(skip),
+    };
+    let mut run = run_specs_ctl(specs, parallelism, &ctl);
+
+    if let Some(j) = journal {
+        for (i, batch) in run.results.iter().enumerate() {
+            for (t, slot) in batch.iter().enumerate() {
+                if let Some((outcome, err)) = slot {
+                    if !matches!(err, Some(SimError::DeadlineExceeded { .. })) {
+                        j.append(trial_key(i, t as u64), trial_record(outcome, err));
+                    }
+                }
+            }
+        }
+        j.flush()?;
+    }
+    for (batch, records) in run.results.iter_mut().zip(journaled) {
+        for (slot, record) in batch.iter_mut().zip(records) {
+            if record.is_some() {
+                *slot = record;
+            }
+        }
+    }
+    Ok(run)
+}
+
+/// The journal key of one trial — the only place the key format is written.
+fn trial_key(spec: usize, trial: u64) -> String {
+    format!("spec{spec}/trial{trial}")
+}
+
+/// One journaled trial record: the outcome plus any typed engine error.
+fn trial_record(outcome: &Outcome, err: &Option<SimError>) -> Json {
+    Json::obj(vec![
+        ("outcome", outcome.to_json()),
+        (
+            "err",
+            match err {
+                Some(e) => e.to_json(),
+                None => Json::Null,
+            },
+        ),
+    ])
+}
+
+/// Reads trial `trial` of spec `spec` back from the journal: `None` when it
+/// was never journaled, `Corrupt` (naming the record's line) when its
+/// payload does not parse.
+fn read_trial(
+    journal: &Journal,
+    spec: usize,
+    trial: u64,
+) -> Result<Option<(Outcome, Option<SimError>)>, JournalError> {
+    let key = trial_key(spec, trial);
+    let Some(payload) = journal.get(&key) else {
+        return Ok(None);
+    };
+    let parsed = payload
+        .get("outcome")
+        .ok_or_else(|| "record missing `outcome`".to_string())
+        .and_then(Outcome::from_json)
+        .and_then(|outcome| match payload.get("err") {
+            None | Some(Json::Null) => Ok((outcome, None)),
+            Some(err) => Ok((outcome, Some(SimError::from_json(err)?))),
+        });
+    parsed.map(Some).map_err(|reason| JournalError::Corrupt {
+        // Line 1 is the header; records follow in append order.
+        line: journal.cells().position(|c| c == key).map_or(0, |k| k + 2),
+        reason: format!("{key}: {reason}"),
+    })
 }
 
 /// Runs one trial with a bounded **same-seed** retry policy: each attempt
@@ -441,33 +523,14 @@ mod tests {
     }
 
     #[test]
-    fn run_cells_preserves_order_and_thread_count_independence() {
-        let items: Vec<u64> = (0..37).collect();
-        let square = |_, &x: &u64| x * x;
-        let seq = run_cells(&items, Parallelism::Fixed(1), square);
-        let par = run_cells(&items, Parallelism::Fixed(8), square);
-        let auto = run_cells(&items, Parallelism::Auto, square);
-        assert_eq!(seq, (0..37).map(|x| x * x).collect::<Vec<u64>>());
-        assert_eq!(seq, par);
-        assert_eq!(seq, auto);
-    }
-
-    #[test]
-    fn run_cells_on_empty_list_is_empty() {
-        let out = run_cells(&[] as &[u64], Parallelism::Auto, |_, &x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn nested_auto_degrades_inside_cell_workers() {
-        // A cell body that runs an Auto batch must stay on the worker's own
-        // thread — the executor's workers carry the runner's IN_WORKER flag.
+        // A unit that runs an Auto batch must stay on the worker's own
+        // thread — the pool's workers carry the runner's IN_WORKER flag.
         let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 7))
             .with_trials(4)
             .with_seed(3)
             .with_parallelism(Parallelism::Auto);
-        let cells = [0u64, 1, 2, 3];
-        let ok = run_cells(&cells, Parallelism::Fixed(2), |_, _| {
+        let ok = crate::runner::run_trials(4, 0, Parallelism::Fixed(2), |_, _| {
             let outer = std::thread::current().id();
             let batch = crate::runner::run_trials(4, 9, Parallelism::Auto, |_, _| {
                 std::thread::current().id()
@@ -482,18 +545,6 @@ mod tests {
             inner_stayed && degraded == reference
         });
         assert!(ok.into_iter().all(|b| b));
-    }
-
-    #[test]
-    fn uneven_cells_still_merge_in_order() {
-        let items: Vec<u64> = (0..24).collect();
-        let out = run_cells(&items, Parallelism::Fixed(4), |i, &x| {
-            if i % 5 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            x
-        });
-        assert_eq!(out, items);
     }
 
     #[test]
@@ -693,19 +744,99 @@ mod tests {
         }
     }
 
+    fn tmp_journal(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "rcb_executor_test_{}_{name}.jsonl",
+            std::process::id()
+        ))
+    }
+
+    fn fresh_journal(name: &str) -> Journal {
+        let header = crate::journal::JournalHeader::new("test", 0x5eed, Json::Null);
+        Journal::create(tmp_journal(name), header).expect("create journal")
+    }
+
+    fn journaled(specs: &[ScenarioSpec], journal: Option<&mut Journal>) -> Vec<TrialSlots> {
+        run_specs_journaled(specs, Parallelism::Fixed(2), Deadline::NONE, 1, journal)
+            .expect("journaled run")
+            .results
+    }
+
     #[test]
-    fn cell_panics_propagate() {
-        let items = [0u64, 1, 2];
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            run_cells(&items, Parallelism::Fixed(1), |i, _| {
-                if i == 1 {
-                    panic!("boom in cell {i}");
-                }
-                i
-            })
-        }));
-        let payload = caught.expect_err("the panic must propagate");
-        let msg = panic_payload(payload);
-        assert!(msg.contains("boom in cell 1"), "got: {msg}");
+    fn a_journaled_run_equals_run_specs_ctl() {
+        let specs = mixed_specs();
+        let straight = run_all(&specs, Parallelism::Fixed(1));
+        assert_eq!(journaled(&specs, None), straight);
+        let mut journal = fresh_journal("equals");
+        assert_eq!(journaled(&specs, Some(&mut journal)), straight);
+        let total: u64 = specs.iter().map(|s| s.trials).sum();
+        assert_eq!(journal.len() as u64, total, "every trial journaled once");
+        assert!(journal.contains("spec4/trial4"));
+        std::fs::remove_file(journal.path()).ok();
+    }
+
+    #[test]
+    fn full_and_partial_resumes_are_bit_identical_and_fill_the_journal() {
+        let specs = mixed_specs();
+        let total: u64 = specs.iter().map(|s| s.trials).sum();
+        let mut full = fresh_journal("full");
+        let straight = journaled(&specs, Some(&mut full));
+
+        // Full resume: every trial comes back from the records.
+        let mut reopened = Journal::open_resume(full.path(), "test", 0x5eed).expect("resume");
+        assert_eq!(journaled(&specs, Some(&mut reopened)), straight);
+        assert_eq!(reopened.len() as u64, total);
+
+        // Partial resume: a run cut after a few trials runs the rest and
+        // journals them into the journal it continues.
+        let mut partial = fresh_journal("partial");
+        for cell in full.cells().step_by(3) {
+            partial.append(cell, full.get(cell).expect("listed").clone());
+        }
+        partial.flush().expect("flush partial");
+        let mut partial = Journal::open_resume(partial.path(), "test", 0x5eed).expect("resume");
+        assert!((partial.len() as u64) < total);
+        assert_eq!(journaled(&specs, Some(&mut partial)), straight);
+        let grown = Journal::load(partial.path()).expect("reload");
+        assert_eq!(grown.len() as u64, total, "the resume journals what it ran");
+        std::fs::remove_file(full.path()).ok();
+        std::fs::remove_file(partial.path()).ok();
+    }
+
+    #[test]
+    fn an_unparseable_record_errors_before_any_trial_runs() {
+        let mut journal = fresh_journal("unparseable");
+        journal.append("spec1/trial0", Json::Num(1.0));
+        journal.flush().expect("flush");
+        let err = run_specs_journaled(
+            &mixed_specs(),
+            Parallelism::Fixed(2),
+            Deadline::NONE,
+            1,
+            Some(&mut journal),
+        )
+        .expect_err("a bad record is refused");
+        let JournalError::Corrupt { line, reason } = err else {
+            panic!("expected Corrupt, got {err:?}");
+        };
+        assert_eq!(line, 2, "the first record line");
+        assert!(reason.contains("spec1/trial0"), "{reason}");
+        // No trial ran: nothing was appended in memory or on disk.
+        assert_eq!(journal.len(), 1);
+        assert_eq!(Journal::load(journal.path()).expect("reload").len(), 1);
+        std::fs::remove_file(journal.path()).ok();
+    }
+
+    #[test]
+    fn a_version_1_journal_is_refused() {
+        let path = tmp_journal("v1");
+        let header = r#"{"rcb_journal":1,"kind":"test","fingerprint":"0000000000005eed"}"#;
+        std::fs::write(&path, format!("{header}\n")).expect("write");
+        let err = Journal::open_resume(&path, "test", 0x5eed).expect_err("old format");
+        assert!(
+            err.to_string().contains("unsupported journal version 1"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -9,27 +9,32 @@
 //! FNV-1a checksum of the payload's canonical compact rendering:
 //!
 //! ```text
-//! {"rcb_journal":1,"kind":"scenario","fingerprint":"9f86d081884c7d65","meta":{...}}
-//! {"cell":"trial/0","payload":{...},"fnv":"b94d27b9934d3e08"}
+//! {"rcb_journal":2,"kind":"scenario","fingerprint":"9f86d081884c7d65","meta":{...}}
+//! {"cell":"spec0/trial0","payload":{...},"fnv":"b94d27b9934d3e08"}
 //! ```
 //!
-//! Durability model: consumers hold results in memory and call
-//! [`Journal::flush`], which rewrites the whole file through a temp file
-//! and an atomic rename — a reader (or a resumed run) sees either the old
-//! complete journal or the new one, never a blend. The torn-write window
-//! that remains (the process dying mid-`write` before the rename) is
-//! exactly why [`Journal::load`] tolerates one unparseable or
-//! checksum-failing **final** line: it is dropped and re-run, not fatal.
-//! Corruption anywhere earlier is a hard [`JournalError::Corrupt`] —
-//! silent data loss in the middle of a journal must never look like a
-//! short run.
+//! The trial-record keys and payloads are written by one consumer,
+//! [`run_specs_journaled`](crate::executor::run_specs_journaled).
+//!
+//! Durability model: [`Journal::create`] writes the header at once, so an
+//! unwritable path fails before any work runs. After that consumers hold
+//! results in memory and call [`Journal::flush`], which rewrites the whole
+//! file through a temp file and an atomic rename — a reader (or a resumed
+//! run) sees either the old complete journal or the new one, never a
+//! blend. The runner flushes once, when a run ends (normally or on a
+//! deadline/SIGINT cut), so a process killed outright loses that run's
+//! trials. The torn-write window that remains (the process dying
+//! mid-`write` before the rename) is exactly why [`Journal::load`]
+//! tolerates one unparseable or checksum-failing **final** line: it is
+//! dropped and re-run, not fatal. Corruption anywhere earlier is a hard
+//! [`JournalError::Corrupt`] — silent data loss in the middle of a journal
+//! must never look like a short run.
 //!
 //! Resume contract: [`Journal::open_resume`] refuses (typed) a journal
-//! whose kind or fingerprint does not match the run being resumed.
-//! Completed cells are skipped by the caller; everything else re-runs from
-//! the same seed fold, so a resumed run is bit-identical to an
-//! uninterrupted one. Deadline-cut results (wall-clock dependent) are
-//! never appended.
+//! whose kind or fingerprint does not match the run being resumed. The
+//! runner skips completed trials; everything else re-runs from the same
+//! seed fold, so a resumed run is bit-identical to an uninterrupted one.
+//! Deadline-cut results (wall-clock dependent) are never appended.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -38,8 +43,9 @@ use std::path::{Path, PathBuf};
 use crate::json::Json;
 use crate::scenario::{fnv1a_bytes, FNV_OFFSET};
 
-/// On-disk format version (the `rcb_journal` header field).
-pub const JOURNAL_VERSION: u64 = 1;
+/// On-disk format version (the `rcb_journal` header field). Version 2
+/// keys every trial record `spec{i}/trial{t}`.
+pub const JOURNAL_VERSION: u64 = 2;
 
 /// Identity line of a journal: which consumer wrote it, for which work.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,16 +165,22 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// A fresh, empty journal. Nothing touches the filesystem until
-    /// [`flush`](Journal::flush).
-    pub fn create(path: impl Into<PathBuf>, header: JournalHeader) -> Journal {
-        Journal {
+    /// A fresh, empty journal, its header written to `path` at once
+    /// (through the same atomic path as [`flush`](Journal::flush)), so an
+    /// unwritable path is a typed [`JournalError::Io`] before any work runs.
+    pub fn create(
+        path: impl Into<PathBuf>,
+        header: JournalHeader,
+    ) -> Result<Journal, JournalError> {
+        let journal = Journal {
             path: path.into(),
             header,
             records: Vec::new(),
             index: HashMap::new(),
             dropped_tail: false,
-        }
+        };
+        journal.flush()?;
+        Ok(journal)
     }
 
     /// Loads a journal from disk. A torn **final** record line (the
@@ -371,7 +383,7 @@ mod tests {
     #[test]
     fn create_append_flush_load_round_trips() {
         let path = tmp_path("round_trip");
-        let mut j = Journal::create(&path, sample_header());
+        let mut j = Journal::create(&path, sample_header()).expect("create");
         j.append(
             "pass1/duel_clean",
             Json::obj(vec![("checksum", Json::Str("00ff".into()))]),
@@ -403,17 +415,19 @@ mod tests {
 
     #[test]
     fn reappending_a_cell_replaces_in_place() {
-        let mut j = Journal::create(tmp_path("reappend"), sample_header());
+        let path = tmp_path("reappend");
+        let mut j = Journal::create(&path, sample_header()).expect("create");
         j.append("c", Json::Num(1.0));
         j.append("c", Json::Num(2.0));
         assert_eq!(j.len(), 1);
         assert_eq!(j.get("c"), Some(&Json::Num(2.0)));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn torn_final_line_is_dropped_not_fatal() {
         let path = tmp_path("torn_tail");
-        let mut j = Journal::create(&path, sample_header());
+        let mut j = Journal::create(&path, sample_header()).expect("create");
         j.append("a", Json::Num(1.0));
         j.append("b", Json::Num(2.0));
         j.flush().expect("flush");
@@ -434,7 +448,7 @@ mod tests {
     #[test]
     fn checksum_damage_on_the_final_line_is_also_dropped() {
         let path = tmp_path("flipped_tail");
-        let mut j = Journal::create(&path, sample_header());
+        let mut j = Journal::create(&path, sample_header()).expect("create");
         j.append("a", Json::Num(1.0));
         j.append("b", Json::Num(2.0));
         j.flush().expect("flush");
@@ -455,7 +469,7 @@ mod tests {
     #[test]
     fn mid_file_corruption_is_fatal() {
         let path = tmp_path("mid_corruption");
-        let mut j = Journal::create(&path, sample_header());
+        let mut j = Journal::create(&path, sample_header()).expect("create");
         j.append("a", Json::Num(1.0));
         j.append("b", Json::Num(2.0));
         j.flush().expect("flush");
@@ -476,8 +490,7 @@ mod tests {
     #[test]
     fn resume_refuses_fingerprint_and_kind_mismatches() {
         let path = tmp_path("mismatch");
-        let j = Journal::create(&path, sample_header());
-        j.flush().expect("flush");
+        Journal::create(&path, sample_header()).expect("create");
 
         let fp = sample_header().fingerprint;
         assert!(Journal::open_resume(&path, "sweep", fp).is_ok());
@@ -496,9 +509,25 @@ mod tests {
     }
 
     #[test]
+    fn create_writes_the_header_at_once_and_fails_on_a_missing_directory() {
+        let path = tmp_path("created");
+        let j = Journal::create(&path, sample_header()).expect("create");
+        let back = Journal::load(j.path()).expect("the header is on disk before any flush");
+        assert_eq!(back.header(), &sample_header());
+        assert!(back.is_empty());
+        std::fs::remove_file(&path).ok();
+
+        let missing = std::env::temp_dir()
+            .join(format!("rcb_journal_missing_{}", std::process::id()))
+            .join("journal.jsonl");
+        let err = Journal::create(missing, sample_header()).expect_err("no such directory");
+        assert!(matches!(err, JournalError::Io(_)), "{err:?}");
+    }
+
+    #[test]
     fn flush_is_idempotent_and_atomic_over_rewrites() {
         let path = tmp_path("rewrite");
-        let mut j = Journal::create(&path, sample_header());
+        let mut j = Journal::create(&path, sample_header()).expect("create");
         j.append("a", Json::Num(1.0));
         j.flush().expect("first flush");
         j.append("b", Json::Num(2.0));

@@ -35,19 +35,20 @@
 //! bit-identical to a fresh entry-point call at the same seed, which is
 //! what the streaming workloads drain their queues through.
 //!
-//! One worker pool runs all parallel work: [`executor`] claims one work
-//! unit at a time — a cell ([`executor::run_cells`]) or a trial across a
-//! whole `ScenarioSpec` sweep ([`executor::run_specs_ctl`]) — and
-//! [`runner::run_trials`] fans one batch out over the same pool, with one
-//! deterministic RNG stream per trial so results are independent of
-//! thread count. [`lowerbound`] packages the Theorem 2 / Theorem 5
+//! One worker pool runs all parallel work: a list of specs runs through
+//! [`executor::run_specs_ctl`], which claims one trial at a time across
+//! the whole list, and [`runner::run_trials`] fans one closure batch out
+//! over the same pool, with one deterministic RNG stream per trial so
+//! results are independent of thread count. [`lowerbound`] packages the Theorem 2 / Theorem 5
 //! measurement games.
 //!
 //! The crash-safety layer rides on top: [`deadline`] threads a cooperative
 //! [`Deadline`]/cancellation token through the executor and the engine
 //! slot loops, [`json`] is the dependency-free JSON layer, and [`journal`]
-//! persists per-cell results as an append-only, FNV-1a-checksummed JSONL
-//! file so interrupted sweeps resume bit-identical to uninterrupted ones.
+//! persists per-trial results as an append-only, FNV-1a-checksummed JSONL
+//! file; [`executor::run_specs_journaled`] is the one runner that writes
+//! and reads it, so interrupted runs resume bit-identical to
+//! uninterrupted ones.
 
 pub mod cohort;
 pub mod conformance;
@@ -68,14 +69,12 @@ pub mod scenario;
 pub mod session;
 
 pub use cohort::{run_cohort, run_cohort_instrumented, CohortConfig, CohortStats};
-pub use conformance::{
-    default_grid, run_grid, BroadcastCell, ConformanceConfig, DuelCell, GridReport,
-};
+pub use conformance::{default_grid, run_grid, Cell, ConformanceConfig, GridReport};
 pub use deadline::{install_sigint_handler, interrupted, Deadline};
 pub use duel::{run_duel, DuelConfig};
 pub use error::{SimError, TrialFailure};
 pub use exact::{run_exact, ExactConfig, ExactOutcome};
-pub use executor::{run_cells, run_specs_ctl, QuarantinedTrial, SpecsControl, SpecsRun};
+pub use executor::{run_specs_ctl, run_specs_journaled, QuarantinedTrial, SpecsControl, SpecsRun};
 pub use fast::{run_broadcast, BroadcastObserver, FastConfig};
 pub use faults::{BatteryFault, CrashFault, FaultConfigError, FaultPlan, LossFault, SkewFault};
 pub use journal::{Journal, JournalError, JournalHeader};

@@ -1111,143 +1111,6 @@ impl ScenarioSpec {
         ])
     }
 
-    /// Inverse of [`to_json`](Self::to_json). The deserialized spec runs
-    /// at [`Parallelism::Auto`] (parallelism is not serialized).
-    pub fn from_json(value: &Json) -> Result<ScenarioSpec, String> {
-        let workload = value.get("workload").ok_or("spec missing `workload`")?;
-        let workload = match workload.get("kind").and_then(Json::as_str) {
-            Some("duel") => {
-                let protocol = workload.get("protocol").ok_or("duel missing `protocol`")?;
-                let start_epoch = pu32(protocol, "start_epoch")?;
-                let protocol = match protocol.get("kind").and_then(Json::as_str) {
-                    Some("fig1") => DuelProtocol::Fig1 {
-                        epsilon: pf64(protocol, "epsilon")?,
-                        start_epoch,
-                    },
-                    Some("ksy") => DuelProtocol::Ksy { start_epoch },
-                    other => return Err(format!("unknown duel protocol kind {other:?}")),
-                };
-                Workload::Duel(DuelWorkload {
-                    protocol,
-                    max_slots: pu64(workload, "max_slots")?,
-                    exact_max_slots: pu64(workload, "exact_max_slots")?,
-                })
-            }
-            Some("broadcast") => {
-                let sources = workload
-                    .get("sources")
-                    .and_then(Json::as_arr)
-                    .ok_or("broadcast missing `sources`")?
-                    .iter()
-                    .map(|s| {
-                        s.as_u64()
-                            .map(|v| v as usize)
-                            .ok_or_else(|| "bad source index".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Workload::Broadcast(BroadcastWorkload {
-                    params: params_from_json(
-                        workload.get("params").ok_or("broadcast missing `params`")?,
-                    )?,
-                    n: pu32(workload, "n")? as usize,
-                    sources,
-                    max_epoch: pu32(workload, "max_epoch")?,
-                    exact_max_slots: pu64(workload, "exact_max_slots")?,
-                })
-            }
-            Some("stream") => {
-                let sources = workload
-                    .get("sources")
-                    .and_then(Json::as_arr)
-                    .ok_or("stream missing `sources`")?
-                    .iter()
-                    .map(|s| {
-                        s.as_u64()
-                            .map(|v| v as usize)
-                            .ok_or_else(|| "bad source index".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                let arrival = workload.get("arrival").ok_or("stream missing `arrival`")?;
-                let arrival = match arrival.get("kind").and_then(Json::as_str) {
-                    Some("poisson") => ArrivalSpec::Poisson {
-                        rate: pf64(arrival, "rate")?,
-                    },
-                    Some("burst") => ArrivalSpec::Burst {
-                        period: pu64(arrival, "period")?,
-                        size: pu64(arrival, "size")?,
-                    },
-                    Some("schedule") => ArrivalSpec::Schedule {
-                        arrivals: arrival
-                            .get("arrivals")
-                            .and_then(Json::as_arr)
-                            .ok_or("schedule missing `arrivals`")?
-                            .iter()
-                            .map(|a| {
-                                a.as_str()
-                                    .ok_or_else(|| "bad arrival slot".to_string())?
-                                    .parse::<u64>()
-                                    .map_err(|e| format!("bad arrival slot: {e}"))
-                            })
-                            .collect::<Result<Vec<_>, _>>()?,
-                    },
-                    other => return Err(format!("unknown arrival kind {other:?}")),
-                };
-                let alloc = match workload.get("alloc").and_then(Json::as_str) {
-                    Some("persistent") => StreamAlloc::Persistent,
-                    Some("per-message") => StreamAlloc::PerMessage,
-                    other => return Err(format!("unknown stream alloc {other:?}")),
-                };
-                Workload::Stream(StreamWorkload {
-                    params: params_from_json(
-                        workload.get("params").ok_or("stream missing `params`")?,
-                    )?,
-                    n: pu32(workload, "n")? as usize,
-                    sources,
-                    max_epoch: pu32(workload, "max_epoch")?,
-                    exact_max_slots: pu64(workload, "exact_max_slots")?,
-                    arrival,
-                    horizon: pu64(workload, "horizon")?,
-                    alloc,
-                })
-            }
-            other => return Err(format!("unknown workload kind {other:?}")),
-        };
-        let engine = match value.get("engine").and_then(Json::as_str) {
-            Some("fast") => Engine::Fast,
-            Some("exact") => Engine::Exact,
-            Some("cohort") => Engine::CohortFast,
-            other => return Err(format!("unknown engine {other:?}")),
-        };
-        let adversary = value.get("adversary").ok_or("spec missing `adversary`")?;
-        let adversary = match adversary.get("kind").and_then(Json::as_str) {
-            Some("nojam") => AdversarySpec::NoJam,
-            Some("budgeted") => AdversarySpec::Budgeted {
-                budget: pu64(adversary, "budget")?,
-                fraction: pf64(adversary, "fraction")?,
-            },
-            Some("keepalive") => AdversarySpec::KeepAlive {
-                budget: pu64(adversary, "budget")?,
-                fraction: pf64(adversary, "fraction")?,
-            },
-            Some("random") => AdversarySpec::Random {
-                budget: pu64(adversary, "budget")?,
-                rate: pf64(adversary, "rate")?,
-            },
-            other => return Err(format!("unknown adversary kind {other:?}")),
-        };
-        let spec = ScenarioSpec {
-            workload,
-            engine,
-            adversary,
-            faults: faults_from_json(value.get("faults").ok_or("spec missing `faults`")?)?,
-            seeds: SeedPolicy::new(pu64(value, "seed")?),
-            trials: pu64(value, "trials")?,
-            parallelism: Parallelism::Auto,
-        };
-        spec.validate().map_err(|e| format!("invalid spec: {e}"))?;
-        Ok(spec)
-    }
-
     /// FNV-1a over the canonical (compact) rendering of
     /// [`to_json`](Self::to_json) — the identity a journal header records.
     /// Two specs share a fingerprint iff they produce the same results.
@@ -1345,7 +1208,8 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-// JSON field helpers shared by the spec and outcome (de)serializers. All
+// JSON field helpers shared by the spec serializer and the outcome
+// (de)serializer. All
 // `u64` quantities travel as decimal strings — `Json::Num` is an `f64`,
 // which silently rounds past 2^53 (seeds and slot counts routinely exceed
 // that).
@@ -1360,13 +1224,6 @@ fn pu64(value: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing u64 field `{key}`"))?
         .parse::<u64>()
         .map_err(|e| format!("field `{key}`: {e}"))
-}
-
-fn pf64(value: &Json, key: &str) -> Result<f64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_f64)
-        .ok_or_else(|| format!("missing f64 field `{key}`"))
 }
 
 fn pu32(value: &Json, key: &str) -> Result<u32, String> {
@@ -1397,21 +1254,6 @@ fn params_to_json(p: &OneToNParams) -> Json {
         ("safety_factor", Json::Num(p.safety_factor)),
         ("first_epoch", Json::Num(f64::from(p.first_epoch))),
     ])
-}
-
-fn params_from_json(value: &Json) -> Result<OneToNParams, String> {
-    Ok(OneToNParams {
-        b: pf64(value, "b")?,
-        rep_pow: pu32(value, "rep_pow")?,
-        d: pf64(value, "d")?,
-        listen_pow: pu32(value, "listen_pow")?,
-        s_init: pf64(value, "s_init")?,
-        helper_frac: pf64(value, "helper_frac")?,
-        growth_extra_pow: pu32(value, "growth_extra_pow")?,
-        term_factor: pf64(value, "term_factor")?,
-        safety_factor: pf64(value, "safety_factor")?,
-        first_epoch: pu32(value, "first_epoch")?,
-    })
 }
 
 fn faults_to_json(plan: &FaultPlan) -> Json {
@@ -1445,50 +1287,6 @@ fn faults_to_json(plan: &FaultPlan) -> Json {
         ("skew", skew),
         ("battery", battery),
     ])
-}
-
-fn faults_from_json(value: &Json) -> Result<FaultPlan, String> {
-    let opt = |key: &str| -> Result<Option<&Json>, String> {
-        match value.get(key) {
-            None => Err(format!("faults missing `{key}`")),
-            Some(Json::Null) => Ok(None),
-            Some(v) => Ok(Some(v)),
-        }
-    };
-    let loss = opt("loss")?
-        .map(|l| Ok::<_, String>(crate::faults::LossFault { p: pf64(l, "p")? }))
-        .transpose()?;
-    let crash = opt("crash")?
-        .map(|c| {
-            Ok::<_, String>(crate::faults::CrashFault {
-                node: pu32(c, "node")? as usize,
-                start_period: pu64(c, "start_period")?,
-                periods: pu64(c, "periods")?,
-                lose_state: pbool(c, "lose_state")?,
-            })
-        })
-        .transpose()?;
-    let skew = opt("skew")?
-        .map(|s| {
-            Ok::<_, String>(crate::faults::SkewFault {
-                node: pu32(s, "node")? as usize,
-                slots: pu64(s, "slots")?,
-            })
-        })
-        .transpose()?;
-    let battery = opt("battery")?
-        .map(|b| {
-            Ok::<_, String>(crate::faults::BatteryFault {
-                capacity: pu64(b, "capacity")?,
-            })
-        })
-        .transpose()?;
-    Ok(FaultPlan {
-        loss,
-        crash,
-        skew,
-        battery,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -2217,45 +2015,6 @@ mod tests {
     }
 
     #[test]
-    fn spec_json_round_trips_for_every_registry_scenario() {
-        for named in registry() {
-            let spec = named.spec.clone().with_parallelism(Parallelism::Auto);
-            let json = spec.to_json();
-            let back = ScenarioSpec::from_json(&json)
-                .unwrap_or_else(|e| panic!("{}: {e}\n{}", named.name, json.render()));
-            assert_eq!(back, spec, "{} drifted through JSON", named.name);
-            assert_eq!(
-                back.fingerprint(),
-                spec.fingerprint(),
-                "{}: fingerprint is not a pure function of the spec",
-                named.name
-            );
-        }
-    }
-
-    #[test]
-    fn spec_json_round_trips_the_exotic_branches() {
-        // Ksy protocol, seeded Random adversary, every fault kind — the
-        // branches the registry does not exercise.
-        let spec = ScenarioSpec::duel(DuelProtocol::ksy())
-            .with_engine(Engine::Exact)
-            .with_adversary(AdversarySpec::Random {
-                budget: 4096,
-                rate: 0.25,
-            })
-            .with_faults(
-                FaultPlan::none()
-                    .with_loss(0.125)
-                    .with_skew(1, 3)
-                    .with_battery(1 << 40),
-            )
-            .with_trials(17)
-            .with_seed(u64::MAX - 1);
-        let back = ScenarioSpec::from_json(&spec.to_json()).expect("round trip");
-        assert_eq!(back, spec.clone().with_parallelism(Parallelism::Auto));
-    }
-
-    #[test]
     fn fingerprints_separate_specs_and_ignore_parallelism() {
         let base = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 8)).with_seed(7);
         assert_ne!(
@@ -2274,6 +2033,37 @@ mod tests {
                 .fingerprint(),
             "thread count is a runtime concern: seed folds make outcomes \
              thread-count-invariant, so runs at any worker count may share a journal"
+        );
+
+        // Every branch of the rendering reaches the fingerprint: these
+        // variants differ pairwise, so all of them must fingerprint apart.
+        let jam = |adversary| base.clone().with_adversary(adversary);
+        let fault = |plan| base.clone().with_faults(plan);
+        let stream = |arrival| ScenarioSpec::stream(4, arrival, 10_000);
+        let (budget, fraction, rate) = (4096, 1.0, 0.5);
+        let (period, size, arrivals) = (100, 2, vec![5, 9]);
+        let variants = [
+            base.clone(),
+            ScenarioSpec::duel(DuelProtocol::ksy()).with_seed(7),
+            jam(AdversarySpec::Budgeted { budget, fraction }),
+            jam(AdversarySpec::KeepAlive { budget, fraction }),
+            jam(AdversarySpec::Random { budget, rate }),
+            fault(FaultPlan::none().with_loss(0.1)),
+            fault(FaultPlan::none().with_crash(1, 2, 3, true)),
+            fault(FaultPlan::none().with_skew(1, 1)),
+            fault(FaultPlan::none().with_battery(64)),
+            stream(ArrivalSpec::Poisson { rate }),
+            stream(ArrivalSpec::Poisson { rate }).with_stream_alloc(StreamAlloc::PerMessage),
+            stream(ArrivalSpec::Burst { period, size }),
+            stream(ArrivalSpec::Schedule { arrivals }),
+        ];
+        let mut prints: Vec<u64> = variants.iter().map(ScenarioSpec::fingerprint).collect();
+        prints.sort_unstable();
+        prints.dedup();
+        assert_eq!(
+            prints.len(),
+            variants.len(),
+            "two variants share a fingerprint"
         );
     }
 

@@ -314,11 +314,20 @@ fn assert_spec_matches_legacy(spec: &ScenarioSpec, label: &str) -> u64 {
 // Catalog sweeps
 // ---------------------------------------------------------------------------
 
+/// The default grid's cells of one workload kind, in grid order.
+fn grid_cells(kind: fn(&Workload) -> bool) -> Vec<rcb_sim::conformance::Cell> {
+    default_grid()
+        .into_iter()
+        .filter(|cell| kind(&cell.spec.workload))
+        .collect()
+}
+
 #[test]
 fn default_grid_duel_cells_match_legacy() {
-    let (duel_cells, _) = default_grid();
+    let duel_cells = grid_cells(|w| matches!(w, Workload::Duel(_)));
     assert!(!duel_cells.is_empty(), "grid must have duel cells");
     for (i, cell) in duel_cells.iter().enumerate() {
+        assert_eq!(cell.engines, (Engine::Exact, Engine::Fast));
         for engine in [Engine::Fast, Engine::Exact] {
             let trials = if engine == Engine::Fast { 4 } else { 2 };
             let spec = cell
@@ -334,7 +343,7 @@ fn default_grid_duel_cells_match_legacy() {
 
 #[test]
 fn default_grid_broadcast_cells_match_legacy() {
-    let (_, broadcast_cells) = default_grid();
+    let broadcast_cells = grid_cells(|w| matches!(w, Workload::Broadcast(_)));
     assert!(
         !broadcast_cells.is_empty(),
         "grid must have broadcast cells"

@@ -94,8 +94,8 @@ pub mod prelude {
     pub use rcb_core::protocol::{Schedule, SlotProtocol};
     pub use rcb_mathkit::rng::{RcbRng, SeedSequence};
     pub use rcb_sim::conformance::{
-        default_grid, replay_broadcast_trace, replay_duel_trace, run_broadcast_cell, run_duel_cell,
-        run_grid, BroadcastCell, ConformanceConfig, DuelCell, GridReport,
+        default_grid, replay_broadcast_trace, replay_duel_trace, run_grid, Cell, ConformanceConfig,
+        GridReport,
     };
     pub use rcb_sim::deadline::Deadline;
     pub use rcb_sim::duel::{run_duel, DuelConfig};

@@ -13,7 +13,7 @@
 //! over the gap with a 15% mean tolerance).
 
 use rcb::prelude::*;
-use rcb_sim::conformance::{run_broadcast_cell, run_duel_cell, CellReport};
+use rcb_sim::conformance::CellReport;
 
 const TRIALS: u64 = 60;
 const ALPHA: f64 = 1e-3;
@@ -25,6 +25,11 @@ fn cfg(seed: u64) -> ConformanceConfig {
         alpha: ALPHA,
         parallelism: Parallelism::Auto,
     }
+}
+
+/// Runs one cell through the grid runner and returns its report.
+fn run_cell(cell: Cell, cfg: &ConformanceConfig) -> CellReport {
+    run_grid(&[cell], cfg).cells.remove(0)
 }
 
 fn assert_conformant(report: &CellReport) {
@@ -39,13 +44,13 @@ fn assert_conformant(report: &CellReport) {
 
 #[test]
 fn duel_engines_agree_without_jamming() {
-    let cell = DuelCell::new(0.05, 6, AdversarySpec::NoJam);
-    assert_conformant(&run_duel_cell(&cell, &cfg(10)));
+    let cell = Cell::duel(0.05, 6, AdversarySpec::NoJam);
+    assert_conformant(&run_cell(cell, &cfg(10)));
 }
 
 #[test]
 fn duel_engines_agree_under_blanket_jamming() {
-    let cell = DuelCell::new(
+    let cell = Cell::duel(
         0.05,
         6,
         AdversarySpec::Budgeted {
@@ -53,7 +58,7 @@ fn duel_engines_agree_under_blanket_jamming() {
             fraction: 1.0,
         },
     );
-    assert_conformant(&run_duel_cell(&cell, &cfg(30)));
+    assert_conformant(&run_cell(cell, &cfg(30)));
 }
 
 /// Larger budgets stress the multi-epoch escalation path: the adversary
@@ -61,7 +66,7 @@ fn duel_engines_agree_under_blanket_jamming() {
 /// bookkeeping (thresholds, phase lengths, budget spend) shows up here.
 #[test]
 fn duel_engines_agree_under_heavy_jamming() {
-    let cell = DuelCell::new(
+    let cell = Cell::duel(
         0.05,
         6,
         AdversarySpec::Budgeted {
@@ -69,7 +74,7 @@ fn duel_engines_agree_under_heavy_jamming() {
             fraction: 1.0,
         },
     );
-    assert_conformant(&run_duel_cell(&cell, &cfg(50)));
+    assert_conformant(&run_cell(cell, &cfg(50)));
 }
 
 /// Distribution-shape check beyond the cost metrics: the KS verdict inside
@@ -77,7 +82,7 @@ fn duel_engines_agree_under_heavy_jamming() {
 /// produces the most structured (bimodal) cost distributions.
 #[test]
 fn duel_engines_agree_in_distribution() {
-    let cell = DuelCell::new(
+    let cell = Cell::duel(
         0.05,
         6,
         AdversarySpec::KeepAlive {
@@ -85,7 +90,7 @@ fn duel_engines_agree_in_distribution() {
             fraction: 1.0,
         },
     );
-    let report = run_duel_cell(&cell, &cfg(70));
+    let report = run_cell(cell, &cfg(70));
     assert_conformant(&report);
     // The harness must actually have tested the cost distributions.
     assert!(report.metrics.iter().any(|m| m.metric == "max_cost"));
@@ -95,19 +100,19 @@ fn duel_engines_agree_in_distribution() {
 #[test]
 fn broadcast_engines_agree_on_small_network() {
     // first_epoch 4 keeps the exact engine's slot count tame.
-    let cell = BroadcastCell::new(5, 4, AdversarySpec::NoJam);
+    let cell = Cell::broadcast(5, 4, AdversarySpec::NoJam);
     let c = ConformanceConfig {
         trials: 25,
         ..cfg(1000)
     };
-    assert_conformant(&run_broadcast_cell(&cell, &c));
+    assert_conformant(&run_cell(cell, &c));
 }
 
 /// Jammed 1-to-n: the adapter targets the single uniform group at one
 /// budget unit per slot, exactly the fast engine's accounting.
 #[test]
 fn broadcast_engines_agree_under_jamming() {
-    let cell = BroadcastCell::new(
+    let cell = Cell::broadcast(
         5,
         4,
         AdversarySpec::Budgeted {
@@ -119,7 +124,7 @@ fn broadcast_engines_agree_under_jamming() {
         trials: 25,
         ..cfg(2000)
     };
-    assert_conformant(&run_broadcast_cell(&cell, &c));
+    assert_conformant(&run_cell(cell, &c));
 }
 
 /// Fault injection under jamming: the loss coin lives in different places
@@ -128,7 +133,7 @@ fn broadcast_engines_agree_under_jamming() {
 /// both implementations.
 #[test]
 fn duel_engines_agree_under_loss_and_jamming() {
-    let cell = DuelCell::new(
+    let cell = Cell::duel(
         0.05,
         6,
         AdversarySpec::Budgeted {
@@ -137,7 +142,7 @@ fn duel_engines_agree_under_loss_and_jamming() {
         },
     )
     .with_fault(FaultPlan::none().with_loss(0.15));
-    assert_conformant(&run_duel_cell(&cell, &cfg(90)));
+    assert_conformant(&run_cell(cell, &cfg(90)));
 }
 
 /// Crash–restart in 1-to-n: the window is period-aligned in both engines
@@ -145,11 +150,11 @@ fn duel_engines_agree_under_loss_and_jamming() {
 /// accounting between the engines diverges here.
 #[test]
 fn broadcast_engines_agree_under_crash_restart() {
-    let cell = BroadcastCell::new(5, 4, AdversarySpec::NoJam)
+    let cell = Cell::broadcast(5, 4, AdversarySpec::NoJam)
         .with_fault(FaultPlan::none().with_crash(1, 2, 6, true));
     let c = ConformanceConfig {
         trials: 25,
         ..cfg(3000)
     };
-    assert_conformant(&run_broadcast_cell(&cell, &c));
+    assert_conformant(&run_cell(cell, &c));
 }
