@@ -620,6 +620,31 @@ mod tests {
     }
 
     #[test]
+    fn fast_vs_exact_half_jammed_broadcast_cell_agrees() {
+        // Half-suffix jamming leaves every jammed repetition's first half
+        // open, so most listens resolve against the fast engine's channel
+        // contents rather than the jam plan.
+        let cell = Cell::broadcast(
+            8,
+            4,
+            AdversarySpec::Budgeted {
+                budget: 2048,
+                fraction: 0.5,
+            },
+        );
+        let cfg = ConformanceConfig {
+            trials: 30,
+            ..small_cfg()
+        };
+        let report = run_cell(&cell, &cfg);
+        assert!(
+            !report.diverges(1e-3),
+            "fast engine diverges from exact under partial jamming:\n{:#?}",
+            report
+        );
+    }
+
+    #[test]
     fn cohort_vs_exact_broadcast_cell_agrees() {
         // The cohort engine against ground truth at a population small
         // enough for the slot-level engine.

@@ -6,17 +6,22 @@
 //!    Bernoulli processes (geometric skips), with listen slots that collide
 //!    with the node's own send slots dropped (a radio cannot do both — the
 //!    same rule the slot adapter uses);
-//! 2. all send events are sorted by slot and collapsed into per-slot
-//!    channel states (single `m` / single noise / collision);
+//! 2. all send events are sorted by slot (as 8-byte keys
+//!    `t << 1 | sends_message`) and collapsed into per-slot channel states
+//!    (single `m` / single noise / collision);
 //! 3. every listen event is resolved against the jam plan and the channel
 //!    state — observations therefore remain **fully coupled across nodes**
 //!    (two listeners of the same slot hear the same thing), which Lemma 6
-//!    style properties depend on;
+//!    style properties depend on. Each node's sorted listen slots are
+//!    merge-walked against its own sorted send slots and, through a
+//!    forward-only galloping cursor, against the sorted channel states;
 //! 4. each node's `(clear, messages)` counts feed
 //!    [`OneToNNode::end_repetition`] — the same state machine the exact
 //!    engine drives.
 //!
-//! Work per repetition is `O(events·log(senders))`, independent of `2^i`.
+//! Work per repetition is one sort of the send events plus a linear merge
+//! per node (each channel lookup gallops `O(log gap)`), independent of
+//! `2^i`.
 
 use rcb_adversary::traits::{RepetitionAdversary, RepetitionContext, RepetitionSummary};
 use rcb_core::one_to_n::node::OneToNNode;
@@ -49,8 +54,8 @@ impl Default for FastConfig {
 /// repetition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotContent {
-    /// Exactly one sender, transmitting `m`; the field is the sender id.
-    Message(u32),
+    /// Exactly one sender, transmitting `m`.
+    Message,
     /// Exactly one sender, transmitting noise (an uninformed node).
     SingleNoise,
     /// Two or more senders.
@@ -139,10 +144,14 @@ struct FastState {
     costs: Vec<u64>,
     dead: Vec<bool>,
     offline: Vec<bool>,
-    send_events: Vec<(u64, u32)>,
+    /// This repetition's send events as `t << 1 | sends_message` keys.
+    send_keys: Vec<u64>,
+    /// Every node's sorted send slots, back to back; node `u`'s are
+    /// `own_sends[own_send_offsets[u]..own_send_offsets[u + 1]]`.
+    own_sends: Vec<u64>,
+    own_send_offsets: Vec<usize>,
     slot_contents: Vec<(u64, SlotContent)>,
     scratch: Vec<u64>,
-    send_counts: Vec<u64>,
     clear_counts: Vec<u64>,
     msg_counts: Vec<u64>,
 }
@@ -159,17 +168,18 @@ impl FastState {
             costs: vec![0; n],
             dead: vec![false; n],
             offline: vec![false; n],
-            send_events: Vec::new(),
+            send_keys: Vec::new(),
+            own_sends: Vec::new(),
+            own_send_offsets: vec![0; n + 1],
             slot_contents: Vec::new(),
             scratch: Vec::new(),
-            send_counts: vec![0; n],
             clear_counts: vec![0; n],
             msg_counts: vec![0; n],
         }
     }
 
     /// Resets every node and counter to the just-constructed state while
-    /// keeping all ten allocations (the session layer's re-arm path).
+    /// keeping every allocation (the session layer's re-arm path).
     fn rearm(&mut self, params: &OneToNParams, sources: &[usize]) {
         for (u, node) in self.nodes.iter_mut().enumerate() {
             node.rearm(params, sources.contains(&u));
@@ -179,7 +189,6 @@ impl FastState {
         self.offline.fill(false);
         // The loop zeroes these as it goes, but a truncated run can leave
         // residue in the last repetition's counts.
-        self.send_counts.fill(0);
         self.clear_counts.fill(0);
         self.msg_counts.fill(0);
     }
@@ -265,10 +274,11 @@ fn run_broadcast_in(
         costs,
         dead,
         offline,
-        send_events,
+        send_keys,
+        own_sends,
+        own_send_offsets,
         slot_contents,
         scratch,
-        send_counts,
         clear_counts,
         msg_counts,
     } = state;
@@ -350,44 +360,23 @@ fn run_broadcast_in(
 
             // 1. Send events. Radio-off nodes sample nothing: no coin
             // flips, so their RNG consumption pauses with the radio.
-            send_events.clear();
+            // Each node's sorted send slots are kept for step 3's merge.
+            send_keys.clear();
+            own_sends.clear();
             for (u, node) in nodes.iter().enumerate() {
-                send_counts[u] = 0;
-                if node.is_terminated() || offline[u] {
-                    continue;
+                if !node.is_terminated() && !offline[u] {
+                    sample_slots_into(rng, len, node.send_prob(params), scratch);
+                    costs[u] += scratch.len() as u64;
+                    own_sends.extend_from_slice(scratch);
+                    let payload = u64::from(node.sends_message());
+                    send_keys.extend(scratch.iter().map(|&t| t << 1 | payload));
                 }
-                sample_slots_into(rng, len, node.send_prob(params), scratch);
-                send_counts[u] = scratch.len() as u64;
-                costs[u] += scratch.len() as u64;
-                for &t in scratch.iter() {
-                    send_events.push((t, u as u32));
-                }
+                own_send_offsets[u + 1] = own_sends.len();
             }
-            send_events.sort_unstable();
+            send_keys.sort_unstable();
 
-            // 2. Collapse into per-slot channel content, counting `m`
-            // slots as they are classified (the epilogue needs the total,
-            // and grouping here is cheaper than re-scanning the contents).
-            slot_contents.clear();
-            let mut message_slots = 0u64;
-            let mut k = 0usize;
-            while k < send_events.len() {
-                let (t, u) = send_events[k];
-                let mut j = k + 1;
-                while j < send_events.len() && send_events[j].0 == t {
-                    j += 1;
-                }
-                let content = if j - k >= 2 {
-                    SlotContent::Collision
-                } else if nodes[u as usize].sends_message() {
-                    message_slots += 1;
-                    SlotContent::Message(u)
-                } else {
-                    SlotContent::SingleNoise
-                };
-                slot_contents.push((t, content));
-                k = j;
-            }
+            // 2. Collapse into per-slot channel content.
+            let message_slots = collapse_sends(send_keys, slot_contents);
 
             // 3. Listen events.
             let mut total_listens = 0u64;
@@ -397,16 +386,13 @@ fn run_broadcast_in(
                 }
                 let skew = faults.skew_slots(u);
                 sample_slots_into(rng, len, node.listen_prob(params), scratch);
-                // Drop listen slots where this node itself transmits.
-                // Own sends for node u are a sorted subsequence of
-                // send_events; rescan them via binary search on the full
-                // sorted list (senders per slot are few).
-                // Nodes that sent nothing this repetition (the common case
-                // at low send rates) skip the lookup outright.
-                let sent = send_counts[u] != 0;
+                let mut cursor = ListenCursor::new(
+                    &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]],
+                    slot_contents,
+                );
                 for &t in scratch.iter() {
-                    if sent && slot_in_own_sends(send_events, t, u as u32) {
-                        continue;
+                    if cursor.sends_in(t) {
+                        continue; // a radio cannot send and listen at once
                     }
                     costs[u] += 1;
                     total_listens += 1;
@@ -416,20 +402,17 @@ fn run_broadcast_in(
                     if plan.is_jammed(t, len) {
                         continue; // noise
                     }
-                    match slot_contents.binary_search_by_key(&t, |&(s, _)| s) {
-                        Err(_) => clear_counts[u] += 1,
-                        Ok(idx) => match slot_contents[idx].1 {
-                            SlotContent::Message(sender) => {
-                                debug_assert_ne!(sender, u as u32);
-                                // The loss coin is drawn only on decodable
-                                // payload receptions, same as the exact
-                                // engine's receiver condition.
-                                if !lost(&mut fault_rng) {
-                                    msg_counts[u] += 1;
-                                }
+                    match cursor.content_at(t) {
+                        None => clear_counts[u] += 1,
+                        // The loss coin is drawn only on decodable payload
+                        // receptions, same as the exact engine's receiver
+                        // condition.
+                        Some(SlotContent::Message) => {
+                            if !lost(&mut fault_rng) {
+                                msg_counts[u] += 1;
                             }
-                            SlotContent::SingleNoise | SlotContent::Collision => {}
-                        },
+                        }
+                        Some(SlotContent::SingleNoise | SlotContent::Collision) => {}
                     }
                 }
             }
@@ -450,7 +433,7 @@ fn run_broadcast_in(
                     busy_slots: slot_contents.len() as u64,
                     jammed_slots: plan.jam_count(len),
                     listen_actions: total_listens,
-                    send_actions: send_events.len() as u64,
+                    send_actions: send_keys.len() as u64,
                 },
             );
             observer.on_repetition(epoch, period, plan.jam_count(len), nodes);
@@ -499,16 +482,75 @@ fn run_broadcast_in(
     )
 }
 
-/// Whether `(t, u)` occurs in the sorted `send_events`.
-fn slot_in_own_sends(send_events: &[(u64, u32)], t: u64, u: u32) -> bool {
-    let mut idx = send_events.partition_point(|&(s, _)| s < t);
-    while idx < send_events.len() && send_events[idx].0 == t {
-        if send_events[idx].1 == u {
-            return true;
-        }
-        idx += 1;
+/// Collapses sorted `t << 1 | sends_message` send keys into per-slot
+/// channel content, returning the number of `m` slots (the epilogue needs
+/// the total, and counting here is cheaper than re-scanning the contents).
+fn collapse_sends(send_keys: &[u64], slot_contents: &mut Vec<(u64, SlotContent)>) -> u64 {
+    slot_contents.clear();
+    let mut message_slots = 0u64;
+    for group in send_keys.chunk_by(|a, b| a >> 1 == b >> 1) {
+        let content = match group {
+            [key] if key & 1 == 1 => {
+                message_slots += 1;
+                SlotContent::Message
+            }
+            [_] => SlotContent::SingleNoise,
+            _ => SlotContent::Collision,
+        };
+        slot_contents.push((group[0] >> 1, content));
     }
-    false
+    message_slots
+}
+
+/// First index `i >= from` with `contents[i].0 >= t`, found by doubling the
+/// step from `from` and then binary-searching the last step, so a lookup
+/// that skips `g` entries costs `O(log g)`.
+fn gallop(contents: &[(u64, SlotContent)], from: usize, t: u64) -> usize {
+    let rest = &contents[from..];
+    let (mut lo, mut step) = (0, 1);
+    while step <= rest.len() && rest[step - 1].0 < t {
+        lo = step;
+        step *= 2;
+    }
+    let hi = step.min(rest.len());
+    from + lo + rest[lo..hi].partition_point(|&(s, _)| s < t)
+}
+
+/// Resolves one node's listen slots, which must be queried in increasing
+/// order: both cursors only move forward.
+struct ListenCursor<'a> {
+    own_sends: &'a [u64],
+    contents: &'a [(u64, SlotContent)],
+    own: usize,
+    content: usize,
+}
+
+impl<'a> ListenCursor<'a> {
+    fn new(own_sends: &'a [u64], contents: &'a [(u64, SlotContent)]) -> Self {
+        Self {
+            own_sends,
+            contents,
+            own: 0,
+            content: 0,
+        }
+    }
+
+    /// Whether the node itself transmits in slot `t`.
+    fn sends_in(&mut self, t: u64) -> bool {
+        while self.own_sends.get(self.own).is_some_and(|&s| s < t) {
+            self.own += 1;
+        }
+        self.own_sends.get(self.own) == Some(&t)
+    }
+
+    /// The channel content of slot `t`; `None` is a silent slot.
+    fn content_at(&mut self, t: u64) -> Option<SlotContent> {
+        self.content = gallop(self.contents, self.content, t);
+        match self.contents.get(self.content) {
+            Some(&(s, content)) if s == t => Some(content),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -642,14 +684,62 @@ mod tests {
         );
     }
 
+    /// Channel contents at the given busy slots, all collisions.
+    fn busy(slots: &[u64]) -> Vec<(u64, SlotContent)> {
+        slots.iter().map(|&t| (t, SlotContent::Collision)).collect()
+    }
+
     #[test]
-    fn slot_in_own_sends_lookup() {
-        let events = [(1u64, 0u32), (3, 1), (3, 2), (7, 0)];
-        assert!(slot_in_own_sends(&events, 1, 0));
-        assert!(!slot_in_own_sends(&events, 1, 1));
-        assert!(slot_in_own_sends(&events, 3, 2));
-        assert!(!slot_in_own_sends(&events, 3, 0));
-        assert!(!slot_in_own_sends(&events, 5, 0));
+    fn gallop_edge_cases() {
+        assert_eq!(gallop(&[], 0, 5), 0, "empty contents");
+        let contents = busy(&[2, 4, 6, 8]);
+        assert_eq!(gallop(&contents, 4, 0), 4, "from == len stays put");
+        assert_eq!(gallop(&contents, 1, 100), 4, "past the last slot");
+        assert_eq!(gallop(&contents, 0, 6), 2, "exact hit");
+        assert_eq!(gallop(&contents, 2, 6), 2, "exact hit at `from`");
+        assert_eq!(gallop(&contents, 0, 5), 2, "a miss lands on the next slot");
+    }
+
+    #[test]
+    fn gallop_skips_long_runs_like_a_binary_search() {
+        let slots: Vec<u64> = (0..1000).map(|k| 3 * k).collect();
+        let contents = busy(&slots);
+        let mut at = 0;
+        for t in [1u64, 2, 700, 701, 1500, 2996, 2997, 2998] {
+            at = gallop(&contents, at, t);
+            assert_eq!(at, slots.partition_point(|&s| s < t), "target {t}");
+        }
+        assert_eq!(at, contents.len());
+    }
+
+    #[test]
+    fn listens_skip_own_sends_but_others_hear_the_collision() {
+        // Node 0 sends noise at 3 and 7, node 1 sends m at 3 and 9.
+        let mut keys = vec![3 << 1, 7 << 1, 3 << 1 | 1, 9 << 1 | 1];
+        keys.sort_unstable();
+        let mut contents = Vec::new();
+        assert_eq!(collapse_sends(&keys, &mut contents), 1);
+        assert_eq!(
+            contents,
+            [
+                (3, SlotContent::Collision),
+                (7, SlotContent::SingleNoise),
+                (9, SlotContent::Message)
+            ]
+        );
+
+        let mut own = ListenCursor::new(&[3, 7], &contents);
+        assert!(own.sends_in(3), "a listen on an own send slot is dropped");
+        assert!(!own.sends_in(5));
+        assert_eq!(own.content_at(5), None);
+        assert!(own.sends_in(7));
+        assert!(!own.sends_in(9));
+        assert_eq!(own.content_at(9), Some(SlotContent::Message));
+
+        let mut other = ListenCursor::new(&[], &contents);
+        assert!(!other.sends_in(3));
+        assert_eq!(other.content_at(3), Some(SlotContent::Collision));
+        assert_eq!(other.content_at(7), Some(SlotContent::SingleNoise));
     }
 
     #[test]

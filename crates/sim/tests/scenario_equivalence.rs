@@ -7,7 +7,10 @@
 //! that promise on the two shipped catalogs:
 //!
 //! * every cell of the conformance differ's default grid, on both engines;
-//! * every named registry entry behind `rcbsim scenario run`.
+//! * every named registry entry behind `rcbsim scenario run`;
+//!
+//! plus the fast-engine jamming paths the registry never reaches
+//! (`FAST_PATH_CHECKSUMS`).
 //!
 //! Each spec is replayed through a hand-built legacy harness — the
 //! pre-scenario construction for each (workload, engine) — that calls
@@ -422,6 +425,68 @@ fn registry_entries_match_legacy() {
         ["stream_n4096_cohort", "bcast_n1e6"],
         "a new registry entry needs a pinned checksum"
     );
+}
+
+/// Fast-engine paths the registry's full-suffix blockers leave unpinned:
+/// `Random` is the only policy that emits `JamPlan::Slots`; the half-suffix
+/// and keep-alive blockers leave partly jammed repetitions, whose listens
+/// resolve against the channel contents; the last case adds
+/// `bcast_n64_faulted`'s loss + skew plan under the half-suffix blocker.
+/// Batch checksums at 4 trials; a change here is a behaviour change and
+/// must be declared.
+const FAST_PATH_CHECKSUMS: [(&str, usize, u64); 8] = [
+    ("random", 8, 0xbb76_a6f6_6bf9_e778),
+    ("random", 64, 0x98dc_41f6_e776_1fe5),
+    ("half_suffix", 8, 0x3de2_68f7_1025_a278),
+    ("half_suffix", 64, 0x777a_208c_e8ad_ead8),
+    ("keep_alive", 8, 0x57c4_204a_07ea_7ccb),
+    ("keep_alive", 64, 0x27c6_587a_5455_a45c),
+    ("half_suffix_loss_skew", 8, 0x5027_dab2_518f_82a5),
+    ("half_suffix_loss_skew", 64, 0x72d2_cde7_c66a_5667),
+];
+
+fn fast_path_spec(case: &str, n: usize) -> ScenarioSpec {
+    let budget = if n == 8 { 100_000 } else { 200_000 };
+    let half = AdversarySpec::Budgeted {
+        budget,
+        fraction: 0.5,
+    };
+    let (adversary, faults) = match case {
+        "random" => (
+            AdversarySpec::Random { budget, rate: 0.25 },
+            FaultPlan::none(),
+        ),
+        "half_suffix" => (half, FaultPlan::none()),
+        "keep_alive" => (
+            AdversarySpec::KeepAlive {
+                budget,
+                fraction: 0.5,
+            },
+            FaultPlan::none(),
+        ),
+        "half_suffix_loss_skew" => (half, FaultPlan::none().with_loss(0.1).with_skew(5, 1)),
+        _ => unreachable!("unknown fast-path case {case}"),
+    };
+    ScenarioSpec::broadcast(n)
+        .with_adversary(adversary)
+        .with_faults(faults)
+        .with_trials(4)
+        .with_seed(0xFA57 ^ n as u64)
+}
+
+#[test]
+fn fast_engine_partial_jam_paths_match_pins() {
+    let moved: Vec<String> = FAST_PATH_CHECKSUMS
+        .iter()
+        .filter_map(|&(case, n, expected)| {
+            let label = format!("{case} n={n}");
+            let checksum = assert_spec_matches_legacy(&fast_path_spec(case, n), &label);
+            (checksum != expected).then(|| {
+                format!("{label}: {checksum:#018x} moved from the pinned {expected:#018x}")
+            })
+        })
+        .collect();
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
 }
 
 // ---------------------------------------------------------------------------
