@@ -1,13 +1,11 @@
-//! `rcbsim` — a command-line driver for one-off simulations.
-//!
-//! The experiment binaries regenerate the paper's tables; `rcbsim` is the
-//! interactive companion: run a single configuration and read the numbers.
+//! `rcbsim` — the command-line front door: one-off simulations, the
+//! scenario registry, the conformance grid, and the paper's experiments.
 //!
 //! ```text
 //! rcbsim duel      --profile fig1 --epsilon 0.01 --budget 65536 --trials 100
 //! rcbsim broadcast --n 64 --budget 1048576 --adversary suffix --q 1.0 --trials 10
-//! rcbsim product   --budget 16384 --delta 0.5 --trials 2000
-//! rcbsim golden    --budget 16384 --trials 500
+//! rcbsim exp e8                      # one experiment (DESIGN.md §4)
+//! rcbsim exp all --scale full        # every table in EXPERIMENTS.md
 //! ```
 //!
 //! Argument parsing is hand-rolled (`--key value` / `--key=value`): the
@@ -19,11 +17,11 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Duration;
 
-use crate::experiments::common::split_truncated;
+use crate::experiments::common::{split_truncated, SweepControl};
+use crate::experiments::{self, Report};
+use crate::scale::Scale;
 use rcb_analysis::table::{num, TableBuilder};
-use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
-use rcb_mathkit::PHI_MINUS_ONE;
 use rcb_sim::conformance::{default_grid, run_grid, ConformanceConfig};
 use rcb_sim::deadline::{install_sigint_handler, interrupted, Deadline};
 use rcb_sim::error::SimError;
@@ -31,7 +29,6 @@ use rcb_sim::executor::run_specs_journaled;
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::journal::{Journal, JournalHeader};
 use rcb_sim::json::Json;
-use rcb_sim::lowerbound::{golden_ratio_game, product_game};
 use rcb_sim::outcome::StreamOutcome;
 use rcb_sim::runner::Parallelism;
 use rcb_sim::scenario::{
@@ -40,7 +37,7 @@ use rcb_sim::scenario::{
 };
 
 /// Parsed command line: one subcommand, optional further positionals
-/// (only the `scenario` command takes any), plus `--key value` options.
+/// (only `scenario` and `exp` take any), plus `--key value` options.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     command: Option<String>,
@@ -51,7 +48,7 @@ pub struct Args {
 impl Args {
     /// Parses `argv` (without the program name). Positionals after the
     /// command are collected; each command enforces its own arity at
-    /// dispatch (only `scenario` accepts any).
+    /// dispatch (only `scenario` and `exp` accept any).
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
         let mut args = Args::default();
         let mut iter = argv.into_iter().peekable();
@@ -175,10 +172,6 @@ COMMANDS:
   broadcast  1-to-n broadcast (Figure 2)
              --n N   --budget N   --adversary suffix|random|keepalive|none
              --q F   --trials N   --seed N
-  product    Theorem 2 product game
-             --budget N   --delta F   --trials N   --seed N
-  golden     Theorem 5 golden-ratio sweep
-             --budget N   --trials N   --seed N
   conformance  cross-engine agreement grid (exact vs fast engines)
              --trials N (default 200)   --seed N (default 2014)
              --alpha F (default 0.001)
@@ -187,6 +180,15 @@ COMMANDS:
              scenario names         bare names, one per line
              scenario run <NAME>    run one entry
                --trials N   --seed N  (override the registry defaults)
+  exp        the paper's experiments (DESIGN.md §4, EXPERIMENTS.md)
+             exp <ID>               run one, e.g. `exp e3`
+             exp all                run E1–E16 in order
+               --scale quick|full (default quick)   --seed N
+               --journal-dir DIR  checkpoint the budget sweeps (E1–E3,
+                                  E5–E7, E9) into DIR; re-running resumes
+               --deadline SECS    wall-clock budget for those sweeps
+             exits nonzero, naming each failed verdict, when a fitted
+             exponent leaves its band or E5's bracket check fails
   help       this text
 
 CRASH SAFETY (scenario run):
@@ -240,10 +242,9 @@ fn command_flags(command: &str) -> Option<Vec<&'static str>> {
             &["n", "budget", "adversary", "q", "trials", "seed"],
             &FAULT_FLAGS,
         ),
-        "product" => (&["budget", "delta", "trials", "seed"], &[]),
-        "golden" => (&["budget", "trials", "seed"], &[]),
         "conformance" => (&["trials", "seed", "alpha"], &[]),
         "scenario" => (&["trials", "seed"], &RUN_CONTROL_FLAGS),
+        "exp" => (&["scale", "seed", "journal-dir", "deadline"], &[]),
         _ => return None,
     };
     Some(own.iter().chain(shared).copied().collect())
@@ -282,7 +283,7 @@ pub fn run_cli(args: &Args) -> Result<String, String> {
     if args.get_opt::<u64>("trials")? == Some(0) {
         return Err("--trials must be at least 1".into());
     }
-    if args.command() != Some("scenario") {
+    if !matches!(args.command(), Some("scenario" | "exp")) {
         if let Some(extra) = args.positional(0) {
             return Err(format!("unexpected positional argument `{extra}`"));
         }
@@ -291,10 +292,9 @@ pub fn run_cli(args: &Args) -> Result<String, String> {
         None | Some("help") => Ok(HELP.to_string()),
         Some("duel") => cmd_duel(args),
         Some("broadcast") => cmd_broadcast(args),
-        Some("product") => cmd_product(args),
-        Some("golden") => cmd_golden(args),
         Some("conformance") => cmd_conformance(args),
         Some("scenario") => cmd_scenario(args),
+        Some("exp") => cmd_exp(args),
         Some(other) => Err(format!("unknown command `{other}`; try `rcbsim help`")),
     }
 }
@@ -686,46 +686,74 @@ fn cmd_scenario(args: &Args) -> Result<String, String> {
     }
 }
 
-fn cmd_product(args: &Args) -> Result<String, String> {
-    let budget: u64 = args.get("budget", 16384)?;
-    let delta: f64 = args.get("delta", 0.5)?;
-    let trials: u64 = args.get("trials", 2000)?;
-    let seed: u64 = args.get("seed", 2014)?;
-    if !(0.0..1.0).contains(&delta) || delta <= 0.0 {
-        return Err("--delta must be in (0,1)".into());
+/// `exp <ID>|all` — runs experiments from [`experiments::all`] and prints
+/// their reports. Like a failed conformance grid, a failed verdict makes
+/// the command fail, so CI can gate on the paper's claims.
+fn cmd_exp(args: &Args) -> Result<String, String> {
+    let all = experiments::all();
+    let ids = || {
+        let ids: Vec<String> = all.iter().map(|(id, ..)| id.to_lowercase()).collect();
+        format!("all, {}", ids.join(", "))
+    };
+    let which = args
+        .positional(0)
+        .ok_or_else(|| format!("exp needs an experiment ID; valid IDs: {}", ids()))?;
+    if let Some(extra) = args.positional(1) {
+        return Err(format!("unexpected positional argument `{extra}`"));
     }
-    let mut rng = SeedSequence::new(seed).rng(0);
-    let row = product_game(budget, delta, trials, &mut rng);
-    Ok(format!(
-        "δ = {delta}, T = {budget}, {trials} trials\n\
-         E(A) = {:.1}, E(B) = {:.1}, E(A)·E(B)/T = {:.3} (Theorem 2 floor: ≥ 1 − O(ε))\n",
-        row.mean_a, row.mean_b, row.product_over_t
-    ))
+    let selected: Vec<_> = all
+        .iter()
+        .filter(|(id, ..)| which == "all" || id.eq_ignore_ascii_case(which))
+        .copied()
+        .collect();
+    if selected.is_empty() {
+        return Err(format!(
+            "unknown experiment `{which}`; valid IDs: {}",
+            ids()
+        ));
+    }
+    let mut scale = match args.get_str("scale", "quick").as_str() {
+        "quick" => Scale::quick(),
+        "full" => Scale::full(),
+        other => return Err(format!("--scale must be quick or full, got `{other}`")),
+    };
+    if let Some(seed) = args.get_opt::<u64>("seed")? {
+        scale.seed = seed;
+    }
+    let journal_dir = args.get_opt::<String>("journal-dir")?.map(PathBuf::from);
+    if let Some(dir) = &journal_dir {
+        if !dir.is_dir() {
+            return Err(format!(
+                "--journal-dir: `{}` is not a directory",
+                dir.display()
+            ));
+        }
+    }
+    let ctl = SweepControl {
+        journal_dir,
+        deadline: deadline_arg(args)?,
+    };
+    let report = experiments::run_selected(&selected, &scale, &ctl)?;
+    check_verdicts(
+        format!("# rcb experiment suite (scale: {scale:?})\n"),
+        report,
+    )
 }
 
-fn cmd_golden(args: &Args) -> Result<String, String> {
-    let budget: u64 = args.get("budget", 16384)?;
-    let trials: u64 = args.get("trials", 500)?;
-    let seed: u64 = args.get("seed", 2014)?;
-    let seeds = SeedSequence::new(seed);
-    let mut t = TableBuilder::new(vec!["δ", "worst exponent", "predicted", "adversary plays"]);
-    for (i, delta) in [0.45, 0.5, 0.55, PHI_MINUS_ONE, 0.65, 0.7, 0.8]
-        .iter()
-        .enumerate()
-    {
-        let mut rng = seeds.rng(i as u64);
-        let row = golden_ratio_game(budget, *delta, trials, &mut rng);
-        t.row(vec![
-            format!("{delta:.3}"),
-            num(row.worst_exponent),
-            num(row.predicted),
-            format!("{:?}", row.picked),
-        ]);
+/// `header` plus the report's text, or — when any verdict failed — that
+/// text followed by the name of every failed verdict, as an error.
+fn check_verdicts(header: String, report: Report) -> Result<String, String> {
+    let text = header + &report.text;
+    let failed: Vec<&str> = report.failures().map(|v| v.name.as_str()).collect();
+    if failed.is_empty() {
+        Ok(text)
+    } else {
+        Err(format!(
+            "{text}\n{} paper verdict(s) failed:\n  {}",
+            failed.len(),
+            failed.join("\n  ")
+        ))
     }
-    Ok(format!(
-        "{}\nthe minimum sits at δ = φ−1 ≈ 0.618 (Theorem 5)\n",
-        t.markdown()
-    ))
 }
 
 fn cmd_conformance(args: &Args) -> Result<String, String> {
@@ -774,16 +802,21 @@ fn run_control_args(args: &Args) -> Result<RunControlArgs, String> {
                 .into(),
         );
     }
-    let deadline_budget = match args.get_opt::<f64>("deadline")? {
-        None => None,
-        Some(secs) if secs.is_finite() && secs >= 0.0 => Some(Duration::from_secs_f64(secs)),
-        Some(_) => return Err("--deadline must be a non-negative number of seconds".into()),
-    };
     Ok(RunControlArgs {
         journal,
         resume,
-        deadline_budget,
+        deadline_budget: deadline_arg(args)?,
     })
+}
+
+/// `--deadline SECS`, shared by `scenario run` and `exp`: a finite,
+/// non-negative number of seconds.
+fn deadline_arg(args: &Args) -> Result<Option<Duration>, String> {
+    match args.get_opt::<f64>("deadline")? {
+        None => Ok(None),
+        Some(secs) if secs.is_finite() && secs >= 0.0 => Ok(Some(Duration::from_secs_f64(secs))),
+        Some(_) => Err("--deadline must be a non-negative number of seconds".into()),
+    }
 }
 
 impl RunControlArgs {
@@ -859,6 +892,29 @@ mod tests {
         assert!(parse(&["--"]).is_err(), "bare dashes");
         let a = parse(&["duel", "--budget", "abc"]).expect("parse ok");
         assert!(a.get::<u64>("budget", 0).is_err(), "type error surfaces");
+        // `exp` validates every flag before any experiment runs.
+        for (flags, needle) in [
+            (&["--scale", "ful"][..], "--scale"),
+            (&["--seed", "-3"], "--seed"),
+            (&["--seed", "1e9"], "--seed"),
+            (&["--deadline", "-1"], "--deadline"),
+            (&["--deadline", "inf"], "--deadline"),
+            (&["--deadline", "nan"], "--deadline"),
+            (&["--journal-dir", "/nonexistent/rcb_ckpt"], "--journal-dir"),
+        ] {
+            let mut v = vec!["exp", "e2"];
+            v.extend_from_slice(flags);
+            let err = run_cli(&parse(&v).expect("parse")).expect_err("malformed exp flag");
+            assert!(err.contains(needle), "{v:?}: {err}");
+        }
+        let err = run_cli(&parse(&["exp"]).expect("parse")).expect_err("no ID");
+        assert!(err.contains("e16"), "lists the valid IDs: {err}");
+        let err = run_cli(&parse(&["exp", "e99"]).expect("parse")).expect_err("unknown ID");
+        assert!(
+            err.contains("`e99`") && err.contains("all, e1, e2"),
+            "{err}"
+        );
+        assert!(run_cli(&parse(&["exp", "e2", "e3"]).expect("parse")).is_err());
     }
 
     #[test]
@@ -868,9 +924,16 @@ mod tests {
         assert!(err.contains("--trails"), "names the flag: {err}");
         assert!(err.contains("--trials"), "lists the valid ones: {err}");
         // A flag valid for one command is still foreign to another.
-        let err = run_cli(&parse(&["golden", "--fault-loss", "0.2"]).expect("parse"))
-            .expect_err("golden takes no fault flags");
+        let err = run_cli(&parse(&["conformance", "--fault-loss", "0.2"]).expect("parse"))
+            .expect_err("conformance takes no fault flags");
         assert!(err.contains("--fault-loss"), "{err}");
+        // The experiment knobs are flags, so a typo is caught by name.
+        let err = run_cli(&parse(&["exp", "e2", "--sede", "7"]).expect("parse"))
+            .expect_err("a typo must not fall back to the default seed");
+        assert!(
+            err.contains("--sede") && err.contains("--journal-dir"),
+            "{err}"
+        );
         assert!(run_cli(&parse(&["help", "--n", "3"]).expect("parse")).is_err());
     }
 
@@ -882,6 +945,11 @@ mod tests {
             ("ci.yml", include_str!("../../../.github/workflows/ci.yml")),
             ("README.md", include_str!("../../../README.md")),
             ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+            ("DESIGN.md", include_str!("../../../DESIGN.md")),
+            (
+                "SKILL.md",
+                include_str!("../../../.claude/skills/verify/SKILL.md"),
+            ),
         ];
         let mut checked = 0;
         for (file, text) in sources {
@@ -963,19 +1031,71 @@ mod tests {
     }
 
     #[test]
-    fn product_command_smoke() {
-        let a = parse(&["product", "--budget", "256", "--trials", "200"]).expect("parse");
-        let report = run_cli(&a).expect("run");
-        assert!(report.contains("E(A)·E(B)/T"));
-        let bad = parse(&["product", "--delta", "1.5"]).expect("parse");
-        assert!(run_cli(&bad).is_err());
+    fn exp_command_smoke() {
+        let report = run_cli(&parse(&["exp", "E2"]).expect("parse")).expect("E2 passes");
+        assert!(report.starts_with("# rcb experiment suite"), "{report}");
+        assert!(report.contains("## E2: Theorem 1 — ε-dependence of cost"));
+        assert!(report.contains("→ OK"), "{report}");
+        assert!(!report.contains("wall time"), "timings go to stderr");
     }
 
     #[test]
-    fn golden_command_smoke() {
-        let a = parse(&["golden", "--budget", "256", "--trials", "50"]).expect("parse");
-        let report = run_cli(&a).expect("run");
-        assert!(report.contains("0.618"));
+    fn exp_deadline_cut_is_an_error_with_a_resume_hint() {
+        let err = run_cli(&parse(&["exp", "e3", "--deadline", "0"]).expect("parse"))
+            .expect_err("a cut sweep reports no statistics");
+        assert!(
+            err.contains("E3: sweep wall-clock budget exceeded"),
+            "{err}"
+        );
+        assert!(err.contains("no --journal-dir"), "{err}");
+
+        let dir = std::env::temp_dir().join(format!("rcb_exp_cut_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir_arg = dir.to_string_lossy();
+        let a = parse(&["exp", "e3", "--deadline", "0", "--journal-dir", &dir_arg]);
+        let err = run_cli(&a.expect("parse")).expect_err("a cut sweep");
+        assert!(err.contains("re-run with the same --journal-dir"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_verdict_fails_exp() {
+        use rcb_analysis::scaling::ScalingVerdict;
+        use rcb_mathkit::fit::PowerLawFit;
+        let verdict = |within_tolerance| ScalingVerdict {
+            series: "cost vs T".into(),
+            predicted_exponent: 0.5,
+            fitted: PowerLawFit {
+                exponent: if within_tolerance { 0.5 } else { 0.9 },
+                amplitude: 1.0,
+                r2: 1.0,
+            },
+            tolerance: 0.15,
+            within_tolerance,
+        };
+        let mut e1 = Report::default();
+        e1.scaling(&verdict(true), " [raw]");
+        assert!(check_verdicts(String::new(), e1.clone()).is_ok());
+
+        e1.scaling(&verdict(false), " [baseline-subtracted]");
+        let mut e5 = Report::default();
+        e5.check(
+            "cost vs n: bracket check".into(),
+            false,
+            "bracket check: predicted −0.5 ∈ [-0.3, -0.2] → MISMATCH\n",
+        );
+        let mut all = Report::default();
+        all.append("E1", "cost", e1);
+        all.append("E5", "broadcast", e5);
+        let err = check_verdicts(String::new(), all).expect_err("two verdicts failed");
+        assert!(err.contains("→ MISMATCH"), "the report is kept: {err}");
+        assert!(err.contains("2 paper verdict(s) failed"), "{err}");
+        assert!(err.contains("E1: cost vs T [baseline-subtracted]"), "{err}");
+        assert!(err.contains("E5: cost vs n: bracket check"), "{err}");
+        assert!(
+            !err.contains("  E1: cost vs T [raw]"),
+            "passing verdicts are not named: {err}"
+        );
     }
 
     #[test]
@@ -1214,8 +1334,6 @@ mod tests {
         for command in [
             &["duel"][..],
             &["broadcast"],
-            &["product"],
-            &["golden"],
             &["conformance"],
             &["scenario", "run", "duel_jammed"],
         ] {

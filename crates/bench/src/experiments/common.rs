@@ -8,11 +8,11 @@
 //! ([`rcb_sim::executor::run_specs_ctl`]), so cores stay
 //! busy across cell boundaries; the per-cell seed folds (and therefore
 //! every trial's RNG stream) are unchanged from the historical serial
-//! loop. Crash safety rides on the environment — [`SWEEP_JOURNAL_DIR_ENV`]
-//! checkpoints (and auto-resumes) per-trial journals,
-//! [`SWEEP_DEADLINE_ENV`] bounds the wall clock — so the budget sweeps
-//! (E1–E3, E5–E7, E9) are resumable without per-binary flag plumbing. The
-//! other experiments run their engines directly and are not.
+//! loop. Crash safety comes from the caller's [`SweepControl`] (the
+//! `--journal-dir` and `--deadline` flags of `rcbsim exp`): a journal
+//! directory checkpoints (and auto-resumes) per-trial journals, a deadline
+//! bounds the wall clock. Only the budget sweeps (E1–E3, E5–E7, E9) are
+//! resumable; the other experiments run their engines directly.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -93,39 +93,29 @@ pub fn split_truncated<T>(
     (out, truncated)
 }
 
-/// Environment variable naming a directory for sweep checkpoint journals.
-/// When set, every budget sweep journals completed trials to
+/// Crash-safety knobs for the budget sweeps.
+///
+/// With `journal_dir` set, every budget sweep journals completed trials to
 /// `<dir>/sweep_<fingerprint>.jsonl` and automatically resumes an existing
 /// journal for the same work (a journal from *different* work is refused
-/// via its header fingerprint, never silently spliced).
-pub const SWEEP_JOURNAL_DIR_ENV: &str = "RCB_JOURNAL_DIR";
-
-/// Environment variable bounding a sweep's wall clock in (fractional)
-/// seconds. In-flight trials finish, the journal (if any) is flushed, and
-/// the process exits with a message naming the resume mechanism — partial
+/// via its header fingerprint, never silently spliced). With `deadline`
+/// set, in-flight trials finish, the journal (if any) is flushed, and the
+/// sweep stops with a message naming the resume mechanism — partial
 /// statistics are never reported as if they were complete.
-pub const SWEEP_DEADLINE_ENV: &str = "RCB_DEADLINE_SECS";
-
-/// Crash-safety knobs for the budget sweeps, normally read from the
-/// environment ([`sweep_control_from_env`]) so the experiment binaries
-/// need no per-binary flag plumbing.
 #[derive(Debug, Clone, Default)]
 pub struct SweepControl {
     pub journal_dir: Option<PathBuf>,
-    pub deadline_secs: Option<f64>,
+    pub deadline: Option<Duration>,
 }
 
 impl SweepControl {
     fn active(&self) -> bool {
-        self.journal_dir.is_some() || self.deadline_secs.is_some()
+        self.journal_dir.is_some() || self.deadline.is_some()
     }
 
     fn deadline(&self) -> Deadline {
-        let base = match self.deadline_secs {
-            Some(secs) if secs.is_finite() && secs >= 0.0 => {
-                Deadline::after(Duration::from_secs_f64(secs))
-            }
-            Some(secs) => panic!("{SWEEP_DEADLINE_ENV} must be non-negative seconds, got {secs}"),
+        let base = match self.deadline {
+            Some(budget) => Deadline::after(budget),
             None => Deadline::NONE,
         };
         if self.active() {
@@ -133,18 +123,6 @@ impl SweepControl {
         } else {
             base
         }
-    }
-}
-
-/// Reads [`SWEEP_JOURNAL_DIR_ENV`] / [`SWEEP_DEADLINE_ENV`].
-pub fn sweep_control_from_env() -> SweepControl {
-    SweepControl {
-        journal_dir: std::env::var(SWEEP_JOURNAL_DIR_ENV).ok().map(PathBuf::from),
-        deadline_secs: std::env::var(SWEEP_DEADLINE_ENV).ok().map(|raw| {
-            raw.parse().unwrap_or_else(|_| {
-                panic!("{SWEEP_DEADLINE_ENV} must be a number of seconds, got `{raw}`")
-            })
-        }),
     }
 }
 
@@ -184,43 +162,41 @@ pub fn quarantine_report(quarantined: &[QuarantinedTrial]) -> String {
     s
 }
 
+/// One sweep cell's trials: each outcome next to its optional engine
+/// error, in trial order.
+pub type CellResults = Vec<(Outcome, Option<SimError>)>;
+
 /// Same-seed retry budget for sweep trials before quarantine.
 const SWEEP_MAX_ATTEMPTS: u32 = 2;
 
 /// The sweep execution core: [`run_specs_journaled`] with the crash-safety
-/// environment wired in. With no journal dir and no deadline this returns
+/// knobs wired in. With no journal dir and no deadline this returns
 /// exactly what a per-spec `run_batch_raw` would (every
 /// trial still runs on its unchanged seed fold; the bounded same-seed
 /// retry policy cannot alter a successful trial's stream), so the default
-/// path stays byte-identical. Quarantined trials abort the sweep with a
+/// path stays byte-identical. Quarantined trials fail the sweep with a
 /// deduped report — statistics with silent holes are worse than no
-/// statistics.
+/// statistics — and so does a deadline cut, naming how to resume.
 pub fn run_sweep_specs(
     specs: &[ScenarioSpec],
     parallelism: Parallelism,
-) -> Vec<Vec<(Outcome, Option<SimError>)>> {
-    run_sweep_specs_with(specs, parallelism, &sweep_control_from_env())
-}
-
-/// [`run_sweep_specs`] with explicit knobs (tests use this; binaries go
-/// through the environment).
-pub fn run_sweep_specs_with(
-    specs: &[ScenarioSpec],
-    parallelism: Parallelism,
     sweep_ctl: &SweepControl,
-) -> Vec<Vec<(Outcome, Option<SimError>)>> {
-    let mut journal = sweep_ctl.journal_dir.as_ref().map(|dir| {
-        let fingerprint = sweep_fingerprint(specs);
-        let path = dir.join(format!("sweep_{fingerprint:016x}.jsonl"));
-        let (verb, opened) = if path.exists() {
-            ("resume", Journal::open_resume(&path, "sweep", fingerprint))
-        } else {
-            let meta = Json::obj(vec![("cells", Json::Num(specs.len() as f64))]);
-            let header = JournalHeader::new("sweep", fingerprint, meta);
-            ("create", Journal::create(&path, header))
-        };
-        opened.unwrap_or_else(|e| panic!("cannot {verb} {}: {e}", path.display()))
-    });
+) -> Result<Vec<CellResults>, String> {
+    let mut journal = match &sweep_ctl.journal_dir {
+        None => None,
+        Some(dir) => {
+            let fingerprint = sweep_fingerprint(specs);
+            let path = dir.join(format!("sweep_{fingerprint:016x}.jsonl"));
+            let (verb, opened) = if path.exists() {
+                ("resume", Journal::open_resume(&path, "sweep", fingerprint))
+            } else {
+                let meta = Json::obj(vec![("cells", Json::Num(specs.len() as f64))]);
+                let header = JournalHeader::new("sweep", fingerprint, meta);
+                ("create", Journal::create(&path, header))
+            };
+            Some(opened.map_err(|e| format!("cannot {verb} {}: {e}", path.display()))?)
+        }
+    };
 
     let run = run_specs_journaled(
         specs,
@@ -229,29 +205,29 @@ pub fn run_sweep_specs_with(
         SWEEP_MAX_ATTEMPTS,
         journal.as_mut(),
     )
-    .unwrap_or_else(|e| panic!("sweep journal: {e}"));
+    .map_err(|e| format!("sweep journal: {e}"))?;
 
     if !run.quarantined.is_empty() {
-        panic!("{}", quarantine_report(&run.quarantined));
+        return Err(quarantine_report(&run.quarantined));
     }
     if run.deadline_hit {
         let total: u64 = specs.iter().map(|s| s.trials).sum();
-        match &journal {
-            Some(j) => panic!(
+        return Err(match &journal {
+            Some(j) => format!(
                 "sweep wall-clock budget exceeded: {} of {total} trials journaled in {}; \
-                 re-run with {SWEEP_JOURNAL_DIR_ENV} set to the same directory to resume \
+                 re-run with the same --journal-dir to resume \
                  (completed trials are skipped; results stay bit-identical)",
                 j.len(),
                 j.path().display()
             ),
-            None => panic!(
-                "sweep wall-clock budget exceeded with no {SWEEP_JOURNAL_DIR_ENV} set: \
-                 partial progress was not persisted"
-            ),
-        }
+            None => "sweep wall-clock budget exceeded with no --journal-dir: \
+                     partial progress was not persisted"
+                .to_string(),
+        });
     }
 
-    run.results
+    Ok(run
+        .results
         .into_iter()
         .map(|batch| {
             batch
@@ -261,7 +237,7 @@ pub fn run_sweep_specs_with(
                 })
                 .collect()
         })
-        .collect()
+        .collect())
 }
 
 /// Sweeps a base duel scenario over adversary budgets. The base spec fixes
@@ -269,7 +245,11 @@ pub fn run_sweep_specs_with(
 /// re-budgeting), the trial count, and the master seed; each point runs the
 /// base with the budget swapped in and the seed XOR-folded with it so cells
 /// draw independent streams.
-pub fn duel_budget_sweep(base: &ScenarioSpec, budgets: &[u64]) -> Vec<DuelSweepPoint> {
+pub fn duel_budget_sweep(
+    base: &ScenarioSpec,
+    budgets: &[u64],
+    ctl: &SweepControl,
+) -> Result<Vec<DuelSweepPoint>, String> {
     assert!(
         matches!(base.workload, Workload::Duel(_)),
         "duel_budget_sweep needs a duel base spec"
@@ -282,15 +262,16 @@ pub fn duel_budget_sweep(base: &ScenarioSpec, budgets: &[u64]) -> Vec<DuelSweepP
                 .with_seed(base.seeds.master ^ budget)
         })
         .collect();
-    budgets
+    let batches = run_sweep_specs(&specs, base.parallelism, ctl)?;
+    Ok(budgets
         .iter()
-        .zip(run_sweep_specs(&specs, base.parallelism))
+        .zip(batches)
         .map(|(&budget, batch)| {
             let (outcomes, truncated) =
                 split_truncated(batch.into_iter().map(|(o, err)| (o.into_duel(), err)));
             summarize_duels(budget, outcomes, truncated)
         })
-        .collect()
+        .collect())
 }
 
 /// Aggregates duel outcomes into a sweep point. Panics when *every* trial
@@ -340,7 +321,11 @@ pub struct BroadcastSweepPoint {
 /// Sweeps a base 1-to-n scenario over adversary budgets at its fixed `n`.
 /// Seeds fold in both the budget and `n` so multi-`n` grids never share a
 /// stream across cells.
-pub fn broadcast_budget_sweep(base: &ScenarioSpec, budgets: &[u64]) -> Vec<BroadcastSweepPoint> {
+pub fn broadcast_budget_sweep(
+    base: &ScenarioSpec,
+    budgets: &[u64],
+    ctl: &SweepControl,
+) -> Result<Vec<BroadcastSweepPoint>, String> {
     let n = match &base.workload {
         Workload::Broadcast(w) => w.n,
         _ => panic!("broadcast_budget_sweep needs a broadcast base spec"),
@@ -353,15 +338,16 @@ pub fn broadcast_budget_sweep(base: &ScenarioSpec, budgets: &[u64]) -> Vec<Broad
                 .with_seed(base.seeds.master ^ budget ^ ((n as u64) << 32))
         })
         .collect();
-    budgets
+    let batches = run_sweep_specs(&specs, base.parallelism, ctl)?;
+    Ok(budgets
         .iter()
-        .zip(run_sweep_specs(&specs, base.parallelism))
+        .zip(batches)
         .map(|(&budget, batch)| {
             let (outcomes, truncated) =
                 split_truncated(batch.into_iter().map(|(o, err)| (o.into_broadcast(), err)));
             summarize_broadcasts(budget, n, outcomes, truncated)
         })
-        .collect()
+        .collect())
 }
 
 /// Aggregates broadcast outcomes into a sweep point. The `x` of the cells
@@ -475,7 +461,7 @@ mod tests {
     #[test]
     fn duel_sweep_smoke() {
         let base = duel_sweep_base(DuelProtocol::fig1(0.1, 7), 1.0, 8, 1);
-        let pts = duel_budget_sweep(&base, &[1024]);
+        let pts = duel_budget_sweep(&base, &[1024], &SweepControl::default()).expect("sweep runs");
         assert_eq!(pts.len(), 1);
         let p = &pts[0];
         assert_eq!(p.outcomes.len(), 8);
@@ -487,7 +473,8 @@ mod tests {
     #[test]
     fn broadcast_sweep_smoke() {
         let base = broadcast_sweep_base(8, 1.0, 3, 2);
-        let pts = broadcast_budget_sweep(&base, &[2048]);
+        let pts =
+            broadcast_budget_sweep(&base, &[2048], &SweepControl::default()).expect("sweep runs");
         assert_eq!(pts.len(), 1);
         assert!(pts[0].mean_cost.mean > 0.0);
         assert!(pts[0].mean_t > 0.0);
@@ -499,7 +486,7 @@ mod tests {
         // serial per-cell path bit-for-bit: same seed folds, same trials.
         let base = duel_sweep_base(DuelProtocol::fig1(0.1, 7), 1.0, 5, 3);
         let budgets = [512u64, 1024, 4096];
-        let pts = duel_budget_sweep(&base, &budgets);
+        let pts = duel_budget_sweep(&base, &budgets, &SweepControl::default()).expect("sweep runs");
         for (&budget, pt) in budgets.iter().zip(&pts) {
             let direct: Vec<_> = base
                 .clone()
@@ -541,7 +528,7 @@ mod tests {
     #[test]
     fn truncation_note_zero_is_explicit() {
         let base = duel_sweep_base(DuelProtocol::fig1(0.1, 7), 1.0, 4, 1);
-        let pts = duel_budget_sweep(&base, &[1024]);
+        let pts = duel_budget_sweep(&base, &[1024], &SweepControl::default()).expect("sweep runs");
         let note = truncation_note(&pts);
         assert!(note.contains("truncated trials: 0"), "{note}");
     }
@@ -549,7 +536,8 @@ mod tests {
     #[test]
     fn truncation_note_lists_affected_cells() {
         let base = duel_sweep_base(DuelProtocol::fig1(0.1, 7), 1.0, 4, 1);
-        let mut pts = duel_budget_sweep(&base, &[1024, 2048]);
+        let mut pts =
+            duel_budget_sweep(&base, &[1024, 2048], &SweepControl::default()).expect("sweep runs");
         pts[1].truncated = 3;
         let note = truncation_note(&pts);
         assert!(note.contains("WARNING"), "{note}");
@@ -586,18 +574,18 @@ mod tests {
             })
             .collect();
 
-        let straight =
-            run_sweep_specs_with(&specs, Parallelism::Fixed(1), &SweepControl::default());
+        let straight = run_sweep_specs(&specs, Parallelism::Fixed(1), &SweepControl::default())
+            .expect("sweep runs");
         let ctl = SweepControl {
             journal_dir: Some(dir.clone()),
-            deadline_secs: None,
+            deadline: None,
         };
-        let journaled = run_sweep_specs_with(&specs, Parallelism::Fixed(2), &ctl);
+        let journaled = run_sweep_specs(&specs, Parallelism::Fixed(2), &ctl).expect("journaled");
         assert_eq!(straight, journaled, "the journal must not perturb results");
 
         // Second run with the same dir: everything is resumed from the
         // journal (no trial re-runs) and the batch is still identical.
-        let resumed = run_sweep_specs_with(&specs, Parallelism::Fixed(1), &ctl);
+        let resumed = run_sweep_specs(&specs, Parallelism::Fixed(1), &ctl).expect("resumed");
         assert_eq!(
             straight, resumed,
             "a full resume must round-trip the records"

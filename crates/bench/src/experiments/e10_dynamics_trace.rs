@@ -7,6 +7,7 @@
 //!   `S_V` — the adversary can freeze the rates, but only by paying for
 //!   half of every repetition.
 
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::{NoJamRep, SuffixFractionRep};
 use rcb_analysis::table::{num, TableBuilder};
@@ -68,8 +69,8 @@ impl BroadcastObserver for DynamicsProbe {
     }
 }
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale) -> Report {
+    let mut out = Report::default();
     let params = OneToNParams::practical();
     let n = 64;
 

@@ -25,6 +25,7 @@
 //! equal-fraction suffix cousin on average.
 
 use crate::experiments::common::split_truncated;
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, KeepAliveBlocker, RandomRep};
 use rcb_adversary::traits::RepetitionAdversary;
@@ -64,8 +65,8 @@ impl Strategy {
     }
 }
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale) -> Report {
+    let mut out = Report::default();
     let budget = 1u64 << 19;
     let duel_trials = scale.trials(80);
     let bc_trials = scale.trials(8);

@@ -9,6 +9,7 @@
 //! seeding, dictates the timeline.
 
 use crate::experiments::common::split_truncated;
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
 use rcb_adversary::traits::RepetitionAdversary;
@@ -88,8 +89,8 @@ fn sweep(
     )
 }
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale) -> Report {
+    let mut out = Report::default();
     let params = OneToNParams::practical();
     let n = 64;
     let trials = scale.trials(10);

@@ -10,6 +10,7 @@
 //! converged.
 
 use crate::experiments::common::split_truncated;
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::{BanditBlocker, BudgetedRepBlocker};
 use rcb_analysis::table::{num, TableBuilder};
@@ -23,8 +24,8 @@ use rcb_sim::runner::{run_trials, Parallelism};
 
 const ARMS: [f64; 4] = [0.0625, 0.25, 0.55, 1.0];
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale) -> Report {
+    let mut out = Report::default();
     let budget = 1u64 << 19;
     let trials = scale.trials(60);
     let profile = Fig1Profile::with_start_epoch(0.01, 8);

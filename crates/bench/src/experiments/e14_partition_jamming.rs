@@ -12,6 +12,7 @@
 //! not incidental. Runs on the exact engine (the only one with partition
 //! support), so `n` is kept small.
 
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_adversary::slot_strategies::{BudgetedPhaseBlocker, NoJam};
 use rcb_adversary::traits::SlotAdversary;
@@ -113,8 +114,8 @@ fn run_cell(
     }
 }
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale) -> Report {
+    let mut out = Report::default();
     let mut params = OneToNParams::practical();
     params.first_epoch = 4; // keep exact-engine slot counts tame
     let n = 8;

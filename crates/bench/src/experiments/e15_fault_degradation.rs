@@ -17,6 +17,7 @@
 //!    fraction grows with capacity, and no cap wedges the run.
 
 use crate::experiments::common::split_truncated;
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
 use rcb_adversary::traits::RepetitionAdversary;
@@ -125,8 +126,8 @@ fn broadcast_cell(n: usize, plan: FaultPlan, trials: u64, seed: u64) -> Broadcas
     }
 }
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale) -> Report {
+    let mut out = Report::default();
     let seed = scale.seed ^ 0xE15;
 
     // ---- 1. Loss sweep × jammer budget (duel). ----

@@ -24,6 +24,7 @@
 //! scales with the horizon, so `latency(2H)/latency(H)` jumps past ~1.5
 //! exactly where the queue stops draining.
 
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_mathkit::stats::RunningStats;
@@ -148,8 +149,8 @@ fn service_probe(jammed: bool, trials: u64, seed: u64) -> f64 {
     service.mean()
 }
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale) -> Report {
+    let mut out = Report::default();
     let seed = scale.seed ^ 0xE16;
     let trials = scale.trials(3);
 

@@ -7,16 +7,17 @@
 //! success rate must stay ≥ 1 − ε.
 
 use crate::experiments::common::{
-    budget_axis, duel_budget_sweep, duel_sweep_base, series_from, truncation_note,
+    budget_axis, duel_budget_sweep, duel_sweep_base, series_from, truncation_note, SweepControl,
 };
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::plot::ascii_loglog;
 use rcb_analysis::scaling::{fit_scaling, fit_scaling_above_baseline};
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_sim::scenario::DuelProtocol;
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
+    let mut out = Report::default();
     let budgets = budget_axis(10, 20 + scale.extra_budget_doublings, 2);
     let trials = scale.trials(150);
 
@@ -24,9 +25,9 @@ pub fn run(scale: &Scale) -> String {
         let protocol = DuelProtocol::fig1(epsilon, 8);
         // τ baseline: unjammed cost, the additive ln(1/ε) term.
         let base = duel_sweep_base(protocol, 1.0, trials, scale.seed ^ 0xBA5E);
-        let baseline = duel_budget_sweep(&base, &[0])[0].cost.mean;
+        let baseline = duel_budget_sweep(&base, &[0], ctl)?[0].cost.mean;
         let base = duel_sweep_base(protocol, 1.0, trials, scale.seed ^ 0xE1);
-        let points = duel_budget_sweep(&base, &budgets);
+        let points = duel_budget_sweep(&base, &budgets, ctl)?;
 
         let mut table = TableBuilder::new(vec![
             "budget",
@@ -60,10 +61,10 @@ pub fn run(scale: &Scale) -> String {
             num(baseline)
         ));
         if let Some(v) = fit_scaling(&series, 0.5, 0.15) {
-            out.push_str(&format!("{} [raw]\n", v.summary()));
+            out.scaling(&v, " [raw]");
         }
         if let Some(v) = fit_scaling_above_baseline(&series, baseline, 0.5, 0.15) {
-            out.push_str(&format!("{} [baseline-subtracted]\n", v.summary()));
+            out.scaling(&v, " [baseline-subtracted]");
         }
         out.push_str("\n```\n");
         out.push_str(&ascii_loglog(&series, 56, 12, Some(0.5)));
@@ -79,5 +80,5 @@ pub fn run(scale: &Scale) -> String {
         out.push_str(&truncation_note(&points));
         out.push('\n');
     }
-    out
+    Ok(out)
 }

@@ -6,15 +6,16 @@
 //! guarantee `Pr[delivery] ≥ 1 − ε`.
 
 use crate::experiments::common::{
-    duel_budget_sweep, duel_sweep_base, series_from, truncation_note,
+    duel_budget_sweep, duel_sweep_base, series_from, truncation_note, SweepControl,
 };
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::scaling::fit_scaling;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_sim::scenario::DuelProtocol;
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
+    let mut out = Report::default();
     let budget = 1u64 << 16;
     let trials = scale.trials(150);
     let epsilons = [0.3, 0.1, 0.03, 0.01, 0.003, 0.001];
@@ -36,7 +37,7 @@ pub fn run(scale: &Scale) -> String {
             trials,
             scale.seed ^ 0xE2,
         );
-        let sweep = duel_budget_sweep(&base, &[budget]);
+        let sweep = duel_budget_sweep(&base, &[budget], ctl)?;
         let p = &sweep[0];
         // The paper's cost carries √(ln(8/ε)) — fit against the actual
         // argument, not ln(1/ε), whose additive ln 8 flattens the fit.
@@ -57,8 +58,9 @@ pub fn run(scale: &Scale) -> String {
 
     let series = series_from("1-to-1 max cost vs ln(8/ε) at fixed T", points);
     if let Some(v) = fit_scaling(&series, 0.5, 0.2) {
-        out.push_str(&format!("\n{}\n", v.summary()));
+        out.push('\n');
+        out.scaling(&v, "");
     }
     out.push_str(&truncation_note(&cells));
-    out
+    Ok(out)
 }

@@ -6,19 +6,20 @@
 //! jamming everything).
 
 use crate::experiments::common::{
-    budget_axis, duel_budget_sweep, duel_sweep_base, series_from, truncation_note,
+    budget_axis, duel_budget_sweep, duel_sweep_base, series_from, truncation_note, SweepControl,
 };
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::scaling::fit_scaling;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_sim::scenario::DuelProtocol;
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
+    let mut out = Report::default();
     let budgets = budget_axis(10, 20 + scale.extra_budget_doublings, 2);
     let trials = scale.trials(100);
     let base = duel_sweep_base(DuelProtocol::fig1(0.01, 8), 1.0, trials, scale.seed ^ 0xE3);
-    let points = duel_budget_sweep(&base, &budgets);
+    let points = duel_budget_sweep(&base, &budgets, ctl)?;
 
     let mut table = TableBuilder::new(vec!["budget", "T (real)", "E[slots]", "slots/T"]);
     for p in &points {
@@ -37,8 +38,9 @@ pub fn run(scale: &Scale) -> String {
         points.iter().map(|p| (p.mean_t, p.latency)),
     );
     if let Some(v) = fit_scaling(&series, 1.0, 0.15) {
-        out.push_str(&format!("\n{}\n", v.summary()));
+        out.push('\n');
+        out.scaling(&v, "");
     }
     out.push_str(&truncation_note(&points));
-    out
+    Ok(out)
 }

@@ -6,6 +6,7 @@
 //! sit at ≥ 1 across every split — the product is invariant, only its
 //! factorization moves.
 
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_baselines::oblivious::ConstantRatePair;
@@ -13,8 +14,8 @@ use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::PHI_MINUS_ONE;
 use rcb_sim::lowerbound::product_game;
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale) -> Report {
+    let mut out = Report::default();
     let budget = 1u64 << 14;
     let trials = scale.trials(400);
     let seeds = SeedSequence::new(scale.seed ^ 0xE4);

@@ -9,14 +9,16 @@
 
 use crate::experiments::common::{
     broadcast_budget_sweep, broadcast_sweep_base, budget_axis, series_from, truncation_note,
+    SweepControl,
 };
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::plot::ascii_loglog;
 use rcb_analysis::scaling::{fit_scaling, fit_scaling_with_offset};
 use rcb_analysis::table::{num, TableBuilder};
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
+    let mut out = Report::default();
 
     // (a) Cost vs T at fixed n.
     let n = 32;
@@ -27,13 +29,15 @@ pub fn run(scale: &Scale) -> String {
     let baseline = broadcast_budget_sweep(
         &broadcast_sweep_base(n, 1.0, trials, scale.seed ^ 0xBA5E),
         &[0],
-    )[0]
-    .mean_cost
-    .mean;
+        ctl,
+    )?[0]
+        .mean_cost
+        .mean;
     let points = broadcast_budget_sweep(
         &broadcast_sweep_base(n, 1.0, trials, scale.seed ^ 0xE5),
         &budgets,
-    );
+        ctl,
+    )?;
 
     let mut table = TableBuilder::new(vec![
         "budget",
@@ -67,10 +71,10 @@ pub fn run(scale: &Scale) -> String {
         num(baseline)
     ));
     if let Some(v) = fit_scaling(&series, 0.5, 0.3) {
-        out.push_str(&format!("{} [raw]\n", v.summary()));
+        out.scaling(&v, " [raw]");
     }
     if let Some((v, _tau)) = fit_scaling_with_offset(&series, 0.5, 0.2) {
-        out.push_str(&format!("{} [offset model ρ(T) + τ]\n", v.summary()));
+        out.scaling(&v, " [offset model ρ(T) + τ]");
     }
     out.push_str("\n```\n");
     out.push_str(&ascii_loglog(&series, 56, 12, Some(0.5)));
@@ -94,7 +98,8 @@ pub fn run(scale: &Scale) -> String {
         let pts = broadcast_budget_sweep(
             &broadcast_sweep_base(n, 1.0, trials_b, scale.seed ^ 0x5E5),
             &[budget],
-        );
+            ctl,
+        )?;
         let p = &pts[0];
         table_b.row(vec![
             n.to_string(),
@@ -114,10 +119,11 @@ pub fn run(scale: &Scale) -> String {
     let raw = fit_scaling(&series_n, -0.5, 0.35);
     let offset = fit_scaling_with_offset(&series_n, -0.5, 0.35);
     if let Some(v) = &raw {
-        out.push_str(&format!("\n{} [raw]\n", v.summary()));
+        out.push('\n');
+        out.scaling(v, " [raw]");
     }
     if let Some((v, _)) = &offset {
-        out.push_str(&format!("{} [constant-offset model]\n", v.summary()));
+        out.scaling(v, " [constant-offset model]");
     }
     if let (Some(r), Some((o, _))) = (&raw, &offset) {
         // The true model is cost(n) = τ(n) + B·√(T/n) with τ *growing* in n
@@ -129,15 +135,19 @@ pub fn run(scale: &Scale) -> String {
             r.fitted.exponent.max(o.fitted.exponent),
         );
         let bracketed = (lo..=hi).contains(&-0.5);
-        out.push_str(&format!(
-            "bracket check: predicted −0.5 ∈ [{lo:.3}, {hi:.3}] → {}\n\
-             (raw underestimates |α| because the additive τ(n) term pads \
-             small-n costs; a constant offset overestimates it because τ(n) \
-             itself grows with n — the headline: larger systems beat the \
-             same adversary more cheaply)\n",
-            if bracketed { "OK" } else { "MISMATCH" }
-        ));
+        out.check(
+            format!("{}: bracket check", series_n.name),
+            bracketed,
+            &format!(
+                "bracket check: predicted −0.5 ∈ [{lo:.3}, {hi:.3}] → {}\n\
+                 (raw underestimates |α| because the additive τ(n) term pads \
+                 small-n costs; a constant offset overestimates it because τ(n) \
+                 itself grows with n — the headline: larger systems beat the \
+                 same adversary more cheaply)\n",
+                if bracketed { "OK" } else { "MISMATCH" }
+            ),
+        );
     }
     out.push_str(&truncation_note(&sweep_cells));
-    out
+    Ok(out)
 }

@@ -6,13 +6,15 @@
 
 use crate::experiments::common::{
     broadcast_budget_sweep, broadcast_sweep_base, budget_axis, series_from, truncation_note,
+    SweepControl,
 };
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::scaling::fit_scaling;
 use rcb_analysis::table::{num, TableBuilder};
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
+    let mut out = Report::default();
 
     // (a) Latency vs T at fixed n.
     let n = 32;
@@ -21,7 +23,8 @@ pub fn run(scale: &Scale) -> String {
     let points = broadcast_budget_sweep(
         &broadcast_sweep_base(n, 1.0, trials, scale.seed ^ 0xE6),
         &budgets,
-    );
+        ctl,
+    )?;
     let mut table = TableBuilder::new(vec![
         "budget", "T (real)", "E[slots]", "slots/T", "informed",
     ]);
@@ -41,7 +44,8 @@ pub fn run(scale: &Scale) -> String {
         points.iter().map(|p| (p.mean_t, p.latency)),
     );
     if let Some(v) = fit_scaling(&series, 1.0, 0.2) {
-        out.push_str(&format!("\n{}\n", v.summary()));
+        out.push('\n');
+        out.scaling(&v, "");
     }
     out.push_str(&truncation_note(&points));
 
@@ -55,7 +59,8 @@ pub fn run(scale: &Scale) -> String {
         let pts = broadcast_budget_sweep(
             &broadcast_sweep_base(n, 1.0, trials_b, scale.seed ^ 0x6E6),
             &[0],
-        );
+            ctl,
+        )?;
         let p = &pts[0];
         let lg = (n.max(2) as f64).log2();
         table_b.row(vec![
@@ -71,8 +76,9 @@ pub fn run(scale: &Scale) -> String {
     out.push_str(&table_b.markdown());
     let series_n = series_from("1-to-n unjammed latency vs n", cells);
     if let Some(v) = fit_scaling(&series_n, 1.0, 0.35) {
-        out.push_str(&format!("\n{}\n", v.summary()));
+        out.push('\n');
+        out.scaling(&v, "");
     }
     out.push_str(&truncation_note(&sweep_cells));
-    out
+    Ok(out)
 }

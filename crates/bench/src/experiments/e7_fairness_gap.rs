@@ -6,13 +6,16 @@
 //! must be bounded below by a constant (the lower bound) and vary only
 //! polylogarithmically across the grid (the upper bound).
 
-use crate::experiments::common::{broadcast_budget_sweep, broadcast_sweep_base, truncation_note};
+use crate::experiments::common::{
+    broadcast_budget_sweep, broadcast_sweep_base, truncation_note, SweepControl,
+};
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNParams;
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
+    let mut out = Report::default();
     let params = OneToNParams::practical();
     let budgets = [1u64 << 20, 1 << 22, 1 << 24];
     let ns = [8usize, 32, 128];
@@ -28,7 +31,8 @@ pub fn run(scale: &Scale) -> String {
             let pts = broadcast_budget_sweep(
                 &broadcast_sweep_base(n, 1.0, trials, scale.seed ^ 0xE7),
                 &[budget],
-            );
+                ctl,
+            )?;
             let p = &pts[0];
             let floor = (p.mean_t.max(1.0) / n as f64).sqrt();
             let ratio = p.mean_cost.mean / floor;
@@ -89,5 +93,5 @@ pub fn run(scale: &Scale) -> String {
         "\nthe product column must clear the Theorem 2 constant floor — that \
          is exactly the step that makes Theorem 4 a corollary of Theorem 2.\n",
     );
-    out
+    Ok(out)
 }

@@ -6,14 +6,15 @@
 //! exponent column must be minimized at δ = φ−1, matching both the lower
 //! bound and the KSY upper bound the paper cites.
 
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::PHI_MINUS_ONE;
 use rcb_sim::lowerbound::golden_ratio_game;
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale) -> Report {
+    let mut out = Report::default();
     let budget = 1u64 << 14;
     let trials = scale.trials(300);
     let seeds = SeedSequence::new(scale.seed ^ 0xE8);

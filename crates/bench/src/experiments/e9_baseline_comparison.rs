@@ -10,6 +10,7 @@
 //!   `T^0.618`;
 //! * the naive deterministic pair pays `T + 1` — linear, not competitive.
 
+use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_adversary::slot_strategies::BudgetedPhaseBlocker;
 use rcb_analysis::table::{num, TableBuilder};
@@ -26,7 +27,7 @@ use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
 use crate::experiments::common::{
-    duel_budget_sweep, duel_sweep_base, split_truncated, truncation_note,
+    duel_budget_sweep, duel_sweep_base, split_truncated, truncation_note, SweepControl,
 };
 use rcb_sim::scenario::DuelProtocol;
 
@@ -75,8 +76,8 @@ fn combined_cost(budget: u64, trials: u64, seed: u64) -> (f64, f64, u64) {
     (stats.mean(), ok as f64 / outcomes.len() as f64, truncated)
 }
 
-pub fn run(scale: &Scale) -> String {
-    let mut out = String::new();
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
+    let mut out = Report::default();
     let budgets = [0u64, 1 << 10, 1 << 14, 1 << 18, 1 << 22];
     let trials = scale.trials(60);
     let trials_exact = scale.trials(15);
@@ -99,9 +100,9 @@ pub fn run(scale: &Scale) -> String {
     let mut sweep_cells = Vec::new();
     let mut exact_truncated = 0u64;
     for &budget in &budgets {
-        let fig1_pts = duel_budget_sweep(&fig1_base, &[budget]);
+        let fig1_pts = duel_budget_sweep(&fig1_base, &[budget], ctl)?;
         let fig1_cost = fig1_pts[0].cost.mean;
-        let ksy_pts = duel_budget_sweep(&ksy_base, &[budget.max(1)]);
+        let ksy_pts = duel_budget_sweep(&ksy_base, &[budget.max(1)], ctl)?;
         let ksy_cost = ksy_pts[0].cost.mean;
         sweep_cells.extend(fig1_pts);
         sweep_cells.extend(ksy_pts);
@@ -130,5 +131,5 @@ pub fn run(scale: &Scale) -> String {
     out.push_str(&format!(
         "truncated combined-device (exact engine) trials: {exact_truncated}\n"
     ));
-    out
+    Ok(out)
 }

@@ -19,10 +19,72 @@ pub mod e7_fairness_gap;
 pub mod e8_golden_ratio;
 pub mod e9_baseline_comparison;
 
+use crate::experiments::common::SweepControl;
 use crate::scale::Scale;
+use rcb_analysis::scaling::ScalingVerdict;
 
-/// An experiment entry point.
-pub type Runner = fn(&Scale) -> String;
+/// An experiment entry point. The [`SweepControl`] reaches the budget
+/// sweeps (E1–E3, E5–E7, E9), which fail on a deadline cut or a
+/// quarantined trial; the other experiments run their engines directly
+/// and ignore it.
+pub type Runner = fn(&Scale, &SweepControl) -> Result<Report, String>;
+
+/// One pass/fail check an experiment printed, named after what it judged.
+#[derive(Debug, Clone)]
+pub struct Verdict {
+    pub name: String,
+    pub ok: bool,
+}
+
+/// An experiment's printed report plus every verdict printed in it, so a
+/// caller can gate on the verdicts without parsing the text.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    pub text: String,
+    pub verdicts: Vec<Verdict>,
+}
+
+impl Report {
+    pub fn push_str(&mut self, s: &str) {
+        self.text.push_str(s);
+    }
+
+    pub fn push(&mut self, c: char) {
+        self.text.push(c);
+    }
+
+    /// Appends `line` to the text and records it as the verdict `name`.
+    pub fn check(&mut self, name: String, ok: bool, line: &str) {
+        self.text.push_str(line);
+        self.verdicts.push(Verdict { name, ok });
+    }
+
+    /// Appends a scaling verdict's summary line with `tag` added (e.g.
+    /// `" [raw]"`) and records it under the series name plus tag.
+    pub fn scaling(&mut self, v: &ScalingVerdict, tag: &str) {
+        self.check(
+            format!("{}{tag}", v.series),
+            v.within_tolerance,
+            &format!("{}{tag}\n", v.summary()),
+        );
+    }
+
+    /// Appends `report` under a `## ID: title` header; each of its verdict
+    /// names gains the prefix `ID: `.
+    pub fn append(&mut self, id: &str, title: &str, report: Report) {
+        self.push_str(&format!("\n## {id}: {title}\n\n{}\n", report.text));
+        self.verdicts
+            .extend(report.verdicts.into_iter().map(|v| Verdict {
+                name: format!("{id}: {}", v.name),
+                ..v
+            }));
+    }
+
+    /// The verdicts that failed, in print order.
+    pub fn failures(&self) -> impl Iterator<Item = &Verdict> {
+        self.verdicts.iter().filter(|v| !v.ok)
+    }
+}
 
 /// Every experiment, in index order, as `(id, title, runner)`.
 pub fn all() -> Vec<(&'static str, &'static str, Runner)> {
@@ -37,7 +99,7 @@ pub fn all() -> Vec<(&'static str, &'static str, Runner)> {
         (
             "E4",
             "Theorem 2 — E(A)·E(B) ≥ (1−O(ε))·T",
-            e4_lower_bound_product::run,
+            |scale, _| Ok(e4_lower_bound_product::run(scale)),
         ),
         (
             "E5",
@@ -57,7 +119,7 @@ pub fn all() -> Vec<(&'static str, &'static str, Runner)> {
         (
             "E8",
             "Theorem 5 — the golden-ratio tradeoff",
-            e8_golden_ratio::run,
+            |scale, _| Ok(e8_golden_ratio::run(scale)),
         ),
         (
             "E9",
@@ -67,61 +129,54 @@ pub fn all() -> Vec<(&'static str, &'static str, Runner)> {
         (
             "E10",
             "§3.1 mechanisms — S_u divergence, helper waves",
-            e10_dynamics_trace::run,
+            |scale, _| Ok(e10_dynamics_trace::run(scale)),
         ),
         (
             "E11",
             "Robustness — jamming-strategy ablation",
-            e11_ablation::run,
+            |scale, _| Ok(e11_ablation::run(scale)),
         ),
-        (
-            "E12",
-            "Extension — multi-source broadcast",
-            e12_multi_source::run,
-        ),
+        ("E12", "Extension — multi-source broadcast", |scale, _| {
+            Ok(e12_multi_source::run(scale))
+        }),
         (
             "E13",
             "Extension — a learning adversary rediscovers the threshold attack",
-            e13_learning_adversary::run,
+            |scale, _| Ok(e13_learning_adversary::run(scale)),
         ),
         (
             "E14",
             "Extension — 2-uniform (selective) jamming of 1-to-n",
-            e14_partition_jamming::run,
+            |scale, _| Ok(e14_partition_jamming::run(scale)),
         ),
         (
             "E15",
             "Robustness — graceful degradation under non-adversarial faults",
-            e15_fault_degradation::run,
+            |scale, _| Ok(e15_fault_degradation::run(scale)),
         ),
         (
             "E16",
             "Extension — streaming stability boundary under jammer allocation policies",
-            e16_stream_stability::run,
+            |scale, _| Ok(e16_stream_stability::run(scale)),
         ),
     ]
 }
 
-/// Runs every experiment and concatenates the reports. Each report is
-/// additionally written to `target/experiments/<id>.md` so individual
-/// tables can be diffed across runs.
-pub fn run_all(scale: &Scale) -> String {
-    let artifact_dir = std::path::Path::new("target/experiments");
-    let artifacts = std::fs::create_dir_all(artifact_dir).is_ok();
-    let mut out = String::new();
-    for (id, title, runner) in all() {
+/// Runs `experiments` in order and [appends](Report::append) their
+/// reports, stopping at the first that fails. Progress and
+/// per-experiment wall times go to stderr, so the text is reproducible.
+pub fn run_selected(
+    experiments: &[(&'static str, &'static str, Runner)],
+    scale: &Scale,
+    ctl: &SweepControl,
+) -> Result<Report, String> {
+    let mut out = Report::default();
+    for (id, title, runner) in experiments {
         let started = std::time::Instant::now();
         eprintln!("[{id}] {title} ...");
-        let report = runner(scale);
-        let dt = started.elapsed().as_secs_f64();
-        eprintln!("[{id}] done in {dt:.1}s");
-        if artifacts {
-            let path = artifact_dir.join(format!("{}.md", id.to_lowercase()));
-            let _ = std::fs::write(&path, format!("## {id}: {title}\n\n{report}"));
-        }
-        out.push_str(&format!("\n## {id}: {title}\n\n"));
-        out.push_str(&report);
-        out.push_str(&format!("\n_{id} wall time: {dt:.1}s_\n"));
+        let report = runner(scale, ctl).map_err(|e| format!("{id}: {e}"))?;
+        eprintln!("[{id}] done in {:.1}s", started.elapsed().as_secs_f64());
+        out.append(id, title, report);
     }
-    out
+    Ok(out)
 }

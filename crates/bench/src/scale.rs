@@ -1,9 +1,9 @@
 //! Experiment sizing.
 //!
-//! `RCB_SCALE=quick` (default) keeps every experiment in the tens of
-//! seconds; `RCB_SCALE=full` multiplies trial counts and extends sweeps for
-//! publication-grade error bars. The master seed can be overridden with
-//! `RCB_SEED` for reproducibility studies.
+//! `rcbsim exp --scale quick` (default) keeps every experiment in the tens
+//! of seconds; `--scale full` multiplies trial counts and extends sweeps
+//! for publication-grade error bars. `--seed N` overrides the master seed
+//! for reproducibility studies.
 
 /// Trial-count and sweep sizing for the experiment harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,20 +31,6 @@ impl Scale {
             extra_budget_doublings: 2,
             seed: 0x5EED_2014,
         }
-    }
-
-    /// Reads `RCB_SCALE` / `RCB_SEED` from the environment.
-    pub fn from_env() -> Self {
-        let mut scale = match std::env::var("RCB_SCALE").as_deref() {
-            Ok("full") => Self::full(),
-            _ => Self::quick(),
-        };
-        if let Ok(seed) = std::env::var("RCB_SEED") {
-            if let Ok(seed) = seed.parse::<u64>() {
-                scale.seed = seed;
-            }
-        }
-        scale
     }
 
     /// Scaled trial count for a base of `base` trials.
