@@ -1,8 +1,8 @@
-//! Plain-text / markdown table rendering for experiment binaries.
+//! Plain-text / markdown table rendering for the `rcbsim exp` experiments.
 //!
-//! The experiment binaries print their rows through this builder so the
-//! output pasted into EXPERIMENTS.md is uniform: right-aligned numerics,
-//! a markdown header row, and a separator.
+//! Every experiment prints its rows through this builder so the report
+//! that EXPERIMENTS.md reproduces verbatim is uniform: right-aligned
+//! numerics, a markdown header row, and a separator.
 
 /// Column-aware table builder.
 #[derive(Debug, Clone)]

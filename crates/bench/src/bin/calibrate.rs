@@ -11,9 +11,8 @@
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
 use rcb_adversary::traits::RepetitionAdversary;
 use rcb_core::one_to_n::{OneToNNode, OneToNParams};
-use rcb_mathkit::rng::RcbRng;
 use rcb_sim::deadline::Deadline;
-use rcb_sim::fast::{run_broadcast, BroadcastObserver, FastConfig};
+use rcb_sim::fast::{BroadcastObserver, BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use std::time::Instant;
 
@@ -53,24 +52,21 @@ impl BroadcastObserver for Probe {
 
 fn one(params: &OneToNParams, n: usize, budget: u64, seed: u64) {
     let mut probe = Probe::new();
-    let mut rng = RcbRng::new(seed);
+    let mut session = BroadcastSession::new(
+        *params,
+        n,
+        vec![0],
+        FastConfig { max_epoch: 26 },
+        FaultPlan::none(),
+        seed,
+    );
     let mut adversary: Box<dyn RepetitionAdversary> = if budget == 0 {
         Box::new(NoJamRep)
     } else {
         Box::new(BudgetedRepBlocker::new(budget, 1.0))
     };
     let t0 = Instant::now();
-    let (out, err) = run_broadcast(
-        params,
-        n,
-        &[0],
-        adversary.as_mut(),
-        &mut rng,
-        FastConfig { max_epoch: 26 },
-        &mut probe,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-    );
+    let (out, err) = session.run_observed(adversary.as_mut(), &mut probe, &Deadline::NONE);
     let dt = t0.elapsed().as_secs_f64();
     println!(
         "n={n:>4} T={:>8} | epoch {:>2} (ideal {:>2}) | informed {:>4}/{n:<4} safety {:>3} | \

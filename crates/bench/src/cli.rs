@@ -167,11 +167,13 @@ USAGE: rcbsim <COMMAND> [--key value ...]
 
 COMMANDS:
   duel       1-to-1 broadcast (Figure 1 / KSY) vs a blanket blocker
-             --profile fig1|ksy   --epsilon F   --budget N
+             --profile fig1|ksy   --epsilon F (fig1 only)
+             --start-epoch N (default 8 fig1, 4 ksy)   --budget N
              --q F (block fraction)   --trials N   --seed N
   broadcast  1-to-n broadcast (Figure 2)
              --n N   --budget N   --adversary suffix|random|keepalive|none
-             --q F   --trials N   --seed N
+             --q F (block fraction; random: jam rate in [0, 1))
+             --trials N   --seed N
   conformance  cross-engine agreement grid (exact vs fast engines)
              --trials N (default 200)   --seed N (default 2014)
              --alpha F (default 0.001)
@@ -377,7 +379,13 @@ fn cmd_duel(args: &Args) -> Result<String, String> {
             let start: u32 = args.get("start-epoch", 8)?;
             DuelProtocol::fig1(epsilon, start)
         }
-        "ksy" => DuelProtocol::ksy(),
+        "ksy" => {
+            if args.get_opt::<String>("epsilon")?.is_some() {
+                return Err("--epsilon applies only to --profile fig1".to_string());
+            }
+            let start_epoch = args.get("start-epoch", DuelProtocol::ksy().start_epoch())?;
+            DuelProtocol::Ksy { start_epoch }
+        }
         other => return Err(format!("--profile must be fig1 or ksy, got `{other}`")),
     };
     let spec = ScenarioSpec::duel(protocol)
@@ -518,9 +526,17 @@ fn cmd_broadcast(args: &Args) -> Result<String, String> {
             budget,
             fraction: q,
         },
+        // `RandomRep` jams at a rate in [0, 1): without an explicit `--q`
+        // the shared default 1.0 stands in as 0.999.
         "random" => AdversarySpec::Random {
             budget,
-            rate: q.min(0.999),
+            rate: match args.get_opt::<f64>("q")? {
+                None => 0.999,
+                Some(rate) if (0.0..1.0).contains(&rate) => rate,
+                Some(rate) => {
+                    return Err(format!("--q {rate} outside [0, 1) for --adversary random"))
+                }
+            },
         },
         "keepalive" => AdversarySpec::KeepAlive {
             budget,
@@ -915,6 +931,15 @@ mod tests {
             "{err}"
         );
         assert!(run_cli(&parse(&["exp", "e2", "e3"]).expect("parse")).is_err());
+        // KSY has no ε: a stray `--epsilon` is an error, not silently dropped.
+        let err =
+            run_cli(&parse(&["duel", "--profile", "ksy", "--epsilon", "0.1"]).expect("parse"))
+                .expect_err("--epsilon with ksy");
+        assert!(err.contains("--epsilon"), "{err}");
+        let err =
+            run_cli(&parse(&["duel", "--profile", "ksy", "--start-epoch", "x"]).expect("parse"))
+                .expect_err("unparsable --start-epoch with ksy");
+        assert!(err.contains("--start-epoch"), "{err}");
     }
 
     #[test]
@@ -1351,6 +1376,55 @@ mod tests {
             let err = run_cli(&a).expect_err("epsilon outside (0, 1)");
             assert!(err.contains("epsilon"), "--epsilon {eps}: {err}");
         }
+    }
+
+    #[test]
+    fn ksy_duel_honours_start_epoch() {
+        let run = |extra: &[&str]| {
+            let mut v = vec![
+                "duel",
+                "--profile",
+                "ksy",
+                "--budget",
+                "4096",
+                "--trials",
+                "4",
+            ];
+            v.extend_from_slice(extra);
+            run_cli(&parse(&v).expect("parse")).expect("ksy duel runs")
+        };
+        assert_eq!(run(&[]), run(&["--start-epoch", "4"]), "default is 4");
+        assert_ne!(
+            run(&[]),
+            run(&["--start-epoch", "7"]),
+            "the flag reaches KSY"
+        );
+    }
+
+    #[test]
+    fn random_broadcast_rate_is_checked_not_clamped() {
+        let run = |extra: &[&str]| {
+            let mut v = vec![
+                "broadcast",
+                "--adversary",
+                "random",
+                "--n",
+                "4",
+                "--trials",
+                "2",
+            ];
+            v.extend_from_slice(extra);
+            run_cli(&parse(&v).expect("parse"))
+        };
+        for q in ["1", "1.5", "-0.1", "nan"] {
+            let err = run(&["--q", q]).expect_err("rate outside [0, 1)");
+            assert!(err.contains("--q"), "--q {q}: {err}");
+        }
+        // Without `--q` the random jammer keeps its 0.999 default.
+        assert_eq!(
+            run(&[]).expect("default"),
+            run(&["--q", "0.999"]).expect("0.999")
+        );
     }
 
     #[test]

@@ -13,9 +13,8 @@ use rcb_adversary::rep_strategies::{NoJamRep, SuffixFractionRep};
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::node::Status;
 use rcb_core::one_to_n::{OneToNNode, OneToNParams};
-use rcb_mathkit::rng::RcbRng;
 use rcb_sim::deadline::Deadline;
-use rcb_sim::fast::{run_broadcast, BroadcastObserver, FastConfig};
+use rcb_sim::fast::{BroadcastObserver, BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 
 /// (epoch, rep, S_min, S_max, uninformed, informed, helpers, terminated).
@@ -76,19 +75,15 @@ pub fn run(scale: &Scale) -> Report {
 
     // Clean run: divergence and helper-wave structure.
     let mut probe = DynamicsProbe::default();
-    let mut rng = RcbRng::new(scale.seed ^ 0xE10);
-    let mut adv = NoJamRep;
-    let (outcome, err) = run_broadcast(
-        &params,
+    let mut session = BroadcastSession::new(
+        params,
         n,
-        &[0],
-        &mut adv,
-        &mut rng,
+        vec![0],
         FastConfig::default(),
-        &mut probe,
-        &FaultPlan::none(),
-        &Deadline::NONE,
+        FaultPlan::none(),
+        scale.seed ^ 0xE10,
     );
+    let (outcome, err) = session.run_observed(&mut NoJamRep, &mut probe, &Deadline::NONE);
     if let Some(e) = err {
         panic!("unjammed instrumented run must terminate before the epoch cap: {e}");
     }
@@ -129,25 +124,22 @@ pub fn run(scale: &Scale) -> Report {
 
     // Half-blocked run: S_V must stay frozen (Lemma 8 contrapositive).
     let mut probe2 = DynamicsProbe::default();
-    let mut rng2 = RcbRng::new(scale.seed ^ 0x1E10);
     let mut adv2 = SuffixFractionRep::new(0.55);
     let first_epoch_reps = params.reps(params.first_epoch) as usize;
     // This run is *expected* to hit the epoch cap — the probe only needs
     // the first epoch — so the typed truncation error is acknowledged
     // explicitly instead of being swallowed.
-    let capped = run_broadcast(
-        &params,
+    let capped = BroadcastSession::new(
+        params,
         n,
-        &[0],
-        &mut adv2,
-        &mut rng2,
+        vec![0],
         FastConfig {
             max_epoch: params.first_epoch + 1,
         },
-        &mut probe2,
-        &FaultPlan::none(),
-        &Deadline::NONE,
+        FaultPlan::none(),
+        scale.seed ^ 0x1E10,
     )
+    .run_observed(&mut adv2, &mut probe2, &Deadline::NONE)
     .1
     .is_some();
     let start_sv = probe2.s_v_by_rep.first().copied().unwrap_or(0.0);

@@ -32,12 +32,14 @@ use rcb_adversary::traits::RepetitionAdversary;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
+use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
 use rcb_sim::deadline::Deadline;
-use rcb_sim::duel::{run_duel, DuelConfig};
-use rcb_sim::fast::{run_broadcast, FastConfig};
+use rcb_sim::duel::{DuelConfig, DuelSession};
+use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
+use rcb_sim::session::Session;
 
 #[derive(Clone, Copy)]
 enum Strategy {
@@ -94,17 +96,13 @@ pub fn run(scale: &Scale) -> Report {
     let mut truncated_total = 0u64;
     for strategy in strategies {
         // 1-to-1.
+        let duel_seeds = SeedSequence::new(scale.seed ^ 0xA11);
         let duel_results = run_trials(duel_trials, scale.seed ^ 0xA11, Parallelism::Auto, {
-            move |i, rng| {
+            move |i, _| {
                 let mut adv = strategy.build(budget, i ^ 0xE11);
-                run_duel(
-                    &profile,
-                    adv.as_mut(),
-                    rng,
-                    DuelConfig::default(),
-                    &FaultPlan::none(),
-                    &Deadline::NONE,
-                )
+                let config = DuelConfig::default();
+                DuelSession::new(profile, config, FaultPlan::none(), duel_seeds.child(i))
+                    .run(adv.as_mut(), &Deadline::NONE)
             }
         });
         let (duel_outcomes, duel_trunc) = split_truncated(duel_results);
@@ -121,20 +119,20 @@ pub fn run(scale: &Scale) -> Report {
         }
 
         // 1-to-n.
+        let bc_seeds = SeedSequence::new(scale.seed ^ 0xB11);
         let bc_results = run_trials(bc_trials, scale.seed ^ 0xB11, Parallelism::Auto, {
-            move |i, rng| {
+            move |i, _| {
                 let mut adv = strategy.build(budget, i ^ 0xB11);
-                run_broadcast(
-                    &params,
+                let config = FastConfig::default();
+                BroadcastSession::new(
+                    params,
                     n,
-                    &[0],
-                    adv.as_mut(),
-                    rng,
-                    FastConfig::default(),
-                    &mut (),
-                    &FaultPlan::none(),
-                    &Deadline::NONE,
+                    vec![0],
+                    config,
+                    FaultPlan::none(),
+                    bc_seeds.child(i),
                 )
+                .run(adv.as_mut(), &Deadline::NONE)
             }
         });
         let (bc_outcomes, bc_trunc) = split_truncated(bc_results);

@@ -16,9 +16,10 @@ use rcb_adversary::traits::RepetitionAdversary;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_n::OneToNNode;
 use rcb_core::one_to_n::OneToNParams;
+use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
 use rcb_sim::deadline::Deadline;
-use rcb_sim::fast::{run_broadcast, BroadcastObserver, FastConfig};
+use rcb_sim::fast::{BroadcastObserver, BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::runner::{run_trials, Parallelism};
 
@@ -45,24 +46,23 @@ fn sweep(
     seed: u64,
 ) -> (f64, f64, f64, f64, u64) {
     let source_ids: Vec<usize> = (0..sources).map(|k| k * n / sources).collect();
-    let results = run_trials(trials, seed, Parallelism::Auto, move |_, rng| {
+    let seeds = SeedSequence::new(seed);
+    let results = run_trials(trials, seed, Parallelism::Auto, move |i, _| {
         let mut adv: Box<dyn RepetitionAdversary> = if budget == 0 {
             Box::new(NoJamRep)
         } else {
             Box::new(BudgetedRepBlocker::new(budget, 1.0))
         };
         let mut probe = DisseminationProbe::default();
-        let (o, err) = run_broadcast(
-            params,
+        let (o, err) = BroadcastSession::new(
+            *params,
             n,
-            &source_ids,
-            adv.as_mut(),
-            rng,
+            source_ids.clone(),
             FastConfig::default(),
-            &mut probe,
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        );
+            FaultPlan::none(),
+            seeds.child(i),
+        )
+        .run_observed(adv.as_mut(), &mut probe, &Deadline::NONE);
         ((o, probe.complete_at), err)
     });
     let (outcomes, truncated) = split_truncated(results);

@@ -12,15 +12,16 @@
 use crate::experiments::common::split_truncated;
 use crate::experiments::Report;
 use crate::scale::Scale;
-use rcb_adversary::rep_strategies::{BanditBlocker, BudgetedRepBlocker};
+use rcb_adversary::rep_strategies::BanditBlocker;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
 use rcb_sim::deadline::Deadline;
-use rcb_sim::duel::{run_duel, DuelConfig};
+use rcb_sim::duel::{DuelConfig, DuelSession};
 use rcb_sim::faults::FaultPlan;
-use rcb_sim::runner::{run_trials, Parallelism};
+use rcb_sim::scenario::{AdversarySpec, DuelProtocol, ScenarioSpec};
+use rcb_sim::session::Session;
 
 const ARMS: [f64; 4] = [0.0625, 0.25, 0.55, 1.0];
 
@@ -35,22 +36,17 @@ pub fn run(scale: &Scale) -> Report {
     // Static arms for reference.
     let mut truncated_total = 0u64;
     for q in ARMS {
-        let results = run_trials(
-            trials,
-            scale.seed ^ 0xE13,
-            Parallelism::Auto,
-            move |_, rng| {
-                let mut adv = BudgetedRepBlocker::new(budget, q);
-                run_duel(
-                    &profile,
-                    &mut adv,
-                    rng,
-                    DuelConfig::default(),
-                    &FaultPlan::none(),
-                    &Deadline::NONE,
-                )
-            },
-        );
+        let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.01, 8))
+            .with_adversary(AdversarySpec::Budgeted {
+                budget,
+                fraction: q,
+            })
+            .with_seed(scale.seed ^ 0xE13)
+            .with_trials(trials);
+        let results = spec
+            .run_batch_raw()
+            .into_iter()
+            .map(|(o, err)| (o.into_duel(), err));
         let (outcomes, trunc) = split_truncated(results);
         assert!(!outcomes.is_empty(), "q={q}: every trial truncated");
         truncated_total += trunc;
@@ -76,6 +72,7 @@ pub fn run(scale: &Scale) -> Report {
     // carries its arm statistics over `trials` sequential executions,
     // refilled with the same jamming budget each time.
     let seeds = SeedSequence::new(scale.seed ^ 0x1E13);
+    let mut session = DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), 0);
     let mut cost = RunningStats::new();
     let mut late_cost = RunningStats::new();
     let mut spend = RunningStats::new();
@@ -83,16 +80,9 @@ pub fn run(scale: &Scale) -> Report {
     let mut adv = BanditBlocker::new(ARMS.to_vec(), budget, 0xBAD17);
     let mut bandit_runs = 0u64;
     for t in 0..trials {
-        let mut rng = seeds.rng(t);
+        session.rearm(seeds.child(t));
         adv.refill(budget);
-        let (o, err) = run_duel(
-            &profile,
-            &mut adv,
-            &mut rng,
-            DuelConfig::default(),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        );
+        let (o, err) = session.run(&mut adv, &Deadline::NONE);
         adv.settle_now();
         // A truncated run still taught the bandit; only the victim
         // statistics are unusable.

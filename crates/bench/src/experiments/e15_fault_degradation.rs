@@ -19,17 +19,10 @@
 use crate::experiments::common::split_truncated;
 use crate::experiments::Report;
 use crate::scale::Scale;
-use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
-use rcb_adversary::traits::RepetitionAdversary;
 use rcb_analysis::table::{num, TableBuilder};
-use rcb_core::one_to_n::OneToNParams;
-use rcb_core::one_to_one::profile::Fig1Profile;
 use rcb_mathkit::stats::RunningStats;
-use rcb_sim::deadline::Deadline;
-use rcb_sim::duel::{run_duel, DuelConfig};
-use rcb_sim::fast::{run_broadcast, FastConfig};
 use rcb_sim::faults::FaultPlan;
-use rcb_sim::runner::{run_trials, Parallelism};
+use rcb_sim::scenario::{AdversarySpec, DuelProtocol, ScenarioSpec};
 
 struct DuelSummary {
     delivered_rate: f64,
@@ -39,27 +32,28 @@ struct DuelSummary {
 }
 
 fn duel_cell(budget: u64, loss: f64, trials: u64, seed: u64) -> DuelSummary {
-    let profile = Fig1Profile::with_start_epoch(0.1, 8);
     let plan = if loss > 0.0 {
         FaultPlan::none().with_loss(loss)
     } else {
         FaultPlan::none()
     };
-    let results = run_trials(trials, seed, Parallelism::Auto, |_, rng| {
-        let mut adv: Box<dyn RepetitionAdversary> = if budget == 0 {
-            Box::new(NoJamRep)
-        } else {
-            Box::new(BudgetedRepBlocker::new(budget, 1.0))
-        };
-        run_duel(
-            &profile,
-            adv.as_mut(),
-            rng,
-            DuelConfig::default(),
-            &plan,
-            &Deadline::NONE,
-        )
-    });
+    let adversary = if budget == 0 {
+        AdversarySpec::NoJam
+    } else {
+        AdversarySpec::Budgeted {
+            budget,
+            fraction: 1.0,
+        }
+    };
+    let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 8))
+        .with_adversary(adversary)
+        .with_faults(plan)
+        .with_seed(seed)
+        .with_trials(trials);
+    let results = spec
+        .run_batch_raw()
+        .into_iter()
+        .map(|(o, err)| (o.into_duel(), err));
     let (outcomes, truncated) = split_truncated(results);
     assert!(
         !outcomes.is_empty(),
@@ -90,21 +84,14 @@ struct BroadcastSummary {
 }
 
 fn broadcast_cell(n: usize, plan: FaultPlan, trials: u64, seed: u64) -> BroadcastSummary {
-    let params = OneToNParams::practical();
-    let results = run_trials(trials, seed, Parallelism::Auto, |_, rng| {
-        let mut adv = NoJamRep;
-        run_broadcast(
-            &params,
-            n,
-            &[0],
-            &mut adv,
-            rng,
-            FastConfig::default(),
-            &mut (),
-            &plan,
-            &Deadline::NONE,
-        )
-    });
+    let spec = ScenarioSpec::broadcast(n)
+        .with_faults(plan)
+        .with_seed(seed)
+        .with_trials(trials);
+    let results = spec
+        .run_batch_raw()
+        .into_iter()
+        .map(|(o, err)| (o.into_broadcast(), err));
     let (outcomes, truncated) = split_truncated(results);
     assert!(!outcomes.is_empty(), "n {n}: every trial truncated");
     let mut informed = RunningStats::new();

@@ -71,6 +71,7 @@ use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::outcome::BroadcastOutcome;
+use crate::session::{OwnsRng, Session};
 
 /// Limits and mode selection for the cohort engine.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -171,66 +172,10 @@ fn cohort_key(node: &OneToNNode) -> CohortKey {
     }
 }
 
-/// Runs one 1-to-n execution on the cohort engine: every node in
-/// `sources` starts informed.
-///
-/// `faults` layers a fault-injection plan with the other engines'
-/// semantics; every fault target is a tracked singleton, and a battery
-/// fault forces all-singleton mode (the energy gauge is per-node state
-/// that anonymous cohorts cannot carry). Budget exhaustion and a fired
-/// `deadline` come back as the typed [`SimError`] next to the partial
-/// (`truncated`) outcome.
-///
-/// ```
-/// use rcb_sim::cohort::{run_cohort, CohortConfig};
-/// use rcb_sim::deadline::Deadline;
-/// use rcb_sim::faults::FaultPlan;
-/// use rcb_adversary::rep_strategies::NoJamRep;
-/// use rcb_core::one_to_n::OneToNParams;
-/// use rcb_mathkit::rng::RcbRng;
-///
-/// let params = OneToNParams::practical();
-/// let mut rng = RcbRng::new(7);
-/// let (out, err) = run_cohort(
-///     &params,
-///     16,
-///     &[0],
-///     &mut NoJamRep,
-///     &mut rng,
-///     CohortConfig::default(),
-///     &FaultPlan::none(),
-///     &Deadline::NONE,
-/// );
-/// assert!(err.is_none() && out.all_informed && out.all_terminated);
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn run_cohort(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-) -> (BroadcastOutcome, Option<SimError>) {
-    let mut state = CohortState::new(params, n, sources, config, faults);
-    run_cohort_in(
-        &mut state,
-        params,
-        n,
-        adversary,
-        rng,
-        config,
-        faults,
-        deadline,
-        &mut CohortStats::default(),
-    )
-}
-
-/// A fault-free, unbounded [`run_cohort`] that also reports compression
-/// diagnostics — how many cohorts existed, when the first symmetry break
-/// split one.
+/// One fault-free, unbounded cohort-engine run on the caller's RNG that
+/// also reports compression diagnostics — how many cohorts existed, when
+/// the first symmetry break split one (the benchmark's trace pass reads
+/// them).
 pub fn run_cohort_instrumented(
     params: &OneToNParams,
     n: usize,
@@ -266,7 +211,7 @@ const CAT_TRACKED_BASE: usize = 2;
 /// Retained per-session state of the cohort engine: the materialized
 /// (tracked) singletons, the anonymous cohort list, and every reusable
 /// sampling buffer. One `CohortState` serves a whole [`CohortSession`];
-/// [`run_cohort`] builds a fresh one per run, so both paths
+/// [`run_cohort_instrumented`] builds a fresh one per run, so both paths
 /// execute the identical repetition loop.
 #[derive(Debug)]
 struct CohortState {
@@ -377,12 +322,34 @@ impl CohortState {
     }
 }
 
-/// A re-armable cohort-engine session: the cohort list, tracked-singleton
-/// vector, and sampling buffers persist across runs.
-/// [`rearm`](Self::rearm) collapses whatever population structure the
-/// previous run materialized back into the initial cohorts; the golden
-/// equivalence suite pins that a re-armed run is bit-identical to a fresh
-/// [`run_cohort`] at the same seed.
+/// A cohort-engine session: one 1-to-n execution per
+/// [`run`](Session::run), every node in `sources` starting informed.
+///
+/// `faults` layers a fault-injection plan with the other engines'
+/// semantics; every fault target is a tracked singleton, and a battery
+/// fault forces all-singleton mode (the energy gauge is per-node state
+/// that anonymous cohorts cannot carry). Budget exhaustion and a fired
+/// deadline come back as the typed [`SimError`] next to the partial
+/// (`truncated`) outcome.
+///
+/// The cohort list, tracked-singleton vector, and sampling buffers persist
+/// across runs; [`rearm`](Session::rearm) collapses whatever population
+/// structure the previous run materialized back into the initial cohorts.
+///
+/// ```
+/// use rcb_sim::cohort::{CohortConfig, CohortSession};
+/// use rcb_sim::deadline::Deadline;
+/// use rcb_sim::faults::FaultPlan;
+/// use rcb_sim::session::Session;
+/// use rcb_adversary::rep_strategies::NoJamRep;
+/// use rcb_core::one_to_n::OneToNParams;
+///
+/// let params = OneToNParams::practical();
+/// let mut session =
+///     CohortSession::new(params, 16, vec![0], CohortConfig::default(), FaultPlan::none(), 7);
+/// let (out, err) = session.run(&mut NoJamRep, &Deadline::NONE);
+/// assert!(err.is_none() && out.all_informed && out.all_terminated);
+/// ```
 #[derive(Debug)]
 pub struct CohortSession {
     params: OneToNParams,
@@ -415,18 +382,17 @@ impl CohortSession {
             rng: RcbRng::new(seed),
         }
     }
+}
 
-    /// Re-arms the session to slot 0 on a fresh RNG stream, collapsing
-    /// materialized nodes back into cohorts without reallocating.
-    pub fn rearm(&mut self, seed: u64) {
+impl Session for CohortSession {
+    type Outcome = BroadcastOutcome;
+
+    fn rearm(&mut self, seed: u64) {
         self.state.rearm(&self.params, self.n, &self.sources);
         self.rng = RcbRng::new(seed);
     }
 
-    /// Runs one execution against `adversary` on the session's RNG. The
-    /// session must be armed (just constructed, or [`rearm`](Self::rearm)
-    /// since the previous run).
-    pub fn run(
+    fn run(
         &mut self,
         adversary: &mut dyn RepetitionAdversary,
         deadline: &Deadline,
@@ -442,6 +408,12 @@ impl CohortSession {
             deadline,
             &mut CohortStats::default(),
         )
+    }
+}
+
+impl OwnsRng for CohortSession {
+    fn rng_mut(&mut self) -> &mut RcbRng {
+        &mut self.rng
     }
 }
 
@@ -1043,6 +1015,23 @@ mod tests {
         OneToNParams::practical()
     }
 
+    /// One run of a fresh session on the caller's RNG — the one-shot
+    /// hand-off a spec trial uses — so tests can share one stream.
+    #[allow(clippy::too_many_arguments)]
+    fn one_shot(
+        p: &OneToNParams,
+        n: usize,
+        sources: &[usize],
+        adversary: &mut dyn RepetitionAdversary,
+        rng: &mut RcbRng,
+        config: CohortConfig,
+        faults: &FaultPlan,
+        deadline: &Deadline,
+    ) -> (BroadcastOutcome, Option<SimError>) {
+        let mut session = CohortSession::new(*p, n, sources.to_vec(), config, *faults, 0);
+        crate::session::run_on(&mut session, rng, adversary, deadline)
+    }
+
     /// Node 0 the source, no faults, no deadline.
     fn plain(
         p: &OneToNParams,
@@ -1051,7 +1040,7 @@ mod tests {
         rng: &mut RcbRng,
         config: CohortConfig,
     ) -> BroadcastOutcome {
-        let (out, _) = run_cohort(
+        let (out, _) = one_shot(
             p,
             n,
             &[0],
@@ -1168,7 +1157,7 @@ mod tests {
             max_epoch: p.first_epoch + 2,
             ..CohortConfig::default()
         };
-        let err = run_cohort(
+        let err = one_shot(
             &p,
             4,
             &[0],
@@ -1190,7 +1179,7 @@ mod tests {
     fn an_elapsed_deadline_truncates_with_a_typed_error() {
         let p = params();
         let mut rng = RcbRng::new(7);
-        let (out, err) = run_cohort(
+        let (out, err) = one_shot(
             &p,
             16,
             &[0],
@@ -1280,7 +1269,7 @@ mod tests {
         let trials = 10;
         for seed in 0..trials {
             let mut rng = RcbRng::new(900 + seed);
-            let out = run_cohort(
+            let out = one_shot(
                 &p,
                 8,
                 &[0],
@@ -1330,7 +1319,7 @@ mod tests {
         let mut rng = RcbRng::new(9);
         let uncapped = plain(&p, 8, &mut NoJamRep, &mut rng, CohortConfig::default());
         let mut rng = RcbRng::new(9);
-        let capped = run_cohort(
+        let capped = one_shot(
             &p,
             8,
             &[0],
@@ -1357,7 +1346,7 @@ mod tests {
         let trials = 10;
         for seed in 0..trials {
             let mut rng = RcbRng::new(300 + seed);
-            let out = run_cohort(
+            let out = one_shot(
                 &p,
                 16,
                 &[0],

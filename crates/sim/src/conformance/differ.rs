@@ -534,9 +534,11 @@ mod tests {
     use rcb_core::protocol::SlotProtocol;
 
     use crate::deadline::Deadline;
-    use crate::duel::{run_duel, DuelConfig};
+    use crate::duel::{DuelConfig, DuelSession};
     use crate::exact::{run_exact, ExactConfig};
     use crate::runner::run_trials;
+    use crate::session::Session;
+    use rcb_mathkit::rng::SeedSequence;
 
     fn run_cell(cell: &Cell, cfg: &ConformanceConfig) -> CellReport {
         run_grid(std::slice::from_ref(cell), cfg).cells.remove(0)
@@ -738,16 +740,16 @@ mod tests {
             .0;
             out.ledger.max_node_cost() as f64
         });
-        let fast: Vec<f64> = run_trials(cfg.trials, cfg.fast_seed(), cfg.parallelism, |_, rng| {
+        let seeds = SeedSequence::new(cfg.fast_seed());
+        let fast: Vec<f64> = run_trials(cfg.trials, cfg.fast_seed(), cfg.parallelism, |i, _| {
             let mut adv = AdversarySpec::NoJam.build(0);
-            run_duel(
-                &profile,
-                &mut adv,
-                rng,
+            DuelSession::new(
+                profile,
                 DuelConfig::default(),
-                &FaultPlan::none(),
-                &Deadline::NONE,
+                FaultPlan::none(),
+                seeds.child(i),
             )
+            .run(&mut adv, &Deadline::NONE)
             .0
             .max_cost() as f64
         });
@@ -960,18 +962,11 @@ mod tests {
             probe.first_decode
         };
         let fast_delivery = |s: u64| {
-            let mut rng = RcbRng::new(9);
-            let mut adv = NoJamRep;
-            run_duel(
-                &AlwaysOnProfile,
-                &mut adv,
-                &mut rng,
-                DuelConfig::default(),
-                &FaultPlan::none().with_skew(1, s),
-                &Deadline::NONE,
-            )
-            .0
-            .delivery_slot
+            let plan = FaultPlan::none().with_skew(1, s);
+            DuelSession::new(AlwaysOnProfile, DuelConfig::default(), plan, 9)
+                .run(&mut NoJamRep, &Deadline::NONE)
+                .0
+                .delivery_slot
         };
         for s in 0..=PERIOD {
             let exact = exact_first_decode(s);

@@ -30,6 +30,7 @@ use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::outcome::DuelOutcome;
+use crate::session::{OwnsRng, Session};
 
 /// The duel engine's epoch cap: phase lengths past 2^62 slots overflow the
 /// slot arithmetic, so runs are truncated here regardless of `max_slots`.
@@ -64,9 +65,19 @@ fn scan_listens(listens: &[u64], sends: &[u64], mut on_listen: impl FnMut(u64, b
     }
 }
 
-/// Runs one execution of a two-party epoch protocol described by `profile`
-/// against a repetition-granularity adversary, under a fault-injection
-/// plan (see [`crate::faults`]) and a cooperative [`Deadline`].
+/// Reusable phase buffers: the transmitting party's slot set and the
+/// listening party's. One pair of allocations serves a whole session
+/// instead of two fresh `Vec`s per epoch.
+#[derive(Debug, Default)]
+pub struct DuelScratch {
+    sends_buf: Vec<u64>,
+    listens_buf: Vec<u64>,
+}
+
+/// A fast-duel session: one execution of a two-party epoch protocol
+/// described by `profile` per [`run`](Session::run), against a
+/// repetition-granularity adversary, under a fault-injection plan (see
+/// [`crate::faults`]) and a cooperative [`Deadline`].
 ///
 /// Budget exhaustion (the slot cap or the epoch-62 runaway guard) and a
 /// fired deadline come back as the typed [`SimError`] next to the partial
@@ -79,62 +90,27 @@ fn scan_listens(listens: &[u64], sends: &[u64], mut on_listen: impl FnMut(u64, b
 /// clock does for a sleeping radio — so a quiet window can push it into
 /// premature halting, which is measured degradation, not a bug.
 ///
+/// The session retains the scratch buffers (and the profile/config/fault
+/// plan) across runs, so a stream of executions costs zero allocations
+/// after the first. The protocol state itself ([`AliceState`]/
+/// [`BobState`]) is rebuilt from the profile at the top of every run — it
+/// is two plain words, so "without reallocating" holds by construction.
+///
 /// ```
 /// use rcb_sim::deadline::Deadline;
-/// use rcb_sim::duel::{run_duel, DuelConfig};
+/// use rcb_sim::duel::{DuelConfig, DuelSession};
 /// use rcb_sim::faults::FaultPlan;
+/// use rcb_sim::session::Session;
 /// use rcb_adversary::rep_strategies::BudgetedRepBlocker;
 /// use rcb_core::one_to_one::profile::Fig1Profile;
-/// use rcb_mathkit::rng::RcbRng;
 ///
 /// let profile = Fig1Profile::with_start_epoch(0.05, 8);
+/// let mut session = DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), 1);
 /// let mut jammer = BudgetedRepBlocker::new(50_000, 1.0);
-/// let mut rng = RcbRng::new(1);
-/// let (out, err) = run_duel(
-///     &profile,
-///     &mut jammer,
-///     &mut rng,
-///     DuelConfig::default(),
-///     &FaultPlan::none(),
-///     &Deadline::NONE,
-/// );
+/// let (out, err) = session.run(&mut jammer, &Deadline::NONE);
 /// assert!(err.is_none() && out.delivered);
 /// assert!(out.max_cost() < out.adversary_cost / 4); // √T ≪ T
 /// ```
-pub fn run_duel<P: DuelProfile>(
-    profile: &P,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: DuelConfig,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-) -> (DuelOutcome, Option<SimError>) {
-    run_duel_in(
-        &mut DuelScratch::default(),
-        profile,
-        adversary,
-        rng,
-        config,
-        faults,
-        deadline,
-    )
-}
-
-/// Reusable phase buffers: the transmitting party's slot set and the
-/// listening party's. One pair of allocations serves a whole session (or
-/// one [`run_duel`] call) instead of two fresh `Vec`s per epoch.
-#[derive(Debug, Default)]
-pub struct DuelScratch {
-    sends_buf: Vec<u64>,
-    listens_buf: Vec<u64>,
-}
-
-/// A re-armable fast-duel session: retains the scratch buffers (and the
-/// profile/config/fault plan) across runs so a stream of executions costs
-/// zero allocations after the first. The protocol state itself
-/// ([`AliceState`]/[`BobState`]) is rebuilt from the profile at the top of
-/// every run — it is two plain words, so "without reallocating" holds by
-/// construction, and so does bit-identity with a fresh engine invocation.
 #[derive(Debug)]
 pub struct DuelSession<P> {
     profile: P,
@@ -155,16 +131,16 @@ impl<P: DuelProfile> DuelSession<P> {
             rng: RcbRng::new(seed),
         }
     }
+}
 
-    /// Re-arms the session for its next run on a fresh RNG stream. After
-    /// `rearm(seed)`, [`run`](Self::run) is bit-identical to a freshly
-    /// constructed session (or [`run_duel`]) at `seed`.
-    pub fn rearm(&mut self, seed: u64) {
+impl<P: DuelProfile> Session for DuelSession<P> {
+    type Outcome = DuelOutcome;
+
+    fn rearm(&mut self, seed: u64) {
         self.rng = RcbRng::new(seed);
     }
 
-    /// Runs one execution against `adversary` on the session's RNG.
-    pub fn run(
+    fn run(
         &mut self,
         adversary: &mut dyn RepetitionAdversary,
         deadline: &Deadline,
@@ -178,6 +154,12 @@ impl<P: DuelProfile> DuelSession<P> {
             &self.faults,
             deadline,
         )
+    }
+}
+
+impl<P> OwnsRng for DuelSession<P> {
+    fn rng_mut(&mut self) -> &mut RcbRng {
+        &mut self.rng
     }
 }
 
@@ -450,14 +432,28 @@ mod tests {
     use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
     use rcb_core::one_to_one::profile::Fig1Profile;
 
+    /// One run of a fresh session on the caller's RNG — the one-shot hand-off
+    /// a spec trial uses — so unit tests can share one stream across trials.
+    fn one_shot<P: DuelProfile + Copy>(
+        profile: &P,
+        adversary: &mut dyn RepetitionAdversary,
+        rng: &mut RcbRng,
+        config: DuelConfig,
+        faults: &FaultPlan,
+        deadline: &Deadline,
+    ) -> (DuelOutcome, Option<SimError>) {
+        let mut session = DuelSession::new(*profile, config, *faults, 0);
+        crate::session::run_on(&mut session, rng, adversary, deadline)
+    }
+
     /// No faults, no deadline: the outcome alone.
-    fn plain<P: DuelProfile>(
+    fn plain<P: DuelProfile + Copy>(
         profile: &P,
         adversary: &mut dyn RepetitionAdversary,
         rng: &mut RcbRng,
         config: DuelConfig,
     ) -> DuelOutcome {
-        run_duel(
+        one_shot(
             profile,
             adversary,
             rng,
@@ -637,6 +633,7 @@ mod tests {
 
     /// A degenerate profile that never lets either party halt (threshold 0
     /// with zero activity), forcing the epoch counter to run away.
+    #[derive(Clone, Copy)]
     struct NeverHaltProfile;
 
     impl DuelProfile for NeverHaltProfile {
@@ -678,7 +675,7 @@ mod tests {
     fn checked_run_reports_epoch_cap_as_typed_error() {
         let mut rng = RcbRng::new(5);
         let mut adv = NoJamRep;
-        let err = run_duel(
+        let err = one_shot(
             &NeverHaltProfile,
             &mut adv,
             &mut rng,
@@ -701,7 +698,7 @@ mod tests {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
         let mut rng = RcbRng::new(3);
         let mut adv = BudgetedRepBlocker::new(10_000, 1.0);
-        let err = run_duel(
+        let err = one_shot(
             &profile,
             &mut adv,
             &mut rng,
@@ -725,7 +722,7 @@ mod tests {
         for seed in 0..10 {
             let mut rng = RcbRng::new(seed);
             let mut adv = NoJamRep;
-            let out = run_duel(
+            let out = one_shot(
                 &profile,
                 &mut adv,
                 &mut rng,
@@ -747,7 +744,7 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(seed);
             let mut adv = NoJamRep;
-            let out = run_duel(
+            let out = one_shot(
                 &profile,
                 &mut adv,
                 &mut rng,
@@ -773,7 +770,7 @@ mod tests {
         let profile = Fig1Profile::with_start_epoch(0.1, 8);
         let mut rng = RcbRng::new(9);
         let mut adv = NoJamRep;
-        let out = run_duel(
+        let out = one_shot(
             &profile,
             &mut adv,
             &mut rng,
@@ -796,7 +793,7 @@ mod tests {
         for seed in 0..10 {
             let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(1 << 20, 1.0);
-            let out = run_duel(
+            let out = one_shot(
                 &profile,
                 &mut adv,
                 &mut rng,
@@ -823,6 +820,7 @@ mod tests {
     /// and a noise threshold no phase can reach — both parties halt the
     /// moment a phase is quiet, and Bob decodes m in the first unskewed
     /// send slot.
+    #[derive(Clone, Copy)]
     struct AlwaysOnProfile;
 
     impl DuelProfile for AlwaysOnProfile {
@@ -848,7 +846,7 @@ mod tests {
         let run = |skew_slots: u64| {
             let mut rng = RcbRng::new(4);
             let mut adv = NoJamRep;
-            run_duel(
+            one_shot(
                 &AlwaysOnProfile,
                 &mut adv,
                 &mut rng,
@@ -874,7 +872,7 @@ mod tests {
     fn an_elapsed_deadline_truncates_with_a_typed_error() {
         let mut rng = RcbRng::new(5);
         let mut adv = NoJamRep;
-        let (out, err) = run_duel(
+        let (out, err) = one_shot(
             &NeverHaltProfile,
             &mut adv,
             &mut rng,
@@ -898,7 +896,7 @@ mod tests {
             let mut rng_b = RcbRng::new(seed);
             let mut adv_b = BudgetedRepBlocker::new(4096, 1.0);
             let far = Deadline::after(std::time::Duration::from_secs(3600));
-            let (timed, err) = run_duel(
+            let (timed, err) = one_shot(
                 &profile,
                 &mut adv_b,
                 &mut rng_b,

@@ -34,6 +34,7 @@ use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::outcome::BroadcastOutcome;
+use crate::session::{OwnsRng, Session};
 
 /// Limits for the fast broadcast engine.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -62,8 +63,9 @@ enum SlotContent {
     Collision,
 }
 
-/// Observer hook for instrumented runs (dynamics experiment E10): called
-/// after every repetition epilogue with the full node states.
+/// Per-repetition observer hook for instrumented runs (E10, E12,
+/// `calibrate`): [`BroadcastSession::run_observed`] calls it after every
+/// repetition epilogue with the full node states.
 pub trait BroadcastObserver {
     fn on_repetition(&mut self, epoch: u32, period: u64, jammed_slots: u64, nodes: &[OneToNNode]);
 }
@@ -73,71 +75,9 @@ impl BroadcastObserver for () {
     fn on_repetition(&mut self, _: u32, _: u64, _: u64, _: &[OneToNNode]) {}
 }
 
-/// Runs one 1-to-n execution: every node in `sources` starts informed.
-///
-/// Figure 2 never uses the fact that exactly one node holds `m` initially —
-/// the analysis works for any informed set `A` with `|A| ≥ 1` (Lemma 9
-/// explicitly tracks a growing `A`). Multiple sources simply shorten the
-/// dissemination phase; rates, helper logic, and termination are untouched.
-///
-/// `observer` sees every repetition epilogue (pass `&mut ()` for none).
-/// `faults` layers a fault-injection plan (see [`crate::faults`]) between
-/// the channel and the receivers, with the exact engine's semantics:
-/// crashed and battery-dead nodes are radio-off (no sampling, no coin
-/// flips) while their protocol clock keeps ticking through zero-count
-/// repetition epilogues; the loss coin is drawn only on decodable `m`
-/// receptions; skewed boundary slots decode as noise; the battery gauge is
-/// sampled at repetition boundaries, so overshoot is at most one repetition
-/// of activity. Battery-dead nodes count as halted for the completion
-/// check. Budget exhaustion and a fired `deadline` come back as the typed
-/// [`SimError`] next to the partial (`truncated`) outcome.
-///
-/// ```
-/// use rcb_sim::deadline::Deadline;
-/// use rcb_sim::fast::{run_broadcast, FastConfig};
-/// use rcb_sim::faults::FaultPlan;
-/// use rcb_adversary::rep_strategies::NoJamRep;
-/// use rcb_core::one_to_n::OneToNParams;
-/// use rcb_mathkit::rng::RcbRng;
-///
-/// let params = OneToNParams::practical();
-/// let mut rng = RcbRng::new(7);
-/// let (out, err) = run_broadcast(
-///     &params,
-///     16,
-///     &[0],
-///     &mut NoJamRep,
-///     &mut rng,
-///     FastConfig::default(),
-///     &mut (),
-///     &FaultPlan::none(),
-///     &Deadline::NONE,
-/// );
-/// assert!(err.is_none() && out.all_informed && out.all_terminated);
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn run_broadcast(
-    params: &OneToNParams,
-    n: usize,
-    sources: &[usize],
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-) -> (BroadcastOutcome, Option<SimError>) {
-    let mut state = FastState::new(params, n, sources);
-    run_broadcast_in(
-        &mut state, params, adversary, rng, config, observer, faults, deadline,
-    )
-}
-
 /// Retained per-run state of the fast broadcast engine: the node state
 /// machines, cost/fault bookkeeping, and every reusable sampling buffer.
-/// One `FastState` serves a whole [`BroadcastSession`]; [`run_broadcast`]
-/// builds a fresh one per run, so both paths execute the identical
-/// loop body.
+/// One `FastState` serves a whole [`BroadcastSession`].
 #[derive(Debug)]
 struct FastState {
     nodes: Vec<OneToNNode>,
@@ -194,11 +134,43 @@ impl FastState {
     }
 }
 
-/// A re-armable fast-broadcast session: one set of allocations (node
-/// vector, cost counters, sampling buffers) serves a stream of runs.
-/// [`rearm`](Self::rearm) returns everything to the just-constructed
-/// state in place; the golden equivalence suite pins that a re-armed run
-/// is bit-identical to a fresh [`run_broadcast`] at the same seed.
+/// A fast-broadcast session: one 1-to-n execution per
+/// [`run`](Session::run), every node in `sources` starting informed.
+///
+/// Figure 2 never uses the fact that exactly one node holds `m` initially —
+/// the analysis works for any informed set `A` with `|A| ≥ 1` (Lemma 9
+/// explicitly tracks a growing `A`). Multiple sources simply shorten the
+/// dissemination phase; rates, helper logic, and termination are untouched.
+///
+/// `faults` layers a fault-injection plan (see [`crate::faults`]) between
+/// the channel and the receivers, with the exact engine's semantics:
+/// crashed and battery-dead nodes are radio-off (no sampling, no coin
+/// flips) while their protocol clock keeps ticking through zero-count
+/// repetition epilogues; the loss coin is drawn only on decodable `m`
+/// receptions; skewed boundary slots decode as noise; the battery gauge is
+/// sampled at repetition boundaries, so overshoot is at most one repetition
+/// of activity. Battery-dead nodes count as halted for the completion
+/// check. Budget exhaustion and a fired deadline come back as the typed
+/// [`SimError`] next to the partial (`truncated`) outcome.
+///
+/// One set of allocations (node vector, cost counters, sampling buffers)
+/// serves a stream of runs; [`rearm`](Session::rearm) returns everything
+/// to the just-constructed state in place.
+///
+/// ```
+/// use rcb_sim::deadline::Deadline;
+/// use rcb_sim::fast::{BroadcastSession, FastConfig};
+/// use rcb_sim::faults::FaultPlan;
+/// use rcb_sim::session::Session;
+/// use rcb_adversary::rep_strategies::NoJamRep;
+/// use rcb_core::one_to_n::OneToNParams;
+///
+/// let params = OneToNParams::practical();
+/// let mut session =
+///     BroadcastSession::new(params, 16, vec![0], FastConfig::default(), FaultPlan::none(), 7);
+/// let (out, err) = session.run(&mut NoJamRep, &Deadline::NONE);
+/// assert!(err.is_none() && out.all_informed && out.all_terminated);
+/// ```
 #[derive(Debug)]
 pub struct BroadcastSession {
     params: OneToNParams,
@@ -230,19 +202,13 @@ impl BroadcastSession {
         }
     }
 
-    /// Re-arms the session to slot 0 on a fresh RNG stream, reusing every
-    /// allocation.
-    pub fn rearm(&mut self, seed: u64) {
-        self.state.rearm(&self.params, &self.sources);
-        self.rng = RcbRng::new(seed);
-    }
-
-    /// Runs one execution against `adversary` on the session's RNG. The
-    /// session must be armed (just constructed, or [`rearm`](Self::rearm)
+    /// [`run`](Session::run) with `observer` called after every repetition
+    /// epilogue. The session must be armed (just constructed, or re-armed
     /// since the previous run).
-    pub fn run(
+    pub fn run_observed(
         &mut self,
         adversary: &mut dyn RepetitionAdversary,
+        observer: &mut dyn BroadcastObserver,
         deadline: &Deadline,
     ) -> (BroadcastOutcome, Option<SimError>) {
         run_broadcast_in(
@@ -251,10 +217,33 @@ impl BroadcastSession {
             adversary,
             &mut self.rng,
             self.config,
-            &mut (),
+            observer,
             &self.faults,
             deadline,
         )
+    }
+}
+
+impl Session for BroadcastSession {
+    type Outcome = BroadcastOutcome;
+
+    fn rearm(&mut self, seed: u64) {
+        self.state.rearm(&self.params, &self.sources);
+        self.rng = RcbRng::new(seed);
+    }
+
+    fn run(
+        &mut self,
+        adversary: &mut dyn RepetitionAdversary,
+        deadline: &Deadline,
+    ) -> (BroadcastOutcome, Option<SimError>) {
+        self.run_observed(adversary, &mut (), deadline)
+    }
+}
+
+impl OwnsRng for BroadcastSession {
+    fn rng_mut(&mut self) -> &mut RcbRng {
+        &mut self.rng
     }
 }
 
@@ -562,7 +551,24 @@ mod tests {
         OneToNParams::practical()
     }
 
-    /// Node 0 the source, no observer, no faults, no deadline.
+    /// One run of a fresh session on the caller's RNG — the one-shot hand-off
+    /// a spec trial uses — so unit tests can share one stream across trials.
+    #[allow(clippy::too_many_arguments)]
+    fn one_shot(
+        params: &OneToNParams,
+        n: usize,
+        sources: &[usize],
+        adversary: &mut dyn RepetitionAdversary,
+        rng: &mut RcbRng,
+        config: FastConfig,
+        faults: &FaultPlan,
+        deadline: &Deadline,
+    ) -> (BroadcastOutcome, Option<SimError>) {
+        let mut session = BroadcastSession::new(*params, n, sources.to_vec(), config, *faults, 0);
+        crate::session::run_on(&mut session, rng, adversary, deadline)
+    }
+
+    /// Node 0 the source, no faults, no deadline.
     fn plain(
         p: &OneToNParams,
         n: usize,
@@ -570,14 +576,13 @@ mod tests {
         rng: &mut RcbRng,
         config: FastConfig,
     ) -> BroadcastOutcome {
-        let (out, _) = run_broadcast(
+        let (out, _) = one_shot(
             p,
             n,
             &[0],
             adversary,
             rng,
             config,
-            &mut (),
             &FaultPlan::none(),
             &Deadline::NONE,
         );
@@ -752,14 +757,13 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(400 + seed);
             let mut adv = NoJamRep;
-            let out = run_broadcast(
+            let out = one_shot(
                 &p,
                 n,
                 &[0],
                 &mut adv,
                 &mut rng,
                 FastConfig::default(),
-                &mut (),
                 &FaultPlan::none(),
                 &Deadline::NONE,
             )
@@ -769,14 +773,13 @@ mod tests {
 
             let mut rng = RcbRng::new(800 + seed);
             let mut adv = NoJamRep;
-            let out = run_broadcast(
+            let out = one_shot(
                 &p,
                 n,
                 &[0, 5, 11, 17],
                 &mut adv,
                 &mut rng,
                 FastConfig::default(),
-                &mut (),
                 &FaultPlan::none(),
                 &Deadline::NONE,
             )
@@ -799,14 +802,13 @@ mod tests {
         let p = params();
         let mut rng = RcbRng::new(1);
         let mut adv = NoJamRep;
-        run_broadcast(
+        one_shot(
             &p,
             4,
             &[4],
             &mut adv,
             &mut rng,
             FastConfig::default(),
-            &mut (),
             &FaultPlan::none(),
             &Deadline::NONE,
         );
@@ -837,7 +839,7 @@ mod tests {
         let p = params();
         let mut rng = RcbRng::new(5);
         let mut adv = rcb_adversary::rep_strategies::SuffixFractionRep::new(1.0);
-        let err = run_broadcast(
+        let err = one_shot(
             &p,
             4,
             &[0],
@@ -846,7 +848,6 @@ mod tests {
             FastConfig {
                 max_epoch: p.first_epoch + 2,
             },
-            &mut (),
             &FaultPlan::none(),
             &Deadline::NONE,
         )
@@ -862,14 +863,13 @@ mod tests {
     fn an_elapsed_deadline_truncates_with_a_typed_error() {
         let p = params();
         let mut rng = RcbRng::new(7);
-        let (out, err) = run_broadcast(
+        let (out, err) = one_shot(
             &p,
             16,
             &[0],
             &mut NoJamRep,
             &mut rng,
             FastConfig::default(),
-            &mut (),
             &FaultPlan::none(),
             &Deadline::after(std::time::Duration::ZERO),
         );
@@ -890,14 +890,13 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(900 + seed);
             let mut adv = NoJamRep;
-            let out = run_broadcast(
+            let out = one_shot(
                 &p,
                 8,
                 &[0],
                 &mut adv,
                 &mut rng,
                 FastConfig::default(),
-                &mut (),
                 &FaultPlan::none().with_crash(3, 2, 6, true),
                 &Deadline::NONE,
             )
@@ -923,14 +922,13 @@ mod tests {
         for seed in 0..trials {
             let mut rng = RcbRng::new(300 + seed);
             let mut adv = NoJamRep;
-            let out = run_broadcast(
+            let out = one_shot(
                 &p,
                 16,
                 &[0],
                 &mut adv,
                 &mut rng,
                 FastConfig::default(),
-                &mut (),
                 &FaultPlan::none().with_loss(0.2),
                 &Deadline::NONE,
             )
@@ -955,14 +953,13 @@ mod tests {
 
         let mut rng = RcbRng::new(9);
         let mut adv = NoJamRep;
-        let capped = run_broadcast(
+        let capped = one_shot(
             &p,
             8,
             &[0],
             &mut adv,
             &mut rng,
             FastConfig::default(),
-            &mut (),
             &FaultPlan::none().with_battery(20),
             &Deadline::NONE,
         )

@@ -121,8 +121,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no faults, engines behave bit-identically to their
-    /// unfaulted entry points.
+    /// The empty plan: no faults, engines behave bit-identically to an
+    /// unfaulted run.
     pub fn none() -> Self {
         Self::default()
     }

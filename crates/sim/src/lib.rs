@@ -2,38 +2,41 @@
 //!
 //! Simulation engines and the Monte-Carlo trial runner.
 //!
-//! Three engines execute protocols against adversaries, each through one
-//! entry point that takes the full argument set — a fault-injection plan
-//! ([`faults`]) and a cooperative [`Deadline`] included — and returns the
-//! outcome next to an optional typed [`SimError`] (an engine cap or a
-//! fired deadline), so a truncated run is data, never a silent clip:
+//! Three engines execute protocols against adversaries. Each has one
+//! lifecycle, a [`Session`]: construct it at a seed with its full argument
+//! set — a fault-injection plan ([`faults`]) included — run it under a
+//! cooperative [`Deadline`], and [`rearm`](Session::rearm) it for the next
+//! run. A run returns the outcome next to an optional typed [`SimError`]
+//! (an engine cap or a fired deadline), so a truncated run is data, never
+//! a silent clip:
 //!
-//! * [`exact`] ([`run_exact`]) — the reference engine: every slot is
-//!   resolved through `rcb_channel::resolve_slot` for an arbitrary set of
+//! * [`exact`] ([`ExactBroadcastSession`]; [`run_exact`] for arbitrary
+//!   protocol sets) — the reference engine: every slot is resolved through
+//!   `rcb_channel::resolve_slot` for a set of
 //!   [`SlotProtocol`](rcb_core::protocol::SlotProtocol) nodes and a
 //!   [`SlotAdversary`](rcb_adversary::SlotAdversary). Faithful and general,
 //!   cost `O(slots · n)`.
-//! * [`duel`] ([`run_duel`], Figure 1) and [`fast`] ([`run_broadcast`],
-//!   Figure 2) — the per-node fast engines: they exploit the protocols'
-//!   period structure to sample only the *events* (sends, listens) instead
-//!   of iterating silent slots. The sampling is exact — a Bernoulli process
-//!   over a block is its Binomial count plus uniform positions, implemented
-//!   by geometric skips in `rcb-mathkit` — so these engines agree with
-//!   [`exact`] in distribution; the [`conformance`] differ and integration
-//!   tests cross-validate them.
-//! * [`cohort`] ([`run_cohort`], Figure 2) — the population-compressed
+//! * [`duel`] ([`DuelSession`], Figure 1) and [`fast`]
+//!   ([`BroadcastSession`], Figure 2) — the per-node fast engines: they
+//!   exploit the protocols' period structure to sample only the *events*
+//!   (sends, listens) instead of iterating silent slots. The sampling is
+//!   exact — a Bernoulli process over a block is its Binomial count plus
+//!   uniform positions, implemented by geometric skips in `rcb-mathkit` —
+//!   so these engines agree with [`exact`] in distribution; the
+//!   [`conformance`] differ and integration tests cross-validate them.
+//! * [`cohort`] ([`CohortSession`], Figure 2) — the population-compressed
 //!   engine: nodes in the same protocol state move as one cohort, so a
 //!   repetition costs O(active cohorts) instead of O(n) and n reaches 10^6.
 //!
 //! [`scenario`] is the **front door**: a declarative [`ScenarioSpec`]
-//! (workload, engine, adversary, faults, seed policy, trials) runs one
-//! trial through [`ScenarioSpec::run_trial_raw`] (or `run_trial_ctl` under
-//! a deadline) and a batch through [`ScenarioSpec::run_batch_raw`]. New code
-//! should build a spec; the engine entry points serve callers that hold
-//! their own protocol or adversary instances. [`session`] keeps one
-//! engine's allocations alive across runs: a re-armed session is
-//! bit-identical to a fresh entry-point call at the same seed, which is
-//! what the streaming workloads drain their queues through.
+//! (workload, engine, adversary, faults, seed policy, trials) maps its
+//! (workload, engine) pair to a session in one place. A trial
+//! ([`ScenarioSpec::run_trial_raw`], or `run_trial_ctl` under a deadline)
+//! runs that session once on the trial's RNG, bit-identical to a session
+//! at the trial's seed driven by hand; a stream trial drains its message
+//! queue through the same session, re-armed per message; a batch runs
+//! through [`ScenarioSpec::run_batch_raw`]. New code should build a spec;
+//! the sessions serve callers that hold their own adversary or observer.
 //!
 //! One worker pool runs all parallel work: a list of specs runs through
 //! [`executor::run_specs_ctl`], which claims one trial at a time across
@@ -68,14 +71,14 @@ pub mod runner;
 pub mod scenario;
 pub mod session;
 
-pub use cohort::{run_cohort, run_cohort_instrumented, CohortConfig, CohortStats};
+pub use cohort::{run_cohort_instrumented, CohortConfig, CohortSession, CohortStats};
 pub use conformance::{default_grid, run_grid, Cell, ConformanceConfig, GridReport};
 pub use deadline::{install_sigint_handler, interrupted, Deadline};
-pub use duel::{run_duel, DuelConfig};
+pub use duel::{DuelConfig, DuelSession};
 pub use error::{SimError, TrialFailure};
 pub use exact::{run_exact, ExactConfig, ExactOutcome};
 pub use executor::{run_specs_ctl, run_specs_journaled, QuarantinedTrial, SpecsControl, SpecsRun};
-pub use fast::{run_broadcast, BroadcastObserver, FastConfig};
+pub use fast::{BroadcastObserver, BroadcastSession, FastConfig};
 pub use faults::{BatteryFault, CrashFault, FaultConfigError, FaultPlan, LossFault, SkewFault};
 pub use journal::{Journal, JournalError, JournalHeader};
 pub use json::Json;
@@ -87,3 +90,4 @@ pub use scenario::{
     DuelWorkload, Engine, NamedScenario, Outcome, ScenarioSpec, SeedPolicy, Workload,
     FAST_STREAM_SALT, FNV_OFFSET,
 };
+pub use session::{ExactBroadcastSession, Session};

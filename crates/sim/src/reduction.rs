@@ -19,14 +19,15 @@
 
 use rcb_adversary::rep_strategies::BudgetedRepBlocker;
 use rcb_core::one_to_n::OneToNParams;
-use rcb_mathkit::rng::RcbRng;
+use rcb_mathkit::rng::SeedSequence;
 use rcb_mathkit::stats::RunningStats;
 use serde::{Deserialize, Serialize};
 
 use crate::deadline::Deadline;
-use crate::fast::{run_broadcast, FastConfig};
+use crate::fast::{BroadcastSession, FastConfig};
 use crate::faults::FaultPlan;
 use crate::runner::{run_trials, Parallelism};
+use crate::session::Session;
 
 /// Aggregated outcome of running the reduction over many trials.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -65,20 +66,18 @@ pub fn simulate_reduction(
         n >= 2,
         "the reduction needs a sender and at least one receiver"
     );
-    let outcomes = run_trials(trials, seed, Parallelism::Auto, |_, rng: &mut RcbRng| {
-        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        run_broadcast(
-            params,
+    let seeds = SeedSequence::new(seed);
+    let outcomes = run_trials(trials, seed, Parallelism::Auto, |i, _| {
+        let mut session = BroadcastSession::new(
+            *params,
             n,
-            &[0],
-            &mut adv,
-            rng,
+            vec![0],
             FastConfig::default(),
-            &mut (),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        )
-        .0
+            FaultPlan::none(),
+            seeds.child(i),
+        );
+        let mut adv = BudgetedRepBlocker::new(budget, 1.0);
+        session.run(&mut adv, &Deadline::NONE).0
     });
 
     let mut sender = RunningStats::new();

@@ -1,48 +1,42 @@
-//! Re-armable protocol sessions: construct once, run many times.
+//! Protocol sessions: the one engine lifecycle.
 //!
-//! The engine entry points ([`run_duel`](crate::duel::run_duel),
-//! [`run_broadcast`](crate::fast::run_broadcast),
-//! [`run_cohort`](crate::cohort::run_cohort),
-//! [`run_exact`](crate::exact::run_exact)) follow a construct-run-discard
-//! lifecycle: every execution
-//! allocates fresh protocol state, runs it to completion, and drops it. A
-//! *session* keeps the allocation alive across executions:
-//! [`Session::rearm`] resets protocol state, epoch position, and cost
+//! Every engine runs through a *session*: construct once at a seed, run,
+//! and [`Session::rearm`] to run again. A session owns its RNG and its
+//! allocations; `rearm` resets protocol state, epoch position, and cost
 //! ledgers to slot 0 **without reallocating**, and hands the next run a
 //! fresh RNG stream. After `rearm(seed)`, a session's run is bit-identical
-//! to a freshly constructed instance at `seed` (certified by the golden
+//! to a freshly constructed session at `seed` (certified by the golden
 //! suite in `crates/sim/tests/rearm_equivalence.rs`).
 //!
-//! Sessions are the substrate of the streaming workload
-//! ([`crate::scenario::StreamWorkload`]): a queue of messages drains
-//! through one re-armed session while a single adversary budget spans the
-//! stream. The adversary is therefore *not* owned by the session — the
-//! caller lends it per run, deciding between runs whether its budget
-//! persists ([`crate::scenario::StreamAlloc::Persistent`]) or refills
+//! Three session types live with their engines
+//! ([`DuelSession`](crate::duel::DuelSession),
+//! [`BroadcastSession`](crate::fast::BroadcastSession),
+//! [`CohortSession`](crate::cohort::CohortSession)); this module adds the
+//! slot-granular [`ExactBroadcastSession`] and the [`Session`] trait.
+//! [`crate::scenario::ScenarioSpec`] maps a (workload, engine) pair to one
+//! of them: a single trial runs it once on the trial's RNG, a stream
+//! ([`crate::scenario::StreamWorkload`]) drains its message queue through
+//! one re-armed session while a single adversary budget spans the stream.
+//! The adversary is therefore *not* owned by the session — the caller
+//! lends it per run, deciding between runs whether its budget persists
+//! ([`crate::scenario::StreamAlloc::Persistent`]) or refills
 //! ([`RepetitionAdversary::rearm`],
-//! [`crate::scenario::StreamAlloc::PerMessage`]).
-//!
-//! Three session types live with their engines ([`DuelSession`],
-//! [`BroadcastSession`], [`CohortSession`]); this module adds the
-//! slot-granular [`ExactBroadcastSession`] and the [`Session`] trait that
-//! unifies the broadcast-shaped ones for the streaming loop.
+//! [`crate::scenario::StreamAlloc::PerMessage`]). Only the exact engine
+//! keeps a caller-RNG entry point, [`run_exact`](crate::exact::run_exact),
+//! for protocol sets no spec can name.
 
 use rcb_adversary::traits::RepetitionAdversary;
 use rcb_adversary::RepAsSlotAdversary;
 use rcb_channel::partition::Partition;
 use rcb_core::one_to_n::{OneToNParams, OneToNSchedule, OneToNSlotNode};
-use rcb_core::one_to_one::profile::DuelProfile;
 use rcb_core::protocol::{Rearm, SlotProtocol};
 use rcb_mathkit::rng::RcbRng;
 
-use crate::cohort::CohortSession;
 use crate::deadline::Deadline;
-use crate::duel::DuelSession;
 use crate::error::SimError;
 use crate::exact::{run_exact_in, ExactConfig, ExactScratch};
-use crate::fast::BroadcastSession;
 use crate::faults::FaultPlan;
-use crate::outcome::{BroadcastOutcome, DuelOutcome};
+use crate::outcome::BroadcastOutcome;
 
 /// A re-armable protocol execution: state is retained between runs and
 /// reset in place by [`rearm`](Session::rearm).
@@ -54,7 +48,8 @@ use crate::outcome::{BroadcastOutcome, DuelOutcome};
 /// `run` call; running twice without a `rearm` in between continues the
 /// RNG stream over terminal protocol state and is unspecified.
 pub trait Session {
-    /// The engine's outcome type ([`DuelOutcome`] or [`BroadcastOutcome`]).
+    /// The engine's outcome type ([`DuelOutcome`](crate::outcome::DuelOutcome)
+    /// or [`BroadcastOutcome`]).
     type Outcome;
 
     /// Resets protocol state, epoch position, and cost ledgers to slot 0
@@ -69,52 +64,26 @@ pub trait Session {
     ) -> (Self::Outcome, Option<SimError>);
 }
 
-impl<P: DuelProfile> Session for DuelSession<P> {
-    type Outcome = DuelOutcome;
-
-    fn rearm(&mut self, seed: u64) {
-        DuelSession::rearm(self, seed);
-    }
-
-    fn run(
-        &mut self,
-        adversary: &mut dyn RepetitionAdversary,
-        deadline: &Deadline,
-    ) -> (DuelOutcome, Option<SimError>) {
-        DuelSession::run(self, adversary, deadline)
-    }
+/// Crate-private access to a session's own generator, for [`run_on`].
+pub(crate) trait OwnsRng {
+    fn rng_mut(&mut self) -> &mut RcbRng;
 }
 
-impl Session for BroadcastSession {
-    type Outcome = BroadcastOutcome;
-
-    fn rearm(&mut self, seed: u64) {
-        BroadcastSession::rearm(self, seed);
-    }
-
-    fn run(
-        &mut self,
-        adversary: &mut dyn RepetitionAdversary,
-        deadline: &Deadline,
-    ) -> (BroadcastOutcome, Option<SimError>) {
-        BroadcastSession::run(self, adversary, deadline)
-    }
-}
-
-impl Session for CohortSession {
-    type Outcome = BroadcastOutcome;
-
-    fn rearm(&mut self, seed: u64) {
-        CohortSession::rearm(self, seed);
-    }
-
-    fn run(
-        &mut self,
-        adversary: &mut dyn RepetitionAdversary,
-        deadline: &Deadline,
-    ) -> (BroadcastOutcome, Option<SimError>) {
-        CohortSession::run(self, adversary, deadline)
-    }
+/// Runs an armed `session` once on the caller's `rng` instead of its own
+/// stream. The two generators are swapped in and out around the run, so
+/// the outcome, the error, and `rng`'s final position are exactly those of
+/// the engine loop drawing from `rng` directly. This is how a spec's
+/// single trial runs as a one-shot session.
+pub(crate) fn run_on<S: Session + OwnsRng>(
+    session: &mut S,
+    rng: &mut RcbRng,
+    adversary: &mut dyn RepetitionAdversary,
+    deadline: &Deadline,
+) -> (S::Outcome, Option<SimError>) {
+    std::mem::swap(session.rng_mut(), rng);
+    let result = session.run(adversary, deadline);
+    std::mem::swap(session.rng_mut(), rng);
+    result
 }
 
 /// A re-armable slot-granular 1-to-n execution: one [`OneToNSlotNode`] per
@@ -168,10 +137,14 @@ impl ExactBroadcastSession {
             rng: RcbRng::new(seed),
         }
     }
+}
+
+impl Session for ExactBroadcastSession {
+    type Outcome = BroadcastOutcome;
 
     /// Re-arms every node, the ledger, and the fault flags to slot 0 on a
     /// fresh RNG stream, reusing every allocation.
-    pub fn rearm(&mut self, seed: u64) {
+    fn rearm(&mut self, seed: u64) {
         for node in &mut self.nodes {
             node.rearm();
         }
@@ -179,12 +152,10 @@ impl ExactBroadcastSession {
         self.rng = RcbRng::new(seed);
     }
 
-    /// Runs one execution against `adversary` on the session's RNG. The
-    /// session must be armed (just constructed, or [`rearm`](Self::rearm)
-    /// since the previous run). The repetition adversary is wrapped in a
-    /// fresh [`RepAsSlotAdversary`] per run — its per-repetition cursor
-    /// starts clean while the borrowed strategy's budget carries over.
-    pub fn run(
+    /// The repetition adversary is wrapped in a fresh
+    /// [`RepAsSlotAdversary`] per run — its per-repetition cursor starts
+    /// clean while the borrowed strategy's budget carries over.
+    fn run(
         &mut self,
         adversary: &mut dyn RepetitionAdversary,
         deadline: &Deadline,
@@ -225,18 +196,8 @@ impl ExactBroadcastSession {
     }
 }
 
-impl Session for ExactBroadcastSession {
-    type Outcome = BroadcastOutcome;
-
-    fn rearm(&mut self, seed: u64) {
-        ExactBroadcastSession::rearm(self, seed);
-    }
-
-    fn run(
-        &mut self,
-        adversary: &mut dyn RepetitionAdversary,
-        deadline: &Deadline,
-    ) -> (BroadcastOutcome, Option<SimError>) {
-        ExactBroadcastSession::run(self, adversary, deadline)
+impl OwnsRng for ExactBroadcastSession {
+    fn rng_mut(&mut self) -> &mut RcbRng {
+        &mut self.rng
     }
 }

@@ -6,61 +6,47 @@ use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
 use rcb_adversary::traits::RepetitionAdversary;
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
-use rcb_mathkit::rng::RcbRng;
+use rcb_mathkit::rng::SeedSequence;
 use rcb_sim::deadline::Deadline;
-use rcb_sim::duel::{run_duel, DuelConfig};
-use rcb_sim::fast::{run_broadcast, FastConfig};
+use rcb_sim::duel::{DuelConfig, DuelSession};
+use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
 use rcb_sim::runner::{run_trials, Parallelism};
+use rcb_sim::session::Session;
 
-/// A fault-free, unbounded duel: the outcome alone.
+/// A fault-free, unbounded duel on a fresh session at `seed`.
 fn duel(
     profile: &Fig1Profile,
     adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
+    seed: u64,
     config: DuelConfig,
 ) -> DuelOutcome {
-    run_duel(
-        profile,
-        adversary,
-        rng,
-        config,
-        &FaultPlan::none(),
-        &Deadline::NONE,
-    )
-    .0
+    DuelSession::new(*profile, config, FaultPlan::none(), seed)
+        .run(adversary, &Deadline::NONE)
+        .0
 }
 
-/// A fault-free, unbounded broadcast from node 0: the outcome alone.
+/// A fault-free, unbounded broadcast from node 0 on a fresh session at
+/// `seed`.
 fn broadcast(
     params: &OneToNParams,
     n: usize,
     adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
+    seed: u64,
     config: FastConfig,
 ) -> BroadcastOutcome {
-    let (out, _) = run_broadcast(
-        params,
-        n,
-        &[0],
-        adversary,
-        rng,
-        config,
-        &mut (),
-        &FaultPlan::none(),
-        &Deadline::NONE,
-    );
-    out
+    BroadcastSession::new(*params, n, vec![0], config, FaultPlan::none(), seed)
+        .run(adversary, &Deadline::NONE)
+        .0
 }
 
 #[test]
 fn duel_same_seed_same_outcome() {
     let profile = Fig1Profile::with_start_epoch(0.05, 7);
     let run = |seed| {
-        let mut rng = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(5000, 1.0);
-        duel(&profile, &mut adv, &mut rng, DuelConfig::default())
+        duel(&profile, &mut adv, seed, DuelConfig::default())
     };
     assert_eq!(run(7), run(7), "bitwise reproducibility");
     // And different seeds differ somewhere across a few tries.
@@ -72,9 +58,8 @@ fn duel_same_seed_same_outcome() {
 fn broadcast_same_seed_same_outcome() {
     let params = OneToNParams::practical();
     let run = |seed| {
-        let mut rng = RcbRng::new(seed);
         let mut adv = NoJamRep;
-        broadcast(&params, 12, &mut adv, &mut rng, FastConfig::default())
+        broadcast(&params, 12, &mut adv, seed, FastConfig::default())
     };
     assert_eq!(run(3), run(3));
 }
@@ -83,9 +68,8 @@ fn broadcast_same_seed_same_outcome() {
 fn adversary_cost_never_exceeds_budget() {
     let profile = Fig1Profile::with_start_epoch(0.05, 7);
     for budget in [0u64, 100, 5_000, 100_000] {
-        let mut rng = RcbRng::new(budget ^ 11);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let out = duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+        let out = duel(&profile, &mut adv, budget ^ 11, DuelConfig::default());
         assert!(
             out.adversary_cost <= budget,
             "spent {} on budget {budget}",
@@ -98,9 +82,8 @@ fn adversary_cost_never_exceeds_budget() {
 fn broadcast_adversary_cost_never_exceeds_budget() {
     let params = OneToNParams::practical();
     for budget in [0u64, 1000, 50_000] {
-        let mut rng = RcbRng::new(budget ^ 5);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let out = broadcast(&params, 8, &mut adv, &mut rng, FastConfig::default());
+        let out = broadcast(&params, 8, &mut adv, budget ^ 5, FastConfig::default());
         assert!(out.adversary_cost <= budget);
     }
 }
@@ -109,9 +92,10 @@ fn broadcast_adversary_cost_never_exceeds_budget() {
 fn duel_costs_grow_with_budget_on_average() {
     let profile = Fig1Profile::with_start_epoch(0.05, 8);
     let mean_cost = |budget: u64| {
-        let outs = run_trials(40, 17 ^ budget, Parallelism::Auto, |_, rng| {
+        let seeds = SeedSequence::new(17 ^ budget);
+        let outs = run_trials(40, 17 ^ budget, Parallelism::Auto, |i, _| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            duel(&profile, &mut adv, rng, DuelConfig::default())
+            duel(&profile, &mut adv, seeds.child(i), DuelConfig::default())
         });
         outs.iter().map(|o| o.max_cost() as f64).sum::<f64>() / outs.len() as f64
     };
@@ -125,9 +109,8 @@ fn duel_costs_grow_with_budget_on_average() {
 fn delivery_slot_is_within_run() {
     let profile = Fig1Profile::with_start_epoch(0.05, 7);
     for seed in 0..30 {
-        let mut rng = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(2000, 1.0);
-        let out = duel(&profile, &mut adv, &mut rng, DuelConfig::default());
+        let out = duel(&profile, &mut adv, seed, DuelConfig::default());
         if let Some(t) = out.delivery_slot {
             assert!(out.delivered);
             assert!(t < out.slots, "delivery slot {t} vs total {}", out.slots);
@@ -139,9 +122,8 @@ fn delivery_slot_is_within_run() {
 fn broadcast_outcome_counts_are_consistent() {
     let params = OneToNParams::practical();
     for seed in 0..10 {
-        let mut rng = RcbRng::new(seed);
         let mut adv = NoJamRep;
-        let out = broadcast(&params, 16, &mut adv, &mut rng, FastConfig::default());
+        let out = broadcast(&params, 16, &mut adv, seed, FastConfig::default());
         assert_eq!(out.n, 16);
         assert_eq!(out.node_costs.len(), 16);
         assert!(out.informed <= out.n);
@@ -157,9 +139,8 @@ fn broadcast_outcome_counts_are_consistent() {
 fn sender_alone_is_node_zero_semantics() {
     // n = 1 runs to termination and reports the sender informed.
     let params = OneToNParams::practical();
-    let mut rng = RcbRng::new(1);
     let mut adv = NoJamRep;
-    let out = broadcast(&params, 1, &mut adv, &mut rng, FastConfig::default());
+    let out = broadcast(&params, 1, &mut adv, 1, FastConfig::default());
     assert!(out.all_informed);
     assert!(out.all_terminated);
 }
@@ -172,9 +153,10 @@ fn duel_engine_matches_closed_form_prediction() {
     use rcb_core::one_to_one::predict::{predicted_cost, predicted_latency};
     let profile = Fig1Profile::with_start_epoch(0.05, 8);
     for budget in [0u64, 1 << 12, 1 << 16] {
-        let outs = run_trials(80, 3 ^ budget, Parallelism::Auto, |_, rng| {
+        let seeds = SeedSequence::new(3 ^ budget);
+        let outs = run_trials(80, 3 ^ budget, Parallelism::Auto, |i, _| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            duel(&profile, &mut adv, rng, DuelConfig::default())
+            duel(&profile, &mut adv, seeds.child(i), DuelConfig::default())
         });
         let mean_alice: f64 =
             outs.iter().map(|o| o.alice_cost as f64).sum::<f64>() / outs.len() as f64;
@@ -203,9 +185,14 @@ fn unjammed_broadcast_latency_matches_schedule_estimate() {
         let mut slots_sum = 0u64;
         let trials = 4u64;
         for seed in 0..trials {
-            let mut rng = RcbRng::new(900 + seed + n as u64);
             let mut adv = NoJamRep;
-            let out = broadcast(&params, n, &mut adv, &mut rng, FastConfig::default());
+            let out = broadcast(
+                &params,
+                n,
+                &mut adv,
+                900 + seed + n as u64,
+                FastConfig::default(),
+            );
             assert!(out.all_terminated);
             slots_sum += out.slots;
         }

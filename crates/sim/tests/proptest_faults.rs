@@ -21,9 +21,10 @@ use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::Fig1Profile;
 use rcb_mathkit::rng::RcbRng;
 use rcb_sim::deadline::Deadline;
-use rcb_sim::duel::{run_duel, DuelConfig};
-use rcb_sim::fast::{run_broadcast, FastConfig};
+use rcb_sim::duel::{DuelConfig, DuelSession};
+use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
+use rcb_sim::session::Session;
 
 /// Assembles a plan from flat primitives (the vendored proptest stub has
 /// no `prop_map`/`option` combinators). Each component is present iff its
@@ -77,9 +78,8 @@ proptest! {
         // Keep pathological plans (total loss) cheap to replay.
         let config = DuelConfig { max_slots: 1 << 16 };
         let run = || {
-            let mut rng = RcbRng::new(seed);
             let mut adv = BudgetedRepBlocker::new(512, 1.0);
-            run_duel(&profile, &mut adv, &mut rng, config, &plan, &Deadline::NONE).0
+            DuelSession::new(profile, config, plan, seed).run(&mut adv, &Deadline::NONE).0
         };
         prop_assert_eq!(run(), run());
     }
@@ -100,9 +100,9 @@ proptest! {
         );
         let params = OneToNParams::practical();
         let run = || {
-            let mut rng = RcbRng::new(seed);
-            let mut adv = NoJamRep;
-            run_broadcast(&params, 6, &[0], &mut adv, &mut rng, FastConfig::default(), &mut (), &plan, &Deadline::NONE).0
+            BroadcastSession::new(params, 6, vec![0], FastConfig::default(), plan, seed)
+                .run(&mut NoJamRep, &Deadline::NONE)
+                .0
         };
         let a = run();
         let b = run();

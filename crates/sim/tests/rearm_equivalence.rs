@@ -14,12 +14,11 @@ use rcb_adversary::rep_strategies::{BudgetedRepBlocker, KeepAliveBlocker};
 use rcb_adversary::traits::RepetitionAdversary;
 use rcb_core::one_to_n::OneToNParams;
 use rcb_core::one_to_one::profile::Fig1Profile;
-use rcb_mathkit::rng::RcbRng;
-use rcb_sim::cohort::{run_cohort, CohortConfig, CohortSession};
+use rcb_sim::cohort::{CohortConfig, CohortSession};
 use rcb_sim::deadline::Deadline;
-use rcb_sim::duel::{run_duel, DuelConfig, DuelSession};
+use rcb_sim::duel::{DuelConfig, DuelSession};
 use rcb_sim::exact::ExactConfig;
-use rcb_sim::fast::{run_broadcast, BroadcastSession, FastConfig};
+use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::scenario::{fnv1a_bytes, FNV_OFFSET};
 use rcb_sim::session::{ExactBroadcastSession, Session};
@@ -188,86 +187,4 @@ fn cohort_session_rearm_all_tracked_regime() {
         },
         || Box::new(BudgetedRepBlocker::new(50_000, 1.0)),
     );
-}
-
-// ---------------------------------------------------------------------------
-// Session-vs-entry-point: a fresh session run equals the construct-run-discard
-// entry point at the same seed, so the session layer is a pure refactor.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn fresh_sessions_match_legacy_entry_points() {
-    for seed in [1u64, 9, 77] {
-        let mut session = DuelSession::new(
-            Fig1Profile::with_start_epoch(0.1, 8),
-            DuelConfig::default(),
-            FaultPlan::none(),
-            seed,
-        );
-        let mut adv = BudgetedRepBlocker::new(4096, 1.0);
-        let (via_session, _) = session.run(&mut adv, &Deadline::NONE);
-        let mut rng = RcbRng::new(seed);
-        let mut adv = BudgetedRepBlocker::new(4096, 1.0);
-        let direct = run_duel(
-            &Fig1Profile::with_start_epoch(0.1, 8),
-            &mut adv,
-            &mut rng,
-            DuelConfig::default(),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        )
-        .0;
-        assert_eq!(via_session, direct, "duel seed {seed}");
-
-        let mut session = BroadcastSession::new(
-            OneToNParams::practical(),
-            12,
-            vec![0],
-            FastConfig::default(),
-            FaultPlan::none(),
-            seed,
-        );
-        let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-        let (via_session, _) = session.run(&mut adv, &Deadline::NONE);
-        let mut rng = RcbRng::new(seed);
-        let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-        let direct = run_broadcast(
-            &OneToNParams::practical(),
-            12,
-            &[0],
-            &mut adv,
-            &mut rng,
-            FastConfig::default(),
-            &mut (),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        )
-        .0;
-        assert_eq!(via_session, direct, "broadcast seed {seed}");
-
-        let mut session = CohortSession::new(
-            OneToNParams::practical(),
-            24,
-            vec![0],
-            CohortConfig::default(),
-            FaultPlan::none(),
-            seed,
-        );
-        let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-        let (via_session, _) = session.run(&mut adv, &Deadline::NONE);
-        let mut rng = RcbRng::new(seed);
-        let mut adv = BudgetedRepBlocker::new(50_000, 1.0);
-        let direct = run_cohort(
-            &OneToNParams::practical(),
-            24,
-            &[0],
-            &mut adv,
-            &mut rng,
-            CohortConfig::default(),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        )
-        .0;
-        assert_eq!(via_session, direct, "cohort seed {seed}");
-    }
 }

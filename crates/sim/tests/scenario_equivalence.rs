@@ -1,5 +1,5 @@
-//! Golden equivalence: `ScenarioSpec::run_*` against direct calls of the
-//! engine entry points it subsumes.
+//! Golden equivalence: `ScenarioSpec::run_*` against hand-driven engine
+//! sessions and the exact engine's `run_exact`.
 //!
 //! The scenario layer promises *bit-identical* behavior — same outcomes,
 //! same slot counts, same FNV-1a checksum folds — for every (workload,
@@ -13,14 +13,16 @@
 //! (`FAST_PATH_CHECKSUMS`).
 //!
 //! Each spec is replayed through a hand-built legacy harness — the
-//! pre-scenario construction for each (workload, engine) — that calls
-//! `run_duel` / `run_broadcast` / `run_cohort` / `run_exact` directly,
-//! mirroring the constructions `ScenarioSpec` performs. A drift in either
-//! direction — the spec layer or the legacy harness — fails here.
+//! pre-scenario construction for each (workload, engine) — that drives
+//! `DuelSession` / `BroadcastSession` / `CohortSession` at the trial's
+//! child seed, and builds the exact engine's slot-level nodes by hand for
+//! `run_exact` on the trial's RNG. A drift in either direction — the spec
+//! layer or the legacy harness — fails here.
 //!
-//! A property test additionally pins that a spec with an empty `FaultPlan`
-//! replays a direct fault-free engine call with a hand-built adversary
-//! byte for byte, including the caller's RNG stream position afterwards.
+//! Property tests additionally pin that a spec with an empty `FaultPlan`
+//! replays a hand-driven fault-free run with a hand-built adversary byte
+//! for byte on every engine, including the caller's RNG stream position
+//! afterwards — the one-shot RNG hand-off a spec trial runs through.
 
 use proptest::prelude::*;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, KeepAliveBlocker, NoJamRep, RandomRep};
@@ -33,13 +35,14 @@ use rcb_core::one_to_one::profile::{DuelProfile, Fig1Profile};
 use rcb_core::one_to_one::schedule::DuelSchedule;
 use rcb_core::one_to_one::slot::{AliceProtocol, BobProtocol};
 use rcb_core::protocol::SlotProtocol;
-use rcb_mathkit::rng::RcbRng;
-use rcb_sim::cohort::{run_cohort, CohortConfig};
+use rcb_mathkit::rng::{RcbRng, SeedSequence};
+use rcb_sim::cohort::{CohortConfig, CohortSession};
 use rcb_sim::conformance::default_grid;
 use rcb_sim::deadline::Deadline;
-use rcb_sim::duel::{run_duel, DuelConfig};
+use rcb_sim::duel::{DuelConfig, DuelSession};
+use rcb_sim::error::SimError;
 use rcb_sim::exact::{run_exact, ExactConfig};
-use rcb_sim::fast::{run_broadcast, FastConfig};
+use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
 use rcb_sim::runner::run_trials;
@@ -47,6 +50,7 @@ use rcb_sim::scenario::{
     fnv1a, registry, AdversarySpec, BroadcastWorkload, DuelProtocol, DuelWorkload, Engine, Outcome,
     ScenarioSpec, Workload, FNV_OFFSET,
 };
+use rcb_sim::session::Session;
 
 // ---------------------------------------------------------------------------
 // Legacy harness: the pre-scenario construction for each (workload, engine)
@@ -70,9 +74,9 @@ fn legacy_adversary(spec: &AdversarySpec, seed: u64) -> Box<dyn RepetitionAdvers
 fn legacy_fast_duel(
     w: &DuelWorkload,
     adv: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
+    seed: u64,
     faults: &FaultPlan,
-) -> DuelOutcome {
+) -> (DuelOutcome, Option<SimError>) {
     let config = DuelConfig {
         max_slots: w.max_slots,
     };
@@ -80,28 +84,20 @@ fn legacy_fast_duel(
         DuelProtocol::Fig1 {
             epsilon,
             start_epoch,
-        } => {
-            run_duel(
-                &Fig1Profile::with_start_epoch(epsilon, start_epoch),
-                adv,
-                rng,
-                config,
-                faults,
-                &Deadline::NONE,
-            )
-            .0
-        }
-        DuelProtocol::Ksy { start_epoch } => {
-            run_duel(
-                &KsyProfile::with_start_epoch(start_epoch),
-                adv,
-                rng,
-                config,
-                faults,
-                &Deadline::NONE,
-            )
-            .0
-        }
+        } => DuelSession::new(
+            Fig1Profile::with_start_epoch(epsilon, start_epoch),
+            config,
+            *faults,
+            seed,
+        )
+        .run(adv, &Deadline::NONE),
+        DuelProtocol::Ksy { start_epoch } => DuelSession::new(
+            KsyProfile::with_start_epoch(start_epoch),
+            config,
+            *faults,
+            seed,
+        )
+        .run(adv, &Deadline::NONE),
     }
 }
 
@@ -111,13 +107,13 @@ fn legacy_exact_duel<P: DuelProfile + Copy>(
     adversary: Box<dyn RepetitionAdversary>,
     rng: &mut RcbRng,
     faults: &FaultPlan,
-) -> DuelOutcome {
+) -> (DuelOutcome, Option<SimError>) {
     let mut alice = AliceProtocol::new(profile);
     let mut bob = BobProtocol::new(profile);
     let schedule = DuelSchedule::new(profile.start_epoch());
     let partition = Partition::pair();
     let mut adv = RepAsSlotAdversary::duel(adversary);
-    let out = run_exact(
+    let (out, err) = run_exact(
         &mut [&mut alice, &mut bob],
         &mut adv,
         &schedule,
@@ -129,10 +125,9 @@ fn legacy_exact_duel<P: DuelProfile + Copy>(
         None,
         faults,
         &Deadline::NONE,
-    )
-    .0;
+    );
     let delivered = bob.received_message();
-    DuelOutcome {
+    let out = DuelOutcome {
         delivered,
         bob_premature: !delivered && out.completed,
         alice_cost: out.ledger.node_cost(0),
@@ -142,7 +137,8 @@ fn legacy_exact_duel<P: DuelProfile + Copy>(
         delivery_slot: None,
         last_epoch: 0,
         truncated: !out.completed,
-    }
+    };
+    (out, err)
 }
 
 fn legacy_exact_broadcast(
@@ -150,7 +146,7 @@ fn legacy_exact_broadcast(
     adversary: Box<dyn RepetitionAdversary>,
     rng: &mut RcbRng,
     faults: &FaultPlan,
-) -> BroadcastOutcome {
+) -> (BroadcastOutcome, Option<SimError>) {
     let mut nodes: Vec<OneToNSlotNode> = (0..w.n)
         .map(|u| OneToNSlotNode::new(w.params, w.sources.contains(&u)))
         .collect();
@@ -161,7 +157,7 @@ fn legacy_exact_broadcast(
     let schedule = OneToNSchedule::new(w.params);
     let partition = Partition::uniform(w.n);
     let mut adv = RepAsSlotAdversary::broadcast(adversary, w.n);
-    let out = run_exact(
+    let (out, err) = run_exact(
         &mut refs,
         &mut adv,
         &schedule,
@@ -173,10 +169,9 @@ fn legacy_exact_broadcast(
         None,
         faults,
         &Deadline::NONE,
-    )
-    .0;
+    );
     let informed = nodes.iter().filter(|v| v.received_message()).count();
-    BroadcastOutcome {
+    let out = BroadcastOutcome {
         n: w.n,
         informed,
         all_informed: informed == w.n,
@@ -187,16 +182,20 @@ fn legacy_exact_broadcast(
         slots: out.slots,
         last_epoch: 0,
         truncated: !out.completed,
-    }
+    };
+    (out, err)
 }
 
 /// One legacy trial for a spec: the dispatch `run_trial_raw` replaced.
+/// Sessions start at the trial's child seed, which is exactly the stream
+/// `rng` carries.
 fn legacy_trial(spec: &ScenarioSpec, trial: u64, rng: &mut RcbRng) -> Outcome {
     let seed = spec.seeds.adversary_seed(trial);
+    let child = SeedSequence::new(spec.seeds.master).child(trial);
     match (&spec.workload, spec.engine) {
         (Workload::Duel(w), Engine::Fast) => {
             let mut adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Duel(legacy_fast_duel(w, adv.as_mut(), rng, &spec.faults))
+            Outcome::Duel(legacy_fast_duel(w, adv.as_mut(), child, &spec.faults).0)
         }
         (Workload::Duel(w), Engine::Exact) => {
             let adv = legacy_adversary(&spec.adversary, seed);
@@ -219,49 +218,30 @@ fn legacy_trial(spec: &ScenarioSpec, trial: u64, rng: &mut RcbRng) -> Outcome {
                     &spec.faults,
                 ),
             };
-            Outcome::Duel(out)
+            Outcome::Duel(out.0)
         }
         (Workload::Broadcast(w), Engine::Fast) => {
             let mut adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Broadcast(
-                run_broadcast(
-                    &w.params,
-                    w.n,
-                    &w.sources,
-                    adv.as_mut(),
-                    rng,
-                    FastConfig {
-                        max_epoch: w.max_epoch,
-                    },
-                    &mut (),
-                    &spec.faults,
-                    &Deadline::NONE,
-                )
-                .0,
-            )
+            let config = FastConfig {
+                max_epoch: w.max_epoch,
+            };
+            let mut session =
+                BroadcastSession::new(w.params, w.n, w.sources.clone(), config, spec.faults, child);
+            Outcome::Broadcast(session.run(adv.as_mut(), &Deadline::NONE).0)
         }
         (Workload::Broadcast(w), Engine::Exact) => {
             let adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Broadcast(legacy_exact_broadcast(w, adv, rng, &spec.faults))
+            Outcome::Broadcast(legacy_exact_broadcast(w, adv, rng, &spec.faults).0)
         }
         (Workload::Broadcast(w), Engine::CohortFast) => {
             let mut adv = legacy_adversary(&spec.adversary, seed);
-            Outcome::Broadcast(
-                run_cohort(
-                    &w.params,
-                    w.n,
-                    &w.sources,
-                    adv.as_mut(),
-                    rng,
-                    CohortConfig {
-                        max_epoch: w.max_epoch,
-                        ..CohortConfig::default()
-                    },
-                    &spec.faults,
-                    &Deadline::NONE,
-                )
-                .0,
-            )
+            let config = CohortConfig {
+                max_epoch: w.max_epoch,
+                ..CohortConfig::default()
+            };
+            let mut session =
+                CohortSession::new(w.params, w.n, w.sources.clone(), config, spec.faults, child);
+            Outcome::Broadcast(session.run(adv.as_mut(), &Deadline::NONE).0)
         }
         (Workload::Duel(_), Engine::CohortFast) => {
             unreachable!("validate() rejects duel workloads on the cohort engine")
@@ -493,73 +473,99 @@ fn fast_engine_partial_jam_paths_match_pins() {
 // Empty fault plan ≡ clean path
 // ---------------------------------------------------------------------------
 
+/// Whether `session`'s own generator sits exactly where `rng` does. A
+/// session's `Debug` rendering includes its RNG state, so this pins the
+/// stream position without an accessor.
+fn session_rng_is(session: &impl std::fmt::Debug, rng: &RcbRng) -> bool {
+    format!("{session:?}").contains(&format!("{rng:?}"))
+}
+
 proptest! {
-    /// A duel spec carrying `FaultPlan::none()` replays a direct fault-free
-    /// `run_duel` bit for bit, and leaves the caller's RNG in the
-    /// identical stream position.
+    /// A duel spec carrying `FaultPlan::none()` replays a hand-driven
+    /// fault-free run bit for bit — a `DuelSession` at `seed` on the fast
+    /// engine, `run_exact` on `RcbRng::new(seed)` on the exact one — and
+    /// leaves the caller's RNG in the identical stream position.
     #[test]
     fn empty_fault_plan_spec_is_byte_identical_to_clean_duel(
         seed in any::<u64>(),
         budget in 0u64..4096,
+        exact in any::<bool>(),
     ) {
+        let engine = if exact { Engine::Exact } else { Engine::Fast };
         let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 6))
+            .with_engine(engine)
             .with_adversary(AdversarySpec::Budgeted { budget, fraction: 1.0 })
             .with_faults(FaultPlan::none())
             .with_seed(seed);
+        let Workload::Duel(w) = &spec.workload else { unreachable!() };
 
         let mut rng_spec = RcbRng::new(seed);
         let (via_spec, spec_err) = spec.run_trial_raw(0, &mut rng_spec);
 
-        let mut rng_clean = RcbRng::new(seed);
+        let profile = Fig1Profile::with_start_epoch(0.1, 6);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let (clean, clean_err) = run_duel(
-            &Fig1Profile::with_start_epoch(0.1, 6),
-            &mut adv,
-            &mut rng_clean,
-            DuelConfig::default(),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        );
+        let (clean, clean_err, rng_matches) = if exact {
+            let mut rng_clean = RcbRng::new(seed);
+            let (clean, err) =
+                legacy_exact_duel(profile, w, Box::new(adv), &mut rng_clean, &FaultPlan::none());
+            (clean, err, rng_spec == rng_clean)
+        } else {
+            let mut session =
+                DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), seed);
+            let (clean, err) = session.run(&mut adv, &Deadline::NONE);
+            (clean, err, session_rng_is(&session, &rng_spec))
+        };
 
         prop_assert_eq!(via_spec.into_duel(), clean);
         prop_assert_eq!(spec_err, clean_err);
-        prop_assert_eq!(rng_spec, rng_clean, "RNG stream position must match");
+        prop_assert!(rng_matches, "RNG stream position must match");
     }
 
-    /// Broadcast flavor of the same invariant, at a small fixed `n`.
+    /// Broadcast flavor of the same invariant, at a small fixed `n`, on the
+    /// fast, cohort and exact engines.
     #[test]
     fn empty_fault_plan_spec_is_byte_identical_to_clean_broadcast(
         seed in any::<u64>(),
         budget in 0u64..2048,
+        engine_ix in 0usize..3,
     ) {
+        let engine = [Engine::Fast, Engine::CohortFast, Engine::Exact][engine_ix];
         let spec = ScenarioSpec::broadcast(5)
+            .with_engine(engine)
             .with_adversary(AdversarySpec::Budgeted { budget, fraction: 1.0 })
             .with_faults(FaultPlan::none())
             .with_seed(seed);
-        let params = match &spec.workload {
-            Workload::Broadcast(w) => w.params,
-            _ => unreachable!(),
-        };
+        let Workload::Broadcast(w) = &spec.workload else { unreachable!() };
 
         let mut rng_spec = RcbRng::new(seed);
         let (via_spec, spec_err) = spec.run_trial_raw(0, &mut rng_spec);
 
-        let mut rng_clean = RcbRng::new(seed);
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        let (clean, clean_err) = run_broadcast(
-            &params,
-            5,
-            &[0],
-            &mut adv,
-            &mut rng_clean,
-            FastConfig::default(),
-            &mut (),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        );
+        let (clean, clean_err, rng_matches) = match engine {
+            Engine::Fast => {
+                let mut session = BroadcastSession::new(
+                    w.params, 5, vec![0], FastConfig::default(), FaultPlan::none(), seed,
+                );
+                let (clean, err) = session.run(&mut adv, &Deadline::NONE);
+                (clean, err, session_rng_is(&session, &rng_spec))
+            }
+            Engine::CohortFast => {
+                let mut session = CohortSession::new(
+                    w.params, 5, vec![0], CohortConfig::default(), FaultPlan::none(), seed,
+                );
+                let (clean, err) = session.run(&mut adv, &Deadline::NONE);
+                (clean, err, session_rng_is(&session, &rng_spec))
+            }
+            Engine::Exact => {
+                let mut rng_clean = RcbRng::new(seed);
+                let (clean, err) =
+                    legacy_exact_broadcast(w, Box::new(adv), &mut rng_clean, &FaultPlan::none());
+                (clean, err, rng_spec == rng_clean)
+            }
+        };
 
         prop_assert_eq!(via_spec.into_broadcast(), clean);
         prop_assert_eq!(spec_err, clean_err);
-        prop_assert_eq!(rng_spec, rng_clean, "RNG stream position must match");
+        prop_assert!(rng_matches, "RNG stream position must match");
     }
 }

@@ -57,10 +57,17 @@
 //! The pinned scenarios are published as a named registry:
 //! [`registry()`](rcb_sim::scenario::registry) /
 //! [`find_scenario`](rcb_sim::scenario::find_scenario) in the library,
-//! `rcbsim scenario list` / `rcbsim scenario run <name>` on the CLI. Each
-//! engine also has one low-level entry point (`run_duel`, `run_broadcast`,
-//! `run_cohort`, `run_exact`) for callers that hold their own protocol or
-//! adversary instances; it is bit-identical to the spec path.
+//! `rcbsim scenario list` / `rcbsim scenario run <name>` on the CLI. Below
+//! the spec, every engine has one lifecycle: its session
+//! ([`DuelSession`](rcb_sim::duel::DuelSession),
+//! [`BroadcastSession`](rcb_sim::fast::BroadcastSession),
+//! [`CohortSession`](rcb_sim::cohort::CohortSession),
+//! [`ExactBroadcastSession`](rcb_sim::session::ExactBroadcastSession)),
+//! built at a seed, run, and re-armed for the next run; a spec trial is a
+//! one-shot session, bit-identical to one driven by hand. The exact
+//! engine's slot-level harness
+//! [`run_exact`](rcb_sim::exact::run_exact) stays for protocol sets no
+//! spec can name.
 
 pub use rcb_adversary as adversary;
 pub use rcb_analysis as analysis;
@@ -93,15 +100,16 @@ pub mod prelude {
     };
     pub use rcb_core::protocol::{Schedule, SlotProtocol};
     pub use rcb_mathkit::rng::{RcbRng, SeedSequence};
+    pub use rcb_sim::cohort::{CohortConfig, CohortSession};
     pub use rcb_sim::conformance::{
         default_grid, replay_broadcast_trace, replay_duel_trace, run_grid, Cell, ConformanceConfig,
         GridReport,
     };
     pub use rcb_sim::deadline::Deadline;
-    pub use rcb_sim::duel::{run_duel, DuelConfig};
+    pub use rcb_sim::duel::{DuelConfig, DuelSession};
     pub use rcb_sim::error::{SimError, TrialFailure};
     pub use rcb_sim::exact::{run_exact, ExactConfig};
-    pub use rcb_sim::fast::{run_broadcast, FastConfig};
+    pub use rcb_sim::fast::{BroadcastSession, FastConfig};
     pub use rcb_sim::faults::{FaultConfigError, FaultPlan};
     pub use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
     pub use rcb_sim::runner::{run_trials, Parallelism};
@@ -109,6 +117,7 @@ pub mod prelude {
         find_scenario, registry, AdversarySpec, BroadcastWorkload, DuelProtocol, DuelWorkload,
         Engine, NamedScenario, Outcome, ScenarioSpec, SeedPolicy, Workload,
     };
+    pub use rcb_sim::session::{ExactBroadcastSession, Session};
 }
 
 /// Compiles the README's code blocks as doctests so the front-page example

@@ -14,17 +14,12 @@ use rcb_sim::lowerbound::{golden_ratio_game, product_game};
 fn theorem1_success_probability_under_attack() {
     let profile = Fig1Profile::with_start_epoch(0.05, 8);
     let trials = 200u64;
-    let outcomes = run_trials(trials, 77, Parallelism::Auto, |_, rng| {
+    let outcomes = run_trials(trials, 77, Parallelism::Auto, |i, _| {
         let mut adv = BudgetedRepBlocker::new(20_000, 1.0);
-        run_duel(
-            &profile,
-            &mut adv,
-            rng,
-            DuelConfig::default(),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        )
-        .0
+        let seed = SeedSequence::new(77).child(i);
+        DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), seed)
+            .run(&mut adv, &Deadline::NONE)
+            .0
     });
     let delivered = outcomes.iter().filter(|o| o.delivered).count();
     // ε = 0.05 nominal with a scaled-down start epoch: allow 3× slack.
@@ -42,17 +37,12 @@ fn theorem1_cost_scaling_exponent() {
     let mut ys = Vec::new();
     for k in [10u32, 12, 14, 16, 18] {
         let budget = 1u64 << k;
-        let outcomes = run_trials(60, 123 ^ budget, Parallelism::Auto, |_, rng| {
+        let outcomes = run_trials(60, 123 ^ budget, Parallelism::Auto, |i, _| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_duel(
-                &profile,
-                &mut adv,
-                rng,
-                DuelConfig::default(),
-                &FaultPlan::none(),
-                &Deadline::NONE,
-            )
-            .0
+            let seed = SeedSequence::new(123 ^ budget).child(i);
+            DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), seed)
+                .run(&mut adv, &Deadline::NONE)
+                .0
         });
         let mean_t: f64 = outcomes
             .iter()
@@ -83,20 +73,13 @@ fn theorem3_cost_decreases_with_n() {
     let budget = 1u64 << 21;
     let mut means = Vec::new();
     for n in [8usize, 32, 64] {
-        let outcomes = run_trials(8, 55 + n as u64, Parallelism::Auto, |_, rng| {
+        let outcomes = run_trials(8, 55 + n as u64, Parallelism::Auto, |i, _| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_broadcast(
-                &params,
-                n,
-                &[0],
-                &mut adv,
-                rng,
-                FastConfig::default(),
-                &mut (),
-                &FaultPlan::none(),
-                &Deadline::NONE,
-            )
-            .0
+            let seed = SeedSequence::new(55 + n as u64).child(i);
+            let config = FastConfig::default();
+            BroadcastSession::new(params, n, vec![0], config, FaultPlan::none(), seed)
+                .run(&mut adv, &Deadline::NONE)
+                .0
         });
         let mean: f64 = outcomes.iter().map(|o| o.mean_cost()).sum::<f64>() / outcomes.len() as f64;
         means.push((n, mean));
@@ -113,20 +96,13 @@ fn theorem3_cost_decreases_with_n() {
 #[test]
 fn theorem3_all_informed_under_attack() {
     let params = OneToNParams::practical();
-    let outcomes = run_trials(12, 99, Parallelism::Auto, |_, rng| {
+    let outcomes = run_trials(12, 99, Parallelism::Auto, |i, _| {
         let mut adv = BudgetedRepBlocker::new(30_000, 1.0);
-        run_broadcast(
-            &params,
-            24,
-            &[0],
-            &mut adv,
-            rng,
-            FastConfig::default(),
-            &mut (),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        )
-        .0
+        let seed = SeedSequence::new(99).child(i);
+        let config = FastConfig::default();
+        BroadcastSession::new(params, 24, vec![0], config, FaultPlan::none(), seed)
+            .run(&mut adv, &Deadline::NONE)
+            .0
     });
     let ok = outcomes
         .iter()
@@ -178,17 +154,12 @@ fn ksy_baseline_has_golden_ratio_exponent() {
     let mut ys = Vec::new();
     for k in [10u32, 12, 14, 16, 18, 20] {
         let budget = 1u64 << k;
-        let outcomes = run_trials(60, 31 ^ budget, Parallelism::Auto, |_, rng| {
+        let outcomes = run_trials(60, 31 ^ budget, Parallelism::Auto, |i, _| {
             let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-            run_duel(
-                &profile,
-                &mut adv,
-                rng,
-                DuelConfig::default(),
-                &FaultPlan::none(),
-                &Deadline::NONE,
-            )
-            .0
+            let seed = SeedSequence::new(31 ^ budget).child(i);
+            DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), seed)
+                .run(&mut adv, &Deadline::NONE)
+                .0
         });
         let mean_t: f64 = outcomes
             .iter()
@@ -339,17 +310,12 @@ fn sampler_slots_match_naive_per_slot_flips() {
 fn latency_linear_in_t() {
     let profile = Fig1Profile::with_start_epoch(0.05, 8);
     let budget = 1u64 << 16;
-    let outcomes = run_trials(40, 31, Parallelism::Auto, |_, rng| {
+    let outcomes = run_trials(40, 31, Parallelism::Auto, |i, _| {
         let mut adv = BudgetedRepBlocker::new(budget, 1.0);
-        run_duel(
-            &profile,
-            &mut adv,
-            rng,
-            DuelConfig::default(),
-            &FaultPlan::none(),
-            &Deadline::NONE,
-        )
-        .0
+        let seed = SeedSequence::new(31).child(i);
+        DuelSession::new(profile, DuelConfig::default(), FaultPlan::none(), seed)
+            .run(&mut adv, &Deadline::NONE)
+            .0
     });
     for o in &outcomes {
         assert!(
