@@ -27,8 +27,7 @@ use rcb_sim::deadline::{install_sigint_handler, interrupted, Deadline};
 use rcb_sim::error::SimError;
 use rcb_sim::executor::run_specs_journaled;
 use rcb_sim::faults::FaultPlan;
-use rcb_sim::journal::{Journal, JournalHeader};
-use rcb_sim::json::Json;
+use rcb_sim::journal::{Journal, JournalKind};
 use rcb_sim::outcome::StreamOutcome;
 use rcb_sim::runner::Parallelism;
 use rcb_sim::scenario::{
@@ -194,8 +193,9 @@ COMMANDS:
   help       this text
 
 CRASH SAFETY (scenario run):
-  --journal PATH     checkpoint completed cells to an FNV-1a-checksummed
-                     JSONL journal (flushed atomically as the run goes)
+  --journal PATH     checkpoint completed cells to a new journal of
+                     FNV-1a-checksummed records, written atomically when
+                     the run ends or is cut (an existing file is refused)
   --resume PATH      skip the journal's completed cells and continue; a
                      journal from different work is refused, and resumed
                      results are bit-identical to an uninterrupted run
@@ -624,11 +624,13 @@ fn cmd_scenario(args: &Args) -> Result<String, String> {
             let rc = run_control_args(args)?;
             let fingerprint = spec.fingerprint();
             let mut journal = match (&rc.resume, &rc.journal) {
-                (Some(path), _) => Some(Journal::open_resume(path, "scenario", fingerprint)),
+                (Some(path), _) => Some(Journal::open_resume(
+                    path,
+                    JournalKind::Scenario,
+                    fingerprint,
+                )),
                 (None, Some(path)) => {
-                    let meta = Json::obj(vec![("scenario", Json::Str(name.to_string()))]);
-                    let header = JournalHeader::new("scenario", fingerprint, meta);
-                    Some(Journal::create(path, header))
+                    Some(Journal::create(path, JournalKind::Scenario, fingerprint))
                 }
                 (None, None) => None,
             }
@@ -1169,18 +1171,20 @@ mod tests {
     }
 
     fn tmp_journal(name: &str) -> String {
-        std::env::temp_dir()
-            .join(format!("rcb_cli_test_{}_{name}.jsonl", std::process::id()))
-            .to_string_lossy()
-            .into_owned()
+        let path = std::env::temp_dir().join(format!(
+            "rcb_cli_test_{}_{name}.journal",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        path.to_string_lossy().into_owned()
     }
 
     #[test]
     fn crash_safety_flags_parse_and_reject_conflicts() {
-        let a = parse(&["scenario", "--journal", "j.jsonl", "--deadline", "1.5"]).expect("parse");
+        let a = parse(&["scenario", "--journal", "j.journal", "--deadline", "1.5"]).expect("parse");
         let rc = run_control_args(&a).expect("valid flags");
         assert!(rc.active());
-        assert_eq!(rc.journal.as_deref(), Some(Path::new("j.jsonl")));
+        assert_eq!(rc.journal.as_deref(), Some(Path::new("j.journal")));
         assert_eq!(rc.deadline_budget, Some(Duration::from_millis(1500)));
 
         let none = run_control_args(&parse(&["scenario"]).expect("parse")).expect("no flags");
@@ -1233,7 +1237,7 @@ mod tests {
     fn scenario_journal_in_a_missing_directory_is_an_error() {
         let missing = std::env::temp_dir()
             .join(format!("rcb_cli_missing_{}", std::process::id()))
-            .join("x.jsonl");
+            .join("x.journal");
         let missing = missing.to_string_lossy();
         let a = parse(&[
             "scenario",
@@ -1247,6 +1251,53 @@ mod tests {
         .expect("parse");
         let err = run_cli(&a).expect_err("the journal cannot be created");
         assert!(err.contains("journal io error"), "{err}");
+    }
+
+    #[test]
+    fn scenario_journal_refuses_to_overwrite_an_existing_journal() {
+        let journal = tmp_journal("scenario_exists");
+        let run = |trials: &str| {
+            let v = [
+                "scenario",
+                "run",
+                "duel_jammed",
+                "--trials",
+                trials,
+                "--seed",
+                "5",
+            ];
+            run_cli(&parse(&[&v[..], &["--journal", &journal]].concat()).expect("parse"))
+        };
+        run("3").expect("a fresh journal");
+        let err = run("1").expect_err("an existing journal is never overwritten");
+        assert!(err.contains("already exists"), "{err}");
+        assert!(err.contains(&format!("--resume {journal}")), "{err}");
+        let kept = Journal::load(Path::new(&journal)).expect("the journal is intact");
+        assert_eq!(kept.len(), 3, "every record of the first run survives");
+        std::fs::remove_file(&journal).ok();
+    }
+
+    #[test]
+    fn scenario_resume_refuses_an_undecodable_record_before_any_trial_runs() {
+        let journal = tmp_journal("scenario_undecodable");
+        let run = |extra: &[&str]| {
+            let v = ["scenario", "run", "duel_jammed", "--trials", "2"];
+            run_cli(&parse(&[&v[..], extra].concat()).expect("parse"))
+        };
+        run(&["--journal", &journal]).expect("a fresh journal");
+        // Spec 0, trial 0, outcome tag 9: the checksum verifies, the words
+        // do not decode.
+        let words = [0, 0, 9];
+        let header = std::fs::read_to_string(&journal).expect("read journal");
+        let header = header.lines().next().expect("a header line");
+        let bad = format!("{header}\n0 0 9 {:016x}\n", fnv1a(FNV_OFFSET, &words));
+        std::fs::write(&journal, &bad).expect("write journal");
+
+        let err = run(&["--resume", &journal]).expect_err("an undecodable record");
+        assert!(err.contains("journal corrupt at line 2"), "{err}");
+        let after = std::fs::read_to_string(&journal).expect("read journal");
+        assert_eq!(after, bad, "no trial ran, so nothing was written");
+        std::fs::remove_file(&journal).ok();
     }
 
     #[test]
@@ -1284,10 +1335,10 @@ mod tests {
         // the new trials into the journal it continues.
         let partial = tmp_journal("scenario_resume_partial");
         let full = Journal::load(Path::new(&journal)).expect("full journal");
-        let mut part =
-            Journal::create(Path::new(&partial), full.header().clone()).expect("create partial");
-        for cell in full.cells().take(2) {
-            part.append(cell.to_string(), full.get(cell).expect("listed").clone());
+        let mut part = Journal::create(Path::new(&partial), full.kind(), full.fingerprint())
+            .expect("create partial");
+        for t in 0..2 {
+            part.append(0, t, full.get(0, t).expect("journaled").clone());
         }
         part.flush().expect("flush partial journal");
         let resumed = run_cli(&base_args(&["--resume", &partial])).expect("partial resume");

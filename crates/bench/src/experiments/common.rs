@@ -22,8 +22,7 @@ use rcb_analysis::report::{Cell, SweepSeries};
 use rcb_sim::deadline::{install_sigint_handler, Deadline};
 use rcb_sim::error::SimError;
 use rcb_sim::executor::{run_specs_journaled, QuarantinedTrial};
-use rcb_sim::journal::{Journal, JournalHeader};
-use rcb_sim::json::Json;
+use rcb_sim::journal::{Journal, JournalKind};
 use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
 use rcb_sim::runner::Parallelism;
 use rcb_sim::scenario::{
@@ -96,7 +95,7 @@ pub fn split_truncated<T>(
 /// Crash-safety knobs for the budget sweeps.
 ///
 /// With `journal_dir` set, every budget sweep journals completed trials to
-/// `<dir>/sweep_<fingerprint>.jsonl` and automatically resumes an existing
+/// `<dir>/sweep_<fingerprint>.journal` and automatically resumes an existing
 /// journal for the same work (a journal from *different* work is refused
 /// via its header fingerprint, never silently spliced). With `deadline`
 /// set, in-flight trials finish, the journal (if any) is flushed, and the
@@ -186,13 +185,15 @@ pub fn run_sweep_specs(
         None => None,
         Some(dir) => {
             let fingerprint = sweep_fingerprint(specs);
-            let path = dir.join(format!("sweep_{fingerprint:016x}.jsonl"));
+            let path = dir.join(format!("sweep_{fingerprint:016x}.journal"));
             let (verb, opened) = if path.exists() {
-                ("resume", Journal::open_resume(&path, "sweep", fingerprint))
+                let resumed = Journal::open_resume(&path, JournalKind::Sweep, fingerprint);
+                ("resume", resumed)
             } else {
-                let meta = Json::obj(vec![("cells", Json::Num(specs.len() as f64))]);
-                let header = JournalHeader::new("sweep", fingerprint, meta);
-                ("create", Journal::create(&path, header))
+                (
+                    "create",
+                    Journal::create(&path, JournalKind::Sweep, fingerprint),
+                )
             };
             Some(opened.map_err(|e| format!("cannot {verb} {}: {e}", path.display()))?)
         }
@@ -592,9 +593,9 @@ mod tests {
         );
 
         let fingerprint = sweep_fingerprint(&specs);
-        let path = dir.join(format!("sweep_{fingerprint:016x}.jsonl"));
+        let path = dir.join(format!("sweep_{fingerprint:016x}.journal"));
         let journal = Journal::load(&path).expect("sweep journal exists");
-        assert_eq!(journal.header().kind, "sweep");
+        assert_eq!(journal.kind(), JournalKind::Sweep);
         assert_eq!(journal.len() as u64, 12, "every trial journaled once");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,115 +1,136 @@
-//! Property tests for the crash-safe run journal and the JSON layer under
-//! it: `Json::Str` round trips over the full scalar range, raw and forced
-//! through `\uXXXX` surrogate-pair escapes; record payloads across the
-//! same range; and torn-tail recovery — a truncated final record line is
-//! detected and dropped, never fatal and never silently misread.
+//! Property tests for the crash-safe run journal: every outcome kind and
+//! engine error round-trips through flush → load over the full `u64`
+//! range (far above the 2^53 an `f64` holds exactly), and torn-tail
+//! recovery — a truncated final record line is detected and dropped,
+//! never fatal and never silently misread.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use rcb_sim::journal::{Journal, JournalHeader};
-use rcb_sim::json::Json;
+use rcb_sim::error::SimError;
+use rcb_sim::journal::{Journal, JournalKind, TrialRecord};
+use rcb_sim::outcome::StreamOutcome;
+use rcb_sim::{BroadcastOutcome, DuelOutcome, Outcome};
 
-/// Builds a valid Unicode string from arbitrary code points, exercising
-/// escapes, multi-byte characters, and astral-plane surrogate pairs.
-fn string_from(codes: &[u32]) -> String {
-    codes
-        .iter()
-        .map(|&c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'))
-        .collect()
-}
-
-/// A unique temp path per proptest case (cases run in one process).
+/// A unique, absent temp path per proptest case (cases run in one process).
 fn case_path(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "rcb_proptest_journal_{}_{tag}_{n}.jsonl",
+    let path = std::env::temp_dir().join(format!(
+        "rcb_proptest_journal_{}_{tag}_{n}.journal",
         std::process::id()
-    ))
+    ));
+    std::fs::remove_file(&path).ok();
+    path
 }
 
-fn header_from(kind_codes: &[u32], fingerprint: u64) -> JournalHeader {
-    JournalHeader::new(
-        &string_from(kind_codes),
-        fingerprint,
-        Json::obj(vec![("note", Json::Str(string_from(kind_codes)))]),
+/// An outcome of kind `tag % 3` whose every field is drawn from `w`.
+fn outcome_from(tag: u8, w: &[u64], node_costs: Vec<u64>) -> Outcome {
+    match tag % 3 {
+        0 => Outcome::Duel(DuelOutcome {
+            delivered: w[0] & 1 == 1,
+            bob_premature: w[1] & 1 == 1,
+            alice_cost: w[2],
+            bob_cost: w[3],
+            adversary_cost: w[4],
+            slots: w[5],
+            delivery_slot: (w[6] & 1 == 1).then_some(w[7]),
+            last_epoch: w[8] as u32,
+            truncated: w[9] & 1 == 1,
+        }),
+        1 => Outcome::Broadcast(BroadcastOutcome {
+            n: w[0] as usize,
+            informed: w[1] as usize,
+            all_informed: w[2] & 1 == 1,
+            all_terminated: w[3] & 1 == 1,
+            safety_terminations: w[4] as usize,
+            node_costs,
+            adversary_cost: w[5],
+            slots: w[6],
+            last_epoch: w[7] as u32,
+            truncated: w[8] & 1 == 1,
+        }),
+        _ => Outcome::Stream(StreamOutcome {
+            n: w[0] as usize,
+            arrivals: w[1],
+            delivered: w[2],
+            truncated_msgs: w[3],
+            slots: w[4],
+            adversary_cost: w[5],
+            max_cost: w[6],
+            queue_area: w[7],
+            max_queue: w[8],
+            latency_p50: w[9],
+            latency_p95: w[10],
+            latency_max: w[11],
+            truncated: w[12] & 1 == 1,
+        }),
+    }
+}
+
+/// No error, or one of the three variants, with fields drawn from `a`, `b`.
+fn error_from(tag: u8, a: u64, b: u64) -> Option<SimError> {
+    match tag % 4 {
+        0 => None,
+        1 => Some(SimError::SlotBudgetExhausted {
+            max_slots: a,
+            slots: b,
+        }),
+        2 => Some(SimError::EpochBudgetExhausted {
+            max_epoch: a as u32,
+            slots: b,
+        }),
+        _ => Some(SimError::DeadlineExceeded { slots: b }),
+    }
+}
+
+/// The draws behind one record: outcome tag, field words, node costs, and
+/// the error's tag and fields.
+type RawRecord = (u8, Vec<u64>, Vec<u64>, (u8, u64, u64));
+
+fn raw_record() -> impl Strategy<Value = RawRecord> {
+    (
+        any::<u8>(),
+        prop::collection::vec(any::<u64>(), 13..14),
+        prop::collection::vec(any::<u64>(), 0..8),
+        (any::<u8>(), any::<u64>(), any::<u64>()),
     )
 }
 
+fn record((tag, words, costs, (err, a, b)): RawRecord) -> TrialRecord {
+    (outcome_from(tag, &words, costs), error_from(err, a, b))
+}
+
 proptest! {
-    /// `Json::Str` survives render → parse for every Unicode scalar,
-    /// including astral-plane characters the renderer emits raw.
+    /// Every record — any outcome kind, any error, every word drawn from
+    /// the full `u64` range, under any (spec, trial) key — survives
+    /// flush → load exactly, and so do the header's kind and fingerprint.
     #[test]
-    fn json_strings_round_trip_over_the_full_char_range(
-        codes in prop::collection::vec(any::<u32>(), 0..64),
-    ) {
-        let s = string_from(&codes);
-        let text = Json::Str(s.clone()).render();
-        let back = Json::parse(&text);
-        prop_assert!(back.is_ok(), "reparse failed: {:?}", back.err());
-        let parsed = back.unwrap();
-        prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
-    }
-
-    /// The same strings forced through `\uXXXX` escaping — every char
-    /// encoded as its UTF-16 units, so non-BMP characters arrive as
-    /// surrogate pairs the parser must recombine.
-    #[test]
-    fn json_forced_utf16_escapes_round_trip(
-        codes in prop::collection::vec(any::<u32>(), 0..64),
-    ) {
-        let s = string_from(&codes);
-        let mut text = String::from("[\"");
-        for unit in s.encode_utf16() {
-            text.push_str(&format!("\\u{unit:04x}"));
-        }
-        text.push_str("\"]");
-        let back = Json::parse(&text);
-        prop_assert!(back.is_ok(), "reparse failed: {:?}", back.err());
-        let arr = back.unwrap();
-        let items = arr.as_arr().expect("array document");
-        prop_assert_eq!(items[0].as_str(), Some(s.as_str()));
-    }
-
-    /// Every record — arbitrary Unicode cell keys, arbitrary Unicode
-    /// string payloads, arbitrary header metadata — survives
-    /// flush → load byte-exactly, with append order and the per-record
-    /// FNV-1a checksums intact.
-    #[test]
-    fn journal_records_round_trip_the_full_scalar_range(
-        kind in prop::collection::vec(any::<u32>(), 1..8),
+    fn records_round_trip_the_full_u64_range(
+        sweep in any::<bool>(),
         fingerprint in any::<u64>(),
-        cells in prop::collection::vec(
-            (prop::collection::vec(any::<u32>(), 0..12),
-             prop::collection::vec(any::<u32>(), 0..24)),
-            0..8,
-        ),
+        raw in prop::collection::vec(((0usize..4, any::<u64>()), raw_record()), 0..8),
     ) {
         let path = case_path("round_trip");
-        let header = header_from(&kind, fingerprint);
-        let mut journal = Journal::create(&path, header.clone()).expect("create");
-        let mut expected: Vec<(String, String)> = Vec::new();
-        for (i, (key_codes, payload_codes)) in cells.iter().enumerate() {
-            // The index prefix keeps keys unique: a duplicate key is
-            // replace-in-place by contract, which would change the count.
-            let key = format!("cell{i}/{}", string_from(key_codes));
-            let payload = string_from(payload_codes);
-            journal.append(&key, Json::obj(vec![("v", Json::Str(payload.clone()))]));
-            expected.push((key, payload));
+        let kind = if sweep { JournalKind::Sweep } else { JournalKind::Scenario };
+        let mut journal = Journal::create(&path, kind, fingerprint).expect("create");
+        let mut expected = BTreeMap::new();
+        for ((spec, trial), raw) in raw {
+            let record = record(raw);
+            // A repeated key replaces its record, in the journal as here.
+            journal.append(spec, trial, record.clone());
+            expected.insert((spec, trial), record);
         }
         journal.flush().expect("flush");
 
         let back = Journal::load(&path).expect("load");
-        prop_assert_eq!(back.header(), &header);
+        prop_assert_eq!((back.kind(), back.fingerprint()), (kind, fingerprint));
         prop_assert!(!back.dropped_tail());
         prop_assert_eq!(back.len(), expected.len());
-        let keys: Vec<&str> = back.cells().collect();
-        for (i, (key, payload)) in expected.iter().enumerate() {
-            prop_assert_eq!(keys[i], key.as_str(), "append order must survive");
-            let got = back.get(key).and_then(|p| p.get("v")).and_then(Json::as_str);
-            prop_assert_eq!(got, Some(payload.as_str()));
+        for (&(spec, trial), record) in &expected {
+            prop_assert_eq!(back.get(spec, trial), Some(record));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -120,50 +141,36 @@ proptest! {
     /// fragment (rather than a clean line boundary) was discarded.
     #[test]
     fn torn_final_record_is_dropped_not_fatal(
-        payload_codes in prop::collection::vec(
-            prop::collection::vec(any::<u32>(), 0..16),
-            2..6,
-        ),
+        raw in prop::collection::vec(raw_record(), 2..6),
         cut_fraction in 0.0f64..1.0,
     ) {
+        let records: Vec<TrialRecord> = raw.into_iter().map(record).collect();
         let path = case_path("torn_tail");
-        let mut journal = Journal::create(&path, header_from(&[0x70], 7)).expect("create");
-        for (i, codes) in payload_codes.iter().enumerate() {
-            journal.append(
-                format!("cell{i}"),
-                Json::obj(vec![("v", Json::Str(string_from(codes)))]),
-            );
+        let mut journal = Journal::create(&path, JournalKind::Sweep, 7).expect("create");
+        for (t, record) in records.iter().enumerate() {
+            journal.append(0, t as u64, record.clone());
         }
         journal.flush().expect("flush");
 
+        // Records are written in (spec, trial) order, so the final line is
+        // the last trial's; it spans (last_line_start, len-1].
         let text = std::fs::read_to_string(&path).expect("read");
-        // The final record line spans (last_line_start, len-1]; pick a cut
-        // inside it, then walk back to a char boundary so the file stays
-        // valid UTF-8 (a mid-code-point tear is an IO-level concern the
-        // line-level tolerance does not model).
         let trimmed = text.trim_end_matches('\n');
         let last_line_start = trimmed.rfind('\n').expect("header + records") + 1;
         let span = trimmed.len() - last_line_start;
-        let mut cut = last_line_start + ((span as f64) * cut_fraction) as usize;
-        while !text.is_char_boundary(cut) {
-            cut -= 1;
-        }
+        let cut = last_line_start + ((span as f64) * cut_fraction) as usize;
         std::fs::write(&path, &text[..cut]).expect("truncate");
 
         let back = Journal::load(&path).expect("a torn tail must never be fatal");
-        prop_assert_eq!(back.len(), payload_codes.len() - 1, "exactly the last record is lost");
+        let kept = records.len() - 1;
+        prop_assert_eq!(back.len(), kept, "exactly the last record is lost");
         prop_assert_eq!(
             back.dropped_tail(),
             cut > last_line_start,
             "a fragment was dropped iff the cut left one"
         );
-        for (i, codes) in payload_codes[..payload_codes.len() - 1].iter().enumerate() {
-            let got = back
-                .get(&format!("cell{i}"))
-                .and_then(|p| p.get("v"))
-                .and_then(Json::as_str)
-                .map(str::to_string);
-            prop_assert_eq!(got, Some(string_from(codes)), "record {} damaged", i);
+        for (t, record) in records[..kept].iter().enumerate() {
+            prop_assert_eq!(back.get(0, t as u64), Some(record), "record {} damaged", t);
         }
         std::fs::remove_file(&path).ok();
     }

@@ -1,11 +1,11 @@
 //! Typed harness failures: budget exhaustion and poisoned trials.
 //!
-//! The engines historically reported hitting a hard cap only through a
-//! `truncated`/`completed` flag that downstream aggregation could (and in
-//! early experiment code, did) silently average over. The `*_checked` entry
-//! points surface the same condition as a [`SimError`] so sweeps can route
-//! a runaway cell to an error column instead of folding a truncated run
-//! into a cost mean.
+//! An outcome's `truncated` flag alone is easy to average over silently.
+//! Every run path ([`Session::run`](crate::session::Session::run),
+//! [`ScenarioSpec::run_trial_raw`](crate::scenario::ScenarioSpec::run_trial_raw)
+//! and the executor built on them) returns the outcome next to an optional
+//! [`SimError`], so sweeps can route a runaway cell to an error column
+//! instead of folding a truncated run into a cost mean.
 
 use std::fmt;
 
@@ -60,58 +60,6 @@ impl fmt::Display for SimError {
                 "deadline exceeded: cooperative cancellation after {slots} slots \
                  with nodes still running"
             ),
-        }
-    }
-}
-
-impl SimError {
-    /// Serializes for journal payloads; [`SimError::from_json`] inverts.
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
-        match *self {
-            SimError::SlotBudgetExhausted { max_slots, slots } => Json::obj(vec![
-                ("kind", Json::Str("slot_budget".into())),
-                ("max_slots", Json::Str(max_slots.to_string())),
-                ("slots", Json::Str(slots.to_string())),
-            ]),
-            SimError::EpochBudgetExhausted { max_epoch, slots } => Json::obj(vec![
-                ("kind", Json::Str("epoch_budget".into())),
-                ("max_epoch", Json::Num(f64::from(max_epoch))),
-                ("slots", Json::Str(slots.to_string())),
-            ]),
-            SimError::DeadlineExceeded { slots } => Json::obj(vec![
-                ("kind", Json::Str("deadline".into())),
-                ("slots", Json::Str(slots.to_string())),
-            ]),
-        }
-    }
-
-    /// Inverse of [`SimError::to_json`].
-    pub fn from_json(value: &crate::json::Json) -> Result<SimError, String> {
-        let u64_field = |key: &str| -> Result<u64, String> {
-            value
-                .get(key)
-                .and_then(|v| v.as_str())
-                .ok_or_else(|| format!("SimError json missing `{key}`"))?
-                .parse::<u64>()
-                .map_err(|e| format!("SimError `{key}`: {e}"))
-        };
-        match value.get("kind").and_then(|k| k.as_str()) {
-            Some("slot_budget") => Ok(SimError::SlotBudgetExhausted {
-                max_slots: u64_field("max_slots")?,
-                slots: u64_field("slots")?,
-            }),
-            Some("epoch_budget") => Ok(SimError::EpochBudgetExhausted {
-                max_epoch: value
-                    .get("max_epoch")
-                    .and_then(|v| v.as_u64())
-                    .ok_or("SimError json missing `max_epoch`")? as u32,
-                slots: u64_field("slots")?,
-            }),
-            Some("deadline") => Ok(SimError::DeadlineExceeded {
-                slots: u64_field("slots")?,
-            }),
-            other => Err(format!("unknown SimError kind {other:?}")),
         }
     }
 }
@@ -182,24 +130,5 @@ mod tests {
             ..TrialFailure::new(3, "boom".into())
         };
         assert!(t.to_string().contains("3 same-seed attempts"));
-    }
-
-    #[test]
-    fn sim_errors_round_trip_through_json() {
-        for e in [
-            SimError::SlotBudgetExhausted {
-                max_slots: 1 << 40,
-                slots: u64::MAX - 1,
-            },
-            SimError::EpochBudgetExhausted {
-                max_epoch: 62,
-                slots: 12345,
-            },
-            SimError::DeadlineExceeded { slots: 0 },
-        ] {
-            let back = SimError::from_json(&e.to_json()).expect("round trip");
-            assert_eq!(e, back);
-        }
-        assert!(SimError::from_json(&crate::json::Json::Null).is_err());
     }
 }

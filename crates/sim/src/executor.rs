@@ -55,7 +55,6 @@ use rcb_mathkit::rng::{RcbRng, SeedSequence};
 use crate::deadline::Deadline;
 use crate::error::{SimError, TrialFailure};
 use crate::journal::{Journal, JournalError};
-use crate::json::Json;
 use crate::runner::{enter_worker, panic_payload, Parallelism};
 use crate::scenario::{Outcome, ScenarioSpec};
 
@@ -274,15 +273,14 @@ pub fn run_specs_ctl(
 /// [`run_specs_ctl`] behind an optional [`Journal`]: the resumable way to
 /// run a spec list, shared by `rcbsim scenario run` and the budget sweeps.
 ///
-/// Trial `t` of spec `i` is journaled under the key `spec{i}/trial{t}`
-/// with its outcome and typed engine error as payload. Every journaled
-/// trial is parsed before any trial runs — a bad record is a
-/// [`JournalError::Corrupt`] before compute is spent — and then skipped;
-/// the trials that do run are appended (a deadline-cut trial never is),
-/// the journal is flushed, and the journaled results are spliced back
-/// into [`SpecsRun::results`]. A resumed run is therefore bit-identical to
-/// an uninterrupted one, and with `journal: None` this is exactly
-/// [`run_specs_ctl`] with no per-trial deadline.
+/// Trial `t` of spec `i` is journaled as the record `(i, t)`: its outcome
+/// and typed engine error. Journaled trials are skipped; the trials that
+/// do run are appended (a deadline-cut trial never is), the journal is
+/// flushed, and the journaled results are spliced back into
+/// [`SpecsRun::results`]. A resumed run is therefore bit-identical to an
+/// uninterrupted one, and with `journal: None` this is exactly
+/// [`run_specs_ctl`] with no per-trial deadline. Records were decoded
+/// when the journal loaded, so a bad record fails before any trial runs.
 pub fn run_specs_journaled(
     specs: &[ScenarioSpec],
     parallelism: Parallelism,
@@ -290,90 +288,30 @@ pub fn run_specs_journaled(
     max_attempts: u32,
     journal: Option<&mut Journal>,
 ) -> Result<SpecsRun, JournalError> {
-    let journaled: Vec<TrialSlots> = match journal.as_deref() {
-        None => Vec::new(),
-        Some(j) => specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| (0..spec.trials).map(|t| read_trial(j, i, t)).collect())
-            .collect::<Result<_, _>>()?,
-    };
-    let skip: &(dyn Fn(usize, u64) -> bool + Sync) =
-        &|spec, trial| journaled[spec][trial as usize].is_some();
-    let ctl = SpecsControl {
+    let mut ctl = SpecsControl {
         deadline,
-        trial_deadline: None,
         max_attempts,
-        skip: journal.is_some().then_some(skip),
+        ..SpecsControl::DEFAULT
     };
+    let Some(journal) = journal else {
+        return Ok(run_specs_ctl(specs, parallelism, &ctl));
+    };
+    let journaled: &Journal = journal;
+    let skip = |spec, trial| journaled.contains(spec, trial);
+    ctl.skip = Some(&skip);
     let mut run = run_specs_ctl(specs, parallelism, &ctl);
-
-    if let Some(j) = journal {
-        for (i, batch) in run.results.iter().enumerate() {
-            for (t, slot) in batch.iter().enumerate() {
-                if let Some((outcome, err)) = slot {
-                    if !matches!(err, Some(SimError::DeadlineExceeded { .. })) {
-                        j.append(trial_key(i, t as u64), trial_record(outcome, err));
-                    }
-                }
-            }
-        }
-        j.flush()?;
-    }
-    for (batch, records) in run.results.iter_mut().zip(journaled) {
-        for (slot, record) in batch.iter_mut().zip(records) {
-            if record.is_some() {
-                *slot = record;
+    for (i, batch) in run.results.iter_mut().enumerate() {
+        for (t, slot) in batch.iter_mut().enumerate() {
+            let t = t as u64;
+            match slot {
+                None => *slot = journal.get(i, t).cloned(),
+                Some((_, Some(SimError::DeadlineExceeded { .. }))) => {}
+                Some(record) => journal.append(i, t, record.clone()),
             }
         }
     }
+    journal.flush()?;
     Ok(run)
-}
-
-/// The journal key of one trial — the only place the key format is written.
-fn trial_key(spec: usize, trial: u64) -> String {
-    format!("spec{spec}/trial{trial}")
-}
-
-/// One journaled trial record: the outcome plus any typed engine error.
-fn trial_record(outcome: &Outcome, err: &Option<SimError>) -> Json {
-    Json::obj(vec![
-        ("outcome", outcome.to_json()),
-        (
-            "err",
-            match err {
-                Some(e) => e.to_json(),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-/// Reads trial `trial` of spec `spec` back from the journal: `None` when it
-/// was never journaled, `Corrupt` (naming the record's line) when its
-/// payload does not parse.
-fn read_trial(
-    journal: &Journal,
-    spec: usize,
-    trial: u64,
-) -> Result<Option<(Outcome, Option<SimError>)>, JournalError> {
-    let key = trial_key(spec, trial);
-    let Some(payload) = journal.get(&key) else {
-        return Ok(None);
-    };
-    let parsed = payload
-        .get("outcome")
-        .ok_or_else(|| "record missing `outcome`".to_string())
-        .and_then(Outcome::from_json)
-        .and_then(|outcome| match payload.get("err") {
-            None | Some(Json::Null) => Ok((outcome, None)),
-            Some(err) => Ok((outcome, Some(SimError::from_json(err)?))),
-        });
-    parsed.map(Some).map_err(|reason| JournalError::Corrupt {
-        // Line 1 is the header; records follow in append order.
-        line: journal.cells().position(|c| c == key).map_or(0, |k| k + 2),
-        reason: format!("{key}: {reason}"),
-    })
 }
 
 /// Runs one trial with a bounded **same-seed** retry policy: each attempt
@@ -408,6 +346,7 @@ fn run_with_retries<T>(
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
+    use crate::journal::JournalKind;
     use crate::scenario::{
         fnv1a, AdversarySpec, ArrivalSpec, DuelProtocol, Engine, Workload, FNV_OFFSET,
     };
@@ -744,20 +683,21 @@ mod tests {
         }
     }
 
-    fn tmp_journal(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(
-            "rcb_executor_test_{}_{name}.jsonl",
-            std::process::id()
-        ))
-    }
-
     fn fresh_journal(name: &str) -> Journal {
-        let header = crate::journal::JournalHeader::new("test", 0x5eed, Json::Null);
-        Journal::create(tmp_journal(name), header).expect("create journal")
+        let path = std::env::temp_dir().join(format!(
+            "rcb_executor_test_{}_{name}.journal",
+            std::process::id()
+        ));
+        std::fs::remove_file(&path).ok();
+        Journal::create(path, JournalKind::Sweep, 0x5eed).expect("create journal")
     }
 
-    fn journaled(specs: &[ScenarioSpec], journal: Option<&mut Journal>) -> Vec<TrialSlots> {
-        run_specs_journaled(specs, Parallelism::Fixed(2), Deadline::NONE, 1, journal)
+    fn journaled(
+        specs: &[ScenarioSpec],
+        parallelism: Parallelism,
+        journal: Option<&mut Journal>,
+    ) -> Vec<TrialSlots> {
+        run_specs_journaled(specs, parallelism, Deadline::NONE, 1, journal)
             .expect("journaled run")
             .results
     }
@@ -766,12 +706,15 @@ mod tests {
     fn a_journaled_run_equals_run_specs_ctl() {
         let specs = mixed_specs();
         let straight = run_all(&specs, Parallelism::Fixed(1));
-        assert_eq!(journaled(&specs, None), straight);
+        assert_eq!(journaled(&specs, Parallelism::Fixed(2), None), straight);
         let mut journal = fresh_journal("equals");
-        assert_eq!(journaled(&specs, Some(&mut journal)), straight);
+        assert_eq!(
+            journaled(&specs, Parallelism::Fixed(2), Some(&mut journal)),
+            straight
+        );
         let total: u64 = specs.iter().map(|s| s.trials).sum();
         assert_eq!(journal.len() as u64, total, "every trial journaled once");
-        assert!(journal.contains("spec4/trial4"));
+        assert!(journal.contains(4, 4));
         std::fs::remove_file(journal.path()).ok();
     }
 
@@ -780,63 +723,36 @@ mod tests {
         let specs = mixed_specs();
         let total: u64 = specs.iter().map(|s| s.trials).sum();
         let mut full = fresh_journal("full");
-        let straight = journaled(&specs, Some(&mut full));
-
-        // Full resume: every trial comes back from the records.
-        let mut reopened = Journal::open_resume(full.path(), "test", 0x5eed).expect("resume");
-        assert_eq!(journaled(&specs, Some(&mut reopened)), straight);
-        assert_eq!(reopened.len() as u64, total);
-
-        // Partial resume: a run cut after a few trials runs the rest and
-        // journals them into the journal it continues.
-        let mut partial = fresh_journal("partial");
-        for cell in full.cells().step_by(3) {
-            partial.append(cell, full.get(cell).expect("listed").clone());
-        }
-        partial.flush().expect("flush partial");
-        let mut partial = Journal::open_resume(partial.path(), "test", 0x5eed).expect("resume");
-        assert!((partial.len() as u64) < total);
-        assert_eq!(journaled(&specs, Some(&mut partial)), straight);
-        let grown = Journal::load(partial.path()).expect("reload");
-        assert_eq!(grown.len() as u64, total, "the resume journals what it ran");
-        std::fs::remove_file(full.path()).ok();
-        std::fs::remove_file(partial.path()).ok();
-    }
-
-    #[test]
-    fn an_unparseable_record_errors_before_any_trial_runs() {
-        let mut journal = fresh_journal("unparseable");
-        journal.append("spec1/trial0", Json::Num(1.0));
-        journal.flush().expect("flush");
-        let err = run_specs_journaled(
-            &mixed_specs(),
-            Parallelism::Fixed(2),
-            Deadline::NONE,
-            1,
-            Some(&mut journal),
-        )
-        .expect_err("a bad record is refused");
-        let JournalError::Corrupt { line, reason } = err else {
-            panic!("expected Corrupt, got {err:?}");
+        let straight = journaled(&specs, Parallelism::Fixed(2), Some(&mut full));
+        let open = |j: &Journal| {
+            Journal::open_resume(j.path(), JournalKind::Sweep, 0x5eed).expect("resume")
         };
-        assert_eq!(line, 2, "the first record line");
-        assert!(reason.contains("spec1/trial0"), "{reason}");
-        // No trial ran: nothing was appended in memory or on disk.
-        assert_eq!(journal.len(), 1);
-        assert_eq!(Journal::load(journal.path()).expect("reload").len(), 1);
-        std::fs::remove_file(journal.path()).ok();
-    }
 
-    #[test]
-    fn a_version_1_journal_is_refused() {
-        let path = tmp_journal("v1");
-        let header = r#"{"rcb_journal":1,"kind":"test","fingerprint":"0000000000005eed"}"#;
-        std::fs::write(&path, format!("{header}\n")).expect("write");
-        let err = Journal::open_resume(&path, "test", 0x5eed).expect_err("old format");
-        assert!(
-            err.to_string().contains("unsupported journal version 1"),
-            "{err}"
-        );
-        std::fs::remove_file(&path).ok();
+        for parallelism in [Parallelism::Fixed(1), Parallelism::Fixed(2)] {
+            // Full resume: every trial comes back from the records.
+            let mut reopened = open(&full);
+            assert_eq!(
+                journaled(&specs, parallelism, Some(&mut reopened)),
+                straight
+            );
+            assert_eq!(reopened.len() as u64, total);
+
+            // Partial resume: a run cut after a few trials runs the rest
+            // and journals them into the journal it continues.
+            let mut partial = fresh_journal("partial");
+            for (i, spec) in specs.iter().enumerate() {
+                for t in (0..spec.trials).step_by(3) {
+                    partial.append(i, t, full.get(i, t).expect("journaled").clone());
+                }
+            }
+            partial.flush().expect("flush partial");
+            let mut partial = open(&partial);
+            assert!((partial.len() as u64) < total);
+            assert_eq!(journaled(&specs, parallelism, Some(&mut partial)), straight);
+            let grown = Journal::load(partial.path()).expect("reload");
+            assert_eq!(grown.len() as u64, total, "the resume journals what it ran");
+            std::fs::remove_file(partial.path()).ok();
+        }
+        std::fs::remove_file(full.path()).ok();
     }
 }

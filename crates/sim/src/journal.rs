@@ -1,34 +1,40 @@
-//! Append-only, checksummed run journals: crash-safe checkpoints that make
-//! long sweeps resumable.
+//! Checksummed run journals: crash-safe checkpoints that make long sweeps
+//! resumable. This module is the only one that knows the on-disk format.
 //!
-//! A journal is a JSONL file. Line 1 is the **header** — the consumer kind
-//! (`"scenario"`, `"sweep"`), the [`ScenarioSpec`
-//! fingerprint](crate::scenario::ScenarioSpec::fingerprint) (or a
-//! grid-level fold of several), and free-form metadata. Every subsequent
-//! line is one **record**: a cell key, an arbitrary JSON payload, and an
-//! FNV-1a checksum of the payload's canonical compact rendering:
+//! A journal is a text file of space-separated words. Line 1 is the
+//! **header** — the format version, the consumer [`JournalKind`], and the
+//! [`ScenarioSpec` fingerprint](crate::scenario::ScenarioSpec::fingerprint)
+//! (or a grid-level fold of several). Every other line is one trial
+//! **record**: the spec's index in the run's list, the trial index, the
+//! outcome and error words, and the [`fnv1a`] fold of every word before
+//! it as exactly 16 hex digits:
 //!
 //! ```text
-//! {"rcb_journal":2,"kind":"scenario","fingerprint":"9f86d081884c7d65","meta":{...}}
-//! {"cell":"spec0/trial0","payload":{...},"fnv":"b94d27b9934d3e08"}
+//! rcb_journal 3 scenario 24663ae1c7913ade
+//! 0 0 0 1 0 3448 2448 65024 130560 1 68024 15 0 0 b696cff74ba8bb15
 //! ```
 //!
-//! The trial-record keys and payloads are written by one consumer,
-//! [`run_specs_journaled`](crate::executor::run_specs_journaled).
+//! Words are decimal `u64`s. An outcome is a tag word (0 duel, 1
+//! broadcast, 2 stream), then its fields in declaration order: a bool is
+//! 0 or 1, an `Option` is a presence word plus a value (0 when absent),
+//! and `node_costs` is prefixed with its length. An error is a tag word
+//! (0 none, 1 slot budget, 2 epoch budget, 3 deadline), then its fields.
 //!
 //! Durability model: [`Journal::create`] writes the header at once, so an
-//! unwritable path fails before any work runs. After that consumers hold
-//! results in memory and call [`Journal::flush`], which rewrites the whole
-//! file through a temp file and an atomic rename — a reader (or a resumed
-//! run) sees either the old complete journal or the new one, never a
-//! blend. The runner flushes once, when a run ends (normally or on a
-//! deadline/SIGINT cut), so a process killed outright loses that run's
-//! trials. The torn-write window that remains (the process dying
-//! mid-`write` before the rename) is exactly why [`Journal::load`]
-//! tolerates one unparseable or checksum-failing **final** line: it is
-//! dropped and re-run, not fatal. Corruption anywhere earlier is a hard
-//! [`JournalError::Corrupt`] — silent data loss in the middle of a journal
-//! must never look like a short run.
+//! unwritable path fails before any work runs, and refuses a path that
+//! already exists. After that consumers hold results in memory and call
+//! [`Journal::flush`], which rewrites the whole file through a temp file
+//! and an atomic rename — a reader (or a resumed run) sees either the old
+//! complete journal or the new one, never a blend. The runner flushes
+//! once, when a run ends (normally or on a deadline/SIGINT cut), so a
+//! process killed outright loses that run's trials. The torn-write window
+//! that remains (the process dying mid-`write` before the rename) is
+//! exactly why [`Journal::load`] tolerates one malformed or
+//! checksum-failing **final** line: it is dropped and re-run, not fatal.
+//! The same damage anywhere earlier is a hard [`JournalError::Corrupt`] —
+//! silent data loss in the middle of a journal must never look like a
+//! short run — and so is a record whose checksum verifies but whose words
+//! do not decode. Records are decoded at load, before any trial runs.
 //!
 //! Resume contract: [`Journal::open_resume`] refuses (typed) a journal
 //! whose kind or fingerprint does not match the run being resumed. The
@@ -36,87 +42,58 @@
 //! seed fold, so a resumed run is bit-identical to an uninterrupted one.
 //! Deadline-cut results (wall-clock dependent) are never appended.
 
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
+use std::fs::OpenOptions;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
-use crate::scenario::{fnv1a_bytes, FNV_OFFSET};
+use crate::error::SimError;
+use crate::outcome::{BroadcastOutcome, DuelOutcome, StreamOutcome};
+use crate::scenario::{fnv1a, Outcome, FNV_OFFSET};
 
-/// On-disk format version (the `rcb_journal` header field). Version 2
-/// keys every trial record `spec{i}/trial{t}`.
-pub const JOURNAL_VERSION: u64 = 2;
+/// On-disk format version (the second header word). Version 3 is the
+/// word format; versions 1 and 2 were JSONL and are refused.
+const JOURNAL_VERSION: u64 = 3;
 
-/// Identity line of a journal: which consumer wrote it, for which work.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalHeader {
-    /// Consumer tag: `"scenario"`, `"sweep"`, …
-    pub kind: String,
-    /// The spec (or grid) fingerprint the records belong to.
-    pub fingerprint: u64,
-    /// Free-form consumer metadata (seed, scale, cpus list, …).
-    pub meta: Json,
+/// One journaled trial: its outcome and typed engine error.
+pub type TrialRecord = (Outcome, Option<SimError>);
+
+/// Which consumer wrote a journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JournalKind {
+    /// `rcbsim scenario run --journal`: one registry spec.
+    Scenario,
+    /// `rcbsim exp --journal-dir`: one budget sweep's spec list.
+    Sweep,
 }
 
-impl JournalHeader {
-    pub fn new(kind: &str, fingerprint: u64, meta: Json) -> JournalHeader {
-        JournalHeader {
-            kind: kind.to_string(),
-            fingerprint,
-            meta,
-        }
-    }
-
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("rcb_journal", Json::Num(JOURNAL_VERSION as f64)),
-            ("kind", Json::Str(self.kind.clone())),
-            (
-                "fingerprint",
-                Json::Str(format!("{:016x}", self.fingerprint)),
-            ),
-            ("meta", self.meta.clone()),
-        ])
-    }
-
-    fn from_json(value: &Json) -> Result<JournalHeader, String> {
-        match value.get("rcb_journal").and_then(Json::as_u64) {
-            Some(JOURNAL_VERSION) => {}
-            Some(v) => return Err(format!("unsupported journal version {v}")),
-            None => return Err("not an rcb journal (missing `rcb_journal`)".into()),
-        }
-        let kind = value
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("journal header missing `kind`")?
-            .to_string();
-        let fingerprint = value
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .ok_or("journal header missing `fingerprint`")?;
-        let fingerprint = u64::from_str_radix(fingerprint, 16)
-            .map_err(|e| format!("bad journal fingerprint: {e}"))?;
-        let meta = value.get("meta").cloned().unwrap_or(Json::Null);
-        Ok(JournalHeader {
-            kind,
-            fingerprint,
-            meta,
+impl fmt::Display for JournalKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            JournalKind::Scenario => "scenario",
+            JournalKind::Sweep => "sweep",
         })
     }
 }
 
-/// Typed journal failures. `Io` and `Corrupt` mean the file is unusable;
-/// the two mismatch variants are *refusals* — the journal is intact but
-/// belongs to different work, and resuming from it would silently splice
-/// results from another run.
+/// Typed journal failures. `Io`, `Corrupt` and `Version` mean the file is
+/// unusable; `Exists` and the two mismatch variants are *refusals* — the
+/// file is intact, but writing over it or resuming from it would lose
+/// results or splice in results from another run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalError {
     Io(String),
-    /// A malformed or checksum-failing line anywhere except the final one.
+    /// [`Journal::create`] found a file at the path.
+    Exists(PathBuf),
+    /// A malformed, checksum-failing or undecodable line (a malformed or
+    /// checksum-failing final line is dropped instead).
     Corrupt {
         line: usize,
         reason: String,
     },
+    /// A journal in another format version.
+    Version(u64),
     /// The journal's fingerprint does not match the run being resumed.
     FingerprintMismatch {
         expected: u64,
@@ -124,8 +101,8 @@ pub enum JournalError {
     },
     /// The journal was written by a different consumer kind.
     KindMismatch {
-        expected: String,
-        found: String,
+        expected: JournalKind,
+        found: JournalKind,
     },
 }
 
@@ -133,9 +110,19 @@ impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             JournalError::Io(e) => write!(f, "journal io error: {e}"),
+            JournalError::Exists(path) => write!(
+                f,
+                "journal {path} already exists: continue it with `--resume {path}`, \
+                 or choose a new path",
+                path = path.display()
+            ),
             JournalError::Corrupt { line, reason } => {
                 write!(f, "journal corrupt at line {line}: {reason}")
             }
+            JournalError::Version(v) => write!(
+                f,
+                "unsupported journal version {v} (this build reads version {JOURNAL_VERSION})"
+            ),
             JournalError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "journal fingerprint mismatch: this run is {expected:016x}, \
@@ -158,79 +145,85 @@ impl std::error::Error for JournalError {}
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    header: JournalHeader,
-    records: Vec<(String, Json)>,
-    index: HashMap<String, usize>,
+    kind: JournalKind,
+    fingerprint: u64,
+    records: BTreeMap<(usize, u64), TrialRecord>,
     dropped_tail: bool,
 }
 
 impl Journal {
     /// A fresh, empty journal, its header written to `path` at once
     /// (through the same atomic path as [`flush`](Journal::flush)), so an
-    /// unwritable path is a typed [`JournalError::Io`] before any work runs.
+    /// unwritable path is a typed [`JournalError::Io`] before any work
+    /// runs. An existing file at `path` is never overwritten: that is
+    /// [`JournalError::Exists`].
     pub fn create(
         path: impl Into<PathBuf>,
-        header: JournalHeader,
+        kind: JournalKind,
+        fingerprint: u64,
     ) -> Result<Journal, JournalError> {
+        let path = path.into();
+        OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&path)
+            .map_err(|e| match e.kind() {
+                ErrorKind::AlreadyExists => JournalError::Exists(path.clone()),
+                _ => JournalError::Io(format!("{}: {e}", path.display())),
+            })?;
         let journal = Journal {
-            path: path.into(),
-            header,
-            records: Vec::new(),
-            index: HashMap::new(),
+            path,
+            kind,
+            fingerprint,
+            records: BTreeMap::new(),
             dropped_tail: false,
         };
         journal.flush()?;
         Ok(journal)
     }
 
-    /// Loads a journal from disk. A torn **final** record line (the
-    /// crash-window artifact) is detected — parse failure or checksum
-    /// mismatch — and dropped, reported via
-    /// [`dropped_tail`](Journal::dropped_tail); the same damage on any
-    /// earlier line is [`JournalError::Corrupt`].
+    /// Loads and decodes a journal. A malformed or checksum-failing
+    /// **final** record line (the crash-window artifact) is dropped and
+    /// reported via [`dropped_tail`](Journal::dropped_tail); the same
+    /// damage on any earlier line, and a checksummed record that does not
+    /// decode on any line, is [`JournalError::Corrupt`].
     pub fn load(path: impl Into<PathBuf>) -> Result<Journal, JournalError> {
         let path = path.into();
         let text = std::fs::read_to_string(&path)
             .map_err(|e| JournalError::Io(format!("{}: {e}", path.display())))?;
-        // A record line ending without a newline is already suspect: the
-        // writer terminates every line. Track that for tail tolerance.
-        let mut lines: Vec<&str> = text.split('\n').collect();
-        if lines.last() == Some(&"") {
-            lines.pop();
-        }
-        let mut lines = lines.into_iter().enumerate();
-        let (_, header_line) = lines.next().ok_or(JournalError::Corrupt {
-            line: 1,
-            reason: "empty file".into(),
-        })?;
-        let header = Json::parse(header_line)
-            .and_then(|v| JournalHeader::from_json(&v))
-            .map_err(|reason| JournalError::Corrupt { line: 1, reason })?;
-
+        let mut lines = text.lines();
+        let (kind, fingerprint) = parse_header(lines.next().unwrap_or(""))?;
         let mut journal = Journal {
             path,
-            header,
-            records: Vec::new(),
-            index: HashMap::new(),
+            kind,
+            fingerprint,
+            records: BTreeMap::new(),
             dropped_tail: false,
         };
-        let mut pending: Option<(usize, String)> = None;
-        for (i, line) in lines {
-            if let Some((line_no, reason)) = pending.take() {
+        let mut torn: Option<JournalError> = None;
+        for (i, line) in lines.enumerate() {
+            if let Some(err) = torn.take() {
                 // The damaged line was not the final one after all.
-                return Err(JournalError::Corrupt {
-                    line: line_no + 1,
-                    reason,
-                });
+                return Err(err);
             }
-            match parse_record(line) {
-                Ok((cell, payload)) => journal.insert(cell, payload),
-                Err(reason) => pending = Some((i, reason)),
+            let corrupt = |reason| JournalError::Corrupt {
+                line: i + 2,
+                reason,
+            };
+            match checked_words(line) {
+                Ok(words) => {
+                    let (key, record) = decode(&words).map_err(corrupt)?;
+                    if journal.records.insert(key, record).is_some() {
+                        return Err(corrupt(format!(
+                            "second record for spec {} trial {}",
+                            key.0, key.1
+                        )));
+                    }
+                }
+                Err(reason) => torn = Some(corrupt(reason)),
             }
         }
-        if pending.is_some() {
-            journal.dropped_tail = true;
-        }
+        journal.dropped_tail = torn.is_some();
         Ok(journal)
     }
 
@@ -238,20 +231,20 @@ impl Journal {
     /// or fingerprint does not match the run being resumed.
     pub fn open_resume(
         path: impl Into<PathBuf>,
-        kind: &str,
+        kind: JournalKind,
         fingerprint: u64,
     ) -> Result<Journal, JournalError> {
         let journal = Journal::load(path)?;
-        if journal.header.kind != kind {
+        if journal.kind != kind {
             return Err(JournalError::KindMismatch {
-                expected: kind.to_string(),
-                found: journal.header.kind,
+                expected: kind,
+                found: journal.kind,
             });
         }
-        if journal.header.fingerprint != fingerprint {
+        if journal.fingerprint != fingerprint {
             return Err(JournalError::FingerprintMismatch {
                 expected: fingerprint,
-                found: journal.header.fingerprint,
+                found: journal.fingerprint,
             });
         }
         Ok(journal)
@@ -261,8 +254,12 @@ impl Journal {
         &self.path
     }
 
-    pub fn header(&self) -> &JournalHeader {
-        &self.header
+    pub fn kind(&self) -> JournalKind {
+        self.kind
+    }
+
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Was a torn final line discarded at load time?
@@ -278,85 +275,280 @@ impl Journal {
         self.records.is_empty()
     }
 
-    pub fn contains(&self, cell: &str) -> bool {
-        self.index.contains_key(cell)
+    pub fn contains(&self, spec: usize, trial: u64) -> bool {
+        self.records.contains_key(&(spec, trial))
     }
 
-    pub fn get(&self, cell: &str) -> Option<&Json> {
-        self.index.get(cell).map(|&i| &self.records[i].1)
+    pub fn get(&self, spec: usize, trial: u64) -> Option<&TrialRecord> {
+        self.records.get(&(spec, trial))
     }
 
-    /// Cell keys in append order.
-    pub fn cells(&self) -> impl Iterator<Item = &str> {
-        self.records.iter().map(|(cell, _)| cell.as_str())
+    /// Records trial `trial` of spec `spec`. Re-appending a trial replaces
+    /// its record (resume paths re-derive identical records, so this is
+    /// idempotence, not mutation).
+    pub fn append(&mut self, spec: usize, trial: u64, record: TrialRecord) {
+        self.records.insert((spec, trial), record);
     }
 
-    /// Records a cell result. Re-appending an existing cell replaces its
-    /// payload in place (resume paths re-derive identical payloads, so
-    /// this is idempotence, not mutation).
-    pub fn append(&mut self, cell: impl Into<String>, payload: Json) {
-        self.insert(cell.into(), payload);
-    }
-
-    fn insert(&mut self, cell: String, payload: Json) {
-        match self.index.get(&cell) {
-            Some(&i) => self.records[i].1 = payload,
-            None => {
-                self.index.insert(cell.clone(), self.records.len());
-                self.records.push((cell, payload));
-            }
-        }
-    }
-
-    /// Persists atomically: the full JSONL content is written to
-    /// `<path>.tmp` and renamed over `<path>`, so readers see either the
-    /// previous complete journal or this one.
+    /// Persists atomically: the full content is written to `<path>.tmp`
+    /// and renamed over `<path>`, so readers see either the previous
+    /// complete journal or this one. Records are written in (spec, trial)
+    /// order.
     pub fn flush(&self) -> Result<(), JournalError> {
-        let mut out = String::new();
-        out.push_str(&self.header.to_json().render_compact());
-        out.push('\n');
-        for (cell, payload) in &self.records {
-            out.push_str(&render_record(cell, payload));
-            out.push('\n');
+        let mut out = format!(
+            "rcb_journal {JOURNAL_VERSION} {} {:016x}\n",
+            self.kind, self.fingerprint
+        );
+        let mut words = Vec::new();
+        for (&(spec, trial), (outcome, err)) in &self.records {
+            words.clear();
+            words.extend([spec as u64, trial]);
+            encode_outcome(outcome, &mut words);
+            encode_error(err, &mut words);
+            for w in &words {
+                write!(out, "{w} ").expect("writing to a String");
+            }
+            writeln!(out, "{:016x}", fnv1a(FNV_OFFSET, &words)).expect("writing to a String");
         }
-        let tmp = self.path.with_extension("jsonl.tmp");
+        let mut tmp = self.path.clone().into_os_string();
+        tmp.push(".tmp");
         let io = |e: std::io::Error| JournalError::Io(format!("{}: {e}", self.path.display()));
-        std::fs::write(&tmp, out.as_bytes()).map_err(io)?;
+        std::fs::write(&tmp, out).map_err(io)?;
         std::fs::rename(&tmp, &self.path).map_err(io)
     }
 }
 
-fn render_record(cell: &str, payload: &Json) -> String {
-    let body = payload.render_compact();
-    let fnv = fnv1a_bytes(FNV_OFFSET, body.as_bytes());
-    Json::obj(vec![
-        ("cell", Json::Str(cell.to_string())),
-        ("payload", payload.clone()),
-        ("fnv", Json::Str(format!("{fnv:016x}"))),
-    ])
-    .render_compact()
+/// Reads `rcb_journal <version> <kind> <fingerprint:016x>`. The JSONL
+/// headers of versions 1 and 2 (`{"rcb_journal":2,...`) are recognised so
+/// they are refused by version, never misread.
+fn parse_header(line: &str) -> Result<(JournalKind, u64), JournalError> {
+    let corrupt = |reason: &str| JournalError::Corrupt {
+        line: 1,
+        reason: reason.to_string(),
+    };
+    let rest = line
+        .strip_prefix("rcb_journal ")
+        .or_else(|| line.strip_prefix("{\"rcb_journal\":"))
+        .ok_or_else(|| corrupt("not an rcb journal header"))?;
+    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+    let version = rest[..digits]
+        .parse::<u64>()
+        .map_err(|_| corrupt("the journal header has no version"))?;
+    if version != JOURNAL_VERSION {
+        return Err(JournalError::Version(version));
+    }
+    let fields: Vec<&str> = rest[digits..].split(' ').collect();
+    let kind = match fields[..] {
+        ["", "scenario", _] => JournalKind::Scenario,
+        ["", "sweep", _] => JournalKind::Sweep,
+        _ => {
+            return Err(corrupt(
+                "the header is not `rcb_journal 3 <kind> <fingerprint>`",
+            ))
+        }
+    };
+    let fingerprint = hex_word(fields[2]).ok_or_else(|| corrupt("bad journal fingerprint"))?;
+    Ok((kind, fingerprint))
 }
 
-fn parse_record(line: &str) -> Result<(String, Json), String> {
-    let value = Json::parse(line)?;
-    let cell = value
-        .get("cell")
-        .and_then(Json::as_str)
-        .ok_or("record missing `cell`")?
-        .to_string();
-    let payload = value.get("payload").ok_or("record missing `payload`")?;
-    let recorded = value
-        .get("fnv")
-        .and_then(Json::as_str)
-        .ok_or("record missing `fnv`")?;
-    let recorded = u64::from_str_radix(recorded, 16).map_err(|e| format!("bad record fnv: {e}"))?;
-    let actual = fnv1a_bytes(FNV_OFFSET, payload.render_compact().as_bytes());
+/// Exactly 16 hex digits.
+fn hex_word(text: &str) -> Option<u64> {
+    let hex = text.len() == 16 && text.bytes().all(|b| b.is_ascii_hexdigit());
+    u64::from_str_radix(text, 16).ok().filter(|_| hex)
+}
+
+/// A record line's words, once its trailing checksum verifies.
+fn checked_words(line: &str) -> Result<Vec<u64>, String> {
+    let (body, sum) = line.rsplit_once(' ').ok_or("a record has no checksum")?;
+    let recorded = hex_word(sum).ok_or_else(|| format!("bad record checksum `{sum}`"))?;
+    let words = body
+        .split(' ')
+        .map(|w| {
+            w.parse::<u64>()
+                .map_err(|_| format!("bad record word `{w}`"))
+        })
+        .collect::<Result<Vec<u64>, String>>()?;
+    let actual = fnv1a(FNV_OFFSET, &words);
     if actual != recorded {
         return Err(format!(
             "record checksum mismatch: recorded {recorded:016x}, computed {actual:016x}"
         ));
     }
-    Ok((cell, payload.clone()))
+    Ok(words)
+}
+
+fn encode_outcome(outcome: &Outcome, out: &mut Vec<u64>) {
+    match outcome {
+        Outcome::Duel(o) => out.extend([
+            0,
+            o.delivered as u64,
+            o.bob_premature as u64,
+            o.alice_cost,
+            o.bob_cost,
+            o.adversary_cost,
+            o.slots,
+            o.delivery_slot.is_some() as u64,
+            o.delivery_slot.unwrap_or(0),
+            u64::from(o.last_epoch),
+            o.truncated as u64,
+        ]),
+        Outcome::Broadcast(o) => {
+            out.extend([
+                1,
+                o.n as u64,
+                o.informed as u64,
+                o.all_informed as u64,
+                o.all_terminated as u64,
+                o.safety_terminations as u64,
+                o.node_costs.len() as u64,
+            ]);
+            out.extend(&o.node_costs);
+            out.extend([
+                o.adversary_cost,
+                o.slots,
+                u64::from(o.last_epoch),
+                o.truncated as u64,
+            ]);
+        }
+        Outcome::Stream(o) => out.extend([
+            2,
+            o.n as u64,
+            o.arrivals,
+            o.delivered,
+            o.truncated_msgs,
+            o.slots,
+            o.adversary_cost,
+            o.max_cost,
+            o.queue_area,
+            o.max_queue,
+            o.latency_p50,
+            o.latency_p95,
+            o.latency_max,
+            o.truncated as u64,
+        ]),
+    }
+}
+
+fn encode_error(err: &Option<SimError>, out: &mut Vec<u64>) {
+    match *err {
+        None => out.push(0),
+        Some(SimError::SlotBudgetExhausted { max_slots, slots }) => {
+            out.extend([1, max_slots, slots])
+        }
+        Some(SimError::EpochBudgetExhausted { max_epoch, slots }) => {
+            out.extend([2, u64::from(max_epoch), slots])
+        }
+        Some(SimError::DeadlineExceeded { slots }) => out.extend([3, slots]),
+    }
+}
+
+/// A cursor over a record's words; every read checks what it decodes.
+struct Words<'a>(std::slice::Iter<'a, u64>);
+
+impl Words<'_> {
+    fn u64(&mut self) -> Result<u64, String> {
+        self.0
+            .next()
+            .copied()
+            .ok_or_else(|| "the record ends early".into())
+    }
+
+    fn u32(&mut self) -> Result<u32, String> {
+        let w = self.u64()?;
+        u32::try_from(w).map_err(|_| format!("{w} overflows a u32 field"))
+    }
+
+    fn usize(&mut self) -> Result<usize, String> {
+        let w = self.u64()?;
+        usize::try_from(w).map_err(|_| format!("{w} overflows a usize field"))
+    }
+
+    fn bool(&mut self) -> Result<bool, String> {
+        match self.u64()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            w => Err(format!("{w} is not a bool")),
+        }
+    }
+
+    fn option(&mut self) -> Result<Option<u64>, String> {
+        match (self.bool()?, self.u64()?) {
+            (true, v) => Ok(Some(v)),
+            (false, 0) => Ok(None),
+            (false, v) => Err(format!("an absent value carries {v}")),
+        }
+    }
+}
+
+/// Inverse of the encoders: `(spec, trial)` and the record, with every
+/// word accounted for.
+fn decode(words: &[u64]) -> Result<((usize, u64), TrialRecord), String> {
+    let mut w = Words(words.iter());
+    let key = (w.usize()?, w.u64()?);
+    let outcome = match w.u64()? {
+        0 => Outcome::Duel(DuelOutcome {
+            delivered: w.bool()?,
+            bob_premature: w.bool()?,
+            alice_cost: w.u64()?,
+            bob_cost: w.u64()?,
+            adversary_cost: w.u64()?,
+            slots: w.u64()?,
+            delivery_slot: w.option()?,
+            last_epoch: w.u32()?,
+            truncated: w.bool()?,
+        }),
+        1 => Outcome::Broadcast(BroadcastOutcome {
+            n: w.usize()?,
+            informed: w.usize()?,
+            all_informed: w.bool()?,
+            all_terminated: w.bool()?,
+            safety_terminations: w.usize()?,
+            node_costs: {
+                let len = w.usize()?;
+                if len > w.0.len() {
+                    return Err(format!("{len} node costs in a shorter record"));
+                }
+                w.0.by_ref().take(len).copied().collect()
+            },
+            adversary_cost: w.u64()?,
+            slots: w.u64()?,
+            last_epoch: w.u32()?,
+            truncated: w.bool()?,
+        }),
+        2 => Outcome::Stream(StreamOutcome {
+            n: w.usize()?,
+            arrivals: w.u64()?,
+            delivered: w.u64()?,
+            truncated_msgs: w.u64()?,
+            slots: w.u64()?,
+            adversary_cost: w.u64()?,
+            max_cost: w.u64()?,
+            queue_area: w.u64()?,
+            max_queue: w.u64()?,
+            latency_p50: w.u64()?,
+            latency_p95: w.u64()?,
+            latency_max: w.u64()?,
+            truncated: w.bool()?,
+        }),
+        tag => return Err(format!("unknown outcome tag {tag}")),
+    };
+    let err = match w.u64()? {
+        0 => None,
+        1 => Some(SimError::SlotBudgetExhausted {
+            max_slots: w.u64()?,
+            slots: w.u64()?,
+        }),
+        2 => Some(SimError::EpochBudgetExhausted {
+            max_epoch: w.u32()?,
+            slots: w.u64()?,
+        }),
+        3 => Some(SimError::DeadlineExceeded { slots: w.u64()? }),
+        tag => return Err(format!("unknown error tag {tag}")),
+    };
+    match w.0.len() {
+        0 => Ok((key, (outcome, err))),
+        extra => Err(format!("{extra} words past the end of the record")),
+    }
 }
 
 #[cfg(test)]
@@ -364,74 +556,141 @@ mod tests {
     use super::*;
 
     fn tmp_path(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
-            "rcb_journal_test_{}_{name}.jsonl",
+        let path = std::env::temp_dir().join(format!(
+            "rcb_journal_test_{}_{name}.journal",
             std::process::id()
         ));
-        p
+        std::fs::remove_file(&path).ok();
+        path
     }
 
-    fn sample_header() -> JournalHeader {
-        JournalHeader::new(
-            "sweep",
-            0x9f86_d081_884c_7d65,
-            Json::obj(vec![("seed", Json::Str("2014".into()))]),
-        )
+    const FP: u64 = 0x9f86_d081_884c_7d65;
+
+    fn duel(slots: u64) -> TrialRecord {
+        let o = DuelOutcome {
+            delivered: true,
+            bob_premature: false,
+            alice_cost: u64::MAX,
+            bob_cost: (1 << 53) + 1,
+            adversary_cost: 7,
+            slots,
+            delivery_slot: Some(slots + 1),
+            last_epoch: u32::MAX,
+            truncated: false,
+        };
+        (Outcome::Duel(o), None)
+    }
+
+    fn broadcast() -> TrialRecord {
+        let o = BroadcastOutcome {
+            n: 3,
+            informed: 2,
+            all_informed: false,
+            all_terminated: true,
+            safety_terminations: 1,
+            node_costs: vec![4, u64::MAX, 0],
+            adversary_cost: 99,
+            slots: 1 << 60,
+            last_epoch: 12,
+            truncated: true,
+        };
+        let err = SimError::EpochBudgetExhausted {
+            max_epoch: 62,
+            slots: 1 << 60,
+        };
+        (Outcome::Broadcast(o), Some(err))
+    }
+
+    fn stream() -> TrialRecord {
+        let o = StreamOutcome {
+            n: 8,
+            arrivals: 5,
+            delivered: 4,
+            truncated_msgs: 1,
+            slots: 10_000,
+            adversary_cost: 300,
+            max_cost: 77,
+            queue_area: 1234,
+            max_queue: 3,
+            latency_p50: 200,
+            latency_p95: 900,
+            latency_max: 901,
+            truncated: false,
+        };
+        let err = SimError::SlotBudgetExhausted {
+            max_slots: 1 << 40,
+            slots: u64::MAX,
+        };
+        (Outcome::Stream(o), Some(err))
+    }
+
+    /// A journal of two duel records, flushed to `path`.
+    fn two_records(path: &Path) -> Journal {
+        let mut j = Journal::create(path, JournalKind::Sweep, FP).expect("create");
+        j.append(0, 0, duel(100));
+        j.append(0, 1, duel(200));
+        j.flush().expect("flush");
+        j
+    }
+
+    /// Replaces the record line `line` (1-based) of the file with `text`.
+    fn rewrite_line(path: &Path, line: usize, text: &str) {
+        let old = std::fs::read_to_string(path).expect("read");
+        let mut lines: Vec<&str> = old.lines().collect();
+        lines[line - 1] = text;
+        std::fs::write(path, lines.join("\n") + "\n").expect("write");
+    }
+
+    /// A record line whose checksum verifies over the given words.
+    fn checksummed(words: &[u64]) -> String {
+        let body: Vec<String> = words.iter().map(u64::to_string).collect();
+        format!("{} {:016x}", body.join(" "), fnv1a(FNV_OFFSET, words))
     }
 
     #[test]
-    fn create_append_flush_load_round_trips() {
+    fn create_append_flush_load_round_trips_every_outcome_kind() {
         let path = tmp_path("round_trip");
-        let mut j = Journal::create(&path, sample_header()).expect("create");
+        let mut j = Journal::create(&path, JournalKind::Sweep, FP).expect("create");
+        let records = [duel(1 << 62), broadcast(), stream()];
+        for (t, record) in records.iter().enumerate() {
+            j.append(1, t as u64, record.clone());
+        }
         j.append(
-            "pass1/duel_clean",
-            Json::obj(vec![("checksum", Json::Str("00ff".into()))]),
-        );
-        j.append(
-            "pass1/duel_jammed",
-            Json::obj(vec![("checksum", Json::Str("abcd".into()))]),
+            0,
+            u64::MAX,
+            (duel(5).0, Some(SimError::DeadlineExceeded { slots: 3 })),
         );
         j.flush().expect("flush");
 
         let back = Journal::load(&path).expect("load");
-        assert_eq!(back.header(), &sample_header());
-        assert_eq!(back.len(), 2);
-        assert!(back.contains("pass1/duel_clean"));
+        assert_eq!((back.kind(), back.fingerprint()), (JournalKind::Sweep, FP));
+        assert_eq!(back.len(), 4);
         assert!(!back.dropped_tail());
-        assert_eq!(
-            back.get("pass1/duel_jammed")
-                .and_then(|p| p.get("checksum"))
-                .and_then(Json::as_str),
-            Some("abcd")
-        );
-        assert_eq!(
-            back.cells().collect::<Vec<_>>(),
-            vec!["pass1/duel_clean", "pass1/duel_jammed"],
-            "append order survives"
-        );
+        for (t, record) in records.iter().enumerate() {
+            assert_eq!(back.get(1, t as u64), Some(record));
+        }
+        assert!(back.contains(0, u64::MAX));
+        assert!(!back.contains(2, 0));
+        let text = std::fs::read_to_string(&path).expect("read");
+        assert!(text.starts_with(&format!("rcb_journal 3 sweep {FP:016x}\n")));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn reappending_a_cell_replaces_in_place() {
+    fn reappending_a_trial_replaces_it() {
         let path = tmp_path("reappend");
-        let mut j = Journal::create(&path, sample_header()).expect("create");
-        j.append("c", Json::Num(1.0));
-        j.append("c", Json::Num(2.0));
+        let mut j = Journal::create(&path, JournalKind::Sweep, FP).expect("create");
+        j.append(0, 0, duel(1));
+        j.append(0, 0, duel(2));
         assert_eq!(j.len(), 1);
-        assert_eq!(j.get("c"), Some(&Json::Num(2.0)));
+        assert_eq!(j.get(0, 0), Some(&duel(2)));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn torn_final_line_is_dropped_not_fatal() {
         let path = tmp_path("torn_tail");
-        let mut j = Journal::create(&path, sample_header()).expect("create");
-        j.append("a", Json::Num(1.0));
-        j.append("b", Json::Num(2.0));
-        j.flush().expect("flush");
-
+        two_records(&path);
         // Simulate a crash mid-write: truncate the final line.
         let text = std::fs::read_to_string(&path).expect("read");
         let cut = text.trim_end().len() - 10;
@@ -440,46 +699,44 @@ mod tests {
         let back = Journal::load(&path).expect("torn tail must not be fatal");
         assert!(back.dropped_tail());
         assert_eq!(back.len(), 1);
-        assert!(back.contains("a"));
-        assert!(!back.contains("b"), "the torn record is gone");
+        assert!(back.contains(0, 0));
+        assert!(!back.contains(0, 1), "the torn record is gone");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn checksum_damage_on_the_final_line_is_also_dropped() {
         let path = tmp_path("flipped_tail");
-        let mut j = Journal::create(&path, sample_header()).expect("create");
-        j.append("a", Json::Num(1.0));
-        j.append("b", Json::Num(2.0));
-        j.flush().expect("flush");
-
-        // Flip the payload of the final line without touching its fnv:
-        // still valid JSON, but the checksum no longer matches.
+        two_records(&path);
+        // Change a word of the final line without touching its checksum.
         let text = std::fs::read_to_string(&path).expect("read");
-        let damaged = text.replace(r#""payload":2,"#, r#""payload":3,"#);
+        let damaged = text.replace(" 200 ", " 300 ");
         assert_ne!(text, damaged, "the substitution must hit");
         std::fs::write(&path, damaged).expect("write");
 
         let back = Journal::load(&path).expect("damaged tail must not be fatal");
         assert!(back.dropped_tail());
-        assert!(!back.contains("b"));
+        assert!(!back.contains(0, 1));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn mid_file_corruption_is_fatal() {
+    fn mid_file_damage_is_fatal_and_names_the_line() {
         let path = tmp_path("mid_corruption");
-        let mut j = Journal::create(&path, sample_header()).expect("create");
-        j.append("a", Json::Num(1.0));
-        j.append("b", Json::Num(2.0));
-        j.flush().expect("flush");
-
+        two_records(&path);
         let text = std::fs::read_to_string(&path).expect("read");
-        let damaged = text.replace(r#""payload":1,"#, r#""payload":9,"#);
+        let damaged = text.replace(" 100 ", " 900 ");
         assert_ne!(text, damaged);
-        std::fs::write(&path, damaged).expect("write");
-
+        std::fs::write(&path, &damaged).expect("write");
         let err = Journal::load(&path).expect_err("mid-file damage must be fatal");
+        assert!(
+            matches!(err, JournalError::Corrupt { line: 2, .. }),
+            "{err:?}"
+        );
+
+        // A torn line followed by an intact one is damage, not a tail.
+        rewrite_line(&path, 2, "0 0 0 1");
+        let err = Journal::load(&path).expect_err("a short mid-file line");
         assert!(
             matches!(err, JournalError::Corrupt { line: 2, .. }),
             "{err:?}"
@@ -488,55 +745,147 @@ mod tests {
     }
 
     #[test]
+    fn a_checksummed_record_that_does_not_decode_is_fatal_on_any_line() {
+        let path = tmp_path("undecodable");
+        let bad_records: [&[u64]; 6] = [
+            &[0, 1, 9],                                     // unknown outcome tag
+            &[0, 1, 0, 2, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0],    // a bool of 2
+            &[0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 5, 0, 0, 0],    // absent value of 5
+            &[0, 1, 1, 1, 1, 1, 0, 0, 9, 1, 2],             // 9 node costs, 2 present
+            &[0, 1, 2, 8],                                  // a stream cut short
+            &[0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 7], // a trailing word
+        ];
+        for words in bad_records {
+            // Mid-file and as the final line: a verified checksum means the
+            // line was written whole, so a decode failure is never a tail.
+            for line in [2, 3] {
+                two_records(&path);
+                rewrite_line(&path, line, &checksummed(words));
+                let err = Journal::load(&path).expect_err("undecodable record");
+                assert!(
+                    matches!(err, JournalError::Corrupt { line: l, .. } if l == line),
+                    "{words:?} on line {line}: {err:?}"
+                );
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_record_for_one_trial_is_fatal() {
+        let path = tmp_path("duplicate");
+        two_records(&path);
+        let text = std::fs::read_to_string(&path).expect("read");
+        let second = text.lines().nth(1).expect("a record").to_string();
+        rewrite_line(&path, 3, &second);
+        let err = Journal::load(&path).expect_err("duplicate record");
+        assert!(
+            matches!(err, JournalError::Corrupt { line: 3, .. }),
+            "{err:?}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn resume_refuses_fingerprint_and_kind_mismatches() {
         let path = tmp_path("mismatch");
-        Journal::create(&path, sample_header()).expect("create");
+        Journal::create(&path, JournalKind::Sweep, FP).expect("create");
 
-        let fp = sample_header().fingerprint;
-        assert!(Journal::open_resume(&path, "sweep", fp).is_ok());
-        let err = Journal::open_resume(&path, "sweep", fp ^ 1).expect_err("wrong fingerprint");
+        assert!(Journal::open_resume(&path, JournalKind::Sweep, FP).is_ok());
+        let err =
+            Journal::open_resume(&path, JournalKind::Sweep, FP ^ 1).expect_err("wrong fingerprint");
         assert!(matches!(err, JournalError::FingerprintMismatch { .. }));
         assert!(err.to_string().contains("refusing"));
-        let err = Journal::open_resume(&path, "scenario", fp).expect_err("wrong kind");
+        let err = Journal::open_resume(&path, JournalKind::Scenario, FP).expect_err("wrong kind");
         assert!(matches!(err, JournalError::KindMismatch { .. }));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
+    fn older_and_foreign_formats_are_refused() {
+        let path = tmp_path("formats");
+        let cases = [
+            (
+                r#"{"rcb_journal":2,"kind":"scenario","fingerprint":"9f86d081884c7d65","meta":{}}"#,
+                JournalError::Version(2),
+            ),
+            (
+                r#"{"rcb_journal":1,"kind":"test","fingerprint":"0000000000005eed"}"#,
+                JournalError::Version(1),
+            ),
+            (
+                "rcb_journal 4 sweep 9f86d081884c7d65",
+                JournalError::Version(4),
+            ),
+        ];
+        for (header, expected) in cases {
+            std::fs::write(&path, format!("{header}\n")).expect("write");
+            assert_eq!(Journal::load(&path).expect_err(header), expected);
+        }
+        assert!(JournalError::Version(2)
+            .to_string()
+            .contains("unsupported journal version 2"));
+        for header in [
+            "",
+            "rcb_journal 3 test 9f86d081884c7d65",
+            "rcb_journal 3 sweep 9f86d081",
+            "rcb_journal 3 sweep 9f86d081884c7d65 extra",
+        ] {
+            std::fs::write(&path, format!("{header}\n")).expect("write");
+            let err = Journal::load(&path).expect_err(header);
+            assert!(
+                matches!(err, JournalError::Corrupt { line: 1, .. }),
+                "{header}: {err:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn missing_file_is_a_typed_io_error() {
-        let err = Journal::load("/nonexistent/rcb/journal.jsonl").expect_err("missing file");
+        let err = Journal::load("/nonexistent/rcb/run.journal").expect_err("missing file");
         assert!(matches!(err, JournalError::Io(_)));
     }
 
     #[test]
-    fn create_writes_the_header_at_once_and_fails_on_a_missing_directory() {
+    fn create_writes_the_header_at_once_and_refuses_bad_paths() {
         let path = tmp_path("created");
-        let j = Journal::create(&path, sample_header()).expect("create");
+        let j = Journal::create(&path, JournalKind::Scenario, FP).expect("create");
         let back = Journal::load(j.path()).expect("the header is on disk before any flush");
-        assert_eq!(back.header(), &sample_header());
+        assert_eq!(
+            (back.kind(), back.fingerprint()),
+            (JournalKind::Scenario, FP)
+        );
         assert!(back.is_empty());
+
+        let err = Journal::create(&path, JournalKind::Scenario, FP).expect_err("exists");
+        assert_eq!(err, JournalError::Exists(path.clone()));
+        assert!(err.to_string().contains("--resume"), "{err}");
         std::fs::remove_file(&path).ok();
 
         let missing = std::env::temp_dir()
             .join(format!("rcb_journal_missing_{}", std::process::id()))
-            .join("journal.jsonl");
-        let err = Journal::create(missing, sample_header()).expect_err("no such directory");
+            .join("run.journal");
+        let err = Journal::create(missing, JournalKind::Scenario, FP).expect_err("no directory");
         assert!(matches!(err, JournalError::Io(_)), "{err:?}");
     }
 
     #[test]
     fn flush_is_idempotent_and_atomic_over_rewrites() {
         let path = tmp_path("rewrite");
-        let mut j = Journal::create(&path, sample_header()).expect("create");
-        j.append("a", Json::Num(1.0));
+        let mut j = Journal::create(&path, JournalKind::Sweep, FP).expect("create");
+        j.append(0, 0, duel(1));
         j.flush().expect("first flush");
-        j.append("b", Json::Num(2.0));
+        j.append(0, 1, duel(2));
         j.flush().expect("second flush");
+        j.flush().expect("third flush");
 
         let back = Journal::load(&path).expect("load");
         assert_eq!(back.len(), 2);
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
         assert!(
-            !path.with_extension("jsonl.tmp").exists(),
+            !Path::new(&tmp).exists(),
             "the temp file is consumed by the rename"
         );
         std::fs::remove_file(&path).ok();

@@ -47,11 +47,13 @@
 //!
 //! The crash-safety layer rides on top: [`deadline`] threads a cooperative
 //! [`Deadline`]/cancellation token through the executor and the engine
-//! slot loops, [`json`] is the dependency-free JSON layer, and [`journal`]
-//! persists per-trial results as an append-only, FNV-1a-checksummed JSONL
-//! file; [`executor::run_specs_journaled`] is the one runner that writes
-//! and reads it, so interrupted runs resume bit-identical to
-//! uninterrupted ones.
+//! slot loops, and [`journal`] checkpoints per-trial results as one
+//! FNV-1a-checksummed line of integers each. The journal is held in
+//! memory and written to disk atomically when a run ends or is cut
+//! (deadline or SIGINT), not as each trial completes;
+//! [`executor::run_specs_journaled`] is the one runner that writes and
+//! reads it, so interrupted runs resume bit-identical to uninterrupted
+//! ones.
 
 pub mod cohort;
 pub mod conformance;
@@ -63,7 +65,6 @@ pub mod executor;
 pub mod fast;
 pub mod faults;
 pub mod journal;
-pub mod json;
 pub mod lowerbound;
 pub mod outcome;
 pub mod reduction;
@@ -80,8 +81,7 @@ pub use exact::{run_exact, ExactConfig, ExactOutcome};
 pub use executor::{run_specs_ctl, run_specs_journaled, QuarantinedTrial, SpecsControl, SpecsRun};
 pub use fast::{BroadcastObserver, BroadcastSession, FastConfig};
 pub use faults::{BatteryFault, CrashFault, FaultConfigError, FaultPlan, LossFault, SkewFault};
-pub use journal::{Journal, JournalError, JournalHeader};
-pub use json::Json;
+pub use journal::{Journal, JournalError, JournalKind};
 pub use outcome::{BroadcastOutcome, DuelOutcome};
 pub use reduction::{simulate_reduction, ReductionOutcome};
 pub use runner::{run_trials, Parallelism};

@@ -61,7 +61,6 @@ use crate::error::SimError;
 use crate::exact::{run_exact, ExactConfig};
 use crate::fast::{BroadcastSession, FastConfig};
 use crate::faults::FaultPlan;
-use crate::json::Json;
 use crate::outcome::{BroadcastOutcome, DuelOutcome, StreamOutcome};
 use crate::runner::{run_trials, Parallelism};
 use crate::session::{run_on, ExactBroadcastSession, OwnsRng, Session};
@@ -97,8 +96,8 @@ pub fn fnv1a(mut h: u64, words: &[u64]) -> u64 {
 }
 
 /// Byte-granular FNV-1a fold — the same hash as [`fnv1a`] applied to a raw
-/// byte stream. Used for spec fingerprints and journal record checksums,
-/// where the payload is canonical JSON text rather than a word sequence.
+/// byte stream. Used for spec fingerprints, where the input is the spec's
+/// text rendering rather than a word sequence.
 pub fn fnv1a_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
@@ -619,7 +618,7 @@ impl ScenarioSpec {
             (Engine::Fast, Workload::Duel(_)) => "duel-fast",
             // Streams reuse the broadcast labels: the engine doing the
             // work is the same, and the workload kind is already visible
-            // in the scenario name / spec JSON.
+            // in the scenario name.
             (Engine::Fast, Workload::Broadcast(_) | Workload::Stream(_)) => "broadcast-fast",
             (Engine::Exact, _) => "exact",
             // `validate` rejects (CohortFast, Duel), so the label is
@@ -829,135 +828,22 @@ impl ScenarioSpec {
         }
     }
 
-    // -- serialization ------------------------------------------------------
+    // -- identity -----------------------------------------------------------
 
-    /// Serializes everything that defines the scenario's *results* —
-    /// workload, engine, adversary, faults, seed policy, trials.
-    /// `parallelism` is deliberately excluded: the executor's seed folds
-    /// make outcomes thread-count-invariant, so two runs of the same spec
-    /// at different worker counts share a fingerprint and can resume each
-    /// other's journals. `u64` fields are written as decimal strings
-    /// (`Json::Num` is an `f64` and would round above 2^53).
-    pub fn to_json(&self) -> Json {
-        let workload = match &self.workload {
-            Workload::Duel(w) => {
-                let protocol = match w.protocol {
-                    DuelProtocol::Fig1 {
-                        epsilon,
-                        start_epoch,
-                    } => Json::obj(vec![
-                        ("kind", Json::Str("fig1".into())),
-                        ("epsilon", Json::Num(epsilon)),
-                        ("start_epoch", Json::Num(f64::from(start_epoch))),
-                    ]),
-                    DuelProtocol::Ksy { start_epoch } => Json::obj(vec![
-                        ("kind", Json::Str("ksy".into())),
-                        ("start_epoch", Json::Num(f64::from(start_epoch))),
-                    ]),
-                };
-                Json::obj(vec![
-                    ("kind", Json::Str("duel".into())),
-                    ("protocol", protocol),
-                    ("max_slots", ju64(w.max_slots)),
-                    ("exact_max_slots", ju64(w.exact_max_slots)),
-                ])
-            }
-            Workload::Broadcast(w) => Json::obj(vec![
-                ("kind", Json::Str("broadcast".into())),
-                ("params", params_to_json(&w.params)),
-                ("n", Json::Num(w.n as f64)),
-                (
-                    "sources",
-                    Json::Arr(w.sources.iter().map(|&s| Json::Num(s as f64)).collect()),
-                ),
-                ("max_epoch", Json::Num(f64::from(w.max_epoch))),
-                ("exact_max_slots", ju64(w.exact_max_slots)),
-            ]),
-            Workload::Stream(w) => {
-                let arrival = match &w.arrival {
-                    ArrivalSpec::Poisson { rate } => Json::obj(vec![
-                        ("kind", Json::Str("poisson".into())),
-                        ("rate", Json::Num(*rate)),
-                    ]),
-                    ArrivalSpec::Burst { period, size } => Json::obj(vec![
-                        ("kind", Json::Str("burst".into())),
-                        ("period", ju64(*period)),
-                        ("size", ju64(*size)),
-                    ]),
-                    ArrivalSpec::Schedule { arrivals } => Json::obj(vec![
-                        ("kind", Json::Str("schedule".into())),
-                        (
-                            "arrivals",
-                            Json::Arr(arrivals.iter().map(|&a| ju64(a)).collect()),
-                        ),
-                    ]),
-                };
-                Json::obj(vec![
-                    ("kind", Json::Str("stream".into())),
-                    ("params", params_to_json(&w.params)),
-                    ("n", Json::Num(w.n as f64)),
-                    (
-                        "sources",
-                        Json::Arr(w.sources.iter().map(|&s| Json::Num(s as f64)).collect()),
-                    ),
-                    ("max_epoch", Json::Num(f64::from(w.max_epoch))),
-                    ("exact_max_slots", ju64(w.exact_max_slots)),
-                    ("arrival", arrival),
-                    ("horizon", ju64(w.horizon)),
-                    (
-                        "alloc",
-                        Json::Str(
-                            match w.alloc {
-                                StreamAlloc::Persistent => "persistent",
-                                StreamAlloc::PerMessage => "per-message",
-                            }
-                            .into(),
-                        ),
-                    ),
-                ])
-            }
-        };
-        let engine = Json::Str(
-            match self.engine {
-                Engine::Fast => "fast",
-                Engine::Exact => "exact",
-                Engine::CohortFast => "cohort",
-            }
-            .into(),
-        );
-        let adversary = match self.adversary {
-            AdversarySpec::NoJam => Json::obj(vec![("kind", Json::Str("nojam".into()))]),
-            AdversarySpec::Budgeted { budget, fraction } => Json::obj(vec![
-                ("kind", Json::Str("budgeted".into())),
-                ("budget", ju64(budget)),
-                ("fraction", Json::Num(fraction)),
-            ]),
-            AdversarySpec::KeepAlive { budget, fraction } => Json::obj(vec![
-                ("kind", Json::Str("keepalive".into())),
-                ("budget", ju64(budget)),
-                ("fraction", Json::Num(fraction)),
-            ]),
-            AdversarySpec::Random { budget, rate } => Json::obj(vec![
-                ("kind", Json::Str("random".into())),
-                ("budget", ju64(budget)),
-                ("rate", Json::Num(rate)),
-            ]),
-        };
-        Json::obj(vec![
-            ("workload", workload),
-            ("engine", engine),
-            ("adversary", adversary),
-            ("faults", faults_to_json(&self.faults)),
-            ("seed", ju64(self.seeds.master)),
-            ("trials", ju64(self.trials)),
-        ])
-    }
-
-    /// FNV-1a over the canonical (compact) rendering of
-    /// [`to_json`](Self::to_json) — the identity a journal header records.
-    /// Two specs share a fingerprint iff they produce the same results.
+    /// FNV-1a over the spec's derived `Debug` rendering — the identity a
+    /// journal header records. The rendering covers every field, so two
+    /// specs share a fingerprint iff they produce the same results.
+    /// `parallelism` is normalised away: the executor's seed folds make
+    /// outcomes thread-count-invariant, so two runs of the same spec at
+    /// different worker counts share a fingerprint and can resume each
+    /// other's journals. Should the rendering change between toolchains,
+    /// a resume is refused as a fingerprint mismatch, never spliced.
     pub fn fingerprint(&self) -> u64 {
-        fnv1a_bytes(FNV_OFFSET, self.to_json().render_compact().as_bytes())
+        let spec = ScenarioSpec {
+            parallelism: Parallelism::Auto,
+            ..self.clone()
+        };
+        fnv1a_bytes(FNV_OFFSET, format!("{spec:?}").as_bytes())
     }
 }
 
@@ -1198,87 +1084,6 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-// JSON field helpers shared by the spec serializer and the outcome
-// (de)serializer. All
-// `u64` quantities travel as decimal strings — `Json::Num` is an `f64`,
-// which silently rounds past 2^53 (seeds and slot counts routinely exceed
-// that).
-fn ju64(x: u64) -> Json {
-    Json::Str(x.to_string())
-}
-
-fn pu64(value: &Json, key: &str) -> Result<u64, String> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing u64 field `{key}`"))?
-        .parse::<u64>()
-        .map_err(|e| format!("field `{key}`: {e}"))
-}
-
-fn pu32(value: &Json, key: &str) -> Result<u32, String> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| format!("missing u32 field `{key}`"))
-}
-
-fn pbool(value: &Json, key: &str) -> Result<bool, String> {
-    value
-        .get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing bool field `{key}`"))
-}
-
-fn params_to_json(p: &OneToNParams) -> Json {
-    Json::obj(vec![
-        ("b", Json::Num(p.b)),
-        ("rep_pow", Json::Num(f64::from(p.rep_pow))),
-        ("d", Json::Num(p.d)),
-        ("listen_pow", Json::Num(f64::from(p.listen_pow))),
-        ("s_init", Json::Num(p.s_init)),
-        ("helper_frac", Json::Num(p.helper_frac)),
-        ("growth_extra_pow", Json::Num(f64::from(p.growth_extra_pow))),
-        ("term_factor", Json::Num(p.term_factor)),
-        ("safety_factor", Json::Num(p.safety_factor)),
-        ("first_epoch", Json::Num(f64::from(p.first_epoch))),
-    ])
-}
-
-fn faults_to_json(plan: &FaultPlan) -> Json {
-    let loss = match &plan.loss {
-        None => Json::Null,
-        Some(l) => Json::obj(vec![("p", Json::Num(l.p))]),
-    };
-    let crash = match &plan.crash {
-        None => Json::Null,
-        Some(c) => Json::obj(vec![
-            ("node", Json::Num(c.node as f64)),
-            ("start_period", ju64(c.start_period)),
-            ("periods", ju64(c.periods)),
-            ("lose_state", Json::Bool(c.lose_state)),
-        ]),
-    };
-    let skew = match &plan.skew {
-        None => Json::Null,
-        Some(s) => Json::obj(vec![
-            ("node", Json::Num(s.node as f64)),
-            ("slots", ju64(s.slots)),
-        ]),
-    };
-    let battery = match &plan.battery {
-        None => Json::Null,
-        Some(b) => Json::obj(vec![("capacity", ju64(b.capacity))]),
-    };
-    Json::obj(vec![
-        ("loss", loss),
-        ("crash", crash),
-        ("skew", skew),
-        ("battery", battery),
-    ])
-}
-
 // ---------------------------------------------------------------------------
 // Outcome
 // ---------------------------------------------------------------------------
@@ -1379,126 +1184,6 @@ impl Outcome {
         match self {
             Outcome::Stream(o) => o,
             _ => panic!("expected a stream outcome"),
-        }
-    }
-
-    /// Serializes for journal record payloads; [`Outcome::from_json`]
-    /// inverts losslessly (`u64` fields travel as decimal strings).
-    pub fn to_json(&self) -> Json {
-        match self {
-            Outcome::Duel(o) => Json::obj(vec![
-                ("kind", Json::Str("duel".into())),
-                ("delivered", Json::Bool(o.delivered)),
-                ("bob_premature", Json::Bool(o.bob_premature)),
-                ("alice_cost", ju64(o.alice_cost)),
-                ("bob_cost", ju64(o.bob_cost)),
-                ("adversary_cost", ju64(o.adversary_cost)),
-                ("slots", ju64(o.slots)),
-                (
-                    "delivery_slot",
-                    match o.delivery_slot {
-                        None => Json::Null,
-                        Some(t) => ju64(t),
-                    },
-                ),
-                ("last_epoch", Json::Num(f64::from(o.last_epoch))),
-                ("truncated", Json::Bool(o.truncated)),
-            ]),
-            Outcome::Broadcast(o) => Json::obj(vec![
-                ("kind", Json::Str("broadcast".into())),
-                ("n", Json::Num(o.n as f64)),
-                ("informed", Json::Num(o.informed as f64)),
-                ("all_informed", Json::Bool(o.all_informed)),
-                ("all_terminated", Json::Bool(o.all_terminated)),
-                (
-                    "safety_terminations",
-                    Json::Num(o.safety_terminations as f64),
-                ),
-                (
-                    "node_costs",
-                    Json::Arr(o.node_costs.iter().map(|&c| ju64(c)).collect()),
-                ),
-                ("adversary_cost", ju64(o.adversary_cost)),
-                ("slots", ju64(o.slots)),
-                ("last_epoch", Json::Num(f64::from(o.last_epoch))),
-                ("truncated", Json::Bool(o.truncated)),
-            ]),
-            Outcome::Stream(o) => Json::obj(vec![
-                ("kind", Json::Str("stream".into())),
-                ("n", Json::Num(o.n as f64)),
-                ("arrivals", ju64(o.arrivals)),
-                ("delivered", ju64(o.delivered)),
-                ("truncated_msgs", ju64(o.truncated_msgs)),
-                ("slots", ju64(o.slots)),
-                ("adversary_cost", ju64(o.adversary_cost)),
-                ("max_cost", ju64(o.max_cost)),
-                ("queue_area", ju64(o.queue_area)),
-                ("max_queue", ju64(o.max_queue)),
-                ("latency_p50", ju64(o.latency_p50)),
-                ("latency_p95", ju64(o.latency_p95)),
-                ("latency_max", ju64(o.latency_max)),
-                ("truncated", Json::Bool(o.truncated)),
-            ]),
-        }
-    }
-
-    /// Inverse of [`Outcome::to_json`].
-    pub fn from_json(value: &Json) -> Result<Outcome, String> {
-        match value.get("kind").and_then(Json::as_str) {
-            Some("duel") => Ok(Outcome::Duel(DuelOutcome {
-                delivered: pbool(value, "delivered")?,
-                bob_premature: pbool(value, "bob_premature")?,
-                alice_cost: pu64(value, "alice_cost")?,
-                bob_cost: pu64(value, "bob_cost")?,
-                adversary_cost: pu64(value, "adversary_cost")?,
-                slots: pu64(value, "slots")?,
-                delivery_slot: match value.get("delivery_slot") {
-                    Some(Json::Null) => None,
-                    Some(_) => Some(pu64(value, "delivery_slot")?),
-                    None => return Err("duel outcome missing `delivery_slot`".into()),
-                },
-                last_epoch: pu32(value, "last_epoch")?,
-                truncated: pbool(value, "truncated")?,
-            })),
-            Some("broadcast") => Ok(Outcome::Broadcast(BroadcastOutcome {
-                n: pu32(value, "n")? as usize,
-                informed: pu32(value, "informed")? as usize,
-                all_informed: pbool(value, "all_informed")?,
-                all_terminated: pbool(value, "all_terminated")?,
-                safety_terminations: pu32(value, "safety_terminations")? as usize,
-                node_costs: value
-                    .get("node_costs")
-                    .and_then(Json::as_arr)
-                    .ok_or("broadcast outcome missing `node_costs`")?
-                    .iter()
-                    .map(|c| {
-                        c.as_str()
-                            .ok_or_else(|| "bad node cost".to_string())?
-                            .parse::<u64>()
-                            .map_err(|e| format!("bad node cost: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?,
-                adversary_cost: pu64(value, "adversary_cost")?,
-                slots: pu64(value, "slots")?,
-                last_epoch: pu32(value, "last_epoch")?,
-                truncated: pbool(value, "truncated")?,
-            })),
-            Some("stream") => Ok(Outcome::Stream(StreamOutcome {
-                n: pu32(value, "n")? as usize,
-                arrivals: pu64(value, "arrivals")?,
-                delivered: pu64(value, "delivered")?,
-                truncated_msgs: pu64(value, "truncated_msgs")?,
-                slots: pu64(value, "slots")?,
-                adversary_cost: pu64(value, "adversary_cost")?,
-                max_cost: pu64(value, "max_cost")?,
-                queue_area: pu64(value, "queue_area")?,
-                max_queue: pu64(value, "max_queue")?,
-                latency_p50: pu64(value, "latency_p50")?,
-                latency_p95: pu64(value, "latency_p95")?,
-                latency_max: pu64(value, "latency_max")?,
-                truncated: pbool(value, "truncated")?,
-            })),
-            other => Err(format!("unknown outcome kind {other:?}")),
         }
     }
 }
@@ -1918,36 +1603,151 @@ mod tests {
              thread-count-invariant, so runs at any worker count may share a journal"
         );
 
-        // Every branch of the rendering reaches the fingerprint: these
-        // variants differ pairwise, so all of them must fingerprint apart.
-        let jam = |adversary| base.clone().with_adversary(adversary);
-        let fault = |plan| base.clone().with_faults(plan);
-        let stream = |arrival| ScenarioSpec::stream(4, arrival, 10_000);
+        // One mutation per result-defining field, each against the spec it
+        // mutates: the derived rendering must carry every one of them.
+        fn edit(spec: &ScenarioSpec, f: impl FnOnce(&mut ScenarioSpec)) -> ScenarioSpec {
+            let mut spec = spec.clone();
+            f(&mut spec);
+            spec
+        }
+        let duel_w = |f: fn(&mut DuelWorkload)| {
+            edit(&base, |s| {
+                if let Workload::Duel(w) = &mut s.workload {
+                    f(w)
+                }
+            })
+        };
+        let bcast = ScenarioSpec::broadcast(8).with_seed(7);
+        let bcast_w = |f: fn(&mut BroadcastWorkload)| {
+            edit(&bcast, |s| {
+                if let Workload::Broadcast(w) = &mut s.workload {
+                    f(w)
+                }
+            })
+        };
         let (budget, fraction, rate) = (4096, 1.0, 0.5);
-        let (period, size, arrivals) = (100, 2, vec![5, 9]);
-        let variants = [
-            base.clone(),
-            ScenarioSpec::duel(DuelProtocol::ksy()).with_seed(7),
-            jam(AdversarySpec::Budgeted { budget, fraction }),
-            jam(AdversarySpec::KeepAlive { budget, fraction }),
-            jam(AdversarySpec::Random { budget, rate }),
-            fault(FaultPlan::none().with_loss(0.1)),
-            fault(FaultPlan::none().with_crash(1, 2, 3, true)),
-            fault(FaultPlan::none().with_skew(1, 1)),
-            fault(FaultPlan::none().with_battery(64)),
-            stream(ArrivalSpec::Poisson { rate }),
-            stream(ArrivalSpec::Poisson { rate }).with_stream_alloc(StreamAlloc::PerMessage),
-            stream(ArrivalSpec::Burst { period, size }),
-            stream(ArrivalSpec::Schedule { arrivals }),
+        let jam = |adversary| base.clone().with_adversary(adversary);
+        let blocker = jam(AdversarySpec::Budgeted { budget, fraction });
+        let keepalive = jam(AdversarySpec::KeepAlive { budget, fraction });
+        let random = jam(AdversarySpec::Random { budget, rate });
+        let fault = |plan| base.clone().with_faults(plan);
+        let stream = ScenarioSpec::stream(4, ArrivalSpec::Poisson { rate }, 10_000);
+        let stream_w = |f: fn(&mut StreamWorkload)| {
+            edit(&stream, |s| {
+                if let Workload::Stream(w) = &mut s.workload {
+                    f(w)
+                }
+            })
+        };
+        let mutations = [
+            (
+                "duel engine",
+                &base,
+                base.clone().with_engine(Engine::Exact),
+            ),
+            (
+                "broadcast engine",
+                &bcast,
+                bcast.clone().with_engine(Engine::Exact),
+            ),
+            (
+                "cohort engine",
+                &bcast,
+                bcast.clone().with_engine(Engine::CohortFast),
+            ),
+            (
+                "protocol",
+                &base,
+                ScenarioSpec::duel(DuelProtocol::ksy()).with_seed(7),
+            ),
+            (
+                "epsilon",
+                &base,
+                ScenarioSpec::duel(DuelProtocol::fig1(0.2, 8)).with_seed(7),
+            ),
+            ("blocker", &base, blocker.clone()),
+            ("keep-alive", &blocker, keepalive.clone()),
+            ("random", &blocker, random.clone()),
+            (
+                "blocker budget",
+                &blocker,
+                jam(AdversarySpec::Budgeted {
+                    budget: budget + 1,
+                    fraction,
+                }),
+            ),
+            (
+                "keep-alive budget",
+                &keepalive,
+                jam(AdversarySpec::KeepAlive {
+                    budget: budget + 1,
+                    fraction,
+                }),
+            ),
+            (
+                "random budget",
+                &random,
+                jam(AdversarySpec::Random {
+                    budget: budget + 1,
+                    rate,
+                }),
+            ),
+            ("loss", &base, fault(FaultPlan::none().with_loss(0.1))),
+            (
+                "crash",
+                &base,
+                fault(FaultPlan::none().with_crash(1, 2, 3, true)),
+            ),
+            ("skew", &base, fault(FaultPlan::none().with_skew(1, 1))),
+            ("battery", &base, fault(FaultPlan::none().with_battery(64))),
+            ("max_slots", &base, duel_w(|w| w.max_slots += 1)),
+            (
+                "duel exact_max_slots",
+                &base,
+                duel_w(|w| w.exact_max_slots += 1),
+            ),
+            (
+                "broadcast exact_max_slots",
+                &bcast,
+                bcast_w(|w| w.exact_max_slots += 1),
+            ),
+            ("max_epoch", &bcast, bcast_w(|w| w.max_epoch += 1)),
+            ("params", &bcast, bcast_w(|w| w.params.first_epoch += 1)),
+            ("n", &bcast, bcast_w(|w| w.n += 1)),
+            ("sources", &bcast, bcast_w(|w| w.sources = vec![1])),
+            (
+                "arrival",
+                &stream,
+                stream_w(|w| {
+                    w.arrival = ArrivalSpec::Burst {
+                        period: 100,
+                        size: 2,
+                    }
+                }),
+            ),
+            (
+                "schedule",
+                &stream,
+                stream_w(|w| {
+                    w.arrival = ArrivalSpec::Schedule {
+                        arrivals: vec![5, 9],
+                    }
+                }),
+            ),
+            ("horizon", &stream, stream_w(|w| w.horizon += 1)),
+            (
+                "alloc",
+                &stream,
+                stream.clone().with_stream_alloc(StreamAlloc::PerMessage),
+            ),
         ];
-        let mut prints: Vec<u64> = variants.iter().map(ScenarioSpec::fingerprint).collect();
-        prints.sort_unstable();
-        prints.dedup();
-        assert_eq!(
-            prints.len(),
-            variants.len(),
-            "two variants share a fingerprint"
-        );
+        for (field, before, after) in &mutations {
+            assert_ne!(
+                before.fingerprint(),
+                after.fingerprint(),
+                "changing the {field} must change the fingerprint"
+            );
+        }
     }
 
     #[test]
@@ -2105,47 +1905,5 @@ mod tests {
         };
         let expected = fnv1a(FNV_OFFSET, &[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]);
         assert_eq!(spec.outcome_checksum(&Outcome::Stream(out)), expected);
-    }
-
-    #[test]
-    fn outcome_json_round_trips() {
-        let duel = Outcome::Duel(DuelOutcome {
-            delivered: true,
-            bob_premature: false,
-            alice_cost: 10,
-            bob_cost: 20,
-            adversary_cost: u64::MAX,
-            slots: 1 << 60,
-            delivery_slot: Some(12345),
-            last_epoch: 9,
-            truncated: false,
-        });
-        assert_eq!(Outcome::from_json(&duel.to_json()).unwrap(), duel);
-
-        let bcast = Outcome::Broadcast(BroadcastOutcome {
-            n: 3,
-            informed: 3,
-            all_informed: true,
-            all_terminated: false,
-            safety_terminations: 1,
-            node_costs: vec![5, 0, u64::MAX - 3],
-            adversary_cost: 7,
-            slots: 99,
-            last_epoch: 4,
-            truncated: true,
-        });
-        assert_eq!(Outcome::from_json(&bcast.to_json()).unwrap(), bcast);
-
-        let no_delivery = Outcome::Duel(DuelOutcome {
-            delivery_slot: None,
-            ..match duel {
-                Outcome::Duel(d) => d,
-                _ => unreachable!(),
-            }
-        });
-        assert_eq!(
-            Outcome::from_json(&no_delivery.to_json()).unwrap(),
-            no_delivery
-        );
     }
 }
