@@ -23,7 +23,7 @@ use crate::scale::Scale;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_mathkit::stats::RunningStats;
 use rcb_sim::conformance::{default_grid, run_grid, ConformanceConfig};
-use rcb_sim::deadline::{install_sigint_handler, interrupted, Deadline};
+use rcb_sim::deadline::Deadline;
 use rcb_sim::error::SimError;
 use rcb_sim::executor::run_specs_journaled;
 use rcb_sim::faults::FaultPlan;
@@ -194,17 +194,14 @@ COMMANDS:
 
 CRASH SAFETY (scenario run):
   --journal PATH     checkpoint completed cells to a new journal of
-                     FNV-1a-checksummed records, written atomically when
-                     the run ends or is cut (an existing file is refused)
+                     FNV-1a-checksummed records, each appended as its
+                     trial finishes, so a killed run keeps them (an
+                     existing file is refused)
   --resume PATH      skip the journal's completed cells and continue; a
                      journal from different work is refused, and resumed
                      results are bit-identical to an uninterrupted run
   --deadline SECS    cooperative wall-clock budget: in-flight work
-                     finishes, the journal is flushed, and the exact
-                     --resume invocation is printed
-  While any of these is active, the first Ctrl-C (SIGINT) is graceful —
-  finish in-flight cells, flush, print the resume command; a second
-  Ctrl-C force-kills.
+                     finishes and the exact --resume invocation is printed
 
 FAULT INJECTION (duel and broadcast):
   --fault-loss F                       drop decodable receptions w.p. F
@@ -623,7 +620,7 @@ fn cmd_scenario(args: &Args) -> Result<String, String> {
             spec.validate()?;
             let rc = run_control_args(args)?;
             let fingerprint = spec.fingerprint();
-            let mut journal = match (&rc.resume, &rc.journal) {
+            let journal = match (&rc.resume, &rc.journal) {
                 (Some(path), _) => Some(Journal::open_resume(
                     path,
                     JournalKind::Scenario,
@@ -641,7 +638,7 @@ fn cmd_scenario(args: &Args) -> Result<String, String> {
                 spec.parallelism,
                 rc.deadline(),
                 1,
-                journal.as_mut(),
+                journal.as_ref(),
             )
             .map_err(|e| e.to_string())?;
             if let Some(q) = run.quarantined.first() {
@@ -827,56 +824,37 @@ fn run_control_args(args: &Args) -> Result<RunControlArgs, String> {
     })
 }
 
-/// `--deadline SECS`, shared by `scenario run` and `exp`: a finite,
-/// non-negative number of seconds.
+/// `--deadline SECS`, shared by `scenario run` and `exp`: a non-negative
+/// number of seconds that fits a [`Duration`].
 fn deadline_arg(args: &Args) -> Result<Option<Duration>, String> {
-    match args.get_opt::<f64>("deadline")? {
-        None => Ok(None),
-        Some(secs) if secs.is_finite() && secs >= 0.0 => Ok(Some(Duration::from_secs_f64(secs))),
-        Some(_) => Err("--deadline must be a non-negative number of seconds".into()),
-    }
+    args.get_opt::<f64>("deadline")?
+        .map(|secs| {
+            Duration::try_from_secs_f64(secs)
+                .map_err(|_| String::from("--deadline must be a non-negative number of seconds"))
+        })
+        .transpose()
 }
 
 impl RunControlArgs {
-    fn active(&self) -> bool {
-        self.journal.is_some() || self.resume.is_some() || self.deadline_budget.is_some()
-    }
-
-    /// The run deadline. When any crash-safety flag is active the SIGINT
-    /// latch is folded in, so Ctrl-C finishes in-flight cells, flushes
-    /// the journal, and surfaces the resume invocation instead of killing
-    /// the process mid-write. With no flags this is [`Deadline::NONE`]
-    /// and the default SIGINT disposition is left untouched.
+    /// The run deadline: [`Deadline::NONE`] without `--deadline`.
     fn deadline(&self) -> Deadline {
-        let base = match self.deadline_budget {
-            Some(budget) => Deadline::after(budget),
-            None => Deadline::NONE,
-        };
-        if self.active() {
-            base.with_cancel(install_sigint_handler())
-        } else {
-            base
-        }
+        self.deadline_budget.map_or(Deadline::NONE, Deadline::after)
     }
 }
 
-/// The message for a deadline- or SIGINT-cut run: what stopped it, where
-/// the checkpoints went, and the exact invocation that resumes it.
+/// The message for a deadline-cut run: where the checkpoints went, and the
+/// exact invocation that resumes it.
 fn cut_report(what: &str, journal: Option<&Path>, base_invocation: &str) -> String {
-    let why = if interrupted() {
-        "interrupted (SIGINT)"
-    } else {
-        "wall-clock deadline exceeded"
-    };
     match journal {
         Some(path) => format!(
-            "{what}: {why}; completed cells are journaled in {path}\nresume with:\n  \
-             {base_invocation} --resume {path}",
+            "{what}: wall-clock deadline exceeded; completed cells are journaled in \
+             {path}\nresume with:\n  {base_invocation} --resume {path}",
             path = path.display()
         ),
         None => format!(
-            "{what}: {why}; no --journal was given, so partial progress was not \
-             persisted — re-run with --journal PATH to make the run resumable"
+            "{what}: wall-clock deadline exceeded; no --journal was given, so partial \
+             progress was not persisted — re-run with --journal PATH to make the run \
+             resumable"
         ),
     }
 }
@@ -918,6 +896,7 @@ mod tests {
             (&["--deadline", "-1"], "--deadline"),
             (&["--deadline", "inf"], "--deadline"),
             (&["--deadline", "nan"], "--deadline"),
+            (&["--deadline", "1e30"], "--deadline"),
             (&["--journal-dir", "/nonexistent/rcb_ckpt"], "--journal-dir"),
         ] {
             let mut v = vec!["exp", "e2"];
@@ -1183,16 +1162,11 @@ mod tests {
     fn crash_safety_flags_parse_and_reject_conflicts() {
         let a = parse(&["scenario", "--journal", "j.journal", "--deadline", "1.5"]).expect("parse");
         let rc = run_control_args(&a).expect("valid flags");
-        assert!(rc.active());
         assert_eq!(rc.journal.as_deref(), Some(Path::new("j.journal")));
         assert_eq!(rc.deadline_budget, Some(Duration::from_millis(1500)));
 
         let none = run_control_args(&parse(&["scenario"]).expect("parse")).expect("no flags");
-        assert!(!none.active());
-        assert!(
-            none.deadline().is_unbounded(),
-            "no flags → unbounded, handler-free"
-        );
+        assert!(none.deadline().is_unbounded(), "no flags → unbounded");
 
         let both = parse(&["scenario", "--journal", "a", "--resume", "b"]).expect("parse");
         assert!(run_control_args(&both).is_err(), "journal+resume conflict");
@@ -1210,8 +1184,7 @@ mod tests {
         };
         run(&["--journal", &journal]).expect("an uncut run completes");
         // Keep three records and tear the fourth, as a kill mid-write
-        // would. Loading drops a torn final line; only a flush removes it
-        // from the file.
+        // would. Loading drops a torn final line; a resume truncates it.
         let text = std::fs::read_to_string(&journal).expect("read journal");
         let lines: Vec<&str> = text.lines().collect();
         let torn = &lines[4][..lines[4].len() / 2];
@@ -1228,9 +1201,28 @@ mod tests {
             "the exact resume invocation must be printed: {err}"
         );
         let j = Journal::load(Path::new(&journal)).expect("load the cut run's journal");
-        assert!(!j.dropped_tail(), "the cut run flushed the journal");
+        assert!(!j.dropped_tail(), "the resume truncated the torn line");
         assert_eq!(j.len(), 3, "the cut keeps every journaled trial");
         std::fs::remove_file(&journal).ok();
+    }
+
+    fn run_duel_jammed(extra: &[&str]) -> Result<String, String> {
+        let v = ["scenario", "run", "duel_jammed", "--trials", "2"];
+        run_cli(&parse(&[&v[..], extra].concat()).expect("parse"))
+    }
+
+    #[test]
+    fn a_deadline_too_large_for_a_duration_is_an_error() {
+        let err = run_duel_jammed(&["--deadline", "1e30"]).expect_err("not a Duration");
+        assert!(err.contains("--deadline"), "{err}");
+    }
+
+    #[test]
+    fn a_deadline_past_the_clock_never_fires() {
+        let uncut = run_duel_jammed(&[]).expect("an uncut run");
+        assert_eq!(run_duel_jammed(&["--deadline", "1e19"]), Ok(uncut));
+        let a = parse(&["exp", "e2", "--deadline", "1e19"]).expect("parse");
+        run_cli(&a).expect("a sweep under a deadline past the clock");
     }
 
     #[test]
@@ -1335,12 +1327,12 @@ mod tests {
         // the new trials into the journal it continues.
         let partial = tmp_journal("scenario_resume_partial");
         let full = Journal::load(Path::new(&journal)).expect("full journal");
-        let mut part = Journal::create(Path::new(&partial), full.kind(), full.fingerprint())
+        let part = Journal::create(Path::new(&partial), full.kind(), full.fingerprint())
             .expect("create partial");
         for t in 0..2 {
-            part.append(0, t, full.get(0, t).expect("journaled").clone());
+            let record = full.get(0, t).expect("journaled");
+            part.append(0, t, record).expect("append");
         }
-        part.flush().expect("flush partial journal");
         let resumed = run_cli(&base_args(&["--resume", &partial])).expect("partial resume");
         assert_eq!(checksum_line(&straight), checksum_line(&resumed));
         let grown = Journal::load(Path::new(&partial)).expect("resumed journal");

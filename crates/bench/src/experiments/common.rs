@@ -19,7 +19,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use rcb_analysis::report::{Cell, SweepSeries};
-use rcb_sim::deadline::{install_sigint_handler, Deadline};
+use rcb_sim::deadline::Deadline;
 use rcb_sim::error::SimError;
 use rcb_sim::executor::{run_specs_journaled, QuarantinedTrial};
 use rcb_sim::journal::{Journal, JournalKind};
@@ -98,31 +98,13 @@ pub fn split_truncated<T>(
 /// `<dir>/sweep_<fingerprint>.journal` and automatically resumes an existing
 /// journal for the same work (a journal from *different* work is refused
 /// via its header fingerprint, never silently spliced). With `deadline`
-/// set, in-flight trials finish, the journal (if any) is flushed, and the
-/// sweep stops with a message naming the resume mechanism — partial
-/// statistics are never reported as if they were complete.
+/// set, in-flight trials finish and the sweep stops with a message naming
+/// the resume mechanism — partial statistics are never reported as if
+/// they were complete.
 #[derive(Debug, Clone, Default)]
 pub struct SweepControl {
     pub journal_dir: Option<PathBuf>,
     pub deadline: Option<Duration>,
-}
-
-impl SweepControl {
-    fn active(&self) -> bool {
-        self.journal_dir.is_some() || self.deadline.is_some()
-    }
-
-    fn deadline(&self) -> Deadline {
-        let base = match self.deadline {
-            Some(budget) => Deadline::after(budget),
-            None => Deadline::NONE,
-        };
-        if self.active() {
-            base.with_cancel(install_sigint_handler())
-        } else {
-            base
-        }
-    }
 }
 
 /// Grid-level identity of a sweep: FNV-1a fold of every cell spec's
@@ -181,7 +163,7 @@ pub fn run_sweep_specs(
     parallelism: Parallelism,
     sweep_ctl: &SweepControl,
 ) -> Result<Vec<CellResults>, String> {
-    let mut journal = match &sweep_ctl.journal_dir {
+    let journal = match &sweep_ctl.journal_dir {
         None => None,
         Some(dir) => {
             let fingerprint = sweep_fingerprint(specs);
@@ -202,9 +184,9 @@ pub fn run_sweep_specs(
     let run = run_specs_journaled(
         specs,
         parallelism,
-        sweep_ctl.deadline(),
+        sweep_ctl.deadline.map_or(Deadline::NONE, Deadline::after),
         SWEEP_MAX_ATTEMPTS,
-        journal.as_mut(),
+        journal.as_ref(),
     )
     .map_err(|e| format!("sweep journal: {e}"))?;
 

@@ -1,8 +1,8 @@
 //! Property tests for the crash-safe run journal: every outcome kind and
-//! engine error round-trips through flush → load over the full `u64`
-//! range (far above the 2^53 an `f64` holds exactly), and torn-tail
-//! recovery — a truncated final record line is detected and dropped,
-//! never fatal and never silently misread.
+//! engine error round-trips through append → load over the full `u64`
+//! range (far above the 2^53 an `f64` holds exactly), and a kill anywhere
+//! — the file cut at any byte after its header — loses only the torn
+//! record, which a resume truncates and re-runs.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -106,7 +106,7 @@ fn record((tag, words, costs, (err, a, b)): RawRecord) -> TrialRecord {
 proptest! {
     /// Every record — any outcome kind, any error, every word drawn from
     /// the full `u64` range, under any (spec, trial) key — survives
-    /// flush → load exactly, and so do the header's kind and fingerprint.
+    /// append → load exactly, and so do the header's kind and fingerprint.
     #[test]
     fn records_round_trip_the_full_u64_range(
         sweep in any::<bool>(),
@@ -115,15 +115,13 @@ proptest! {
     ) {
         let path = case_path("round_trip");
         let kind = if sweep { JournalKind::Sweep } else { JournalKind::Scenario };
-        let mut journal = Journal::create(&path, kind, fingerprint).expect("create");
-        let mut expected = BTreeMap::new();
-        for ((spec, trial), raw) in raw {
-            let record = record(raw);
-            // A repeated key replaces its record, in the journal as here.
-            journal.append(spec, trial, record.clone());
-            expected.insert((spec, trial), record);
+        let journal = Journal::create(&path, kind, fingerprint).expect("create");
+        // Each trial is appended once; a repeated key keeps its last draw.
+        let expected: BTreeMap<(usize, u64), TrialRecord> =
+            raw.into_iter().map(|(key, raw)| (key, record(raw))).collect();
+        for (&(spec, trial), record) in &expected {
+            journal.append(spec, trial, record).expect("append");
         }
-        journal.flush().expect("flush");
 
         let back = Journal::load(&path).expect("load");
         prop_assert_eq!((back.kind(), back.fingerprint()), (kind, fingerprint));
@@ -135,42 +133,50 @@ proptest! {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Crash-window recovery: cutting the file anywhere inside the final
-    /// record line loses exactly that record — the load succeeds, every
-    /// earlier record is intact, and `dropped_tail` reports whether a torn
-    /// fragment (rather than a clean line boundary) was discarded.
+    /// Kill anywhere: cutting the file at any byte after the header keeps
+    /// exactly the whole records before the cut. `open_resume` succeeds,
+    /// truncates the torn fragment, and once the missing records are
+    /// appended a fresh load sees the uncut record set with no dropped
+    /// tail and no corruption.
     #[test]
     fn torn_final_record_is_dropped_not_fatal(
-        raw in prop::collection::vec(raw_record(), 2..6),
-        cut_fraction in 0.0f64..1.0,
+        raw in prop::collection::vec(raw_record(), 1..6),
+        cut_fraction in 0.0f64..=1.0,
     ) {
         let records: Vec<TrialRecord> = raw.into_iter().map(record).collect();
         let path = case_path("torn_tail");
-        let mut journal = Journal::create(&path, JournalKind::Sweep, 7).expect("create");
+        let journal = Journal::create(&path, JournalKind::Sweep, 7).expect("create");
+        let header_len = std::fs::metadata(&path).expect("stat").len() as usize;
         for (t, record) in records.iter().enumerate() {
-            journal.append(0, t as u64, record.clone());
+            journal.append(0, t as u64, record).expect("append");
         }
-        journal.flush().expect("flush");
+        drop(journal);
 
-        // Records are written in (spec, trial) order, so the final line is
-        // the last trial's; it spans (last_line_start, len-1].
         let text = std::fs::read_to_string(&path).expect("read");
-        let trimmed = text.trim_end_matches('\n');
-        let last_line_start = trimmed.rfind('\n').expect("header + records") + 1;
-        let span = trimmed.len() - last_line_start;
-        let cut = last_line_start + ((span as f64) * cut_fraction) as usize;
+        let cut = header_len + ((text.len() - header_len) as f64 * cut_fraction) as usize;
         std::fs::write(&path, &text[..cut]).expect("truncate");
+        let kept = text[header_len..cut].matches('\n').count();
+        let whole = text[..cut].rfind('\n').expect("the header line") + 1;
 
-        let back = Journal::load(&path).expect("a torn tail must never be fatal");
-        let kept = records.len() - 1;
-        prop_assert_eq!(back.len(), kept, "exactly the last record is lost");
-        prop_assert_eq!(
-            back.dropped_tail(),
-            cut > last_line_start,
-            "a fragment was dropped iff the cut left one"
-        );
-        for (t, record) in records[..kept].iter().enumerate() {
-            prop_assert_eq!(back.get(0, t as u64), Some(record), "record {} damaged", t);
+        let resumed = Journal::open_resume(&path, JournalKind::Sweep, 7)
+            .expect("a torn tail must never be fatal");
+        prop_assert_eq!(resumed.len(), kept, "exactly the whole records survive");
+        prop_assert_eq!(resumed.dropped_tail(), cut > whole, "a fragment was dropped iff the cut left one");
+        for (t, record) in records.iter().enumerate() {
+            let t = t as u64;
+            let expected = (t < kept as u64).then_some(record);
+            prop_assert_eq!(resumed.get(0, t), expected, "record {} after the cut", t);
+            if expected.is_none() {
+                resumed.append(0, t, record).expect("append");
+            }
+        }
+        drop(resumed);
+
+        let back = Journal::load(&path).expect("no corruption after the resume");
+        prop_assert!(!back.dropped_tail());
+        prop_assert_eq!(back.len(), records.len());
+        for (t, record) in records.iter().enumerate() {
+            prop_assert_eq!(back.get(0, t as u64), Some(record));
         }
         std::fs::remove_file(&path).ok();
     }

@@ -3,16 +3,14 @@
 //! Numerical primitives shared by the `rcb` workspace: a deterministic,
 //! splittable random-number generator, exact samplers for the distributions
 //! the simulation engines need (Bernoulli processes, binomials, geometric
-//! skips, distinct-subset sampling), streaming statistics, power-law fitting
-//! for the experiment harness, and the Chernoff-bound calculators that the
-//! paper's analysis (Theorem 6 / Corollary 1 of Motwani–Raghavan) relies on.
+//! skips, distinct-subset sampling), streaming statistics, and power-law
+//! fitting for the experiment harness.
 //!
 //! Everything here is dependency-light on purpose: `rand_distr` is not part
 //! of the approved dependency set, so the binomial/geometric samplers are
 //! implemented from first principles and validated by property tests.
 
 pub mod binom;
-pub mod bounds;
 pub mod fit;
 pub mod gof;
 pub mod histogram;
@@ -22,7 +20,6 @@ pub mod sample;
 pub mod stats;
 
 pub use binom::{binomial_cdf_le, binomial_tail_gt, ln_binomial_pmf, ln_choose, ln_factorial};
-pub use bounds::{chernoff_lower_tail, chernoff_upper_tail, concentration_radius};
 pub use fit::{
     linear_fit, power_law_fit, power_law_fit_with_offset, LinearFit, OffsetPowerLawFit, PowerLawFit,
 };
@@ -32,7 +29,7 @@ pub use hypothesis::{mann_whitney_u, normal_cdf, MannWhitney};
 pub use rng::{seed_stream, RcbRng, SeedSequence};
 pub use sample::{
     bernoulli, binomial, binomial_fast, geometric_failures, multinomial_into, sample_distinct,
-    sample_slots, slot_capacity_hint_capped, Sampler,
+    sample_slots, slot_capacity_hint_capped,
 };
 pub use stats::{percentile, summarize, RunningStats, Summary};
 

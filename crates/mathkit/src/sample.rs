@@ -441,49 +441,6 @@ pub fn sample_distinct(rng: &mut RcbRng, n: u64, k: u64) -> Vec<u64> {
     chosen
 }
 
-/// A reusable sampler handle bundling an RNG; convenience for code that does
-/// many draws and wants method syntax.
-#[derive(Debug)]
-pub struct Sampler {
-    rng: RcbRng,
-}
-
-impl Sampler {
-    pub fn new(seed: u64) -> Self {
-        Self {
-            rng: RcbRng::new(seed),
-        }
-    }
-
-    pub fn from_rng(rng: RcbRng) -> Self {
-        Self { rng }
-    }
-
-    pub fn rng_mut(&mut self) -> &mut RcbRng {
-        &mut self.rng
-    }
-
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        bernoulli(&mut self.rng, p)
-    }
-
-    pub fn binomial(&mut self, n: u64, p: f64) -> u64 {
-        binomial(&mut self.rng, n, p)
-    }
-
-    pub fn slots(&mut self, n: u64, p: f64) -> Vec<u64> {
-        sample_slots(&mut self.rng, n, p)
-    }
-
-    pub fn slots_into(&mut self, n: u64, p: f64, out: &mut Vec<u64>) {
-        sample_slots_into(&mut self.rng, n, p, out)
-    }
-
-    pub fn distinct(&mut self, n: u64, k: u64) -> Vec<u64> {
-        sample_distinct(&mut self.rng, n, k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -891,15 +848,5 @@ mod tests {
         let mut rng = RcbRng::new(16);
         let v = sample_distinct(&mut rng, 1 << 20, 200_000);
         assert_eq!(v.len(), 200_000);
-    }
-
-    #[test]
-    fn sampler_wrapper_smoke() {
-        let mut s = Sampler::new(15);
-        assert!(s.binomial(10, 1.0) == 10);
-        assert!(s.slots(10, 0.0).is_empty());
-        assert_eq!(s.distinct(5, 5).len(), 5);
-        let _ = s.bernoulli(0.5);
-        let _ = s.rng_mut().f64();
     }
 }

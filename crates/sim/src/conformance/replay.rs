@@ -195,13 +195,6 @@ pub struct BroadcastReplay {
     pub divergences: Vec<Divergence>,
 }
 
-impl BroadcastReplay {
-    /// Nodes that decoded `m` from the channel.
-    pub fn heard_count(&self) -> usize {
-        self.first_heard.iter().filter(|h| h.is_some()).count()
-    }
-}
-
 /// Replays a 1-to-n trace over
 /// [`Partition::uniform`](rcb_channel::partition::Partition::uniform)`(n)`.
 ///

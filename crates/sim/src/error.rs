@@ -29,11 +29,11 @@ pub enum SimError {
         /// Slots executed before giving up.
         slots: u64,
     },
-    /// A cooperative wall-clock deadline (or cancellation flag) fired
-    /// before the run finished. Unlike the budget variants this is *not*
-    /// deterministic — where the cut lands depends on machine speed — so
-    /// results carrying it are reported but never journaled; a resumed run
-    /// re-executes them from the seed fold.
+    /// A cooperative wall-clock deadline fired before the run finished.
+    /// Unlike the budget variants this is *not* deterministic — where the
+    /// cut lands depends on machine speed — so results carrying it are
+    /// reported but never journaled; a resumed run re-executes them from
+    /// the seed fold.
     DeadlineExceeded {
         /// Slots executed before the cancellation checkpoint fired (0 when
         /// the deadline was already exceeded between trials, i.e. the

@@ -48,26 +48,27 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use rcb_mathkit::rng::{RcbRng, SeedSequence};
 
 use crate::deadline::Deadline;
 use crate::error::{SimError, TrialFailure};
-use crate::journal::{Journal, JournalError};
+use crate::journal::{Journal, JournalError, TrialRecord};
 use crate::runner::{enter_worker, panic_payload, Parallelism};
-use crate::scenario::{Outcome, ScenarioSpec};
+use crate::scenario::ScenarioSpec;
 
 /// One spec's per-trial slots: `None` for skipped/never-started trials,
 /// `Some` for completed deterministic results.
-pub type TrialSlots = Vec<Option<(Outcome, Option<SimError>)>>;
+pub type TrialSlots = Vec<Option<TrialRecord>>;
 
 /// Crash-safety knobs for [`run_specs_ctl`]. [`SpecsControl::DEFAULT`]
 /// runs every trial once, with no deadline.
 pub struct SpecsControl<'a> {
-    /// Run-level wall-clock budget / cancellation token, checked *between*
-    /// trials: in-flight trials finish, so partial results stay
-    /// deterministic and journal-safe.
+    /// Run-level wall-clock budget, checked *between* trials: in-flight
+    /// trials finish, so partial results stay deterministic and
+    /// journal-safe.
     pub deadline: Deadline,
     /// Optional per-trial wall budget: each trial (and each retry attempt)
     /// gets a fresh [`Deadline::after`] this long, threaded into the
@@ -123,8 +124,8 @@ pub struct SpecsRun {
     /// Trials that exhausted their same-seed retry budget, in
     /// (spec, trial) order.
     pub quarantined: Vec<QuarantinedTrial>,
-    /// The run-level deadline (or cancellation flag) fired and cut the
-    /// sweep short. Partial results were reported, never silently clipped.
+    /// The run-level deadline fired and cut the sweep short. Partial
+    /// results were reported, never silently clipped.
     pub deadline_hit: bool,
 }
 
@@ -213,6 +214,20 @@ pub fn run_specs_ctl(
     parallelism: Parallelism,
     ctl: &SpecsControl<'_>,
 ) -> SpecsRun {
+    run_specs(specs, parallelism, ctl, |_, _, _| {})
+}
+
+/// [`run_specs_ctl`] with a hook called on the worker that finished each
+/// completed trial, as soon as it finishes: `on_trial(spec, trial, record)`.
+fn run_specs<H>(
+    specs: &[ScenarioSpec],
+    parallelism: Parallelism,
+    ctl: &SpecsControl<'_>,
+    on_trial: H,
+) -> SpecsRun
+where
+    H: Fn(usize, u64, &TrialRecord) + Sync,
+{
     // offsets[k] = first global index of spec k; offsets[len] = total.
     let mut offsets: Vec<u64> = Vec::with_capacity(specs.len() + 1);
     let mut total = 0u64;
@@ -234,13 +249,17 @@ pub fn run_specs_ctl(
         }
         let spec = &specs[cell];
         let seed = SeedSequence::new(spec.seeds.master).child(trial);
-        Some(run_with_retries(seed, trial, ctl.max_attempts, |rng| {
+        let result = run_with_retries(seed, trial, ctl.max_attempts, |rng| {
             let trial_dl = ctl
                 .trial_deadline
                 .map(Deadline::after)
                 .unwrap_or(Deadline::NONE);
             spec.run_trial_ctl(trial, rng, &trial_dl)
-        }))
+        });
+        if let Ok(record) = &result {
+            on_trial(cell, trial, record);
+        }
+        Some(result)
     });
 
     let mut results: Vec<TrialSlots> = specs
@@ -274,19 +293,21 @@ pub fn run_specs_ctl(
 /// run a spec list, shared by `rcbsim scenario run` and the budget sweeps.
 ///
 /// Trial `t` of spec `i` is journaled as the record `(i, t)`: its outcome
-/// and typed engine error. Journaled trials are skipped; the trials that
-/// do run are appended (a deadline-cut trial never is), the journal is
-/// flushed, and the journaled results are spliced back into
-/// [`SpecsRun::results`]. A resumed run is therefore bit-identical to an
-/// uninterrupted one, and with `journal: None` this is exactly
-/// [`run_specs_ctl`] with no per-trial deadline. Records were decoded
-/// when the journal loaded, so a bad record fails before any trial runs.
+/// and typed engine error. Journaled trials are skipped; each trial that
+/// does run is appended by the worker that finished it, as it finishes (a
+/// deadline-cut trial never is), and the journaled results are spliced
+/// back into [`SpecsRun::results`]. A resumed run is therefore
+/// bit-identical to an uninterrupted one, and with `journal: None` this is
+/// exactly [`run_specs_ctl`] with no per-trial deadline. Records were
+/// decoded when the journal loaded, so a bad record fails before any trial
+/// runs. A failed append stops the run from starting further trials and
+/// is returned.
 pub fn run_specs_journaled(
     specs: &[ScenarioSpec],
     parallelism: Parallelism,
     deadline: Deadline,
     max_attempts: u32,
-    journal: Option<&mut Journal>,
+    journal: Option<&Journal>,
 ) -> Result<SpecsRun, JournalError> {
     let mut ctl = SpecsControl {
         deadline,
@@ -296,21 +317,26 @@ pub fn run_specs_journaled(
     let Some(journal) = journal else {
         return Ok(run_specs_ctl(specs, parallelism, &ctl));
     };
-    let journaled: &Journal = journal;
-    let skip = |spec, trial| journaled.contains(spec, trial);
+    let failed = OnceLock::new();
+    let skip = |spec, trial| failed.get().is_some() || journal.contains(spec, trial);
     ctl.skip = Some(&skip);
-    let mut run = run_specs_ctl(specs, parallelism, &ctl);
+    let mut run = run_specs(specs, parallelism, &ctl, |spec, trial, record| {
+        if !matches!(record.1, Some(SimError::DeadlineExceeded { .. })) {
+            if let Err(e) = journal.append(spec, trial, record) {
+                let _ = failed.set(e);
+            }
+        }
+    });
+    if let Some(e) = failed.into_inner() {
+        return Err(e);
+    }
     for (i, batch) in run.results.iter_mut().enumerate() {
         for (t, slot) in batch.iter_mut().enumerate() {
-            let t = t as u64;
-            match slot {
-                None => *slot = journal.get(i, t).cloned(),
-                Some((_, Some(SimError::DeadlineExceeded { .. }))) => {}
-                Some(record) => journal.append(i, t, record.clone()),
+            if slot.is_none() {
+                *slot = journal.get(i, t as u64).cloned();
             }
         }
     }
-    journal.flush()?;
     Ok(run)
 }
 
@@ -506,22 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn a_latched_cancel_flag_stops_the_sweep_between_trials() {
-        static FLAG: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-        FLAG.store(true, Ordering::Relaxed);
-        let specs = mixed_specs();
-        let ctl = SpecsControl {
-            deadline: Deadline::NONE.with_cancel(&FLAG),
-            trial_deadline: None,
-            max_attempts: 1,
-            skip: None,
-        };
-        let run = run_specs_ctl(&specs, Parallelism::Fixed(2), &ctl);
-        assert!(run.deadline_hit);
-        assert!(run.results.iter().flatten().all(|t| t.is_none()));
-    }
-
-    #[test]
     fn skip_predicate_resumes_bit_identically_to_a_straight_run() {
         let specs = mixed_specs();
         let straight = run_all(&specs, Parallelism::Fixed(2));
@@ -695,7 +705,7 @@ mod tests {
     fn journaled(
         specs: &[ScenarioSpec],
         parallelism: Parallelism,
-        journal: Option<&mut Journal>,
+        journal: Option<&Journal>,
     ) -> Vec<TrialSlots> {
         run_specs_journaled(specs, parallelism, Deadline::NONE, 1, journal)
             .expect("journaled run")
@@ -707,14 +717,16 @@ mod tests {
         let specs = mixed_specs();
         let straight = run_all(&specs, Parallelism::Fixed(1));
         assert_eq!(journaled(&specs, Parallelism::Fixed(2), None), straight);
-        let mut journal = fresh_journal("equals");
+        let journal = fresh_journal("equals");
         assert_eq!(
-            journaled(&specs, Parallelism::Fixed(2), Some(&mut journal)),
+            journaled(&specs, Parallelism::Fixed(2), Some(&journal)),
             straight
         );
         let total: u64 = specs.iter().map(|s| s.trials).sum();
         assert_eq!(journal.len() as u64, total, "every trial journaled once");
-        assert!(journal.contains(4, 4));
+        let back = Journal::load(journal.path()).expect("reload");
+        assert_eq!(back.len() as u64, total);
+        assert!(back.contains(4, 4));
         std::fs::remove_file(journal.path()).ok();
     }
 
@@ -722,37 +734,53 @@ mod tests {
     fn full_and_partial_resumes_are_bit_identical_and_fill_the_journal() {
         let specs = mixed_specs();
         let total: u64 = specs.iter().map(|s| s.trials).sum();
-        let mut full = fresh_journal("full");
-        let straight = journaled(&specs, Parallelism::Fixed(2), Some(&mut full));
+        let written = fresh_journal("full");
+        let straight = journaled(&specs, Parallelism::Fixed(2), Some(&written));
+        let full = Journal::load(written.path()).expect("load");
         let open = |j: &Journal| {
             Journal::open_resume(j.path(), JournalKind::Sweep, 0x5eed).expect("resume")
         };
 
         for parallelism in [Parallelism::Fixed(1), Parallelism::Fixed(2)] {
             // Full resume: every trial comes back from the records.
-            let mut reopened = open(&full);
-            assert_eq!(
-                journaled(&specs, parallelism, Some(&mut reopened)),
-                straight
-            );
+            let reopened = open(&full);
+            assert_eq!(journaled(&specs, parallelism, Some(&reopened)), straight);
             assert_eq!(reopened.len() as u64, total);
 
             // Partial resume: a run cut after a few trials runs the rest
             // and journals them into the journal it continues.
-            let mut partial = fresh_journal("partial");
+            let partial = fresh_journal("partial");
             for (i, spec) in specs.iter().enumerate() {
                 for t in (0..spec.trials).step_by(3) {
-                    partial.append(i, t, full.get(i, t).expect("journaled").clone());
+                    let record = full.get(i, t).expect("journaled");
+                    partial.append(i, t, record).expect("append");
                 }
             }
-            partial.flush().expect("flush partial");
-            let mut partial = open(&partial);
+            let partial = open(&partial);
             assert!((partial.len() as u64) < total);
-            assert_eq!(journaled(&specs, parallelism, Some(&mut partial)), straight);
+            assert_eq!(journaled(&specs, parallelism, Some(&partial)), straight);
+            assert_eq!(partial.len() as u64, total);
             let grown = Journal::load(partial.path()).expect("reload");
             assert_eq!(grown.len() as u64, total, "the resume journals what it ran");
             std::fs::remove_file(partial.path()).ok();
         }
         std::fs::remove_file(full.path()).ok();
+    }
+
+    #[test]
+    fn a_failed_append_is_returned() {
+        let specs = mixed_specs();
+        let journal = fresh_journal("read_only");
+        let read_only = Journal::load(journal.path()).expect("load");
+        let err = run_specs_journaled(
+            &specs,
+            Parallelism::Fixed(2),
+            Deadline::NONE,
+            1,
+            Some(&read_only),
+        )
+        .expect_err("a read-only journal cannot take records");
+        assert!(matches!(err, JournalError::Io(_)), "{err:?}");
+        std::fs::remove_file(journal.path()).ok();
     }
 }

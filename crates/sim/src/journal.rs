@@ -20,21 +20,25 @@
 //! and `node_costs` is prefixed with its length. An error is a tag word
 //! (0 none, 1 slot budget, 2 epoch budget, 3 deadline), then its fields.
 //!
-//! Durability model: [`Journal::create`] writes the header at once, so an
-//! unwritable path fails before any work runs, and refuses a path that
-//! already exists. After that consumers hold results in memory and call
-//! [`Journal::flush`], which rewrites the whole file through a temp file
-//! and an atomic rename — a reader (or a resumed run) sees either the old
-//! complete journal or the new one, never a blend. The runner flushes
-//! once, when a run ends (normally or on a deadline/SIGINT cut), so a
-//! process killed outright loses that run's trials. The torn-write window
-//! that remains (the process dying mid-`write` before the rename) is
-//! exactly why [`Journal::load`] tolerates one malformed or
-//! checksum-failing **final** line: it is dropped and re-run, not fatal.
-//! The same damage anywhere earlier is a hard [`JournalError::Corrupt`] —
-//! silent data loss in the middle of a journal must never look like a
-//! short run — and so is a record whose checksum verifies but whose words
-//! do not decode. Records are decoded at load, before any trial runs.
+//! Durability model: the journal is a write-ahead log. [`Journal::create`]
+//! writes the header at once, so an unwritable path fails before any work
+//! runs, and refuses a path that already exists. The file stays open in
+//! append mode, and [`Journal::append`] writes each record as one line
+//! the moment its trial finishes, so a process killed by any signal — a
+//! SIGKILL or an OOM kill included — keeps every finished trial. Lines
+//! are in completion order; a record's `(spec, trial)` key, not its
+//! position, says which trial it is. There is no fsync: the contract
+//! covers process death, not power loss.
+//!
+//! A process dying mid-`write` leaves a torn final line, which is why
+//! [`Journal::load`] tolerates one malformed, checksum-failing or
+//! unterminated **final** line: it is dropped and re-run, not fatal, and
+//! [`Journal::open_resume`] truncates it before appending. The same damage
+//! anywhere earlier is a hard [`JournalError::Corrupt`] — silent data loss
+//! in the middle of a journal must never look like a short run — and so
+//! is a record whose checksum verifies but whose words do not decode, or
+//! a second record for one trial. Records are decoded at load, before any
+//! trial runs.
 //!
 //! Resume contract: [`Journal::open_resume`] refuses (typed) a journal
 //! whose kind or fingerprint does not match the run being resumed. The
@@ -44,9 +48,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
-use std::fs::OpenOptions;
-use std::io::ErrorKind;
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crate::error::SimError;
 use crate::outcome::{BroadcastOutcome, DuelOutcome, StreamOutcome};
@@ -86,8 +92,8 @@ pub enum JournalError {
     Io(String),
     /// [`Journal::create`] found a file at the path.
     Exists(PathBuf),
-    /// A malformed, checksum-failing or undecodable line (a malformed or
-    /// checksum-failing final line is dropped instead).
+    /// A malformed, checksum-failing or undecodable line (a malformed,
+    /// checksum-failing or unterminated final line is dropped instead).
     Corrupt {
         line: usize,
         reason: String,
@@ -139,9 +145,9 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
-/// An in-memory journal bound to a file path. Records accumulate via
-/// [`append`](Journal::append); [`flush`](Journal::flush) persists
-/// atomically.
+/// A journal file: the records it held when opened, and — unless it was
+/// opened read-only by [`load`](Journal::load) — the file itself, open for
+/// [`append`](Journal::append).
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
@@ -149,13 +155,16 @@ pub struct Journal {
     fingerprint: u64,
     records: BTreeMap<(usize, u64), TrialRecord>,
     dropped_tail: bool,
+    file: Option<Mutex<File>>,
+    appended: AtomicUsize,
 }
 
 impl Journal {
-    /// A fresh, empty journal, its header written to `path` at once
-    /// (through the same atomic path as [`flush`](Journal::flush)), so an
+    /// A fresh, empty journal, its header written to `path` at once, so an
     /// unwritable path is a typed [`JournalError::Io`] before any work
-    /// runs. An existing file at `path` is never overwritten: that is
+    /// runs, then opened for appending by
+    /// [`open_resume`](Journal::open_resume). An existing file at `path`
+    /// is never overwritten: that is
     /// [`JournalError::Exists`].
     pub fn create(
         path: impl Into<PathBuf>,
@@ -163,45 +172,51 @@ impl Journal {
         fingerprint: u64,
     ) -> Result<Journal, JournalError> {
         let path = path.into();
-        OpenOptions::new()
+        let mut file = OpenOptions::new()
             .write(true)
             .create_new(true)
             .open(&path)
             .map_err(|e| match e.kind() {
                 ErrorKind::AlreadyExists => JournalError::Exists(path.clone()),
-                _ => JournalError::Io(format!("{}: {e}", path.display())),
+                _ => io_error(&path, e),
             })?;
-        let journal = Journal {
-            path,
-            kind,
-            fingerprint,
-            records: BTreeMap::new(),
-            dropped_tail: false,
-        };
-        journal.flush()?;
-        Ok(journal)
+        let header = format!("rcb_journal {JOURNAL_VERSION} {kind} {fingerprint:016x}\n");
+        file.write_all(header.as_bytes())
+            .map_err(|e| io_error(&path, e))?;
+        Journal::open_resume(path, kind, fingerprint)
     }
 
-    /// Loads and decodes a journal. A malformed or checksum-failing
-    /// **final** record line (the crash-window artifact) is dropped and
-    /// reported via [`dropped_tail`](Journal::dropped_tail); the same
-    /// damage on any earlier line, and a checksummed record that does not
-    /// decode on any line, is [`JournalError::Corrupt`].
+    /// Loads and decodes a journal, read-only. A malformed,
+    /// checksum-failing or unterminated **final** record line (the
+    /// crash-window artifact) is dropped and reported via
+    /// [`dropped_tail`](Journal::dropped_tail); the same damage on any
+    /// earlier line, and a checksummed record that does not decode on any
+    /// line, is [`JournalError::Corrupt`].
     pub fn load(path: impl Into<PathBuf>) -> Result<Journal, JournalError> {
-        let path = path.into();
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| JournalError::Io(format!("{}: {e}", path.display())))?;
-        let mut lines = text.lines();
-        let (kind, fingerprint) = parse_header(lines.next().unwrap_or(""))?;
+        Journal::read(path.into()).map(|(journal, _)| journal)
+    }
+
+    /// [`load`](Journal::load), plus the byte length of the header and the
+    /// whole records: everything before a dropped tail.
+    fn read(path: PathBuf) -> Result<(Journal, u64), JournalError> {
+        let text = std::fs::read_to_string(&path).map_err(|e| io_error(&path, e))?;
+        let (header, body) = text.split_once('\n').ok_or(JournalError::Corrupt {
+            line: 1,
+            reason: "the header line is cut short".into(),
+        })?;
+        let (kind, fingerprint) = parse_header(header)?;
         let mut journal = Journal {
             path,
             kind,
             fingerprint,
             records: BTreeMap::new(),
             dropped_tail: false,
+            file: None,
+            appended: AtomicUsize::new(0),
         };
+        let mut whole = header.len() + 1;
         let mut torn: Option<JournalError> = None;
-        for (i, line) in lines.enumerate() {
+        for (i, line) in body.split_inclusive('\n').enumerate() {
             if let Some(err) = torn.take() {
                 // The damaged line was not the final one after all.
                 return Err(err);
@@ -210,7 +225,11 @@ impl Journal {
                 line: i + 2,
                 reason,
             };
-            match checked_words(line) {
+            let words = line
+                .strip_suffix('\n')
+                .ok_or_else(|| "the record line is cut short".to_string())
+                .and_then(checked_words);
+            match words {
                 Ok(words) => {
                     let (key, record) = decode(&words).map_err(corrupt)?;
                     if journal.records.insert(key, record).is_some() {
@@ -219,22 +238,25 @@ impl Journal {
                             key.0, key.1
                         )));
                     }
+                    whole += line.len();
                 }
                 Err(reason) => torn = Some(corrupt(reason)),
             }
         }
         journal.dropped_tail = torn.is_some();
-        Ok(journal)
+        Ok((journal, whole as u64))
     }
 
     /// [`load`](Journal::load), then refuse (typed) a journal whose kind
-    /// or fingerprint does not match the run being resumed.
+    /// or fingerprint does not match the run being resumed, then open it
+    /// for [`append`](Journal::append) — after truncating a torn final
+    /// line, which would otherwise become mid-file damage.
     pub fn open_resume(
         path: impl Into<PathBuf>,
         kind: JournalKind,
         fingerprint: u64,
     ) -> Result<Journal, JournalError> {
-        let journal = Journal::load(path)?;
+        let (mut journal, whole) = Journal::read(path.into())?;
         if journal.kind != kind {
             return Err(JournalError::KindMismatch {
                 expected: kind,
@@ -247,6 +269,15 @@ impl Journal {
                 found: journal.fingerprint,
             });
         }
+        let io = |e| io_error(&journal.path, e);
+        let file = OpenOptions::new()
+            .append(true)
+            .open(&journal.path)
+            .map_err(io)?;
+        if journal.dropped_tail {
+            file.set_len(whole).map_err(io)?;
+        }
+        journal.file = Some(Mutex::new(file));
         Ok(journal)
     }
 
@@ -267,55 +298,58 @@ impl Journal {
         self.dropped_tail
     }
 
+    /// Records loaded plus records appended since.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.records.len() + self.appended.load(Ordering::Relaxed)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
+    /// Was trial `trial` of spec `spec` among the records loaded?
     pub fn contains(&self, spec: usize, trial: u64) -> bool {
         self.records.contains_key(&(spec, trial))
     }
 
+    /// The loaded record of trial `trial` of spec `spec`.
     pub fn get(&self, spec: usize, trial: u64) -> Option<&TrialRecord> {
         self.records.get(&(spec, trial))
     }
 
-    /// Records trial `trial` of spec `spec`. Re-appending a trial replaces
-    /// its record (resume paths re-derive identical records, so this is
-    /// idempotence, not mutation).
-    pub fn append(&mut self, spec: usize, trial: u64, record: TrialRecord) {
-        self.records.insert((spec, trial), record);
-    }
-
-    /// Persists atomically: the full content is written to `<path>.tmp`
-    /// and renamed over `<path>`, so readers see either the previous
-    /// complete journal or this one. Records are written in (spec, trial)
-    /// order.
-    pub fn flush(&self) -> Result<(), JournalError> {
-        let mut out = format!(
-            "rcb_journal {JOURNAL_VERSION} {} {:016x}\n",
-            self.kind, self.fingerprint
-        );
-        let mut words = Vec::new();
-        for (&(spec, trial), (outcome, err)) in &self.records {
-            words.clear();
-            words.extend([spec as u64, trial]);
-            encode_outcome(outcome, &mut words);
-            encode_error(err, &mut words);
-            for w in &words {
-                write!(out, "{w} ").expect("writing to a String");
-            }
-            writeln!(out, "{:016x}", fnv1a(FNV_OFFSET, &words)).expect("writing to a String");
+    /// Writes trial `trial` of spec `spec` to the file as one line, in a
+    /// single `write_all` under a lock, so concurrent workers never
+    /// interleave. Append each trial once: a second record for a trial
+    /// makes the next load fail as [`JournalError::Corrupt`]. A journal
+    /// opened by [`load`](Journal::load) is read-only.
+    pub fn append(
+        &self,
+        spec: usize,
+        trial: u64,
+        record: &TrialRecord,
+    ) -> Result<(), JournalError> {
+        let file = self.file.as_ref().ok_or_else(|| {
+            JournalError::Io(format!("{}: opened read-only", self.path.display()))
+        })?;
+        let mut words = vec![spec as u64, trial];
+        encode_outcome(&record.0, &mut words);
+        encode_error(&record.1, &mut words);
+        let mut line = String::new();
+        for w in &words {
+            write!(line, "{w} ").expect("writing to a String");
         }
-        let mut tmp = self.path.clone().into_os_string();
-        tmp.push(".tmp");
-        let io = |e: std::io::Error| JournalError::Io(format!("{}: {e}", self.path.display()));
-        std::fs::write(&tmp, out).map_err(io)?;
-        std::fs::rename(&tmp, &self.path).map_err(io)
+        writeln!(line, "{:016x}", fnv1a(FNV_OFFSET, &words)).expect("writing to a String");
+        file.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .write_all(line.as_bytes())
+            .map_err(|e| io_error(&self.path, e))?;
+        self.appended.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
+}
+
+fn io_error(path: &Path, e: std::io::Error) -> JournalError {
+    JournalError::Io(format!("{}: {e}", path.display()))
 }
 
 /// Reads `rcb_journal <version> <kind> <fingerprint:016x>`. The JSONL
@@ -624,12 +658,11 @@ mod tests {
         (Outcome::Stream(o), Some(err))
     }
 
-    /// A journal of two duel records, flushed to `path`.
+    /// A journal of two duel records at `path`.
     fn two_records(path: &Path) -> Journal {
-        let mut j = Journal::create(path, JournalKind::Sweep, FP).expect("create");
-        j.append(0, 0, duel(100));
-        j.append(0, 1, duel(200));
-        j.flush().expect("flush");
+        let j = Journal::create(path, JournalKind::Sweep, FP).expect("create");
+        j.append(0, 0, &duel(100)).expect("append");
+        j.append(0, 1, &duel(200)).expect("append");
         j
     }
 
@@ -648,19 +681,16 @@ mod tests {
     }
 
     #[test]
-    fn create_append_flush_load_round_trips_every_outcome_kind() {
+    fn create_append_load_round_trips_every_outcome_kind() {
         let path = tmp_path("round_trip");
-        let mut j = Journal::create(&path, JournalKind::Sweep, FP).expect("create");
+        let j = Journal::create(&path, JournalKind::Sweep, FP).expect("create");
         let records = [duel(1 << 62), broadcast(), stream()];
         for (t, record) in records.iter().enumerate() {
-            j.append(1, t as u64, record.clone());
+            j.append(1, t as u64, record).expect("append");
         }
-        j.append(
-            0,
-            u64::MAX,
-            (duel(5).0, Some(SimError::DeadlineExceeded { slots: 3 })),
-        );
-        j.flush().expect("flush");
+        let deadline_cut = (duel(5).0, Some(SimError::DeadlineExceeded { slots: 3 }));
+        j.append(0, u64::MAX, &deadline_cut).expect("append");
+        assert_eq!(j.len(), 4);
 
         let back = Journal::load(&path).expect("load");
         assert_eq!((back.kind(), back.fingerprint()), (JournalKind::Sweep, FP));
@@ -677,13 +707,14 @@ mod tests {
     }
 
     #[test]
-    fn reappending_a_trial_replaces_it() {
-        let path = tmp_path("reappend");
-        let mut j = Journal::create(&path, JournalKind::Sweep, FP).expect("create");
-        j.append(0, 0, duel(1));
-        j.append(0, 0, duel(2));
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.get(0, 0), Some(&duel(2)));
+    fn appends_reach_the_file_at_once_and_a_loaded_journal_is_read_only() {
+        let path = tmp_path("append_at_once");
+        let j = Journal::create(&path, JournalKind::Sweep, FP).expect("create");
+        j.append(0, 7, &duel(1)).expect("append");
+        let back = Journal::load(&path).expect("load while the writer is open");
+        assert_eq!(back.get(0, 7), Some(&duel(1)));
+        let err = back.append(0, 8, &duel(2)).expect_err("read-only");
+        assert!(matches!(err, JournalError::Io(_)), "{err:?}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -851,7 +882,7 @@ mod tests {
     fn create_writes_the_header_at_once_and_refuses_bad_paths() {
         let path = tmp_path("created");
         let j = Journal::create(&path, JournalKind::Scenario, FP).expect("create");
-        let back = Journal::load(j.path()).expect("the header is on disk before any flush");
+        let back = Journal::load(j.path()).expect("the header is on disk before any record");
         assert_eq!(
             (back.kind(), back.fingerprint()),
             (JournalKind::Scenario, FP)
@@ -871,23 +902,25 @@ mod tests {
     }
 
     #[test]
-    fn flush_is_idempotent_and_atomic_over_rewrites() {
-        let path = tmp_path("rewrite");
-        let mut j = Journal::create(&path, JournalKind::Sweep, FP).expect("create");
-        j.append(0, 0, duel(1));
-        j.flush().expect("first flush");
-        j.append(0, 1, duel(2));
-        j.flush().expect("second flush");
-        j.flush().expect("third flush");
+    fn resume_truncates_a_torn_tail_and_counts_loaded_plus_appended() {
+        let path = tmp_path("resume_torn");
+        two_records(&path);
+        let text = std::fs::read_to_string(&path).expect("read");
+        // Cut the final record just before its newline: the checksum
+        // verifies, but an unterminated line is still a torn write.
+        std::fs::write(&path, &text[..text.len() - 1]).expect("write");
+
+        let j = Journal::open_resume(&path, JournalKind::Sweep, FP).expect("resume");
+        assert!(j.dropped_tail());
+        assert_eq!(j.len(), 1);
+        j.append(0, 1, &duel(200)).expect("append");
+        j.append(0, 2, &duel(300)).expect("append");
+        assert_eq!(j.len(), 3);
 
         let back = Journal::load(&path).expect("load");
-        assert_eq!(back.len(), 2);
-        let mut tmp = path.clone().into_os_string();
-        tmp.push(".tmp");
-        assert!(
-            !Path::new(&tmp).exists(),
-            "the temp file is consumed by the rename"
-        );
+        assert!(!back.dropped_tail(), "the torn line was truncated");
+        assert_eq!(back.len(), 3);
+        assert_eq!(back.get(0, 1), Some(&duel(200)));
         std::fs::remove_file(&path).ok();
     }
 }

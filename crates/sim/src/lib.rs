@@ -46,11 +46,10 @@
 //! measurement games.
 //!
 //! The crash-safety layer rides on top: [`deadline`] threads a cooperative
-//! [`Deadline`]/cancellation token through the executor and the engine
-//! slot loops, and [`journal`] checkpoints per-trial results as one
-//! FNV-1a-checksummed line of integers each. The journal is held in
-//! memory and written to disk atomically when a run ends or is cut
-//! (deadline or SIGINT), not as each trial completes;
+//! wall-clock [`Deadline`] through the executor and the engine slot loops,
+//! and [`journal`] checkpoints per-trial results as one FNV-1a-checksummed
+//! line of integers each, appended as each trial finishes, so a run
+//! killed by any signal keeps every finished trial;
 //! [`executor::run_specs_journaled`] is the one runner that writes and
 //! reads it, so interrupted runs resume bit-identical to uninterrupted
 //! ones.
@@ -74,7 +73,7 @@ pub mod session;
 
 pub use cohort::{run_cohort_instrumented, CohortConfig, CohortSession, CohortStats};
 pub use conformance::{default_grid, run_grid, Cell, ConformanceConfig, GridReport};
-pub use deadline::{install_sigint_handler, interrupted, Deadline};
+pub use deadline::Deadline;
 pub use duel::{DuelConfig, DuelSession};
 pub use error::{SimError, TrialFailure};
 pub use exact::{run_exact, ExactConfig, ExactOutcome};

@@ -1136,27 +1136,6 @@ impl Outcome {
         }
     }
 
-    pub fn as_duel(&self) -> Option<&DuelOutcome> {
-        match self {
-            Outcome::Duel(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    pub fn as_broadcast(&self) -> Option<&BroadcastOutcome> {
-        match self {
-            Outcome::Broadcast(o) => Some(o),
-            _ => None,
-        }
-    }
-
-    pub fn as_stream(&self) -> Option<&StreamOutcome> {
-        match self {
-            Outcome::Stream(o) => Some(o),
-            _ => None,
-        }
-    }
-
     /// # Panics
     ///
     /// Panics on a non-duel outcome.

@@ -14,7 +14,7 @@
 //! | Baselines: King–Saia–Young golden ratio, naive always-on, oblivious splits | [`rcb_baselines`] |
 //! | Exact and fast simulation engines, parallel Monte-Carlo runner | [`rcb_sim`] |
 //! | Scaling fits and table rendering for the experiment harness | [`rcb_analysis`] |
-//! | Samplers, statistics, Chernoff calculators | [`rcb_mathkit`] |
+//! | Samplers, statistics, fits | [`rcb_mathkit`] |
 //!
 //! ## Quickstart
 //!
