@@ -30,14 +30,13 @@ pub mod traits;
 pub use adapter::{JamTarget, RepAsSlotAdversary};
 pub use error::AdversaryConfigError;
 pub use rep_strategies::{
-    BanditBlocker, BudgetedRepBlocker, HalfRepBlocker, KeepAliveBlocker, NoJamRep, RandomRep,
-    SuffixFractionRep,
+    BanditBlocker, BudgetedRepBlocker, KeepAliveBlocker, NoJamRep, RandomRep, SuffixFractionRep,
 };
 pub use slot_strategies::{
     BudgetedPhaseBlocker, NackSpoofer, NoJam, PeriodicJammer, RandomJammer, ReactiveJammer,
     ScheduleJammer,
 };
-pub use spoof::{SpoofPlan, SpoofScenario};
+pub use spoof::SpoofScenario;
 pub use threshold::ThresholdAdversary;
 pub use traits::{
     JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary, SlotAdversary, SlotContext,

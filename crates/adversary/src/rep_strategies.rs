@@ -91,34 +91,6 @@ impl RepetitionAdversary for BudgetedRepBlocker {
     }
 }
 
-/// ½-blocks repetitions: the cheapest rate that freezes `S_V` growth
-/// (Lemma 8: a repetition with clear-slot fraction ≤ 1/2 does not increase
-/// any `S_u`). A convenience wrapper around [`BudgetedRepBlocker`].
-#[derive(Debug, Clone)]
-pub struct HalfRepBlocker(BudgetedRepBlocker);
-
-impl HalfRepBlocker {
-    pub fn new(budget: u64) -> Self {
-        // Slightly above 1/2 so sampling noise cannot leave the clear
-        // fraction above the growth threshold.
-        Self(BudgetedRepBlocker::new(budget, 0.55))
-    }
-}
-
-impl RepetitionAdversary for HalfRepBlocker {
-    fn plan(&mut self, ctx: &RepetitionContext) -> JamPlan {
-        self.0.plan(ctx)
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        self.0.remaining_budget()
-    }
-
-    fn rearm(&mut self) {
-        self.0.rearm()
-    }
-}
-
 /// Unbounded q-suffix jamming of every repetition — used by the dynamics
 /// experiment (E10) to hold the system in a chosen regime.
 #[derive(Debug, Clone)]
@@ -478,18 +450,6 @@ mod tests {
         match a.plan(&ctx(10, 0)) {
             // ceil(0.1 * 1024) = 103.
             JamPlan::Suffix(k) => assert_eq!(k, 103),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn half_blocker_exceeds_half() {
-        let mut a = HalfRepBlocker::new(u64::MAX / 2);
-        match a.plan(&ctx(8, 0)) {
-            JamPlan::Suffix(k) => {
-                assert!(k as f64 > 0.5 * 256.0, "k = {k} must exceed half");
-                assert!(k < 256);
-            }
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -31,31 +31,6 @@ pub enum SpoofScenario {
     ImpersonateBob,
 }
 
-/// A committed adversary plan for one execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpoofPlan {
-    pub scenario: SpoofScenario,
-    /// The announced budget `T̃` (meaningful in both scenarios: in (ii) the
-    /// adversary simulates the Bob that *would* face budget `T̃`).
-    pub announced_budget: u64,
-}
-
-impl SpoofPlan {
-    pub fn jam(announced_budget: u64) -> Self {
-        Self {
-            scenario: SpoofScenario::JamBob,
-            announced_budget,
-        }
-    }
-
-    pub fn impersonate(announced_budget: u64) -> Self {
-        Self {
-            scenario: SpoofScenario::ImpersonateBob,
-            announced_budget,
-        }
-    }
-}
-
 /// The good-node cost exponent a δ-split protocol suffers against the
 /// better of the two scenarios: `max{δ, (1−δ)/δ}` (proof of Theorem 5).
 ///
@@ -107,16 +82,6 @@ mod tests {
     fn scenario_ii_dominates_for_small_delta() {
         // For δ < φ−1 impersonation is the binding one.
         assert!((predicted_exponent(0.4) - 0.6 / 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn plans_carry_their_budget() {
-        assert_eq!(SpoofPlan::jam(100).scenario, SpoofScenario::JamBob);
-        assert_eq!(
-            SpoofPlan::impersonate(100).scenario,
-            SpoofScenario::ImpersonateBob
-        );
-        assert_eq!(SpoofPlan::jam(100).announced_budget, 100);
     }
 
     #[test]

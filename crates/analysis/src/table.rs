@@ -37,29 +37,6 @@ impl TableBuilder {
         self.rows.is_empty()
     }
 
-    /// Renders as RFC-4180-style CSV (fields with commas, quotes, or
-    /// newlines are quoted; embedded quotes doubled).
-    pub fn csv(&self) -> String {
-        fn field(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        let render = |cells: &[String]| -> String {
-            cells.iter().map(|c| field(c)).collect::<Vec<_>>().join(",")
-        };
-        out.push_str(&render(&self.headers));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&render(r));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders as a GitHub-flavoured markdown table.
     pub fn markdown(&self) -> String {
         let widths: Vec<usize> = self
@@ -147,19 +124,5 @@ mod tests {
         let t = TableBuilder::new(vec!["x"]);
         assert!(t.is_empty());
         assert_eq!(t.markdown().lines().count(), 2);
-    }
-
-    #[test]
-    fn csv_renders_plain_fields() {
-        let mut t = TableBuilder::new(vec!["T", "cost"]);
-        t.row(vec!["16", "4.0"]);
-        assert_eq!(t.csv(), "T,cost\n16,4.0\n");
-    }
-
-    #[test]
-    fn csv_quotes_special_fields() {
-        let mut t = TableBuilder::new(vec!["name", "note"]);
-        t.row(vec!["a,b", "say \"hi\""]);
-        assert_eq!(t.csv(), "name,note\n\"a,b\",\"say \"\"hi\"\"\"\n");
     }
 }

@@ -185,11 +185,13 @@ COMMANDS:
              exp <ID>               run one, e.g. `exp e3`
              exp all                run E1–E16 in order
                --scale quick|full (default quick)   --seed N
-               --journal-dir DIR  checkpoint the budget sweeps (E1–E3,
-                                  E5–E7, E9) into DIR; re-running resumes
-               --deadline SECS    wall-clock budget for those sweeps
+               --journal-dir DIR  checkpoint every spec-backed batch
+                                  (all but E4, E8, E10, E12, E14) into
+                                  DIR; re-running resumes
+               --deadline SECS    wall-clock budget for those batches
              exits nonzero, naming each failed verdict, when a fitted
-             exponent leaves its band or E5's bracket check fails
+             exponent leaves its band, E5's bracket check fails or
+             E15's loss sweep shows a cliff
   help       this text
 
 CRASH SAFETY (scenario run):

@@ -1,18 +1,24 @@
 //! Shared sweep machinery for the experiment modules.
 //!
-//! Sweeps are axis-mutations of a base [`ScenarioSpec`]: the caller builds
-//! one spec (protocol, blocking fraction, trials, seed) and the sweep
-//! re-stamps the adversary budget and the per-cell seed for each point.
-//! All per-budget specs are built up front and executed through the
-//! trial-granular work-stealing executor
-//! ([`rcb_sim::executor::run_specs_ctl`]), so cores stay
-//! busy across cell boundaries; the per-cell seed folds (and therefore
-//! every trial's RNG stream) are unchanged from the historical serial
-//! loop. Crash safety comes from the caller's [`SweepControl`] (the
-//! `--journal-dir` and `--deadline` flags of `rcbsim exp`): a journal
-//! directory checkpoints (and auto-resumes) per-trial journals, a deadline
-//! bounds the wall clock. Only the budget sweeps (E1–E3, E5–E7, E9) are
-//! resumable; the other experiments run their engines directly.
+//! Every experiment batch that a [`ScenarioSpec`] can name runs through
+//! [`run_sweep_specs`]: the caller builds its independent cells as a spec
+//! list and submits them in one call, and the trial-granular
+//! work-stealing executor ([`rcb_sim::executor::run_specs_journaled`])
+//! keeps cores busy across cell boundaries. The budget sweeps
+//! ([`duel_budget_sweep`], [`broadcast_budget_sweep`]) build that list as
+//! axis mutations of one base spec: the budget and a per-cell seed fold
+//! are re-stamped per point. Crash safety comes from the caller's
+//! [`SweepControl`] (the `--journal-dir` and `--deadline` flags of
+//! `rcbsim exp`): a journal directory checkpoints (and auto-resumes)
+//! per-trial journals, a deadline bounds the wall clock.
+//!
+//! Journaled this way: E1–E3, E5, E6, E7 (table and reduction), E9's
+//! spec-backed columns, E11, E13's static arms, E15 and E16. What no spec
+//! can name still drives its engine directly and is not resumable: E4 and
+//! E8 evaluate closed-form games, E9's combined device and E14's
+//! selective jammer run slot protocols on the exact engine, E10 and E12
+//! read a per-repetition observer, and E13's bandit learns across
+//! sequential runs.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -92,15 +98,15 @@ pub fn split_truncated<T>(
     (out, truncated)
 }
 
-/// Crash-safety knobs for the budget sweeps.
+/// Crash-safety knobs for the spec-backed experiment batches.
 ///
-/// With `journal_dir` set, every budget sweep journals completed trials to
-/// `<dir>/sweep_<fingerprint>.journal` and automatically resumes an existing
-/// journal for the same work (a journal from *different* work is refused
-/// via its header fingerprint, never silently spliced). With `deadline`
-/// set, in-flight trials finish and the sweep stops with a message naming
-/// the resume mechanism — partial statistics are never reported as if
-/// they were complete.
+/// With `journal_dir` set, every [`run_sweep_specs`] call journals
+/// completed trials to `<dir>/sweep_<fingerprint>.journal` and
+/// automatically resumes an existing journal for the same work (a journal
+/// from *different* work is refused via its header fingerprint, never
+/// silently spliced). With `deadline` set, in-flight trials finish and the
+/// sweep stops with a message naming the resume mechanism — partial
+/// statistics are never reported as if they were complete.
 #[derive(Debug, Clone, Default)]
 pub struct SweepControl {
     pub journal_dir: Option<PathBuf>,
@@ -223,6 +229,18 @@ pub fn run_sweep_specs(
         .collect())
 }
 
+/// One duel cell's completed outcomes and the number of trials the engine
+/// truncated at a cap.
+pub fn duel_results(batch: CellResults) -> (Vec<DuelOutcome>, u64) {
+    split_truncated(batch.into_iter().map(|(o, err)| (o.into_duel(), err)))
+}
+
+/// One broadcast cell's completed outcomes and the number of trials the
+/// engine truncated at its epoch cap.
+pub fn broadcast_results(batch: CellResults) -> (Vec<BroadcastOutcome>, u64) {
+    split_truncated(batch.into_iter().map(|(o, err)| (o.into_broadcast(), err)))
+}
+
 /// Sweeps a base duel scenario over adversary budgets. The base spec fixes
 /// the protocol, the adversary family (its blocking fraction survives the
 /// re-budgeting), the trial count, and the master seed; each point runs the
@@ -250,8 +268,7 @@ pub fn duel_budget_sweep(
         .iter()
         .zip(batches)
         .map(|(&budget, batch)| {
-            let (outcomes, truncated) =
-                split_truncated(batch.into_iter().map(|(o, err)| (o.into_duel(), err)));
+            let (outcomes, truncated) = duel_results(batch);
             summarize_duels(budget, outcomes, truncated)
         })
         .collect())
@@ -326,8 +343,7 @@ pub fn broadcast_budget_sweep(
         .iter()
         .zip(batches)
         .map(|(&budget, batch)| {
-            let (outcomes, truncated) =
-                split_truncated(batch.into_iter().map(|(o, err)| (o.into_broadcast(), err)));
+            let (outcomes, truncated) = broadcast_results(batch);
             summarize_broadcasts(budget, n, outcomes, truncated)
         })
         .collect())
@@ -405,8 +421,11 @@ impl TruncationCount for BroadcastSweepPoint {
 /// append it, so "0" is an explicit claim rather than silence; nonzero
 /// counts list the affected cells so a clipped distribution can never
 /// masquerade as a converged one.
-pub fn truncation_note<C: TruncationCount>(points: &[C]) -> String {
-    let total: u64 = points.iter().map(TruncationCount::truncated).sum();
+pub fn truncation_note<'a, C: TruncationCount + 'a>(
+    points: impl IntoIterator<Item = &'a C>,
+) -> String {
+    let points: Vec<&C> = points.into_iter().collect();
+    let total: u64 = points.iter().map(|p| p.truncated()).sum();
     if total == 0 {
         return "\ntruncated trials: 0\n".to_string();
     }

@@ -24,67 +24,64 @@
 //! suffix-shaped except the diffuse random jammer, which behaves like its
 //! equal-fraction suffix cousin on average.
 
-use crate::experiments::common::split_truncated;
+use crate::experiments::common::{
+    broadcast_results, duel_results, run_sweep_specs, summarize_broadcasts, summarize_duels,
+    SweepControl,
+};
 use crate::experiments::Report;
 use crate::scale::Scale;
-use rcb_adversary::rep_strategies::{BudgetedRepBlocker, KeepAliveBlocker, RandomRep};
-use rcb_adversary::traits::RepetitionAdversary;
 use rcb_analysis::table::{num, TableBuilder};
-use rcb_core::one_to_n::OneToNParams;
-use rcb_core::one_to_one::profile::Fig1Profile;
-use rcb_mathkit::rng::SeedSequence;
-use rcb_mathkit::stats::RunningStats;
-use rcb_sim::deadline::Deadline;
-use rcb_sim::duel::{DuelConfig, DuelSession};
-use rcb_sim::fast::{BroadcastSession, FastConfig};
-use rcb_sim::faults::FaultPlan;
-use rcb_sim::runner::{run_trials, Parallelism};
-use rcb_sim::session::Session;
+use rcb_sim::runner::Parallelism;
+use rcb_sim::scenario::{AdversarySpec, DuelProtocol, ScenarioSpec};
 
-#[derive(Clone, Copy)]
-enum Strategy {
-    Suffix(f64),
-    Random(f64),
-    /// Jam only nack phases (where halting decisions are made).
-    KeepAlive(f64),
-}
-
-impl Strategy {
-    fn label(&self) -> String {
-        match self {
-            Strategy::Suffix(q) => format!("suffix q={q}"),
-            Strategy::Random(r) => format!("random {:.0}%", r * 100.0),
-            Strategy::KeepAlive(q) => format!("keep-alive q={q}"),
-        }
-    }
-
-    fn build(&self, budget: u64, seed: u64) -> Box<dyn RepetitionAdversary> {
-        match self {
-            Strategy::Suffix(q) => Box::new(BudgetedRepBlocker::new(budget, *q)),
-            Strategy::Random(r) => Box::new(RandomRep::new(*r, budget, seed)),
-            Strategy::KeepAlive(q) => Box::new(KeepAliveBlocker::new(budget, *q)),
-        }
+/// The ablation's row label for a jamming strategy.
+fn label(strategy: &AdversarySpec) -> String {
+    match *strategy {
+        AdversarySpec::Budgeted { fraction, .. } => format!("suffix q={fraction}"),
+        AdversarySpec::Random { rate, .. } => format!("random {:.0}%", rate * 100.0),
+        // Jam only nack phases (where halting decisions are made).
+        AdversarySpec::KeepAlive { fraction, .. } => format!("keep-alive q={fraction}"),
+        AdversarySpec::NoJam => "no jamming".to_string(),
     }
 }
 
-pub fn run(scale: &Scale) -> Report {
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
     let mut out = Report::default();
     let budget = 1u64 << 19;
     let duel_trials = scale.trials(80);
     let bc_trials = scale.trials(8);
-    let profile = Fig1Profile::with_start_epoch(0.01, 8);
-    let params = OneToNParams::practical();
     let n = 32;
 
+    let suffix = |fraction| AdversarySpec::Budgeted { budget, fraction };
     let strategies = [
-        Strategy::Suffix(1.0),
-        Strategy::Suffix(0.55),
-        Strategy::Suffix(0.25),
-        Strategy::Suffix(0.125),
-        Strategy::Suffix(0.0625),
-        Strategy::Random(0.5),
-        Strategy::KeepAlive(0.25),
+        suffix(1.0),
+        suffix(0.55),
+        suffix(0.25),
+        suffix(0.125),
+        suffix(0.0625),
+        AdversarySpec::Random { budget, rate: 0.5 },
+        AdversarySpec::KeepAlive {
+            budget,
+            fraction: 0.25,
+        },
     ];
+    // Each strategy is a 1-to-1 cell followed by a 1-to-n cell.
+    let specs: Vec<ScenarioSpec> = strategies
+        .iter()
+        .flat_map(|&adversary| {
+            [
+                ScenarioSpec::duel(DuelProtocol::fig1(0.01, 8))
+                    .with_adversary(adversary)
+                    .with_trials(duel_trials)
+                    .with_seed(scale.seed ^ 0xA11),
+                ScenarioSpec::broadcast(n)
+                    .with_adversary(adversary)
+                    .with_trials(bc_trials)
+                    .with_seed(scale.seed ^ 0xB11),
+            ]
+        })
+        .collect();
+    let mut batches = run_sweep_specs(&specs, Parallelism::Auto, ctl)?.into_iter();
 
     let mut table = TableBuilder::new(vec![
         "strategy",
@@ -94,67 +91,18 @@ pub fn run(scale: &Scale) -> Report {
         "1-to-n informed",
     ]);
     let mut truncated_total = 0u64;
-    for strategy in strategies {
-        // 1-to-1.
-        let duel_seeds = SeedSequence::new(scale.seed ^ 0xA11);
-        let duel_results = run_trials(duel_trials, scale.seed ^ 0xA11, Parallelism::Auto, {
-            move |i, _| {
-                let mut adv = strategy.build(budget, i ^ 0xE11);
-                let config = DuelConfig::default();
-                DuelSession::new(profile, config, FaultPlan::none(), duel_seeds.child(i))
-                    .run(adv.as_mut(), &Deadline::NONE)
-            }
-        });
-        let (duel_outcomes, duel_trunc) = split_truncated(duel_results);
-        assert!(
-            !duel_outcomes.is_empty(),
-            "{}: every duel trial truncated",
-            strategy.label()
-        );
-        let mut duel_cost = RunningStats::new();
-        let mut delivered = 0usize;
-        for o in &duel_outcomes {
-            duel_cost.push(o.max_cost() as f64);
-            delivered += o.delivered as usize;
-        }
-
-        // 1-to-n.
-        let bc_seeds = SeedSequence::new(scale.seed ^ 0xB11);
-        let bc_results = run_trials(bc_trials, scale.seed ^ 0xB11, Parallelism::Auto, {
-            move |i, _| {
-                let mut adv = strategy.build(budget, i ^ 0xB11);
-                let config = FastConfig::default();
-                BroadcastSession::new(
-                    params,
-                    n,
-                    vec![0],
-                    config,
-                    FaultPlan::none(),
-                    bc_seeds.child(i),
-                )
-                .run(adv.as_mut(), &Deadline::NONE)
-            }
-        });
-        let (bc_outcomes, bc_trunc) = split_truncated(bc_results);
-        assert!(
-            !bc_outcomes.is_empty(),
-            "{}: every broadcast trial truncated",
-            strategy.label()
-        );
-        truncated_total += duel_trunc + bc_trunc;
-        let mut bc_cost = RunningStats::new();
-        let mut informed = 0usize;
-        for o in &bc_outcomes {
-            bc_cost.push(o.mean_cost());
-            informed += o.all_informed as usize;
-        }
-
+    for strategy in &strategies {
+        let (outcomes, truncated) = duel_results(batches.next().expect("a duel cell"));
+        let duel = summarize_duels(budget, outcomes, truncated);
+        let (outcomes, truncated) = broadcast_results(batches.next().expect("a broadcast cell"));
+        let bc = summarize_broadcasts(budget, n, outcomes, truncated);
+        truncated_total += duel.truncated + bc.truncated;
         table.row(vec![
-            strategy.label(),
-            num(duel_cost.mean()),
-            format!("{:.2}", delivered as f64 / duel_outcomes.len() as f64),
-            num(bc_cost.mean()),
-            format!("{:.2}", informed as f64 / bc_outcomes.len() as f64),
+            label(strategy),
+            num(duel.cost.mean),
+            format!("{:.2}", duel.success_rate),
+            num(bc.mean_cost.mean),
+            format!("{:.2}", bc.all_informed_rate),
         ]);
     }
     out.push_str(&format!(
@@ -175,5 +123,5 @@ pub fn run(scale: &Scale) -> Report {
          (success / informed columns) is never affected — only cost.\n",
     );
     out.push_str(&format!("\ntruncated trials: {truncated_total}\n"));
-    out
+    Ok(out)
 }

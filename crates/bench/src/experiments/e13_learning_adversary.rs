@@ -9,7 +9,7 @@
 //! static arms it is choosing between; its arm statistics show where it
 //! converged.
 
-use crate::experiments::common::split_truncated;
+use crate::experiments::common::{duel_results, run_sweep_specs, SweepControl};
 use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_adversary::rep_strategies::BanditBlocker;
@@ -20,12 +20,13 @@ use rcb_mathkit::stats::RunningStats;
 use rcb_sim::deadline::Deadline;
 use rcb_sim::duel::{DuelConfig, DuelSession};
 use rcb_sim::faults::FaultPlan;
+use rcb_sim::runner::Parallelism;
 use rcb_sim::scenario::{AdversarySpec, DuelProtocol, ScenarioSpec};
 use rcb_sim::session::Session;
 
 const ARMS: [f64; 4] = [0.0625, 0.25, 0.55, 1.0];
 
-pub fn run(scale: &Scale) -> Report {
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
     let mut out = Report::default();
     let budget = 1u64 << 19;
     let trials = scale.trials(60);
@@ -34,20 +35,22 @@ pub fn run(scale: &Scale) -> Report {
     let mut table = TableBuilder::new(vec!["adversary", "E[max cost]", "E[T spent]", "success"]);
 
     // Static arms for reference.
+    let specs: Vec<ScenarioSpec> = ARMS
+        .iter()
+        .map(|&q| {
+            ScenarioSpec::duel(DuelProtocol::fig1(0.01, 8))
+                .with_adversary(AdversarySpec::Budgeted {
+                    budget,
+                    fraction: q,
+                })
+                .with_seed(scale.seed ^ 0xE13)
+                .with_trials(trials)
+        })
+        .collect();
+    let batches = run_sweep_specs(&specs, Parallelism::Auto, ctl)?;
     let mut truncated_total = 0u64;
-    for q in ARMS {
-        let spec = ScenarioSpec::duel(DuelProtocol::fig1(0.01, 8))
-            .with_adversary(AdversarySpec::Budgeted {
-                budget,
-                fraction: q,
-            })
-            .with_seed(scale.seed ^ 0xE13)
-            .with_trials(trials);
-        let results = spec
-            .run_batch_raw()
-            .into_iter()
-            .map(|(o, err)| (o.into_duel(), err));
-        let (outcomes, trunc) = split_truncated(results);
+    for (q, batch) in ARMS.into_iter().zip(batches) {
+        let (outcomes, trunc) = duel_results(batch);
         assert!(!outcomes.is_empty(), "q={q}: every trial truncated");
         truncated_total += trunc;
         let mut cost = RunningStats::new();
@@ -131,5 +134,5 @@ pub fn run(scale: &Scale) -> Report {
          observable activity is enough to find the protocol's soft spot.\n",
     );
     out.push_str(&format!("\ntruncated trials: {truncated_total}\n"));
-    out
+    Ok(out)
 }

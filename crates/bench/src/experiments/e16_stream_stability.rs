@@ -24,10 +24,12 @@
 //! scales with the horizon, so `latency(2H)/latency(H)` jumps past ~1.5
 //! exactly where the queue stops draining.
 
+use crate::experiments::common::{run_sweep_specs, CellResults, SweepControl};
 use crate::experiments::Report;
 use crate::scale::Scale;
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_mathkit::stats::RunningStats;
+use rcb_sim::runner::Parallelism;
 use rcb_sim::scenario::{AdversarySpec, ArrivalSpec, ScenarioSpec, StreamAlloc};
 
 const N: usize = 8;
@@ -81,24 +83,35 @@ struct CellResult {
     truncated_msgs: u64,
 }
 
-fn stream_cell(rate: f64, horizon: u64, policy: Policy, trials: u64, seed: u64) -> CellResult {
-    let mut spec = ScenarioSpec::stream(N, ArrivalSpec::Poisson { rate }, horizon)
+/// The blocker every jammed cell runs against.
+const JAMMER: AdversarySpec = AdversarySpec::Budgeted {
+    budget: BUDGET,
+    fraction: 1.0,
+};
+
+/// A Poisson stream cell at `rate` over `horizon` slots under `policy`.
+fn stream_spec(rate: f64, horizon: u64, policy: Policy, trials: u64, seed: u64) -> ScenarioSpec {
+    ScenarioSpec::stream(N, ArrivalSpec::Poisson { rate }, horizon)
         .with_stream_alloc(policy.alloc)
+        .with_adversary(if policy.jammed {
+            JAMMER
+        } else {
+            AdversarySpec::NoJam
+        })
         .with_trials(trials)
-        .with_seed(seed);
-    if policy.jammed {
-        spec = spec.with_adversary(AdversarySpec::Budgeted {
-            budget: BUDGET,
-            fraction: 1.0,
-        });
-    }
+        .with_seed(seed)
+}
+
+/// Folds one stream cell's trials; trials that saw no arrivals carry no
+/// latency and are skipped.
+fn stream_cell(policy: Policy, batch: CellResults) -> CellResult {
     let mut arrivals = RunningStats::new();
     let mut latency = RunningStats::new();
     let mut p95 = RunningStats::new();
     let mut queue = RunningStats::new();
     let mut throughput = RunningStats::new();
     let mut truncated_msgs = 0u64;
-    for (out, err) in spec.run_batch_raw() {
+    for (out, err) in batch {
         assert!(err.is_none(), "{}: stream trial truncated", policy.label);
         let out = out.into_stream();
         truncated_msgs += out.truncated_msgs;
@@ -126,21 +139,19 @@ fn stream_cell(rate: f64, horizon: u64, policy: Policy, trials: u64, seed: u64) 
     }
 }
 
-/// Mean service time for a single message (a schedule with one arrival at
-/// slot 0): the stream's makespan *is* the service time, with no queueing
-/// in the way.
-fn service_probe(jammed: bool, trials: u64, seed: u64) -> f64 {
-    let mut spec = ScenarioSpec::stream(N, ArrivalSpec::Schedule { arrivals: vec![0] }, 1)
+/// A single-message stream (one arrival at slot 0): its makespan *is* the
+/// per-message service time, with no queueing in the way.
+fn service_spec(jammed: bool, trials: u64, seed: u64) -> ScenarioSpec {
+    ScenarioSpec::stream(N, ArrivalSpec::Schedule { arrivals: vec![0] }, 1)
+        .with_adversary(if jammed { JAMMER } else { AdversarySpec::NoJam })
         .with_trials(trials)
-        .with_seed(seed);
-    if jammed {
-        spec = spec.with_adversary(AdversarySpec::Budgeted {
-            budget: BUDGET,
-            fraction: 1.0,
-        });
-    }
+        .with_seed(seed)
+}
+
+/// Mean service time over a [`service_spec`] cell's trials.
+fn mean_service(batch: CellResults) -> f64 {
     let mut service = RunningStats::new();
-    for (out, err) in spec.run_batch_raw() {
+    for (out, err) in batch {
         assert!(err.is_none(), "service probe truncated");
         let out = out.into_stream();
         assert_eq!(out.truncated_msgs, 0, "service probe hit an engine cap");
@@ -149,14 +160,21 @@ fn service_probe(jammed: bool, trials: u64, seed: u64) -> f64 {
     service.mean()
 }
 
-pub fn run(scale: &Scale) -> Report {
+pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
     let mut out = Report::default();
     let seed = scale.seed ^ 0xE16;
     let trials = scale.trials(3);
 
     // ---- Calibration: clean vs jammed per-message service time. ----
-    let s_clean = service_probe(false, scale.trials(12), seed ^ 0x5E);
-    let s_jam = service_probe(true, scale.trials(12), seed ^ 0x5F);
+    // The jammed service time fixes the sweep's arrival rates, so the
+    // probes run first, in a call of their own.
+    let probes = [
+        service_spec(false, scale.trials(12), seed ^ 0x5E),
+        service_spec(true, scale.trials(12), seed ^ 0x5F),
+    ];
+    let mut probes = run_sweep_specs(&probes, Parallelism::Auto, ctl)?.into_iter();
+    let s_clean = mean_service(probes.next().expect("the clean probe"));
+    let s_jam = mean_service(probes.next().expect("the jammed probe"));
     out.push_str(&format!(
         "calibration (n = {N}, fast engine, blocker T = {BUDGET}): \
          E[service] clean = {}, jammed = {} slots \
@@ -179,15 +197,31 @@ pub fn run(scale: &Scale) -> Report {
         "lat ×2H",
         "cut off",
     ]);
-    let mut cliffs: Vec<(&'static str, Option<f64>)> = Vec::new();
+    // Every (policy, ρ) cell at horizons H and 2H, in table order.
+    let rate_of = |rho: f64| rho / s_jam;
+    let mut specs = Vec::new();
     for (pi, policy) in POLICIES.iter().enumerate() {
-        let mut cliff = None;
         for (ri, &rho) in RHOS.iter().enumerate() {
-            let rate = rho / s_jam;
-            let horizon = ((TARGET_ARRIVALS / rate).ceil() as u64).max(1);
             let cell_seed = seed ^ ((pi as u64) << 24) ^ ((ri as u64) << 8);
-            let base = stream_cell(rate, horizon, *policy, trials, cell_seed);
-            let doubled = stream_cell(rate, horizon * 2, *policy, trials, cell_seed ^ 0xD0);
+            let rate = rate_of(rho);
+            let horizon = ((TARGET_ARRIVALS / rate).ceil() as u64).max(1);
+            specs.push(stream_spec(rate, horizon, *policy, trials, cell_seed));
+            specs.push(stream_spec(
+                rate,
+                horizon * 2,
+                *policy,
+                trials,
+                cell_seed ^ 0xD0,
+            ));
+        }
+    }
+    let mut batches = run_sweep_specs(&specs, Parallelism::Auto, ctl)?.into_iter();
+    let mut cliffs: Vec<(&'static str, Option<f64>)> = Vec::new();
+    for policy in &POLICIES {
+        let mut cliff = None;
+        for &rho in &RHOS {
+            let base = stream_cell(*policy, batches.next().expect("a base cell"));
+            let doubled = stream_cell(*policy, batches.next().expect("a doubled cell"));
             let ratio = if base.mean_latency > 0.0 {
                 doubled.mean_latency / base.mean_latency
             } else {
@@ -199,7 +233,7 @@ pub fn run(scale: &Scale) -> Report {
             table.row(vec![
                 policy.label.to_string(),
                 format!("{rho:.1}"),
-                format!("{:.1}", rate * 1e6),
+                format!("{:.1}", rate_of(rho) * 1e6),
                 format!("{:.1}", base.mean_arrivals),
                 num(base.mean_latency),
                 num(base.mean_p95),
@@ -239,5 +273,5 @@ pub fn run(scale: &Scale) -> Report {
          lat ×2H < 1: the jammer's transient damage is amortized over a \
          longer horizon, the signature of a draining budget.\n",
     );
-    out
+    Ok(out)
 }

@@ -97,22 +97,18 @@ pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
         "Combined",
         "Naive (T+1)",
     ]);
-    let mut sweep_cells = Vec::new();
+    let fig1_pts = duel_budget_sweep(&fig1_base, &budgets, ctl)?;
+    let ksy_budgets: Vec<u64> = budgets.iter().map(|&b| b.max(1)).collect();
+    let ksy_pts = duel_budget_sweep(&ksy_base, &ksy_budgets, ctl)?;
     let mut exact_truncated = 0u64;
-    for &budget in &budgets {
-        let fig1_pts = duel_budget_sweep(&fig1_base, &[budget], ctl)?;
-        let fig1_cost = fig1_pts[0].cost.mean;
-        let ksy_pts = duel_budget_sweep(&ksy_base, &[budget.max(1)], ctl)?;
-        let ksy_cost = ksy_pts[0].cost.mean;
-        sweep_cells.extend(fig1_pts);
-        sweep_cells.extend(ksy_pts);
+    for ((&budget, fig1), ksy) in budgets.iter().zip(&fig1_pts).zip(&ksy_pts) {
         let (combined, _success, combined_trunc) =
             combined_cost(budget, trials_exact, scale.seed ^ 0xC0);
         exact_truncated += combined_trunc;
         table.row(vec![
             budget.to_string(),
-            num(fig1_cost),
-            num(ksy_cost),
+            num(fig1.cost.mean),
+            num(ksy.cost.mean),
             num(combined),
             num(budget as f64 + 1.0),
         ]);
@@ -127,7 +123,9 @@ pub fn run(scale: &Scale, ctl: &SweepControl) -> Result<Report, String> {
          combined column tracks the column-wise minimum up to a constant; \
          naive is linear in T.\n",
     );
-    out.push_str(&truncation_note(&sweep_cells));
+    out.push_str(&truncation_note(
+        fig1_pts.iter().zip(&ksy_pts).flat_map(|(f, k)| [f, k]),
+    ));
     out.push_str(&format!(
         "truncated combined-device (exact engine) trials: {exact_truncated}\n"
     ));

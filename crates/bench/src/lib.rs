@@ -2,8 +2,7 @@
 //!
 //! The experiment harness: one module per paper claim (see DESIGN.md §4 for
 //! the experiment index), run one at a time (`rcbsim exp e1`) or all
-//! together (`rcbsim exp all`) through the `rcbsim` CLI ([`cli`]). The
-//! `micro` bench target holds the Criterion performance benchmarks.
+//! together (`rcbsim exp all`) through the `rcbsim` CLI ([`cli`]).
 //!
 //! Outputs are markdown tables plus verdicts, designed to be pasted into
 //! EXPERIMENTS.md verbatim; `rcbsim exp` exits nonzero when a verdict

@@ -26,12 +26,12 @@ pub use fit::{
 pub use gof::{chi_square_gof, ks_two_sample, ChiSquare, KsTest};
 pub use histogram::LogHistogram;
 pub use hypothesis::{mann_whitney_u, normal_cdf, MannWhitney};
-pub use rng::{seed_stream, RcbRng, SeedSequence};
+pub use rng::{RcbRng, SeedSequence};
 pub use sample::{
     bernoulli, binomial, binomial_fast, geometric_failures, multinomial_into, sample_distinct,
     sample_slots, slot_capacity_hint_capped,
 };
-pub use stats::{percentile, summarize, RunningStats, Summary};
+pub use stats::{percentile, RunningStats};
 
 /// The golden ratio φ = (1 + √5)/2, used by the King–Saia–Young baseline and
 /// the Theorem 5 lower-bound experiment.

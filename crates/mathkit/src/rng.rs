@@ -203,11 +203,6 @@ impl SeedSequence {
     }
 }
 
-/// Convenience: the `index`-th independent generator for `master`.
-pub fn seed_stream(master: u64, index: u64) -> RcbRng {
-    SeedSequence::new(master).rng(index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

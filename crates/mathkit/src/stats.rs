@@ -110,21 +110,6 @@ impl RunningStats {
     }
 }
 
-/// Batch summary of a sample: moments plus selected percentiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Summary {
-    pub count: u64,
-    pub mean: f64,
-    pub std_dev: f64,
-    pub min: f64,
-    pub p25: f64,
-    pub median: f64,
-    pub p75: f64,
-    pub p95: f64,
-    pub p99: f64,
-    pub max: f64,
-}
-
 /// Linear-interpolation percentile of a **sorted** slice, `q` in `[0, 1]`.
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
@@ -137,33 +122,6 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// Summarizes a sample (sorts a copy internally).
-pub fn summarize(samples: &[f64]) -> Summary {
-    assert!(!samples.is_empty(), "summarize of empty sample");
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    let mut stats = RunningStats::new();
-    for &x in samples {
-        stats.push(x);
-    }
-    Summary {
-        count: stats.count(),
-        mean: stats.mean(),
-        std_dev: if stats.count() < 2 {
-            0.0
-        } else {
-            stats.std_dev()
-        },
-        min: sorted[0],
-        p25: percentile(&sorted, 0.25),
-        median: percentile(&sorted, 0.50),
-        p75: percentile(&sorted, 0.75),
-        p95: percentile(&sorted, 0.95),
-        p99: percentile(&sorted, 0.99),
-        max: *sorted.last().expect("non-empty"),
-    }
 }
 
 #[cfg(test)]
@@ -266,18 +224,5 @@ mod tests {
     #[should_panic]
     fn percentile_empty_panics() {
         percentile(&[], 0.5);
-    }
-
-    #[test]
-    fn summary_fields_are_ordered() {
-        let data: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        let s = summarize(&data);
-        assert_eq!(s.count, 101);
-        assert_eq!(s.min, 0.0);
-        assert_eq!(s.max, 100.0);
-        assert!((s.median - 50.0).abs() < 1e-9);
-        assert!(s.p25 <= s.median && s.median <= s.p75);
-        assert!(s.p75 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
-        assert!((s.mean - 50.0).abs() < 1e-9);
     }
 }

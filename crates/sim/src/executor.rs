@@ -290,7 +290,7 @@ where
 }
 
 /// [`run_specs_ctl`] behind an optional [`Journal`]: the resumable way to
-/// run a spec list, shared by `rcbsim scenario run` and the budget sweeps.
+/// run a spec list, shared by `rcbsim scenario run` and the experiments.
 ///
 /// Trial `t` of spec `i` is journaled as the record `(i, t)`: its outcome
 /// and typed engine error. Journaled trials are skipped; each trial that

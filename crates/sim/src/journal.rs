@@ -70,7 +70,7 @@ pub type TrialRecord = (Outcome, Option<SimError>);
 pub enum JournalKind {
     /// `rcbsim scenario run --journal`: one registry spec.
     Scenario,
-    /// `rcbsim exp --journal-dir`: one budget sweep's spec list.
+    /// `rcbsim exp --journal-dir`: one experiment batch's spec list.
     Sweep,
 }
 

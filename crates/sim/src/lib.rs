@@ -66,7 +66,6 @@ pub mod faults;
 pub mod journal;
 pub mod lowerbound;
 pub mod outcome;
-pub mod reduction;
 pub mod runner;
 pub mod scenario;
 pub mod session;
@@ -82,7 +81,6 @@ pub use fast::{BroadcastObserver, BroadcastSession, FastConfig};
 pub use faults::{BatteryFault, CrashFault, FaultConfigError, FaultPlan, LossFault, SkewFault};
 pub use journal::{Journal, JournalError, JournalKind};
 pub use outcome::{BroadcastOutcome, DuelOutcome};
-pub use reduction::{simulate_reduction, ReductionOutcome};
 pub use runner::{run_trials, Parallelism};
 pub use scenario::{
     find_scenario, fnv1a, fnv1a_bytes, registry, AdversarySpec, BroadcastWorkload, DuelProtocol,

@@ -81,7 +81,7 @@ pub use rcb_sim as sim;
 pub mod prelude {
     pub use rcb_adversary::adapter::{JamTarget, RepAsSlotAdversary};
     pub use rcb_adversary::rep_strategies::{
-        BudgetedRepBlocker, HalfRepBlocker, NoJamRep, RandomRep, SuffixFractionRep,
+        BudgetedRepBlocker, NoJamRep, RandomRep, SuffixFractionRep,
     };
     pub use rcb_adversary::slot_strategies::{
         BudgetedPhaseBlocker, NoJam, PeriodicJammer, RandomJammer, ReactiveJammer,
