@@ -68,15 +68,22 @@ pub fn ln_binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
     ln_choose(n, k) + k as f64 * p.ln() + (n - k) as f64 * (-p).ln_1p()
 }
 
+/// Below this bound every integer converts to `f64` exactly, and so does
+/// stepping it by ±1.0. Pmf recurrences over `Binomial(n, ·)` with
+/// `n` under it may carry their integer factors as `f64` counters instead
+/// of converting them every term, with bit-identical results.
+pub const F64_EXACT_INT_BOUND: u64 = 1 << 53;
+
 /// `P(Binomial(n, p) > k)` — the upper tail, evaluated from whichever end
 /// of the support is cheaper.
 ///
-/// The helper-promotion rule compares messages heard against a threshold
-/// `7·i`, so the tail is always cut at a small `k` (≤ a few hundred) even
-/// when `n` is 10^6. Summing the pmf by the multiplicative recurrence from
-/// the nearer end keeps this `O(min(k, n·p) + 1)`-ish in practice and free
-/// of catastrophic cancellation: each term is computed in log space once,
-/// then accumulated in linear space relative to the largest term.
+/// The pmf is summed by its multiplicative recurrence, starting from the
+/// largest term of the summed side and moving away from the mode, until a
+/// term falls below 1e-18 of the sum. That is at most about 9σ terms
+/// (σ = √(n·p·(1−p))), fewer when `k` sits far in a tail: cost grows with
+/// σ, not with `k` or `n`. The sum is free of catastrophic cancellation:
+/// one term is computed in log space, the rest in linear space relative
+/// to it.
 pub fn binomial_tail_gt(n: u64, k: u64, p: f64) -> f64 {
     if p.is_nan() || p <= 0.0 {
         return 0.0;
@@ -129,16 +136,23 @@ fn lower_cdf_direct(n: u64, k: u64, p: f64) -> f64 {
         return 0.0;
     }
     let s = (1.0 - p) / p;
+    let exact = n < F64_EXACT_INT_BOUND;
     let mut rel = 1.0f64; // term / pmf(k)
     let mut sum = 0.0f64;
     let mut j = k;
+    // `j` and `n − j + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
+    let (mut jf, mut df) = (k as f64, (n - k) as f64 + 1.0);
     loop {
         sum += rel;
         if j == 0 {
             break;
         }
-        rel *= s * j as f64 / (n - j + 1) as f64;
+        if !exact {
+            (jf, df) = (j as f64, (n - j + 1) as f64);
+        }
+        rel *= s * jf / df;
         j -= 1;
+        (jf, df) = (jf - 1.0, df + 1.0);
         if rel < 1e-18 * sum {
             break;
         }
@@ -157,14 +171,21 @@ fn upper_tail_direct(n: u64, k: u64, p: f64) -> f64 {
     let mut rel = 1.0f64; // term / pmf(k+1)
     let mut sum = 0.0f64;
     let s = p / (1.0 - p);
+    let exact = n < F64_EXACT_INT_BOUND;
     let mut j = k + 1;
+    // `n − j` and `j + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
+    let (mut rf, mut jf) = ((n - j) as f64, j as f64 + 1.0);
     loop {
         sum += rel;
         if j >= n {
             break;
         }
-        rel *= s * (n - j) as f64 / (j + 1) as f64;
+        if !exact {
+            (rf, jf) = ((n - j) as f64, (j + 1) as f64);
+        }
+        rel *= s * rf / jf;
         j += 1;
+        (rf, jf) = (rf - 1.0, jf + 1.0);
         if rel < 1e-18 * sum {
             break;
         }
@@ -267,6 +288,117 @@ mod tests {
         let t_hi = binomial_tail_gt(n, hi, p);
         assert!(t_hi < 1e-4 && t_hi > 0.0, "k {hi}: tail {t_hi}");
         assert!(binomial_cdf_le(n, hi, p) > 1.0 - 1e-4);
+    }
+
+    /// `lower_cdf_direct` as it was before its f64 counters, verbatim: the
+    /// reference the counter form must match bit for bit.
+    fn lower_cdf_reference(n: u64, k: u64, p: f64) -> f64 {
+        let ln_top = ln_binomial_pmf(n, k, p);
+        if ln_top == f64::NEG_INFINITY {
+            return 0.0;
+        }
+        let s = (1.0 - p) / p;
+        let mut rel = 1.0f64;
+        let mut sum = 0.0f64;
+        let mut j = k;
+        loop {
+            sum += rel;
+            if j == 0 {
+                break;
+            }
+            rel *= s * j as f64 / (n - j + 1) as f64;
+            j -= 1;
+            if rel < 1e-18 * sum {
+                break;
+            }
+        }
+        (ln_top.exp() * sum).min(1.0)
+    }
+
+    /// `upper_tail_direct` before its f64 counters, verbatim.
+    fn upper_tail_reference(n: u64, k: u64, p: f64) -> f64 {
+        let ln_first = ln_binomial_pmf(n, k + 1, p);
+        if ln_first == f64::NEG_INFINITY {
+            return 0.0;
+        }
+        let mut rel = 1.0f64;
+        let mut sum = 0.0f64;
+        let s = p / (1.0 - p);
+        let mut j = k + 1;
+        loop {
+            sum += rel;
+            if j >= n {
+                break;
+            }
+            rel *= s * (n - j) as f64 / (j + 1) as f64;
+            j += 1;
+            if rel < 1e-18 * sum {
+                break;
+            }
+        }
+        (ln_first.exp() * sum).min(1.0)
+    }
+
+    /// Both tail loops against their references at every `k` in `ks`
+    /// (below `n`), bit for bit.
+    fn assert_tails_match_reference(n: u64, p: f64, ks: impl IntoIterator<Item = u64>) {
+        for k in ks.into_iter().filter(|&k| k < n) {
+            let (lo, lo_ref) = (lower_cdf_direct(n, k, p), lower_cdf_reference(n, k, p));
+            assert_eq!(lo.to_bits(), lo_ref.to_bits(), "lower n {n} k {k} p {p:e}");
+            let (up, up_ref) = (upper_tail_direct(n, k, p), upper_tail_reference(n, k, p));
+            assert_eq!(up.to_bits(), up_ref.to_bits(), "upper n {n} k {k} p {p:e}");
+        }
+    }
+
+    #[test]
+    fn tail_counters_are_bit_identical_to_integer_conversion() {
+        // Small n: every cut. Large n, up to 2^40: cuts across the bulk,
+        // with p chosen so σ (and the loop) stays small.
+        for n in [1u64, 2, 3, 7, 64, 200] {
+            for p in [1e-3, 0.04, 0.3, 0.5, 0.77, 0.999] {
+                assert_tails_match_reference(n, p, 0..n);
+            }
+        }
+        for n in [4096u64, 65_536, 1_000_000, 1 << 32, (1 << 40) - 3, 1 << 40] {
+            for mean in [0.5, 4.0, 300.0, 5_000.0] {
+                let p = mean / n as f64;
+                if p >= 1.0 {
+                    continue;
+                }
+                let sigma = (mean * (1.0 - p)).sqrt();
+                let ks = [-12.0, -4.0, -1.0, 0.0, 1.0, 4.0, 12.0, 40.0]
+                    .map(|z| (mean + z * sigma).max(0.0) as u64);
+                assert_tails_match_reference(n, p, ks);
+                // The mirrored regime: mass near n.
+                assert_tails_match_reference(n, 1.0 - p, ks.map(|k| n.saturating_sub(k + 1)));
+            }
+        }
+    }
+
+    #[test]
+    fn tail_counters_fall_back_to_integer_conversion_at_2_pow_53() {
+        // At n ≥ 2^53 a counter stepped by ±1.0 drifts from the converted
+        // integer (2^53 + 1.0 rounds back to 2^53), so the loops must
+        // convert. Without the guard these cases differ in both loops.
+        let b = F64_EXACT_INT_BOUND;
+        for n in [
+            b - 50,
+            b,
+            b + 1,
+            b + 3,
+            b + 1000,
+            2 * b + 7,
+            (1 << 60) + 12345,
+            u64::MAX,
+        ] {
+            for mean in [3.0, 300.0, 3e4] {
+                let p = mean / n as f64;
+                let sigma = mean.sqrt();
+                let ks = [-4.0, -1.0, 0.0, 1.0, 4.0].map(|z| (mean + z * sigma).max(0.0) as u64);
+                assert_tails_match_reference(n, p, ks);
+                assert_tails_match_reference(n, 1.0 - p, ks.map(|k| n - k - 1));
+            }
+        }
     }
 
     #[test]

@@ -156,12 +156,45 @@ fn binomial_fast_half(rng: &mut RcbRng, n: u64, p: f64) -> u64 {
 
 /// BINV: CDF inversion from the zero atom upward (`np < 10`, `p ≤ ½`).
 fn binomial_binv(rng: &mut RcbRng, n: u64, p: f64) -> u64 {
+    let u = rng.f64();
+    if n == 1 {
+        binv_one(rng, p, u)
+    } else {
+        binv_from(rng, n, p, u)
+    }
+}
+
+/// Half-width δ of [`binv_one`]'s rounding band. The loop's
+/// `f0 = exp(ln q)` is within a few ulp of `q` for `q ∈ [½, 1]`; δ is
+/// about seven orders of magnitude wider.
+const BINV_ONE_BAND: f64 = 1e-9;
+
+/// BINV at `n = 1` (a Bernoulli draw), given the first uniform `u`.
+///
+/// The loop returns 0 when `u < f0`, and 1 when `u − f0 < f0·(p/q)`, a
+/// product whose `q` cancels to `p` up to a few ulp; otherwise it redraws.
+/// Below `q(1−δ)` the first test passes and in `(q(1+δ), 1−δ)` the second
+/// does, whatever rounding put `f0` near `q`. Only in the band (chance
+/// about 3δ) does the loop run, from the same `u`: the result and the
+/// RNG words consumed are those of [`binv_from`], without its `ln`/`exp`.
+fn binv_one(rng: &mut RcbRng, p: f64, u: f64) -> u64 {
+    let q = 1.0 - p;
+    if u < q * (1.0 - BINV_ONE_BAND) {
+        0
+    } else if q * (1.0 + BINV_ONE_BAND) < u && u < 1.0 - BINV_ONE_BAND {
+        1
+    } else {
+        binv_from(rng, 1, p, u)
+    }
+}
+
+/// The BINV loop from an already-drawn first uniform `u`.
+fn binv_from(rng: &mut RcbRng, n: u64, p: f64, mut u: f64) -> u64 {
     let nf = n as f64;
     let q = 1.0 - p;
     let s = p / q;
     let f0 = (nf * q.ln()).exp(); // P(X = 0); np < 10 keeps this ≫ f64::MIN
     loop {
-        let mut u = rng.f64();
         let mut f = f0;
         let mut x = 0u64;
         loop {
@@ -175,6 +208,7 @@ fn binomial_binv(rng: &mut RcbRng, n: u64, p: f64) -> u64 {
             x += 1;
             f *= s * (nf - (x - 1) as f64) / x as f64;
         }
+        u = rng.f64();
     }
 }
 
@@ -750,6 +784,108 @@ mod tests {
                 assert_eq!(binomial_fast(&mut a, n, p), binomial_fast(&mut b, n, p));
             }
             assert_eq!(a, b);
+        }
+    }
+
+    /// BINV as it was before [`binv_one`]: `binomial_binv` verbatim, except
+    /// that the first uniform may be supplied. The reference the fast path
+    /// must match bit for bit.
+    fn binv_reference(rng: &mut RcbRng, n: u64, p: f64, mut first_u: Option<f64>) -> u64 {
+        let nf = n as f64;
+        let q = 1.0 - p;
+        let s = p / q;
+        let f0 = (nf * q.ln()).exp();
+        loop {
+            let mut u = first_u.take().unwrap_or_else(|| rng.f64());
+            let mut f = f0;
+            let mut x = 0u64;
+            loop {
+                if u < f {
+                    return x;
+                }
+                if x >= n {
+                    break;
+                }
+                u -= f;
+                x += 1;
+                f *= s * (nf - (x - 1) as f64) / x as f64;
+            }
+        }
+    }
+
+    #[test]
+    fn binv_one_matches_the_reference_loop() {
+        // Same value and same generator state afterwards, over edge and
+        // 10^6 uniform p ∈ (0, ½]; the generator carries on across p.
+        let edges = [
+            0.5,
+            0.5 - 1e-12,
+            0.25,
+            1e-3,
+            3e-9,
+            2e-9,
+            1e-9,
+            1e-16,
+            1e-300,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            5e-324,
+        ];
+        let mut fast = RcbRng::new(90);
+        let mut reference = fast.clone();
+        let mut draw_p = RcbRng::new(91);
+        for i in 0..1_000_000 + edges.len() {
+            let p = edges
+                .get(i)
+                .copied()
+                .unwrap_or_else(|| 0.5 * (1.0 - draw_p.f64()));
+            let got = binomial_binv(&mut fast, 1, p);
+            let want = binv_reference(&mut reference, 1, p, None);
+            assert_eq!(got, want, "p {p:e}");
+            assert_eq!(fast, reference, "generator state after p {p:e}");
+        }
+    }
+
+    #[test]
+    fn binv_one_falls_back_to_the_loop_in_the_band() {
+        // Chosen first uniforms on and one ulp either side of each band
+        // edge and of the loop's own `exp(ln q)`, where the loop decides
+        // (and may redraw). At this `p` the loop rejects u = 1 − 2⁻⁵³ and
+        // redraws: the case the `u < 1 − δ` test exists for.
+        let redraws_at_top = 0.444255932892817;
+        let mut top = RcbRng::new(91);
+        let before = top.clone();
+        binv_reference(&mut top, 1, redraws_at_top, Some(1.0 - 2f64.powi(-53)));
+        assert_ne!(top, before, "the loop must redraw at p {redraws_at_top}");
+        for &p in &[
+            0.5,
+            0.5 - 1e-12,
+            redraws_at_top,
+            0.3,
+            0.1,
+            1e-3,
+            3e-9,
+            1e-300,
+        ] {
+            let q: f64 = 1.0 - p;
+            let mut us = vec![0.0, 1.0 - 2f64.powi(-53)];
+            for edge in [
+                q,
+                q.ln().exp(),
+                q * (1.0 - BINV_ONE_BAND),
+                q * (1.0 + BINV_ONE_BAND),
+                1.0 - BINV_ONE_BAND,
+            ] {
+                us.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            for (i, &u) in us.iter().filter(|&&u| u < 1.0).enumerate() {
+                let mut fast = RcbRng::new(92 + i as u64);
+                let mut reference = fast.clone();
+                let got = binv_one(&mut fast, p, u);
+                let want = binv_reference(&mut reference, 1, p, Some(u));
+                assert_eq!(got, want, "p {p:e} u {u:e}");
+                assert_eq!(fast, reference, "generator state at p {p:e} u {u:e}");
+            }
         }
     }
 
