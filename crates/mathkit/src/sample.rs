@@ -53,16 +53,18 @@ pub fn geometric_failures(rng: &mut RcbRng, p: f64) -> u64 {
 /// [`sample_slots_into`] and [`binomial`] it is loop-invariant — one of the
 /// two transcendental ops per sampled event. Callers must pass exactly
 /// `(-p).ln_1p()`; the division then produces bit-identical skips.
+///
+/// The skip is `⌊ln U / ln(1−p)⌋`, taken by the saturating `f64 → u64`
+/// cast alone: for every `f64` it equals `floor` followed by the cast
+/// (truncation is `floor` for `x ≥ 0`; NaN, −0.0 and negatives give 0;
+/// `x ≥ 2^64` and +∞ give `u64::MAX`, the "past any block" value). On
+/// the baseline x86-64 target `f64::floor` is an out-of-line call, so
+/// leaving it out saves a call per sampled event (DESIGN.md §9).
 #[inline]
 fn geometric_failures_with_denom(rng: &mut RcbRng, ln_one_minus_p: f64) -> u64 {
     // U in (0,1]: use 1 - f64() so ln() is finite.
     let u = 1.0 - rng.f64();
-    let skip = (u.ln() / ln_one_minus_p).floor();
-    if skip >= u64::MAX as f64 {
-        u64::MAX
-    } else {
-        skip as u64
-    }
+    (u.ln() / ln_one_minus_p) as u64
 }
 
 /// Exact `Binomial(n, p)` sample in `O(np + 1)` expected time via geometric
@@ -244,8 +246,9 @@ fn binomial_btpe(rng: &mut RcbRng, n: u64, p: f64) -> u64 {
 
         let y: f64;
         if u <= p1 {
-            // Central triangle: accept immediately.
-            return (xm - p1 * v + u).floor() as u64;
+            // Central triangle: accept immediately. The saturating cast
+            // is `floor` here (see `geometric_failures_with_denom`).
+            return (xm - p1 * v + u) as u64;
         } else if u <= p2 {
             // Parallelogram: scale v onto the pmf-ratio line.
             let x = xl + (u - p1) / c;
@@ -479,6 +482,7 @@ pub fn sample_distinct(rng: &mut RcbRng, n: u64, k: u64) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::stats::RunningStats;
+    use rand::RngCore;
 
     #[test]
     fn bernoulli_edge_probabilities() {
@@ -885,6 +889,138 @@ mod tests {
                 let want = binv_reference(&mut reference, 1, p, Some(u));
                 assert_eq!(got, want, "p {p:e} u {u:e}");
                 assert_eq!(fast, reference, "generator state at p {p:e} u {u:e}");
+            }
+        }
+    }
+
+    /// Values where `floor` and the saturating cast could part ways: signed
+    /// zeros, infinities, NaN, subnormals, the ends of the `u64` range, and
+    /// integers and powers of two with their neighbours one ulp away.
+    fn cast_edge_values() -> Vec<f64> {
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            5e-324,
+            -5e-324,
+            f64::MAX,
+            f64::MIN,
+            u64::MAX as f64,
+            0.5,
+            -0.5,
+            0.999_999_999_999_999_9,
+            1e300,
+        ];
+        let mut centres: Vec<f64> = (0..=70).map(|e| 2f64.powi(e)).collect();
+        centres.extend([3.0, 7.0, 10.0, 1e6, 4.5e15, 9.007_199_254_740_993e15]);
+        for c in centres {
+            for x in [c, -c] {
+                xs.extend([x.next_down(), x, x.next_up()]);
+                xs.extend([x - 1.0, x + 1.0]);
+            }
+        }
+        xs
+    }
+
+    #[test]
+    fn saturating_cast_is_floor_for_every_f64() {
+        // The hot paths take `⌊x⌋` as `x as u64`; it must equal
+        // `x.floor() as u64` and the clamped `x.floor().max(0.0) as u64`
+        // for every `f64`. Checked on the edges and 10^7 random values:
+        // half are raw bit patterns (every exponent), half are drawn in
+        // [0, 2^66), where truncation and the `u64` saturation point
+        // both matter.
+        let check = |x: f64| {
+            let cast = x as u64;
+            assert_eq!(
+                x.floor() as u64,
+                cast,
+                "floor vs cast at {x:e} ({:#x})",
+                x.to_bits()
+            );
+            assert_eq!(x.floor().max(0.0) as u64, cast, "clamped floor at {x:e}");
+        };
+        cast_edge_values().into_iter().for_each(check);
+        let mut rng = RcbRng::new(93);
+        for _ in 0..5_000_000 {
+            check(f64::from_bits(rng.next_u64()));
+            check(rng.f64() * 2f64.powi(rng.below(67) as i32));
+        }
+    }
+
+    /// `geometric_failures_with_denom` as it was before the saturating
+    /// cast: an explicit `floor` and a guard at `u64::MAX as f64`.
+    fn skip_with_floor(rng: &mut RcbRng, ln_one_minus_p: f64) -> u64 {
+        let u = 1.0 - rng.f64();
+        let skip = (u.ln() / ln_one_minus_p).floor();
+        if skip >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            skip as u64
+        }
+    }
+
+    /// [`sample_slots_into`]'s skip walk on [`skip_with_floor`]; the
+    /// number of positions it writes is what [`binomial`] counts.
+    fn slots_with_floor(rng: &mut RcbRng, n: u64, p: f64, out: &mut Vec<u64>) {
+        out.clear();
+        let denom = (-p).ln_1p();
+        let mut pos = 0u64;
+        loop {
+            pos = match pos.checked_add(skip_with_floor(rng, denom)) {
+                Some(v) if v < n => v,
+                _ => return,
+            };
+            out.push(pos);
+            pos += 1;
+        }
+    }
+
+    #[test]
+    fn skip_samplers_match_the_floor_loop() {
+        // Same values and same generator state as the `floor` loop for
+        // `sample_slots_into`, `binomial` and `geometric_failures`. Block
+        // lengths reach 2^40 and `u64::MAX` where `np` stays small, so
+        // skips saturate at the tiny `p`; `1 − 2⁻⁵³` draws runs of zero
+        // skips.
+        let ps = [
+            1e-300,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 7.0,
+            2f64.powi(-30),
+            0.06,
+            0.5,
+            0.9,
+            1.0 - 2f64.powi(-53),
+        ];
+        let ns = [1u64, 2, 5, 64, 1000, 1 << 20, 1 << 40, u64::MAX];
+        let mut fast = RcbRng::new(94);
+        let mut reference = fast.clone();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for &p in &ps {
+            let denom = (-p).ln_1p();
+            for _ in 0..2_000 {
+                assert_eq!(
+                    geometric_failures(&mut fast, p),
+                    skip_with_floor(&mut reference, denom)
+                );
+            }
+            assert_eq!(fast, reference, "generator state after skips at p {p:e}");
+            for &n in ns.iter().filter(|&&n| n as f64 * p <= 5_000.0) {
+                for _ in 0..50 {
+                    sample_slots_into(&mut fast, n, p, &mut got);
+                    slots_with_floor(&mut reference, n, p, &mut want);
+                    assert_eq!(got, want, "slots at n {n} p {p:e}");
+                    let count = binomial(&mut fast, n, p);
+                    slots_with_floor(&mut reference, n, p, &mut want);
+                    assert_eq!(count, want.len() as u64, "binomial at n {n} p {p:e}");
+                }
+                assert_eq!(fast, reference, "generator state at n {n} p {p:e}");
             }
         }
     }

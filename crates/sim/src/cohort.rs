@@ -710,9 +710,10 @@ fn run_cohort_in(
 
                     // Split members by drawn clear count: only values above
                     // ⌊E/2⌋ change S_u, so everything at or below merges
-                    // into one zero-growth group.
+                    // into one zero-growth group. The saturating cast is
+                    // that floor (and 0 for NaN) without a `floor` call.
                     let expected = params.expected_listens(epoch, c.node.s());
-                    let t_growth = (expected / 2.0).floor() as u64;
+                    let t_growth = (expected / 2.0) as u64;
                     split_by_clear(rng, c.count, clear_unjam, q, t_growth, clear_groups);
 
                     // Message-outcome probabilities, shared by every clear
@@ -723,7 +724,7 @@ fn run_cohort_in(
                     let (p_event, msgs_rep) = match status {
                         Status::Uninformed => (p_hear_any(msg_total_unjam, q_eff), 1u64),
                         Status::Informed => {
-                            let k = thr.floor().max(0.0) as u64;
+                            let k = thr as u64; // ⌊thr⌋, 0 if negative or NaN
                             (binomial_tail_gt(msg_total_unjam, k, q_eff), k + 1)
                         }
                         Status::Helper | Status::Terminated => (0.0, 0),
