@@ -557,7 +557,7 @@ fn run_cohort_in(
                     saturated += c.count;
                 } else {
                     ln_rest += c.count as f64 * (-p).ln_1p();
-                    if sends_message(&c.node) {
+                    if c.node.sends_message() {
                         anon_msg_ratio += c.count as f64 * p / (1.0 - p);
                     }
                 }
@@ -569,7 +569,7 @@ fn run_cohort_in(
                     .iter()
                     .find(|c| !c.node.is_terminated() && c.node.send_prob(params) >= 1.0)
                 {
-                    sat_category = Some(if sends_message(&c.node) {
+                    sat_category = Some(if c.node.sends_message() {
                         CAT_MSG_ANON
                     } else {
                         usize::MAX // noise singleton: lands in "rest"
@@ -617,7 +617,7 @@ fn run_cohort_in(
                         + tracked
                             .iter()
                             .enumerate()
-                            .filter(|(_, t)| sends_message(&t.node))
+                            .filter(|(_, t)| t.node.sends_message())
                             .map(|(i, _)| region_counts[r][CAT_TRACKED_BASE + i])
                             .sum::<u64>()
                 })
@@ -630,7 +630,7 @@ fn run_cohort_in(
                 + tracked
                     .iter()
                     .enumerate()
-                    .filter(|(_, t)| sends_message(&t.node))
+                    .filter(|(_, t)| t.node.sends_message())
                     .map(|(i, _)| msg_unjam(CAT_TRACKED_BASE + i))
                     .sum::<u64>();
 
@@ -656,7 +656,7 @@ fn run_cohort_in(
                 // audible counts to the non-prefix unjammed region.
                 let skewed = skew_prefix > 0 && t.id == faults.skew.map_or(usize::MAX, |s| s.node);
                 let (n0, msgs_avail) = if skewed {
-                    let own = if sends_message(&t.node) {
+                    let own = if t.node.sends_message() {
                         region_counts[0][CAT_TRACKED_BASE + i]
                     } else {
                         0
@@ -667,13 +667,13 @@ fn run_cohort_in(
                             + tracked
                                 .iter()
                                 .enumerate()
-                                .filter(|(_, o)| sends_message(&o.node))
+                                .filter(|(_, o)| o.node.sends_message())
                                 .map(|(j, _)| region_counts[0][CAT_TRACKED_BASE + j])
                                 .sum::<u64>()
                             - own,
                     )
                 } else {
-                    let own = if sends_message(&t.node) {
+                    let own = if t.node.sends_message() {
                         msg_unjam(CAT_TRACKED_BASE + i)
                     } else {
                         0
@@ -886,12 +886,6 @@ fn run_cohort_in(
         },
         err,
     )
-}
-
-/// Whether a node in this state transmits `m` (rather than noise) when it
-/// sends.
-fn sends_message(node: &OneToNNode) -> bool {
-    matches!(node.status(), Status::Informed | Status::Helper)
 }
 
 /// `P(at least one of `m` independent q-coins lands heads)`, stable for

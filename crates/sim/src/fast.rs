@@ -6,22 +6,22 @@
 //!    Bernoulli processes (geometric skips), with listen slots that collide
 //!    with the node's own send slots dropped (a radio cannot do both — the
 //!    same rule the slot adapter uses);
-//! 2. all send events are sorted by slot (as 8-byte keys
-//!    `t << 1 | sends_message`) and collapsed into per-slot channel states
-//!    (single `m` / single noise / collision);
-//! 3. every listen event is resolved against the jam plan and the channel
-//!    state — observations therefore remain **fully coupled across nodes**
+//! 2. all send events go into a per-repetition slot map, an open-addressing
+//!    table from slot to channel state (single `m` / single noise /
+//!    collision) whose capacity follows the send count, never `2^i`;
+//! 3. every listen event is resolved against the jam plan and one slot-map
+//!    lookup — observations therefore remain **fully coupled across nodes**
 //!    (two listeners of the same slot hear the same thing), which Lemma 6
 //!    style properties depend on. Each node's sorted listen slots are
-//!    merge-walked against its own sorted send slots and, through a
-//!    forward-only galloping cursor, against the sorted channel states;
+//!    merge-walked against its own sorted send slots to drop the slots it
+//!    transmits in;
 //! 4. each node's `(clear, messages)` counts feed
 //!    [`OneToNNode::end_repetition`] — the same state machine the exact
 //!    engine drives.
 //!
-//! Work per repetition is one sort of the send events plus a linear merge
-//! per node (each channel lookup gallops `O(log gap)`), independent of
-//! `2^i`.
+//! Work per repetition is one map insert per send plus, per listen, one
+//! expected-`O(1)` lookup and a step of the node's own-send merge,
+//! independent of `2^i`.
 
 use rcb_adversary::traits::{RepetitionAdversary, RepetitionContext, RepetitionSummary};
 use rcb_core::one_to_n::node::OneToNNode;
@@ -51,16 +51,83 @@ impl Default for FastConfig {
     }
 }
 
-/// Per-slot channel content, collapsed from the send events of one
-/// repetition.
+/// Per-slot channel content, merged from the send events of one
+/// repetition. The discriminants are [`SlotMap`]'s 2-bit codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SlotContent {
     /// Exactly one sender, transmitting `m`.
-    Message,
+    Message = 1,
     /// Exactly one sender, transmitting noise (an uninformed node).
-    SingleNoise,
+    SingleNoise = 2,
     /// Two or more senders.
-    Collision,
+    Collision = 3,
+}
+
+/// One repetition's channel state: an open-addressing table from busy slot
+/// to [`SlotContent`]. Capacity is the next power of two ≥ `max(2·sends,
+/// 16)`, so the load stays ≤ ½ and memory is `O(sends)` whatever the
+/// repetition's length. Slot `t` probes linearly from `t & (cap − 1)`; send
+/// slots are uniform, so the low bits hash well, and a repetition no longer
+/// than the table is indexed directly, without a collision.
+#[derive(Debug, Default)]
+struct SlotMap {
+    /// `t << 2 | code` per busy slot; 0 marks an empty bucket (no code is 0).
+    /// `OneToNParams::slots` keeps `t < 2^61`, so the shift loses no bit.
+    buckets: Vec<u64>,
+    /// Slots holding at least one transmission.
+    busy_slots: u64,
+    /// Slots holding exactly one transmission, of `m`.
+    message_slots: u64,
+}
+
+impl SlotMap {
+    /// Empties the map and sizes it for `sends` send events.
+    fn reset(&mut self, sends: usize) {
+        self.buckets.clear();
+        self.buckets
+            .resize((2 * sends).max(16).next_power_of_two(), 0);
+        self.busy_slots = 0;
+        self.message_slots = 0;
+    }
+
+    /// The bucket holding slot `t`, or the empty one where it would go.
+    fn bucket_of(&self, t: u64) -> usize {
+        let mask = self.buckets.len() - 1;
+        let mut i = t as usize & mask;
+        while self.buckets[i] != 0 && self.buckets[i] >> 2 != t {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Records one transmission in slot `t`, of `m` if `message`.
+    fn insert(&mut self, t: u64, message: bool) {
+        let i = self.bucket_of(t);
+        let bucket = &mut self.buckets[i];
+        if *bucket == 0 {
+            let content = if message {
+                SlotContent::Message
+            } else {
+                SlotContent::SingleNoise
+            };
+            *bucket = t << 2 | content as u64;
+            self.busy_slots += 1;
+            self.message_slots += u64::from(message);
+        } else {
+            self.message_slots -= u64::from(*bucket & 3 == SlotContent::Message as u64);
+            *bucket = t << 2 | SlotContent::Collision as u64;
+        }
+    }
+
+    /// The channel content of slot `t`; `None` is a silent slot.
+    fn get(&self, t: u64) -> Option<SlotContent> {
+        match self.buckets[self.bucket_of(t)] & 3 {
+            0 => None,
+            1 => Some(SlotContent::Message),
+            2 => Some(SlotContent::SingleNoise),
+            _ => Some(SlotContent::Collision),
+        }
+    }
 }
 
 /// Per-repetition observer hook for instrumented runs (E10, E12,
@@ -84,13 +151,11 @@ struct FastState {
     costs: Vec<u64>,
     dead: Vec<bool>,
     offline: Vec<bool>,
-    /// This repetition's send events as `t << 1 | sends_message` keys.
-    send_keys: Vec<u64>,
     /// Every node's sorted send slots, back to back; node `u`'s are
     /// `own_sends[own_send_offsets[u]..own_send_offsets[u + 1]]`.
     own_sends: Vec<u64>,
     own_send_offsets: Vec<usize>,
-    slot_contents: Vec<(u64, SlotContent)>,
+    slot_map: SlotMap,
     scratch: Vec<u64>,
     clear_counts: Vec<u64>,
     msg_counts: Vec<u64>,
@@ -108,10 +173,9 @@ impl FastState {
             costs: vec![0; n],
             dead: vec![false; n],
             offline: vec![false; n],
-            send_keys: Vec::new(),
             own_sends: Vec::new(),
             own_send_offsets: vec![0; n + 1],
-            slot_contents: Vec::new(),
+            slot_map: SlotMap::default(),
             scratch: Vec::new(),
             clear_counts: vec![0; n],
             msg_counts: vec![0; n],
@@ -263,10 +327,9 @@ fn run_broadcast_in(
         costs,
         dead,
         offline,
-        send_keys,
         own_sends,
         own_send_offsets,
-        slot_contents,
+        slot_map,
         scratch,
         clear_counts,
         msg_counts,
@@ -349,23 +412,25 @@ fn run_broadcast_in(
 
             // 1. Send events. Radio-off nodes sample nothing: no coin
             // flips, so their RNG consumption pauses with the radio.
-            // Each node's sorted send slots are kept for step 3's merge.
-            send_keys.clear();
+            // Each node's sorted send slots are kept for steps 2 and 3.
             own_sends.clear();
             for (u, node) in nodes.iter().enumerate() {
                 if !node.is_terminated() && !offline[u] {
                     sample_slots_into(rng, len, node.send_prob(params), scratch);
                     costs[u] += scratch.len() as u64;
                     own_sends.extend_from_slice(scratch);
-                    let payload = u64::from(node.sends_message());
-                    send_keys.extend(scratch.iter().map(|&t| t << 1 | payload));
                 }
                 own_send_offsets[u + 1] = own_sends.len();
             }
-            send_keys.sort_unstable();
 
-            // 2. Collapse into per-slot channel content.
-            let message_slots = collapse_sends(send_keys, slot_contents);
+            // 2. The channel state, sized now that every send is drawn.
+            slot_map.reset(own_sends.len());
+            for (u, node) in nodes.iter().enumerate() {
+                let message = node.sends_message();
+                for &t in &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]] {
+                    slot_map.insert(t, message);
+                }
+            }
 
             // 3. Listen events.
             let mut total_listens = 0u64;
@@ -375,12 +440,13 @@ fn run_broadcast_in(
                 }
                 let skew = faults.skew_slots(u);
                 sample_slots_into(rng, len, node.listen_prob(params), scratch);
-                let mut cursor = ListenCursor::new(
-                    &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]],
-                    slot_contents,
-                );
+                let own = &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]];
+                let mut next_own = 0;
                 for &t in scratch.iter() {
-                    if cursor.sends_in(t) {
+                    while own.get(next_own).is_some_and(|&s| s < t) {
+                        next_own += 1;
+                    }
+                    if own.get(next_own) == Some(&t) {
                         continue; // a radio cannot send and listen at once
                     }
                     costs[u] += 1;
@@ -391,7 +457,7 @@ fn run_broadcast_in(
                     if plan.is_jammed(t, len) {
                         continue; // noise
                     }
-                    match cursor.content_at(t) {
+                    match slot_map.get(t) {
                         None => clear_counts[u] += 1,
                         // The loss coin is drawn only on decodable payload
                         // receptions, same as the exact engine's receiver
@@ -418,11 +484,11 @@ fn run_broadcast_in(
             adversary.observe(
                 &ctx,
                 &RepetitionSummary {
-                    message_slots,
-                    busy_slots: slot_contents.len() as u64,
+                    message_slots: slot_map.message_slots,
+                    busy_slots: slot_map.busy_slots,
                     jammed_slots: plan.jam_count(len),
                     listen_actions: total_listens,
-                    send_actions: send_keys.len() as u64,
+                    send_actions: own_sends.len() as u64,
                 },
             );
             observer.on_repetition(epoch, period, plan.jam_count(len), nodes);
@@ -469,77 +535,6 @@ fn run_broadcast_in(
         },
         err,
     )
-}
-
-/// Collapses sorted `t << 1 | sends_message` send keys into per-slot
-/// channel content, returning the number of `m` slots (the epilogue needs
-/// the total, and counting here is cheaper than re-scanning the contents).
-fn collapse_sends(send_keys: &[u64], slot_contents: &mut Vec<(u64, SlotContent)>) -> u64 {
-    slot_contents.clear();
-    let mut message_slots = 0u64;
-    for group in send_keys.chunk_by(|a, b| a >> 1 == b >> 1) {
-        let content = match group {
-            [key] if key & 1 == 1 => {
-                message_slots += 1;
-                SlotContent::Message
-            }
-            [_] => SlotContent::SingleNoise,
-            _ => SlotContent::Collision,
-        };
-        slot_contents.push((group[0] >> 1, content));
-    }
-    message_slots
-}
-
-/// First index `i >= from` with `contents[i].0 >= t`, found by doubling the
-/// step from `from` and then binary-searching the last step, so a lookup
-/// that skips `g` entries costs `O(log g)`.
-fn gallop(contents: &[(u64, SlotContent)], from: usize, t: u64) -> usize {
-    let rest = &contents[from..];
-    let (mut lo, mut step) = (0, 1);
-    while step <= rest.len() && rest[step - 1].0 < t {
-        lo = step;
-        step *= 2;
-    }
-    let hi = step.min(rest.len());
-    from + lo + rest[lo..hi].partition_point(|&(s, _)| s < t)
-}
-
-/// Resolves one node's listen slots, which must be queried in increasing
-/// order: both cursors only move forward.
-struct ListenCursor<'a> {
-    own_sends: &'a [u64],
-    contents: &'a [(u64, SlotContent)],
-    own: usize,
-    content: usize,
-}
-
-impl<'a> ListenCursor<'a> {
-    fn new(own_sends: &'a [u64], contents: &'a [(u64, SlotContent)]) -> Self {
-        Self {
-            own_sends,
-            contents,
-            own: 0,
-            content: 0,
-        }
-    }
-
-    /// Whether the node itself transmits in slot `t`.
-    fn sends_in(&mut self, t: u64) -> bool {
-        while self.own_sends.get(self.own).is_some_and(|&s| s < t) {
-            self.own += 1;
-        }
-        self.own_sends.get(self.own) == Some(&t)
-    }
-
-    /// The channel content of slot `t`; `None` is a silent slot.
-    fn content_at(&mut self, t: u64) -> Option<SlotContent> {
-        self.content = gallop(self.contents, self.content, t);
-        match self.contents.get(self.content) {
-            Some(&(s, content)) if s == t => Some(content),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -689,62 +684,142 @@ mod tests {
         );
     }
 
-    /// Channel contents at the given busy slots, all collisions.
-    fn busy(slots: &[u64]) -> Vec<(u64, SlotContent)> {
-        slots.iter().map(|&t| (t, SlotContent::Collision)).collect()
+    /// The slot map's reference: sort the `(t, message)` sends, then merge
+    /// each run of equal slots.
+    fn collapse(sends: &[(u64, bool)]) -> Vec<(u64, SlotContent)> {
+        let mut sorted = sends.to_vec();
+        sorted.sort_unstable();
+        sorted
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|group| {
+                let content = match group {
+                    [(_, true)] => SlotContent::Message,
+                    [_] => SlotContent::SingleNoise,
+                    _ => SlotContent::Collision,
+                };
+                (group[0].0, content)
+            })
+            .collect()
     }
 
-    #[test]
-    fn gallop_edge_cases() {
-        assert_eq!(gallop(&[], 0, 5), 0, "empty contents");
-        let contents = busy(&[2, 4, 6, 8]);
-        assert_eq!(gallop(&contents, 4, 0), 4, "from == len stays put");
-        assert_eq!(gallop(&contents, 1, 100), 4, "past the last slot");
-        assert_eq!(gallop(&contents, 0, 6), 2, "exact hit");
-        assert_eq!(gallop(&contents, 2, 6), 2, "exact hit at `from`");
-        assert_eq!(gallop(&contents, 0, 5), 2, "a miss lands on the next slot");
-    }
-
-    #[test]
-    fn gallop_skips_long_runs_like_a_binary_search() {
-        let slots: Vec<u64> = (0..1000).map(|k| 3 * k).collect();
-        let contents = busy(&slots);
-        let mut at = 0;
-        for t in [1u64, 2, 700, 701, 1500, 2996, 2997, 2998] {
-            at = gallop(&contents, at, t);
-            assert_eq!(at, slots.partition_point(|&s| s < t), "target {t}");
+    /// Builds a map from `sends` and checks it against [`collapse`] on every
+    /// busy slot, on the `silent` slots and in both counters.
+    fn map_matching_collapse(sends: &[(u64, bool)], silent: &[u64]) -> SlotMap {
+        let mut map = SlotMap::default();
+        map.reset(sends.len());
+        for &(t, message) in sends {
+            map.insert(t, message);
         }
-        assert_eq!(at, contents.len());
+        let expected = collapse(sends);
+        for &(t, content) in &expected {
+            assert_eq!(map.get(t), Some(content), "busy slot {t}");
+        }
+        for &t in silent {
+            assert!(expected.iter().all(|e| e.0 != t), "slot {t} is busy");
+            assert_eq!(map.get(t), None, "silent slot {t}");
+        }
+        let messages = expected.iter().filter(|e| e.1 == SlotContent::Message);
+        assert_eq!(map.busy_slots, expected.len() as u64);
+        assert_eq!(map.message_slots, messages.count() as u64);
+        map
     }
 
     #[test]
-    fn listens_skip_own_sends_but_others_hear_the_collision() {
-        // Node 0 sends noise at 3 and 7, node 1 sends m at 3 and 9.
-        let mut keys = vec![3 << 1, 7 << 1, 3 << 1 | 1, 9 << 1 | 1];
-        keys.sort_unstable();
-        let mut contents = Vec::new();
-        assert_eq!(collapse_sends(&keys, &mut contents), 1);
-        assert_eq!(
-            contents,
-            [
-                (3, SlotContent::Collision),
-                (7, SlotContent::SingleNoise),
-                (9, SlotContent::Message)
-            ]
-        );
+    fn slot_map_capacity_follows_the_sends_not_the_repetition_length() {
+        // A 2^40-slot repetition (the default epoch cap) with a few sends.
+        let len = 1u64 << 40;
+        let few = [
+            (len - 1, true),
+            (0, false),
+            (12_345_678_901, true),
+            (0, true),
+        ];
+        let map = map_matching_collapse(&few, &[1, 16, len - 2, len / 2]);
+        assert_eq!(map.buckets.len(), 16);
 
-        let mut own = ListenCursor::new(&[3, 7], &contents);
-        assert!(own.sends_in(3), "a listen on an own send slot is dropped");
-        assert!(!own.sends_in(5));
-        assert_eq!(own.content_at(5), None);
-        assert!(own.sends_in(7));
-        assert!(!own.sends_in(9));
-        assert_eq!(own.content_at(9), Some(SlotContent::Message));
+        let spread: Vec<(u64, bool)> = (1..=20u64)
+            .map(|k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24, k % 3 == 0))
+            .collect();
+        assert!(spread.iter().all(|&(t, _)| t < len));
+        let map = map_matching_collapse(&spread, &[2, len - 3]);
+        assert_eq!(map.buckets.len(), 64, "next_pow2(2 · 20)");
+    }
 
-        let mut other = ListenCursor::new(&[], &contents);
-        assert!(!other.sends_in(3));
-        assert_eq!(other.content_at(3), Some(SlotContent::Collision));
-        assert_eq!(other.content_at(7), Some(SlotContent::SingleNoise));
+    #[test]
+    fn slot_map_resolves_keys_that_share_low_bits() {
+        // Seven sends size the table at 16 buckets; slots `16k + 15` chain
+        // from the last bucket round to the first, and the `16k` slots queue
+        // up behind them.
+        let sends = [
+            (15, true),
+            (31, false),
+            (47, true),
+            (63, false),
+            (0, true),
+            (16, true),
+            (31, true), // mid-chain: noise + m collide
+        ];
+        let map = map_matching_collapse(&sends, &[79, 32, 48, 1]);
+        assert_eq!(map.buckets.len(), 16);
+        assert_eq!(map.get(31), Some(SlotContent::Collision));
+    }
+
+    #[test]
+    fn slot_map_collides_three_or_more_senders() {
+        let mut sends = vec![(5, true); 3];
+        sends.extend([(9, true), (9, false), (9, false), (9, true), (2, true)]);
+        let map = map_matching_collapse(&sends, &[0, 3]);
+        assert_eq!(map.get(5), Some(SlotContent::Collision));
+        assert_eq!(map.get(9), Some(SlotContent::Collision));
+        assert_eq!((map.busy_slots, map.message_slots), (3, 1));
+    }
+
+    #[test]
+    fn slot_map_tells_message_noise_and_collision_apart() {
+        let sends = [
+            (3, true),
+            (4, false),
+            (7, true),
+            (7, true),
+            (8, false),
+            (8, true),
+        ];
+        let map = map_matching_collapse(&sends, &[0, 5, 6]);
+        assert_eq!(map.get(3), Some(SlotContent::Message));
+        assert_eq!(map.get(4), Some(SlotContent::SingleNoise));
+        assert_eq!(map.get(7), Some(SlotContent::Collision), "two m's collide");
+        assert_eq!(map.get(8), Some(SlotContent::Collision));
+    }
+
+    #[test]
+    fn slot_map_matches_collapse_on_sampled_repetitions() {
+        // Per-node Bernoulli send slots, as step 1 draws them, at lengths
+        // below, at and above the table's capacity; the map is reused.
+        let mut rng = RcbRng::new(24);
+        let mut map = SlotMap::default();
+        let mut slots = Vec::new();
+        for (len, p) in [
+            (64u64, 0.2),
+            (1 << 10, 0.01),
+            (1 << 20, 1e-4),
+            (1 << 40, 1e-10),
+        ] {
+            let mut sends = Vec::new();
+            for u in 0..12 {
+                sample_slots_into(&mut rng, len, p, &mut slots);
+                sends.extend(slots.iter().map(|&t| (t, u % 2 == 0)));
+            }
+            map.reset(sends.len());
+            for &(t, message) in &sends {
+                map.insert(t, message);
+            }
+            let expected = collapse(&sends);
+            for t in (0..len.min(4096)).chain(expected.iter().map(|e| e.0)) {
+                let want = expected.iter().find(|e| e.0 == t).map(|e| e.1);
+                assert_eq!(map.get(t), want, "len {len}, slot {t}");
+            }
+            assert_eq!(map.busy_slots, expected.len() as u64, "len {len}");
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * every named registry entry behind `rcbsim scenario run`;
 //!
 //! plus the fast-engine jamming paths the registry never reaches
-//! (`FAST_PATH_CHECKSUMS`).
+//! (`FAST_PATH_CHECKSUMS`) and the repetition summaries the fast engine
+//! hands its adversary (`SUMMARY_CHECKSUMS`).
 //!
 //! Each spec is replayed through a hand-built legacy harness — the
 //! pre-scenario construction for each (workload, engine) — that drives
@@ -26,7 +27,7 @@
 
 use proptest::prelude::*;
 use rcb_adversary::rep_strategies::{BudgetedRepBlocker, KeepAliveBlocker, NoJamRep, RandomRep};
-use rcb_adversary::traits::RepetitionAdversary;
+use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary};
 use rcb_adversary::RepAsSlotAdversary;
 use rcb_baselines::ksy::KsyProfile;
 use rcb_channel::partition::Partition;
@@ -409,12 +410,14 @@ fn registry_entries_match_legacy() {
 
 /// Fast-engine paths the registry's full-suffix blockers leave unpinned:
 /// `Random` is the only policy that emits `JamPlan::Slots`; the half-suffix
-/// and keep-alive blockers leave partly jammed repetitions, whose listens
-/// resolve against the channel contents; the last case adds
-/// `bcast_n64_faulted`'s loss + skew plan under the half-suffix blocker.
+/// and keep-alive blockers leave partly jammed repetitions, whose open
+/// slots are heard through the channel state; `half_suffix_loss_skew` adds
+/// `bcast_n64_faulted`'s loss + skew plan under the half-suffix blocker;
+/// `sparse` (n = 2 under a 10^6-slot full-suffix budget) runs into epochs
+/// whose repetitions are far longer than their send count.
 /// Batch checksums at 4 trials; a change here is a behaviour change and
 /// must be declared.
-const FAST_PATH_CHECKSUMS: [(&str, usize, u64); 8] = [
+const FAST_PATH_CHECKSUMS: [(&str, usize, u64); 9] = [
     ("random", 8, 0xbb76_a6f6_6bf9_e778),
     ("random", 64, 0x98dc_41f6_e776_1fe5),
     ("half_suffix", 8, 0x3de2_68f7_1025_a278),
@@ -423,6 +426,7 @@ const FAST_PATH_CHECKSUMS: [(&str, usize, u64); 8] = [
     ("keep_alive", 64, 0x27c6_587a_5455_a45c),
     ("half_suffix_loss_skew", 8, 0x5027_dab2_518f_82a5),
     ("half_suffix_loss_skew", 64, 0x72d2_cde7_c66a_5667),
+    ("sparse", 2, 0xe6cc_385c_a38c_9496),
 ];
 
 fn fast_path_spec(case: &str, n: usize) -> ScenarioSpec {
@@ -445,6 +449,13 @@ fn fast_path_spec(case: &str, n: usize) -> ScenarioSpec {
             FaultPlan::none(),
         ),
         "half_suffix_loss_skew" => (half, FaultPlan::none().with_loss(0.1).with_skew(5, 1)),
+        "sparse" => (
+            AdversarySpec::Budgeted {
+                budget: 1_000_000,
+                fraction: 1.0,
+            },
+            FaultPlan::none(),
+        ),
         _ => unreachable!("unknown fast-path case {case}"),
     };
     ScenarioSpec::broadcast(n)
@@ -463,6 +474,89 @@ fn fast_engine_partial_jam_paths_match_pins() {
             let checksum = assert_spec_matches_legacy(&fast_path_spec(case, n), &label);
             (checksum != expected).then(|| {
                 format!("{label}: {checksum:#018x} moved from the pinned {expected:#018x}")
+            })
+        })
+        .collect();
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
+
+/// Wraps a strategy and folds every field of every repetition summary the
+/// engine hands it into an FNV-1a checksum.
+struct SummaryRecorder {
+    inner: Box<dyn RepetitionAdversary>,
+    fold: u64,
+}
+
+impl RepetitionAdversary for SummaryRecorder {
+    fn plan(&mut self, ctx: &RepetitionContext) -> JamPlan {
+        self.inner.plan(ctx)
+    }
+
+    fn observe(&mut self, ctx: &RepetitionContext, summary: &RepetitionSummary) {
+        let RepetitionSummary {
+            message_slots,
+            busy_slots,
+            jammed_slots,
+            listen_actions,
+            send_actions,
+        } = *summary;
+        self.fold = fnv1a(
+            self.fold,
+            &[
+                message_slots,
+                busy_slots,
+                jammed_slots,
+                listen_actions,
+                send_actions,
+            ],
+        );
+        self.inner.observe(ctx, summary);
+    }
+
+    fn remaining_budget(&self) -> Option<u64> {
+        self.inner.remaining_budget()
+    }
+}
+
+/// The summaries the fast engine hands its adversary, folded over every
+/// repetition of 4 trials. No shipped strategy reads `message_slots` or
+/// `busy_slots`, so outcome checksums cannot see a miscount there; these
+/// pins can. A change here is a behaviour change and must be declared.
+const SUMMARY_CHECKSUMS: [(&str, usize, u64); 5] = [
+    ("random", 8, 0x0a15_5fef_fc7e_3015),
+    ("random", 64, 0x90ed_5d10_f132_78c5),
+    ("half_suffix", 8, 0xf388_dcd9_d9bc_d893),
+    ("half_suffix", 64, 0xea38_20cd_aaad_42b3),
+    ("sparse", 2, 0xe8f6_45e1_6bf0_1234),
+];
+
+#[test]
+fn fast_engine_repetition_summaries_match_pins() {
+    let moved: Vec<String> = SUMMARY_CHECKSUMS
+        .iter()
+        .filter_map(|&(case, n, expected)| {
+            let spec = fast_path_spec(case, n);
+            let Workload::Broadcast(w) = &spec.workload else {
+                unreachable!("fast-path specs are broadcasts")
+            };
+            let config = FastConfig {
+                max_epoch: w.max_epoch,
+            };
+            let mut fold = FNV_OFFSET;
+            for trial in 0..spec.trials {
+                let mut recorder = SummaryRecorder {
+                    inner: legacy_adversary(&spec.adversary, spec.seeds.adversary_seed(trial)),
+                    fold,
+                };
+                let child = SeedSequence::new(spec.seeds.master).child(trial);
+                BroadcastSession::new(w.params, n, w.sources.clone(), config, spec.faults, child)
+                    .run(&mut recorder, &Deadline::NONE);
+                fold = recorder.fold;
+            }
+            (fold != expected).then(|| {
+                format!(
+                    "{case} n={n}: summaries {fold:#018x} moved from the pinned {expected:#018x}"
+                )
             })
         })
         .collect();
