@@ -114,12 +114,12 @@ impl OneToNParams {
 
     /// Number of repetitions in epoch `i`: `⌈b·i^rep_pow⌉`.
     pub fn reps(&self, epoch: u32) -> u64 {
-        (self.b * (epoch as f64).powi(self.rep_pow as i32)).ceil() as u64
+        (self.b * epoch_pow(epoch, self.rep_pow)).ceil() as u64
     }
 
     /// The listen multiplier `d·i^listen_pow` (paper: `d·i³`).
     pub fn listen_mult(&self, epoch: u32) -> f64 {
-        self.d * (epoch as f64).powi(self.listen_pow as i32)
+        self.d * epoch_pow(epoch, self.listen_pow)
     }
 
     /// Per-slot send probability for rate variable `s`: `min(1, s/2^i)`.
@@ -154,7 +154,7 @@ impl OneToNParams {
     /// paper's asymptotic regime) — otherwise growth stalls and the case-1
     /// safety valve becomes unreachable.
     pub fn growth_denom(&self, epoch: u32, s: f64) -> f64 {
-        self.expected_listens(epoch, s) * (epoch as f64).powi(self.growth_extra_pow as i32)
+        self.expected_listens(epoch, s) * epoch_pow(epoch, self.growth_extra_pow)
     }
 
     /// Safety-valve bound (case 1): terminate when `s` exceeds
@@ -182,9 +182,57 @@ impl OneToNParams {
     }
 }
 
+/// `(epoch as f64).powi(k as i32)`, bit for bit, without the out-of-line
+/// `powi` call on the per-cohort-visit path.
+///
+/// While `epoch^k < 2^53`, every intermediate of `powi`'s repeated
+/// squaring is an integer below `2^53`, so it is exact and equals the
+/// integer power converted once. Larger powers (and exponents that wrap
+/// to a negative `i32`) take `powi` itself.
+fn epoch_pow(epoch: u32, k: u32) -> f64 {
+    const EXACT: u64 = 1 << 53;
+    match u64::from(epoch).checked_pow(k) {
+        Some(v) if v < EXACT && k <= i32::MAX as u32 => v as f64,
+        _ => (epoch as f64).powi(k as i32),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn epoch_pow_is_bit_identical_to_powi() {
+        // `black_box` keeps the compiler from folding either side with
+        // its own `pow`: the comparison is with the runtime `powi`.
+        use std::hint::black_box;
+        let powi = |e: u32, k: u32| (black_box(e) as f64).powi(black_box(k) as i32);
+        let fast = |e: u32, k: u32| epoch_pow(black_box(e), black_box(k));
+        for e in 0..=61u32 {
+            for k in 0..=8u32 {
+                assert_eq!(fast(e, k).to_bits(), powi(e, k).to_bits(), "{e}^{k}");
+            }
+        }
+        // Past 2^53 (and past u64) the fallback is `powi` itself; 2^53
+        // exactly and its neighbours straddle the bound.
+        for (e, k) in [
+            (2u32, 52u32),
+            (2, 53),
+            (2, 54),
+            (3, 33),
+            (3, 34),
+            (61, 9),
+            (61, 12),
+            (1 << 20, 3),
+            (u32::MAX, 2),
+            (u32::MAX, 5),
+            (0, u32::MAX),
+            (1, u32::MAX),
+            (2, 1 << 31),
+        ] {
+            assert_eq!(fast(e, k).to_bits(), powi(e, k).to_bits(), "{e}^{k}");
+        }
+    }
 
     #[test]
     fn paper_constants_are_the_figure_2_values() {

@@ -47,7 +47,12 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
     if k > n {
         return f64::NEG_INFINITY;
     }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
+    ln_choose_given(ln_factorial(n), n, k)
+}
+
+/// `ln C(n, k)` for `k ≤ n`, given `ln n!`.
+fn ln_choose_given(ln_n_factorial: f64, n: u64, k: u64) -> f64 {
+    ln_n_factorial - ln_factorial(k) - ln_factorial(n - k)
 }
 
 /// `ln P(Binomial(n, p) = k)`.
@@ -56,16 +61,7 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
 /// `p ≤ 0`/NaN, matching the samplers' documented clamp) or at `n` (for
 /// `p ≥ 1`).
 pub fn ln_binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    if p.is_nan() || p <= 0.0 {
-        return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
-    }
-    if p >= 1.0 {
-        return if k == n { 0.0 } else { f64::NEG_INFINITY };
-    }
-    ln_choose(n, k) + k as f64 * p.ln() + (n - k) as f64 * (-p).ln_1p()
+    BinomialLn::new(n, p).ln_pmf(k)
 }
 
 /// Below this bound every integer converts to `f64` exactly, and so does
@@ -85,112 +81,183 @@ pub const F64_EXACT_INT_BOUND: u64 = 1 << 53;
 /// one term is computed in log space, the rest in linear space relative
 /// to it.
 pub fn binomial_tail_gt(n: u64, k: u64, p: f64) -> f64 {
-    if p.is_nan() || p <= 0.0 {
-        return 0.0;
-    }
-    if p >= 1.0 {
-        return if k < n { 1.0 } else { 0.0 };
-    }
-    if k >= n {
-        return 0.0;
-    }
-    if (k as f64) < n as f64 * p {
-        // Cut below the mean: sum the *lower* tail P(X ≤ k) and subtract.
-        1.0 - lower_cdf_direct(n, k, p)
-    } else {
-        upper_tail_direct(n, k, p)
-    }
+    BinomialLn::new(n, p).tail_gt(k)
 }
 
 /// `P(Binomial(n, p) ≤ k)`, summed from whichever end of the support is
 /// numerically safe.
 pub fn binomial_cdf_le(n: u64, k: u64, p: f64) -> f64 {
-    if p.is_nan() || p <= 0.0 {
-        return 1.0;
-    }
-    if p >= 1.0 {
-        return if k >= n { 1.0 } else { 0.0 };
-    }
-    if k >= n {
-        return 1.0;
-    }
-    if (k as f64) < n as f64 * p {
-        lower_cdf_direct(n, k, p)
-    } else {
-        1.0 - upper_tail_direct(n, k, p)
-    }
+    BinomialLn::new(n, p).cdf_le(k)
 }
 
-/// `P(X ≤ k)` for `k` below the mean, summed *downward* from `j = k`.
+/// `Binomial(n, p)` with the log terms every pmf of it shares — `ln n!`,
+/// `ln p` and `ln(1−p)` — computed once.
 ///
-/// Anchoring the linear-space accumulator at the largest summed term —
-/// `pmf(k)`, since the pmf increases up to the mode — keeps every relative
-/// term in `[0, 1]` no matter how far the distribution's bulk sits from 0.
-/// (The previous anchor, `pmf(0)`, underflows once `n·ln(1−p) < −745`
-/// while the relative terms overflow, and `0·∞ = NaN` silently collapsed
-/// the whole tail; see the regression test.) Terms decay geometrically
-/// away from the mode, so the loop is `O(σ)`-ish, not `O(k)`.
-fn lower_cdf_direct(n: u64, k: u64, p: f64) -> f64 {
-    let ln_top = ln_binomial_pmf(n, k, p);
-    if ln_top == f64::NEG_INFINITY {
-        return 0.0;
-    }
-    let s = (1.0 - p) / p;
-    let exact = n < F64_EXACT_INT_BOUND;
-    let mut rel = 1.0f64; // term / pmf(k)
-    let mut sum = 0.0f64;
-    let mut j = k;
-    // `j` and `n − j + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
-    let (mut jf, mut df) = (k as f64, (n - k) as f64 + 1.0);
-    loop {
-        sum += rel;
-        if j == 0 {
-            break;
-        }
-        if !exact {
-            (jf, df) = (j as f64, (n - j + 1) as f64);
-        }
-        rel *= s * jf / df;
-        j -= 1;
-        (jf, df) = (jf - 1.0, df + 1.0);
-        if rel < 1e-18 * sum {
-            break;
-        }
-    }
-    (ln_top.exp() * sum).min(1.0)
+/// [`ln_binomial_pmf`], [`binomial_tail_gt`] and [`binomial_cdf_le`] are
+/// this type built for one call. A caller that evaluates several pmfs or
+/// tails of the same distribution (the cohort engine's split takes a tail
+/// and then the pmf its walk starts from) builds it once; a caller that
+/// meets the same `n` under many `p` passes `ln n!` in through
+/// [`with_ln_factorial`](Self::with_ln_factorial). Every result is bit
+/// for bit the one-call function's: the terms are the same values, used
+/// in the same expression order.
+#[derive(Debug, Clone, Copy)]
+pub struct BinomialLn {
+    n: u64,
+    p: f64,
+    ln_n_factorial: f64,
+    ln_p: f64,
+    ln_1m_p: f64,
 }
 
-/// `P(X > k)` for `k` at or above the mean, summed *upward* from
-/// `j = k + 1` — the largest term of the upper tail, so the same
-/// anchored-at-the-top argument applies.
-fn upper_tail_direct(n: u64, k: u64, p: f64) -> f64 {
-    let ln_first = ln_binomial_pmf(n, k + 1, p);
-    if ln_first == f64::NEG_INFINITY {
-        return 0.0;
+impl BinomialLn {
+    pub fn new(n: u64, p: f64) -> Self {
+        Self::with_ln_factorial(n, ln_factorial(n), p)
     }
-    let mut rel = 1.0f64; // term / pmf(k+1)
-    let mut sum = 0.0f64;
-    let s = p / (1.0 - p);
-    let exact = n < F64_EXACT_INT_BOUND;
-    let mut j = k + 1;
-    // `n − j` and `j + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
-    let (mut rf, mut jf) = ((n - j) as f64, j as f64 + 1.0);
-    loop {
-        sum += rel;
-        if j >= n {
-            break;
-        }
-        if !exact {
-            (rf, jf) = ((n - j) as f64, (j + 1) as f64);
-        }
-        rel *= s * rf / jf;
-        j += 1;
-        (rf, jf) = (rf - 1.0, jf + 1.0);
-        if rel < 1e-18 * sum {
-            break;
+
+    /// The distribution with `ln n!` supplied by the caller; it must be
+    /// [`ln_factorial(n)`](ln_factorial).
+    pub fn with_ln_factorial(n: u64, ln_n_factorial: f64, p: f64) -> Self {
+        debug_assert_eq!(ln_n_factorial.to_bits(), ln_factorial(n).to_bits());
+        Self {
+            n,
+            p,
+            ln_n_factorial,
+            ln_p: p.ln(),
+            ln_1m_p: (-p).ln_1p(),
         }
     }
-    (ln_first.exp() * sum).min(1.0)
+
+    /// `ln P(X = k)`; see [`ln_binomial_pmf`].
+    pub fn ln_pmf(&self, k: u64) -> f64 {
+        let (n, p) = (self.n, self.p);
+        if k > n {
+            return f64::NEG_INFINITY;
+        }
+        if p.is_nan() || p <= 0.0 {
+            return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
+        }
+        if p >= 1.0 {
+            return if k == n { 0.0 } else { f64::NEG_INFINITY };
+        }
+        ln_choose_given(self.ln_n_factorial, n, k)
+            + k as f64 * self.ln_p
+            + (n - k) as f64 * self.ln_1m_p
+    }
+
+    /// `P(X > k)`; see [`binomial_tail_gt`].
+    pub fn tail_gt(&self, k: u64) -> f64 {
+        let (n, p) = (self.n, self.p);
+        if p.is_nan() || p <= 0.0 {
+            return 0.0;
+        }
+        if p >= 1.0 {
+            return if k < n { 1.0 } else { 0.0 };
+        }
+        if k >= n {
+            return 0.0;
+        }
+        if (k as f64) < n as f64 * p {
+            // Cut below the mean: sum the *lower* tail P(X ≤ k) and subtract.
+            1.0 - self.lower_cdf_direct(k)
+        } else {
+            self.upper_tail_direct(k)
+        }
+    }
+
+    /// `P(X ≤ k)`; see [`binomial_cdf_le`].
+    pub fn cdf_le(&self, k: u64) -> f64 {
+        let (n, p) = (self.n, self.p);
+        if p.is_nan() || p <= 0.0 {
+            return 1.0;
+        }
+        if p >= 1.0 {
+            return if k >= n { 1.0 } else { 0.0 };
+        }
+        if k >= n {
+            return 1.0;
+        }
+        if (k as f64) < n as f64 * p {
+            self.lower_cdf_direct(k)
+        } else {
+            1.0 - self.upper_tail_direct(k)
+        }
+    }
+
+    /// `P(X ≤ k)` for `k` below the mean, summed *downward* from `j = k`.
+    ///
+    /// Anchoring the linear-space accumulator at the largest summed term —
+    /// `pmf(k)`, since the pmf increases up to the mode — keeps every
+    /// relative term in `[0, 1]` no matter how far the distribution's bulk
+    /// sits from 0. (The previous anchor, `pmf(0)`, underflows once
+    /// `n·ln(1−p) < −745` while the relative terms overflow, and
+    /// `0·∞ = NaN` silently collapsed the whole tail; see the regression
+    /// test.) Terms decay geometrically away from the mode, so the loop is
+    /// `O(σ)`-ish, not `O(k)`.
+    fn lower_cdf_direct(&self, k: u64) -> f64 {
+        let (n, p) = (self.n, self.p);
+        let ln_top = self.ln_pmf(k);
+        if ln_top == f64::NEG_INFINITY {
+            return 0.0;
+        }
+        let s = (1.0 - p) / p;
+        let exact = n < F64_EXACT_INT_BOUND;
+        let mut rel = 1.0f64; // term / pmf(k)
+        let mut sum = 0.0f64;
+        let mut j = k;
+        // `j` and `n − j + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
+        let (mut jf, mut df) = (k as f64, (n - k) as f64 + 1.0);
+        loop {
+            sum += rel;
+            if j == 0 {
+                break;
+            }
+            if !exact {
+                (jf, df) = (j as f64, (n - j + 1) as f64);
+            }
+            rel *= s * jf / df;
+            j -= 1;
+            (jf, df) = (jf - 1.0, df + 1.0);
+            if rel < 1e-18 * sum {
+                break;
+            }
+        }
+        (ln_top.exp() * sum).min(1.0)
+    }
+
+    /// `P(X > k)` for `k` at or above the mean, summed *upward* from
+    /// `j = k + 1` — the largest term of the upper tail, so the same
+    /// anchored-at-the-top argument applies.
+    fn upper_tail_direct(&self, k: u64) -> f64 {
+        let (n, p) = (self.n, self.p);
+        let ln_first = self.ln_pmf(k + 1);
+        if ln_first == f64::NEG_INFINITY {
+            return 0.0;
+        }
+        let mut rel = 1.0f64; // term / pmf(k+1)
+        let mut sum = 0.0f64;
+        let s = p / (1.0 - p);
+        let exact = n < F64_EXACT_INT_BOUND;
+        let mut j = k + 1;
+        // `n − j` and `j + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
+        let (mut rf, mut jf) = ((n - j) as f64, j as f64 + 1.0);
+        loop {
+            sum += rel;
+            if j >= n {
+                break;
+            }
+            if !exact {
+                (rf, jf) = ((n - j) as f64, (j + 1) as f64);
+            }
+            rel *= s * rf / jf;
+            j += 1;
+            (rf, jf) = (rf - 1.0, jf + 1.0);
+            if rel < 1e-18 * sum {
+                break;
+            }
+        }
+        (ln_first.exp() * sum).min(1.0)
+    }
 }
 
 #[cfg(test)]
@@ -290,10 +357,25 @@ mod tests {
         assert!(binomial_cdf_le(n, hi, p) > 1.0 - 1e-4);
     }
 
+    /// `ln_binomial_pmf` before [`BinomialLn`], verbatim: every log term
+    /// computed per call.
+    fn ln_binomial_pmf_reference(n: u64, k: u64, p: f64) -> f64 {
+        if k > n {
+            return f64::NEG_INFINITY;
+        }
+        if p.is_nan() || p <= 0.0 {
+            return if k == 0 { 0.0 } else { f64::NEG_INFINITY };
+        }
+        if p >= 1.0 {
+            return if k == n { 0.0 } else { f64::NEG_INFINITY };
+        }
+        ln_choose(n, k) + k as f64 * p.ln() + (n - k) as f64 * (-p).ln_1p()
+    }
+
     /// `lower_cdf_direct` as it was before its f64 counters, verbatim: the
     /// reference the counter form must match bit for bit.
     fn lower_cdf_reference(n: u64, k: u64, p: f64) -> f64 {
-        let ln_top = ln_binomial_pmf(n, k, p);
+        let ln_top = ln_binomial_pmf_reference(n, k, p);
         if ln_top == f64::NEG_INFINITY {
             return 0.0;
         }
@@ -317,7 +399,7 @@ mod tests {
 
     /// `upper_tail_direct` before its f64 counters, verbatim.
     fn upper_tail_reference(n: u64, k: u64, p: f64) -> f64 {
-        let ln_first = ln_binomial_pmf(n, k + 1, p);
+        let ln_first = ln_binomial_pmf_reference(n, k + 1, p);
         if ln_first == f64::NEG_INFINITY {
             return 0.0;
         }
@@ -342,21 +424,24 @@ mod tests {
     /// Both tail loops against their references at every `k` in `ks`
     /// (below `n`), bit for bit.
     fn assert_tails_match_reference(n: u64, p: f64, ks: impl IntoIterator<Item = u64>) {
+        let b = BinomialLn::new(n, p);
         for k in ks.into_iter().filter(|&k| k < n) {
-            let (lo, lo_ref) = (lower_cdf_direct(n, k, p), lower_cdf_reference(n, k, p));
+            let (lo, lo_ref) = (b.lower_cdf_direct(k), lower_cdf_reference(n, k, p));
             assert_eq!(lo.to_bits(), lo_ref.to_bits(), "lower n {n} k {k} p {p:e}");
-            let (up, up_ref) = (upper_tail_direct(n, k, p), upper_tail_reference(n, k, p));
+            let (up, up_ref) = (b.upper_tail_direct(k), upper_tail_reference(n, k, p));
             assert_eq!(up.to_bits(), up_ref.to_bits(), "upper n {n} k {k} p {p:e}");
         }
     }
 
-    #[test]
-    fn tail_counters_are_bit_identical_to_integer_conversion() {
-        // Small n: every cut. Large n, up to 2^40: cuts across the bulk,
-        // with p chosen so σ (and the loop) stays small.
+    /// The cuts below `2^53` that the tail tests sweep: `(n, p, ks)`.
+    /// Small n: every cut. Large n, up to 2^40: cuts across the bulk,
+    /// with p chosen so σ (and the loop) stays small, and the mirrored
+    /// regime with the mass near n.
+    fn tail_grid() -> Vec<(u64, f64, Vec<u64>)> {
+        let mut grid = Vec::new();
         for n in [1u64, 2, 3, 7, 64, 200] {
             for p in [1e-3, 0.04, 0.3, 0.5, 0.77, 0.999] {
-                assert_tails_match_reference(n, p, 0..n);
+                grid.push((n, p, (0..n).collect()));
             }
         }
         for n in [4096u64, 65_536, 1_000_000, 1 << 32, (1 << 40) - 3, 1 << 40] {
@@ -368,11 +453,55 @@ mod tests {
                 let sigma = (mean * (1.0 - p)).sqrt();
                 let ks = [-12.0, -4.0, -1.0, 0.0, 1.0, 4.0, 12.0, 40.0]
                     .map(|z| (mean + z * sigma).max(0.0) as u64);
-                assert_tails_match_reference(n, p, ks);
-                // The mirrored regime: mass near n.
-                assert_tails_match_reference(n, 1.0 - p, ks.map(|k| n.saturating_sub(k + 1)));
+                grid.push((n, p, ks.to_vec()));
+                grid.push((n, 1.0 - p, ks.map(|k| n.saturating_sub(k + 1)).to_vec()));
             }
         }
+        grid
+    }
+
+    #[test]
+    fn tail_counters_are_bit_identical_to_integer_conversion() {
+        for (n, p, ks) in tail_grid() {
+            assert_tails_match_reference(n, p, ks);
+        }
+    }
+
+    #[test]
+    fn shared_log_terms_are_bit_identical_to_per_call_terms() {
+        // One `BinomialLn` per (n, p), built from a separately computed
+        // `ln n!`, serves every cut: its pmfs and tails must equal the
+        // per-call formulas bit for bit, on both sides of the mean (the
+        // lower-cdf branch anchors at pmf(k), the upper at pmf(k + 1)).
+        let (mut below, mut above) = (0, 0);
+        for (n, p, ks) in tail_grid() {
+            let b = BinomialLn::with_ln_factorial(n, ln_factorial(n), p);
+            for k in ks.into_iter().filter(|&k| k < n) {
+                for j in [k, k + 1] {
+                    let want = ln_binomial_pmf_reference(n, j, p);
+                    assert_eq!(
+                        b.ln_pmf(j).to_bits(),
+                        want.to_bits(),
+                        "pmf n {n} j {j} p {p:e}"
+                    );
+                }
+                let want = if (k as f64) < n as f64 * p {
+                    below += 1;
+                    1.0 - lower_cdf_reference(n, k, p)
+                } else {
+                    above += 1;
+                    upper_tail_reference(n, k, p)
+                };
+                let got = b.tail_gt(k);
+                assert_eq!(got.to_bits(), want.to_bits(), "tail n {n} k {k} p {p:e}");
+                let one_call = binomial_tail_gt(n, k, p);
+                assert_eq!(one_call.to_bits(), want.to_bits(), "one-call n {n} k {k}");
+            }
+        }
+        assert!(
+            below > 100 && above > 100,
+            "branches: {below} below, {above} above"
+        );
     }
 
     #[test]

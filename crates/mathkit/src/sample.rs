@@ -351,11 +351,24 @@ pub fn multinomial_into(rng: &mut RcbRng, n: u64, weights: &[f64], out: &mut Vec
     if weights.is_empty() {
         return;
     }
+    // Once no items are left every category left gets 0, and stopping is
+    // bit-identical to splitting on: `binomial_fast(rng, 0, ·)` draws no
+    // RNG word. Zero-length regions (the cohort engine's skew prefix
+    // without a skew, its jammed regions in a clean repetition) then cost
+    // no weight sum and no per-category divide.
+    if n == 0 {
+        out.resize(weights.len(), 0);
+        return;
+    }
     out.reserve(weights.len());
     let sanitize = |w: f64| if w > 0.0 && w.is_finite() { w } else { 0.0 };
     let mut remaining_weight: f64 = weights.iter().copied().map(sanitize).sum();
     let mut remaining = n;
     for (idx, &raw) in weights.iter().enumerate() {
+        if remaining == 0 {
+            out.resize(weights.len(), 0);
+            return;
+        }
         if idx + 1 == weights.len() {
             out.push(remaining);
             break;
@@ -1057,6 +1070,72 @@ mod tests {
         // Single category takes it all.
         multinomial_into(&mut rng, 7, &[0.25], &mut out);
         assert_eq!(out, vec![7]);
+    }
+
+    /// `multinomial_into` before its early exit, verbatim: it splits every
+    /// category, including those after the items run out.
+    fn multinomial_reference(rng: &mut RcbRng, n: u64, weights: &[f64], out: &mut Vec<u64>) {
+        out.clear();
+        if weights.is_empty() {
+            return;
+        }
+        out.reserve(weights.len());
+        let sanitize = |w: f64| if w > 0.0 && w.is_finite() { w } else { 0.0 };
+        let mut remaining_weight: f64 = weights.iter().copied().map(sanitize).sum();
+        let mut remaining = n;
+        for (idx, &raw) in weights.iter().enumerate() {
+            if idx + 1 == weights.len() {
+                out.push(remaining);
+                break;
+            }
+            let w = sanitize(raw);
+            let p = if remaining_weight > 0.0 {
+                (w / remaining_weight).min(1.0)
+            } else {
+                0.0
+            };
+            let k = binomial_fast(rng, remaining, p);
+            out.push(k);
+            remaining -= k;
+            remaining_weight = (remaining_weight - w).max(0.0);
+        }
+    }
+
+    #[test]
+    fn multinomial_early_exit_matches_the_full_loop() {
+        // Counts from 0 up, weight vectors with a dominant head (items run
+        // out early), zero/NaN cells and long tails: same counts and the
+        // same generator state after every draw.
+        let mut shape = RcbRng::new(2014);
+        let (mut fast, mut reference) = (RcbRng::new(7), RcbRng::new(7));
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut early = 0;
+        for round in 0..20_000u64 {
+            let len = 1 + shape.below(12) as usize;
+            let weights: Vec<f64> = (0..len)
+                .map(|_| match shape.below(6) {
+                    0 => 0.0,
+                    1 => f64::NAN,
+                    2 => 1e3 * shape.f64(),
+                    _ => shape.f64(),
+                })
+                .collect();
+            let n = match round % 4 {
+                0 => 0,
+                1 => shape.below(3),
+                2 => shape.below(40),
+                _ => shape.below(1 << 20),
+            };
+            multinomial_into(&mut fast, n, &weights, &mut got);
+            multinomial_reference(&mut reference, n, &weights, &mut want);
+            assert_eq!(got, want, "round {round}: n {n} weights {weights:?}");
+            assert_eq!(fast, reference, "round {round}: generator state");
+            early += usize::from(n > 0 && got[..len - 1].iter().sum::<u64>() == n);
+        }
+        assert!(
+            early > 2_000,
+            "items ran out early in {early} draws with n > 0"
+        );
     }
 
     #[test]

@@ -58,11 +58,12 @@
 //!   draws per-node costs individually and has no smearing.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary};
 use rcb_core::one_to_n::node::{OneToNNode, Status, TermReason};
 use rcb_core::one_to_n::params::OneToNParams;
-use rcb_mathkit::binom::{binomial_tail_gt, ln_binomial_pmf, F64_EXACT_INT_BOUND};
+use rcb_mathkit::binom::{binomial_tail_gt, ln_factorial, BinomialLn, F64_EXACT_INT_BOUND};
 use rcb_mathkit::rng::RcbRng;
 use rcb_mathkit::sample::{binomial_fast, multinomial_into};
 use serde::{Deserialize, Serialize};
@@ -138,6 +139,14 @@ struct Tracked {
 /// rate variables drifted apart by less than the protocol can resolve in
 /// one repetition; in all-singleton mode no anonymous cohorts exist, so
 /// quantization never touches the conformance-gated scales.
+///
+/// A key is built and looked up once per successor cohort, on every
+/// anonymous-cohort visit, so both halves are kept cheap: `qls` is rounded
+/// by casts ([`round_to_i64`]) rather than a `round` call, and the merge
+/// index hashes keys with [`KeyHasher`] rather than SipHash. Neither
+/// choice can move a result: the index is only looked up, never iterated
+/// (a cohort's position is its push order), and the rounding equals
+/// `round() as i64` for every `f64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum CohortKey {
     Live {
@@ -165,12 +174,67 @@ fn cohort_key(node: &OneToNNode) -> CohortKey {
         CohortKey::Live {
             status: node.status(),
             epoch: node.epoch(),
-            qls: (node.s().log2() * QLS_PER_DOUBLING).round() as i64,
+            qls: round_to_i64(node.s().log2() * QLS_PER_DOUBLING),
             n_est_bits: node.n_estimate().map_or(0, f64::to_bits),
             ever_informed: node.ever_informed(),
         }
     }
 }
+
+/// `x.round() as i64` — half away from zero, saturating, NaN to 0 — for
+/// every `f64`, without the out-of-line `round` call.
+///
+/// The truncating cast gives `t`; below `2^63` in magnitude both `t as f64`
+/// and `x − t` (the fractional part) are exact, so comparing the fraction
+/// with ±½ decides the rounding exactly (`0.49999999999999994` stays 0,
+/// unlike `(x + 0.5)` then truncate). Past `2^53` `x` is an integer and the
+/// fraction is 0; at or past `±2^63` (and ±∞) `t` saturates and the
+/// saturating step keeps it there; NaN casts to 0 and fails both tests.
+fn round_to_i64(x: f64) -> i64 {
+    let t = x as i64;
+    let frac = x - t as f64;
+    t.saturating_add(i64::from(frac >= 0.5))
+        .saturating_sub(i64::from(frac <= -0.5))
+}
+
+/// The merge index's hasher: an Fx-style multiply-rotate over the key's
+/// words. Deterministic and unkeyed, which is safe here: the keys come
+/// from the simulation, not from outside, and the index is lookup-only,
+/// so its hash affects speed, never results.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        const K: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(K);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Successor-cohort key → position in the cohort list being built.
+type MergeIndex = HashMap<CohortKey, usize, BuildHasherDefault<KeyHasher>>;
 
 /// One fault-free, unbounded cohort-engine run on the caller's RNG that
 /// also reports compression diagnostics — how many cohorts existed, when
@@ -222,7 +286,9 @@ struct CohortState {
     scratch_counts: Vec<u64>,
     clear_groups: Vec<(u64, u64)>,
     next_cohorts: Vec<Cohort>,
-    merge_index: HashMap<CohortKey, usize>,
+    merge_index: MergeIndex,
+    /// Per tracked node, this repetition's `(p, ln(1 − p))` send terms.
+    send_terms: Vec<(f64, f64)>,
 }
 
 impl CohortState {
@@ -291,7 +357,8 @@ impl CohortState {
             scratch_counts: Vec::new(),
             clear_groups: Vec::new(),
             next_cohorts: Vec::new(),
-            merge_index: HashMap::new(),
+            merge_index: MergeIndex::default(),
+            send_terms: Vec::new(),
         }
     }
 
@@ -438,6 +505,7 @@ fn run_cohort_in(
         clear_groups,
         next_cohorts,
         merge_index,
+        send_terms,
     } = state;
     stats.tracked_nodes = tracked.len();
 
@@ -537,15 +605,27 @@ fn run_cohort_in(
             let mut saturated = 0u64;
             let mut anon_msg_ratio = 0.0f64; // Σ m·p/(1−p) over msg senders
             let mut sat_category: Option<usize> = None; // category of a lone saturated sender
+
+            // Each tracked node's send probability (0 while halted or
+            // offline) and `ln(1 − p)`, computed once for the composition,
+            // the weights and the node's own draws below.
+            send_terms.clear();
             for t in tracked.iter() {
-                if t.node.is_terminated() || t.offline {
+                let halted = t.node.is_terminated() || t.offline;
+                let p = if halted {
+                    0.0
+                } else {
+                    t.node.send_prob(params)
+                };
+                let ln_1m_p = if p < 1.0 { (-p).ln_1p() } else { 0.0 };
+                send_terms.push((p, ln_1m_p));
+                if halted {
                     continue;
                 }
-                let p = t.node.send_prob(params);
                 if p >= 1.0 {
                     saturated += 1;
                 } else {
-                    ln_rest += (-p).ln_1p();
+                    ln_rest += ln_1m_p;
                 }
             }
             for c in cohorts.iter() {
@@ -581,15 +661,10 @@ fn run_cohort_in(
             weights.clear();
             weights.push(p0);
             weights.push(p0 * anon_msg_ratio);
-            for t in tracked.iter() {
-                let p = if t.node.is_terminated() || t.offline {
-                    0.0
-                } else {
-                    t.node.send_prob(params)
-                };
+            for &(p, ln_1m_p) in send_terms.iter() {
                 let w = if saturated == 0 && p < 1.0 {
                     // Remove this sender's own factor from ln P(clear).
-                    (ln_rest - (-p).ln_1p()).exp() * p
+                    (ln_rest - ln_1m_p).exp() * p
                 } else if saturated == 1 && p >= 1.0 {
                     // The lone saturated sender: singleton wherever nobody
                     // else transmits.
@@ -648,7 +723,7 @@ fn run_cohort_in(
                     tracked[i].node.end_repetition(params, 0, 0);
                     continue;
                 }
-                let p = t.node.send_prob(params);
+                let p = send_terms[i].0;
                 let q = t.node.listen_prob(params);
                 let sends = binomial_fast(rng, len, p);
                 let listens = binomial_fast(rng, len - sends, q);
@@ -694,6 +769,9 @@ fn run_cohort_in(
                 next_cohorts.clear();
                 merge_index.clear();
                 let mut split_this_rep = false;
+                // Every cohort's clear counts are Binomial(clear_unjam, q):
+                // the `ln n!` of its pmfs is one value per repetition.
+                let ln_clear_factorial = ln_factorial(clear_unjam);
                 for c in cohorts.iter().copied() {
                     if c.node.is_terminated() {
                         push_merged(next_cohorts, merge_index, c);
@@ -714,7 +792,15 @@ fn run_cohort_in(
                     // that floor (and 0 for NaN) without a `floor` call.
                     let expected = params.expected_listens(epoch, c.node.s());
                     let t_growth = (expected / 2.0) as u64;
-                    split_by_clear(rng, c.count, clear_unjam, q, t_growth, clear_groups);
+                    split_by_clear(
+                        rng,
+                        c.count,
+                        clear_unjam,
+                        ln_clear_factorial,
+                        q,
+                        t_growth,
+                        clear_groups,
+                    );
 
                     // Message-outcome probabilities, shared by every clear
                     // group (listen coins are independent across slots).
@@ -924,8 +1010,19 @@ fn jammed_in_prefix(plan: &JamPlan, prefix: u64, len: u64) -> u64 {
 /// The above-`t` histogram is walked with the conditional pmf recurrence:
 /// `O(distinct occupied values)` binomial splits, which is `O(√(n0·q))`-ish
 /// in the clear-channel regime and zero when the channel is noise- or
-/// jam-saturated (the common large-n case).
-fn split_by_clear(rng: &mut RcbRng, m: u64, n0: u64, q: f64, t: u64, out: &mut Vec<(u64, u64)>) {
+/// jam-saturated (the common large-n case). The caller passes `ln(n0!)`,
+/// which it takes once per repetition; the tail and the walk's first pmf
+/// share one [`BinomialLn`], so `ln q` and `ln(1 − q)` are taken once per
+/// split.
+fn split_by_clear(
+    rng: &mut RcbRng,
+    m: u64,
+    n0: u64,
+    ln_n0_factorial: f64,
+    q: f64,
+    t: u64,
+    out: &mut Vec<(u64, u64)>,
+) {
     out.clear();
     if m == 0 {
         return;
@@ -935,11 +1032,13 @@ fn split_by_clear(rng: &mut RcbRng, m: u64, n0: u64, q: f64, t: u64, out: &mut V
         out.push((n0, m));
         return;
     }
-    let p_hi = if n0 > t {
-        binomial_tail_gt(n0, t, q)
-    } else {
-        0.0
-    };
+    if n0 <= t {
+        // No draw can exceed `t`: everyone is in the zero-growth group.
+        out.push((0, m));
+        return;
+    }
+    let dist = BinomialLn::with_ln_factorial(n0, ln_n0_factorial, q);
+    let p_hi = dist.tail_gt(t);
     let k_hi = if p_hi > 0.0 {
         binomial_fast(rng, m, p_hi)
     } else {
@@ -955,7 +1054,7 @@ fn split_by_clear(rng: &mut RcbRng, m: u64, n0: u64, q: f64, t: u64, out: &mut V
     // remaining members by the conditional probability pmf(v)/tail(v).
     let mut k_rem = k_hi;
     let mut v = t + 1;
-    let mut pmf = ln_binomial_pmf(n0, v, q).exp();
+    let mut pmf = dist.ln_pmf(v).exp();
     let mut tail = p_hi;
     let ratio = q / (1.0 - q);
     // `n0 − v` and `v + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
@@ -991,7 +1090,7 @@ fn split_by_clear(rng: &mut RcbRng, m: u64, n0: u64, q: f64, t: u64, out: &mut V
 /// Inserts a cohort into the builder, merging with an existing cohort of
 /// the same [`CohortKey`] (counts and cost pools add; the first-inserted
 /// representative state is kept).
-fn push_merged(out: &mut Vec<Cohort>, index: &mut HashMap<CohortKey, usize>, c: Cohort) {
+fn push_merged(out: &mut Vec<Cohort>, index: &mut MergeIndex, c: Cohort) {
     let key = cohort_key(&c.node);
     match index.get(&key) {
         Some(&i) => {
@@ -1008,7 +1107,9 @@ fn push_merged(out: &mut Vec<Cohort>, index: &mut HashMap<CohortKey, usize>, c: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep, SuffixFractionRep};
+    use rcb_adversary::rep_strategies::{
+        BudgetedRepBlocker, KeepAliveBlocker, NoJamRep, SuffixFractionRep,
+    };
 
     fn params() -> OneToNParams {
         OneToNParams::practical()
@@ -1234,6 +1335,74 @@ mod tests {
         assert!(rel < 0.25, "exact {exact} vs aggregate {agg}");
     }
 
+    /// Aggregate-mode runs at n = 512 folded per case: every outcome field
+    /// and every node's cost, over 3 trials. The cases cover what the
+    /// registry's full-suffix blockers leave to `bcast_n65536` alone:
+    /// partly jammed repetitions (half-suffix, keep-alive), and under the
+    /// faulted plan a skewed node's prefix regions, tracked crash and skew
+    /// singletons and lossy message tails. A change here is a behaviour
+    /// change and must be declared.
+    const AGGREGATE_CHECKSUMS: [(&str, u64); 4] = [
+        ("half_suffix", 0xda71_027b_223f_2100),
+        ("keep_alive", 0xa94a_0c5d_a8ca_dfa4),
+        ("half_suffix_faulted", 0x3d3f_1284_e188_67c6),
+        ("keep_alive_faulted", 0xcc64_ebf0_835b_b56a),
+    ];
+
+    fn aggregate_fold(case: &str) -> u64 {
+        let p = params();
+        let n = 512;
+        let faults = if case.ends_with("_faulted") {
+            FaultPlan::none()
+                .with_skew(5, 256)
+                .with_crash(9, 3, 6, true)
+                .with_loss(0.1)
+        } else {
+            FaultPlan::none()
+        };
+        let mut fold = crate::scenario::FNV_OFFSET;
+        for trial in 0..3u64 {
+            let budget = 1_500_000;
+            let mut adversary: Box<dyn RepetitionAdversary> = if case.starts_with("keep_alive") {
+                Box::new(KeepAliveBlocker::new(budget, 0.5))
+            } else {
+                Box::new(BudgetedRepBlocker::new(budget, 0.5))
+            };
+            let mut session =
+                CohortSession::new(p, n, vec![0], aggregate_config(), faults, 0xA66 + trial);
+            let (out, err) = session.run(adversary.as_mut(), &Deadline::NONE);
+            fold = crate::scenario::fnv1a(
+                fold,
+                &[
+                    out.slots,
+                    out.informed as u64,
+                    out.all_informed as u64,
+                    out.all_terminated as u64,
+                    out.safety_terminations as u64,
+                    out.adversary_cost,
+                    out.last_epoch as u64,
+                    out.truncated as u64,
+                    err.is_some() as u64,
+                ],
+            );
+            fold = crate::scenario::fnv1a(fold, &out.node_costs);
+        }
+        fold
+    }
+
+    #[test]
+    fn aggregate_mode_matches_pins() {
+        let moved: Vec<String> = AGGREGATE_CHECKSUMS
+            .iter()
+            .filter_map(|&(case, expected)| {
+                let got = aggregate_fold(case);
+                (got != expected)
+                    .then(|| format!("{case}: {got:#018x} moved from the pinned {expected:#018x}"))
+            })
+            .collect();
+        assert!(moved.is_empty(), "{}", moved.join("\n"));
+    }
+
     #[test]
     fn first_reception_splits_the_uninformed_cohort() {
         // The lazy-materialization boundary: in aggregate mode the
@@ -1389,6 +1558,55 @@ mod tests {
     }
 
     #[test]
+    fn cast_rounding_equals_round_for_every_f64() {
+        let check = |x: f64| {
+            let want = x.round() as i64;
+            assert_eq!(round_to_i64(x), want, "x = {x:e} ({:#018x})", x.to_bits());
+        };
+        let half_below = 0.5f64.next_down();
+        let mut edges = vec![
+            0.0,
+            f64::MIN_POSITIVE,
+            5e-324,
+            half_below,
+            0.5,
+            0.5f64.next_up(),
+            1.5,
+            2.5,
+            4503599627370495.5, // 2^52 − ½: the last half-integer
+            4503599627370496.0, // 2^52
+            9007199254740993.0, // rounds to 2^53
+            9.223372036854775e18,
+            9.223372036854776e18, // 2^63
+            9.223372036854778e18,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        edges.extend((1..=64).map(|e| 2f64.powi(e) - 0.5));
+        edges.extend((1..=64).map(|e| 2f64.powi(e) + 0.5));
+        for x in edges {
+            for y in [x, x.next_up(), x.next_down()] {
+                check(y);
+                check(-y);
+            }
+        }
+        // The keys' own range: 64·log₂ S for S anywhere in f64, plus
+        // values straddling every half-integer there.
+        let mut rng = RcbRng::new(2014);
+        for _ in 0..1_000_000 {
+            let s = f64::from_bits(rng.below(1 << 63)); // sign bit clear, any exponent
+            let x = s.log2() * QLS_PER_DOUBLING;
+            check(x);
+            let h = (rng.below(1 << 17) as f64 - 65_536.0) + 0.5;
+            check(h);
+            check(h.next_down());
+            check(h.next_up());
+        }
+    }
+
+    #[test]
     fn split_by_clear_conserves_members() {
         let mut rng = RcbRng::new(15);
         let mut out = Vec::new();
@@ -1398,7 +1616,7 @@ mod tests {
             (7, 100, 1.5, 10),  // saturated listen probability
             (100, 50, 0.9, 60), // threshold above support
         ] {
-            split_by_clear(&mut rng, m, n0, q, t, &mut out);
+            split_by_clear(&mut rng, m, n0, ln_factorial(n0), q, t, &mut out);
             let total: u64 = out.iter().map(|&(_, c)| c).sum();
             assert_eq!(total, m, "m {m} n0 {n0} q {q} t {t}");
             for &(v, _) in &out {
@@ -1414,7 +1632,7 @@ mod tests {
         let mut rng = RcbRng::new(16);
         let (m, n0, q, t) = (200_000u64, 100u64, 0.5f64, 49u64);
         let mut out = Vec::new();
-        split_by_clear(&mut rng, m, n0, q, t, &mut out);
+        split_by_clear(&mut rng, m, n0, ln_factorial(n0), q, t, &mut out);
         let hi: Vec<&(u64, u64)> = out.iter().filter(|&&(v, _)| v > t).collect();
         let hi_members: u64 = hi.iter().map(|&&(_, c)| c).sum();
         let hi_mean: f64 =
