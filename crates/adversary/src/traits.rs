@@ -91,6 +91,19 @@ impl JamPlan {
         }
     }
 
+    /// Where the plan's jammed suffix of a `len`-slot repetition starts:
+    /// every offset `t < len` is jammed exactly when `t ≥` the returned
+    /// start (`len` for no jamming, 0 for all of it). `None` for a
+    /// scattered [`Slots`](JamPlan::Slots) plan, which is no suffix.
+    pub fn suffix_start(&self, len: u64) -> Option<u64> {
+        match self {
+            JamPlan::None => Some(len),
+            JamPlan::Suffix(k) => Some(len - (*k).min(len)),
+            JamPlan::Slots(_) => None,
+            JamPlan::All => Some(0),
+        }
+    }
+
     /// Whether slot `offset` is jammed under this plan.
     pub fn is_jammed(&self, offset: u64, len: u64) -> bool {
         match self {
@@ -238,6 +251,32 @@ mod tests {
 
         assert!(JamPlan::All.is_jammed(0, 8));
         assert!(!JamPlan::None.is_jammed(0, 8));
+    }
+
+    #[test]
+    fn suffix_start_is_where_membership_begins() {
+        let len = 16;
+        assert_eq!(JamPlan::None.suffix_start(len), Some(len));
+        assert_eq!(JamPlan::Suffix(0).suffix_start(len), Some(len));
+        assert_eq!(JamPlan::Suffix(4).suffix_start(len), Some(12));
+        assert_eq!(JamPlan::Suffix(len).suffix_start(len), Some(0));
+        assert_eq!(JamPlan::Suffix(99).suffix_start(len), Some(0), "k > len");
+        assert_eq!(JamPlan::Suffix(u64::MAX).suffix_start(len), Some(0));
+        assert_eq!(JamPlan::All.suffix_start(len), Some(0));
+        assert_eq!(JamPlan::Slots(vec![3, 15]).suffix_start(len), None);
+        for plan in [
+            JamPlan::None,
+            JamPlan::Suffix(0),
+            JamPlan::Suffix(5),
+            JamPlan::Suffix(99),
+            JamPlan::All,
+        ] {
+            let start = plan.suffix_start(len).unwrap();
+            for t in 0..len {
+                assert_eq!(plan.is_jammed(t, len), t >= start, "{plan:?} slot {t}");
+            }
+            assert_eq!(plan.jam_count(len), len - start, "{plan:?}");
+        }
     }
 
     #[test]

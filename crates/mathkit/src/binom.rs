@@ -147,21 +147,30 @@ impl BinomialLn {
 
     /// `P(X > k)`; see [`binomial_tail_gt`].
     pub fn tail_gt(&self, k: u64) -> f64 {
+        self.tail_gt_anchored(k).0
+    }
+
+    /// [`tail_gt`](Self::tail_gt), plus `pmf(k + 1)` when the tail was
+    /// summed upward from it (`k` at or above the mean): the value
+    /// `ln_pmf(k + 1).exp()` bit for bit, for a caller that walks the pmf
+    /// on from `k + 1`.
+    pub fn tail_gt_anchored(&self, k: u64) -> (f64, Option<f64>) {
         let (n, p) = (self.n, self.p);
         if p.is_nan() || p <= 0.0 {
-            return 0.0;
+            return (0.0, None);
         }
         if p >= 1.0 {
-            return if k < n { 1.0 } else { 0.0 };
+            return (if k < n { 1.0 } else { 0.0 }, None);
         }
         if k >= n {
-            return 0.0;
+            return (0.0, None);
         }
         if (k as f64) < n as f64 * p {
             // Cut below the mean: sum the *lower* tail P(X ≤ k) and subtract.
-            1.0 - self.lower_cdf_direct(k)
+            (1.0 - self.lower_cdf_direct(k), None)
         } else {
-            self.upper_tail_direct(k)
+            let (tail, anchor) = self.upper_tail_direct(k);
+            (tail, Some(anchor))
         }
     }
 
@@ -180,7 +189,7 @@ impl BinomialLn {
         if (k as f64) < n as f64 * p {
             self.lower_cdf_direct(k)
         } else {
-            1.0 - self.upper_tail_direct(k)
+            1.0 - self.upper_tail_direct(k).0
         }
     }
 
@@ -227,12 +236,13 @@ impl BinomialLn {
 
     /// `P(X > k)` for `k` at or above the mean, summed *upward* from
     /// `j = k + 1` — the largest term of the upper tail, so the same
-    /// anchored-at-the-top argument applies.
-    fn upper_tail_direct(&self, k: u64) -> f64 {
+    /// anchored-at-the-top argument applies. Returns the anchor
+    /// `pmf(k + 1)` too.
+    fn upper_tail_direct(&self, k: u64) -> (f64, f64) {
         let (n, p) = (self.n, self.p);
         let ln_first = self.ln_pmf(k + 1);
         if ln_first == f64::NEG_INFINITY {
-            return 0.0;
+            return (0.0, 0.0);
         }
         let mut rel = 1.0f64; // term / pmf(k+1)
         let mut sum = 0.0f64;
@@ -256,7 +266,8 @@ impl BinomialLn {
                 break;
             }
         }
-        (ln_first.exp() * sum).min(1.0)
+        let first = ln_first.exp();
+        ((first * sum).min(1.0), first)
     }
 }
 
@@ -428,7 +439,7 @@ mod tests {
         for k in ks.into_iter().filter(|&k| k < n) {
             let (lo, lo_ref) = (b.lower_cdf_direct(k), lower_cdf_reference(n, k, p));
             assert_eq!(lo.to_bits(), lo_ref.to_bits(), "lower n {n} k {k} p {p:e}");
-            let (up, up_ref) = (b.upper_tail_direct(k), upper_tail_reference(n, k, p));
+            let (up, up_ref) = (b.upper_tail_direct(k).0, upper_tail_reference(n, k, p));
             assert_eq!(up.to_bits(), up_ref.to_bits(), "upper n {n} k {k} p {p:e}");
         }
     }
@@ -502,6 +513,43 @@ mod tests {
             below > 100 && above > 100,
             "branches: {below} below, {above} above"
         );
+    }
+
+    #[test]
+    fn anchored_tail_returns_the_walks_first_pmf_bit_for_bit() {
+        // Above the mean the tail is summed from pmf(k + 1), which a walk
+        // over the upper tail starts from: the anchor handed back must be
+        // `ln_pmf(k + 1).exp()` exactly, and the tail `tail_gt(k)`.
+        let (mut below, mut above) = (0, 0);
+        for (n, p, ks) in tail_grid() {
+            let b = BinomialLn::new(n, p);
+            for k in ks.into_iter().filter(|&k| k < n) {
+                let (tail, anchor) = b.tail_gt_anchored(k);
+                assert_eq!(
+                    tail.to_bits(),
+                    b.tail_gt(k).to_bits(),
+                    "n {n} k {k} p {p:e}"
+                );
+                match anchor {
+                    None => {
+                        assert!((k as f64) < n as f64 * p, "n {n} k {k} p {p:e}");
+                        below += 1;
+                    }
+                    Some(pmf) => {
+                        let want = b.ln_pmf(k + 1).exp();
+                        assert_eq!(pmf.to_bits(), want.to_bits(), "n {n} k {k} p {p:e}");
+                        above += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            below > 100 && above > 100,
+            "branches: {below} below, {above} above"
+        );
+        assert_eq!(BinomialLn::new(10, 0.0).tail_gt_anchored(3), (0.0, None));
+        assert_eq!(BinomialLn::new(10, 1.0).tail_gt_anchored(3), (1.0, None));
+        assert_eq!(BinomialLn::new(10, 0.5).tail_gt_anchored(10), (0.0, None));
     }
 
     #[test]

@@ -986,19 +986,16 @@ fn p_hear_any(m: u64, q: f64) -> f64 {
     -(m as f64 * (-q).ln_1p()).exp_m1()
 }
 
-/// How many jammed slots fall inside `[0, prefix)`.
+/// How many jammed slots fall inside `[0, prefix)`, for `prefix ≤ len`.
 fn jammed_in_prefix(plan: &JamPlan, prefix: u64, len: u64) -> u64 {
     if prefix == 0 {
         return 0;
     }
     match plan {
-        JamPlan::None => 0,
-        JamPlan::All => prefix,
-        JamPlan::Suffix(k) => {
-            let start = len - (*k).min(len);
-            prefix.saturating_sub(start)
-        }
         JamPlan::Slots(v) => v.iter().filter(|&&t| t < prefix && t < len).count() as u64,
+        _ => plan
+            .suffix_start(len)
+            .map_or(0, |start| prefix.saturating_sub(start)),
     }
 }
 
@@ -1013,7 +1010,8 @@ fn jammed_in_prefix(plan: &JamPlan, prefix: u64, len: u64) -> u64 {
 /// jam-saturated (the common large-n case). The caller passes `ln(n0!)`,
 /// which it takes once per repetition; the tail and the walk's first pmf
 /// share one [`BinomialLn`], so `ln q` and `ln(1 − q)` are taken once per
-/// split.
+/// split, and a tail summed upward from `pmf(t + 1)` hands that first pmf
+/// over instead of having it recomputed.
 fn split_by_clear(
     rng: &mut RcbRng,
     m: u64,
@@ -1038,7 +1036,7 @@ fn split_by_clear(
         return;
     }
     let dist = BinomialLn::with_ln_factorial(n0, ln_n0_factorial, q);
-    let p_hi = dist.tail_gt(t);
+    let (p_hi, anchor) = dist.tail_gt_anchored(t);
     let k_hi = if p_hi > 0.0 {
         binomial_fast(rng, m, p_hi)
     } else {
@@ -1054,7 +1052,7 @@ fn split_by_clear(
     // remaining members by the conditional probability pmf(v)/tail(v).
     let mut k_rem = k_hi;
     let mut v = t + 1;
-    let mut pmf = dist.ln_pmf(v).exp();
+    let mut pmf = anchor.unwrap_or_else(|| dist.ln_pmf(v).exp());
     let mut tail = p_hi;
     let ratio = q / (1.0 - q);
     // `n0 − v` and `v + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).

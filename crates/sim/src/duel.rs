@@ -4,10 +4,11 @@
 //! epoch `i`, Alice's send slots and Bob's listen slots are independent
 //! Bernoulli processes at rate `p_i`, so the engine samples the two slot
 //! sets directly (geometric skips; exact) and resolves them against the
-//! adversary's per-phase [`JamPlan`](rcb_adversary::traits::JamPlan). Cost
-//! per epoch is proportional to the
-//! parties' *activity*, not to `2^i` — executions with `T` in the millions
-//! take microseconds.
+//! adversary's per-phase [`JamPlan`] by run, as the broadcast engine does:
+//! the listener's skewed prefix and the jammed suffix are counted as noise,
+//! and only the audible run between them is walked against the sender's
+//! slots. Cost per epoch is proportional to the parties' *activity*, not to
+//! `2^i` — executions with `T` in the millions take microseconds.
 //!
 //! Drives the *same* phase-level state machines
 //! ([`AliceState`]/[`BobState`]) as the slot adapters, so halting semantics
@@ -19,16 +20,17 @@
 //! Alice in nack phases — which is the only jamming that accomplishes
 //! anything (jamming a sender is wasted energy) and costs 1 per slot.
 
-use rcb_adversary::traits::{RepetitionAdversary, RepetitionContext, RepetitionSummary};
+use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary};
 use rcb_core::one_to_one::profile::DuelProfile;
 use rcb_core::one_to_one::state::{AliceState, BobSendOutcome, BobState};
 use rcb_mathkit::rng::RcbRng;
-use rcb_mathkit::sample::{bernoulli, sample_slots_into};
+use rcb_mathkit::sample::sample_slots_into;
 use serde::{Deserialize, Serialize};
 
 use crate::deadline::Deadline;
 use crate::error::SimError;
-use crate::faults::FaultPlan;
+use crate::fast::{listen_runs, shared_slots};
+use crate::faults::{FaultPlan, LossCoins};
 use crate::outcome::DuelOutcome;
 use crate::session::{OwnsRng, Session};
 
@@ -49,20 +51,60 @@ impl Default for DuelConfig {
     }
 }
 
-/// Sorted-merge membership scan: for each element of `listens` (sorted),
-/// reports whether it occurs in `sends` (sorted) via the callback; returns
-/// at the first callback that says "stop".
-fn scan_listens(listens: &[u64], sends: &[u64], mut on_listen: impl FnMut(u64, bool) -> bool) {
-    let mut j = 0usize;
-    for &t in listens {
-        while j < sends.len() && sends[j] < t {
+/// Bob's send-phase listens, by run, up to the first `m` he decodes: his
+/// listen actions, the noise he heard and the slot he decoded `m` in.
+fn bob_hears(
+    listens: &[u64],
+    alice_sends: &[u64],
+    skew: u64,
+    plan: &JamPlan,
+    len: u64,
+    loss: &mut LossCoins,
+) -> (u64, u64, Option<u64>) {
+    let jam_start = plan.suffix_start(len);
+    let (a, b) = listen_runs(listens, skew, jam_start);
+    let mut noise = a as u64;
+    let mut j = 0;
+    for (i, &t) in listens[a..b].iter().enumerate() {
+        if jam_start.is_none() && plan.is_jammed(t, len) {
+            noise += 1;
+            continue;
+        }
+        while alice_sends.get(j).is_some_and(|&s| s < t) {
             j += 1;
         }
-        let hit = j < sends.len() && sends[j] == t;
-        if on_listen(t, hit) {
-            return;
+        if alice_sends.get(j) == Some(&t) {
+            if !loss.lost() {
+                return ((a + i + 1) as u64, noise, Some(t));
+            }
+            noise += 1;
         }
     }
+    let noise = noise + (listens.len() - b) as u64;
+    (listens.len() as u64, noise, None)
+}
+
+/// Alice's nack-phase listens, by run: whether she heard a nack, and the
+/// noise she heard. One loss coin per audible nack, tossed after the run.
+fn alice_hears(
+    listens: &[u64],
+    nacks: &[u64],
+    skew: u64,
+    plan: &JamPlan,
+    len: u64,
+    loss: &mut LossCoins,
+) -> (bool, u64) {
+    let jam_start = plan.suffix_start(len);
+    let (a, b) = listen_runs(listens, skew, jam_start);
+    let audible = &listens[a..b];
+    let jammed_within = |&t: &u64| jam_start.is_none() && plan.is_jammed(t, len);
+    let jammed = audible.iter().filter(|t| jammed_within(t)).count();
+    let nacks_heard = shared_slots(nacks, audible)
+        .filter(|t| !jammed_within(t))
+        .count() as u64;
+    let kept = loss.kept(nacks_heard);
+    let noise = (a + jammed + listens.len() - b) as u64 + nacks_heard - kept;
+    (kept > 0, noise)
 }
 
 /// Reusable phase buffers: the transmitting party's slot set and the
@@ -186,25 +228,12 @@ fn run_duel_in<P: DuelProfile>(
     let mut truncated = false;
     let mut error = None;
 
-    // Fault state (Alice = node 0, Bob = node 1). The dedicated stream is
-    // derived only for non-empty plans so `FaultPlan::none()` is
-    // bit-identical to the unfaulted engine.
-    let mut fault_rng = if faults.is_none() {
-        None
-    } else {
-        Some(rng.split())
-    };
-    let loss_p = faults.loss_p();
+    // Fault state (Alice = node 0, Bob = node 1).
+    let mut loss = LossCoins::new(faults, rng);
     let alice_skew = faults.skew_slots(0);
     let bob_skew = faults.skew_slots(1);
     let mut alice_dead = false;
     let mut bob_dead = false;
-    // A lost reception: the payload was on the air but this radio failed
-    // to decode it — the listener hears noise instead.
-    let lost = |frng: &mut Option<RcbRng>| match frng {
-        Some(r) if loss_p > 0.0 => bernoulli(r, loss_p),
-        _ => false,
-    };
 
     // Session-owned phase buffers (capacity survives re-arms); their
     // contents never feed the RNG, so reuse cannot perturb determinism.
@@ -267,7 +296,6 @@ fn run_duel_in<P: DuelProfile>(
         let alice_sends = &sends_buf;
         alice_cost += alice_sends.len() as u64;
 
-        let mut bob_noise = 0u64;
         let mut bob_outcome = None;
         let mut bob_listened = 0u64;
         if !bob.is_done() {
@@ -277,28 +305,9 @@ fn run_duel_in<P: DuelProfile>(
                 bob_outcome = Some(bob.end_send_phase(false, 0, thr));
             } else {
                 sample_slots_into(rng, len, rate, listens_buf);
-                let mut got_m_at = None;
-                scan_listens(listens_buf, alice_sends, |t, alice_sent| {
-                    bob_listened += 1;
-                    if t < bob_skew {
-                        // Misaligned boundary slot: undecodable energy.
-                        bob_noise += 1;
-                        false
-                    } else if plan.is_jammed(t, len) {
-                        bob_noise += 1;
-                        false
-                    } else if alice_sent {
-                        if lost(&mut fault_rng) {
-                            bob_noise += 1;
-                            false
-                        } else {
-                            got_m_at = Some(t);
-                            true // Bob halts immediately on m; stop listening.
-                        }
-                    } else {
-                        false
-                    }
-                });
+                let (bob_noise, got_m_at);
+                (bob_listened, bob_noise, got_m_at) =
+                    bob_hears(listens_buf, alice_sends, bob_skew, &plan, len, &mut loss);
                 bob_cost += bob_listened;
                 if let Some(t) = got_m_at {
                     bob.receive_message();
@@ -364,22 +373,8 @@ fn run_duel_in<P: DuelProfile>(
                 sample_slots_into(rng, len, rate, listens_buf);
                 alice_listened = listens_buf.len() as u64;
                 alice_cost += alice_listened;
-                let mut heard_nack = false;
-                let mut alice_noise = 0u64;
-                scan_listens(listens_buf, bob_nacks, |t, bob_sent| {
-                    // Skew is checked before jamming; both decode as noise
-                    // and neither draws the loss coin.
-                    if t < alice_skew || plan2.is_jammed(t, len) {
-                        alice_noise += 1;
-                    } else if bob_sent {
-                        if lost(&mut fault_rng) {
-                            alice_noise += 1;
-                        } else {
-                            heard_nack = true;
-                        }
-                    }
-                    false
-                });
+                let (heard_nack, alice_noise) =
+                    alice_hears(listens_buf, bob_nacks, alice_skew, &plan2, len, &mut loss);
                 alice.end_epoch(heard_nack, alice_noise, thr);
             }
         }
@@ -431,6 +426,7 @@ mod tests {
     use super::*;
     use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
     use rcb_core::one_to_one::profile::Fig1Profile;
+    use rcb_mathkit::sample::bernoulli;
 
     /// One run of a fresh session on the caller's RNG — the one-shot hand-off
     /// a spec trial uses — so unit tests can share one stream across trials.
@@ -910,27 +906,162 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scan_listens_merge_logic() {
-        let listens = [1u64, 3, 5, 7];
-        let sends = [2u64, 3, 7];
-        let mut hits = Vec::new();
-        scan_listens(&listens, &sends, |t, hit| {
-            hits.push((t, hit));
+    /// The sorted-merge membership scan both parties' listens went
+    /// through before they were resolved by run, verbatim: reports for each
+    /// listen whether it is in `sends`, until the callback says stop.
+    fn scan_listens(listens: &[u64], sends: &[u64], mut on_listen: impl FnMut(u64, bool) -> bool) {
+        let mut j = 0usize;
+        for &t in listens {
+            while j < sends.len() && sends[j] < t {
+                j += 1;
+            }
+            let hit = j < sends.len() && sends[j] == t;
+            if on_listen(t, hit) {
+                return;
+            }
+        }
+    }
+
+    /// Bob's send-phase scan before run resolution, verbatim but for its
+    /// inputs and outputs: `(listens, noise, slot m was decoded in)`.
+    #[allow(clippy::too_many_arguments)]
+    fn bob_reference(
+        listens: &[u64],
+        alice_sends: &[u64],
+        bob_skew: u64,
+        plan: &JamPlan,
+        len: u64,
+        fault_rng: &mut Option<RcbRng>,
+        loss_p: f64,
+    ) -> (u64, u64, Option<u64>) {
+        let lost = |frng: &mut Option<RcbRng>| match frng {
+            Some(r) if loss_p > 0.0 => bernoulli(r, loss_p),
+            _ => false,
+        };
+        let (mut bob_listened, mut bob_noise, mut got_m_at) = (0u64, 0u64, None);
+        scan_listens(listens, alice_sends, |t, alice_sent| {
+            bob_listened += 1;
+            if t < bob_skew {
+                // Misaligned boundary slot: undecodable energy.
+                bob_noise += 1;
+                false
+            } else if plan.is_jammed(t, len) {
+                bob_noise += 1;
+                false
+            } else if alice_sent {
+                if lost(fault_rng) {
+                    bob_noise += 1;
+                    false
+                } else {
+                    got_m_at = Some(t);
+                    true // Bob halts immediately on m; stop listening.
+                }
+            } else {
+                false
+            }
+        });
+        (bob_listened, bob_noise, got_m_at)
+    }
+
+    /// Alice's nack-phase scan before run resolution, verbatim but for its
+    /// inputs and outputs: `(heard a nack, noise)`.
+    fn alice_reference(
+        listens: &[u64],
+        bob_nacks: &[u64],
+        alice_skew: u64,
+        plan2: &JamPlan,
+        len: u64,
+        fault_rng: &mut Option<RcbRng>,
+        loss_p: f64,
+    ) -> (bool, u64) {
+        let lost = |frng: &mut Option<RcbRng>| match frng {
+            Some(r) if loss_p > 0.0 => bernoulli(r, loss_p),
+            _ => false,
+        };
+        let mut heard_nack = false;
+        let mut alice_noise = 0u64;
+        scan_listens(listens, bob_nacks, |t, bob_sent| {
+            // Skew is checked before jamming; both decode as noise
+            // and neither draws the loss coin.
+            if t < alice_skew || plan2.is_jammed(t, len) {
+                alice_noise += 1;
+            } else if bob_sent {
+                if lost(fault_rng) {
+                    alice_noise += 1;
+                } else {
+                    heard_nack = true;
+                }
+            }
             false
         });
-        assert_eq!(hits, vec![(1, false), (3, true), (5, false), (7, true)]);
+        (heard_nack, alice_noise)
     }
 
     #[test]
-    fn scan_listens_early_stop() {
-        let listens = [1u64, 2, 3];
-        let sends = [2u64];
-        let mut seen = 0;
-        scan_listens(&listens, &sends, |_, hit| {
-            seen += 1;
-            hit
-        });
-        assert_eq!(seen, 2, "stops at the first hit");
+    fn listens_by_run_hear_the_hand_worked_phases() {
+        // Listens 1, 3, 5, 7 against sends 2, 3, 7: Bob stops at 3, his
+        // second listen; Alice hears both nacks. With a skew of 4 and the
+        // last slot jammed, Bob hears 1, 3 and 7 as noise and never m, and
+        // Alice hears nothing but noise.
+        let (listens, sends) = ([1u64, 3, 5, 7], [2u64, 3, 7]);
+        let mut quiet = LossCoins { rng: None, p: 0.0 };
+        let (open, tail) = (JamPlan::None, JamPlan::Suffix(1));
+        let bob = bob_hears(&listens, &sends, 0, &open, 8, &mut quiet);
+        assert_eq!(bob, (2, 0, Some(3)));
+        let alice = alice_hears(&listens, &sends, 0, &open, 8, &mut quiet);
+        assert_eq!(alice, (true, 0));
+        let bob = bob_hears(&listens, &sends, 4, &tail, 8, &mut quiet);
+        assert_eq!(bob, (4, 3, None));
+        let alice = alice_hears(&listens, &sends, 4, &tail, 8, &mut quiet);
+        assert_eq!(alice, (false, 3));
+        // Bob stops at the first hit: his third listen goes unmade.
+        let bob = bob_hears(&[1, 2, 3], &[2], 0, &open, 4, &mut quiet);
+        assert_eq!(bob, (2, 0, Some(2)));
+    }
+
+    #[test]
+    fn listens_by_run_match_the_per_listen_scans() {
+        // Random phases: every plan shape, skew on either side of the jam
+        // start, listens forced onto the other party's send slots, empty
+        // send and listen sets, loss on and off. Bob's and Alice's scans
+        // share one loss stream per case, Bob's coins first.
+        use crate::fast::tests::{any_loss, any_plan, any_skew, with_some_of};
+        let mut rng = RcbRng::new(2014);
+        let (mut stops, mut coins, mut nacks_heard) = (0, 0, 0);
+        let (mut sends, mut listens) = (Vec::new(), Vec::new());
+        for case in 0..6000 {
+            let len = 16u64 << rng.below(7);
+            let mut loss = any_loss(&mut rng);
+            let mut fault_rng = loss.rng.clone();
+            for bob_listens in [true, false] {
+                let plan = any_plan(&mut rng, len);
+                let skew = any_skew(&mut rng, &plan, len);
+                let p = [0.0, 0.05, 0.3][rng.below(3) as usize];
+                sample_slots_into(&mut rng, len, p, &mut sends);
+                let q = [0.0, 0.05, 0.3, 0.9][rng.below(4) as usize];
+                sample_slots_into(&mut rng, len, q, &mut listens);
+                let listens = with_some_of(&mut rng, &listens, &sends);
+                let before = loss.rng.clone();
+                if bob_listens {
+                    let got = bob_hears(&listens, &sends, skew, &plan, len, &mut loss);
+                    let want =
+                        bob_reference(&listens, &sends, skew, &plan, len, &mut fault_rng, loss.p);
+                    assert_eq!(got, want, "case {case}: Bob, {plan:?} skew {skew}");
+                    stops += u32::from(want.2.is_some() && want.0 < listens.len() as u64);
+                } else {
+                    let got = alice_hears(&listens, &sends, skew, &plan, len, &mut loss);
+                    let want =
+                        alice_reference(&listens, &sends, skew, &plan, len, &mut fault_rng, loss.p);
+                    assert_eq!(got, want, "case {case}: Alice, {plan:?} skew {skew}");
+                    nacks_heard += u32::from(want.0);
+                }
+                assert_eq!(loss.rng, fault_rng, "case {case}: loss stream");
+                coins += u32::from(loss.p == 0.3 && loss.rng != before);
+            }
+        }
+        assert!(
+            stops > 100 && nacks_heard > 100 && coins > 100,
+            "{stops} early stops, {nacks_heard} nacks heard, {coins} lossy phases"
+        );
     }
 }

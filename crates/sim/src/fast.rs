@@ -3,36 +3,37 @@
 //! Per repetition of epoch `i` (`2^i` slots):
 //!
 //! 1. every live node's send slots and listen slots are sampled as exact
-//!    Bernoulli processes (geometric skips), with listen slots that collide
-//!    with the node's own send slots dropped (a radio cannot do both — the
-//!    same rule the slot adapter uses);
+//!    Bernoulli processes (geometric skips);
 //! 2. all send events go into a per-repetition slot map, an open-addressing
 //!    table from slot to channel state (single `m` / single noise /
 //!    collision) whose capacity follows the send count, never `2^i`;
-//! 3. every listen event is resolved against the jam plan and one slot-map
-//!    lookup — observations therefore remain **fully coupled across nodes**
-//!    (two listeners of the same slot hear the same thing), which Lemma 6
-//!    style properties depend on. Each node's sorted listen slots are
-//!    merge-walked against its own sorted send slots to drop the slots it
-//!    transmits in;
+//! 3. each node's sorted listen slots are resolved by run. Two binary
+//!    searches split off the prefix its clock skew garbles and the plan's
+//!    jammed suffix (Lemma 1's canonical form), which are only counted;
+//!    each slot of the audible run between them takes one slot-map lookup,
+//!    so observations remain **fully coupled across nodes** (two listeners
+//!    of the same slot hear the same thing), which Lemma 6 style properties
+//!    depend on. Listen slots the node also sends in, found by binary
+//!    search, are dropped (a radio cannot do both — the same rule the slot
+//!    adapter uses); its loss coins are tossed after the run;
 //! 4. each node's `(clear, messages)` counts feed
 //!    [`OneToNNode::end_repetition`] — the same state machine the exact
 //!    engine drives.
 //!
-//! Work per repetition is one map insert per send plus, per listen, one
-//! expected-`O(1)` lookup and a step of the node's own-send merge,
-//! independent of `2^i`.
+//! Work per repetition is one map insert per send and, per listener, two
+//! binary searches, one per own send, and one expected-`O(1)` lookup per
+//! audible listen, independent of `2^i`.
 
-use rcb_adversary::traits::{RepetitionAdversary, RepetitionContext, RepetitionSummary};
+use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary};
 use rcb_core::one_to_n::node::OneToNNode;
 use rcb_core::one_to_n::params::OneToNParams;
 use rcb_mathkit::rng::RcbRng;
-use rcb_mathkit::sample::{bernoulli, sample_slots_into};
+use rcb_mathkit::sample::sample_slots_into;
 use serde::{Deserialize, Serialize};
 
 use crate::deadline::Deadline;
 use crate::error::SimError;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, LossCoins};
 use crate::outcome::BroadcastOutcome;
 use crate::session::{OwnsRng, Session};
 
@@ -119,15 +120,64 @@ impl SlotMap {
         }
     }
 
-    /// The channel content of slot `t`; `None` is a silent slot.
-    fn get(&self, t: u64) -> Option<SlotContent> {
-        match self.buckets[self.bucket_of(t)] & 3 {
-            0 => None,
-            1 => Some(SlotContent::Message),
-            2 => Some(SlotContent::SingleNoise),
-            _ => Some(SlotContent::Collision),
+    /// Slot `t`'s code: 0 for a silent slot, else its [`SlotContent`].
+    fn code(&self, t: u64) -> u64 {
+        self.buckets[self.bucket_of(t)] & 3
+    }
+}
+
+/// Splits sorted `listens` into runs: `[..a]` in the `skew` prefix, `[b..]`
+/// from `jam_start` ([`JamPlan::suffix_start`]; none for a scattered plan,
+/// whose jammed slots stay inside), and the audible run `[a..b]`.
+pub(crate) fn listen_runs(listens: &[u64], skew: u64, jam_start: Option<u64>) -> (usize, usize) {
+    let a = listens.partition_point(|&t| t < skew);
+    let b = jam_start.map_or(listens.len(), |s| {
+        a + listens[a..].partition_point(|&t| t < s)
+    });
+    (a, b)
+}
+
+/// The slots in both sorted, duplicate-free `x` and `y`, in order: each
+/// slot of the shorter is searched in the longer, `O(min · log max)`.
+pub(crate) fn shared_slots<'s>(x: &'s [u64], y: &'s [u64]) -> impl Iterator<Item = u64> + 's {
+    let (few, many) = if x.len() <= y.len() { (x, y) } else { (y, x) };
+    few.iter()
+        .copied()
+        .filter(|s| many.binary_search(s).is_ok())
+}
+
+/// Step 3 for one node: its listen actions (`listens` minus its `own`
+/// sends), the clear slots it heard and its `m` receptions kept.
+fn resolve_listener(
+    listens: &[u64],
+    own: &[u64],
+    skew: u64,
+    plan: &JamPlan,
+    len: u64,
+    map: &SlotMap,
+    loss: &mut LossCoins,
+) -> (u64, u64, u64) {
+    let jam_start = plan.suffix_start(len);
+    let (a, b) = listen_runs(listens, skew, jam_start);
+    let (mut clear, mut raw_m) = (0u64, 0u64);
+    for &t in &listens[a..b] {
+        if jam_start.is_none() && plan.is_jammed(t, len) {
+            continue;
+        }
+        let code = map.code(t);
+        clear += u64::from(code == 0);
+        raw_m += u64::from(code == SlotContent::Message as u64);
+    }
+    // An own send slot is busy in the map, so it never counted as clear;
+    // it counted as `m` if it is audible and this node sent `m` there alone.
+    let mut own_listens = 0u64;
+    for s in shared_slots(own, listens) {
+        own_listens += 1;
+        if s >= skew && !plan.is_jammed(s, len) && map.code(s) == SlotContent::Message as u64 {
+            raw_m -= 1;
         }
     }
+    (listens.len() as u64 - own_listens, clear, loss.kept(raw_m))
 }
 
 /// Per-repetition observer hook for instrumented runs (E10, E12,
@@ -157,8 +207,6 @@ struct FastState {
     own_send_offsets: Vec<usize>,
     slot_map: SlotMap,
     scratch: Vec<u64>,
-    clear_counts: Vec<u64>,
-    msg_counts: Vec<u64>,
 }
 
 impl FastState {
@@ -177,8 +225,6 @@ impl FastState {
             own_send_offsets: vec![0; n + 1],
             slot_map: SlotMap::default(),
             scratch: Vec::new(),
-            clear_counts: vec![0; n],
-            msg_counts: vec![0; n],
         }
     }
 
@@ -191,10 +237,6 @@ impl FastState {
         self.costs.fill(0);
         self.dead.fill(false);
         self.offline.fill(false);
-        // The loop zeroes these as it goes, but a truncated run can leave
-        // residue in the last repetition's counts.
-        self.clear_counts.fill(0);
-        self.msg_counts.fill(0);
     }
 }
 
@@ -331,8 +373,6 @@ fn run_broadcast_in(
         own_send_offsets,
         slot_map,
         scratch,
-        clear_counts,
-        msg_counts,
     } = state;
     let n = nodes.len();
     let mut adversary_cost = 0u64;
@@ -340,17 +380,10 @@ fn run_broadcast_in(
     let mut period = 0u64;
     let mut truncated = true;
 
-    // Fault state. The dedicated RNG stream is derived only for non-empty
-    // plans, so `FaultPlan::none()` leaves the caller's stream — and hence
-    // every sample below — bit-identical to the unfaulted engine.
+    // Fault state; `FaultPlan::none()` leaves the caller's stream alone.
     debug_assert!(faults.validate().is_ok(), "invalid fault plan");
     let has_faults = !faults.is_none();
-    let mut fault_rng = if has_faults { Some(rng.split()) } else { None };
-    let loss_p = faults.loss_p();
-    let lost = |frng: &mut Option<RcbRng>| match frng {
-        Some(r) if loss_p > 0.0 => bernoulli(r, loss_p),
-        _ => false,
-    };
+    let mut loss = LossCoins::new(faults, rng);
     let mut pending_reboot = faults.reboot_at();
 
     // Deadline checkpoints sit at repetition boundaries (the granularity
@@ -432,54 +465,25 @@ fn run_broadcast_in(
                 }
             }
 
-            // 3. Listen events.
+            // 3. Listen events, resolved by run; 4. each node's epilogue,
+            // which reads only its own counts (zero while its radio is off).
             let mut total_listens = 0u64;
-            for (u, node) in nodes.iter().enumerate() {
-                if node.is_terminated() || offline[u] {
-                    continue;
-                }
-                let skew = faults.skew_slots(u);
-                sample_slots_into(rng, len, node.listen_prob(params), scratch);
-                let own = &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]];
-                let mut next_own = 0;
-                for &t in scratch.iter() {
-                    while own.get(next_own).is_some_and(|&s| s < t) {
-                        next_own += 1;
-                    }
-                    if own.get(next_own) == Some(&t) {
-                        continue; // a radio cannot send and listen at once
-                    }
-                    costs[u] += 1;
-                    total_listens += 1;
-                    if t < skew {
-                        continue; // clock skew: boundary slots decode as noise
-                    }
-                    if plan.is_jammed(t, len) {
-                        continue; // noise
-                    }
-                    match slot_map.get(t) {
-                        None => clear_counts[u] += 1,
-                        // The loss coin is drawn only on decodable payload
-                        // receptions, same as the exact engine's receiver
-                        // condition.
-                        Some(SlotContent::Message) => {
-                            if !lost(&mut fault_rng) {
-                                msg_counts[u] += 1;
-                            }
-                        }
-                        Some(SlotContent::SingleNoise | SlotContent::Collision) => {}
-                    }
-                }
-            }
-
-            // 4. Repetition epilogue.
             for (u, node) in nodes.iter_mut().enumerate() {
                 if node.is_terminated() {
                     continue;
                 }
-                node.end_repetition(params, clear_counts[u], msg_counts[u]);
-                clear_counts[u] = 0;
-                msg_counts[u] = 0;
+                let (mut clear, mut messages) = (0, 0);
+                if !offline[u] {
+                    sample_slots_into(rng, len, node.listen_prob(params), scratch);
+                    let own = &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]];
+                    let skew = faults.skew_slots(u);
+                    let listens;
+                    (listens, clear, messages) =
+                        resolve_listener(scratch, own, skew, &plan, len, slot_map, &mut loss);
+                    costs[u] += listens;
+                    total_listens += listens;
+                }
+                node.end_repetition(params, clear, messages);
             }
             adversary.observe(
                 &ctx,
@@ -538,9 +542,10 @@ fn run_broadcast_in(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rcb_adversary::rep_strategies::{BudgetedRepBlocker, NoJamRep};
+    use rcb_mathkit::sample::bernoulli;
 
     fn params() -> OneToNParams {
         OneToNParams::practical()
@@ -684,6 +689,16 @@ mod tests {
         );
     }
 
+    /// Slot `t`'s content decoded from the map's code; `None` is silent.
+    fn content(map: &SlotMap, t: u64) -> Option<SlotContent> {
+        match map.code(t) {
+            0 => None,
+            1 => Some(SlotContent::Message),
+            2 => Some(SlotContent::SingleNoise),
+            _ => Some(SlotContent::Collision),
+        }
+    }
+
     /// The slot map's reference: sort the `(t, message)` sends, then merge
     /// each run of equal slots.
     fn collapse(sends: &[(u64, bool)]) -> Vec<(u64, SlotContent)> {
@@ -711,12 +726,12 @@ mod tests {
             map.insert(t, message);
         }
         let expected = collapse(sends);
-        for &(t, content) in &expected {
-            assert_eq!(map.get(t), Some(content), "busy slot {t}");
+        for &(t, busy) in &expected {
+            assert_eq!(content(&map, t), Some(busy), "busy slot {t}");
         }
         for &t in silent {
             assert!(expected.iter().all(|e| e.0 != t), "slot {t} is busy");
-            assert_eq!(map.get(t), None, "silent slot {t}");
+            assert_eq!(content(&map, t), None, "silent slot {t}");
         }
         let messages = expected.iter().filter(|e| e.1 == SlotContent::Message);
         assert_eq!(map.busy_slots, expected.len() as u64);
@@ -761,7 +776,7 @@ mod tests {
         ];
         let map = map_matching_collapse(&sends, &[79, 32, 48, 1]);
         assert_eq!(map.buckets.len(), 16);
-        assert_eq!(map.get(31), Some(SlotContent::Collision));
+        assert_eq!(content(&map, 31), Some(SlotContent::Collision));
     }
 
     #[test]
@@ -769,8 +784,8 @@ mod tests {
         let mut sends = vec![(5, true); 3];
         sends.extend([(9, true), (9, false), (9, false), (9, true), (2, true)]);
         let map = map_matching_collapse(&sends, &[0, 3]);
-        assert_eq!(map.get(5), Some(SlotContent::Collision));
-        assert_eq!(map.get(9), Some(SlotContent::Collision));
+        assert_eq!(content(&map, 5), Some(SlotContent::Collision));
+        assert_eq!(content(&map, 9), Some(SlotContent::Collision));
         assert_eq!((map.busy_slots, map.message_slots), (3, 1));
     }
 
@@ -785,10 +800,14 @@ mod tests {
             (8, true),
         ];
         let map = map_matching_collapse(&sends, &[0, 5, 6]);
-        assert_eq!(map.get(3), Some(SlotContent::Message));
-        assert_eq!(map.get(4), Some(SlotContent::SingleNoise));
-        assert_eq!(map.get(7), Some(SlotContent::Collision), "two m's collide");
-        assert_eq!(map.get(8), Some(SlotContent::Collision));
+        assert_eq!(content(&map, 3), Some(SlotContent::Message));
+        assert_eq!(content(&map, 4), Some(SlotContent::SingleNoise));
+        assert_eq!(
+            content(&map, 7),
+            Some(SlotContent::Collision),
+            "two m's collide"
+        );
+        assert_eq!(content(&map, 8), Some(SlotContent::Collision));
     }
 
     #[test]
@@ -816,7 +835,7 @@ mod tests {
             let expected = collapse(&sends);
             for t in (0..len.min(4096)).chain(expected.iter().map(|e| e.0)) {
                 let want = expected.iter().find(|e| e.0 == t).map(|e| e.1);
-                assert_eq!(map.get(t), want, "len {len}, slot {t}");
+                assert_eq!(content(&map, t), want, "len {len}, slot {t}");
             }
             assert_eq!(map.busy_slots, expected.len() as u64, "len {len}");
         }
@@ -1046,5 +1065,216 @@ mod tests {
             capped.max_cost(),
             uncapped.max_cost()
         );
+    }
+
+    /// Step 3 for one node as it was before listens were resolved by run,
+    /// verbatim but for taking its inputs as arguments and returning its
+    /// counts: a forward merge drops the node's own send slots, then each
+    /// listen is checked for skew and jamming and looked up in the map,
+    /// with one loss coin per `m`. Returns `(listens, clear, messages)`.
+    #[allow(clippy::too_many_arguments)]
+    fn per_listen_reference(
+        scratch: &[u64],
+        own: &[u64],
+        skew: u64,
+        plan: &JamPlan,
+        len: u64,
+        slot_map: &SlotMap,
+        fault_rng: &mut Option<RcbRng>,
+        loss_p: f64,
+    ) -> (u64, u64, u64) {
+        let lost = |frng: &mut Option<RcbRng>| match frng {
+            Some(r) if loss_p > 0.0 => bernoulli(r, loss_p),
+            _ => false,
+        };
+        let (mut listens, mut clear, mut messages) = (0u64, 0u64, 0u64);
+        let mut next_own = 0;
+        for &t in scratch.iter() {
+            while own.get(next_own).is_some_and(|&s| s < t) {
+                next_own += 1;
+            }
+            if own.get(next_own) == Some(&t) {
+                continue; // a radio cannot send and listen at once
+            }
+            listens += 1;
+            if t < skew {
+                continue; // clock skew: boundary slots decode as noise
+            }
+            if plan.is_jammed(t, len) {
+                continue; // noise
+            }
+            match content(slot_map, t) {
+                None => clear += 1,
+                Some(SlotContent::Message) => {
+                    if !lost(fault_rng) {
+                        messages += 1;
+                    }
+                }
+                Some(SlotContent::SingleNoise | SlotContent::Collision) => {}
+            }
+        }
+        (listens, clear, messages)
+    }
+
+    /// A jam plan of every shape for a `len`-slot repetition: none, all, a
+    /// suffix of any length (also longer than `len`) or scattered slots.
+    pub(crate) fn any_plan(rng: &mut RcbRng, len: u64) -> JamPlan {
+        match rng.below(5) {
+            0 => JamPlan::None,
+            1 => JamPlan::All,
+            2 => JamPlan::Suffix(rng.below(len + 1)),
+            3 => JamPlan::Suffix(len + 1 + rng.below(len)),
+            _ => {
+                let mut slots = Vec::new();
+                sample_slots_into(rng, len + 8, 0.25, &mut slots);
+                JamPlan::Slots(slots)
+            }
+        }
+    }
+
+    /// A skew below, at or above the plan's jam start (the middle of the
+    /// repetition for a scattered plan), zero, or past the repetition.
+    pub(crate) fn any_skew(rng: &mut RcbRng, plan: &JamPlan, len: u64) -> u64 {
+        let start = plan.suffix_start(len).unwrap_or(len / 2);
+        match rng.below(5) {
+            0 => 0,
+            1 => rng.below(start + 1),
+            2 => start,
+            3 => start + 1 + rng.below(len - start + 1),
+            _ => len + rng.below(4),
+        }
+    }
+
+    /// Loss coins of every kind: no fault stream, a stream without loss,
+    /// and loss at 0.3 and 1. Its `rng` and `p` are what the reference
+    /// loops take as `fault_rng` and `loss_p`.
+    pub(crate) fn any_loss(rng: &mut RcbRng) -> LossCoins {
+        let p = [0.0, 0.0, 0.3, 1.0][rng.below(4) as usize];
+        let stream = rng.below(4) != 0;
+        LossCoins {
+            rng: stream.then(|| rng.split()),
+            p: if stream { p } else { 0.0 },
+        }
+    }
+
+    /// `slots` plus about half of `extra`, sorted and deduplicated: forces
+    /// listens onto send slots, which independent draws rarely hit.
+    pub(crate) fn with_some_of(rng: &mut RcbRng, slots: &[u64], extra: &[u64]) -> Vec<u64> {
+        let mut out = slots.to_vec();
+        out.extend(extra.iter().filter(|_| rng.below(2) == 0));
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn listens_by_run_match_the_per_listen_loop() {
+        // Random repetitions: a few senders, informed or not, every plan
+        // shape, skew on either side of the jam start, listens forced onto
+        // the listener's own send slots, loss on and off. Every node of
+        // the repetition listens in turn against one loss stream, so the
+        // coins of the whole step must line up.
+        let mut rng = RcbRng::new(2014);
+        let (mut fixups, mut coin_reps, mut own_runs) = (0, 0, [0u32; 3]);
+        let mut map = SlotMap::default();
+        let mut listens = Vec::new();
+        for case in 0..4000 {
+            let len = 16u64 << rng.below(7);
+            let nodes = 1 + rng.below(5) as usize;
+            let (mut sends, mut informed) = (Vec::new(), Vec::new());
+            for _ in 0..nodes {
+                let p = [0.0, 0.02, 0.1, 0.4][rng.below(4) as usize];
+                let mut own = Vec::new();
+                sample_slots_into(&mut rng, len, p, &mut own);
+                sends.push(own);
+                informed.push(rng.below(2) == 0);
+            }
+            map.reset(sends.iter().map(Vec::len).sum());
+            for (own, &m) in sends.iter().zip(&informed) {
+                for &t in own {
+                    map.insert(t, m);
+                }
+            }
+            let plan = any_plan(&mut rng, len);
+            let mut loss = any_loss(&mut rng);
+            let mut fault_rng = loss.rng.clone();
+            let (mut total, mut total_ref) = (0, 0);
+            for (own, &m) in sends.iter().zip(&informed) {
+                let skew = any_skew(&mut rng, &plan, len);
+                let q = [0.0, 0.05, 0.3, 0.9][rng.below(4) as usize];
+                sample_slots_into(&mut rng, len, q, &mut listens);
+                let listens = with_some_of(&mut rng, &listens, own);
+                let got = resolve_listener(&listens, own, skew, &plan, len, &map, &mut loss);
+                let want = per_listen_reference(
+                    &listens,
+                    own,
+                    skew,
+                    &plan,
+                    len,
+                    &map,
+                    &mut fault_rng,
+                    loss.p,
+                );
+                assert_eq!(got, want, "case {case}: {plan:?} skew {skew} len {len}");
+                assert_eq!(loss.rng, fault_rng, "case {case}: loss stream");
+                total += got.0;
+                total_ref += want.0;
+                for s in shared_slots(own, &listens) {
+                    let jammed = plan.is_jammed(s, len);
+                    own_runs[if s < skew {
+                        0
+                    } else if jammed {
+                        2
+                    } else {
+                        1
+                    }] += 1;
+                    let alone_with_m = content(&map, s) == Some(SlotContent::Message);
+                    fixups += u32::from(m && s >= skew && !jammed && alone_with_m);
+                }
+                coin_reps += u32::from(loss.p == 0.3 && want.2 > 0);
+            }
+            assert_eq!(total, total_ref, "case {case}: total listens");
+        }
+        assert!(
+            own_runs.iter().all(|&k| k > 100),
+            "own sends per run {own_runs:?}"
+        );
+        assert!(
+            fixups > 100 && coin_reps > 100,
+            "{fixups} fix-ups, {coin_reps}"
+        );
+    }
+
+    #[test]
+    fn listen_runs_split_at_the_skew_and_the_jam_start() {
+        let listens = [0u64, 2, 3, 5, 8, 9, 12, 15];
+        let split = |plan: JamPlan, skew| listen_runs(&listens, skew, plan.suffix_start(16));
+        assert_eq!(split(JamPlan::None, 0), (0, 8));
+        assert_eq!(split(JamPlan::None, 3), (2, 8));
+        assert_eq!(
+            split(JamPlan::Suffix(4), 3),
+            (2, 6),
+            "slots 12 and 15 jammed"
+        );
+        assert_eq!(
+            split(JamPlan::Suffix(4), 12),
+            (6, 6),
+            "skew at the jam start"
+        );
+        assert_eq!(split(JamPlan::Suffix(8), 13), (7, 7), "skew past it");
+        assert_eq!(split(JamPlan::Suffix(99), 0), (0, 0));
+        assert_eq!(split(JamPlan::All, 5), (3, 3));
+        assert_eq!(split(JamPlan::None, 99), (8, 8));
+        assert_eq!(split(JamPlan::Slots(vec![2, 9]), 1), (1, 8), "no suffix");
+        assert_eq!(listen_runs(&[], 4, Some(2)), (0, 0));
+    }
+
+    #[test]
+    fn shared_slots_are_the_intersection_in_order() {
+        let common = |x: &[u64], y: &[u64]| shared_slots(x, y).collect::<Vec<_>>();
+        assert_eq!(common(&[1, 3, 5, 7], &[2, 3, 7]), [3, 7]);
+        assert_eq!(common(&[2, 3, 7], &[1, 3, 5, 7]), [3, 7]);
+        assert_eq!(common(&[], &[1, 2]), [] as [u64; 0]);
+        assert_eq!(common(&[4], &[]), [] as [u64; 0]);
     }
 }

@@ -34,6 +34,8 @@
 //! the conformance differ cross-validates them under faults.
 
 use rcb_channel::fault::ReceiverCondition;
+use rcb_mathkit::rng::RcbRng;
+use rcb_mathkit::sample::bernoulli;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -234,6 +236,43 @@ impl FaultPlan {
     }
 }
 
+/// A fast engine's receiver-side loss coins: one Bernoulli(`p`) toss per
+/// `m` reception that would otherwise decode, from the run's dedicated
+/// fault stream. The stream is split off the trial RNG only for a
+/// non-empty plan, so [`FaultPlan::none`] leaves that RNG untouched.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct LossCoins {
+    pub(crate) rng: Option<RcbRng>,
+    pub(crate) p: f64,
+}
+
+impl LossCoins {
+    pub(crate) fn new(faults: &FaultPlan, rng: &mut RcbRng) -> Self {
+        Self {
+            rng: (!faults.is_none()).then(|| rng.split()),
+            p: faults.loss_p(),
+        }
+    }
+
+    /// One toss: whether this reception is lost (heard as noise).
+    pub(crate) fn lost(&mut self) -> bool {
+        match &mut self.rng {
+            Some(r) if self.p > 0.0 => bernoulli(r, self.p),
+            _ => false,
+        }
+    }
+
+    /// Tosses one coin for each of `received` receptions, in order, and
+    /// returns how many were not lost.
+    pub(crate) fn kept(&mut self, received: u64) -> u64 {
+        let p = self.p;
+        match &mut self.rng {
+            Some(r) if p > 0.0 => (0..received).filter(|_| !bernoulli(r, p)).count() as u64,
+            _ => received,
+        }
+    }
+}
+
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_none() {
@@ -337,6 +376,34 @@ mod tests {
         assert!(!plan.receiver_condition(1, 2).skewed);
         assert!(!plan.receiver_condition(0, 0).skewed, "node 0 is on time");
         assert_eq!(plan.receiver_condition(0, 5).loss_p, 0.25);
+    }
+
+    #[test]
+    fn loss_coins_toss_one_bernoulli_per_reception() {
+        // No plan: no stream is split off, and nothing is ever lost.
+        let mut rng = RcbRng::new(8);
+        let mut none = LossCoins::new(&FaultPlan::none(), &mut rng);
+        assert_eq!(rng, RcbRng::new(8), "the trial stream is untouched");
+        assert!(!none.lost());
+        assert_eq!(none.kept(5), 5);
+        // A plan without loss splits the stream but never tosses.
+        let mut skew_only = LossCoins::new(&FaultPlan::none().with_skew(0, 3), &mut rng);
+        let before = skew_only.clone();
+        assert_eq!(skew_only.kept(7), 7);
+        assert_eq!(skew_only, before);
+        // With loss, `kept(k)` is `k` single tosses, outcome and stream.
+        let mut batch = LossCoins::new(&FaultPlan::none().with_loss(0.4), &mut rng);
+        let mut single = batch.clone();
+        let mut reference = batch.rng.clone().unwrap();
+        let kept = batch.kept(1000);
+        assert_eq!(kept, (0..1000).filter(|_| !single.lost()).count() as u64);
+        let survivors = (0..1000)
+            .filter(|_| !bernoulli(&mut reference, 0.4))
+            .count();
+        assert_eq!(kept, survivors as u64);
+        assert_eq!(batch, single);
+        assert_eq!(batch.rng, Some(reference));
+        assert!((500..700).contains(&kept), "kept {kept} of 1000 at p = 0.4");
     }
 
     #[test]
