@@ -400,10 +400,14 @@ fn cmd_duel(args: &Args) -> Result<String, String> {
 }
 
 fn broadcast_report(spec: &ScenarioSpec) -> String {
-    render_broadcast(spec.trials, spec.run_batch_raw())
+    render_broadcast(spec, spec.run_batch_raw())
 }
 
-fn render_broadcast(trials: u64, results: Vec<(Outcome, Option<SimError>)>) -> String {
+/// The broadcast summary table. A spec whose runs pool per-node costs
+/// (the cohort engine's aggregate mode) prints no max node cost: the
+/// pooled value is the mean smeared over members, not a measured maximum.
+fn render_broadcast(spec: &ScenarioSpec, results: Vec<(Outcome, Option<SimError>)>) -> String {
+    let trials = spec.trials;
     let (outcomes, truncated) = split_truncated(
         results
             .into_iter()
@@ -431,12 +435,21 @@ fn render_broadcast(trials: u64, results: Vec<(Outcome, Option<SimError>)>) -> S
         num(mean_cost.min()),
         num(mean_cost.max()),
     ]);
-    t.row(vec![
-        "max node cost".into(),
-        num(max_cost.mean()),
-        num(max_cost.min()),
-        num(max_cost.max()),
-    ]);
+    t.row(if spec.pools_costs() {
+        vec![
+            "max node cost".into(),
+            "pooled — not measured".into(),
+            "—".into(),
+            "—".into(),
+        ]
+    } else {
+        vec![
+            "max node cost".into(),
+            num(max_cost.mean()),
+            num(max_cost.min()),
+            num(max_cost.max()),
+        ]
+    });
     t.row(vec![
         "latency (slots)".into(),
         num(slots.mean()),
@@ -688,7 +701,7 @@ fn cmd_scenario(args: &Args) -> Result<String, String> {
             );
             let body = match spec.workload {
                 Workload::Duel(_) => render_duel(spec.trials, results),
-                Workload::Broadcast(_) => render_broadcast(spec.trials, results),
+                Workload::Broadcast(_) => render_broadcast(&spec, results),
                 Workload::Stream(_) => render_stream(spec.trials, results),
             };
             let mut out = format!("{header}\n{body}\ndeterminism checksum: {checksum:016x}\n");
@@ -1036,6 +1049,29 @@ mod tests {
         assert!(report.contains("all informed"));
         let bad = parse(&["broadcast", "--adversary", "nuke"]).expect("parse");
         assert!(run_cli(&bad).is_err());
+    }
+
+    #[test]
+    fn pooled_max_cost_is_reported_as_not_measured() {
+        // Aggregate mode (cohort engine above the exact-member threshold)
+        // pools costs: no max node cost. All-tracked mode measures it.
+        let max_row = |n: usize| {
+            let spec = ScenarioSpec::broadcast(n)
+                .with_engine(rcb_sim::scenario::Engine::CohortFast)
+                .with_adversary(AdversarySpec::NoJam)
+                .with_trials(1);
+            let report = broadcast_report(&spec);
+            let row = report.lines().find(|l| l.contains("max node cost"));
+            (
+                spec.pools_costs(),
+                row.expect("a max node cost row").to_string(),
+            )
+        };
+        let (pooled, row) = max_row(400);
+        assert!(pooled && row.contains("pooled — not measured"), "{row}");
+        let (pooled, row) = max_row(64);
+        assert!(!pooled && !row.contains("pooled"), "{row}");
+        assert!(row.chars().any(|c| c.is_ascii_digit()), "{row}");
     }
 
     #[test]

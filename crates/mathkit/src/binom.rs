@@ -73,13 +73,13 @@ pub const F64_EXACT_INT_BOUND: u64 = 1 << 53;
 /// `P(Binomial(n, p) > k)` — the upper tail, evaluated from whichever end
 /// of the support is cheaper.
 ///
-/// The pmf is summed by its multiplicative recurrence, starting from the
-/// largest term of the summed side and moving away from the mode, until a
-/// term falls below 1e-18 of the sum. That is at most about 9σ terms
-/// (σ = √(n·p·(1−p))), fewer when `k` sits far in a tail: cost grows with
-/// σ, not with `k` or `n`. The sum is free of catastrophic cancellation:
-/// one term is computed in log space, the rest in linear space relative
-/// to it.
+/// The pmf is summed by its multiplicative recurrence ([`TailSum`]),
+/// starting from the largest term of the summed side and moving away from
+/// the mode, until a term can no longer change the sum (below `2^-54` of
+/// it). That is at most about 9σ terms (σ = √(n·p·(1−p))), fewer when `k`
+/// sits far in a tail: cost grows with σ, not with `k` or `n`. The sum is
+/// free of catastrophic cancellation: one term is computed in log space,
+/// the rest in linear space relative to it.
 pub fn binomial_tail_gt(n: u64, k: u64, p: f64) -> f64 {
     BinomialLn::new(n, p).tail_gt(k)
 }
@@ -96,7 +96,7 @@ pub fn binomial_cdf_le(n: u64, k: u64, p: f64) -> f64 {
 /// [`ln_binomial_pmf`], [`binomial_tail_gt`] and [`binomial_cdf_le`] are
 /// this type built for one call. A caller that evaluates several pmfs or
 /// tails of the same distribution (the cohort engine's split takes a tail
-/// and then the pmf its walk starts from) builds it once; a caller that
+/// and then walks the pmf on from the cut) builds it once; a caller that
 /// meets the same `n` under many `p` passes `ln n!` in through
 /// [`with_ln_factorial`](Self::with_ln_factorial). Every result is bit
 /// for bit the one-call function's: the terms are the same values, used
@@ -147,127 +147,288 @@ impl BinomialLn {
 
     /// `P(X > k)`; see [`binomial_tail_gt`].
     pub fn tail_gt(&self, k: u64) -> f64 {
-        self.tail_gt_anchored(k).0
-    }
-
-    /// [`tail_gt`](Self::tail_gt), plus `pmf(k + 1)` when the tail was
-    /// summed upward from it (`k` at or above the mean): the value
-    /// `ln_pmf(k + 1).exp()` bit for bit, for a caller that walks the pmf
-    /// on from `k + 1`.
-    pub fn tail_gt_anchored(&self, k: u64) -> (f64, Option<f64>) {
-        let (n, p) = (self.n, self.p);
-        if p.is_nan() || p <= 0.0 {
-            return (0.0, None);
-        }
-        if p >= 1.0 {
-            return (if k < n { 1.0 } else { 0.0 }, None);
-        }
-        if k >= n {
-            return (0.0, None);
-        }
-        if (k as f64) < n as f64 * p {
-            // Cut below the mean: sum the *lower* tail P(X ≤ k) and subtract.
-            (1.0 - self.lower_cdf_direct(k), None)
-        } else {
-            let (tail, anchor) = self.upper_tail_direct(k);
-            (tail, Some(anchor))
-        }
+        let mut tail = self.tail_sum(k);
+        tail.finish();
+        tail.tail_gt()
     }
 
     /// `P(X ≤ k)`; see [`binomial_cdf_le`].
     pub fn cdf_le(&self, k: u64) -> f64 {
+        let mut tail = self.tail_sum(k);
+        tail.finish();
+        tail.cdf_le()
+    }
+
+    /// The sum behind [`tail_gt`](Self::tail_gt) and
+    /// [`cdf_le`](Self::cdf_le) at `k`, with no term summed yet. Below the
+    /// mean it sums the *lower* tail `P(X ≤ k)` downward from `pmf(k)`, at
+    /// or above it the upper tail `P(X > k)` upward from `pmf(k + 1)`:
+    /// either way from the largest term of the summed side.
+    pub fn tail_sum(&self, k: u64) -> TailSum {
         let (n, p) = (self.n, self.p);
+        let fixed = |tail: f64| TailSum::fixed(n, tail);
         if p.is_nan() || p <= 0.0 {
-            return 1.0;
+            return fixed(0.0);
         }
         if p >= 1.0 {
-            return if k >= n { 1.0 } else { 0.0 };
+            return fixed(if k < n { 1.0 } else { 0.0 });
         }
         if k >= n {
-            return 1.0;
+            return fixed(0.0);
         }
         if (k as f64) < n as f64 * p {
-            self.lower_cdf_direct(k)
+            TailSum::start(n, TailSide::Lower, self.ln_pmf(k), (1.0 - p) / p, k)
         } else {
-            1.0 - self.upper_tail_direct(k).0
+            TailSum::start(
+                n,
+                TailSide::Upper,
+                self.ln_pmf(k + 1),
+                p / (1.0 - p),
+                n - k - 1,
+            )
+        }
+    }
+}
+
+/// Which side of the cut a [`TailSum`] adds up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TailSide {
+    /// `P(X ≤ k)`, summed downward from `pmf(k)`; the tail is `1 − sum`.
+    Lower,
+    /// `P(X > k)`, summed upward from `pmf(k + 1)`.
+    Upper,
+    /// A degenerate cut (`p ∉ (0, 1)` or `k ≥ n`): the tail is `first`.
+    Fixed,
+}
+
+/// Stop once the pending term is below `2^-54` of the sum.
+const HALF_ULP_STOP: f64 = 1.0 / (1u64 << 54) as f64;
+
+/// Relative slack of [`TailSum::bounds`]' outward rounding: `2^-36`.
+const BOUND_SLACK: f64 = 1.0 + 1.0 / (1u64 << 36) as f64;
+
+/// The largest next factor for which [`TailSum::bounds`] gives a finite
+/// upper end: `1 − 2^-10`.
+const BOUND_DECAY: f64 = 1.0 - 1.0 / (1u64 << 10) as f64;
+
+/// A binomial tail summed term by term, which can stop and resume.
+///
+/// The pmf is summed by its multiplicative recurrence, starting from the
+/// largest term of the summed side and moving away from the mode: the
+/// anchor `first` is one pmf computed in log space, the terms `rel` are
+/// relative to it in linear space, so every term lies in `[0, 1]` however
+/// far the bulk sits from 0 (an anchor at `pmf(0)` underflows once
+/// `n·ln(1−p) < −745` while the relative terms overflow, and `0·∞ = NaN`
+/// silently collapsed the whole tail; see the regression test). The
+/// recurrence multiplies by `s·a/b`, where `a` (`j` below the mean,
+/// `n − j` above) falls by one and `b = n − a + 1` rises by one per term;
+/// both are carried as `f64` counters below [`F64_EXACT_INT_BOUND`].
+///
+/// **Half-ulp stop.** The loop stops when the pending term falls below
+/// `2^-54·sum`. This gives the value a loop stopping at any smaller
+/// fraction (such as `1e-18`) gives, bit for bit:
+///
+/// * `sum ≥ 1` (the first term is 1), so `2^-54·sum` is less than half the
+///   spacing of floats above `sum`, and adding a term below it rounds
+///   back to `sum`.
+/// * The factors never increase along the walk: `a` falls, `b` rises and
+///   every operation of `s·a/b` is monotone. Were the next factor `≥ 1`,
+///   so would be every earlier one, every term so far would be at least 1
+///   and at most the pending one, and the float sum of `i` such terms is at
+///   most `1.65·i` times the pending term for `i ≤ 2^52`: the stop would
+///   need more than `2^52` terms. So the next factor is below 1 and no
+///   later term exceeds the pending one. Each is below half an ulp of a
+///   sum that therefore never changes.
+///
+/// **Bracket.** Before it is finished the sum lies in
+/// [`bounds`](Self::bounds): at least the prefix (float adds of
+/// non-negative terms never decrease a sum), at most the prefix plus a
+/// geometric bound on the rest, rounded outward. Let `g` be the next
+/// factor times `1 + 2^-36`; each product rounds up by at most half an
+/// ulp, so every later term is at most `rel·gⁱ` (plus, below the normal
+/// range, absolute slop far under the slack). With `g ≤ 1 − 2^-10` and the
+/// pending term `rel ≤ 2`, a term falls below `2^-54` within 39,041 steps,
+/// so at most that many adds remain, each rounding up by at most
+/// `2^-53` relative: the finished sum is at most
+/// `(prefix + rel/(1 − g))·(1 + 4.4·10^-12)`, inside the `1 + 2^-36` the
+/// upper end is scaled by. Past that decay the upper end is `f64::MAX`.
+/// The end points go through the same monotone expressions as the value
+/// ([`tail_bounds`](Self::tail_bounds)), so a caller whose decision is
+/// the same at both ends may take it without finishing the sum.
+#[derive(Debug, Clone)]
+pub struct TailSum {
+    side: TailSide,
+    n: u64,
+    /// The anchor pmf, `exp` of its log.
+    first: f64,
+    /// The recurrence's constant: `(1−p)/p` below the mean, `p/(1−p)` above.
+    s: f64,
+    /// Terms left after the pending one.
+    a: u64,
+    /// `a` and `n − a + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
+    af: f64,
+    bf: f64,
+    /// The pending term, relative to `first`, not yet added.
+    rel: f64,
+    sum: f64,
+    terms: u64,
+    done: bool,
+}
+
+impl TailSum {
+    fn fixed(n: u64, tail: f64) -> Self {
+        Self {
+            side: TailSide::Fixed,
+            n,
+            first: tail,
+            s: 0.0,
+            a: 0,
+            af: 0.0,
+            bf: 0.0,
+            rel: 0.0,
+            sum: 1.0,
+            terms: 0,
+            done: true,
         }
     }
 
-    /// `P(X ≤ k)` for `k` below the mean, summed *downward* from `j = k`.
-    ///
-    /// Anchoring the linear-space accumulator at the largest summed term —
-    /// `pmf(k)`, since the pmf increases up to the mode — keeps every
-    /// relative term in `[0, 1]` no matter how far the distribution's bulk
-    /// sits from 0. (The previous anchor, `pmf(0)`, underflows once
-    /// `n·ln(1−p) < −745` while the relative terms overflow, and
-    /// `0·∞ = NaN` silently collapsed the whole tail; see the regression
-    /// test.) Terms decay geometrically away from the mode, so the loop is
-    /// `O(σ)`-ish, not `O(k)`.
-    fn lower_cdf_direct(&self, k: u64) -> f64 {
-        let (n, p) = (self.n, self.p);
-        let ln_top = self.ln_pmf(k);
-        if ln_top == f64::NEG_INFINITY {
-            return 0.0;
-        }
-        let s = (1.0 - p) / p;
-        let exact = n < F64_EXACT_INT_BOUND;
-        let mut rel = 1.0f64; // term / pmf(k)
-        let mut sum = 0.0f64;
-        let mut j = k;
-        // `j` and `n − j + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
-        let (mut jf, mut df) = (k as f64, (n - k) as f64 + 1.0);
-        loop {
-            sum += rel;
-            if j == 0 {
-                break;
-            }
-            if !exact {
-                (jf, df) = (j as f64, (n - j + 1) as f64);
-            }
-            rel *= s * jf / df;
-            j -= 1;
-            (jf, df) = (jf - 1.0, df + 1.0);
-            if rel < 1e-18 * sum {
-                break;
-            }
-        }
-        (ln_top.exp() * sum).min(1.0)
-    }
-
-    /// `P(X > k)` for `k` at or above the mean, summed *upward* from
-    /// `j = k + 1` — the largest term of the upper tail, so the same
-    /// anchored-at-the-top argument applies. Returns the anchor
-    /// `pmf(k + 1)` too.
-    fn upper_tail_direct(&self, k: u64) -> (f64, f64) {
-        let (n, p) = (self.n, self.p);
-        let ln_first = self.ln_pmf(k + 1);
+    fn start(n: u64, side: TailSide, ln_first: f64, s: f64, a: u64) -> Self {
+        let mut sum = Self {
+            side,
+            n,
+            first: ln_first.exp(),
+            s,
+            a,
+            af: a as f64,
+            bf: (n - a) as f64 + 1.0,
+            rel: 1.0,
+            sum: 0.0,
+            terms: 0,
+            done: false,
+        };
         if ln_first == f64::NEG_INFINITY {
-            return (0.0, 0.0);
+            // An empty side: `first` is 0, and so is its probability.
+            (sum.sum, sum.done) = (1.0, true);
         }
-        let mut rel = 1.0f64; // term / pmf(k+1)
-        let mut sum = 0.0f64;
-        let s = p / (1.0 - p);
+        sum
+    }
+
+    /// Sums up to `budget` more terms, fewer if the sum finishes first.
+    #[inline]
+    pub fn advance(&mut self, budget: u64) {
+        if self.done {
+            return;
+        }
+        let (n, s) = (self.n, self.s);
         let exact = n < F64_EXACT_INT_BOUND;
-        let mut j = k + 1;
-        // `n − j` and `j + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
-        let (mut rf, mut jf) = ((n - j) as f64, j as f64 + 1.0);
-        loop {
+        let (mut a, mut af, mut bf) = (self.a, self.af, self.bf);
+        let (mut rel, mut sum) = (self.rel, self.sum);
+        let mut left = budget;
+        while left > 0 {
+            left -= 1;
             sum += rel;
-            if j >= n {
+            if a == 0 {
+                self.done = true;
                 break;
             }
             if !exact {
-                (rf, jf) = ((n - j) as f64, (j + 1) as f64);
+                (af, bf) = (a as f64, (n - a + 1) as f64);
             }
-            rel *= s * rf / jf;
-            j += 1;
-            (rf, jf) = (rf - 1.0, jf + 1.0);
-            if rel < 1e-18 * sum {
+            rel *= s * af / bf;
+            a -= 1;
+            (af, bf) = (af - 1.0, bf + 1.0);
+            if rel < HALF_ULP_STOP * sum {
+                self.done = true;
                 break;
             }
         }
-        let first = ln_first.exp();
-        ((first * sum).min(1.0), first)
+        self.terms += budget - left;
+        (self.a, self.af, self.bf, self.rel, self.sum) = (a, af, bf, rel, sum);
+    }
+
+    /// Sums every remaining term.
+    #[inline]
+    pub fn finish(&mut self) {
+        self.advance(u64::MAX);
+    }
+
+    /// Whether every term is summed: [`bounds`](Self::bounds) is then the
+    /// value at both ends.
+    #[inline]
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// Terms summed so far.
+    #[inline]
+    pub fn terms(&self) -> u64 {
+        self.terms
+    }
+
+    /// The anchor `pmf(k + 1)` when the tail is summed upward from it: the
+    /// value `ln_pmf(k + 1).exp()` bit for bit, for a caller that walks the
+    /// pmf on from `k + 1`.
+    #[inline]
+    pub fn anchor(&self) -> Option<f64> {
+        (self.side == TailSide::Upper).then_some(self.first)
+    }
+
+    /// `[lo, hi]` holding the finished sum of the summed side; see the type
+    /// docs.
+    #[inline]
+    fn bounds(&self) -> (f64, f64) {
+        if self.done {
+            return (self.sum, self.sum);
+        }
+        let (a, n) = (self.a, self.n);
+        let g = if a == 0 {
+            0.0 // only the pending term is left
+        } else if n < F64_EXACT_INT_BOUND {
+            self.s * self.af / self.bf * BOUND_SLACK
+        } else {
+            self.s * a as f64 / (n - a + 1) as f64 * BOUND_SLACK
+        };
+        if g > BOUND_DECAY || self.rel > 2.0 {
+            return (self.sum, f64::MAX);
+        }
+        (self.sum, (self.sum + self.rel / (1.0 - g)) * BOUND_SLACK)
+    }
+
+    /// The probability of the summed side, from its sum.
+    #[inline]
+    fn side_value(&self, sum: f64) -> f64 {
+        (self.first * sum).min(1.0)
+    }
+
+    /// `[lo, hi]` holding [`tail_gt`](Self::tail_gt)'s finished value; both
+    /// ends are that value once the sum is done.
+    #[inline]
+    pub fn tail_bounds(&self) -> (f64, f64) {
+        let (lo, hi) = self.bounds();
+        match self.side {
+            TailSide::Lower => (1.0 - self.side_value(hi), 1.0 - self.side_value(lo)),
+            TailSide::Upper | TailSide::Fixed => (self.side_value(lo), self.side_value(hi)),
+        }
+    }
+
+    /// `P(X > k)` from the terms summed so far: the tail once the sum is
+    /// done.
+    pub fn tail_gt(&self) -> f64 {
+        debug_assert!(self.done);
+        match self.side {
+            TailSide::Lower => 1.0 - self.side_value(self.sum),
+            TailSide::Upper | TailSide::Fixed => self.side_value(self.sum),
+        }
+    }
+
+    /// `P(X ≤ k)`, the complement of [`tail_gt`](Self::tail_gt), once the
+    /// sum is done.
+    pub fn cdf_le(&self) -> f64 {
+        debug_assert!(self.done);
+        match self.side {
+            TailSide::Lower => self.side_value(self.sum),
+            TailSide::Upper | TailSide::Fixed => 1.0 - self.side_value(self.sum),
+        }
     }
 }
 
@@ -432,14 +593,33 @@ mod tests {
         (ln_first.exp() * sum).min(1.0)
     }
 
-    /// Both tail loops against their references at every `k` in `ks`
-    /// (below `n`), bit for bit.
+    /// The tail loop summed on either side of `k`, whichever side the mean
+    /// would pick: `(P(X ≤ k) summed downward, P(X > k) summed upward)`.
+    fn both_sides(b: &BinomialLn, k: u64) -> (f64, f64) {
+        let (n, p) = (b.n, b.p);
+        let mut lower = TailSum::start(n, TailSide::Lower, b.ln_pmf(k), (1.0 - p) / p, k);
+        let mut upper = TailSum::start(
+            n,
+            TailSide::Upper,
+            b.ln_pmf(k + 1),
+            p / (1.0 - p),
+            n - k - 1,
+        );
+        lower.finish();
+        upper.finish();
+        (lower.cdf_le(), upper.tail_gt())
+    }
+
+    /// The tail loop, on both sides, against the integer-conversion loops
+    /// with the `1e-18` stop at every `k` in `ks` (below `n`), bit for bit:
+    /// the f64 counters and the half-ulp stop change no value.
     fn assert_tails_match_reference(n: u64, p: f64, ks: impl IntoIterator<Item = u64>) {
         let b = BinomialLn::new(n, p);
         for k in ks.into_iter().filter(|&k| k < n) {
-            let (lo, lo_ref) = (b.lower_cdf_direct(k), lower_cdf_reference(n, k, p));
+            let (lo, up) = both_sides(&b, k);
+            let lo_ref = lower_cdf_reference(n, k, p);
             assert_eq!(lo.to_bits(), lo_ref.to_bits(), "lower n {n} k {k} p {p:e}");
-            let (up, up_ref) = (b.upper_tail_direct(k).0, upper_tail_reference(n, k, p));
+            let up_ref = upper_tail_reference(n, k, p);
             assert_eq!(up.to_bits(), up_ref.to_bits(), "upper n {n} k {k} p {p:e}");
         }
     }
@@ -516,7 +696,7 @@ mod tests {
     }
 
     #[test]
-    fn anchored_tail_returns_the_walks_first_pmf_bit_for_bit() {
+    fn tail_sum_anchor_is_the_walks_first_pmf_bit_for_bit() {
         // Above the mean the tail is summed from pmf(k + 1), which a walk
         // over the upper tail starts from: the anchor handed back must be
         // `ln_pmf(k + 1).exp()` exactly, and the tail `tail_gt(k)`.
@@ -524,13 +704,14 @@ mod tests {
         for (n, p, ks) in tail_grid() {
             let b = BinomialLn::new(n, p);
             for k in ks.into_iter().filter(|&k| k < n) {
-                let (tail, anchor) = b.tail_gt_anchored(k);
+                let mut tail = b.tail_sum(k);
+                tail.finish();
                 assert_eq!(
-                    tail.to_bits(),
+                    tail.tail_gt().to_bits(),
                     b.tail_gt(k).to_bits(),
                     "n {n} k {k} p {p:e}"
                 );
-                match anchor {
+                match tail.anchor() {
                     None => {
                         assert!((k as f64) < n as f64 * p, "n {n} k {k} p {p:e}");
                         below += 1;
@@ -547,9 +728,83 @@ mod tests {
             below > 100 && above > 100,
             "branches: {below} below, {above} above"
         );
-        assert_eq!(BinomialLn::new(10, 0.0).tail_gt_anchored(3), (0.0, None));
-        assert_eq!(BinomialLn::new(10, 1.0).tail_gt_anchored(3), (1.0, None));
-        assert_eq!(BinomialLn::new(10, 0.5).tail_gt_anchored(10), (0.0, None));
+        for (n, p, k, tail) in [(10, 0.0, 3, 0.0), (10, 1.0, 3, 1.0), (10, 0.5, 10, 0.0)] {
+            let sum = BinomialLn::new(n, p).tail_sum(k);
+            assert!(sum.is_done() && sum.anchor().is_none(), "n {n} p {p} k {k}");
+            assert_eq!(sum.tail_bounds(), (tail, tail), "n {n} p {p} k {k}");
+        }
+    }
+
+    /// Random `(n, p, k)` for the tail tests: `n` log-uniform up to 2^40
+    /// (an eighth of them past 2^53), the mean log-uniform in
+    /// `[10^-3, 10^4]` on either end of the support, `k` within ±15σ.
+    fn random_cut(rng: &mut crate::rng::RcbRng) -> (u64, f64, u64) {
+        let n = if rng.below(8) == 0 {
+            F64_EXACT_INT_BOUND + rng.below(1 << 20) * rng.below(1 << 40)
+        } else {
+            (2f64.powf(40.0 * rng.f64()) as u64).max(1)
+        };
+        let mean = 10f64.powf(7.0 * rng.f64() - 3.0).min(n as f64 / 2.0);
+        let p = mean / n as f64;
+        let sigma = (mean * (1.0 - p)).sqrt();
+        let k = ((mean + (30.0 * rng.f64() - 15.0) * sigma).max(0.0) as u64).min(n - 1);
+        if rng.below(2) == 0 {
+            (n, p, k)
+        } else {
+            (n, 1.0 - p, n - 1 - k)
+        }
+    }
+
+    #[test]
+    fn half_ulp_stop_matches_the_1e_18_loops_on_random_cuts() {
+        let mut rng = crate::rng::RcbRng::new(2014);
+        for _ in 0..100_000 {
+            let (n, p, k) = random_cut(&mut rng);
+            assert_tails_match_reference(n, p, [k]);
+        }
+    }
+
+    #[test]
+    fn tail_bounds_hold_the_finished_tail_at_every_term() {
+        // Summed one term at a time, the bracket must contain the value
+        // the finished loop returns, and be that value once done.
+        let mut rng = crate::rng::RcbRng::new(27);
+        let mut cuts: Vec<(u64, f64, u64)> = tail_grid()
+            .into_iter()
+            .flat_map(|(n, p, ks)| {
+                ks.into_iter()
+                    .filter(move |&k| k < n)
+                    .map(move |k| (n, p, k))
+            })
+            .collect();
+        cuts.extend((0..20_000).map(|_| random_cut(&mut rng)));
+        let (mut strict, mut total) = (0u64, 0u64);
+        for (n, p, k) in cuts {
+            let b = BinomialLn::new(n, p);
+            let want = b.tail_gt(k);
+            let mut tail = b.tail_sum(k);
+            loop {
+                let (lo, hi) = tail.tail_bounds();
+                assert!(
+                    lo <= want && want <= hi,
+                    "n {n} p {p:e} k {k}: {lo} {want} {hi}"
+                );
+                total += 1;
+                strict += u64::from(lo < hi && hi < 1.0 && lo > 0.0);
+                if tail.is_done() {
+                    assert_eq!(
+                        (lo.to_bits(), hi.to_bits()),
+                        (want.to_bits(), want.to_bits())
+                    );
+                    break;
+                }
+                tail.advance(1);
+            }
+        }
+        assert!(
+            strict * 4 > total,
+            "{strict} of {total} brackets were proper"
+        );
     }
 
     #[test]

@@ -134,17 +134,124 @@ const BTPE_THRESHOLD: f64 = 10.0;
 /// Out-of-domain `p` follows the same documented clamp as [`binomial`]:
 /// non-positive or NaN → 0, `p ≥ 1` → `n`.
 pub fn binomial_fast(rng: &mut RcbRng, n: u64, p: f64) -> u64 {
-    if n == 0 || p.is_nan() || p <= 0.0 {
+    if n == 0 {
         return 0;
     }
-    if p >= 1.0 {
-        return n;
+    match FastBranch::of(p) {
+        FastBranch::Zero => 0,
+        FastBranch::All => n,
+        // Complement split: sample the rarer outcome.
+        FastBranch::Complement(r) => n - binomial_fast_half(rng, n, r),
+        FastBranch::Direct(r) => binomial_fast_half(rng, n, r),
     }
-    // Complement split: sample the rarer outcome.
-    if p > 0.5 {
-        return n - binomial_fast_half(rng, n, 1.0 - p);
+}
+
+/// The branch [`binomial_fast`] takes on `p`, before it draws anything.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum FastBranch {
+    /// `p ≤ 0` or NaN: no success, no draw.
+    Zero,
+    /// `p ≥ 1`: all successes, no draw.
+    All,
+    /// `0 < p ≤ ½`: sample with `p` itself.
+    Direct(f64),
+    /// `½ < p < 1`: sample the failures, with `1 − p`.
+    Complement(f64),
+}
+
+impl FastBranch {
+    #[inline(always)]
+    fn of(p: f64) -> Self {
+        if p.is_nan() || p <= 0.0 {
+            FastBranch::Zero
+        } else if p >= 1.0 {
+            FastBranch::All
+        } else if p > 0.5 {
+            FastBranch::Complement(1.0 - p)
+        } else {
+            FastBranch::Direct(p)
+        }
     }
-    binomial_fast_half(rng, n, p)
+
+    /// The result of `binomial_fast(rng, 1, p)` whose first uniform is
+    /// `u`, when [`binv_one`] reads it off `u` alone.
+    #[inline(always)]
+    fn decided(self, u: f64) -> Option<u64> {
+        match self {
+            FastBranch::Zero => Some(0),
+            FastBranch::All => Some(1),
+            FastBranch::Direct(r) => binv_one_decided(r, u),
+            FastBranch::Complement(r) => binv_one_decided(r, u).map(|x| 1 - x),
+        }
+    }
+
+    #[inline]
+    fn same_branch(self, other: Self) -> bool {
+        std::mem::discriminant(&self) == std::mem::discriminant(&other)
+    }
+}
+
+/// One `binomial_fast(rng, 1, p)` draw for a `p` known only to lie in an
+/// interval, which the caller narrows until the draw is decided.
+///
+/// [`decide`](Self::decide) evaluates `binomial_fast`'s branch and, when
+/// it draws, [`binv_one`]'s tests at both ends of the interval, with the
+/// uniform the draw would take. The outcome is monotone in `p` within a
+/// branch (each test compares `u` with a monotone function of `p`, and
+/// `1 − p` is monotone), so when both ends agree on branch and result,
+/// every `p` between them gives that result. Otherwise the caller narrows
+/// the interval and asks again; the uniform, once drawn, is kept. Given
+/// the exact `p` at last, [`exact`](Self::exact) finishes the draw as
+/// `binomial_fast` would from that uniform. Either way the generator
+/// moves exactly as `binomial_fast(rng, 1, p)` moves it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CoinBetween {
+    u: Option<f64>,
+}
+
+impl CoinBetween {
+    /// The draw's result if every `p` in `[lo, hi]` gives the same one;
+    /// `None` if the interval must narrow first.
+    #[inline(always)]
+    pub fn decide(&mut self, rng: &mut RcbRng, lo: f64, hi: f64) -> Option<u64> {
+        let (at_lo, at_hi) = (FastBranch::of(lo), FastBranch::of(hi));
+        if !at_lo.same_branch(at_hi) {
+            return None;
+        }
+        let u = self.uniform(rng, at_lo);
+        // Within a branch the result only grows with `p`: a 0 at `hi` is a
+        // 0 everywhere below it, a 1 at `lo` a 1 everywhere above.
+        match at_hi.decided(u)? {
+            0 => Some(0),
+            _ => (at_lo.decided(u) == Some(1)).then_some(1),
+        }
+    }
+
+    /// `binomial_fast(rng, 1, p)`, continued from the uniform already
+    /// drawn, if any.
+    #[inline]
+    pub fn exact(&mut self, rng: &mut RcbRng, p: f64) -> u64 {
+        let branch = FastBranch::of(p);
+        let u = self.uniform(rng, branch);
+        match branch {
+            FastBranch::Zero => 0,
+            FastBranch::All => 1,
+            FastBranch::Direct(r) => binv_one(rng, r, u),
+            FastBranch::Complement(r) => 1 - binv_one(rng, r, u),
+        }
+    }
+
+    /// The draw's uniform, drawn on first need: only a branch that samples
+    /// draws one.
+    #[inline(always)]
+    fn uniform(&mut self, rng: &mut RcbRng, branch: FastBranch) -> f64 {
+        match branch {
+            FastBranch::Zero | FastBranch::All => 0.0,
+            FastBranch::Direct(_) | FastBranch::Complement(_) => {
+                *self.u.get_or_insert_with(|| rng.f64())
+            }
+        }
+    }
 }
 
 /// [`binomial_fast`] after the complement split: `0 < p ≤ ½`.
@@ -179,14 +286,22 @@ const BINV_ONE_BAND: f64 = 1e-9;
 /// does, whatever rounding put `f0` near `q`. Only in the band (chance
 /// about 3δ) does the loop run, from the same `u`: the result and the
 /// RNG words consumed are those of [`binv_from`], without its `ln`/`exp`.
+#[inline]
 fn binv_one(rng: &mut RcbRng, p: f64, u: f64) -> u64 {
+    binv_one_decided(p, u).unwrap_or_else(|| binv_from(rng, 1, p, u))
+}
+
+/// [`binv_one`]'s result when `u` lies outside the rounding band; `None`
+/// inside it, where the loop decides.
+#[inline(always)]
+fn binv_one_decided(p: f64, u: f64) -> Option<u64> {
     let q = 1.0 - p;
     if u < q * (1.0 - BINV_ONE_BAND) {
-        0
+        Some(0)
     } else if q * (1.0 + BINV_ONE_BAND) < u && u < 1.0 - BINV_ONE_BAND {
-        1
+        Some(1)
     } else {
-        binv_from(rng, 1, p, u)
+        None
     }
 }
 
@@ -904,6 +1019,150 @@ mod tests {
                 assert_eq!(fast, reference, "generator state at p {p:e} u {u:e}");
             }
         }
+    }
+
+    /// `binomial_fast(rng, 1, p)` whose first uniform is `u` (drawn only
+    /// when `0 < p < 1`), by the loop [`binv_one`] replaced.
+    fn coin_reference(rng: &mut RcbRng, p: f64, u: f64) -> u64 {
+        if p.is_nan() || p <= 0.0 {
+            0
+        } else if p >= 1.0 {
+            1
+        } else if p > 0.5 {
+            1 - binv_reference(rng, 1, 1.0 - p, Some(u))
+        } else {
+            binv_reference(rng, 1, p, Some(u))
+        }
+    }
+
+    /// Asks `CoinBetween` about `[lo, hi]` with first uniform `u`. A decided
+    /// result must be the reference's at both ends and at interior points;
+    /// `exact` must match the reference at `p`, value and generator state.
+    /// Returns whether the interval was decided.
+    fn check_coin_between(lo: f64, hi: f64, u: f64, p: f64) -> bool {
+        let draws = |x: f64| x > 0.0 && x < 1.0;
+        let mut coin = CoinBetween { u: Some(u) };
+        let mut rng = RcbRng::new(93);
+        let before = rng.clone();
+        let decided = coin.decide(&mut rng, lo, hi);
+        assert_eq!(rng, before, "decide never loops: [{lo:e}, {hi:e}] u {u:e}");
+        if let Some(result) = decided {
+            for x in [lo, hi, 0.5 * (lo + hi), lo + 0.25 * (hi - lo), p] {
+                if (lo..=hi).contains(&x) {
+                    let mut r = RcbRng::new(94);
+                    let want = coin_reference(&mut r, x, u);
+                    assert_eq!(result, want, "[{lo:e}, {hi:e}] at {x:e}, u {u:e}");
+                    assert_eq!(r, RcbRng::new(94), "decided, yet the loop ran at {x:e}");
+                }
+            }
+        }
+        let (mut got, mut want) = (RcbRng::new(95), RcbRng::new(95));
+        let exact = CoinBetween {
+            u: draws(p).then_some(u),
+        }
+        .exact(&mut got, p);
+        assert_eq!(
+            exact,
+            coin_reference(&mut want, p, u),
+            "exact at {p:e}, u {u:e}"
+        );
+        assert_eq!(got, want, "exact's generator state at {p:e}, u {u:e}");
+        decided.is_some()
+    }
+
+    #[test]
+    fn coin_between_decides_only_what_both_ends_agree_on() {
+        // First uniforms on and one ulp either side of each of binv_one's
+        // thresholds, for intervals from a point to a wide bracket, on
+        // either side of the complement switch at ½ and straddling it.
+        let mut decided = 0;
+        for &p in &[
+            1e-9,
+            1e-3,
+            0.1,
+            0.3,
+            0.5 - 1e-12,
+            0.5,
+            0.5 + 1e-12,
+            0.7,
+            0.999,
+        ] {
+            for r in [p, 1.0 - p] {
+                let q = 1.0 - r;
+                let mut us = vec![0.0, 1.0 - 2f64.powi(-53)];
+                for edge in [
+                    q,
+                    q * (1.0 - BINV_ONE_BAND),
+                    q * (1.0 + BINV_ONE_BAND),
+                    1.0 - BINV_ONE_BAND,
+                    1.0 - q,
+                ] {
+                    us.extend([edge.next_down(), edge, edge.next_up()]);
+                }
+                for &u in us.iter().filter(|&&u| (0.0..1.0).contains(&u)) {
+                    for w in [0.0, 1e-15, 1e-10, 1e-6, 0.01] {
+                        let (lo, hi) = ((p - w).max(0.0), (p + w).min(1.0));
+                        decided += u32::from(check_coin_between(lo, hi, u, p));
+                        check_coin_between(p, p, u, p);
+                    }
+                }
+            }
+        }
+        assert!(decided > 100, "{decided} intervals decided");
+        // Straddling ½ the two ends take different branches: undecided,
+        // and no uniform is drawn.
+        let mut rng = RcbRng::new(96);
+        let before = rng.clone();
+        for (lo, hi) in [(0.5, 0.5f64.next_up()), (0.4, 0.6), (0.0, 0.3), (0.9, 1.0)] {
+            assert_eq!(
+                CoinBetween::default().decide(&mut rng, lo, hi),
+                None,
+                "[{lo}, {hi}]"
+            );
+        }
+        assert_eq!(rng, before);
+        // Both ends outside (0, 1): fixed, no uniform drawn.
+        for (lo, hi, want) in [(-1.0, 0.0, 0), (0.0, 0.0, 0), (1.0, 1.0, 1), (1.0, 2.0, 1)] {
+            let got = CoinBetween::default().decide(&mut rng, lo, hi);
+            assert_eq!(got, Some(want), "[{lo}, {hi}]");
+        }
+        assert_eq!(rng, before);
+    }
+
+    #[test]
+    fn coin_between_matches_binomial_fast_on_random_intervals() {
+        // Narrowing an interval around p until decided, then finishing
+        // exactly, moves the generator as binomial_fast(rng, 1, p) does.
+        let mut draw = RcbRng::new(97);
+        let mut fast = RcbRng::new(98);
+        let mut reference = fast.clone();
+        let mut narrowed = 0;
+        for _ in 0..100_000 {
+            let p = match draw.below(4) {
+                0 => 0.5 + (draw.f64() - 0.5) * 1e-6,
+                1 => draw.f64() * 1e-6,
+                _ => draw.f64(),
+            };
+            let mut w = (draw.f64() * 0.1).max(1e-18);
+            let mut coin = CoinBetween::default();
+            let got = loop {
+                let (lo, hi) = (
+                    (p - w * draw.f64()).max(-0.1),
+                    (p + w * draw.f64()).min(1.1),
+                );
+                if let Some(x) = coin.decide(&mut fast, lo, hi) {
+                    break x;
+                }
+                if w == 0.0 {
+                    break coin.exact(&mut fast, p);
+                }
+                narrowed += 1;
+                w = if w < 1e-17 { 0.0 } else { w * 1e-3 };
+            };
+            assert_eq!(got, binomial_fast(&mut reference, 1, p), "p {p:e}");
+            assert_eq!(fast, reference, "generator state at p {p:e}");
+        }
+        assert!(narrowed > 1000, "{narrowed} narrowings");
     }
 
     /// Values where `floor` and the saturating cast could part ways: signed

@@ -63,9 +63,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary};
 use rcb_core::one_to_n::node::{OneToNNode, Status, TermReason};
 use rcb_core::one_to_n::params::OneToNParams;
-use rcb_mathkit::binom::{binomial_tail_gt, ln_factorial, BinomialLn, F64_EXACT_INT_BOUND};
+use rcb_mathkit::binom::{
+    binomial_tail_gt, ln_factorial, BinomialLn, TailSum, F64_EXACT_INT_BOUND,
+};
 use rcb_mathkit::rng::RcbRng;
-use rcb_mathkit::sample::{binomial_fast, multinomial_into};
+use rcb_mathkit::sample::{binomial_fast, multinomial_into, CoinBetween};
 use serde::{Deserialize, Serialize};
 
 use crate::deadline::Deadline;
@@ -93,6 +95,17 @@ impl Default for CohortConfig {
             max_epoch: 40,
             exact_member_threshold: 384,
         }
+    }
+}
+
+impl CohortConfig {
+    /// Whether a run of `n` nodes under `faults` runs in aggregate mode,
+    /// pooling its anonymous cohorts' costs: above the exact-member
+    /// threshold and without a battery fault (whose per-node gauges force
+    /// every node to be tracked). A pooled run's per-node cost spread
+    /// (`max_cost`) is smeared, not measured.
+    pub fn pools_costs(&self, n: usize, faults: &FaultPlan) -> bool {
+        n > self.exact_member_threshold && faults.battery_capacity().is_none()
     }
 }
 
@@ -307,7 +320,7 @@ impl CohortState {
         // Mode selection: everyone tracked below the threshold or under a
         // battery fault; otherwise only the symmetry-broken nodes (sources,
         // crash/skew targets).
-        let all_tracked = n <= config.exact_member_threshold || faults.battery_capacity().is_some();
+        let all_tracked = !config.pools_costs(n, faults);
         let mut tracked_ids: Vec<usize> = if all_tracked {
             (0..n).collect()
         } else {
@@ -1011,7 +1024,8 @@ fn jammed_in_prefix(plan: &JamPlan, prefix: u64, len: u64) -> u64 {
 /// which it takes once per repetition; the tail and the walk's first pmf
 /// share one [`BinomialLn`], so `ln q` and `ln(1 − q)` are taken once per
 /// split, and a tail summed upward from `pmf(t + 1)` hands that first pmf
-/// over instead of having it recomputed.
+/// over instead of having it recomputed. A count-1 cohort's split
+/// ([`split_one`]) sums only as much of the tail as its draws need.
 fn split_by_clear(
     rng: &mut RcbRng,
     m: u64,
@@ -1036,7 +1050,30 @@ fn split_by_clear(
         return;
     }
     let dist = BinomialLn::with_ln_factorial(n0, ln_n0_factorial, q);
-    let (p_hi, anchor) = dist.tail_gt_anchored(t);
+    let mut tail = dist.tail_sum(t);
+    // The walk's start, taken only once some member lands above `t`.
+    let walk = |tail: &TailSum| PmfWalk::start(&dist, tail, n0, q, t);
+    if m == 1 {
+        split_one(rng, &mut tail, walk, out);
+    } else {
+        split_many(rng, m, &mut tail, walk, out);
+    }
+    #[cfg(test)]
+    tests::TAIL_TERMS.with(|c| c.set(c.get() + tail.terms()));
+}
+
+/// [`split_by_clear`] for `m ≥ 2`: the tail in full, `k_hi` members above
+/// `t` drawn at once, then split value by value by the conditional
+/// probability `pmf(v)/tail(v)`.
+fn split_many(
+    rng: &mut RcbRng,
+    m: u64,
+    tail: &mut TailSum,
+    walk: impl FnOnce(&TailSum) -> PmfWalk,
+    out: &mut Vec<(u64, u64)>,
+) {
+    tail.finish();
+    let p_hi = tail.tail_gt();
     let k_hi = if p_hi > 0.0 {
         binomial_fast(rng, m, p_hi)
     } else {
@@ -1048,21 +1085,16 @@ fn split_by_clear(
     if k_hi == 0 {
         return;
     }
-    // Walk v = t+1, t+2, … with the pmf ratio recurrence, splitting the
-    // remaining members by the conditional probability pmf(v)/tail(v).
+    let mut walk = walk(tail);
+    let n0 = walk.n0;
     let mut k_rem = k_hi;
-    let mut v = t + 1;
-    let mut pmf = anchor.unwrap_or_else(|| dist.ln_pmf(v).exp());
     let mut tail = p_hi;
-    let ratio = q / (1.0 - q);
-    // `n0 − v` and `v + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
-    let exact = n0 < F64_EXACT_INT_BOUND;
-    let (mut rest, mut next) = ((n0 - v) as f64, v as f64 + 1.0);
     while k_rem > 0 {
+        let v = walk.v;
         let take = if v >= n0 || tail <= f64::MIN_POSITIVE {
             k_rem
         } else {
-            let p_take = (pmf / tail).clamp(0.0, 1.0);
+            let p_take = (walk.pmf / tail).clamp(0.0, 1.0);
             binomial_fast(rng, k_rem, p_take)
         };
         if take > 0 {
@@ -1075,13 +1107,130 @@ fn split_by_clear(
             }
             break;
         }
-        tail -= pmf;
-        if !exact {
-            (rest, next) = ((n0 - v) as f64, (v + 1) as f64);
+        tail -= walk.pmf;
+        walk.step();
+    }
+}
+
+/// [`split_by_clear`] for one member, deciding each draw from a bracket
+/// on the tail.
+///
+/// The member's draws are `binomial_fast(rng, 1, ·)` coins: whether it
+/// lands above `t` (probability `tail(t)`), then at each `v` whether it
+/// stops there (`pmf(v)/tail(v)`). A [`TailSum`] brackets the tail after a
+/// few terms, the walk carries that bracket's two ends through the same
+/// `tail -= pmf` (subtraction is monotone), and [`CoinBetween`] takes a
+/// coin's result when it is the same at both ends of its probability,
+/// which `pmf / tail` and the clamp keep monotone. A walk step first asks
+/// about `[pmf, pmf/lo]`, which holds `[pmf/hi, pmf/lo]` because
+/// `hi ≤ 1`, and divides by `hi` only if that wider interval is
+/// undecided. On disagreement the tail sums more terms and the walk
+/// replays its subtractions from the narrower bracket; summed to the end,
+/// the bracket is the exact tail and the coin finishes as `binomial_fast`
+/// would. So the groups and the generator's state are those of
+/// [`split_many`] at `m = 1`, while most tails stop after a handful of
+/// terms.
+fn split_one(
+    rng: &mut RcbRng,
+    tail: &mut TailSum,
+    walk: impl FnOnce(&TailSum) -> PmfWalk,
+    out: &mut Vec<(u64, u64)>,
+) {
+    // Terms the first bracket sums; each refinement doubles the total.
+    const FIRST_TERMS: u64 = 4;
+    tail.advance(FIRST_TERMS);
+    let refine = |tail: &mut TailSum| tail.advance(tail.terms());
+    let mut coin = CoinBetween::default();
+    let above = loop {
+        let (lo, hi) = tail.tail_bounds();
+        if let Some(hit) = coin.decide(rng, lo, hi) {
+            break hit;
         }
-        pmf *= ratio * rest / next;
-        v += 1;
-        (rest, next) = (rest - 1.0, next + 1.0);
+        if tail.is_done() {
+            break coin.exact(rng, lo);
+        }
+        refine(tail);
+    };
+    if above == 0 {
+        out.push((0, 1));
+        return;
+    }
+    let start = walk(tail);
+    let mut walk = start;
+    let (mut lo, mut hi) = tail.tail_bounds();
+    while walk.v < walk.n0 {
+        let mut coin = CoinBetween::default();
+        let take = loop {
+            if hi <= f64::MIN_POSITIVE {
+                break 1;
+            }
+            if tail.is_done() {
+                // `lo == hi`: the exact step, from the uniform if drawn.
+                break coin.exact(rng, (walk.pmf / hi).clamp(0.0, 1.0));
+            }
+            if lo > f64::MIN_POSITIVE {
+                debug_assert!(hi <= 1.0);
+                let p_hi = (walk.pmf / lo).clamp(0.0, 1.0);
+                if let Some(take) = coin.decide(rng, walk.pmf.min(1.0), p_hi) {
+                    break take;
+                }
+                let p_lo = (walk.pmf / hi).clamp(0.0, 1.0);
+                if let Some(take) = coin.decide(rng, p_lo, p_hi) {
+                    break take;
+                }
+            }
+            refine(tail);
+            (lo, hi) = tail.tail_bounds();
+            let mut replay = start;
+            while replay.v < walk.v {
+                (lo, hi) = (lo - replay.pmf, hi - replay.pmf);
+                replay.step();
+            }
+        };
+        if take == 1 {
+            break;
+        }
+        (lo, hi) = (lo - walk.pmf, hi - walk.pmf);
+        walk.step();
+    }
+    out.push((walk.v, 1));
+}
+
+/// The pmf of `Binomial(n0, q)` walked upward from `v = t + 1` by its
+/// ratio recurrence.
+#[derive(Debug, Clone, Copy)]
+struct PmfWalk {
+    v: u64,
+    n0: u64,
+    pmf: f64,
+    ratio: f64,
+    /// `n0 − v` and `v + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
+    exact: bool,
+    rest: f64,
+    next: f64,
+}
+
+impl PmfWalk {
+    fn start(dist: &BinomialLn, tail: &TailSum, n0: u64, q: f64, t: u64) -> Self {
+        let v = t + 1;
+        Self {
+            v,
+            n0,
+            pmf: tail.anchor().unwrap_or_else(|| dist.ln_pmf(v).exp()),
+            ratio: q / (1.0 - q),
+            exact: n0 < F64_EXACT_INT_BOUND,
+            rest: (n0 - v) as f64,
+            next: v as f64 + 1.0,
+        }
+    }
+
+    fn step(&mut self) {
+        if !self.exact {
+            (self.rest, self.next) = ((self.n0 - self.v) as f64, (self.v + 1) as f64);
+        }
+        self.pmf *= self.ratio * self.rest / self.next;
+        self.v += 1;
+        (self.rest, self.next) = (self.rest - 1.0, self.next + 1.0);
     }
 }
 
@@ -1108,6 +1257,11 @@ mod tests {
     use rcb_adversary::rep_strategies::{
         BudgetedRepBlocker, KeepAliveBlocker, NoJamRep, SuffixFractionRep,
     };
+
+    thread_local! {
+        /// Tail terms [`split_by_clear`] has summed on this thread.
+        pub(super) static TAIL_TERMS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn params() -> OneToNParams {
         OneToNParams::practical()
@@ -1156,6 +1310,33 @@ mod tests {
         CohortConfig {
             exact_member_threshold: 0,
             ..CohortConfig::default()
+        }
+    }
+
+    #[test]
+    fn only_aggregate_mode_pools_costs() {
+        let (config, none) = (CohortConfig::default(), FaultPlan::none());
+        let threshold = config.exact_member_threshold;
+        assert!(!config.pools_costs(threshold, &none), "all tracked");
+        assert!(config.pools_costs(threshold + 1, &none), "aggregate");
+        let battery = FaultPlan::none().with_battery(500);
+        assert!(
+            !config.pools_costs(65_536, &battery),
+            "battery forces tracking"
+        );
+        assert!(aggregate_config().pools_costs(8, &none));
+        // The predicate is the mode: a pooling run has anonymous cohorts.
+        for (n, config) in [
+            (threshold, config),
+            (threshold + 1, config),
+            (8, aggregate_config()),
+        ] {
+            let state = CohortState::new(&params(), n, &[0], config, &none);
+            assert_eq!(
+                !state.cohorts.is_empty(),
+                config.pools_costs(n, &none),
+                "n {n}"
+            );
         }
     }
 
@@ -1640,6 +1821,194 @@ mod tests {
         let p_hi_emp = hi_members as f64 / m as f64;
         let p_hi = binomial_tail_gt(n0, t, q);
         assert!((p_hi_emp - p_hi).abs() < 0.01, "{p_hi_emp} vs {p_hi}");
+    }
+
+    /// `split_by_clear` as it was before the bracketed tail, verbatim but
+    /// for one line: the tail and the walk's first pmf came from the
+    /// since-retired `tail_gt_anchored`, whose values are `tail_gt(t)` and
+    /// `ln_pmf(t + 1).exp()` bit for bit.
+    fn split_by_clear_reference(
+        rng: &mut RcbRng,
+        m: u64,
+        n0: u64,
+        ln_n0_factorial: f64,
+        q: f64,
+        t: u64,
+        out: &mut Vec<(u64, u64)>,
+    ) {
+        out.clear();
+        if m == 0 {
+            return;
+        }
+        if q >= 1.0 {
+            // Every member hears every clear slot.
+            out.push((n0, m));
+            return;
+        }
+        if n0 <= t {
+            // No draw can exceed `t`: everyone is in the zero-growth group.
+            out.push((0, m));
+            return;
+        }
+        let dist = BinomialLn::with_ln_factorial(n0, ln_n0_factorial, q);
+        let p_hi = dist.tail_gt(t);
+        let k_hi = if p_hi > 0.0 {
+            binomial_fast(rng, m, p_hi)
+        } else {
+            0
+        };
+        if m > k_hi {
+            out.push((0, m - k_hi));
+        }
+        if k_hi == 0 {
+            return;
+        }
+        // Walk v = t+1, t+2, … with the pmf ratio recurrence, splitting the
+        // remaining members by the conditional probability pmf(v)/tail(v).
+        let mut k_rem = k_hi;
+        let mut v = t + 1;
+        let mut pmf = dist.ln_pmf(v).exp();
+        let mut tail = p_hi;
+        let ratio = q / (1.0 - q);
+        // `n0 − v` and `v + 1` as f64 counters (see `F64_EXACT_INT_BOUND`).
+        let exact = n0 < F64_EXACT_INT_BOUND;
+        let (mut rest, mut next) = ((n0 - v) as f64, v as f64 + 1.0);
+        while k_rem > 0 {
+            let take = if v >= n0 || tail <= f64::MIN_POSITIVE {
+                k_rem
+            } else {
+                let p_take = (pmf / tail).clamp(0.0, 1.0);
+                binomial_fast(rng, k_rem, p_take)
+            };
+            if take > 0 {
+                out.push((v, take));
+                k_rem -= take;
+            }
+            if k_rem == 0 || v >= n0 {
+                if k_rem > 0 {
+                    out.push((n0, k_rem));
+                }
+                break;
+            }
+            tail -= pmf;
+            if !exact {
+                (rest, next) = ((n0 - v) as f64, (v + 1) as f64);
+            }
+            pmf *= ratio * rest / next;
+            v += 1;
+            (rest, next) = (rest - 1.0, next + 1.0);
+        }
+    }
+
+    /// A random split `(m, n0, q, t)`: mostly cuts within ±12σ of a mean
+    /// log-uniform in `[10^-3, 10^4]` (or mirrored near `q = 1`), with `n0`
+    /// up to 2^40, and in fixed shares the edge cases — `q ≥ 1`, `n0 ≤ t`,
+    /// cuts at the median (the tail near ½, where the coin switches to
+    /// its complement), cuts whose tail is near `f64::MIN_POSITIVE`, and
+    /// `n0` past 2^53. Walks of several members can outlast the pmf, which
+    /// then underflows and leaves them stepping to `n0` one value at a
+    /// time, so `n0` beyond 2^20 goes to count-1 splits only.
+    fn random_split(rng: &mut RcbRng) -> (u64, u64, f64, u64) {
+        let m = [1, 1, 1, 1, 1, 2, 7, 1000][rng.below(8) as usize];
+        let log_uniform = |rng: &mut RcbRng, max: f64| 2f64.powf(max.log2() * rng.f64());
+        let mut n0 = (log_uniform(rng, 1e5) as u64).max(1);
+        if rng.below(4) == 0 {
+            n0 = (log_uniform(rng, 2f64.powi(if m == 1 { 40 } else { 20 })) as u64).max(1);
+        }
+        let mean_q = |rng: &mut RcbRng, n0: u64| {
+            (10f64.powf(7.0 * rng.f64() - 3.0) / n0 as f64).min(rng.f64())
+        };
+        match rng.below(16) {
+            0 => (m, n0, [1.0, 1.5][rng.below(2) as usize], rng.below(n0 + 1)),
+            1 => (m, n0, rng.f64(), n0 + rng.below(3)),
+            2 | 3 => {
+                let q = rng.f64();
+                let median = (n0 as f64 * q) as u64;
+                (m, n0, q, (median + rng.below(3)).saturating_sub(1))
+            }
+            4 => {
+                // The first t above the mean with ln pmf(t + 1) < −708.
+                let n0 = 2000 + rng.below(20_000);
+                let q = 0.5 * rng.f64() + 0.01;
+                let dist = BinomialLn::new(n0, q);
+                let (mut lo, mut hi) = ((n0 as f64 * q) as u64, n0);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    if dist.ln_pmf(mid + 1) < -708.0 {
+                        hi = mid;
+                    } else {
+                        lo = mid + 1;
+                    }
+                }
+                (m, n0, q, (lo + rng.below(5)).saturating_sub(2))
+            }
+            5 => {
+                // Mass near n0, so the walk from t + 1 to n0 stays short.
+                let n0 = F64_EXACT_INT_BOUND + rng.below(1 << 20) * rng.below(1 << 40);
+                let misses = 10f64.powf(3.0 * rng.f64());
+                let z = (8.0 * rng.f64() - 4.0) * misses.sqrt();
+                let t = n0 - ((misses + z).max(0.0) as u64 + 1);
+                (m, n0, 1.0 - misses / n0 as f64, t)
+            }
+            _ => {
+                let mut q = mean_q(rng, n0);
+                if rng.below(3) == 0 {
+                    q = 1.0 - q;
+                }
+                let mean = n0 as f64 * q;
+                let sigma = (mean * (1.0 - q)).sqrt();
+                let t = (mean + (24.0 * rng.f64() - 12.0) * sigma).max(0.0) as u64;
+                (m, n0, q, t.min(n0 + 1))
+            }
+        }
+    }
+
+    #[test]
+    fn split_by_clear_matches_the_exact_split() {
+        // The bracketed count-1 split and the exact m ≥ 2 split against
+        // the exact split of before, on one generator each: same groups,
+        // same generator state after every case.
+        let mut cases = RcbRng::new(2014);
+        let mut new_rng = RcbRng::new(27);
+        let mut old_rng = new_rng.clone();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut seen = [0u32; 8];
+        for i in 0..100_000 {
+            let (m, n0, q, t) = random_split(&mut cases);
+            let ln_f = ln_factorial(n0);
+            split_by_clear(&mut new_rng, m, n0, ln_f, q, t, &mut got);
+            split_by_clear_reference(&mut old_rng, m, n0, ln_f, q, t, &mut want);
+            assert_eq!(got, want, "case {i}: m {m} n0 {n0} q {q:e} t {t}");
+            assert_eq!(new_rng, old_rng, "case {i}: generator state");
+            if q < 1.0 && n0 > t {
+                let p_hi = binomial_tail_gt(n0, t, q);
+                let lower = (t as f64) < n0 as f64 * q;
+                seen[usize::from(lower)] += 1;
+                seen[2] += u32::from((p_hi - 0.5).abs() < 0.02);
+                seen[3] += u32::from(p_hi > 0.0 && p_hi < 1e-300);
+                seen[4] += u32::from(n0 >= F64_EXACT_INT_BOUND);
+                seen[5] += u32::from(m == 1 && got.iter().any(|&(v, _)| v > t));
+            } else {
+                seen[6] += 1;
+            }
+            seen[7] += u32::from(m == 1000 && got.len() > 3);
+        }
+        // Both branches, the complement switch, tails near MIN_POSITIVE,
+        // n0 past 2^53, count-1 walks, the shortcuts and wide m = 1000
+        // histograms all occur.
+        assert!(seen.iter().all(|&c| c > 500), "coverage {seen:?}");
+    }
+
+    #[test]
+    fn count_one_splits_sum_a_fraction_of_the_tail_terms() {
+        // A layout-proof witness for the bracketed tail: the tail terms
+        // every split sums over the `half_suffix` pin's three trials. The
+        // exact split of before summed 2,134,195 terms over the same run
+        // (22,606 splits, 14,167 of them count-1). A change here changes
+        // how much of a tail the split reads, not what it draws.
+        TAIL_TERMS.with(|c| c.set(0));
+        assert_eq!(aggregate_fold("half_suffix"), AGGREGATE_CHECKSUMS[0].1);
+        assert_eq!(TAIL_TERMS.with(|c| c.get()), 547_657);
     }
 
     #[test]

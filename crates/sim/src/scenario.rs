@@ -430,6 +430,14 @@ pub struct ScenarioSpec {
     pub parallelism: Parallelism,
 }
 
+/// The cohort engine's configuration for a spec with this epoch cap.
+fn cohort_config(max_epoch: u32) -> CohortConfig {
+    CohortConfig {
+        max_epoch,
+        ..CohortConfig::default()
+    }
+}
+
 impl ScenarioSpec {
     /// A fast-engine duel scenario with engine-default caps, no jamming,
     /// no faults, seed 2014, one trial.
@@ -627,6 +635,18 @@ impl ScenarioSpec {
         }
     }
 
+    /// Whether this spec's runs pool per-node costs (the cohort engine's
+    /// aggregate mode; see [`CohortConfig::pools_costs`]), so that
+    /// `max_cost` is not a measurement.
+    pub fn pools_costs(&self) -> bool {
+        let (n, max_epoch) = match &self.workload {
+            Workload::Duel(_) => return false,
+            Workload::Broadcast(w) => (w.n, w.max_epoch),
+            Workload::Stream(w) => (w.n, w.max_epoch),
+        };
+        self.engine == Engine::CohortFast && cohort_config(max_epoch).pools_costs(n, &self.faults)
+    }
+
     // -- run paths ----------------------------------------------------------
 
     /// Runs trial `trial` of the scenario on the caller's RNG and returns
@@ -736,10 +756,7 @@ impl ScenarioSpec {
                 params,
                 n,
                 sources,
-                CohortConfig {
-                    max_epoch,
-                    ..CohortConfig::default()
-                },
+                cohort_config(max_epoch),
                 faults,
                 0,
             )),
