@@ -195,7 +195,7 @@ impl FastBranch {
 /// interval, which the caller narrows until the draw is decided.
 ///
 /// [`decide`](Self::decide) evaluates `binomial_fast`'s branch and, when
-/// it draws, [`binv_one`]'s tests at both ends of the interval, with the
+/// it draws, `binv_one`'s tests at both ends of the interval, with the
 /// uniform the draw would take. The outcome is monotone in `p` within a
 /// branch (each test compares `u` with a monotone function of `p`, and
 /// `1 − p` is monotone), so when both ends agree on branch and result,
@@ -225,6 +225,25 @@ impl CoinBetween {
             0 => Some(0),
             _ => (at_lo.decided(u) == Some(1)).then_some(1),
         }
+    }
+
+    /// Whether the draw is 0 for every `p ∈ (0, p_up]`, from one test at
+    /// `p_up`.
+    ///
+    /// For `0 < p_up ≤ ½` every such `p` takes `binomial_fast`'s direct
+    /// branch, which draws the uniform, and `binv_one` returns 0 below
+    /// `fl(1 − p)·(1 − δ)`: a threshold that only falls as `p` grows, so a
+    /// uniform below it at `p_up` is below it at every smaller `p`. When
+    /// this returns `false` the uniform, if drawn, is kept: the caller goes
+    /// on with [`decide`](Self::decide) or [`exact`](Self::exact) on
+    /// probabilities inside `(0, p_up]`, which reuse it.
+    #[inline(always)]
+    pub fn zero_up_to(&mut self, rng: &mut RcbRng, p_up: f64) -> bool {
+        if !(p_up > 0.0 && p_up <= 0.5) {
+            return false;
+        }
+        let u = self.uniform(rng, FastBranch::Direct(p_up));
+        binv_one_decided(p_up, u) == Some(0)
     }
 
     /// `binomial_fast(rng, 1, p)`, continued from the uniform already
@@ -335,14 +354,25 @@ fn binv_from(rng: &mut RcbRng, n: u64, p: f64, mut u: f64) -> u64 {
 /// outright), the parallelogram above it, and two exponential tails. A
 /// candidate from outside the triangle passes a cheap squeeze or, rarely,
 /// the exact pmf comparison with Stirling-series `ln n!` correction terms.
+///
+/// The setup takes its two floors by the saturating cast, which is `floor`
+/// for every `x` in `[0, 2^64)` and exact back to `f64` (below 2^53 the
+/// floor is representable; above, `x` is already an integer). Both
+/// arguments lie there: `binomial_fast_half` sends only `fl(n·p) ≥ 10`
+/// here, with `p ≤ ½`, so `q = fl(1 − p) ∈ [½, 1)`. Then
+/// `0 ≤ ffm = fl(n·p) + p ≤ 2^63` (`n as f64 ≤ 2^64`), and
+/// `nrq ≥ fl(10·½) = 5` by monotone rounding, so
+/// `2.195·√nrq ≥ 4.9 > 4.6 ≥ 4.6·q` and the second argument is positive
+/// and below 2^33. The branch floors below stay calls: their arguments
+/// can be negative.
 fn binomial_btpe(rng: &mut RcbRng, n: u64, p: f64) -> u64 {
     let nf = n as f64;
     let r = p;
     let q = 1.0 - r;
     let nrq = nf * r * q;
     let ffm = nf * r + r;
-    let m = ffm.floor(); // mode
-    let p1 = (2.195 * nrq.sqrt() - 4.6 * q).floor() + 0.5;
+    let m = (ffm as u64) as f64; // mode
+    let p1 = ((2.195 * nrq.sqrt() - 4.6 * q) as u64) as f64 + 0.5;
     let xm = m + 0.5;
     let xl = xm - p1;
     let xr = xm + p1;
@@ -1163,6 +1193,227 @@ mod tests {
             assert_eq!(fast, reference, "generator state at p {p:e}");
         }
         assert!(narrowed > 1000, "{narrowed} narrowings");
+    }
+
+    #[test]
+    fn zero_up_to_decides_only_zeros_below_the_threshold() {
+        // First uniforms on and one ulp either side of binv_one's zero
+        // threshold at p_up, with p from p_up down to the smallest
+        // positive value: a `true` must be a 0 from the reference loop at
+        // every such p, without the loop drawing; after a `false`,
+        // finishing at p must match the reference in value and state.
+        let mut draw = RcbRng::new(99);
+        let (mut zeros, mut kept) = (0, 0);
+        for p_up in [1e-300, 1e-9, 0.25, 0.5] {
+            let zero_below = (1.0 - p_up) * (1.0 - BINV_ONE_BAND);
+            let mut ps = vec![p_up, p_up.next_down(), 0.5 * p_up, 5e-324];
+            ps.extend((0..50).map(|_| p_up * (1.0 - draw.f64())));
+            let mut us = vec![0.0, 1.0 - 2f64.powi(-53), 1.0 - p_up];
+            us.extend([zero_below.next_down(), zero_below, zero_below.next_up()]);
+            for &u in &us {
+                for &p in &ps {
+                    let mut coin = CoinBetween { u: Some(u) };
+                    let mut rng = RcbRng::new(93);
+                    let mut reference = rng.clone();
+                    let want = coin_reference(&mut reference, p, u);
+                    if coin.zero_up_to(&mut rng, p_up) {
+                        assert_eq!(want, 0, "p_up {p_up:e} p {p:e} u {u:e}");
+                        assert_eq!(reference, rng, "the loop ran at p {p:e} u {u:e}");
+                        zeros += 1;
+                    } else {
+                        assert!(u >= zero_below, "p_up {p_up:e} u {u:e}");
+                        assert_eq!(coin.exact(&mut rng, p), want, "p {p:e} u {u:e}");
+                        assert_eq!(rng, reference, "state at p {p:e} u {u:e}");
+                        kept += 1;
+                    }
+                }
+            }
+        }
+        assert!(zeros > 100 && kept > 100, "{zeros} zeros, {kept} kept");
+    }
+
+    #[test]
+    fn zero_up_to_matches_binomial_fast_on_random_draws() {
+        // A fresh coin asked about p_up, finished at a random p ∈ (0, p_up]
+        // when undecided, moves the generator as binomial_fast(rng, 1, p).
+        // Outside (0, ½] it decides nothing and draws nothing.
+        let mut draw = RcbRng::new(100);
+        let mut fast = RcbRng::new(101);
+        let mut reference = fast.clone();
+        let mut zeros = 0;
+        for _ in 0..100_000 {
+            let p_up = 0.5 * 10f64.powf(-12.0 * draw.f64() * draw.f64());
+            let p = match draw.below(3) {
+                0 => p_up,
+                _ => p_up * (1.0 - draw.f64()),
+            };
+            let mut coin = CoinBetween::default();
+            let got = if coin.zero_up_to(&mut fast, p_up) {
+                zeros += 1;
+                0
+            } else {
+                coin.exact(&mut fast, p)
+            };
+            assert_eq!(got, binomial_fast(&mut reference, 1, p), "p {p:e}");
+            assert_eq!(fast, reference, "generator state at p {p:e} p_up {p_up:e}");
+        }
+        assert!(zeros > 50_000, "{zeros} zeros");
+        for p_up in [0.0, -0.0, -1.0, f64::NAN, 0.5f64.next_up(), 0.7, 1.0, 2.0] {
+            assert!(!CoinBetween::default().zero_up_to(&mut fast, p_up));
+            assert_eq!(fast, reference, "drew at p_up {p_up}");
+        }
+    }
+
+    /// `binomial_btpe` as it was with the setup's two library `floor`s,
+    /// verbatim.
+    fn btpe_with_floor(rng: &mut RcbRng, n: u64, p: f64) -> u64 {
+        let nf = n as f64;
+        let r = p;
+        let q = 1.0 - r;
+        let nrq = nf * r * q;
+        let ffm = nf * r + r;
+        let m = ffm.floor(); // mode
+        let p1 = (2.195 * nrq.sqrt() - 4.6 * q).floor() + 0.5;
+        let xm = m + 0.5;
+        let xl = xm - p1;
+        let xr = xm + p1;
+        let c = 0.134 + 20.5 / (15.3 + m);
+        let a = (ffm - xl) / (ffm - xl * r);
+        let lambda_l = a * (1.0 + 0.5 * a);
+        let a = (xr - ffm) / (xr * q);
+        let lambda_r = a * (1.0 + 0.5 * a);
+        let p2 = p1 * (1.0 + c + c);
+        let p3 = p2 + c / lambda_l;
+        let p4 = p3 + c / lambda_r;
+
+        loop {
+            let u = rng.f64() * p4;
+            let mut v = rng.f64();
+
+            let y: f64;
+            if u <= p1 {
+                // Central triangle: accept immediately. The saturating cast
+                // is `floor` here (see `geometric_failures_with_denom`).
+                return (xm - p1 * v + u) as u64;
+            } else if u <= p2 {
+                // Parallelogram: scale v onto the pmf-ratio line.
+                let x = xl + (u - p1) / c;
+                v = v * c + 1.0 - (x - xm).abs() / p1;
+                if v > 1.0 || v <= 0.0 {
+                    continue;
+                }
+                y = x.floor();
+            } else if u <= p3 {
+                // Left exponential tail.
+                y = (xl + v.ln() / lambda_l).floor();
+                if y < 0.0 {
+                    continue;
+                }
+                v *= (u - p2) * lambda_l;
+            } else {
+                // Right exponential tail.
+                y = (xr - v.ln() / lambda_r).floor();
+                if y > nf {
+                    continue;
+                }
+                v *= (u - p3) * lambda_r;
+            }
+
+            // Accept/reject y against f(y)/f(m), where f is the binomial pmf.
+            let k = (y - m).abs();
+            if k <= 20.0 || k >= nrq / 2.0 - 1.0 {
+                // Narrow distribution or near the mode: evaluate the pmf ratio
+                // by the multiplicative recurrence — few factors, exact.
+                let s = r / q;
+                let aa = s * (nf + 1.0);
+                let mut f = 1.0;
+                if m < y {
+                    let mut i = m;
+                    while i < y {
+                        i += 1.0;
+                        f *= aa / i - s;
+                    }
+                } else if m > y {
+                    let mut i = y;
+                    while i < m {
+                        i += 1.0;
+                        f /= aa / i - s;
+                    }
+                }
+                if v <= f {
+                    return y as u64;
+                }
+                continue;
+            }
+            // Squeeze: bounds on ln(f(y)/f(m)) that avoid the Stirling
+            // evaluation for most candidates.
+            let rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 1.0 / 6.0) / nrq + 0.5);
+            let t = -k * k / (2.0 * nrq);
+            let alv = v.ln();
+            if alv < t - rho {
+                return y as u64;
+            }
+            if alv > t + rho {
+                continue;
+            }
+            // Final exact comparison: ln(f(y)/f(m)) via Stirling's series,
+            // with the (13860 − …)/166320 polynomial correction terms of the
+            // published algorithm.
+            let x1 = y + 1.0;
+            let f1 = m + 1.0;
+            let z = nf + 1.0 - m;
+            let w = nf - y + 1.0;
+            let z2 = z * z;
+            let x2 = x1 * x1;
+            let f2 = f1 * f1;
+            let w2 = w * w;
+            let stirling =
+                |v2: f64| 13860.0 - (462.0 - (132.0 - (99.0 - 140.0 / v2) / v2) / v2) / v2;
+            let bound = xm * (f1 / x1).ln()
+                + (nf - m + 0.5) * (z / w).ln()
+                + (y - m) * (w * r / (x1 * q)).ln()
+                + stirling(f2) / f1 / 166320.0
+                + stirling(z2) / z / 166320.0
+                + stirling(x2) / x1 / 166320.0
+                + stirling(w2) / w / 166320.0;
+            if alv <= bound {
+                return y as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn btpe_setup_casts_match_the_floor_setup() {
+        // Every (n, p) that binomial_fast_half sends to BTPE — fl(n·p) ≥ 10
+        // and p ≤ ½ — draws the values and generator state of the floor
+        // setup: n log-uniform up to u64::MAX, the mean log-uniform from
+        // the crossover to n/2, and the edges (mean exactly 10, p = ½,
+        // n = u64::MAX).
+        let mut draw = RcbRng::new(102);
+        let mut fast = RcbRng::new(103);
+        let mut reference = fast.clone();
+        let mut cases = vec![
+            (20u64, 0.5),
+            (1000, 0.01),
+            (u64::MAX, 0.5),
+            (u64::MAX, 1e-18),
+        ];
+        for _ in 0..20_000 {
+            let n = (2f64.powf(4.4 + 59.6 * draw.f64()) as u64).max(20);
+            let top = (n as f64 / 2.0).log10();
+            let p = (10f64.powf(1.0 + (top - 1.0) * draw.f64()) / n as f64).min(0.5);
+            cases.push((n, if draw.below(16) == 0 { 0.5 } else { p }));
+        }
+        for (n, p) in cases {
+            if !(p <= 0.5 && n as f64 * p >= BTPE_THRESHOLD) {
+                continue;
+            }
+            for _ in 0..5 {
+                let got = binomial_btpe(&mut fast, n, p);
+                assert_eq!(got, btpe_with_floor(&mut reference, n, p), "n {n} p {p:e}");
+            }
+            assert_eq!(fast, reference, "generator state at n {n} p {p:e}");
+        }
     }
 
     /// Values where `floor` and the saturating cast could part ways: signed

@@ -1093,6 +1093,12 @@ fn split_many(
         let v = walk.v;
         let take = if v >= n0 || tail <= f64::MIN_POSITIVE {
             k_rem
+        } else if walk.pmf == 0.0 {
+            // The pmf underflowed. Every step left draws nothing
+            // (`binomial_fast` at p = 0 takes no word) and leaves `tail`
+            // as it is, so the members left walk to `n0`.
+            out.push((n0, k_rem));
+            break;
         } else {
             let p_take = (walk.pmf / tail).clamp(0.0, 1.0);
             binomial_fast(rng, k_rem, p_take)
@@ -1121,7 +1127,11 @@ fn split_many(
 /// few terms, the walk carries that bracket's two ends through the same
 /// `tail -= pmf` (subtraction is monotone), and [`CoinBetween`] takes a
 /// coin's result when it is the same at both ends of its probability,
-/// which `pmf / tail` and the clamp keep monotone. A walk step first asks
+/// which `pmf / tail` and the clamp keep monotone. Most steps are a "not
+/// here" far below the mode, and a walk step first tests only that, at
+/// the upper end `pmf/lo` ([`CoinBetween::zero_up_to`]): a 0 there is a 0
+/// at every probability below, and the general test would have taken the
+/// same uniform and decided the same 0 without refining. Otherwise it asks
 /// about `[pmf, pmf/lo]`, which holds `[pmf/hi, pmf/lo]` because
 /// `hi ≤ 1`, and divides by `hi` only if that wider interval is
 /// undecided. On disagreement the tail sums more terms and the walk
@@ -1160,6 +1170,15 @@ fn split_one(
     let (mut lo, mut hi) = tail.tail_bounds();
     while walk.v < walk.n0 {
         let mut coin = CoinBetween::default();
+        if lo > f64::MIN_POSITIVE && coin.zero_up_to(rng, walk.pmf / lo) {
+            #[cfg(test)]
+            tests::count_walk_step(true);
+            (lo, hi) = (lo - walk.pmf, hi - walk.pmf);
+            walk.step();
+            continue;
+        }
+        #[cfg(test)]
+        tests::count_walk_step(false);
         let take = loop {
             if hi <= f64::MIN_POSITIVE {
                 break 1;
@@ -1188,6 +1207,12 @@ fn split_one(
             }
         };
         if take == 1 {
+            break;
+        }
+        if walk.pmf == 0.0 {
+            // The pmf underflowed: with `lo` and `hi` fixed from here on,
+            // every step left decides this 0 the same way, drawing nothing.
+            walk.v = walk.n0;
             break;
         }
         (lo, hi) = (lo - walk.pmf, hi - walk.pmf);
@@ -1261,6 +1286,18 @@ mod tests {
     thread_local! {
         /// Tail terms [`split_by_clear`] has summed on this thread.
         pub(super) static TAIL_TERMS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        /// Count-1 walk steps on this thread: `[decided by the upper
+        /// bound alone, decided by the general coin]`.
+        static WALK_STEPS: std::cell::Cell<[u64; 2]> = const { std::cell::Cell::new([0; 2]) };
+    }
+
+    /// Counts one [`split_one`] walk step in [`WALK_STEPS`].
+    pub(super) fn count_walk_step(by_bound: bool) {
+        WALK_STEPS.with(|c| {
+            let mut steps = c.get();
+            steps[usize::from(!by_bound)] += 1;
+            c.set(steps);
+        });
     }
 
     fn params() -> OneToNParams {
@@ -1824,9 +1861,13 @@ mod tests {
     }
 
     /// `split_by_clear` as it was before the bracketed tail, verbatim but
-    /// for one line: the tail and the walk's first pmf came from the
+    /// for two lines. The tail and the walk's first pmf came from the
     /// since-retired `tail_gt_anchored`, whose values are `tail_gt(t)` and
-    /// `ln_pmf(t + 1).exp()` bit for bit.
+    /// `ln_pmf(t + 1).exp()` bit for bit. And once the pmf has underflowed
+    /// to 0 (and `tail` is above `MIN_POSITIVE`), `v` jumps to `n0`: the
+    /// loop would get there one value at a time, each step drawing at
+    /// p = 0 (no word) and leaving `tail` and `pmf` as they are, which for
+    /// `n0` near 2^40 takes hours.
     fn split_by_clear_reference(
         rng: &mut RcbRng,
         m: u64,
@@ -1874,6 +1915,9 @@ mod tests {
         let exact = n0 < F64_EXACT_INT_BOUND;
         let (mut rest, mut next) = ((n0 - v) as f64, v as f64 + 1.0);
         while k_rem > 0 {
+            if pmf == 0.0 && tail > f64::MIN_POSITIVE {
+                v = n0;
+            }
             let take = if v >= n0 || tail <= f64::MIN_POSITIVE {
                 k_rem
             } else {
@@ -1905,15 +1949,14 @@ mod tests {
     /// up to 2^40, and in fixed shares the edge cases — `q ≥ 1`, `n0 ≤ t`,
     /// cuts at the median (the tail near ½, where the coin switches to
     /// its complement), cuts whose tail is near `f64::MIN_POSITIVE`, and
-    /// `n0` past 2^53. Walks of several members can outlast the pmf, which
-    /// then underflows and leaves them stepping to `n0` one value at a
-    /// time, so `n0` beyond 2^20 goes to count-1 splits only.
+    /// `n0` past 2^53. Median cuts of several members keep `n0` below
+    /// 2^20 (see there).
     fn random_split(rng: &mut RcbRng) -> (u64, u64, f64, u64) {
         let m = [1, 1, 1, 1, 1, 2, 7, 1000][rng.below(8) as usize];
         let log_uniform = |rng: &mut RcbRng, max: f64| 2f64.powf(max.log2() * rng.f64());
         let mut n0 = (log_uniform(rng, 1e5) as u64).max(1);
         if rng.below(4) == 0 {
-            n0 = (log_uniform(rng, 2f64.powi(if m == 1 { 40 } else { 20 })) as u64).max(1);
+            n0 = (log_uniform(rng, 2f64.powi(40)) as u64).max(1);
         }
         let mean_q = |rng: &mut RcbRng, n0: u64| {
             (10f64.powf(7.0 * rng.f64() - 3.0) / n0 as f64).min(rng.f64())
@@ -1922,6 +1965,11 @@ mod tests {
             0 => (m, n0, [1.0, 1.5][rng.below(2) as usize], rng.below(n0 + 1)),
             1 => (m, n0, rng.f64(), n0 + rng.below(3)),
             2 | 3 => {
+                // Several members can outlast the bulk here, and past it
+                // the pmf can stall at a subnormal (times a step's factor,
+                // it rounds back to itself) for a number of values of the
+                // order of n0, a draw each: n0 stays below 2^20 for them.
+                let n0 = if m == 1 { n0 } else { n0.min(1 << 20) };
                 let q = rng.f64();
                 let median = (n0 as f64 * q) as u64;
                 (m, n0, q, (median + rng.below(3)).saturating_sub(1))
@@ -2009,6 +2057,90 @@ mod tests {
         TAIL_TERMS.with(|c| c.set(0));
         assert_eq!(aggregate_fold("half_suffix"), AGGREGATE_CHECKSUMS[0].1);
         assert_eq!(TAIL_TERMS.with(|c| c.get()), 547_657);
+    }
+
+    #[test]
+    fn count_one_walks_decide_most_steps_from_the_upper_bound() {
+        // A witness that the walk's one-test "not here" path fires: walk
+        // steps over the `half_suffix` pin's three trials, decided by the
+        // upper bound alone vs. by the general coin. No checksum moves if
+        // the bound stops deciding; this count does.
+        WALK_STEPS.with(|c| c.set([0; 2]));
+        assert_eq!(aggregate_fold("half_suffix"), AGGREGATE_CHECKSUMS[0].1);
+        assert_eq!(WALK_STEPS.with(|c| c.get()), [1_714_022, 13_347]);
+    }
+
+    #[test]
+    fn walks_jump_to_n0_once_the_pmf_underflows() {
+        // A walk whose pmf is already 0, as after an underflow, draws
+        // nothing more: both splits send the members above t to n0 at
+        // once, and the generator moves by the first coin alone. Without
+        // the jump these walks would step through 2^40 values. (The split
+        // oracle meets the jump only in several-member walks.)
+        let (n0, q) = (1u64 << 40, 1e-9);
+        let dist = BinomialLn::new(n0, q);
+        let mut rng = RcbRng::new(29);
+        let mut out = Vec::new();
+        let mut jumped = [0; 2];
+        for (m, t) in [(1, 1090), (1, 1100), (2, 1100), (7, 1050)].repeat(20) {
+            let mut reference = rng.clone();
+            let above = binomial_fast(&mut reference, m, dist.tail_gt(t));
+            let mut tail = dist.tail_sum(t);
+            out.clear();
+            let walk = |tail: &TailSum| PmfWalk {
+                pmf: 0.0,
+                ..PmfWalk::start(&dist, tail, n0, q, t)
+            };
+            if m == 1 {
+                split_one(&mut rng, &mut tail, walk, &mut out);
+            } else {
+                split_many(&mut rng, m, &mut tail, walk, &mut out);
+            }
+            let mut want = Vec::new();
+            if m > above {
+                want.push((0, m - above));
+            }
+            if above > 0 {
+                want.push((n0, above));
+                jumped[usize::from(m > 1)] += 1;
+            }
+            assert_eq!(out, want, "m {m} t {t}");
+            assert_eq!(rng, reference, "generator state at m {m} t {t}");
+        }
+        assert!(jumped.iter().all(|&j| j > 10), "{jumped:?}");
+    }
+
+    #[test]
+    fn splits_past_2_pow_53_return_the_exact_split() {
+        // Mean 637.7 at n0 ≈ 2.5e17: with `ln C(n0, k)` cancelling, the
+        // tail read 1.0 and the walk's first pmf 0, and the walk stepped
+        // toward n0 one value at a time.
+        let (n0, q, t) = (249_194_851_773_808_880u64, 2.559e-15, 629u64);
+        let ln_f = ln_factorial(n0);
+        let mut new_rng = RcbRng::new(28);
+        let mut old_rng = new_rng.clone();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut above = 0;
+        for m in [1u64, 1, 1, 1, 2, 7, 1000] {
+            for _ in 0..200 {
+                split_by_clear(&mut new_rng, m, n0, ln_f, q, t, &mut got);
+                split_by_clear_reference(&mut old_rng, m, n0, ln_f, q, t, &mut want);
+                assert_eq!(got, want, "m {m}");
+                assert_eq!(new_rng, old_rng, "generator state at m {m}");
+                assert_eq!(got.iter().map(|&(_, c)| c).sum::<u64>(), m);
+                assert!(got
+                    .iter()
+                    .all(|&(v, _)| v == 0 || (t..t + 400).contains(&v)));
+                above += got
+                    .iter()
+                    .filter(|&&(v, _)| v > t)
+                    .map(|&(_, c)| c)
+                    .sum::<u64>();
+            }
+        }
+        // About 0.63 of the 202,400 members land above t.
+        let share = above as f64 / 202_400.0;
+        assert!((0.6..0.66).contains(&share), "{share}");
     }
 
     #[test]
