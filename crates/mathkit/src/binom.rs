@@ -50,26 +50,34 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
     ln_choose_given(ln_factorial(n), n, k)
 }
 
+/// From here on `ln C(n, k)` is taken by [`ln_choose_huge`], not as a
+/// difference of factorial logs, which is off by a few ulp of `ln n!`:
+/// 2.6e-3 at `n = 2^40 − 1` (an ulp of 2^-8), 0.05 at 2^45 and 7.9 at
+/// 2^50. The cancellation-free form stays within 1e-13 of the result's
+/// size.
+const LN_CHOOSE_HUGE_BOUND: u64 = 1 << 40;
+
 /// `ln C(n, k)` for `k ≤ n`, given `ln n!` (unused from
-/// [`F64_EXACT_INT_BOUND`] on, see [`ln_choose_huge`]).
+/// [`LN_CHOOSE_HUGE_BOUND`] on, see [`ln_choose_huge`]).
 fn ln_choose_given(ln_n_factorial: f64, n: u64, k: u64) -> f64 {
-    if n >= F64_EXACT_INT_BOUND {
+    if n >= LN_CHOOSE_HUGE_BOUND {
         return ln_choose_huge(n, k.min(n - k));
     }
     ln_n_factorial - ln_factorial(k) - ln_factorial(n - k)
 }
 
-/// `ln C(n, j)` for `n ≥ 2^53` and `j ≤ n/2`, without subtracting two
+/// `ln C(n, j)` for `n ≥ 2^40` and `j ≤ n/2`, without subtracting two
 /// values the size of `ln n!`.
 ///
-/// Past 2^53, `ln n!` exceeds 3e17 and its ulp is 64 or more, so
+/// At `n = 2^40`, `ln n!` is about 3e13 with an ulp of 2^-8, and past
+/// 2^53 it exceeds 3e17 with an ulp of 64 or more, so
 /// `ln n! − ln j! − ln(n − j)!` is off by that much even when the result
 /// is a few thousand. Stirling's series for `n!` and `m! = (n − j)!`
 /// gives instead
 /// `ln n! − ln m! = j·ln n − j − (m + ½)·ln(1 − j/n) + 1/(12n) − 1/(12m)`,
-/// where the last two terms differ by less than `j/(12·n·m) < 2^-100·j`
-/// and are dropped. `ln j!` comes from the table below 16, and from its
-/// own series above, where `j·ln n − j − ln j!` is taken as
+/// where the last two terms differ by `j/(12·n·m) ≤ 1/(12n) < 2^-43`
+/// (as `m ≥ n/2`) and are dropped. `ln j!` comes from the table below 16,
+/// and from its own series above, where `j·ln n − j − ln j!` is taken as
 /// `j·ln(n/j) − ½·ln(2πj) − 1/(12j) + 1/(360j³) − 1/(1260j⁵)` so that
 /// `j·ln n` and `j·ln j` never cancel. (The `j⁵` term, which
 /// [`ln_factorial`] leaves out, brings the error at `j = 16` from 8e-10
@@ -895,6 +903,47 @@ mod tests {
                 let want = ((n - k) as f64 / (k + 1) as f64).ln();
                 let tol = 16.0 * (at_k.next_up() - at_k) + 1e-12;
                 assert!((step - want).abs() <= tol, "n {n} k {k}: {step} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn ln_pmf_from_2_pow_40_matches_the_factor_sums() {
+        // From 2^40 on `ln C(n, k)` avoids the factorial difference, which
+        // at k = 600 had lost 0.05 at 2^45 and 7.9 at 2^50.
+        // Against the factor sum `Σ ln((n − i)/(k − i))` for k on either
+        // end of the support, in `ln_choose` and in `ln_pmf`. Below the
+        // bound the difference form is kept: at 2^40 − 1 it is off by a
+        // few ulp of `ln n!` (2^-8 there), 2.6e-3 at k = 2.
+        let p = 3e-10f64;
+        let (ln_p, ln_q) = (p.ln(), (-p).ln_1p());
+        for n in [
+            (1u64 << 40) - 1,
+            1 << 40,
+            (1 << 40) + 1,
+            1 << 45,
+            (1 << 50) + 777,
+            F64_EXACT_INT_BOUND - 1,
+        ] {
+            let dist = BinomialLn::new(n, p);
+            let below_bound = n < LN_CHOOSE_HUGE_BOUND;
+            for k in [0u64, 1, 2, 15, 16, 17, 100, 600, 5_000] {
+                let want = ln_choose_by_factors(n, k);
+                let tol = if below_bound {
+                    1e-2
+                } else {
+                    1e-13 * want.max(1.0)
+                };
+                for got in [ln_choose(n, k), ln_choose(n, n - k)] {
+                    assert!((got - want).abs() <= tol, "n {n} k {k}: {got} vs {want}");
+                }
+                let pmf_want = want + k as f64 * ln_p + (n - k) as f64 * ln_q;
+                let got = dist.ln_pmf(k);
+                let tol = tol + 1e-13 * pmf_want.abs();
+                assert!(
+                    (got - pmf_want).abs() <= tol,
+                    "n {n} k {k}: pmf {got} vs {pmf_want}"
+                );
             }
         }
     }

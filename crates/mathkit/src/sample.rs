@@ -4,9 +4,13 @@
 //! a node that sends with probability `p` in each of `n` slots produces a
 //! random subset of slots. The fast 1-to-n engine needs that subset sampled
 //! in time proportional to its (typically tiny) size, not to `n`. We use
-//! geometric skips: the gap to the next success is `Geometric(p)`, sampled by
-//! inversion, so the whole subset costs `O(np + 1)` expected work and is
-//! *exactly* distributed as per-slot coin flips.
+//! geometric skips: the gap to the next success is `Geometric(p)`, the
+//! floor of `ln U / ln(1−p)` for one uniform `U`, so the whole subset costs
+//! `O(np + 1)` expected work and is *exactly* distributed as per-slot coin
+//! flips. Each skip's floor is read off a table bracket of `ln U`; the `ln`
+//! itself runs only when the bracket straddles an integer, or at `p` below
+//! about 0.004, where the bracket would straddle one too often (DESIGN.md
+//! §9).
 
 use crate::rng::RcbRng;
 use std::collections::HashSet;
@@ -44,27 +48,227 @@ pub fn geometric_failures(rng: &mut RcbRng, p: f64) -> u64 {
     if p >= 1.0 {
         return 0;
     }
-    geometric_failures_with_denom(rng, (-p).ln_1p())
+    GeometricSkip::new(p).draw(rng)
 }
 
-/// [`geometric_failures`] with the denominator `ln(1-p)` precomputed.
+/// Mantissa bits that pick a bucket of [`LN_MANTISSA_EDGES`].
+const SKIP_BUCKET_BITS: u32 = 11;
+
+/// Buckets `[1 + j/B, 1 + (j+1)/B)` of a uniform's mantissa, `B = 2^11`.
+const SKIP_BUCKETS: usize = 1 << SKIP_BUCKET_BITS;
+
+/// Relative margin δ that [`GeometricSkip`]'s bracket adds on each side:
+/// libm's `ln` may be off from `ln` by up to about δ (a correctly rounded
+/// one is off by 2⁻⁵³), and the bracket still holds the exact expression's
+/// quotient. DESIGN.md §9 has the proof.
+const SKIP_MARGIN: f64 = 4e-9;
+
+/// Largest `(1/|d|)·(1 + δ)` at which [`GeometricSkip`] uses its bracket,
+/// so `p` above about 0.0039. A bucket spans about `1/(|d|·B·m)` of a
+/// skip, so past this scale the bracket straddles an integer on more than
+/// about a tenth of the draws, and the exact expression alone is faster
+/// (on a 2-vCPU x86-64 host at `p = 0.001`, about 12 ns a skip against 19
+/// for the bracket and its fallbacks). The bound also keeps the bracket's
+/// ends below 10⁴, far from the cast's saturation at 2⁶⁴.
+const SKIP_BRACKET_MAX_SCALE: f64 = 256.0;
+
+/// `ln(1 + j/B)` for `j = 0..=B`: the edges of the mantissa buckets, in
+/// 16 KiB. Computed at compile time by [`ln_1p_series`], so no libm enters
+/// the table; the last edge is exactly [`std::f64::consts::LN_2`], the same
+/// value as `LN_POW2[1]`.
+static LN_MANTISSA_EDGES: [f64; SKIP_BUCKETS + 1] = {
+    let mut t = [0.0; SKIP_BUCKETS + 1];
+    let mut j = 1;
+    while j < SKIP_BUCKETS {
+        t[j] = ln_1p_series(j as f64 / SKIP_BUCKETS as f64);
+        j += 1;
+    }
+    t[SKIP_BUCKETS] = std::f64::consts::LN_2;
+    t
+};
+
+/// `k·ln 2` for `k = 0..64`, rounded once from [`std::f64::consts::LN_2`].
+/// A uniform `u ≥ 2⁻⁵³` reads entry `k ≤ 53` for `u ∈ [2⁻ᵏ, 2¹⁻ᵏ)`.
+static LN_POW2: [f64; 64] = {
+    let mut t = [0.0; 64];
+    let mut k = 1;
+    while k < 64 {
+        t[k] = k as f64 * std::f64::consts::LN_2;
+        k += 1;
+    }
+    t
+};
+
+/// `ln(1 + x)` for `x ∈ [0, 1]` in basic float operations alone:
+/// `2·(s + s³/3 + s⁵/5 + …)` with `s = x/(2 + x) ≤ ⅓`, summed until a term
+/// no longer moves the sum. Each term is below a ninth of the one before,
+/// so the result is within a few ulp of `ln(1 + x)`
+/// (`skip_table_is_within_2_pow_minus_50_of_ln_1p` measures it against
+/// libm).
+const fn ln_1p_series(x: f64) -> f64 {
+    let s = x / (2.0 + x);
+    let s2 = s * s;
+    let mut power = s;
+    let mut sum = s;
+    let mut k = 3.0;
+    loop {
+        power *= s2;
+        let next = sum + power / k;
+        if next == sum {
+            return 2.0 * sum;
+        }
+        sum = next;
+        k += 2.0;
+    }
+}
+
+/// The geometric skip `⌊ln U / ln(1−p)⌋` at one `p ∈ (0, 1)`, with the
+/// per-`p` values computed once: the one copy of the skip behind
+/// [`sample_slots_into`], [`binomial`] and [`geometric_failures`].
 ///
-/// `ln_1p` is an opaque libm call the optimiser cannot hoist, yet inside
-/// [`sample_slots_into`] and [`binomial`] it is loop-invariant — one of the
-/// two transcendental ops per sampled event. Callers must pass exactly
-/// `(-p).ln_1p()`; the division then produces bit-identical skips.
-///
-/// The skip is `⌊ln U / ln(1−p)⌋`, taken by the saturating `f64 → u64`
-/// cast alone: for every `f64` it equals `floor` followed by the cast
-/// (truncation is `floor` for `x ≥ 0`; NaN, −0.0 and negatives give 0;
-/// `x ≥ 2^64` and +∞ give `u64::MAX`, the "past any block" value). On
-/// the baseline x86-64 target `f64::floor` is an out-of-line call, so
-/// leaving it out saves a call per sampled event (DESIGN.md §9).
-#[inline]
-fn geometric_failures_with_denom(rng: &mut RcbRng, ln_one_minus_p: f64) -> u64 {
-    // U in (0,1]: use 1 - f64() so ln() is finite.
-    let u = 1.0 - rng.f64();
-    (u.ln() / ln_one_minus_p) as u64
+/// The exact skip is `(fl(ln u) / d) as u64` with `u = 1 − rng.f64()` and
+/// `d = fl(ln(1−p))`, taken by the saturating cast alone: for every `f64`
+/// it equals `floor` followed by the cast (truncation is `floor` for
+/// `x ≥ 0`; NaN, −0.0 and negatives give 0; `x ≥ 2^64` and +∞ give
+/// `u64::MAX`, the "past any block" value). For `p` above about 0.0039
+/// ([`SKIP_BRACKET_MAX_SCALE`]) [`bracket`](Self::bracket) decides that
+/// floor from a bracket of `−ln u`: `u = 2⁻ᵏ·m` with `m ∈ [1, 2)` in
+/// bucket `j`, so `−ln u ∈ [k·ln 2 − ln(1 + (j+1)/B), k·ln 2 − ln(1 + j/B)]`
+/// (the lower end clamped at 0), scaled by `1/|d|` widened by δ on each
+/// side. When the bracket's two ends have the same floor it is the skip;
+/// otherwise (about 1% of draws at the engines' rates) the exact
+/// expression runs from the same `u`. The RNG words consumed are the same
+/// either way (DESIGN.md §9).
+#[derive(Debug, Clone, Copy)]
+struct GeometricSkip {
+    /// `ln(1−p)`, exactly `(-p).ln_1p()`: the exact expression's divisor.
+    denom: f64,
+    /// `(1/|d|)·(1 − δ)`.
+    scale_lo: f64,
+    /// `(1/|d|)·(1 + δ)`.
+    scale_hi: f64,
+    /// Whether `scale_hi ≤ SKIP_BRACKET_MAX_SCALE`: whether the bracket
+    /// decides skips, or the exact expression alone.
+    bracketed: bool,
+}
+
+impl GeometricSkip {
+    /// The skip at `p ∈ (0, 1)`.
+    #[inline]
+    fn new(p: f64) -> Self {
+        debug_assert!(p > 0.0 && p < 1.0, "skip probability {p}");
+        let denom = (-p).ln_1p();
+        let inverse = -1.0 / denom;
+        let scale_hi = inverse * (1.0 + SKIP_MARGIN);
+        Self {
+            denom,
+            scale_lo: inverse * (1.0 - SKIP_MARGIN),
+            scale_hi,
+            bracketed: scale_hi <= SKIP_BRACKET_MAX_SCALE,
+        }
+    }
+
+    /// One skip, drawing one word.
+    #[inline(always)]
+    fn draw(&self, rng: &mut RcbRng) -> u64 {
+        // U in (0,1]: use 1 - f64() so ln() is finite.
+        self.at(1.0 - rng.f64())
+    }
+
+    /// The skip at `u ∈ [2⁻⁶³, 1]`: bit for bit `(fl(ln u) / d) as u64`.
+    #[inline(always)]
+    fn at(&self, u: f64) -> u64 {
+        if self.bracketed {
+            self.bracket(u)
+        } else {
+            self.exact(u)
+        }
+    }
+
+    /// The successes of `n` `p`-coins, in order, each handed to `hit`: one
+    /// skip per success and one past the block. The walk is written out
+    /// once per way of taking a skip, so the choice is made per call, not
+    /// per skip.
+    #[inline(always)]
+    fn walk(&self, rng: &mut RcbRng, n: u64, hit: impl FnMut(u64)) {
+        if self.bracketed {
+            walk_skips(rng, n, |u| self.bracket(u), hit);
+        } else {
+            walk_skips(rng, n, |u| self.exact(u), hit);
+        }
+    }
+
+    /// The skip at `u ∈ [2⁻⁶³, 1]` when `bracketed`: decided by the
+    /// bracket, or by the exact expression when the bracket straddles an
+    /// integer. [`draw`](Self::draw)'s `u` is a multiple of 2⁻⁵³, so its
+    /// biased exponent lies in `970..=1023`.
+    #[inline(always)]
+    fn bracket(&self, u: f64) -> u64 {
+        let bits = u.to_bits();
+        let ln_pow = LN_POW2[(1023 - (bits >> 52)) as usize & 63];
+        let j = (bits >> (52 - SKIP_BUCKET_BITS)) as usize & (SKIP_BUCKETS - 1);
+        let hi = (ln_pow - LN_MANTISSA_EDGES[j]) * self.scale_hi;
+        let gap = ln_pow - LN_MANTISSA_EDGES[j + 1];
+        let lo = if gap > 0.0 { gap } else { 0.0 } * self.scale_lo;
+        let skip = hi as u64;
+        if skip as f64 <= lo {
+            #[cfg(debug_assertions)]
+            census::count(true);
+            skip
+        } else {
+            self.exact(u)
+        }
+    }
+
+    /// The exact expression at `u`.
+    #[inline(always)]
+    fn exact(&self, u: f64) -> u64 {
+        #[cfg(debug_assertions)]
+        census::count(false);
+        (u.ln() / self.denom) as u64
+    }
+}
+
+/// The geometric-skip walk over a block of `n` slots: `skip` maps each
+/// draw's `u = 1 − rng.f64()` to the failures before the next success.
+#[inline(always)]
+fn walk_skips(rng: &mut RcbRng, n: u64, skip: impl Fn(f64) -> u64, mut hit: impl FnMut(u64)) {
+    let mut pos = 0u64;
+    loop {
+        // U in (0,1]: use 1 - f64() so ln() is finite.
+        pos = match pos.checked_add(skip(1.0 - rng.f64())) {
+            Some(v) if v < n => v,
+            _ => return,
+        };
+        hit(pos);
+        pos += 1;
+    }
+}
+
+/// Geometric skips taken on this thread, in debug builds only: a witness
+/// that the bracket fires, which no checksum can show (the exact
+/// expression gives the same values). Release builds do not count.
+#[cfg(debug_assertions)]
+pub mod census {
+    use std::cell::Cell;
+
+    thread_local! {
+        static SKIPS: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
+    }
+
+    pub(super) fn count(bracketed: bool) {
+        SKIPS.with(|c| {
+            let mut s = c.get();
+            s[usize::from(!bracketed)] += 1;
+            c.set(s);
+        });
+    }
+
+    /// The skips drawn on this thread since the last call, as
+    /// `[decided by the bracket, by the exact expression]`; resets them.
+    pub fn take() -> [u64; 2] {
+        SKIPS.with(|c| c.replace([0; 2]))
+    }
 }
 
 /// Exact `Binomial(n, p)` sample in `O(np + 1)` expected time via geometric
@@ -84,21 +288,9 @@ pub fn binomial(rng: &mut RcbRng, n: u64, p: f64) -> u64 {
     if p >= 1.0 {
         return n;
     }
-    let denom = (-p).ln_1p();
     let mut successes = 0u64;
-    let mut pos = 0u64;
-    loop {
-        let skip = geometric_failures_with_denom(rng, denom);
-        pos = match pos.checked_add(skip) {
-            Some(v) => v,
-            None => return successes,
-        };
-        if pos >= n {
-            return successes;
-        }
-        successes += 1;
-        pos += 1;
-    }
+    GeometricSkip::new(p).walk(rng, n, |_| successes += 1);
+    successes
 }
 
 /// Below this expected count, [`binomial_fast`] uses BINV inversion; at or
@@ -392,7 +584,7 @@ fn binomial_btpe(rng: &mut RcbRng, n: u64, p: f64) -> u64 {
         let y: f64;
         if u <= p1 {
             // Central triangle: accept immediately. The saturating cast
-            // is `floor` here (see `geometric_failures_with_denom`).
+            // is `floor` here (see `GeometricSkip`).
             return (xm - p1 * v + u) as u64;
         } else if u <= p2 {
             // Parallelogram: scale v onto the pmf-ratio line.
@@ -594,20 +786,7 @@ pub fn sample_slots_into(rng: &mut RcbRng, n: u64, p: f64, out: &mut Vec<u64>) {
         return;
     }
     out.reserve(slot_capacity_hint(n, p));
-    let denom = (-p).ln_1p();
-    let mut pos = 0u64;
-    loop {
-        let skip = geometric_failures_with_denom(rng, denom);
-        pos = match pos.checked_add(skip) {
-            Some(v) => v,
-            None => return,
-        };
-        if pos >= n {
-            return;
-        }
-        out.push(pos);
-        pos += 1;
-    }
+    GeometricSkip::new(p).walk(rng, n, |pos| out.push(pos));
 }
 
 /// `k` distinct values drawn uniformly from `0..n` (Floyd's algorithm),
@@ -1293,7 +1472,7 @@ mod tests {
             let y: f64;
             if u <= p1 {
                 // Central triangle: accept immediately. The saturating cast
-                // is `floor` here (see `geometric_failures_with_denom`).
+                // is `floor` here (see `GeometricSkip`).
                 return (xm - p1 * v + u) as u64;
             } else if u <= p2 {
                 // Parallelogram: scale v onto the pmf-ratio line.
@@ -1476,8 +1655,8 @@ mod tests {
         }
     }
 
-    /// `geometric_failures_with_denom` as it was before the saturating
-    /// cast: an explicit `floor` and a guard at `u64::MAX as f64`.
+    /// The geometric skip as it was before the saturating cast: an
+    /// explicit `floor` and a guard at `u64::MAX as f64`.
     fn skip_with_floor(rng: &mut RcbRng, ln_one_minus_p: f64) -> u64 {
         let u = 1.0 - rng.f64();
         let skip = (u.ln() / ln_one_minus_p).floor();
@@ -1545,6 +1724,133 @@ mod tests {
                 }
                 assert_eq!(fast, reference, "generator state at n {n} p {p:e}");
             }
+        }
+    }
+
+    /// The skip as it was before the table bracket, verbatim: the exact
+    /// expression on every draw.
+    fn skip_reference(rng: &mut RcbRng, ln_one_minus_p: f64) -> u64 {
+        // U in (0,1]: use 1 - f64() so ln() is finite.
+        let u = 1.0 - rng.f64();
+        (u.ln() / ln_one_minus_p) as u64
+    }
+
+    /// Probabilities for the bracket checks: below its gate, where `1/|d|`
+    /// overflows (`MIN_POSITIVE/7`) and skips saturate; just above it,
+    /// where a bucket spans the most of a skip; short skips; and one ulp
+    /// below 1, where `d = ln 2⁻⁵³`.
+    fn bracket_ps() -> [f64; 10] {
+        [
+            f64::MIN_POSITIVE / 7.0,
+            f64::MIN_POSITIVE,
+            1e-300,
+            2f64.powi(-30),
+            1e-3,
+            0.004,
+            0.06,
+            0.5,
+            0.9,
+            1.0 - 2f64.powi(-53),
+        ]
+    }
+
+    #[test]
+    fn skip_bracket_matches_the_exact_skip_at_every_exponent_and_bucket_edge() {
+        // Every exponent of u from 2⁻⁵³ to 1, every bucket edge
+        // `2⁻ᵏ·(1 + j/B)` and its neighbours one ulp away (u = 1 and
+        // 1 − 2⁻⁵³ among them): where the bracket's ends sit closest to
+        // the exact quotient, and where `2⁻ᴺ` at p = ½ makes it an
+        // integer. Below p ≈ 0.0039 the exact expression takes every skip.
+        let mut us = vec![1.0, 1.0 - 2f64.powi(-53), 2f64.powi(-53)];
+        for k in 0..=53 {
+            for j in 0..=SKIP_BUCKETS {
+                let edge = 2f64.powi(-k) * (1.0 + j as f64 / SKIP_BUCKETS as f64);
+                us.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+        }
+        us.retain(|&u| (2f64.powi(-53)..=1.0).contains(&u));
+        for p in bracket_ps() {
+            let (skip, denom) = (GeometricSkip::new(p), (-p).ln_1p());
+            for &u in &us {
+                assert_eq!(
+                    skip.at(u),
+                    (u.ln() / denom) as u64,
+                    "skip at p {p:e} u {u:e} ({:#x})",
+                    u.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn skip_draws_match_the_exact_skip_on_random_words() {
+        // Value and generator state against the verbatim exact skip: 10^6
+        // words at each listed p, then 10^5 p spread log-uniformly over
+        // (2⁻⁶⁰, 1) and as close to 1, 20 words each.
+        let mut fast = RcbRng::new(95);
+        let mut reference = fast.clone();
+        let check = |fast: &mut RcbRng, reference: &mut RcbRng, p: f64, draws: usize| {
+            let (skip, denom) = (GeometricSkip::new(p), (-p).ln_1p());
+            for _ in 0..draws {
+                assert_eq!(skip.draw(fast), skip_reference(reference, denom), "p {p:e}");
+            }
+            assert_eq!(fast, reference, "generator state at p {p:e}");
+        };
+        for p in bracket_ps() {
+            check(&mut fast, &mut reference, p, 1_000_000);
+        }
+        let mut ps = RcbRng::new(96);
+        for _ in 0..100_000 {
+            let tail = 2f64.powf(-60.0 * ps.f64());
+            let p = if ps.below(2) == 0 { tail } else { 1.0 - tail };
+            if p > 0.0 && p < 1.0 {
+                check(&mut fast, &mut reference, p, 20);
+            }
+        }
+    }
+
+    #[test]
+    fn skip_table_is_within_2_pow_minus_50_of_ln_1p() {
+        // The bracket's proof takes the edges within 2⁻⁵⁰ of `ln(1 + j/B)`
+        // and the top edge equal to `LN_POW2[1]`, so the top bucket's
+        // lower end is exactly 0. Measured against libm, itself within an
+        // ulp (2⁻⁵³ near ln 2); the series is off by up to 3.6 ulp.
+        let edges = &LN_MANTISSA_EDGES;
+        assert_eq!(edges[0], 0.0);
+        assert_eq!(edges[SKIP_BUCKETS], std::f64::consts::LN_2);
+        assert_eq!(LN_POW2[1], edges[SKIP_BUCKETS]);
+        for j in 1..SKIP_BUCKETS {
+            let libm = (j as f64 / SKIP_BUCKETS as f64).ln_1p();
+            assert!((edges[j] - libm).abs() <= 2f64.powi(-50), "edge {j}");
+            assert!(edges[j - 1] < edges[j], "edges rise at {j}");
+        }
+        for (k, &v) in LN_POW2.iter().enumerate() {
+            assert_eq!(v, k as f64 * std::f64::consts::LN_2);
+        }
+        let bytes = std::mem::size_of_val(&LN_MANTISSA_EDGES) + std::mem::size_of_val(&LN_POW2);
+        assert!(bytes <= 32 << 10, "skip tables take {bytes} bytes");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn top_bucket_and_u_one_are_decided_by_the_bracket() {
+        // At u = 1 the bracket's lower end, 0 − ln(1 + 1/B), is clamped
+        // to 0, which decides skip 0; without the clamp u = 1 falls back.
+        // The top bucket of [½, 1) has a lower end of exactly
+        // `LN_2 − LN_2 = 0` and an upper end of at most 2⁻¹²·256 at every
+        // bracketed p: skip 0 too. Below p ≈ 0.0039 the exact expression
+        // takes every skip.
+        let us: Vec<f64> = (0..2_000u32)
+            .map(|i| 1.0 - f64::from(i) * 2f64.powi(-53))
+            .chain([1.0 - 2f64.powi(-12), 1.0 - 2f64.powi(-13)])
+            .collect();
+        assert!(!GeometricSkip::new(0.0038).bracketed);
+        for p in [0.004, 0.06, 0.5, 0.9, 1.0 - 2f64.powi(-53)] {
+            let skip = GeometricSkip::new(p);
+            assert!(skip.bracketed, "p {p:e}");
+            census::take();
+            assert!(us.iter().all(|&u| skip.at(u) == 0), "p {p:e}");
+            assert_eq!(census::take(), [us.len() as u64, 0], "p {p:e}");
         }
     }
 
