@@ -949,6 +949,33 @@ mod tests {
     }
 
     #[test]
+    fn ln_choose_from_2_pow_40_holds_at_large_k() {
+        // Where the cohort split's median cuts land, k ≈ n/3 and n/2,
+        // `ln_choose_huge` takes its long Stirling branch. The one-step
+        // ratio `ln C(n, k + 1) − ln C(n, k) = ln((n − k)/(k + 1))` holds
+        // to a few ulp of the values, and the centre matches
+        // `ln C(n, n/2) = n·ln 2 − ½·ln(πn/2) − 1/(4n) + O(n⁻³)` within
+        // 1e-13 of its size.
+        for n in [1u64 << 40, (1 << 40) + 1, 1 << 45, 1 << 50, (1 << 50) + 777] {
+            for k in [n / 3, n / 3 + 1, n / 2 - 1, n / 2] {
+                let at_k = ln_choose(n, k);
+                let step = ln_choose(n, k + 1) - at_k;
+                let want = ((n - k) as f64 / (k + 1) as f64).ln();
+                let tol = 16.0 * (at_k.next_up() - at_k) + 1e-12;
+                assert!((step - want).abs() <= tol, "n {n} k {k}: {step} vs {want}");
+            }
+            if n % 2 == 0 {
+                let nf = n as f64;
+                let want = nf * std::f64::consts::LN_2
+                    - 0.5 * (std::f64::consts::PI * nf / 2.0).ln()
+                    - 0.25 / nf;
+                let got = ln_choose(n, n / 2);
+                assert!((got - want).abs() <= 1e-13 * want, "n {n}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
     fn tails_past_2_pow_53_match_a_slow_sum() {
         // Mean 637.7, σ ≈ 25: the tail above 629 is about 0.63. With
         // `ln C(n, k)` taken as a difference of `ln n!`-sized values, it

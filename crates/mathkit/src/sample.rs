@@ -8,9 +8,7 @@
 //! floor of `ln U / ln(1−p)` for one uniform `U`, so the whole subset costs
 //! `O(np + 1)` expected work and is *exactly* distributed as per-slot coin
 //! flips. Each skip's floor is read off a table bracket of `ln U`; the `ln`
-//! itself runs only when the bracket straddles an integer, or at `p` below
-//! about 0.004, where the bracket would straddle one too often (DESIGN.md
-//! §9).
+//! itself runs only when the bracket straddles an integer (DESIGN.md §9).
 
 use crate::rng::RcbRng;
 use std::collections::HashSet;
@@ -28,7 +26,8 @@ pub fn bernoulli(rng: &mut RcbRng, p: f64) -> bool {
 }
 
 /// Number of failures before the first success of a `p`-coin
-/// (support `0, 1, 2, …`), sampled by inversion.
+/// (support `0, 1, 2, …`): one geometric skip, `⌊ln U / ln(1−p)⌋` for one
+/// uniform `U`.
 ///
 /// Returns `u64::MAX` when `p` is so small the skip overflows — callers use
 /// the value as "skip past the end of the block", so saturation is correct.
@@ -62,15 +61,6 @@ const SKIP_BUCKETS: usize = 1 << SKIP_BUCKET_BITS;
 /// one is off by 2⁻⁵³), and the bracket still holds the exact expression's
 /// quotient. DESIGN.md §9 has the proof.
 const SKIP_MARGIN: f64 = 4e-9;
-
-/// Largest `(1/|d|)·(1 + δ)` at which [`GeometricSkip`] uses its bracket,
-/// so `p` above about 0.0039. A bucket spans about `1/(|d|·B·m)` of a
-/// skip, so past this scale the bracket straddles an integer on more than
-/// about a tenth of the draws, and the exact expression alone is faster
-/// (on a 2-vCPU x86-64 host at `p = 0.001`, about 12 ns a skip against 19
-/// for the bracket and its fallbacks). The bound also keeps the bracket's
-/// ends below 10⁴, far from the cast's saturation at 2⁶⁴.
-const SKIP_BRACKET_MAX_SCALE: f64 = 256.0;
 
 /// `ln(1 + j/B)` for `j = 0..=B`: the edges of the mantissa buckets, in
 /// 16 KiB. Computed at compile time by [`ln_1p_series`], so no libm enters
@@ -130,15 +120,14 @@ const fn ln_1p_series(x: f64) -> f64 {
 /// `d = fl(ln(1−p))`, taken by the saturating cast alone: for every `f64`
 /// it equals `floor` followed by the cast (truncation is `floor` for
 /// `x ≥ 0`; NaN, −0.0 and negatives give 0; `x ≥ 2^64` and +∞ give
-/// `u64::MAX`, the "past any block" value). For `p` above about 0.0039
-/// ([`SKIP_BRACKET_MAX_SCALE`]) [`bracket`](Self::bracket) decides that
+/// `u64::MAX`, the "past any block" value). [`at`](Self::at) decides that
 /// floor from a bracket of `−ln u`: `u = 2⁻ᵏ·m` with `m ∈ [1, 2)` in
 /// bucket `j`, so `−ln u ∈ [k·ln 2 − ln(1 + (j+1)/B), k·ln 2 − ln(1 + j/B)]`
 /// (the lower end clamped at 0), scaled by `1/|d|` widened by δ on each
 /// side. When the bracket's two ends have the same floor it is the skip;
-/// otherwise (about 1% of draws at the engines' rates) the exact
-/// expression runs from the same `u`. The RNG words consumed are the same
-/// either way (DESIGN.md §9).
+/// otherwise the exact expression runs from the same `u` (1.15% of the
+/// skips on the `random` n = 64 fast-path pin, counted by `census`).
+/// The RNG words consumed are the same either way (DESIGN.md §9).
 #[derive(Debug, Clone, Copy)]
 struct GeometricSkip {
     /// `ln(1−p)`, exactly `(-p).ln_1p()`: the exact expression's divisor.
@@ -147,9 +136,6 @@ struct GeometricSkip {
     scale_lo: f64,
     /// `(1/|d|)·(1 + δ)`.
     scale_hi: f64,
-    /// Whether `scale_hi ≤ SKIP_BRACKET_MAX_SCALE`: whether the bracket
-    /// decides skips, or the exact expression alone.
-    bracketed: bool,
 }
 
 impl GeometricSkip {
@@ -159,12 +145,10 @@ impl GeometricSkip {
         debug_assert!(p > 0.0 && p < 1.0, "skip probability {p}");
         let denom = (-p).ln_1p();
         let inverse = -1.0 / denom;
-        let scale_hi = inverse * (1.0 + SKIP_MARGIN);
         Self {
             denom,
             scale_lo: inverse * (1.0 - SKIP_MARGIN),
-            scale_hi,
-            bracketed: scale_hi <= SKIP_BRACKET_MAX_SCALE,
+            scale_hi: inverse * (1.0 + SKIP_MARGIN),
         }
     }
 
@@ -175,35 +159,27 @@ impl GeometricSkip {
         self.at(1.0 - rng.f64())
     }
 
-    /// The skip at `u ∈ [2⁻⁶³, 1]`: bit for bit `(fl(ln u) / d) as u64`.
+    /// The successes of `n` `p`-coins, in order, each handed to `hit`: one
+    /// skip per success and one past the block.
+    #[inline(always)]
+    fn walk(&self, rng: &mut RcbRng, n: u64, mut hit: impl FnMut(u64)) {
+        let mut pos = 0u64;
+        loop {
+            pos = match pos.checked_add(self.draw(rng)) {
+                Some(v) if v < n => v,
+                _ => return,
+            };
+            hit(pos);
+            pos += 1;
+        }
+    }
+
+    /// The skip at `u ∈ [2⁻⁶³, 1]`, bit for bit `(fl(ln u) / d) as u64`:
+    /// decided by the bracket, or by the exact expression when the bracket
+    /// straddles an integer. [`draw`](Self::draw)'s `u` is a multiple of
+    /// 2⁻⁵³, so its biased exponent lies in `970..=1023`.
     #[inline(always)]
     fn at(&self, u: f64) -> u64 {
-        if self.bracketed {
-            self.bracket(u)
-        } else {
-            self.exact(u)
-        }
-    }
-
-    /// The successes of `n` `p`-coins, in order, each handed to `hit`: one
-    /// skip per success and one past the block. The walk is written out
-    /// once per way of taking a skip, so the choice is made per call, not
-    /// per skip.
-    #[inline(always)]
-    fn walk(&self, rng: &mut RcbRng, n: u64, hit: impl FnMut(u64)) {
-        if self.bracketed {
-            walk_skips(rng, n, |u| self.bracket(u), hit);
-        } else {
-            walk_skips(rng, n, |u| self.exact(u), hit);
-        }
-    }
-
-    /// The skip at `u ∈ [2⁻⁶³, 1]` when `bracketed`: decided by the
-    /// bracket, or by the exact expression when the bracket straddles an
-    /// integer. [`draw`](Self::draw)'s `u` is a multiple of 2⁻⁵³, so its
-    /// biased exponent lies in `970..=1023`.
-    #[inline(always)]
-    fn bracket(&self, u: f64) -> u64 {
         let bits = u.to_bits();
         let ln_pow = LN_POW2[(1023 - (bits >> 52)) as usize & 63];
         let j = (bits >> (52 - SKIP_BUCKET_BITS)) as usize & (SKIP_BUCKETS - 1);
@@ -211,43 +187,22 @@ impl GeometricSkip {
         let gap = ln_pow - LN_MANTISSA_EDGES[j + 1];
         let lo = if gap > 0.0 { gap } else { 0.0 } * self.scale_lo;
         let skip = hi as u64;
-        if skip as f64 <= lo {
-            #[cfg(debug_assertions)]
-            census::count(true);
+        let decided = skip as f64 <= lo;
+        #[cfg(debug_assertions)]
+        census::count(decided);
+        if decided {
             skip
         } else {
-            self.exact(u)
+            (u.ln() / self.denom) as u64
         }
-    }
-
-    /// The exact expression at `u`.
-    #[inline(always)]
-    fn exact(&self, u: f64) -> u64 {
-        #[cfg(debug_assertions)]
-        census::count(false);
-        (u.ln() / self.denom) as u64
-    }
-}
-
-/// The geometric-skip walk over a block of `n` slots: `skip` maps each
-/// draw's `u = 1 − rng.f64()` to the failures before the next success.
-#[inline(always)]
-fn walk_skips(rng: &mut RcbRng, n: u64, skip: impl Fn(f64) -> u64, mut hit: impl FnMut(u64)) {
-    let mut pos = 0u64;
-    loop {
-        // U in (0,1]: use 1 - f64() so ln() is finite.
-        pos = match pos.checked_add(skip(1.0 - rng.f64())) {
-            Some(v) if v < n => v,
-            _ => return,
-        };
-        hit(pos);
-        pos += 1;
     }
 }
 
 /// Geometric skips taken on this thread, in debug builds only: a witness
 /// that the bracket fires, which no checksum can show (the exact
-/// expression gives the same values). Release builds do not count.
+/// expression gives the same values). Every skip of every debug build pays
+/// for the count (a thread-local read and write), tests and debug runs of
+/// the engines alike; release builds do not count.
 #[cfg(debug_assertions)]
 pub mod census {
     use std::cell::Cell;
@@ -256,16 +211,17 @@ pub mod census {
         static SKIPS: Cell<[u64; 2]> = const { Cell::new([0; 2]) };
     }
 
-    pub(super) fn count(bracketed: bool) {
+    pub(super) fn count(decided: bool) {
         SKIPS.with(|c| {
             let mut s = c.get();
-            s[usize::from(!bracketed)] += 1;
+            s[usize::from(!decided)] += 1;
             c.set(s);
         });
     }
 
     /// The skips drawn on this thread since the last call, as
-    /// `[decided by the bracket, by the exact expression]`; resets them.
+    /// `[decided by the bracket, straddled by it and taken by the exact
+    /// expression]`; resets them.
     pub fn take() -> [u64; 2] {
         SKIPS.with(|c| c.replace([0; 2]))
     }
@@ -1735,10 +1691,11 @@ mod tests {
         (u.ln() / ln_one_minus_p) as u64
     }
 
-    /// Probabilities for the bracket checks: below its gate, where `1/|d|`
-    /// overflows (`MIN_POSITIVE/7`) and skips saturate; just above it,
-    /// where a bucket spans the most of a skip; short skips; and one ulp
-    /// below 1, where `d = ln 2⁻⁵³`.
+    /// Probabilities for the bracket checks: where `1/|d|` overflows
+    /// (`MIN_POSITIVE/7`) and where skips saturate at 2⁶⁴; `p` at which a
+    /// bucket spans from about a third of a skip to many skips, so the
+    /// bracket straddles often; short skips; and one ulp below 1, where
+    /// `d = ln 2⁻⁵³`.
     fn bracket_ps() -> [f64; 10] {
         [
             f64::MIN_POSITIVE / 7.0,
@@ -1760,7 +1717,7 @@ mod tests {
         // `2⁻ᵏ·(1 + j/B)` and its neighbours one ulp away (u = 1 and
         // 1 − 2⁻⁵³ among them): where the bracket's ends sit closest to
         // the exact quotient, and where `2⁻ᴺ` at p = ½ makes it an
-        // integer. Below p ≈ 0.0039 the exact expression takes every skip.
+        // integer.
         let mut us = vec![1.0, 1.0 - 2f64.powi(-53), 2f64.powi(-53)];
         for k in 0..=53 {
             for j in 0..=SKIP_BUCKETS {
@@ -1837,19 +1794,36 @@ mod tests {
         // At u = 1 the bracket's lower end, 0 − ln(1 + 1/B), is clamped
         // to 0, which decides skip 0; without the clamp u = 1 falls back.
         // The top bucket of [½, 1) has a lower end of exactly
-        // `LN_2 − LN_2 = 0` and an upper end of at most 2⁻¹²·256 at every
-        // bracketed p: skip 0 too. Below p ≈ 0.0039 the exact expression
-        // takes every skip.
+        // `LN_2 − LN_2 = 0` and an upper end of about 2⁻¹²/|d|, below 1
+        // for p above about 2.5e-4: skip 0 too.
         let us: Vec<f64> = (0..2_000u32)
             .map(|i| 1.0 - f64::from(i) * 2f64.powi(-53))
             .chain([1.0 - 2f64.powi(-12), 1.0 - 2f64.powi(-13)])
             .collect();
-        assert!(!GeometricSkip::new(0.0038).bracketed);
-        for p in [0.004, 0.06, 0.5, 0.9, 1.0 - 2f64.powi(-53)] {
+        for p in [1e-3, 0.004, 0.06, 0.5, 0.9, 1.0 - 2f64.powi(-53)] {
             let skip = GeometricSkip::new(p);
-            assert!(skip.bracketed, "p {p:e}");
             census::take();
             assert!(us.iter().all(|&u| skip.at(u) == 0), "p {p:e}");
+            assert_eq!(census::take(), [us.len() as u64, 0], "p {p:e}");
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn saturated_skips_are_decided_by_the_bracket() {
+        // Below the top bucket of [½, 1) every lower end is at least
+        // 2⁻¹², so at p ≤ 1e-300 it scales past 2⁶⁴, or to +∞ where
+        // `1/|d|` overflows (`MIN_POSITIVE/7`), and the saturated cast of
+        // the upper end is accepted: the exact quotient saturates too.
+        let us: Vec<f64> = (1..=53)
+            .flat_map(|k| [2f64.powi(-k), 0.75 * 2f64.powi(-k)])
+            .chain([0.5 - 2f64.powi(-54), 1.0 - 2f64.powi(-11)])
+            .collect();
+        assert!((-1.0 / (-(f64::MIN_POSITIVE / 7.0)).ln_1p()).is_infinite());
+        for p in [f64::MIN_POSITIVE / 7.0, f64::MIN_POSITIVE, 1e-300] {
+            let skip = GeometricSkip::new(p);
+            census::take();
+            assert!(us.iter().all(|&u| skip.at(u) == u64::MAX), "p {p:e}");
             assert_eq!(census::take(), [us.len() as u64, 0], "p {p:e}");
         }
     }
