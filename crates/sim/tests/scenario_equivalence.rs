@@ -10,8 +10,9 @@
 //! * every named registry entry behind `rcbsim scenario run`;
 //!
 //! plus the fast-engine jamming paths the registry never reaches
-//! (`FAST_PATH_CHECKSUMS`) and the repetition summaries the fast engine
-//! hands its adversary (`SUMMARY_CHECKSUMS`).
+//! (`FAST_PATH_CHECKSUMS`), the repetition summaries the fast and cohort
+//! engines hand their adversary (`SUMMARY_CHECKSUMS`), and the repetition
+//! loop's fault and truncation branches on both (`DRIVER_CHECKSUMS`).
 //!
 //! Each spec is replayed through a hand-built legacy harness — the
 //! pre-scenario construction for each (workload, engine) — that drives
@@ -542,29 +543,32 @@ impl RepetitionAdversary for SummaryRecorder {
     }
 }
 
-/// The summaries the fast engine hands its adversary, folded over every
+/// The summaries an engine hands its adversary, folded over every
 /// repetition of 4 trials. No shipped strategy reads `message_slots` or
 /// `busy_slots`, so outcome checksums cannot see a miscount there; these
-/// pins can. A change here is a behaviour change and must be declared.
-const SUMMARY_CHECKSUMS: [(&str, usize, u64); 5] = [
-    ("random", 8, 0x0a15_5fef_fc7e_3015),
-    ("random", 64, 0x90ed_5d10_f132_78c5),
-    ("half_suffix", 8, 0xf388_dcd9_d9bc_d893),
-    ("half_suffix", 64, 0xea38_20cd_aaad_42b3),
-    ("sparse", 2, 0xe8f6_45e1_6bf0_1234),
+/// pins can. The cohort rows run all-tracked at n = 64 and in aggregate
+/// mode at n = 512. A change here is a behaviour change and must be
+/// declared.
+const SUMMARY_CHECKSUMS: [(&str, Engine, usize, u64); 9] = [
+    ("random", Engine::Fast, 8, 0x0a15_5fef_fc7e_3015),
+    ("random", Engine::Fast, 64, 0x90ed_5d10_f132_78c5),
+    ("half_suffix", Engine::Fast, 8, 0xf388_dcd9_d9bc_d893),
+    ("half_suffix", Engine::Fast, 64, 0xea38_20cd_aaad_42b3),
+    ("sparse", Engine::Fast, 2, 0xe8f6_45e1_6bf0_1234),
+    ("random", Engine::CohortFast, 64, 0x112b_140d_c521_54de),
+    ("half_suffix", Engine::CohortFast, 64, 0x7026_f96c_a84a_956d),
+    ("random", Engine::CohortFast, 512, 0xd6db_fe87_f2a4_ca42),
+    ("half_suffix", Engine::CohortFast, 512, 0x9fa0_2573_1659_5ee5),
 ];
 
 #[test]
-fn fast_engine_repetition_summaries_match_pins() {
+fn repetition_summaries_match_pins() {
     let moved: Vec<String> = SUMMARY_CHECKSUMS
         .iter()
-        .filter_map(|&(case, n, expected)| {
+        .filter_map(|&(case, engine, n, expected)| {
             let spec = fast_path_spec(case, n);
             let Workload::Broadcast(w) = &spec.workload else {
                 unreachable!("fast-path specs are broadcasts")
-            };
-            let config = FastConfig {
-                max_epoch: w.max_epoch,
             };
             let mut fold = FNV_OFFSET;
             for trial in 0..spec.trials {
@@ -573,18 +577,123 @@ fn fast_engine_repetition_summaries_match_pins() {
                     fold,
                 };
                 let child = SeedSequence::new(spec.seeds.master).child(trial);
-                BroadcastSession::new(w.params, n, w.sources.clone(), config, spec.faults, child)
-                    .run(&mut recorder, &Deadline::NONE);
+                let sources = w.sources.clone();
+                if engine == Engine::Fast {
+                    let config = FastConfig {
+                        max_epoch: w.max_epoch,
+                    };
+                    BroadcastSession::new(w.params, n, sources, config, spec.faults, child)
+                        .run(&mut recorder, &Deadline::NONE);
+                } else {
+                    let config = CohortConfig {
+                        max_epoch: w.max_epoch,
+                        ..CohortConfig::default()
+                    };
+                    CohortSession::new(w.params, n, sources, config, spec.faults, child)
+                        .run(&mut recorder, &Deadline::NONE);
+                }
                 fold = recorder.fold;
             }
             (fold != expected).then(|| {
                 format!(
-                    "{case} n={n}: summaries {fold:#018x} moved from the pinned {expected:#018x}"
+                    "{case} {engine:?} n={n}: summaries {fold:#018x} moved from the pinned \
+                     {expected:#018x}"
                 )
             })
         })
         .collect();
     assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
+
+/// The branches of the broadcast engines' repetition loop that the other
+/// pins leave to one engine or to none: a battery cap (nodes go dead at a
+/// repetition boundary), `bcast_n64_faulted`'s plan (a crash window with a
+/// state-losing reboot, plus skew and loss) and an epoch cap that
+/// truncates every trial. Each runs on the fast engine at n = 64, on the
+/// cohort engine all-tracked at n = 64 and in aggregate mode at n = 512,
+/// except the battery case, whose fault forces all-tracked mode. Batch
+/// checksums at 4 trials; a change here is a behaviour change and must be
+/// declared.
+const DRIVER_CHECKSUMS: [(&str, Engine, usize, u64); 8] = [
+    ("battery", Engine::Fast, 64, 0x72c3_2742_5864_6981),
+    ("battery", Engine::CohortFast, 64, 0x8e57_0448_2a72_8bd7),
+    ("faulted", Engine::Fast, 64, 0x5225_b6ed_3b69_aa96),
+    ("faulted", Engine::CohortFast, 64, 0x7fac_8655_bcc4_fdd1),
+    ("faulted", Engine::CohortFast, 512, 0x857c_4c96_8b76_adf6),
+    ("epoch_cap", Engine::Fast, 64, 0x90e7_8588_75eb_1e98),
+    ("epoch_cap", Engine::CohortFast, 64, 0x1ba2_f3a6_8c3d_3189),
+    ("epoch_cap", Engine::CohortFast, 512, 0xa1b6_738f_72fd_c954),
+];
+
+/// Epoch cap of the `epoch_cap` case, below the epoch every trial needs.
+const DRIVER_MAX_EPOCH: u32 = 12;
+
+fn driver_spec(case: &str, engine: Engine, n: usize) -> ScenarioSpec {
+    let faults = match case {
+        "battery" => FaultPlan::none().with_battery(16_000),
+        "faulted" => FaultPlan::none()
+            .with_loss(0.1)
+            .with_crash(3, 2, 6, true)
+            .with_skew(5, 1),
+        "epoch_cap" => FaultPlan::none(),
+        _ => unreachable!("unknown driver case {case}"),
+    };
+    let mut spec = ScenarioSpec::broadcast(n)
+        .with_engine(engine)
+        .with_adversary(AdversarySpec::Budgeted {
+            budget: 200_000,
+            fraction: 1.0,
+        })
+        .with_faults(faults)
+        .with_trials(4)
+        .with_seed(0xD21E ^ n as u64);
+    if case == "epoch_cap" {
+        let Workload::Broadcast(w) = &mut spec.workload else {
+            unreachable!("driver specs are broadcasts")
+        };
+        w.max_epoch = DRIVER_MAX_EPOCH;
+    }
+    spec
+}
+
+#[test]
+fn repetition_loop_branches_match_pins() {
+    let moved: Vec<String> = DRIVER_CHECKSUMS
+        .iter()
+        .filter_map(|&(case, engine, n, expected)| {
+            let label = format!("{case} {engine:?} n={n}");
+            let spec = driver_spec(case, engine, n);
+            assert_eq!(
+                spec.pools_costs(),
+                n == 512,
+                "{label}: n = 512 runs aggregate, n = 64 all-tracked"
+            );
+            let checksum = assert_spec_matches_legacy(&spec, &label);
+            (checksum != expected).then(|| {
+                format!("{label}: {checksum:#018x} moved from the pinned {expected:#018x}")
+            })
+        })
+        .collect();
+    assert!(moved.is_empty(), "{}", moved.join("\n"));
+}
+
+#[test]
+fn the_epoch_cap_case_truncates_every_trial() {
+    for (engine, n) in [
+        (Engine::Fast, 64),
+        (Engine::CohortFast, 64),
+        (Engine::CohortFast, 512),
+    ] {
+        let spec = driver_spec("epoch_cap", engine, n);
+        for (out, err) in spec.run_batch_raw() {
+            assert!(out.truncated(), "{engine:?} n={n}");
+            assert!(
+                matches!(err, Some(SimError::EpochBudgetExhausted { max_epoch, .. })
+                    if max_epoch == DRIVER_MAX_EPOCH),
+                "{engine:?} n={n}: {err:?}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
