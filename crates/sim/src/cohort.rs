@@ -60,7 +60,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary};
+use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionSummary};
 use rcb_core::one_to_n::node::{OneToNNode, Status, TermReason};
 use rcb_core::one_to_n::params::OneToNParams;
 use rcb_mathkit::binom::{
@@ -74,7 +74,8 @@ use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::faults::FaultPlan;
 use crate::outcome::BroadcastOutcome;
-use crate::session::{OwnsRng, Session};
+use crate::population::{run_repetitions, Cohort, Rep, Repetition, Singletons};
+use crate::session::{run_on, OwnsRng, Session};
 
 /// Limits and mode selection for the cohort engine.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -122,26 +123,6 @@ pub struct CohortStats {
     pub first_split_period: Option<u64>,
     /// Number of tracked singleton nodes.
     pub tracked_nodes: usize,
-}
-
-/// An anonymous cohort: `count` nodes all in exactly the state of `node`.
-#[derive(Debug, Clone, Copy)]
-struct Cohort {
-    node: OneToNNode,
-    count: u64,
-    /// Total send+listen cost accrued by the cohort's members, pooled.
-    cost_pool: u64,
-}
-
-/// A node simulated individually (sources, fault targets, or — below the
-/// exact-member threshold — everyone).
-#[derive(Debug, Clone, Copy)]
-struct Tracked {
-    id: usize,
-    node: OneToNNode,
-    cost: u64,
-    dead: bool,
-    offline: bool,
 }
 
 /// Merge key for anonymous cohorts. Live cohorts merge on (status, epoch,
@@ -261,21 +242,17 @@ pub fn run_cohort_instrumented(
     rng: &mut RcbRng,
     config: CohortConfig,
 ) -> (BroadcastOutcome, CohortStats) {
-    let faults = FaultPlan::none();
-    let mut state = CohortState::new(params, n, sources, config, &faults);
-    let mut stats = CohortStats::default();
-    let (out, _) = run_cohort_in(
-        &mut state,
-        params,
-        n,
-        adversary,
-        rng,
-        config,
-        &faults,
-        &Deadline::NONE,
-        &mut stats,
-    );
-    (out, stats)
+    let mut session =
+        CohortSession::new(*params, n, sources.to_vec(), config, FaultPlan::none(), 0);
+    let (out, _) = run_on(&mut session, rng, adversary, &Deadline::NONE);
+    let tracked_nodes = session.singles.ids.len();
+    (
+        out,
+        CohortStats {
+            tracked_nodes,
+            ..session.state.stats
+        },
+    )
 }
 
 /// Channel-composition slot categories, drawn per region each repetition.
@@ -285,15 +262,15 @@ const CAT_CLEAR: usize = 0;
 const CAT_MSG_ANON: usize = 1;
 const CAT_TRACKED_BASE: usize = 2;
 
-/// Retained per-session state of the cohort engine: the materialized
-/// (tracked) singletons, the anonymous cohort list, and every reusable
-/// sampling buffer. One `CohortState` serves a whole [`CohortSession`];
-/// [`run_cohort_instrumented`] builds a fresh one per run, so both paths
-/// execute the identical repetition loop.
+/// The cohort engine's repetition step: the anonymous cohort list, the
+/// run's compression diagnostics and every reusable sampling buffer. The
+/// tracked singletons live next to it in the session.
 #[derive(Debug)]
 struct CohortState {
-    tracked: Vec<Tracked>,
     cohorts: Vec<Cohort>,
+    /// The skewed node's index among the singletons, and its skew.
+    skew: Option<(usize, u64)>,
+    stats: CohortStats,
     weights: Vec<f64>,
     region_counts: Vec<Vec<u64>>,
     scratch_counts: Vec<u64>,
@@ -305,13 +282,14 @@ struct CohortState {
 }
 
 impl CohortState {
+    /// The tracked singletons and the step for a run of `n` nodes.
     fn new(
         params: &OneToNParams,
         n: usize,
         sources: &[usize],
         config: CohortConfig,
         faults: &FaultPlan,
-    ) -> Self {
+    ) -> (Singletons, Self) {
         assert!(n >= 1, "need at least one node");
         assert!(!sources.is_empty(), "need at least one source");
         assert!(sources.iter().all(|&s| s < n), "source ids must be < n");
@@ -320,51 +298,27 @@ impl CohortState {
         // Mode selection: everyone tracked below the threshold or under a
         // battery fault; otherwise only the symmetry-broken nodes (sources,
         // crash/skew targets).
-        let all_tracked = !config.pools_costs(n, faults);
-        let mut tracked_ids: Vec<usize> = if all_tracked {
+        let ids: Vec<usize> = if !config.pools_costs(n, faults) {
             (0..n).collect()
         } else {
             let mut ids: Vec<usize> = sources.to_vec();
-            if let Some(c) = faults.crash {
-                if c.node < n {
-                    ids.push(c.node);
-                }
-            }
-            if let Some(s) = faults.skew {
-                if s.node < n {
-                    ids.push(s.node);
-                }
-            }
+            ids.extend(faults.crash.map(|c| c.node).filter(|&u| u < n));
+            ids.extend(faults.skew.map(|s| s.node).filter(|&u| u < n));
             ids.sort_unstable();
             ids.dedup();
             ids
         };
-        tracked_ids.sort_unstable();
-        let tracked: Vec<Tracked> = tracked_ids
-            .iter()
-            .map(|&id| Tracked {
-                id,
-                node: OneToNNode::new(params, sources.contains(&id)),
-                cost: 0,
-                dead: false,
-                offline: false,
-            })
-            .collect();
-
-        let anon_initial = (n - tracked.len()) as u64;
-        let mut cohorts: Vec<Cohort> = Vec::new();
-        if anon_initial > 0 {
-            // Anonymous nodes are never sources (sources are tracked).
-            cohorts.push(Cohort {
+        let singles = Singletons::new(params, ids, sources);
+        let mut state = Self {
+            cohorts: vec![Cohort {
                 node: OneToNNode::new(params, false),
-                count: anon_initial,
+                count: (n - singles.ids.len()) as u64,
                 cost_pool: 0,
-            });
-        }
-
-        Self {
-            tracked,
-            cohorts,
+            }],
+            skew: faults
+                .skew
+                .and_then(|s| Some((singles.ids.binary_search(&s.node).ok()?, s.slots))),
+            stats: CohortStats::default(),
             weights: Vec::new(),
             region_counts: vec![Vec::new(); 4],
             scratch_counts: Vec::new(),
@@ -372,33 +326,354 @@ impl CohortState {
             next_cohorts: Vec::new(),
             merge_index: MergeIndex::default(),
             send_terms: Vec::new(),
-        }
+        };
+        state.rearm(params);
+        (singles, state)
     }
 
-    /// Collapses the population back to its initial shape in place: every
-    /// tracked singleton re-armed to its constructed state, and all
-    /// materialized anonymous cohorts folded into the single uninformed
-    /// cohort again. The tracked id set is a deterministic function of the
-    /// session's fixed (n, sources, faults, config), so it never changes
-    /// across re-arms.
-    fn rearm(&mut self, params: &OneToNParams, n: usize, sources: &[usize]) {
-        for t in self.tracked.iter_mut() {
-            t.node.rearm(params, sources.contains(&t.id));
-            t.cost = 0;
-            t.dead = false;
-            t.offline = false;
-        }
+    /// Collapses the anonymous population back into one uninformed cohort
+    /// of the same size, in place (anonymous nodes are never sources), and
+    /// clears the diagnostics. The tracked id set is a deterministic
+    /// function of the session's fixed (n, sources, faults, config), so it
+    /// never changes across re-arms.
+    fn rearm(&mut self, params: &OneToNParams) {
+        let anon: u64 = self.cohorts.iter().map(|c| c.count).sum();
         self.cohorts.clear();
-        let anon_initial = (n - self.tracked.len()) as u64;
-        if anon_initial > 0 {
+        if anon > 0 {
             self.cohorts.push(Cohort {
                 node: OneToNNode::new(params, false),
-                count: anon_initial,
+                count: anon,
                 cost_pool: 0,
             });
         }
+        self.stats = CohortStats::default();
+    }
+}
+
+impl Repetition for CohortState {
+    fn bulk(&self) -> &[Cohort] {
+        &self.cohorts
+    }
+
+    /// The epoch reset (S_u ← s_init) collapses the state space: re-merge
+    /// everything that reconverged.
+    fn bulk_begin_epoch(&mut self, epoch: u32, params: &OneToNParams) {
         self.next_cohorts.clear();
         self.merge_index.clear();
+        for mut c in self.cohorts.drain(..) {
+            c.node.begin_epoch(epoch, params);
+            push_merged(&mut self.next_cohorts, &mut self.merge_index, c);
+        }
+        std::mem::swap(&mut self.cohorts, &mut self.next_cohorts);
+    }
+
+    fn resolve(
+        &mut self,
+        singles: &mut Singletons,
+        rep: &Rep<'_>,
+        rng: &mut RcbRng,
+    ) -> RepetitionSummary {
+        let Self {
+            cohorts,
+            skew,
+            stats,
+            weights,
+            region_counts,
+            scratch_counts,
+            clear_groups,
+            next_cohorts,
+            merge_index,
+            send_terms,
+        } = self;
+        let (params, plan, jam_total) = (rep.params, rep.plan, rep.jammed);
+        let (epoch, period, len) = (rep.ctx.epoch, rep.ctx.repetition, rep.ctx.slots);
+        let loss_p = rep.faults.loss_p();
+
+        // --- Region decomposition -----------------------------------------
+        // Slot contents are i.i.d., so region compositions are independent
+        // multinomials over the same category probabilities; only the
+        // region *lengths* differ. Regions: (skew prefix vs rest) × (jammed
+        // vs clear air). The prefix axis exists only while the skewed node
+        // is live.
+        let skew_prefix = skew
+            .filter(|&(i, _)| !singles.nodes[i].is_terminated())
+            .map_or(0, |(_, slots)| slots.min(len));
+        let jam_in_prefix = jammed_in_prefix(plan, skew_prefix, len);
+        // Region order: [rest∩unjam, prefix∩unjam, rest∩jam, prefix∩jam].
+        let region_lens = [
+            len - skew_prefix - (jam_total - jam_in_prefix),
+            skew_prefix - jam_in_prefix,
+            jam_total - jam_in_prefix,
+            jam_in_prefix,
+        ];
+
+        // --- Composition probabilities ------------------------------------
+        // ln P(clear) = Σ m_c·ln(1−p_c); a slot is a singleton of group g
+        // with probability P(clear)·Σ_{u∈g} p_u/(1−p_u). Saturated senders
+        // (p = 1, transient in the earliest epochs) make clear slots
+        // impossible and collide with any other sender.
+        let mut ln_rest = 0.0f64;
+        let mut saturated = 0u64;
+        let mut anon_msg_ratio = 0.0f64; // Σ m·p/(1−p) over msg senders
+        let mut sat_category: Option<usize> = None; // category of a lone saturated sender
+
+        // Each tracked node's send probability (0 while halted or offline)
+        // and `ln(1 − p)`, computed once for the composition, the weights
+        // and the node's own draws below.
+        send_terms.clear();
+        for (node, &offline) in singles.nodes.iter().zip(&singles.offline) {
+            let halted = node.is_terminated() || offline;
+            let p = if halted { 0.0 } else { node.send_prob(params) };
+            let ln_1m_p = if p < 1.0 { (-p).ln_1p() } else { 0.0 };
+            send_terms.push((p, ln_1m_p));
+            if halted {
+                continue;
+            }
+            if p >= 1.0 {
+                saturated += 1;
+            } else {
+                ln_rest += ln_1m_p;
+            }
+        }
+        for c in cohorts.iter() {
+            if c.node.is_terminated() {
+                continue;
+            }
+            let p = c.node.send_prob(params);
+            if p >= 1.0 {
+                saturated += c.count;
+            } else {
+                ln_rest += c.count as f64 * (-p).ln_1p();
+                if c.node.sends_message() {
+                    anon_msg_ratio += c.count as f64 * p / (1.0 - p);
+                }
+            }
+        }
+        // A lone saturated *anonymous* sender can still produce singletons;
+        // find which category it belongs to.
+        if saturated == 1 {
+            if let Some(c) = cohorts
+                .iter()
+                .find(|c| !c.node.is_terminated() && c.node.send_prob(params) >= 1.0)
+            {
+                sat_category = Some(if c.node.sends_message() {
+                    CAT_MSG_ANON
+                } else {
+                    usize::MAX // noise singleton: lands in "rest"
+                });
+            }
+        }
+        let p0 = if saturated == 0 { ln_rest.exp() } else { 0.0 };
+
+        weights.clear();
+        weights.push(p0);
+        weights.push(p0 * anon_msg_ratio);
+        for &(p, ln_1m_p) in send_terms.iter() {
+            let w = if saturated == 0 && p < 1.0 {
+                // Remove this sender's own factor from ln P(clear).
+                (ln_rest - ln_1m_p).exp() * p
+            } else if saturated == 1 && p >= 1.0 {
+                // The lone saturated sender: singleton wherever nobody else
+                // transmits.
+                ln_rest.exp()
+            } else {
+                0.0
+            };
+            weights.push(w);
+        }
+        if sat_category == Some(CAT_MSG_ANON) {
+            weights[CAT_MSG_ANON] = ln_rest.exp();
+        }
+        let assigned: f64 = weights.iter().sum();
+        weights.push((1.0 - assigned).max(0.0)); // noise + collisions
+
+        for (r, &rlen) in region_lens.iter().enumerate() {
+            multinomial_into(rng, rlen, weights, scratch_counts);
+            region_counts[r].clear();
+            region_counts[r].extend_from_slice(scratch_counts);
+        }
+
+        // `m` singles in `regions` from anonymous and tracked senders.
+        let msgs_in = |regions: &[usize], nodes: &[OneToNNode]| -> u64 {
+            let cat = |c: usize| regions.iter().map(|&r| region_counts[r][c]).sum::<u64>();
+            cat(CAT_MSG_ANON)
+                + nodes
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| v.sends_message())
+                    .map(|(i, _)| cat(CAT_TRACKED_BASE + i))
+                    .sum::<u64>()
+        };
+        let message_slots = msgs_in(&[0, 1, 2, 3], &singles.nodes);
+        let busy_slots: u64 = len - (0..4).map(|r| region_counts[r][CAT_CLEAR]).sum::<u64>();
+        // Audible regions for an unskewed listener: the unjammed ones.
+        let clear_unjam = region_counts[0][CAT_CLEAR] + region_counts[1][CAT_CLEAR];
+        let msg_unjam = |cat: usize| region_counts[0][cat] + region_counts[1][cat];
+        let msg_total_unjam = msgs_in(&[0, 1], &singles.nodes);
+
+        let mut total_listens = 0u64;
+        let mut total_sends = 0u64;
+
+        // --- Tracked singletons: exact per-node draws ---------------------
+        for i in 0..singles.nodes.len() {
+            let node = &singles.nodes[i];
+            if node.is_terminated() {
+                continue;
+            }
+            if singles.offline[i] {
+                // Radio off, clock ticks: zero-count epilogue.
+                singles.nodes[i].end_repetition(params, 0, 0);
+                continue;
+            }
+            let p = send_terms[i].0;
+            let q = node.listen_prob(params);
+            let sends = binomial_fast(rng, len, p);
+            let listens = binomial_fast(rng, len - sends, q);
+            // The skewed node cannot decode its prefix: restrict its
+            // audible counts to the non-prefix unjammed region.
+            let skewed = skew_prefix > 0 && skew.is_some_and(|(s, _)| s == i);
+            let (n0, msgs_avail) = if skewed {
+                let own = if node.sends_message() {
+                    region_counts[0][CAT_TRACKED_BASE + i]
+                } else {
+                    0
+                };
+                (
+                    region_counts[0][CAT_CLEAR],
+                    msgs_in(&[0], &singles.nodes) - own,
+                )
+            } else {
+                let own = if node.sends_message() {
+                    msg_unjam(CAT_TRACKED_BASE + i)
+                } else {
+                    0
+                };
+                (clear_unjam, msg_total_unjam - own)
+            };
+            let clear = binomial_fast(rng, n0, q);
+            let msgs = binomial_fast(rng, msgs_avail, q * (1.0 - loss_p));
+            singles.costs[i] += sends + listens;
+            total_sends += sends;
+            total_listens += listens;
+            singles.nodes[i].end_repetition(params, clear, msgs);
+        }
+
+        // --- Anonymous cohorts: split by drawn outcome --------------------
+        if !cohorts.is_empty() {
+            next_cohorts.clear();
+            merge_index.clear();
+            let mut split_this_rep = false;
+            // Every cohort's clear counts are Binomial(clear_unjam, q): the
+            // `ln n!` of its pmfs is one value per repetition.
+            let ln_clear_factorial = ln_factorial(clear_unjam);
+            for c in cohorts.iter().copied() {
+                if c.node.is_terminated() {
+                    push_merged(next_cohorts, merge_index, c);
+                    continue;
+                }
+                let p = c.node.send_prob(params);
+                let q = c.node.listen_prob(params);
+                // Pooled costs: exact totals, smeared per member.
+                let sends = binomial_fast(rng, c.count * len, p);
+                let listens = binomial_fast(rng, c.count * len - sends, q);
+                total_sends += sends;
+                total_listens += listens;
+                let pool = c.cost_pool + sends + listens;
+
+                // Split members by drawn clear count: only values above
+                // ⌊E/2⌋ change S_u, so everything at or below merges into
+                // one zero-growth group. The saturating cast is that floor
+                // (and 0 for NaN) without a `floor` call.
+                let expected = params.expected_listens(epoch, c.node.s());
+                let t_growth = (expected / 2.0) as u64;
+                split_by_clear(
+                    rng,
+                    c.count,
+                    clear_unjam,
+                    ln_clear_factorial,
+                    q,
+                    t_growth,
+                    clear_groups,
+                );
+
+                // Message-outcome probabilities, shared by every clear group
+                // (listen coins are independent across slots).
+                let q_eff = (q * (1.0 - loss_p)).clamp(0.0, 1.0);
+                let thr = params.helper_threshold(epoch);
+                let (p_event, msgs_rep) = match c.node.status() {
+                    Status::Uninformed => (p_hear_any(msg_total_unjam, q_eff), 1u64),
+                    Status::Informed => {
+                        let k = thr as u64; // ⌊thr⌋, 0 if negative or NaN
+                        (binomial_tail_gt(msg_total_unjam, k, q_eff), k + 1)
+                    }
+                    Status::Helper | Status::Terminated => (0.0, 0),
+                };
+
+                let mut children = 0usize;
+                let mut remaining_pool = pool;
+                let mut remaining_members = c.count;
+                let groups = std::mem::take(clear_groups);
+                for (gi, &(clear, cnt)) in groups.iter().enumerate() {
+                    let hit = if p_event > 0.0 {
+                        binomial_fast(rng, cnt, p_event)
+                    } else {
+                        0
+                    };
+                    let subs = [(clear, hit, msgs_rep), (clear, cnt - hit, 0)];
+                    for &(v, m, msgs) in subs.iter() {
+                        if m == 0 {
+                            continue;
+                        }
+                        let mut rep = c.node;
+                        rep.end_repetition(params, v, msgs);
+                        // Pool shares: proportional, remainder on the final
+                        // child so totals are conserved.
+                        let last = gi == groups.len() - 1 && m == remaining_members;
+                        let share = if last {
+                            remaining_pool
+                        } else {
+                            ((pool as u128 * m as u128) / c.count as u128) as u64
+                        };
+                        remaining_pool -= share;
+                        remaining_members -= m;
+                        children += 1;
+                        push_merged(
+                            next_cohorts,
+                            merge_index,
+                            Cohort {
+                                node: rep,
+                                count: m,
+                                cost_pool: share,
+                            },
+                        );
+                    }
+                }
+                *clear_groups = groups;
+                debug_assert_eq!(remaining_members, 0);
+                // Conservation: any rounding residue sticks to the last
+                // child; if every child merged away the residue is already
+                // inside next_cohorts.
+                if children > 1 {
+                    split_this_rep = true;
+                }
+            }
+            std::mem::swap(cohorts, next_cohorts);
+            if split_this_rep {
+                stats.split_repetitions += 1;
+                if stats.first_split_period.is_none() {
+                    stats.first_split_period = Some(period);
+                }
+            }
+            stats.max_live_cohorts = stats.max_live_cohorts.max(cohorts.len());
+        }
+
+        RepetitionSummary {
+            message_slots,
+            busy_slots,
+            jammed_slots: jam_total,
+            listen_actions: total_listens,
+            send_actions: total_sends,
+        }
     }
 }
 
@@ -412,7 +687,7 @@ impl CohortState {
 /// deadline come back as the typed [`SimError`] next to the partial
 /// (`truncated`) outcome.
 ///
-/// The cohort list, tracked-singleton vector, and sampling buffers persist
+/// The cohort list, tracked-singleton vectors, and sampling buffers persist
 /// across runs; [`rearm`](Session::rearm) collapses whatever population
 /// structure the previous run materialized back into the initial cohorts.
 ///
@@ -433,10 +708,10 @@ impl CohortState {
 #[derive(Debug)]
 pub struct CohortSession {
     params: OneToNParams,
-    n: usize,
     sources: Vec<usize>,
     config: CohortConfig,
     faults: FaultPlan,
+    singles: Singletons,
     state: CohortState,
     rng: RcbRng,
 }
@@ -451,13 +726,13 @@ impl CohortSession {
         seed: u64,
     ) -> Self {
         assert!(faults.validate().is_ok(), "invalid fault plan");
-        let state = CohortState::new(&params, n, &sources, config, &faults);
+        let (singles, state) = CohortState::new(&params, n, &sources, config, &faults);
         Self {
             params,
-            n,
             sources,
             config,
             faults,
+            singles,
             state,
             rng: RcbRng::new(seed),
         }
@@ -468,7 +743,8 @@ impl Session for CohortSession {
     type Outcome = BroadcastOutcome;
 
     fn rearm(&mut self, seed: u64) {
-        self.state.rearm(&self.params, self.n, &self.sources);
+        self.singles.rearm(&self.params, &self.sources);
+        self.state.rearm(&self.params);
         self.rng = RcbRng::new(seed);
     }
 
@@ -477,16 +753,16 @@ impl Session for CohortSession {
         adversary: &mut dyn RepetitionAdversary,
         deadline: &Deadline,
     ) -> (BroadcastOutcome, Option<SimError>) {
-        run_cohort_in(
+        run_repetitions(
+            &mut self.singles,
             &mut self.state,
             &self.params,
-            self.n,
-            adversary,
-            &mut self.rng,
-            self.config,
+            self.config.max_epoch,
             &self.faults,
+            adversary,
+            &mut (),
+            &mut self.rng,
             deadline,
-            &mut CohortStats::default(),
         )
     }
 }
@@ -495,496 +771,6 @@ impl OwnsRng for CohortSession {
     fn rng_mut(&mut self) -> &mut RcbRng {
         &mut self.rng
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_cohort_in(
-    state: &mut CohortState,
-    params: &OneToNParams,
-    n: usize,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: CohortConfig,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-    stats: &mut CohortStats,
-) -> (BroadcastOutcome, Option<SimError>) {
-    let CohortState {
-        tracked,
-        cohorts,
-        weights,
-        region_counts,
-        scratch_counts,
-        clear_groups,
-        next_cohorts,
-        merge_index,
-        send_terms,
-    } = state;
-    stats.tracked_nodes = tracked.len();
-
-    let loss_p = faults.loss_p();
-    let mut pending_reboot = faults.reboot_at();
-    let has_faults = !faults.is_none();
-
-    let mut adversary_cost = 0u64;
-    let mut slots_total = 0u64;
-    let mut period = 0u64;
-    let mut truncated = true;
-    let bounded = !deadline.is_unbounded();
-    let mut deadline_hit = false;
-
-    let mut epoch = params.first_epoch;
-    'epochs: while epoch <= config.max_epoch {
-        let len = params.slots(epoch);
-        let reps = params.reps(epoch);
-        for _ in 0..reps {
-            if bounded && deadline.exceeded() {
-                deadline_hit = true;
-                break 'epochs;
-            }
-            if has_faults {
-                if let Some(cap) = faults.battery_capacity() {
-                    for t in tracked.iter_mut() {
-                        t.dead = t.dead || t.cost >= cap;
-                    }
-                }
-                if let Some((node, at)) = pending_reboot {
-                    if period >= at {
-                        if let Some(t) = tracked.iter_mut().find(|t| t.id == node) {
-                            t.node.reboot(params);
-                        }
-                        pending_reboot = None;
-                    }
-                }
-                for t in tracked.iter_mut() {
-                    t.offline = t.dead || faults.crashed(t.id, period);
-                }
-            }
-            let all_halted = tracked.iter().all(|t| t.node.is_terminated() || t.dead)
-                && cohorts.iter().all(|c| c.node.is_terminated());
-            if all_halted {
-                truncated = false;
-                break 'epochs;
-            }
-            let active_tracked = tracked
-                .iter()
-                .filter(|t| !t.node.is_terminated() && !t.offline)
-                .count() as u64;
-            let active_anon: u64 = cohorts
-                .iter()
-                .filter(|c| !c.node.is_terminated())
-                .map(|c| c.count)
-                .sum();
-            let ctx = RepetitionContext {
-                epoch,
-                repetition: period,
-                slots: len,
-                active_nodes: (active_tracked + active_anon) as usize,
-            };
-            let plan = adversary.plan(&ctx);
-            let jam_total = plan.jam_count(len);
-            adversary_cost += jam_total;
-
-            // --- Region decomposition -------------------------------------
-            // Slot contents are i.i.d., so region compositions are
-            // independent multinomials over the same category
-            // probabilities; only the region *lengths* differ. Regions:
-            // (skew prefix vs rest) × (jammed vs clear air). The prefix
-            // axis exists only while a skewed node is live.
-            let skew_prefix = faults
-                .skew
-                .filter(|s| {
-                    s.node < n
-                        && tracked
-                            .iter()
-                            .any(|t| t.id == s.node && !t.node.is_terminated())
-                })
-                .map_or(0, |s| s.slots.min(len));
-            let jam_in_prefix = jammed_in_prefix(&plan, skew_prefix, len);
-            // Region order: [rest∩unjam, prefix∩unjam, rest∩jam, prefix∩jam].
-            let region_lens = [
-                len - skew_prefix - (jam_total - jam_in_prefix),
-                skew_prefix - jam_in_prefix,
-                jam_total - jam_in_prefix,
-                jam_in_prefix,
-            ];
-
-            // --- Composition probabilities --------------------------------
-            // ln P(clear) = Σ m_c·ln(1−p_c); a slot is a singleton of group
-            // g with probability P(clear)·Σ_{u∈g} p_u/(1−p_u). Saturated
-            // senders (p = 1, transient in the earliest epochs) make clear
-            // slots impossible and collide with any other sender.
-            let mut ln_rest = 0.0f64;
-            let mut saturated = 0u64;
-            let mut anon_msg_ratio = 0.0f64; // Σ m·p/(1−p) over msg senders
-            let mut sat_category: Option<usize> = None; // category of a lone saturated sender
-
-            // Each tracked node's send probability (0 while halted or
-            // offline) and `ln(1 − p)`, computed once for the composition,
-            // the weights and the node's own draws below.
-            send_terms.clear();
-            for t in tracked.iter() {
-                let halted = t.node.is_terminated() || t.offline;
-                let p = if halted {
-                    0.0
-                } else {
-                    t.node.send_prob(params)
-                };
-                let ln_1m_p = if p < 1.0 { (-p).ln_1p() } else { 0.0 };
-                send_terms.push((p, ln_1m_p));
-                if halted {
-                    continue;
-                }
-                if p >= 1.0 {
-                    saturated += 1;
-                } else {
-                    ln_rest += ln_1m_p;
-                }
-            }
-            for c in cohorts.iter() {
-                if c.node.is_terminated() {
-                    continue;
-                }
-                let p = c.node.send_prob(params);
-                if p >= 1.0 {
-                    saturated += c.count;
-                } else {
-                    ln_rest += c.count as f64 * (-p).ln_1p();
-                    if c.node.sends_message() {
-                        anon_msg_ratio += c.count as f64 * p / (1.0 - p);
-                    }
-                }
-            }
-            // A lone saturated *anonymous* sender can still produce
-            // singletons; find which category it belongs to.
-            if saturated == 1 {
-                if let Some(c) = cohorts
-                    .iter()
-                    .find(|c| !c.node.is_terminated() && c.node.send_prob(params) >= 1.0)
-                {
-                    sat_category = Some(if c.node.sends_message() {
-                        CAT_MSG_ANON
-                    } else {
-                        usize::MAX // noise singleton: lands in "rest"
-                    });
-                }
-            }
-            let p0 = if saturated == 0 { ln_rest.exp() } else { 0.0 };
-
-            weights.clear();
-            weights.push(p0);
-            weights.push(p0 * anon_msg_ratio);
-            for &(p, ln_1m_p) in send_terms.iter() {
-                let w = if saturated == 0 && p < 1.0 {
-                    // Remove this sender's own factor from ln P(clear).
-                    (ln_rest - ln_1m_p).exp() * p
-                } else if saturated == 1 && p >= 1.0 {
-                    // The lone saturated sender: singleton wherever nobody
-                    // else transmits.
-                    ln_rest.exp()
-                } else {
-                    0.0
-                };
-                weights.push(w);
-            }
-            if sat_category == Some(CAT_MSG_ANON) {
-                weights[CAT_MSG_ANON] = ln_rest.exp();
-            }
-            let assigned: f64 = weights.iter().sum();
-            weights.push((1.0 - assigned).max(0.0)); // noise + collisions
-
-            for (r, &rlen) in region_lens.iter().enumerate() {
-                multinomial_into(rng, rlen, weights, scratch_counts);
-                region_counts[r].clear();
-                region_counts[r].extend_from_slice(scratch_counts);
-            }
-
-            let message_slots: u64 = (0..4)
-                .map(|r| {
-                    region_counts[r][CAT_MSG_ANON]
-                        + tracked
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, t)| t.node.sends_message())
-                            .map(|(i, _)| region_counts[r][CAT_TRACKED_BASE + i])
-                            .sum::<u64>()
-                })
-                .sum();
-            let busy_slots: u64 = len - (0..4).map(|r| region_counts[r][CAT_CLEAR]).sum::<u64>();
-            // Audible regions for an unskewed listener: the unjammed ones.
-            let clear_unjam = region_counts[0][CAT_CLEAR] + region_counts[1][CAT_CLEAR];
-            let msg_unjam = |cat: usize| region_counts[0][cat] + region_counts[1][cat];
-            let msg_total_unjam: u64 = msg_unjam(CAT_MSG_ANON)
-                + tracked
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.node.sends_message())
-                    .map(|(i, _)| msg_unjam(CAT_TRACKED_BASE + i))
-                    .sum::<u64>();
-
-            let mut total_listens = 0u64;
-            let mut total_sends = 0u64;
-
-            // --- Tracked singletons: exact per-node draws -----------------
-            for i in 0..tracked.len() {
-                let t = &tracked[i];
-                if t.node.is_terminated() {
-                    continue;
-                }
-                if t.offline {
-                    // Radio off, clock ticks: zero-count epilogue.
-                    tracked[i].node.end_repetition(params, 0, 0);
-                    continue;
-                }
-                let p = send_terms[i].0;
-                let q = t.node.listen_prob(params);
-                let sends = binomial_fast(rng, len, p);
-                let listens = binomial_fast(rng, len - sends, q);
-                // The skewed node cannot decode its prefix: restrict its
-                // audible counts to the non-prefix unjammed region.
-                let skewed = skew_prefix > 0 && t.id == faults.skew.map_or(usize::MAX, |s| s.node);
-                let (n0, msgs_avail) = if skewed {
-                    let own = if t.node.sends_message() {
-                        region_counts[0][CAT_TRACKED_BASE + i]
-                    } else {
-                        0
-                    };
-                    (
-                        region_counts[0][CAT_CLEAR],
-                        region_counts[0][CAT_MSG_ANON]
-                            + tracked
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, o)| o.node.sends_message())
-                                .map(|(j, _)| region_counts[0][CAT_TRACKED_BASE + j])
-                                .sum::<u64>()
-                            - own,
-                    )
-                } else {
-                    let own = if t.node.sends_message() {
-                        msg_unjam(CAT_TRACKED_BASE + i)
-                    } else {
-                        0
-                    };
-                    (clear_unjam, msg_total_unjam - own)
-                };
-                let clear = binomial_fast(rng, n0, q);
-                let msgs = binomial_fast(rng, msgs_avail, q * (1.0 - loss_p));
-                let t = &mut tracked[i];
-                t.cost += sends + listens;
-                total_sends += sends;
-                total_listens += listens;
-                t.node.end_repetition(params, clear, msgs);
-            }
-
-            // --- Anonymous cohorts: split by drawn outcome ----------------
-            if !cohorts.is_empty() {
-                next_cohorts.clear();
-                merge_index.clear();
-                let mut split_this_rep = false;
-                // Every cohort's clear counts are Binomial(clear_unjam, q):
-                // the `ln n!` of its pmfs is one value per repetition.
-                let ln_clear_factorial = ln_factorial(clear_unjam);
-                for c in cohorts.iter().copied() {
-                    if c.node.is_terminated() {
-                        push_merged(next_cohorts, merge_index, c);
-                        continue;
-                    }
-                    let p = c.node.send_prob(params);
-                    let q = c.node.listen_prob(params);
-                    // Pooled costs: exact totals, smeared per member.
-                    let sends = binomial_fast(rng, c.count * len, p);
-                    let listens = binomial_fast(rng, c.count * len - sends, q);
-                    total_sends += sends;
-                    total_listens += listens;
-                    let pool = c.cost_pool + sends + listens;
-
-                    // Split members by drawn clear count: only values above
-                    // ⌊E/2⌋ change S_u, so everything at or below merges
-                    // into one zero-growth group. The saturating cast is
-                    // that floor (and 0 for NaN) without a `floor` call.
-                    let expected = params.expected_listens(epoch, c.node.s());
-                    let t_growth = (expected / 2.0) as u64;
-                    split_by_clear(
-                        rng,
-                        c.count,
-                        clear_unjam,
-                        ln_clear_factorial,
-                        q,
-                        t_growth,
-                        clear_groups,
-                    );
-
-                    // Message-outcome probabilities, shared by every clear
-                    // group (listen coins are independent across slots).
-                    let q_eff = (q * (1.0 - loss_p)).clamp(0.0, 1.0);
-                    let thr = params.helper_threshold(epoch);
-                    let status = c.node.status();
-                    let (p_event, msgs_rep) = match status {
-                        Status::Uninformed => (p_hear_any(msg_total_unjam, q_eff), 1u64),
-                        Status::Informed => {
-                            let k = thr as u64; // ⌊thr⌋, 0 if negative or NaN
-                            (binomial_tail_gt(msg_total_unjam, k, q_eff), k + 1)
-                        }
-                        Status::Helper | Status::Terminated => (0.0, 0),
-                    };
-
-                    let mut children = 0usize;
-                    let mut remaining_pool = pool;
-                    let mut remaining_members = c.count;
-                    let groups = std::mem::take(clear_groups);
-                    for (gi, &(clear, cnt)) in groups.iter().enumerate() {
-                        let hit = if p_event > 0.0 {
-                            binomial_fast(rng, cnt, p_event)
-                        } else {
-                            0
-                        };
-                        let subs = [(clear, hit, msgs_rep), (clear, cnt - hit, 0)];
-                        for &(v, m, msgs) in subs.iter() {
-                            if m == 0 {
-                                continue;
-                            }
-                            let mut rep = c.node;
-                            rep.end_repetition(params, v, msgs);
-                            // Pool shares: proportional, remainder on the
-                            // final child so totals are conserved.
-                            let last = gi == groups.len() - 1 && m == remaining_members;
-                            let share = if last {
-                                remaining_pool
-                            } else {
-                                ((pool as u128 * m as u128) / c.count as u128) as u64
-                            };
-                            remaining_pool -= share;
-                            remaining_members -= m;
-                            children += 1;
-                            push_merged(
-                                next_cohorts,
-                                merge_index,
-                                Cohort {
-                                    node: rep,
-                                    count: m,
-                                    cost_pool: share,
-                                },
-                            );
-                        }
-                    }
-                    *clear_groups = groups;
-                    debug_assert_eq!(remaining_members, 0);
-                    // Conservation: any rounding residue sticks to the last
-                    // child; if every child merged away the residue is
-                    // already inside next_cohorts.
-                    if children > 1 {
-                        split_this_rep = true;
-                    }
-                }
-                std::mem::swap(cohorts, next_cohorts);
-                if split_this_rep {
-                    stats.split_repetitions += 1;
-                    if stats.first_split_period.is_none() {
-                        stats.first_split_period = Some(period);
-                    }
-                }
-                stats.max_live_cohorts = stats.max_live_cohorts.max(cohorts.len());
-            }
-
-            adversary.observe(
-                &ctx,
-                &RepetitionSummary {
-                    message_slots,
-                    busy_slots,
-                    jammed_slots: jam_total,
-                    listen_actions: total_listens,
-                    send_actions: total_sends,
-                },
-            );
-            slots_total += len;
-            period += 1;
-        }
-        let everyone_terminated = tracked.iter().all(|t| t.node.is_terminated())
-            && cohorts.iter().all(|c| c.node.is_terminated());
-        if everyone_terminated {
-            truncated = false;
-            break;
-        }
-        epoch += 1;
-        if epoch <= config.max_epoch {
-            for t in tracked.iter_mut() {
-                t.node.begin_epoch(epoch, params);
-            }
-            // The epoch reset (S_u ← s_init) collapses the state space:
-            // re-merge everything that reconverged.
-            next_cohorts.clear();
-            merge_index.clear();
-            for c in cohorts.drain(..) {
-                let mut c = c;
-                c.node.begin_epoch(epoch, params);
-                push_merged(next_cohorts, merge_index, c);
-            }
-            std::mem::swap(cohorts, next_cohorts);
-        }
-    }
-
-    // --- Outcome assembly ------------------------------------------------
-    let informed = tracked.iter().filter(|t| t.node.ever_informed()).count()
-        + cohorts
-            .iter()
-            .filter(|c| c.node.ever_informed())
-            .map(|c| c.count as usize)
-            .sum::<usize>();
-    let all_terminated = tracked.iter().all(|t| t.node.is_terminated())
-        && cohorts.iter().all(|c| c.node.is_terminated());
-    let safety = tracked
-        .iter()
-        .filter(|t| t.node.term_reason() == Some(TermReason::Safety))
-        .count()
-        + cohorts
-            .iter()
-            .filter(|c| c.node.term_reason() == Some(TermReason::Safety))
-            .map(|c| c.count as usize)
-            .sum::<usize>();
-
-    // Per-node costs: tracked nodes exact; anonymous members receive their
-    // cohort pool smeared evenly (see module docs), assigned to the unused
-    // ids in ascending order for determinism.
-    let mut costs = vec![0u64; n];
-    let mut is_tracked = vec![false; n];
-    for t in tracked.iter() {
-        costs[t.id] = t.cost;
-        is_tracked[t.id] = true;
-    }
-    let mut free_ids = (0..n).filter(|&u| !is_tracked[u]);
-    for c in cohorts.iter() {
-        let base = c.cost_pool / c.count.max(1);
-        let extra = (c.cost_pool % c.count.max(1)) as usize;
-        for j in 0..c.count as usize {
-            let id = free_ids.next().expect("cohort counts sum to n - tracked");
-            costs[id] = base + u64::from(j < extra);
-        }
-    }
-
-    let err = if deadline_hit {
-        Some(SimError::DeadlineExceeded { slots: slots_total })
-    } else {
-        truncated.then_some(SimError::EpochBudgetExhausted {
-            max_epoch: config.max_epoch,
-            slots: slots_total,
-        })
-    };
-    (
-        BroadcastOutcome {
-            n,
-            informed,
-            all_informed: informed == n,
-            all_terminated,
-            safety_terminations: safety,
-            node_costs: costs,
-            adversary_cost,
-            slots: slots_total,
-            last_epoch: epoch.min(config.max_epoch),
-            truncated,
-        },
-        err,
-    )
 }
 
 /// `P(at least one of `m` independent q-coins lands heads)`, stable for
@@ -1368,7 +1154,7 @@ mod tests {
             (threshold + 1, config),
             (8, aggregate_config()),
         ] {
-            let state = CohortState::new(&params(), n, &[0], config, &none);
+            let (_, state) = CohortState::new(&params(), n, &[0], config, &none);
             assert_eq!(
                 !state.cohorts.is_empty(),
                 config.pools_costs(n, &none),
@@ -1680,19 +1466,12 @@ mod tests {
         let p = params();
         let mut rng = RcbRng::new(31);
         let faults = FaultPlan::none().with_crash(7, 1, 4, false);
-        let mut state = CohortState::new(&p, 64, &[0], aggregate_config(), &faults);
-        let mut stats = CohortStats::default();
-        let (out, _) = run_cohort_in(
-            &mut state,
-            &p,
-            64,
-            &mut NoJamRep,
-            &mut rng,
-            aggregate_config(),
-            &faults,
-            &Deadline::NONE,
-            &mut stats,
-        );
+        let mut session = CohortSession::new(p, 64, vec![0], aggregate_config(), faults, 0);
+        let (out, _) = run_on(&mut session, &mut rng, &mut NoJamRep, &Deadline::NONE);
+        let stats = CohortStats {
+            tracked_nodes: session.singles.ids.len(),
+            ..session.state.stats
+        };
         assert_eq!(stats.tracked_nodes, 2, "source + crash target");
         assert!(!out.truncated);
     }

@@ -24,7 +24,7 @@
 //! binary searches, one per own send, and one expected-`O(1)` lookup per
 //! audible listen, independent of `2^i`.
 
-use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary};
+use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionSummary};
 use rcb_core::one_to_n::node::OneToNNode;
 use rcb_core::one_to_n::params::OneToNParams;
 use rcb_mathkit::rng::RcbRng;
@@ -35,6 +35,7 @@ use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::faults::{FaultPlan, LossCoins};
 use crate::outcome::BroadcastOutcome;
+use crate::population::{run_repetitions, Rep, Repetition, Singletons};
 use crate::session::{OwnsRng, Session};
 
 /// Limits for the fast broadcast engine.
@@ -192,51 +193,92 @@ impl BroadcastObserver for () {
     fn on_repetition(&mut self, _: u32, _: u64, _: u64, _: &[OneToNNode]) {}
 }
 
-/// Retained per-run state of the fast broadcast engine: the node state
-/// machines, cost/fault bookkeeping, and every reusable sampling buffer.
-/// One `FastState` serves a whole [`BroadcastSession`].
-#[derive(Debug)]
-struct FastState {
-    nodes: Vec<OneToNNode>,
-    costs: Vec<u64>,
-    dead: Vec<bool>,
-    offline: Vec<bool>,
+/// The fast engine's repetition step (steps 1–4 above) and its reusable
+/// sampling buffers; one serves a whole [`BroadcastSession`].
+#[derive(Debug, Default)]
+struct FastChannel {
     /// Every node's sorted send slots, back to back; node `u`'s are
     /// `own_sends[own_send_offsets[u]..own_send_offsets[u + 1]]`.
     own_sends: Vec<u64>,
     own_send_offsets: Vec<usize>,
     slot_map: SlotMap,
     scratch: Vec<u64>,
+    /// The run's loss coins, drawn off the trial RNG as the run starts.
+    loss: LossCoins,
 }
 
-impl FastState {
-    fn new(params: &OneToNParams, n: usize, sources: &[usize]) -> Self {
-        assert!(n >= 1, "need at least one node");
-        assert!(!sources.is_empty(), "need at least one source");
-        assert!(sources.iter().all(|&s| s < n), "source ids must be < n");
-        Self {
-            nodes: (0..n)
-                .map(|u| OneToNNode::new(params, sources.contains(&u)))
-                .collect(),
-            costs: vec![0; n],
-            dead: vec![false; n],
-            offline: vec![false; n],
-            own_sends: Vec::new(),
-            own_send_offsets: vec![0; n + 1],
-            slot_map: SlotMap::default(),
-            scratch: Vec::new(),
-        }
-    }
+impl Repetition for FastChannel {
+    fn resolve(
+        &mut self,
+        singles: &mut Singletons,
+        rep: &Rep<'_>,
+        rng: &mut RcbRng,
+    ) -> RepetitionSummary {
+        let Self {
+            own_sends,
+            own_send_offsets,
+            slot_map,
+            scratch,
+            loss,
+        } = self;
+        let (params, len) = (rep.params, rep.ctx.slots);
+        let Singletons {
+            ids,
+            nodes,
+            costs,
+            offline,
+            ..
+        } = singles;
 
-    /// Resets every node and counter to the just-constructed state while
-    /// keeping every allocation (the session layer's re-arm path).
-    fn rearm(&mut self, params: &OneToNParams, sources: &[usize]) {
-        for (u, node) in self.nodes.iter_mut().enumerate() {
-            node.rearm(params, sources.contains(&u));
+        // 1. Send events. Radio-off nodes sample nothing: no coin flips,
+        // so their RNG consumption pauses with the radio. Each node's
+        // sorted send slots are kept for steps 2 and 3.
+        own_sends.clear();
+        for (u, node) in nodes.iter().enumerate() {
+            if !node.is_terminated() && !offline[u] {
+                sample_slots_into(rng, len, node.send_prob(params), scratch);
+                costs[u] += scratch.len() as u64;
+                own_sends.extend_from_slice(scratch);
+            }
+            own_send_offsets[u + 1] = own_sends.len();
         }
-        self.costs.fill(0);
-        self.dead.fill(false);
-        self.offline.fill(false);
+
+        // 2. The channel state, sized now that every send is drawn.
+        slot_map.reset(own_sends.len());
+        for (u, node) in nodes.iter().enumerate() {
+            let message = node.sends_message();
+            for &t in &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]] {
+                slot_map.insert(t, message);
+            }
+        }
+
+        // 3. Listen events, resolved by run; 4. each node's epilogue, which
+        // reads only its own counts (zero while its radio is off).
+        let mut total_listens = 0u64;
+        for (u, node) in nodes.iter_mut().enumerate() {
+            if node.is_terminated() {
+                continue;
+            }
+            let (mut clear, mut messages) = (0, 0);
+            if !offline[u] {
+                sample_slots_into(rng, len, node.listen_prob(params), scratch);
+                let own = &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]];
+                let skew = rep.faults.skew_slots(ids[u]);
+                let listens;
+                (listens, clear, messages) =
+                    resolve_listener(scratch, own, skew, rep.plan, len, slot_map, loss);
+                costs[u] += listens;
+                total_listens += listens;
+            }
+            node.end_repetition(params, clear, messages);
+        }
+        RepetitionSummary {
+            message_slots: slot_map.message_slots,
+            busy_slots: slot_map.busy_slots,
+            jammed_slots: rep.jammed,
+            listen_actions: total_listens,
+            send_actions: own_sends.len() as u64,
+        }
     }
 }
 
@@ -283,7 +325,8 @@ pub struct BroadcastSession {
     sources: Vec<usize>,
     config: FastConfig,
     faults: FaultPlan,
-    state: FastState,
+    singles: Singletons,
+    channel: FastChannel,
     rng: RcbRng,
 }
 
@@ -297,13 +340,19 @@ impl BroadcastSession {
         seed: u64,
     ) -> Self {
         assert!(faults.validate().is_ok(), "invalid fault plan");
-        let state = FastState::new(&params, n, &sources);
+        assert!(n >= 1, "need at least one node");
+        assert!(!sources.is_empty(), "need at least one source");
+        assert!(sources.iter().all(|&s| s < n), "source ids must be < n");
         Self {
+            singles: Singletons::new(&params, (0..n).collect(), &sources),
+            channel: FastChannel {
+                own_send_offsets: vec![0; n + 1],
+                ..FastChannel::default()
+            },
             params,
             sources,
             config,
             faults,
-            state,
             rng: RcbRng::new(seed),
         }
     }
@@ -317,14 +366,17 @@ impl BroadcastSession {
         observer: &mut dyn BroadcastObserver,
         deadline: &Deadline,
     ) -> (BroadcastOutcome, Option<SimError>) {
-        run_broadcast_in(
-            &mut self.state,
+        // `FaultPlan::none()` leaves the caller's stream alone.
+        self.channel.loss = LossCoins::new(&self.faults, &mut self.rng);
+        run_repetitions(
+            &mut self.singles,
+            &mut self.channel,
             &self.params,
-            adversary,
-            &mut self.rng,
-            self.config,
-            observer,
+            self.config.max_epoch,
             &self.faults,
+            adversary,
+            observer,
+            &mut self.rng,
             deadline,
         )
     }
@@ -334,7 +386,7 @@ impl Session for BroadcastSession {
     type Outcome = BroadcastOutcome;
 
     fn rearm(&mut self, seed: u64) {
-        self.state.rearm(&self.params, &self.sources);
+        self.singles.rearm(&self.params, &self.sources);
         self.rng = RcbRng::new(seed);
     }
 
@@ -351,194 +403,6 @@ impl OwnsRng for BroadcastSession {
     fn rng_mut(&mut self) -> &mut RcbRng {
         &mut self.rng
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_broadcast_in(
-    state: &mut FastState,
-    params: &OneToNParams,
-    adversary: &mut dyn RepetitionAdversary,
-    rng: &mut RcbRng,
-    config: FastConfig,
-    observer: &mut dyn BroadcastObserver,
-    faults: &FaultPlan,
-    deadline: &Deadline,
-) -> (BroadcastOutcome, Option<SimError>) {
-    let FastState {
-        nodes,
-        costs,
-        dead,
-        offline,
-        own_sends,
-        own_send_offsets,
-        slot_map,
-        scratch,
-    } = state;
-    let n = nodes.len();
-    let mut adversary_cost = 0u64;
-    let mut slots_total = 0u64;
-    let mut period = 0u64;
-    let mut truncated = true;
-
-    // Fault state; `FaultPlan::none()` leaves the caller's stream alone.
-    debug_assert!(faults.validate().is_ok(), "invalid fault plan");
-    let has_faults = !faults.is_none();
-    let mut loss = LossCoins::new(faults, rng);
-    let mut pending_reboot = faults.reboot_at();
-
-    // Deadline checkpoints sit at repetition boundaries (the granularity
-    // of all other bookkeeping) and consume no RNG; the `is_unbounded`
-    // gate keeps the clock read off the default path entirely.
-    let bounded = !deadline.is_unbounded();
-    let mut deadline_hit = false;
-
-    let mut epoch = params.first_epoch;
-    'epochs: while epoch <= config.max_epoch {
-        let len = params.slots(epoch);
-        let reps = params.reps(epoch);
-        for _ in 0..reps {
-            if bounded && deadline.exceeded() {
-                deadline_hit = true;
-                break 'epochs;
-            }
-            if has_faults {
-                // Repetition-boundary bookkeeping, mirroring the exact
-                // engine's period boundary: sample the battery gauge, fire
-                // a pending state-losing reboot, and refresh which radios
-                // are off this period.
-                if let Some(cap) = faults.battery_capacity() {
-                    for (u, d) in dead.iter_mut().enumerate() {
-                        *d = *d || costs[u] >= cap;
-                    }
-                }
-                if let Some((node, at)) = pending_reboot {
-                    if period >= at {
-                        nodes[node].reboot(params);
-                        pending_reboot = None;
-                    }
-                }
-                for (u, off) in offline.iter_mut().enumerate() {
-                    *off = dead[u] || faults.crashed(u, period);
-                }
-            }
-            if nodes
-                .iter()
-                .zip(&**dead)
-                .all(|(v, &d)| v.is_terminated() || d)
-            {
-                truncated = false;
-                break 'epochs;
-            }
-            let active = nodes
-                .iter()
-                .zip(&**offline)
-                .filter(|(v, &off)| !v.is_terminated() && !off)
-                .count();
-            let ctx = RepetitionContext {
-                epoch,
-                repetition: period,
-                slots: len,
-                active_nodes: active,
-            };
-            let plan = adversary.plan(&ctx);
-            adversary_cost += plan.jam_count(len);
-
-            // 1. Send events. Radio-off nodes sample nothing: no coin
-            // flips, so their RNG consumption pauses with the radio.
-            // Each node's sorted send slots are kept for steps 2 and 3.
-            own_sends.clear();
-            for (u, node) in nodes.iter().enumerate() {
-                if !node.is_terminated() && !offline[u] {
-                    sample_slots_into(rng, len, node.send_prob(params), scratch);
-                    costs[u] += scratch.len() as u64;
-                    own_sends.extend_from_slice(scratch);
-                }
-                own_send_offsets[u + 1] = own_sends.len();
-            }
-
-            // 2. The channel state, sized now that every send is drawn.
-            slot_map.reset(own_sends.len());
-            for (u, node) in nodes.iter().enumerate() {
-                let message = node.sends_message();
-                for &t in &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]] {
-                    slot_map.insert(t, message);
-                }
-            }
-
-            // 3. Listen events, resolved by run; 4. each node's epilogue,
-            // which reads only its own counts (zero while its radio is off).
-            let mut total_listens = 0u64;
-            for (u, node) in nodes.iter_mut().enumerate() {
-                if node.is_terminated() {
-                    continue;
-                }
-                let (mut clear, mut messages) = (0, 0);
-                if !offline[u] {
-                    sample_slots_into(rng, len, node.listen_prob(params), scratch);
-                    let own = &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]];
-                    let skew = faults.skew_slots(u);
-                    let listens;
-                    (listens, clear, messages) =
-                        resolve_listener(scratch, own, skew, &plan, len, slot_map, &mut loss);
-                    costs[u] += listens;
-                    total_listens += listens;
-                }
-                node.end_repetition(params, clear, messages);
-            }
-            adversary.observe(
-                &ctx,
-                &RepetitionSummary {
-                    message_slots: slot_map.message_slots,
-                    busy_slots: slot_map.busy_slots,
-                    jammed_slots: plan.jam_count(len),
-                    listen_actions: total_listens,
-                    send_actions: own_sends.len() as u64,
-                },
-            );
-            observer.on_repetition(epoch, period, plan.jam_count(len), nodes);
-            slots_total += len;
-            period += 1;
-        }
-        if nodes.iter().all(|v| v.is_terminated()) {
-            truncated = false;
-            break;
-        }
-        epoch += 1;
-        if epoch <= config.max_epoch {
-            for node in nodes.iter_mut() {
-                node.begin_epoch(epoch, params);
-            }
-        }
-    }
-
-    let informed = nodes.iter().filter(|v| v.ever_informed()).count();
-    let safety = nodes
-        .iter()
-        .filter(|v| v.term_reason() == Some(rcb_core::one_to_n::TermReason::Safety))
-        .count();
-    let err = if deadline_hit {
-        Some(SimError::DeadlineExceeded { slots: slots_total })
-    } else {
-        truncated.then_some(SimError::EpochBudgetExhausted {
-            max_epoch: config.max_epoch,
-            slots: slots_total,
-        })
-    };
-    (
-        BroadcastOutcome {
-            n,
-            informed,
-            all_informed: informed == n,
-            all_terminated: nodes.iter().all(|v| v.is_terminated()),
-            safety_terminations: safety,
-            node_costs: costs.clone(),
-            adversary_cost,
-            slots: slots_total,
-            last_epoch: epoch.min(config.max_epoch),
-            truncated,
-        },
-        err,
-    )
 }
 
 #[cfg(test)]

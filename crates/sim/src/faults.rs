@@ -240,7 +240,7 @@ impl FaultPlan {
 /// `m` reception that would otherwise decode, from the run's dedicated
 /// fault stream. The stream is split off the trial RNG only for a
 /// non-empty plan, so [`FaultPlan::none`] leaves that RNG untouched.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct LossCoins {
     pub(crate) rng: Option<RcbRng>,
     pub(crate) p: f64,

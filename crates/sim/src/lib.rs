@@ -66,6 +66,7 @@ pub mod faults;
 pub mod journal;
 pub mod lowerbound;
 pub mod outcome;
+mod population;
 pub mod runner;
 pub mod scenario;
 pub mod session;

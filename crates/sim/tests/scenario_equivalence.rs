@@ -558,7 +558,12 @@ const SUMMARY_CHECKSUMS: [(&str, Engine, usize, u64); 9] = [
     ("random", Engine::CohortFast, 64, 0x112b_140d_c521_54de),
     ("half_suffix", Engine::CohortFast, 64, 0x7026_f96c_a84a_956d),
     ("random", Engine::CohortFast, 512, 0xd6db_fe87_f2a4_ca42),
-    ("half_suffix", Engine::CohortFast, 512, 0x9fa0_2573_1659_5ee5),
+    (
+        "half_suffix",
+        Engine::CohortFast,
+        512,
+        0x9fa0_2573_1659_5ee5,
+    ),
 ];
 
 #[test]
