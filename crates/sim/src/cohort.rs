@@ -510,6 +510,13 @@ impl Repetition for CohortState {
         let clear_unjam = region_counts[0][CAT_CLEAR] + region_counts[1][CAT_CLEAR];
         let msg_unjam = |cat: usize| region_counts[0][cat] + region_counts[1][cat];
         let msg_total_unjam = msgs_in(&[0, 1], &singles.nodes);
+        // The skewed node hears region 0 alone. Like every count here, it
+        // is read from the senders' states before any epilogue below.
+        let msg_skewed = if skew_prefix > 0 {
+            msgs_in(&[0], &singles.nodes)
+        } else {
+            0
+        };
 
         let mut total_listens = 0u64;
         let mut total_sends = 0u64;
@@ -538,10 +545,7 @@ impl Repetition for CohortState {
                 } else {
                     0
                 };
-                (
-                    region_counts[0][CAT_CLEAR],
-                    msgs_in(&[0], &singles.nodes) - own,
-                )
+                (region_counts[0][CAT_CLEAR], msg_skewed - own)
             } else {
                 let own = if node.sends_message() {
                     msg_unjam(CAT_TRACKED_BASE + i)
@@ -1068,6 +1072,7 @@ mod tests {
     use rcb_adversary::rep_strategies::{
         BudgetedRepBlocker, KeepAliveBlocker, NoJamRep, SuffixFractionRep,
     };
+    use rcb_adversary::traits::RepetitionContext;
 
     thread_local! {
         /// Tail terms [`split_by_clear`] has summed on this thread.
@@ -1347,7 +1352,7 @@ mod tests {
     const AGGREGATE_CHECKSUMS: [(&str, u64); 4] = [
         ("half_suffix", 0xda71_027b_223f_2100),
         ("keep_alive", 0xa94a_0c5d_a8ca_dfa4),
-        ("half_suffix_faulted", 0x3d3f_1284_e188_67c6),
+        ("half_suffix_faulted", 0xb4a3_4578_e8e9_87ad),
         ("keep_alive_faulted", 0xcc64_ebf0_835b_b56a),
     ];
 
@@ -1403,6 +1408,35 @@ mod tests {
             })
             .collect();
         assert!(moved.is_empty(), "{}", moved.join("\n"));
+    }
+
+    /// Jams slot 0 of every repetition.
+    struct JamFirstSlot;
+
+    impl RepetitionAdversary for JamFirstSlot {
+        fn plan(&mut self, _: &RepetitionContext) -> JamPlan {
+            JamPlan::Slots(vec![0])
+        }
+    }
+
+    #[test]
+    fn a_skewed_node_whose_prefix_is_jammed_hears_what_it_would_unskewed() {
+        // A one-slot skew under a jammer of slot 0: the skewed node's
+        // prefix is jammed anyway, so it hears what an unskewed node hears,
+        // and the composition draws the same regions in the same order (an
+        // empty region draws nothing). The run must equal the unskewed one
+        // bit for bit. The skewed node has the highest id: every other node
+        // that learns `m` during a repetition sent noise in it, and must
+        // count as a noise sender in the skewed node's message count too.
+        let p = params();
+        for seed in 0..8 {
+            let run = |faults: FaultPlan| {
+                CohortSession::new(p, 16, vec![0], CohortConfig::default(), faults, seed)
+                    .run(&mut JamFirstSlot, &Deadline::NONE)
+            };
+            let skewed = run(FaultPlan::none().with_skew(15, 1));
+            assert_eq!(skewed, run(FaultPlan::none()), "seed {seed}");
+        }
     }
 
     #[test]
