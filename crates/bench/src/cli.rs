@@ -115,8 +115,9 @@ impl Args {
     }
 }
 
-/// Builds a validated [`FaultPlan`] from the shared `--fault-*` flags
-/// (`duel` and `broadcast` accept all four):
+/// Builds a [`FaultPlan`] from the shared `--fault-*` flags (`duel` and
+/// `broadcast` accept all four), validated for a run of `population` nodes
+/// (2 for a duel: 0 = Alice, 1 = Bob):
 ///
 /// * `--fault-loss F` — drop each decodable reception with probability `F`
 /// * `--fault-crash NODE:START:PERIODS[:lose]` — radio off for the window;
@@ -124,7 +125,7 @@ impl Args {
 /// * `--fault-skew NODE:SLOTS` — the first `SLOTS` slots of every period
 ///   decode as noise for `NODE`
 /// * `--fault-battery N` — hard per-node energy cap of `N` slot-units
-fn fault_plan_from_args(args: &Args) -> Result<FaultPlan, String> {
+fn fault_plan_from_args(args: &Args, population: usize) -> Result<FaultPlan, String> {
     let mut plan = FaultPlan::none();
     if let Some(p) = args.get_opt::<f64>("fault-loss")? {
         plan = plan.with_loss(p);
@@ -155,7 +156,7 @@ fn fault_plan_from_args(args: &Args) -> Result<FaultPlan, String> {
     if let Some(cap) = args.get_opt::<u64>("fault-battery")? {
         plan = plan.with_battery(cap);
     }
-    plan.validate().map_err(|e| e.to_string())?;
+    plan.validate(population).map_err(|e| e.to_string())?;
     Ok(plan)
 }
 
@@ -370,7 +371,7 @@ fn cmd_duel(args: &Args) -> Result<String, String> {
     let q: f64 = args.get("q", 1.0)?;
     let trials: u64 = args.get("trials", 100)?;
     let seed: u64 = args.get("seed", 2014)?;
-    let faults = fault_plan_from_args(args)?;
+    let faults = fault_plan_from_args(args, 2)?;
     let profile_name = args.get_str("profile", "fig1");
     let protocol = match profile_name.as_str() {
         "fig1" => {
@@ -561,7 +562,7 @@ fn cmd_broadcast(args: &Args) -> Result<String, String> {
             ))
         }
     };
-    let faults = fault_plan_from_args(args)?;
+    let faults = fault_plan_from_args(args, n)?;
     let spec = ScenarioSpec::broadcast(n)
         .with_adversary(adversary)
         .with_faults(faults)
@@ -1176,14 +1177,14 @@ mod tests {
             "500",
         ])
         .expect("parse");
-        let plan = fault_plan_from_args(&a).expect("valid plan");
+        let plan = fault_plan_from_args(&a, 2).expect("valid plan");
         assert_eq!(plan.loss_p(), 0.25);
         assert!(plan.crashed(1, 4) && !plan.crashed(1, 12));
         assert_eq!(plan.reboot_at(), Some((1, 12)));
         assert_eq!(plan.skew_slots(0), 2);
         assert_eq!(plan.battery_capacity(), Some(500));
         // No flags → the empty plan.
-        let none = fault_plan_from_args(&parse(&["duel"]).expect("parse")).expect("plan");
+        let none = fault_plan_from_args(&parse(&["duel"]).expect("parse"), 2).expect("plan");
         assert!(none.is_none());
     }
 
@@ -1388,15 +1389,55 @@ mod tests {
     #[test]
     fn fault_flags_reject_malformed_specs() {
         let bad_crash = parse(&["duel", "--fault-crash", "1:4"]).expect("parse");
-        assert!(fault_plan_from_args(&bad_crash).is_err(), "too few fields");
+        assert!(
+            fault_plan_from_args(&bad_crash, 2).is_err(),
+            "too few fields"
+        );
         let bad_tail = parse(&["duel", "--fault-crash", "1:4:8:explode"]).expect("parse");
-        assert!(fault_plan_from_args(&bad_tail).is_err(), "bad lose marker");
+        assert!(
+            fault_plan_from_args(&bad_tail, 2).is_err(),
+            "bad lose marker"
+        );
         let bad_skew = parse(&["duel", "--fault-skew", "7"]).expect("parse");
-        assert!(fault_plan_from_args(&bad_skew).is_err(), "missing colon");
+        assert!(fault_plan_from_args(&bad_skew, 2).is_err(), "missing colon");
         let bad_loss = parse(&["duel", "--fault-loss", "1.5"]).expect("parse");
-        assert!(fault_plan_from_args(&bad_loss).is_err(), "p out of range");
+        assert!(
+            fault_plan_from_args(&bad_loss, 2).is_err(),
+            "p out of range"
+        );
         let bad_battery = parse(&["duel", "--fault-battery", "0"]).expect("parse");
-        assert!(fault_plan_from_args(&bad_battery).is_err(), "zero capacity");
+        assert!(
+            fault_plan_from_args(&bad_battery, 2).is_err(),
+            "zero capacity"
+        );
+        // Crash and skew targets outside the population (2 in a duel), on
+        // the commands themselves: each is an error naming the node and
+        // the population size.
+        for (argv, named) in [
+            (
+                &[
+                    "broadcast",
+                    "--n",
+                    "16",
+                    "--trials",
+                    "2",
+                    "--fault-crash",
+                    "30:2:8:lose",
+                ][..],
+                "crash node 30 out of range: the population has 16 nodes",
+            ),
+            (
+                &["duel", "--trials", "2", "--fault-crash", "5:0:3"],
+                "crash node 5 out of range: the population has 2 nodes",
+            ),
+            (
+                &["duel", "--trials", "2", "--fault-skew", "2:1"],
+                "skew node 2 out of range: the population has 2 nodes",
+            ),
+        ] {
+            let err = run_cli(&parse(argv).expect("parse")).expect_err("out-of-range node");
+            assert!(err.contains(named), "{argv:?}: {err}");
+        }
     }
 
     #[test]

@@ -293,7 +293,7 @@ impl CohortState {
         assert!(n >= 1, "need at least one node");
         assert!(!sources.is_empty(), "need at least one source");
         assert!(sources.iter().all(|&s| s < n), "source ids must be < n");
-        debug_assert!(faults.validate().is_ok(), "invalid fault plan");
+        debug_assert!(faults.validate(n).is_ok(), "invalid fault plan");
 
         // Mode selection: everyone tracked below the threshold or under a
         // battery fault; otherwise only the symmetry-broken nodes (sources,
@@ -302,8 +302,8 @@ impl CohortState {
             (0..n).collect()
         } else {
             let mut ids: Vec<usize> = sources.to_vec();
-            ids.extend(faults.crash.map(|c| c.node).filter(|&u| u < n));
-            ids.extend(faults.skew.map(|s| s.node).filter(|&u| u < n));
+            ids.extend(faults.crash.map(|c| c.node));
+            ids.extend(faults.skew.map(|s| s.node));
             ids.sort_unstable();
             ids.dedup();
             ids
@@ -729,7 +729,7 @@ impl CohortSession {
         faults: FaultPlan,
         seed: u64,
     ) -> Self {
-        assert!(faults.validate().is_ok(), "invalid fault plan");
+        assert!(faults.validate(n).is_ok(), "invalid fault plan");
         let (singles, state) = CohortState::new(&params, n, &sources, config, &faults);
         Self {
             params,

@@ -164,7 +164,7 @@ pub struct DuelSession<P> {
 
 impl<P: DuelProfile> DuelSession<P> {
     pub fn new(profile: P, config: DuelConfig, faults: FaultPlan, seed: u64) -> Self {
-        assert!(faults.validate().is_ok(), "invalid fault plan");
+        assert!(faults.validate(2).is_ok(), "invalid fault plan");
         Self {
             profile,
             config,
@@ -214,7 +214,7 @@ fn run_duel_in<P: DuelProfile>(
     faults: &FaultPlan,
     deadline: &Deadline,
 ) -> (DuelOutcome, Option<SimError>) {
-    debug_assert!(faults.validate().is_ok(), "invalid fault plan");
+    debug_assert!(faults.validate(2).is_ok(), "invalid fault plan");
     let mut alice = AliceState::new(profile.start_epoch());
     let mut bob = BobState::new(profile.start_epoch());
 

@@ -156,7 +156,10 @@ pub(crate) fn run_exact_in(
         scratch.nodes(),
         "scratch sized for a different node count"
     );
-    debug_assert!(faults.validate().is_ok(), "invalid fault plan");
+    debug_assert!(
+        faults.validate(protocols.len()).is_ok(),
+        "invalid fault plan"
+    );
     let ExactScratch {
         ledger,
         actions,

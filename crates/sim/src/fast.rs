@@ -339,7 +339,7 @@ impl BroadcastSession {
         faults: FaultPlan,
         seed: u64,
     ) -> Self {
-        assert!(faults.validate().is_ok(), "invalid fault plan");
+        assert!(faults.validate(n).is_ok(), "invalid fault plan");
         assert!(n >= 1, "need at least one node");
         assert!(!sources.is_empty(), "need at least one source");
         assert!(sources.iter().all(|&s| s < n), "source ids must be < n");

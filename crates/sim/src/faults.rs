@@ -90,6 +90,13 @@ pub enum FaultConfigError {
     EmptyCrashWindow,
     /// A battery that starts empty.
     ZeroBatteryCapacity,
+    /// A crash or skew target outside the population (ids `0..population`;
+    /// 2 in a duel).
+    NodeOutOfRange {
+        fault: &'static str,
+        node: usize,
+        population: usize,
+    },
 }
 
 impl fmt::Display for FaultConfigError {
@@ -104,6 +111,15 @@ impl fmt::Display for FaultConfigError {
             FaultConfigError::ZeroBatteryCapacity => {
                 write!(f, "battery capacity must be at least 1 energy unit")
             }
+            FaultConfigError::NodeOutOfRange {
+                fault,
+                node,
+                population,
+            } => write!(
+                f,
+                "{fault} node {node} out of range: the population has {population} nodes \
+                 (ids 0..{population})"
+            ),
         }
     }
 }
@@ -168,10 +184,12 @@ impl FaultPlan {
         self
     }
 
-    /// Rejects out-of-domain parameters with a typed error. Builders do not
-    /// validate (they are `const`-friendly plumbing); engines
-    /// `debug_assert!` validity and CLI/experiment code must call this.
-    pub fn validate(&self) -> Result<(), FaultConfigError> {
+    /// Rejects out-of-domain parameters, and crash or skew targets outside
+    /// a population of `population` nodes (2 for a duel), with a typed
+    /// error. Builders do not validate (they are `const`-friendly
+    /// plumbing); sessions assert validity and CLI/experiment code must
+    /// call this.
+    pub fn validate(&self, population: usize) -> Result<(), FaultConfigError> {
         if let Some(LossFault { p }) = self.loss {
             if !(0.0..=1.0).contains(&p) {
                 return Err(FaultConfigError::LossOutOfRange { p });
@@ -183,7 +201,22 @@ impl FaultPlan {
         if let Some(BatteryFault { capacity: 0 }) = self.battery {
             return Err(FaultConfigError::ZeroBatteryCapacity);
         }
-        Ok(())
+        let targets = [
+            self.crash.map(|c| ("crash", c.node)),
+            self.skew.map(|s| ("skew", s.node)),
+        ];
+        match targets
+            .into_iter()
+            .flatten()
+            .find(|&(_, u)| u >= population)
+        {
+            Some((fault, node)) => Err(FaultConfigError::NodeOutOfRange {
+                fault,
+                node,
+                population,
+            }),
+            None => Ok(()),
+        }
     }
 
     /// The per-reception loss probability (0 when no loss fault is set).
@@ -313,7 +346,7 @@ mod tests {
     fn empty_plan_is_none_and_valid() {
         let plan = FaultPlan::none();
         assert!(plan.is_none());
-        assert!(plan.validate().is_ok());
+        assert!(plan.validate(1).is_ok());
         assert_eq!(plan.loss_p(), 0.0);
         assert!(!plan.crashed(0, 0));
         assert_eq!(plan.skew_slots(0), 0);
@@ -326,15 +359,15 @@ mod tests {
     #[test]
     fn validate_rejects_out_of_domain_parameters() {
         assert!(matches!(
-            FaultPlan::none().with_loss(1.5).validate(),
+            FaultPlan::none().with_loss(1.5).validate(2),
             Err(FaultConfigError::LossOutOfRange { .. })
         ));
         assert!(matches!(
-            FaultPlan::none().with_crash(0, 4, 0, false).validate(),
+            FaultPlan::none().with_crash(0, 4, 0, false).validate(2),
             Err(FaultConfigError::EmptyCrashWindow)
         ));
         assert!(matches!(
-            FaultPlan::none().with_battery(0).validate(),
+            FaultPlan::none().with_battery(0).validate(2),
             Err(FaultConfigError::ZeroBatteryCapacity)
         ));
         assert!(FaultPlan::none()
@@ -342,8 +375,24 @@ mod tests {
             .with_crash(1, 2, 8, true)
             .with_skew(0, 2)
             .with_battery(500)
-            .validate()
+            .validate(2)
             .is_ok());
+        // Crash and skew targets must name a node of the population.
+        let crash = FaultPlan::none().with_crash(2, 0, 3, false);
+        assert!(crash.validate(3).is_ok());
+        assert_eq!(
+            crash.validate(2),
+            Err(FaultConfigError::NodeOutOfRange {
+                fault: "crash",
+                node: 2,
+                population: 2,
+            })
+        );
+        let err = FaultPlan::none().with_skew(16, 1).validate(16).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "skew node 16 out of range: the population has 16 nodes (ids 0..16)"
+        );
     }
 
     #[test]

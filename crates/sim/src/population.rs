@@ -143,8 +143,8 @@ pub(crate) fn run_repetitions<R: Repetition>(
     rng: &mut RcbRng,
     deadline: &Deadline,
 ) -> (BroadcastOutcome, Option<SimError>) {
-    debug_assert!(faults.validate().is_ok(), "invalid fault plan");
     let n = members(&singles.nodes, step.bulk(), |_| true);
+    debug_assert!(faults.validate(n).is_ok(), "invalid fault plan");
     let mut adversary_cost = 0u64;
     let mut slots_total = 0u64;
     let mut period = 0u64;

@@ -550,7 +550,14 @@ impl ScenarioSpec {
     /// the same invariants by assertion; `validate` exists so front ends
     /// (the CLI) can surface a readable error instead of a panic.
     pub fn validate(&self) -> Result<(), String> {
-        self.faults.validate().map_err(|e| e.to_string())?;
+        let population = match &self.workload {
+            Workload::Duel(_) => 2,
+            Workload::Broadcast(w) => w.n,
+            Workload::Stream(w) => w.n,
+        };
+        self.faults
+            .validate(population)
+            .map_err(|e| e.to_string())?;
         if self.engine == Engine::CohortFast && matches!(self.workload, Workload::Duel(_)) {
             return Err("the cohort engine supports only broadcast workloads".into());
         }
@@ -1514,6 +1521,20 @@ mod tests {
             assert!(err.contains("epsilon"), "{epsilon}: {err}");
         }
         assert!(ScenarioSpec::duel(DuelProtocol::ksy()).validate().is_ok());
+        // Fault targets must lie inside the population: 2 in a duel, `n`
+        // in a broadcast or stream.
+        let duel_crash = ScenarioSpec::duel(DuelProtocol::ksy())
+            .with_faults(FaultPlan::none().with_crash(5, 0, 3, false));
+        let err = duel_crash.validate().expect_err("crash node 5 of a duel");
+        assert!(err.contains("node 5") && err.contains("2 nodes"), "{err}");
+        let bcast_skew =
+            ScenarioSpec::broadcast(16).with_faults(FaultPlan::none().with_skew(16, 1));
+        let err = bcast_skew.validate().expect_err("skew node 16 of 16");
+        assert!(err.contains("node 16") && err.contains("16 nodes"), "{err}");
+        assert!(ScenarioSpec::broadcast(16)
+            .with_faults(FaultPlan::none().with_crash(15, 0, 3, true))
+            .validate()
+            .is_ok());
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl ExactBroadcastSession {
             sources.iter().all(|&s| s < n),
             "source id out of range (n = {n})"
         );
-        assert!(faults.validate().is_ok(), "invalid fault plan");
+        assert!(faults.validate(n).is_ok(), "invalid fault plan");
         let nodes: Vec<OneToNSlotNode> = (0..n)
             .map(|u| OneToNSlotNode::new(params, sources.contains(&u)))
             .collect();

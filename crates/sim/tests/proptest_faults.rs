@@ -73,7 +73,7 @@ proptest! {
         let plan = plan_from(
             use_loss, loss_p, use_crash, crash, use_skew, skew, use_battery, battery,
         );
-        plan.validate().expect("generated plans are in range");
+        plan.validate(2).expect("generated plans are in range");
         let profile = Fig1Profile::with_start_epoch(0.1, 6);
         // Keep pathological plans (total loss) cheap to replay.
         let config = DuelConfig { max_slots: 1 << 16 };
