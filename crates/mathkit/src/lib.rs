@@ -28,8 +28,7 @@ pub use histogram::LogHistogram;
 pub use hypothesis::{mann_whitney_u, normal_cdf, MannWhitney};
 pub use rng::{RcbRng, SeedSequence};
 pub use sample::{
-    bernoulli, binomial, binomial_fast, geometric_failures, multinomial_into, sample_distinct,
-    sample_slots, slot_capacity_hint_capped,
+    bernoulli, binomial, binomial_fast, geometric_failures, multinomial_into, sample_slots,
 };
 pub use stats::{percentile, RunningStats};
 

@@ -109,15 +109,6 @@ impl RcbRng {
         }
     }
 
-    /// Fills `out` with uniform `[0, 1)` doubles. Same stream-order
-    /// invariant as [`fill_u64s`](Self::fill_u64s): element `j` is
-    /// bit-identical to the `j`-th [`f64`](Self::f64) call.
-    pub fn fill_f64s(&mut self, out: &mut [f64]) {
-        for slot in out.iter_mut() {
-            *slot = self.f64();
-        }
-    }
-
     /// A fresh generator whose stream is independent of `self`'s future
     /// output (derived by hashing the current state through SplitMix64).
     pub fn split(&mut self) -> RcbRng {
@@ -286,18 +277,6 @@ mod tests {
         }
         // The generators are in identical states afterwards.
         assert_eq!(batched.next_u64(), looped.next_u64());
-    }
-
-    #[test]
-    fn fill_f64s_matches_elementwise_stream() {
-        let mut batched = RcbRng::new(22);
-        let mut looped = RcbRng::new(22);
-        let mut buf = [0.0f64; 19];
-        batched.fill_f64s(&mut buf);
-        for (j, &v) in buf.iter().enumerate() {
-            assert_eq!(v.to_bits(), looped.f64().to_bits(), "element {j} diverged");
-        }
-        assert_eq!(batched, looped);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! itself runs only when the bracket straddles an integer (DESIGN.md §9).
 
 use crate::rng::RcbRng;
-use std::collections::HashSet;
 
 /// A single biased coin flip.
 #[inline]
@@ -679,39 +678,26 @@ pub fn multinomial_into(rng: &mut RcbRng, n: u64, weights: &[f64], out: &mut Vec
     }
 }
 
-/// Default clamp for [`slot_capacity_hint`]: generous for the repetition
-/// lengths the engines historically drew (≤ 2^16 events was effectively
-/// unbounded), conservative against the saturating-cast extremes.
-const DEFAULT_CAPACITY_CLAMP: usize = 1 << 16;
+/// Upper bound on [`slot_capacity_hint`]: generous for the repetition
+/// lengths the engines draw, conservative against the saturating-cast
+/// extremes.
+const CAPACITY_CLAMP: usize = 1 << 16;
 
 /// Initial reservation for a block sample: 1.5× the expected count `np`
-/// plus slack, clamped to the block length and to a fixed upper bound.
+/// plus slack, clamped to the block length and to [`CAPACITY_CLAMP`].
 ///
 /// The unclamped heuristic misallocates at the extremes: `n·p` near `2^64`
 /// saturates the `f64 → usize` cast and asks for a multi-exabyte buffer,
 /// and even realistic large blocks would pre-commit memory the tail of the
 /// distribution rarely needs. `Vec` doubling amortises the rare overflow
-/// past the clamp. Callers with a better bound (the cohort engine knows its
-/// population) use [`slot_capacity_hint_capped`] directly.
+/// past the clamp.
 fn slot_capacity_hint(n: u64, p: f64) -> usize {
-    slot_capacity_hint_capped(n, p, DEFAULT_CAPACITY_CLAMP)
-}
-
-/// The slot-capacity hint with a caller-chosen clamp.
-///
-/// The fixed `1 << 16` default was tuned for per-node repetition draws; a
-/// large-`n` caller that knows it will collect millions of events pays for
-/// the low clamp with repeated `Vec` doubling (a ~2^4 cascade of reallocs
-/// and copies at `n = 10^6`). The expected-count arithmetic keeps the
-/// saturating-cast protections: `n·p` overflow saturates, and the hint
-/// never exceeds the block length or the clamp.
-pub fn slot_capacity_hint_capped(n: u64, p: f64, clamp: usize) -> usize {
     let p = if p > 0.0 { p.min(1.0) } else { 0.0 }; // NaN/negative → 0
     let expected = ((n as f64 * p) * 1.5) as usize; // saturating cast
     expected
         .saturating_add(4)
         .min(usize::try_from(n).unwrap_or(usize::MAX))
-        .min(clamp)
+        .min(CAPACITY_CLAMP)
 }
 
 /// The success *positions* of `n` independent `p`-coins, sorted ascending.
@@ -743,32 +729,6 @@ pub fn sample_slots_into(rng: &mut RcbRng, n: u64, p: f64, out: &mut Vec<u64>) {
     }
     out.reserve(slot_capacity_hint(n, p));
     GeometricSkip::new(p).walk(rng, n, |pos| out.push(pos));
-}
-
-/// `k` distinct values drawn uniformly from `0..n` (Floyd's algorithm),
-/// returned in arbitrary order. Panics if `k > n`.
-///
-/// Membership is tracked in a hash set, so the whole draw is expected
-/// `O(k)` — the natural `chosen.contains(&t)` scan would make Floyd's
-/// algorithm quadratic in `k`. The value sequence is identical to the
-/// scan-based version for a given RNG stream: only the lookup changed.
-pub fn sample_distinct(rng: &mut RcbRng, n: u64, k: u64) -> Vec<u64> {
-    assert!(k <= n, "cannot draw {k} distinct values from 0..{n}");
-    let mut chosen: Vec<u64> = Vec::with_capacity(k as usize);
-    let mut member: HashSet<u64> = HashSet::with_capacity(k as usize);
-    // Floyd: for j in n-k..n, pick t in [0, j]; if t already chosen, take j.
-    for j in (n - k)..n {
-        let t = rng.below(j + 1);
-        if member.insert(t) {
-            chosen.push(t);
-        } else {
-            // `j` has never been drawn before (every earlier element is
-            // at most the previous `j`), so this insert always succeeds.
-            member.insert(j);
-            chosen.push(j);
-        }
-    }
-    chosen
 }
 
 #[cfg(test)]
@@ -949,25 +909,11 @@ mod tests {
         // And the hint never exceeds the block length.
         assert!(slot_capacity_hint(3, 0.9) <= 3);
         assert_eq!(slot_capacity_hint(0, 0.5), 0);
-    }
-
-    #[test]
-    fn slot_capacity_hint_capped_honours_caller_bound() {
-        // The cohort engine passes its own clamp so a single n=10^6 draw
-        // reserves once instead of doubling past the old 1<<16 ceiling.
-        let hinted = slot_capacity_hint_capped(1_000_000, 0.9, 4 << 20);
-        assert!(hinted > 1 << 16, "caller clamp must beat the default");
-        assert!(hinted <= 4 << 20);
-        // Expected count wins when below both clamps.
-        assert_eq!(
-            slot_capacity_hint_capped(1000, 0.1, 4 << 20),
-            slot_capacity_hint(1000, 0.1)
-        );
-        // Caller clamp still protects against saturating products.
-        assert!(slot_capacity_hint_capped(u64::MAX, 1.0, 1 << 10) <= 1 << 10);
+        // The expected count wins below the clamp.
+        assert_eq!(slot_capacity_hint(1000, 0.1), 154);
         // Degenerate p sanitises instead of poisoning the cast.
-        assert_eq!(slot_capacity_hint_capped(100, f64::NAN, 1 << 10), 4);
-        assert_eq!(slot_capacity_hint_capped(100, -3.0, 1 << 10), 4);
+        assert_eq!(slot_capacity_hint(100, f64::NAN), 4);
+        assert_eq!(slot_capacity_hint(100, -3.0), 4);
     }
 
     #[test]
@@ -1926,68 +1872,5 @@ mod tests {
             early > 2_000,
             "items ran out early in {early} draws with n > 0"
         );
-    }
-
-    #[test]
-    fn sample_distinct_properties() {
-        let mut rng = RcbRng::new(12);
-        for _ in 0..200 {
-            let k = rng.below(50);
-            let mut v = sample_distinct(&mut rng, 50, k);
-            v.sort_unstable();
-            v.dedup();
-            assert_eq!(v.len(), k as usize, "distinctness");
-            assert!(v.iter().all(|&x| x < 50));
-        }
-    }
-
-    #[test]
-    fn sample_distinct_full_range() {
-        let mut rng = RcbRng::new(13);
-        let mut v = sample_distinct(&mut rng, 10, 10);
-        v.sort_unstable();
-        assert_eq!(v, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic]
-    fn sample_distinct_k_too_large_panics() {
-        let mut rng = RcbRng::new(14);
-        sample_distinct(&mut rng, 3, 4);
-    }
-
-    #[test]
-    fn sample_distinct_matches_linear_scan_reference() {
-        // The hash-set membership check must not change the sampled
-        // sequence: replay the same RNG stream through the textbook
-        // contains()-based Floyd and demand identical output.
-        fn reference(rng: &mut RcbRng, n: u64, k: u64) -> Vec<u64> {
-            let mut chosen: Vec<u64> = Vec::with_capacity(k as usize);
-            for j in (n - k)..n {
-                let t = rng.below(j + 1);
-                if chosen.contains(&t) {
-                    chosen.push(j);
-                } else {
-                    chosen.push(t);
-                }
-            }
-            chosen
-        }
-        for seed in 0..20 {
-            for &(n, k) in &[(1u64, 1u64), (10, 3), (100, 100), (5000, 700)] {
-                let fast = sample_distinct(&mut RcbRng::new(seed), n, k);
-                let slow = reference(&mut RcbRng::new(seed), n, k);
-                assert_eq!(fast, slow, "seed {seed}, n {n}, k {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn sample_distinct_large_k_is_fast() {
-        // 200k draws would take minutes under the quadratic scan; the hash
-        // set keeps it well under a second.
-        let mut rng = RcbRng::new(16);
-        let v = sample_distinct(&mut rng, 1 << 20, 200_000);
-        assert_eq!(v.len(), 200_000);
     }
 }

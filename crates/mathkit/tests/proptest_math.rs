@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rcb_mathkit::fit::{linear_fit, power_law_fit};
 use rcb_mathkit::rng::{RcbRng, SeedSequence};
-use rcb_mathkit::sample::{binomial, geometric_failures, sample_distinct, sample_slots};
+use rcb_mathkit::sample::{binomial, geometric_failures, sample_slots};
 use rcb_mathkit::stats::RunningStats;
 
 proptest! {
@@ -84,20 +84,6 @@ proptest! {
                     "residual slope {} should vanish", rf.slope);
             }
         }
-    }
-
-    /// Distinct sampling really is distinct and in range for any k ≤ n.
-    #[test]
-    fn distinct_sampling_laws(seed in any::<u64>(), n in 1u64..2000, frac in 0.0f64..=1.0) {
-        let k = ((n as f64) * frac) as u64;
-        let mut rng = RcbRng::new(seed);
-        let mut v = sample_distinct(&mut rng, n, k);
-        v.sort_unstable();
-        let len_before = v.len();
-        v.dedup();
-        prop_assert_eq!(v.len(), len_before);
-        prop_assert_eq!(v.len() as u64, k);
-        prop_assert!(v.iter().all(|&x| x < n));
     }
 
     /// Seed streams never collide across nearby masters and indices.
