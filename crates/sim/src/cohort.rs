@@ -293,7 +293,6 @@ impl CohortState {
         assert!(n >= 1, "need at least one node");
         assert!(!sources.is_empty(), "need at least one source");
         assert!(sources.iter().all(|&s| s < n), "source ids must be < n");
-        debug_assert!(faults.validate(n).is_ok(), "invalid fault plan");
 
         // Mode selection: everyone tracked below the threshold or under a
         // battery fault; otherwise only the symmetry-broken nodes (sources,
@@ -333,9 +332,7 @@ impl CohortState {
 
     /// Collapses the anonymous population back into one uninformed cohort
     /// of the same size, in place (anonymous nodes are never sources), and
-    /// clears the diagnostics. The tracked id set is a deterministic
-    /// function of the session's fixed (n, sources, faults, config), so it
-    /// never changes across re-arms.
+    /// clears the diagnostics. The tracked ids never change across re-arms.
     fn rearm(&mut self, params: &OneToNParams) {
         let anon: u64 = self.cohorts.iter().map(|c| c.count).sum();
         self.cohorts.clear();

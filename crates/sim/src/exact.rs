@@ -156,10 +156,7 @@ pub(crate) fn run_exact_in(
         scratch.nodes(),
         "scratch sized for a different node count"
     );
-    debug_assert!(
-        faults.validate(protocols.len()).is_ok(),
-        "invalid fault plan"
-    );
+    debug_assert!(faults.validate(scratch.nodes()).is_ok(), "invalid faults");
     let ExactScratch {
         ledger,
         actions,

@@ -222,22 +222,15 @@ impl Repetition for FastChannel {
             loss,
         } = self;
         let (params, len) = (rep.params, rep.ctx.slots);
-        let Singletons {
-            ids,
-            nodes,
-            costs,
-            offline,
-            ..
-        } = singles;
 
         // 1. Send events. Radio-off nodes sample nothing: no coin flips,
         // so their RNG consumption pauses with the radio. Each node's
         // sorted send slots are kept for steps 2 and 3.
         own_sends.clear();
-        for (u, node) in nodes.iter().enumerate() {
-            if !node.is_terminated() && !offline[u] {
+        for (u, node) in singles.nodes.iter().enumerate() {
+            if !node.is_terminated() && !singles.offline[u] {
                 sample_slots_into(rng, len, node.send_prob(params), scratch);
-                costs[u] += scratch.len() as u64;
+                singles.costs[u] += scratch.len() as u64;
                 own_sends.extend_from_slice(scratch);
             }
             own_send_offsets[u + 1] = own_sends.len();
@@ -245,7 +238,7 @@ impl Repetition for FastChannel {
 
         // 2. The channel state, sized now that every send is drawn.
         slot_map.reset(own_sends.len());
-        for (u, node) in nodes.iter().enumerate() {
+        for (u, node) in singles.nodes.iter().enumerate() {
             let message = node.sends_message();
             for &t in &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]] {
                 slot_map.insert(t, message);
@@ -255,19 +248,19 @@ impl Repetition for FastChannel {
         // 3. Listen events, resolved by run; 4. each node's epilogue, which
         // reads only its own counts (zero while its radio is off).
         let mut total_listens = 0u64;
-        for (u, node) in nodes.iter_mut().enumerate() {
+        for (u, node) in singles.nodes.iter_mut().enumerate() {
             if node.is_terminated() {
                 continue;
             }
             let (mut clear, mut messages) = (0, 0);
-            if !offline[u] {
+            if !singles.offline[u] {
                 sample_slots_into(rng, len, node.listen_prob(params), scratch);
                 let own = &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]];
-                let skew = rep.faults.skew_slots(ids[u]);
+                let skew = rep.faults.skew_slots(singles.ids[u]);
                 let listens;
                 (listens, clear, messages) =
                     resolve_listener(scratch, own, skew, rep.plan, len, slot_map, loss);
-                costs[u] += listens;
+                singles.costs[u] += listens;
                 total_listens += listens;
             }
             node.end_repetition(params, clear, messages);

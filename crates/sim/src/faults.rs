@@ -90,8 +90,7 @@ pub enum FaultConfigError {
     EmptyCrashWindow,
     /// A battery that starts empty.
     ZeroBatteryCapacity,
-    /// A crash or skew target outside the population (ids `0..population`;
-    /// 2 in a duel).
+    /// A crash or skew target outside `0..population`.
     NodeOutOfRange {
         fault: &'static str,
         node: usize,
@@ -184,11 +183,9 @@ impl FaultPlan {
         self
     }
 
-    /// Rejects out-of-domain parameters, and crash or skew targets outside
-    /// a population of `population` nodes (2 for a duel), with a typed
-    /// error. Builders do not validate (they are `const`-friendly
-    /// plumbing); sessions assert validity and CLI/experiment code must
-    /// call this.
+    /// Rejects out-of-domain parameters and crash or skew targets outside
+    /// `0..population` (2 for a duel) with a typed error. Builders do not
+    /// validate; sessions assert validity and CLI code must call this.
     pub fn validate(&self, population: usize) -> Result<(), FaultConfigError> {
         if let Some(LossFault { p }) = self.loss {
             if !(0.0..=1.0).contains(&p) {

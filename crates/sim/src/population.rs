@@ -1,19 +1,13 @@
-//! The population of a Figure 2 run and the one repetition loop both
-//! broadcast engines ([`fast`](crate::fast), [`cohort`](crate::cohort))
-//! run through.
+//! A Figure 2 population and the one repetition loop both broadcast
+//! engines ([`fast`](crate::fast), [`cohort`](crate::cohort)) run through.
 //!
 //! A population is [`Singletons`], the nodes simulated one by one, plus
-//! the engine's bulk: anonymous [`Cohort`]s, which only the cohort engine
-//! has. An engine supplies one [`Repetition`] step: how one repetition's
-//! channel is drawn and its listeners resolved. [`run_repetitions`] owns
-//! everything around that step, once for both engines: the epoch and
-//! repetition schedule, the deadline checkpoint, the fault bookkeeping at
-//! each repetition boundary (battery gauge, state-losing reboot, crash
-//! windows), the adversary's `plan`/`observe` calls, termination, and the
-//! outcome, pooled cohort costs smeared over their members included.
-//!
-//! The loop is generic over the step, so the per-repetition path makes no
-//! dynamic call besides the adversary's and the observer's.
+//! anonymous [`Cohort`]s, which only the cohort engine has. An engine
+//! supplies a [`Repetition`] step that draws one repetition;
+//! [`run_repetitions`] owns the rest: the epoch schedule, the deadline
+//! checkpoint, the fault bookkeeping at repetition boundaries, the
+//! adversary's calls, termination and the outcome. It is generic over the
+//! step, so it makes no dynamic call but the adversary's and observer's.
 
 use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary};
 use rcb_core::one_to_n::node::{OneToNNode, TermReason};
@@ -43,13 +37,12 @@ pub(crate) struct Singletons {
 impl Singletons {
     /// The nodes `ids` (sorted), those in `sources` informed.
     pub(crate) fn new(params: &OneToNParams, ids: Vec<usize>, sources: &[usize]) -> Self {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted");
         let k = ids.len();
+        let nodes = ids
+            .iter()
+            .map(|u| OneToNNode::new(params, sources.contains(u)));
         Self {
-            nodes: ids
-                .iter()
-                .map(|u| OneToNNode::new(params, sources.contains(u)))
-                .collect(),
+            nodes: nodes.collect(),
             ids,
             costs: vec![0; k],
             dead: vec![false; k],
@@ -79,7 +72,6 @@ pub(crate) struct Cohort {
 }
 
 /// What one repetition is drawn under.
-#[derive(Debug)]
 pub(crate) struct Rep<'a> {
     /// Its epoch, index in the run (`repetition`) and length (`slots`).
     pub(crate) ctx: RepetitionContext,
@@ -112,8 +104,7 @@ pub(crate) trait Repetition {
     fn bulk_begin_epoch(&mut self, _epoch: u32, _params: &OneToNParams) {}
 }
 
-/// Members of the population, singletons and cohorts alike, satisfying
-/// `pred`.
+/// Members of the population, singletons and cohorts alike, that `pred` holds for.
 fn members(singles: &[OneToNNode], bulk: &[Cohort], pred: impl Fn(&OneToNNode) -> bool) -> usize {
     singles.iter().filter(|v| pred(v)).count()
         + bulk
@@ -144,26 +135,24 @@ pub(crate) fn run_repetitions<R: Repetition>(
     deadline: &Deadline,
 ) -> (BroadcastOutcome, Option<SimError>) {
     let n = members(&singles.nodes, step.bulk(), |_| true);
-    debug_assert!(faults.validate(n).is_ok(), "invalid fault plan");
     let mut adversary_cost = 0u64;
-    let mut slots_total = 0u64;
+    let mut slots = 0u64;
     let mut period = 0u64;
     let mut truncated = true;
-    let has_faults = !faults.is_none();
     let mut pending_reboot = faults.reboot_at();
     // The `is_unbounded` gate keeps the clock read off the default path.
     let bounded = !deadline.is_unbounded();
-    let mut deadline_hit = false;
+    let mut err = None;
 
     let mut epoch = params.first_epoch;
     'epochs: while epoch <= max_epoch {
         let len = params.slots(epoch);
         for _ in 0..params.reps(epoch) {
             if bounded && deadline.exceeded() {
-                deadline_hit = true;
+                err = Some(SimError::DeadlineExceeded { slots });
                 break 'epochs;
             }
-            if has_faults {
+            if !faults.is_none() {
                 if let Some(cap) = faults.battery_capacity() {
                     for (d, &cost) in singles.dead.iter_mut().zip(&singles.costs) {
                         *d = *d || cost >= cap;
@@ -217,7 +206,7 @@ pub(crate) fn run_repetitions<R: Repetition>(
             let summary = step.resolve(singles, &rep, rng);
             adversary.observe(&ctx, &summary);
             observer.on_repetition(epoch, period, jammed, &singles.nodes);
-            slots_total += len;
+            slots += len;
             period += 1;
         }
         if members(&singles.nodes, step.bulk(), |v| !v.is_terminated()) == 0 {
@@ -255,14 +244,7 @@ pub(crate) fn run_repetitions<R: Repetition>(
             costs[id] = base + u64::from(j < extra);
         }
     }
-    let err = if deadline_hit {
-        Some(SimError::DeadlineExceeded { slots: slots_total })
-    } else {
-        truncated.then_some(SimError::EpochBudgetExhausted {
-            max_epoch,
-            slots: slots_total,
-        })
-    };
+    let err = err.or(truncated.then_some(SimError::EpochBudgetExhausted { max_epoch, slots }));
     (
         BroadcastOutcome {
             n,
@@ -272,7 +254,7 @@ pub(crate) fn run_repetitions<R: Repetition>(
             safety_terminations: safety,
             node_costs: costs,
             adversary_cost,
-            slots: slots_total,
+            slots,
             last_epoch: epoch.min(max_epoch),
             truncated,
         },

@@ -545,19 +545,11 @@ impl ScenarioSpec {
         self
     }
 
-    /// Checks the spec's cross-field invariants (fault plan validity,
-    /// source bounds, adversary parameter ranges). The run paths enforce
+    /// Checks the spec's cross-field invariants (fault plan validity for
+    /// the population, source bounds, adversary parameter ranges). The run paths enforce
     /// the same invariants by assertion; `validate` exists so front ends
     /// (the CLI) can surface a readable error instead of a panic.
     pub fn validate(&self) -> Result<(), String> {
-        let population = match &self.workload {
-            Workload::Duel(_) => 2,
-            Workload::Broadcast(w) => w.n,
-            Workload::Stream(w) => w.n,
-        };
-        self.faults
-            .validate(population)
-            .map_err(|e| e.to_string())?;
         if self.engine == Engine::CohortFast && matches!(self.workload, Workload::Duel(_)) {
             return Err("the cohort engine supports only broadcast workloads".into());
         }
@@ -571,10 +563,11 @@ impl ScenarioSpec {
             if let Some(&s) = sources.iter().find(|&&s| s >= n) {
                 return Err(format!("source id {s} out of range (n = {n})"));
             }
-            Ok(())
+            self.faults.validate(n).map_err(|e| e.to_string())
         };
         match &self.workload {
             Workload::Duel(w) => {
+                self.faults.validate(2).map_err(|e| e.to_string())?;
                 if let DuelProtocol::Fig1 { epsilon, .. } = w.protocol {
                     if !(epsilon > 0.0 && epsilon < 1.0) {
                         return Err(format!("figure 1 epsilon {epsilon} outside (0, 1)"));
