@@ -22,16 +22,23 @@
 //!   re-syncs mid-period).
 //! * **Battery brownout** ([`BatteryFault`]) — a hard per-node energy cap;
 //!   a node whose ledger reaches it goes permanently offline. The gauge is
-//!   sampled at **period boundaries** in both engines, so a node may
+//!   sampled at **period boundaries** in every engine, so a node may
 //!   overshoot the cap by at most one period's activity — identically in
-//!   distribution on both engines.
+//!   distribution everywhere.
+//!
+//! Crash and skew targets must name a node of the run
+//! ([`FaultPlan::validate`] takes the population size; 2 in a duel).
 //!
 //! Determinism: engines derive a dedicated fault RNG stream by `split()`
 //! from the per-trial RNG **only when the plan is non-empty**, so
 //! [`FaultPlan::none`] is a byte-identical no-op and every faulted run is
 //! replayable from `(master_seed, trial_index)` — the same `SeedSequence`
-//! discipline as `run_trials`. Both engines implement the same semantics;
-//! the conformance differ cross-validates them under faults.
+//! discipline as `run_trials`. Every engine implements the same semantics,
+//! and the conformance differ cross-validates them under faults. The
+//! period-boundary bookkeeping (battery gauge, state-losing reboot, crash
+//! window) lives in each engine loop: the exact engine's slot loop, the
+//! duel engine's phase loop, and the one repetition loop both broadcast
+//! sampling engines (fast, cohort) share (`population::run_repetitions`).
 
 use rcb_channel::fault::ReceiverCondition;
 use rcb_mathkit::rng::RcbRng;

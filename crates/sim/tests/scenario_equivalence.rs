@@ -674,31 +674,25 @@ fn repetition_loop_branches_match_pins() {
                 "{label}: n = 512 runs aggregate, n = 64 all-tracked"
             );
             let checksum = assert_spec_matches_legacy(&spec, &label);
+            if case == "epoch_cap" {
+                for (out, err) in spec.run_batch_raw() {
+                    assert!(
+                        out.truncated()
+                            && err
+                                == Some(SimError::EpochBudgetExhausted {
+                                    max_epoch: DRIVER_MAX_EPOCH,
+                                    slots: out.slots(),
+                                }),
+                        "{label}: every trial must hit the epoch cap, got {err:?}"
+                    );
+                }
+            }
             (checksum != expected).then(|| {
                 format!("{label}: {checksum:#018x} moved from the pinned {expected:#018x}")
             })
         })
         .collect();
     assert!(moved.is_empty(), "{}", moved.join("\n"));
-}
-
-#[test]
-fn the_epoch_cap_case_truncates_every_trial() {
-    for (engine, n) in [
-        (Engine::Fast, 64),
-        (Engine::CohortFast, 64),
-        (Engine::CohortFast, 512),
-    ] {
-        let spec = driver_spec("epoch_cap", engine, n);
-        for (out, err) in spec.run_batch_raw() {
-            assert!(out.truncated(), "{engine:?} n={n}");
-            assert!(
-                matches!(err, Some(SimError::EpochBudgetExhausted { max_epoch, .. })
-                    if max_epoch == DRIVER_MAX_EPOCH),
-                "{engine:?} n={n}: {err:?}"
-            );
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
