@@ -245,14 +245,9 @@ pub fn run_cohort_instrumented(
     let mut session =
         CohortSession::new(*params, n, sources.to_vec(), config, FaultPlan::none(), 0);
     let (out, _) = run_on(&mut session, rng, adversary, &Deadline::NONE);
-    let tracked_nodes = session.singles.ids.len();
-    (
-        out,
-        CohortStats {
-            tracked_nodes,
-            ..session.state.stats
-        },
-    )
+    let mut stats = session.state.stats;
+    stats.tracked_nodes = session.singles.ids.len();
+    (out, stats)
 }
 
 /// Channel-composition slot categories, drawn per region each repetition.

@@ -26,19 +26,14 @@
 //!   overshoot the cap by at most one period's activity — identically in
 //!   distribution everywhere.
 //!
-//! Crash and skew targets must name a node of the run
-//! ([`FaultPlan::validate`] takes the population size; 2 in a duel).
-//!
 //! Determinism: engines derive a dedicated fault RNG stream by `split()`
 //! from the per-trial RNG **only when the plan is non-empty**, so
 //! [`FaultPlan::none`] is a byte-identical no-op and every faulted run is
 //! replayable from `(master_seed, trial_index)` — the same `SeedSequence`
-//! discipline as `run_trials`. Every engine implements the same semantics,
-//! and the conformance differ cross-validates them under faults. The
-//! period-boundary bookkeeping (battery gauge, state-losing reboot, crash
-//! window) lives in each engine loop: the exact engine's slot loop, the
-//! duel engine's phase loop, and the one repetition loop both broadcast
-//! sampling engines (fast, cohort) share (`population::run_repetitions`).
+//! discipline as `run_trials`. Every engine implements the same semantics
+//! (the conformance differ cross-validates them under faults); the fast and
+//! cohort engines do the period-boundary bookkeeping in the one repetition
+//! loop they share (`population::run_repetitions`).
 
 use rcb_channel::fault::ReceiverCondition;
 use rcb_mathkit::rng::RcbRng;
@@ -205,11 +200,9 @@ impl FaultPlan {
         if let Some(BatteryFault { capacity: 0 }) = self.battery {
             return Err(FaultConfigError::ZeroBatteryCapacity);
         }
-        let targets = [
-            self.crash.map(|c| ("crash", c.node)),
-            self.skew.map(|s| ("skew", s.node)),
-        ];
-        match targets
+        let crash = self.crash.map(|c| ("crash", c.node));
+        let skew = self.skew.map(|s| ("skew", s.node));
+        match [crash, skew]
             .into_iter()
             .flatten()
             .find(|&(_, u)| u >= population)

@@ -238,9 +238,7 @@ pub(crate) fn run_repetitions<R: Repetition>(
         let base = c.cost_pool / c.count.max(1);
         let extra = (c.cost_pool % c.count.max(1)) as usize;
         for j in 0..c.count as usize {
-            let id = free_ids
-                .next()
-                .expect("cohort counts sum to n - singletons");
+            let id = free_ids.next().expect("cohorts fill the free ids");
             costs[id] = base + u64::from(j < extra);
         }
     }
