@@ -106,7 +106,7 @@ impl CohortConfig {
     /// every node to be tracked). A pooled run's per-node cost spread
     /// (`max_cost`) is smeared, not measured.
     pub fn pools_costs(&self, n: usize, faults: &FaultPlan) -> bool {
-        n > self.exact_member_threshold && faults.battery_capacity().is_none()
+        n > self.exact_member_threshold && faults.battery.is_none()
     }
 }
 

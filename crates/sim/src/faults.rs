@@ -186,8 +186,9 @@ impl FaultPlan {
     }
 
     /// Rejects out-of-domain parameters and crash or skew targets outside
-    /// `0..population` (2 for a duel) with a typed error. Builders do not
-    /// validate; sessions assert validity and CLI code must call this.
+    /// `0..population` (2 for a duel) with a typed error. The `with_*`
+    /// methods do not validate; sessions assert validity and CLI code must
+    /// call this.
     pub fn validate(&self, population: usize) -> Result<(), FaultConfigError> {
         if let Some(LossFault { p }) = self.loss {
             if !(0.0..=1.0).contains(&p) {

@@ -12,7 +12,7 @@
 //! plus the fast-engine jamming paths the registry never reaches
 //! (`FAST_PATH_CHECKSUMS`), the repetition summaries the fast and cohort
 //! engines hand their adversary (`SUMMARY_CHECKSUMS`), and the repetition
-//! loop's fault and truncation branches on both (`DRIVER_CHECKSUMS`).
+//! loop's fault and truncation branches on both (`LOOP_CHECKSUMS`).
 //!
 //! Each spec is replayed through a hand-built legacy harness — the
 //! pre-scenario construction for each (workload, engine) — that drives
@@ -619,7 +619,7 @@ fn repetition_summaries_match_pins() {
 /// except the battery case, whose fault forces all-tracked mode. Batch
 /// checksums at 4 trials; a change here is a behaviour change and must be
 /// declared.
-const DRIVER_CHECKSUMS: [(&str, Engine, usize, u64); 8] = [
+const LOOP_CHECKSUMS: [(&str, Engine, usize, u64); 8] = [
     ("battery", Engine::Fast, 64, 0x72c3_2742_5864_6981),
     ("battery", Engine::CohortFast, 64, 0x8e57_0448_2a72_8bd7),
     ("faulted", Engine::Fast, 64, 0x5225_b6ed_3b69_aa96),
@@ -631,9 +631,9 @@ const DRIVER_CHECKSUMS: [(&str, Engine, usize, u64); 8] = [
 ];
 
 /// Epoch cap of the `epoch_cap` case, below the epoch every trial needs.
-const DRIVER_MAX_EPOCH: u32 = 12;
+const LOOP_MAX_EPOCH: u32 = 12;
 
-fn driver_spec(case: &str, engine: Engine, n: usize) -> ScenarioSpec {
+fn loop_spec(case: &str, engine: Engine, n: usize) -> ScenarioSpec {
     let faults = match case {
         "battery" => FaultPlan::none().with_battery(16_000),
         "faulted" => FaultPlan::none()
@@ -641,7 +641,7 @@ fn driver_spec(case: &str, engine: Engine, n: usize) -> ScenarioSpec {
             .with_crash(3, 2, 6, true)
             .with_skew(5, 1),
         "epoch_cap" => FaultPlan::none(),
-        _ => unreachable!("unknown driver case {case}"),
+        _ => unreachable!("unknown loop case {case}"),
     };
     let mut spec = ScenarioSpec::broadcast(n)
         .with_engine(engine)
@@ -654,20 +654,20 @@ fn driver_spec(case: &str, engine: Engine, n: usize) -> ScenarioSpec {
         .with_seed(0xD21E ^ n as u64);
     if case == "epoch_cap" {
         let Workload::Broadcast(w) = &mut spec.workload else {
-            unreachable!("driver specs are broadcasts")
+            unreachable!("loop specs are broadcasts")
         };
-        w.max_epoch = DRIVER_MAX_EPOCH;
+        w.max_epoch = LOOP_MAX_EPOCH;
     }
     spec
 }
 
 #[test]
 fn repetition_loop_branches_match_pins() {
-    let moved: Vec<String> = DRIVER_CHECKSUMS
+    let moved: Vec<String> = LOOP_CHECKSUMS
         .iter()
         .filter_map(|&(case, engine, n, expected)| {
             let label = format!("{case} {engine:?} n={n}");
-            let spec = driver_spec(case, engine, n);
+            let spec = loop_spec(case, engine, n);
             assert_eq!(
                 spec.pools_costs(),
                 n == 512,
@@ -680,7 +680,7 @@ fn repetition_loop_branches_match_pins() {
                         out.truncated()
                             && err
                                 == Some(SimError::EpochBudgetExhausted {
-                                    max_epoch: DRIVER_MAX_EPOCH,
+                                    max_epoch: LOOP_MAX_EPOCH,
                                     slots: out.slots(),
                                 }),
                         "{label}: every trial must hit the epoch cap, got {err:?}"
