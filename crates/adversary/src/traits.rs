@@ -120,7 +120,10 @@ impl JamPlan {
 pub struct RepetitionContext {
     /// Epoch index `i` (the repetition has `2^i` slots).
     pub epoch: u32,
-    /// Repetition index within the epoch (`0 .. b·i²`).
+    /// The run-global period index: repetitions counted from the start of
+    /// the run across every epoch (and, in the duel, its phases), not
+    /// restarted at each epoch. Strategies that alternate by repetition
+    /// (`KeepAliveBlocker`'s parity) key on it.
     pub repetition: u64,
     /// Number of slots in the repetition (`2^i`).
     pub slots: u64,

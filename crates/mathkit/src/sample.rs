@@ -179,23 +179,60 @@ impl GeometricSkip {
     /// 2⁻⁵³, so its biased exponent lies in `970..=1023`.
     #[inline(always)]
     fn at(&self, u: f64) -> u64 {
-        let bits = u.to_bits();
-        let ln_pow = LN_POW2[(1023 - (bits >> 52)) as usize & 63];
-        let j = (bits >> (52 - SKIP_BUCKET_BITS)) as usize & (SKIP_BUCKETS - 1);
-        let hi = (ln_pow - LN_MANTISSA_EDGES[j]) * self.scale_hi;
-        let gap = ln_pow - LN_MANTISSA_EDGES[j + 1];
-        let lo = if gap > 0.0 { gap } else { 0.0 } * self.scale_lo;
-        let skip = hi as u64;
-        let decided = skip as f64 <= lo;
+        let (lo, hi) = self.bracket(u);
+        // `hi` lies in [0, +∞] (`LN_POW2[k] ≥ LN_MANTISSA_EDGES[j]`), or is
+        // NaN where `1/|d|` overflows and u = 1. Below 2⁶³ the signed
+        // conversions truncate and round back exactly as the unsigned ones
+        // do, in one instruction each on baseline x86-64, which has no
+        // unsigned ones; at or above 2⁶³, +∞ and NaN the saturating `u64`
+        // cast still applies. The guard compares bit patterns, which order
+        // like the values from +0.0 up and exceed 2⁶³'s for every negative
+        // value and NaN: it admits exactly [+0.0, 2⁶³).
+        let (skip, decided) = if hi.to_bits() < TWO_POW_63.to_bits() {
+            // SAFETY: the guard holds `hi` in [+0.0, 2⁶³): finite, and its
+            // truncation fits in an `i64`. (The safe `as i64` keeps a
+            // saturation branch and a NaN branch that the guard makes dead;
+            // it cost 13% of `duel_sweep`'s throughput, DESIGN.md §9.)
+            let skip: i64 = unsafe { hi.to_int_unchecked() };
+            (skip as u64, skip as f64 <= lo)
+        } else {
+            let skip = hi as u64;
+            (skip, skip as f64 <= lo)
+        };
         #[cfg(debug_assertions)]
         census::count(decided);
         if decided {
             skip
         } else {
-            (u.ln() / self.denom) as u64
+            self.exact(u)
         }
     }
+
+    /// The bracket `[lo, hi]` of the exact quotient at `u`, the same
+    /// `u` range as [`at`](Self::at).
+    #[inline(always)]
+    fn bracket(&self, u: f64) -> (f64, f64) {
+        let bits = u.to_bits();
+        let ln_pow = LN_POW2[(1023 - (bits >> 52)) as usize & 63];
+        let j = (bits >> (52 - SKIP_BUCKET_BITS)) as usize & (SKIP_BUCKETS - 1);
+        let gap = ln_pow - LN_MANTISSA_EDGES[j + 1];
+        let lo = if gap > 0.0 { gap } else { 0.0 } * self.scale_lo;
+        (lo, (ln_pow - LN_MANTISSA_EDGES[j]) * self.scale_hi)
+    }
+
+    /// The exact expression, for the skips the bracket straddles: cold and
+    /// out of line, so a decided skip falls straight through and the `ln`
+    /// call, with the spills and constant reloads around it, sits off the
+    /// hot loop's path.
+    #[cold]
+    #[inline(never)]
+    fn exact(&self, u: f64) -> u64 {
+        (u.ln() / self.denom) as u64
+    }
 }
+
+/// 2⁶³, the first `f64` that `as i64` saturates.
+const TWO_POW_63: f64 = (1u64 << 63) as f64;
 
 /// Geometric skips taken on this thread, in debug builds only: a witness
 /// that the bracket fires, which no checksum can show (the exact
@@ -1638,15 +1675,18 @@ mod tests {
     }
 
     /// Probabilities for the bracket checks: where `1/|d|` overflows
-    /// (`MIN_POSITIVE/7`) and where skips saturate at 2⁶⁴; `p` at which a
-    /// bucket spans from about a third of a skip to many skips, so the
-    /// bracket straddles often; short skips; and one ulp below 1, where
+    /// (`MIN_POSITIVE/7`) and where skips saturate at 2⁶⁴; where the
+    /// bracket's upper end crosses 2⁶³, the switch from the signed to the
+    /// saturating cast (2⁻⁶², near `u = e⁻²`); `p` at which a bucket spans
+    /// from about a third of a skip to many skips, so the bracket
+    /// straddles often; short skips; and one ulp below 1, where
     /// `d = ln 2⁻⁵³`.
-    fn bracket_ps() -> [f64; 10] {
+    fn bracket_ps() -> [f64; 11] {
         [
             f64::MIN_POSITIVE / 7.0,
             f64::MIN_POSITIVE,
             1e-300,
+            2f64.powi(-62),
             2f64.powi(-30),
             1e-3,
             0.004,
@@ -1710,6 +1750,52 @@ mod tests {
                 check(&mut fast, &mut reference, p, 20);
             }
         }
+    }
+
+    #[test]
+    fn skip_matches_the_exact_skip_where_the_bracket_crosses_2_pow_63() {
+        // Below 2⁶³ the bracket's upper end takes the signed conversions,
+        // from 2⁶³ on the saturating unsigned cast. An upper end just
+        // below 2⁶³, at it and just above it, each found by nudging `p`
+        // near 2⁻⁶² an ulp at a time; then every bucket edge of
+        // `u ∈ [2⁻⁶, 1]` at 2⁻⁶², across which the upper end rises from 0
+        // to just past 2⁶⁴, and the lower end passes 2⁶³ while the exact
+        // skip is still below 2⁶⁴: there an unguarded `hi as i64` would
+        // accept `i64::MAX` as the skip.
+        let two_63 = 2f64.powi(63);
+        let exact = |p: f64, u: f64| (u.ln() / (-p).ln_1p()) as u64;
+        let u = 0.125 * (1.0 + 3.0 / SKIP_BUCKETS as f64);
+        for target in [two_63.next_down(), two_63, two_63.next_up()] {
+            let guess = 2f64.powi(-62) * GeometricSkip::new(2f64.powi(-62)).bracket(u).1 / target;
+            let start = (0..64).fold(guess, |p, _| p.next_down());
+            let p = std::iter::successors(Some(start), |p| Some(p.next_up()))
+                .take(128)
+                .find(|&p| GeometricSkip::new(p).bracket(u).1 == target)
+                .unwrap_or_else(|| panic!("no p near {guess:e} puts hi at {target:e}"));
+            assert_eq!(GeometricSkip::new(p).at(u), exact(p, u), "hi {target:e}");
+        }
+        let p = 2f64.powi(-62);
+        let skip = GeometricSkip::new(p);
+        let (mut below, mut above) = (0, 0);
+        for k in 0..=6 {
+            for j in 0..=SKIP_BUCKETS {
+                let edge = 2f64.powi(-k) * (1.0 + j as f64 / SKIP_BUCKETS as f64);
+                for u in [edge.next_down(), edge, edge.next_up()] {
+                    if !(2f64.powi(-6)..=1.0).contains(&u) {
+                        continue;
+                    }
+                    let want = exact(p, u);
+                    assert_eq!(skip.at(u), want, "u {u:e} ({:#x})", u.to_bits());
+                    let (lo, hi) = skip.bracket(u);
+                    below += usize::from(hi < two_63 && hi > 0.5 * two_63);
+                    above += usize::from(lo >= two_63 && want < u64::MAX);
+                }
+            }
+        }
+        assert!(
+            below > 1_000 && above > 1_000,
+            "{below} below, {above} above 2^63"
+        );
     }
 
     #[test]

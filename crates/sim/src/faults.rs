@@ -26,14 +26,17 @@
 //!   overshoot the cap by at most one period's activity — identically in
 //!   distribution everywhere.
 //!
-//! Determinism: engines derive a dedicated fault RNG stream by `split()`
-//! from the per-trial RNG **only when the plan is non-empty**, so
-//! [`FaultPlan::none`] is a byte-identical no-op and every faulted run is
-//! replayable from `(master_seed, trial_index)` — the same `SeedSequence`
-//! discipline as `run_trials`. Every engine implements the same semantics
-//! (the conformance differ cross-validates them under faults); the fast and
-//! cohort engines do the period-boundary bookkeeping in the one repetition
-//! loop they share (`population::run_repetitions`).
+//! Determinism: the exact, duel and fast engines derive a dedicated fault
+//! RNG stream by `split()` from the per-trial RNG **only when the plan is
+//! non-empty**, and toss their loss coins on it. The cohort engine splits
+//! no stream: it draws each cohort's heard messages in aggregate, so loss
+//! is a `q·(1 − p)` thinning of those draws on the trial stream itself.
+//! Either way [`FaultPlan::none`] is a byte-identical no-op and every
+//! faulted run is replayable from `(master_seed, trial_index)` — the same
+//! `SeedSequence` discipline as `run_trials`. Every engine implements the
+//! same semantics (the conformance differ cross-validates them under
+//! faults); the fast and cohort engines do the period-boundary bookkeeping
+//! in the one repetition loop they share (`population::run_repetitions`).
 
 use rcb_channel::fault::ReceiverCondition;
 use rcb_mathkit::rng::RcbRng;
