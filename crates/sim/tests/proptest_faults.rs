@@ -8,6 +8,11 @@
 //!    can turn a decoded payload into noise, never conjure a payload out
 //!    of a clear or noisy slot.
 //!
+//! A third, narrower relation: a state-losing crash (`:lose`) is a no-op
+//! on a duel, bit for bit, on the duel and exact engines alike. Figure 1
+//! keeps no volatile state: the epoch is re-synced from the clock, and
+//! `done` and `got_message` are stable storage.
+//!
 //! (That `FaultPlan::none()` leaves a run byte-identical, RNG position
 //! included, is pinned against a spec run by the empty-plan property
 //! tests in `scenario_equivalence.rs`.)
@@ -24,6 +29,8 @@ use rcb_sim::deadline::Deadline;
 use rcb_sim::duel::{DuelConfig, DuelSession};
 use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
+use rcb_sim::runner::Parallelism;
+use rcb_sim::scenario::{AdversarySpec, DuelProtocol, Engine, ScenarioSpec};
 use rcb_sim::session::Session;
 
 /// Assembles a plan from flat primitives (the vendored proptest stub has
@@ -82,6 +89,35 @@ proptest! {
             DuelSession::new(profile, config, plan, seed).run(&mut adv, &Deadline::NONE).0
         };
         prop_assert_eq!(run(), run());
+    }
+
+    /// Figure 1 loses nothing at a reboot: on the duel and exact engines,
+    /// a crash window with `:lose` replays the same window without it.
+    #[test]
+    fn state_losing_crash_is_a_no_op_on_duels(
+        seed in any::<u64>(),
+        crash in (0usize..2, 0u64..8, 1u64..8),
+        use_battery in any::<bool>(),
+        battery in 1u64..500,
+    ) {
+        let (node, start, periods) = crash;
+        let plan = |lose| {
+            plan_from(
+                false, 0.0, true, (node, start, periods, lose), false, (0, 0), use_battery, battery,
+            )
+        };
+        for engine in [Engine::Fast, Engine::Exact] {
+            let run = |lose| {
+                ScenarioSpec::duel(DuelProtocol::fig1(0.1, 6))
+                    .with_engine(engine)
+                    .with_adversary(AdversarySpec::Budgeted { budget: 512, fraction: 1.0 })
+                    .with_faults(plan(lose))
+                    .with_seed(seed)
+                    .with_parallelism(Parallelism::Fixed(1))
+                    .run_batch_raw()
+            };
+            prop_assert_eq!(run(true), run(false), "{:?}", engine);
+        }
     }
 
     /// Invariant 1, fast broadcast engine.

@@ -610,16 +610,20 @@ fn repetition_summaries_match_pins() {
     assert!(moved.is_empty(), "{}", moved.join("\n"));
 }
 
-/// The branches of the broadcast engines' repetition loop that the other
-/// pins leave to one engine or to none: a battery cap (nodes go dead at a
-/// repetition boundary), `bcast_n64_faulted`'s plan (a crash window with a
-/// state-losing reboot, plus skew and loss) and an epoch cap that
-/// truncates every trial. Each runs on the fast engine at n = 64, on the
-/// cohort engine all-tracked at n = 64 and in aggregate mode at n = 512,
-/// except the battery case, whose fault forces all-tracked mode. Batch
-/// checksums at 4 trials; a change here is a behaviour change and must be
-/// declared.
-const LOOP_CHECKSUMS: [(&str, Engine, usize, u64); 8] = [
+/// The branches of the repetition loops that the other pins leave to one
+/// engine or to none. Broadcast rows (n = 64 and 512): a battery cap
+/// (nodes go dead at a repetition boundary), `bcast_n64_faulted`'s plan (a
+/// crash window with a state-losing reboot, plus skew and loss) and an
+/// epoch cap that truncates every trial, each on the fast engine at
+/// n = 64, on the cohort engine all-tracked at n = 64 and in aggregate
+/// mode at n = 512, except the battery case, whose fault forces
+/// all-tracked mode. Duel rows (n = 2): a crash in a send phase, a
+/// state-losing crash in a nack phase, loss plus skew, a battery cap and
+/// the duel engine's epoch-62 cap, plus a crashed and a battery-capped
+/// duel on the exact engine; and an exact-engine broadcast at n = 8 under
+/// a battery cap and a state-losing crash. Batch checksums at 4 trials (32 for the fast
+/// duel rows); a change here is a behaviour change and must be declared.
+const LOOP_CHECKSUMS: [(&str, Engine, usize, u64); 16] = [
     ("battery", Engine::Fast, 64, 0x72c3_2742_5864_6981),
     ("battery", Engine::CohortFast, 64, 0x8e57_0448_2a72_8bd7),
     ("faulted", Engine::Fast, 64, 0x5225_b6ed_3b69_aa96),
@@ -628,37 +632,118 @@ const LOOP_CHECKSUMS: [(&str, Engine, usize, u64); 8] = [
     ("epoch_cap", Engine::Fast, 64, 0x90e7_8588_75eb_1e98),
     ("epoch_cap", Engine::CohortFast, 64, 0x1ba2_f3a6_8c3d_3189),
     ("epoch_cap", Engine::CohortFast, 512, 0xa1b6_738f_72fd_c954),
+    ("crash_send", Engine::Fast, 2, 0x0186_a362_a16a_7b79),
+    ("crash_nack_lose", Engine::Fast, 2, 0xac79_15a3_d297_1323),
+    ("loss_skew", Engine::Fast, 2, 0xde3f_b307_bb56_88e0),
+    ("battery", Engine::Fast, 2, 0xd8e3_f2cf_4c08_8634),
+    ("epoch_cap", Engine::Fast, 2, 0x980d_dd9e_03e3_f325),
+    ("crash_send", Engine::Exact, 2, 0x52de_0490_a0af_0e4e),
+    ("battery", Engine::Exact, 2, 0x9e0e_3cfb_6064_f87a),
+    ("battery_crash", Engine::Exact, 8, 0x9c07_cd8a_09fe_fa77),
 ];
 
-/// Epoch cap of the `epoch_cap` case, below the epoch every trial needs.
+/// Epoch cap of the broadcast `epoch_cap` case, below the epoch every
+/// trial needs.
 const LOOP_MAX_EPOCH: u32 = 12;
 
+/// The duel engine's own epoch cap, which no spec reaches in test time:
+/// phase lengths grow as `2^i`.
+const DUEL_EPOCH_CAP: u32 = 62;
+
+/// A duel that never halts and never draws: no sends, no listens, a
+/// threshold no noise count stays below, one-slot phases. It runs straight
+/// into the duel engine's epoch cap.
+#[derive(Debug, Clone, Copy)]
+struct NeverHaltProfile;
+
+impl DuelProfile for NeverHaltProfile {
+    fn start_epoch(&self) -> u32 {
+        1
+    }
+
+    fn rate(&self, _epoch: u32) -> f64 {
+        0.0
+    }
+
+    fn noise_threshold(&self, _epoch: u32) -> f64 {
+        0.0
+    }
+
+    fn phase_len(&self, _epoch: u32) -> u64 {
+        1
+    }
+}
+
+/// Duel rows run `n = 2`. Periods alternate send and nack phases, so
+/// period 2 is the second epoch's send phase and period 3 its nack phase.
 fn loop_spec(case: &str, engine: Engine, n: usize) -> ScenarioSpec {
     let faults = match case {
+        "battery" if n == 2 => FaultPlan::none().with_battery(64),
         "battery" => FaultPlan::none().with_battery(16_000),
         "faulted" => FaultPlan::none()
             .with_loss(0.1)
             .with_crash(3, 2, 6, true)
             .with_skew(5, 1),
         "epoch_cap" => FaultPlan::none(),
+        "crash_send" => FaultPlan::none().with_crash(1, 2, 1, false),
+        "crash_nack_lose" => FaultPlan::none().with_crash(0, 3, 1, true),
+        "loss_skew" => FaultPlan::none().with_loss(0.2).with_skew(1, 3),
+        "battery_crash" => FaultPlan::none()
+            .with_battery(1500)
+            .with_crash(3, 2, 6, true),
         _ => unreachable!("unknown loop case {case}"),
     };
-    let mut spec = ScenarioSpec::broadcast(n)
+    let (spec, budget) = if n == 2 {
+        (ScenarioSpec::duel(DuelProtocol::fig1(0.1, 6)), 4096)
+    } else if engine == Engine::Exact {
+        (ScenarioSpec::broadcast(n), 2_000)
+    } else {
+        (ScenarioSpec::broadcast(n), 200_000)
+    };
+    let trials = if n == 2 && engine == Engine::Fast {
+        32
+    } else {
+        4
+    };
+    let mut spec = spec
         .with_engine(engine)
         .with_adversary(AdversarySpec::Budgeted {
-            budget: 200_000,
+            budget,
             fraction: 1.0,
         })
         .with_faults(faults)
-        .with_trials(4)
+        .with_trials(trials)
         .with_seed(0xD21E ^ n as u64);
     if case == "epoch_cap" {
-        let Workload::Broadcast(w) = &mut spec.workload else {
-            unreachable!("loop specs are broadcasts")
-        };
-        w.max_epoch = LOOP_MAX_EPOCH;
+        if let Workload::Broadcast(w) = &mut spec.workload {
+            w.max_epoch = LOOP_MAX_EPOCH;
+        }
     }
     spec
+}
+
+/// The duel `epoch_cap` row: a [`NeverHaltProfile`] duel per trial, which
+/// no spec can express, folded with the fast duel's checksum word order.
+fn duel_epoch_cap_checksum(spec: &ScenarioSpec, label: &str) -> u64 {
+    let config = DuelConfig {
+        max_slots: u64::MAX,
+    };
+    (0..spec.trials).fold(FNV_OFFSET, |acc, trial| {
+        let seed = SeedSequence::new(spec.seeds.master).child(trial);
+        let (out, err) = DuelSession::new(NeverHaltProfile, config, spec.faults, seed)
+            .run(&mut NoJamRep, &Deadline::NONE);
+        assert!(
+            out.truncated
+                && out.last_epoch == DUEL_EPOCH_CAP - 1
+                && err
+                    == Some(SimError::EpochBudgetExhausted {
+                        max_epoch: DUEL_EPOCH_CAP,
+                        slots: out.slots,
+                    }),
+            "{label}: every trial must hit the duel's epoch cap, got {err:?}"
+        );
+        fnv1a(acc, &[spec.outcome_checksum(&Outcome::Duel(out))])
+    })
 }
 
 #[test]
@@ -671,10 +756,13 @@ fn repetition_loop_branches_match_pins() {
             assert_eq!(
                 spec.pools_costs(),
                 n == 512,
-                "{label}: n = 512 runs aggregate, n = 64 all-tracked"
+                "{label}: n = 512 runs aggregate, smaller n all-tracked"
             );
-            let checksum = assert_spec_matches_legacy(&spec, &label);
-            if case == "epoch_cap" {
+            let checksum = match (case, n) {
+                ("epoch_cap", 2) => duel_epoch_cap_checksum(&spec, &label),
+                _ => assert_spec_matches_legacy(&spec, &label),
+            };
+            if case == "epoch_cap" && n > 2 {
                 for (out, err) in spec.run_batch_raw() {
                     assert!(
                         out.truncated()
