@@ -413,7 +413,7 @@ impl Repetition for CohortState {
         // and `ln(1 − p)`, computed once for the composition, the weights
         // and the node's own draws below.
         send_terms.clear();
-        for (node, &offline) in singles.nodes.iter().zip(&singles.offline) {
+        for (node, &offline) in singles.nodes.iter().zip(&singles.gate.off) {
             let halted = node.is_terminated() || offline;
             let p = if halted { 0.0 } else { node.send_prob(params) };
             let ln_1m_p = if p < 1.0 { (-p).ln_1p() } else { 0.0 };
@@ -519,7 +519,7 @@ impl Repetition for CohortState {
             if node.is_terminated() {
                 continue;
             }
-            if singles.offline[i] {
+            if singles.gate.off[i] {
                 // Radio off, clock ticks: zero-count epilogue.
                 singles.nodes[i].end_repetition(params, 0, 0);
                 continue;

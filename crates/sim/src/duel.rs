@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::fast::{listen_runs, shared_slots};
-use crate::faults::{FaultPlan, LossCoins};
+use crate::faults::{FaultPlan, Gate, LossCoins};
 use crate::outcome::DuelOutcome;
 use crate::session::{OwnsRng, Session};
 
@@ -108,12 +108,13 @@ fn alice_hears(
 }
 
 /// Reusable phase buffers: the transmitting party's slot set and the
-/// listening party's. One pair of allocations serves a whole session
-/// instead of two fresh `Vec`s per epoch.
+/// listening party's, plus the fault gate. One set of allocations serves a
+/// whole session instead of two fresh `Vec`s per epoch.
 #[derive(Debug, Default)]
 pub struct DuelScratch {
     sends_buf: Vec<u64>,
     listens_buf: Vec<u64>,
+    gate: Gate,
 }
 
 /// A fast-duel session: one execution of a two-party epoch protocol
@@ -205,6 +206,66 @@ impl<P> OwnsRng for DuelSession<P> {
     }
 }
 
+/// What a duel's periods share: the fault gate, the adversary and the
+/// running totals (`costs` by node: Alice 0, Bob 1).
+struct Periods<'a> {
+    gate: &'a mut Gate,
+    adversary: &'a mut dyn RepetitionAdversary,
+    costs: [u64; 2],
+    adversary_cost: u64,
+    slots: u64,
+    period: u64,
+}
+
+impl Periods<'_> {
+    /// One period, a phase of `len` slots in `epoch` in which `sender`
+    /// transmits: the gate's boundary (false if the gauge halts every
+    /// party), the adversary's plan, `phase` (given the radio-off flags,
+    /// the plan and the first slot, it draws the sender's sends and the
+    /// listener's listens), the adversary's observation, the clocks.
+    fn step(
+        &mut self,
+        epoch: u32,
+        len: u64,
+        done: [bool; 2],
+        sender: usize,
+        phase: impl FnOnce(&[bool], &JamPlan, u64) -> (u64, u64),
+    ) -> bool {
+        // A due reboot loses nothing (see `CrashFault::lose_state`).
+        let _ = self.gate.boundary(self.period, |i| self.costs[i]);
+        if sender == 0 && self.gate.gauge_halts(done) {
+            return false;
+        }
+        let ctx = RepetitionContext {
+            epoch,
+            repetition: self.period,
+            slots: len,
+            active_nodes: done.iter().filter(|&&d| !d).count(),
+        };
+        let plan = self.adversary.plan(&ctx);
+        let jammed = plan.jam_count(len);
+        self.adversary_cost += jammed;
+        let (sent, listened) = phase(&self.gate.off, &plan, self.slots);
+        self.costs[sender] += sent;
+        self.costs[1 - sender] += listened;
+        // Summaries report *this phase's* action counts — adaptive
+        // adversaries key their spending on per-repetition observations, so
+        // feeding them cumulative totals would skew every budget-reactive
+        // strategy (and differently per engine).
+        let summary = RepetitionSummary {
+            message_slots: if sender == 0 { sent } else { 0 },
+            busy_slots: sent,
+            jammed_slots: jammed,
+            listen_actions: listened,
+            send_actions: sent,
+        };
+        self.adversary.observe(&ctx, &summary);
+        self.slots += len;
+        self.period += 1;
+        true
+    }
+}
+
 fn run_duel_in<P: DuelProfile>(
     scratch: &mut DuelScratch,
     profile: &P,
@@ -214,209 +275,142 @@ fn run_duel_in<P: DuelProfile>(
     faults: &FaultPlan,
     deadline: &Deadline,
 ) -> (DuelOutcome, Option<SimError>) {
-    debug_assert!(faults.validate(2).is_ok(), "invalid fault plan");
     let mut alice = AliceState::new(profile.start_epoch());
     let mut bob = BobState::new(profile.start_epoch());
 
-    let mut alice_cost = 0u64;
-    let mut bob_cost = 0u64;
-    let mut adversary_cost = 0u64;
-    let mut slots = 0u64;
     let mut delivery_slot = None;
-    let mut period = 0u64;
     let mut epoch = profile.start_epoch();
-    let mut truncated = false;
-    let mut error = None;
 
-    // Fault state (Alice = node 0, Bob = node 1).
-    let mut loss = LossCoins::new(faults, rng);
-    let alice_skew = faults.skew_slots(0);
-    let bob_skew = faults.skew_slots(1);
-    let mut alice_dead = false;
-    let mut bob_dead = false;
-
-    // Session-owned phase buffers (capacity survives re-arms); their
+    // Session-owned buffers and gate (capacity survives re-arms); their
     // contents never feed the RNG, so reuse cannot perturb determinism.
     let DuelScratch {
         sends_buf,
         listens_buf,
+        gate,
     } = scratch;
+    // Fault state (Alice = node 0, Bob = node 1).
+    gate.arm(faults, 2, Some);
+    let mut loss = LossCoins::new(faults, rng);
+    let alice_skew = faults.skew_slots(0);
+    let bob_skew = faults.skew_slots(1);
+    let mut run = Periods {
+        gate,
+        adversary,
+        costs: [0; 2],
+        adversary_cost: 0,
+        slots: 0,
+        period: 0,
+    };
 
     // The deadline checkpoint consumes no RNG, so a deadline that never
     // fires is byte-identical to an unbounded one; the `is_unbounded`
     // gate keeps even the clock read off the default path.
     let bounded = !deadline.is_unbounded();
 
-    while !((alice.is_done() || alice_dead) && (bob.is_done() || bob_dead)) {
-        if slots >= config.max_slots {
-            truncated = true;
-            error = Some(SimError::SlotBudgetExhausted {
+    let error = loop {
+        if run.gate.halted([alice.is_done(), bob.is_done()]) {
+            break None;
+        }
+        if run.slots >= config.max_slots {
+            break Some(SimError::SlotBudgetExhausted {
                 max_slots: config.max_slots,
-                slots,
+                slots: run.slots,
             });
-            break;
         }
         if bounded && deadline.exceeded() {
-            truncated = true;
-            error = Some(SimError::DeadlineExceeded { slots });
-            break;
+            break Some(SimError::DeadlineExceeded { slots: run.slots });
         }
         let len = profile.phase_len(epoch);
         let rate = profile.rate(epoch);
         let thr = profile.noise_threshold(epoch);
-        let active = (!alice.is_done() as usize) + (!bob.is_done() as usize);
-
-        // Battery gauge, sampled at phase boundaries (overshoot ≤ one
-        // phase, same rule as the exact engine).
-        if let Some(cap) = faults.battery_capacity() {
-            alice_dead = alice_dead || alice_cost >= cap;
-            bob_dead = bob_dead || bob_cost >= cap;
-            if (alice.is_done() || alice_dead) && (bob.is_done() || bob_dead) {
-                break;
-            }
-        }
-        let alice_off = alice_dead || faults.crashed(0, period);
-        let bob_off = bob_dead || faults.crashed(1, period);
 
         // ---- Send phase: Alice transmits, Bob listens. ----
-        let ctx = RepetitionContext {
-            epoch,
-            repetition: period,
-            slots: len,
-            active_nodes: active,
-        };
-        let plan = adversary.plan(&ctx);
-        adversary_cost += plan.jam_count(len);
-
-        if alice.is_done() || alice_off {
-            sends_buf.clear();
-        } else {
-            sample_slots_into(rng, len, rate, sends_buf);
-        }
-        let alice_sends = &sends_buf;
-        alice_cost += alice_sends.len() as u64;
-
         let mut bob_outcome = None;
-        let mut bob_listened = 0u64;
-        if !bob.is_done() {
-            if bob_off {
-                // Radio off; the phase epilogue still runs with zero
-                // counts (the phase clock is driven by Bob's own crystal).
-                bob_outcome = Some(bob.end_send_phase(false, 0, thr));
+        let done = [alice.is_done(), bob.is_done()];
+        let sent = run.step(epoch, len, done, 0, |off, plan, start| {
+            if alice.is_done() || off[0] {
+                sends_buf.clear();
             } else {
-                sample_slots_into(rng, len, rate, listens_buf);
-                let (bob_noise, got_m_at);
-                (bob_listened, bob_noise, got_m_at) =
-                    bob_hears(listens_buf, alice_sends, bob_skew, &plan, len, &mut loss);
-                bob_cost += bob_listened;
-                if let Some(t) = got_m_at {
-                    bob.receive_message();
-                    delivery_slot = Some(slots + t);
+                sample_slots_into(rng, len, rate, sends_buf);
+            }
+            let mut listened = 0;
+            if !bob.is_done() {
+                if off[1] {
+                    // Radio off; the phase epilogue still runs with zero
+                    // counts (the phase clock is driven by Bob's own
+                    // crystal).
+                    bob_outcome = Some(bob.end_send_phase(false, 0, thr));
                 } else {
-                    bob_outcome = Some(bob.end_send_phase(false, bob_noise, thr));
+                    sample_slots_into(rng, len, rate, listens_buf);
+                    let (noise, got_m_at);
+                    (listened, noise, got_m_at) =
+                        bob_hears(listens_buf, sends_buf, bob_skew, plan, len, &mut loss);
+                    if let Some(t) = got_m_at {
+                        bob.receive_message();
+                        delivery_slot = Some(start + t);
+                    } else {
+                        bob_outcome = Some(bob.end_send_phase(false, noise, thr));
+                    }
                 }
             }
-        }
-        // Summaries report *this phase's* action counts — adaptive
-        // adversaries key their spending on per-repetition observations, so
-        // feeding them cumulative totals would skew every budget-reactive
-        // strategy (and differently per engine).
-        adversary.observe(
-            &ctx,
-            &RepetitionSummary {
-                message_slots: alice_sends.len() as u64,
-                busy_slots: alice_sends.len() as u64,
-                jammed_slots: plan.jam_count(len),
-                listen_actions: bob_listened,
-                send_actions: alice_sends.len() as u64,
-            },
-        );
-        slots += len;
-        period += 1;
-
-        // The nack phase is a new period: re-sample the battery gauge (the
-        // exact engine checks at every period boundary).
-        if let Some(cap) = faults.battery_capacity() {
-            alice_dead = alice_dead || alice_cost >= cap;
-            bob_dead = bob_dead || bob_cost >= cap;
+            (sends_buf.len() as u64, listened)
+        });
+        if !sent {
+            break None;
         }
 
         // ---- Nack phase: Bob (if still fighting) transmits, Alice listens.
-        let ctx2 = RepetitionContext {
-            epoch,
-            repetition: period,
-            slots: len,
-            active_nodes: (!alice.is_done() as usize) + (!bob.is_done() as usize),
-        };
-        let plan2 = adversary.plan(&ctx2);
-        adversary_cost += plan2.jam_count(len);
-
-        // Crash windows are period-granular: re-evaluate for this phase.
-        let alice_off2 = alice_dead || faults.crashed(0, period);
-        let bob_off2 = bob_dead || faults.crashed(1, period);
-
         let bob_nacking = matches!(bob_outcome, Some(BobSendOutcome::ContinueToNack));
-        if bob_nacking && !bob_off2 {
-            sample_slots_into(rng, len, rate, sends_buf);
-        } else {
-            sends_buf.clear();
-        }
-        let bob_nacks = &sends_buf;
-        bob_cost += bob_nacks.len() as u64;
-
-        let mut alice_listened = 0u64;
-        if !alice.is_done() {
-            if alice_off2 {
-                // Radio off: a quiet epoch from Alice's point of view.
-                alice.end_epoch(false, 0, thr);
+        let done = [alice.is_done(), bob.is_done()];
+        let nacked = run.step(epoch, len, done, 1, |off, plan, _| {
+            if bob_nacking && !off[1] {
+                sample_slots_into(rng, len, rate, sends_buf);
             } else {
-                sample_slots_into(rng, len, rate, listens_buf);
-                alice_listened = listens_buf.len() as u64;
-                alice_cost += alice_listened;
-                let (heard_nack, alice_noise) =
-                    alice_hears(listens_buf, bob_nacks, alice_skew, &plan2, len, &mut loss);
-                alice.end_epoch(heard_nack, alice_noise, thr);
+                sends_buf.clear();
             }
-        }
-        if bob_nacking {
-            bob.end_nack_phase();
-        }
-        adversary.observe(
-            &ctx2,
-            &RepetitionSummary {
-                message_slots: 0,
-                busy_slots: bob_nacks.len() as u64,
-                jammed_slots: plan2.jam_count(len),
-                listen_actions: alice_listened,
-                send_actions: bob_nacks.len() as u64,
-            },
-        );
-        slots += len;
-        period += 1;
+            let mut listened = 0;
+            if !alice.is_done() {
+                if off[0] {
+                    // Radio off: a quiet epoch from Alice's point of view.
+                    alice.end_epoch(false, 0, thr);
+                } else {
+                    sample_slots_into(rng, len, rate, listens_buf);
+                    listened = listens_buf.len() as u64;
+                    let (heard_nack, noise) =
+                        alice_hears(listens_buf, sends_buf, alice_skew, plan, len, &mut loss);
+                    alice.end_epoch(heard_nack, noise, thr);
+                }
+            }
+            if bob_nacking {
+                bob.end_nack_phase();
+            }
+            (sends_buf.len() as u64, listened)
+        });
         epoch += 1;
+        if !nacked {
+            break None;
+        }
         if epoch >= DUEL_EPOCH_CAP {
             // An effectively-infinite adversary budget (or a degenerate
             // profile) would push phase lengths past 2^62 slots; truncate
             // like the `max_slots` cap instead of aborting the trial batch.
-            truncated = true;
-            error = Some(SimError::EpochBudgetExhausted {
+            break Some(SimError::EpochBudgetExhausted {
                 max_epoch: DUEL_EPOCH_CAP,
-                slots,
+                slots: run.slots,
             });
-            break;
         }
-    }
+    };
 
     let outcome = DuelOutcome {
         delivered: bob.got_message(),
         bob_premature: bob.is_done() && !bob.got_message(),
-        alice_cost,
-        bob_cost,
-        adversary_cost,
-        slots,
+        alice_cost: run.costs[0],
+        bob_cost: run.costs[1],
+        adversary_cost: run.adversary_cost,
+        slots: run.slots,
         delivery_slot,
         last_epoch: epoch.saturating_sub(1).max(profile.start_epoch()),
-        truncated,
+        truncated: error.is_some(),
     };
     (outcome, error)
 }

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::deadline::Deadline;
 use crate::error::SimError;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, Gate, LossCoins};
 
 /// Engine limits.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -88,10 +88,10 @@ pub fn run_exact(
 /// per-slot work is small, so reading the clock every slot would dominate.
 const DEADLINE_CHECK_MASK: u64 = 0xFFF;
 
-/// Retained per-session state of the exact engine: the energy ledger and
-/// every per-slot buffer. Sessions hold one across runs; [`run_exact`]
-/// builds a fresh one per run, so both paths execute the identical
-/// slot loop. The outcome clones the ledger (node counts, not slots — the
+/// Retained per-session state of the exact engine: the energy ledger, the
+/// fault gate and every per-slot buffer. Sessions hold one across runs;
+/// [`run_exact`] builds a fresh one per run, so both paths execute the
+/// identical slot loop. The outcome clones the ledger (node counts, not slots — the
 /// only per-run copy the session layer introduces).
 #[derive(Debug)]
 pub struct ExactScratch {
@@ -99,7 +99,7 @@ pub struct ExactScratch {
     actions: Vec<Action>,
     receptions: Vec<Option<Reception>>,
     resolution: SlotResolution,
-    dead: Vec<bool>,
+    gate: Gate,
 }
 
 impl ExactScratch {
@@ -113,21 +113,20 @@ impl ExactScratch {
                 receptions: Vec::new(),
                 senders: 0,
             },
-            dead: vec![false; nodes],
+            gate: Gate::default(),
         }
     }
 
     /// Number of nodes this scratch was sized for.
     pub fn nodes(&self) -> usize {
-        self.dead.len()
+        self.receptions.len()
     }
 
-    /// Zeroes the ledger and fault flags in place (the session layer's
-    /// re-arm path); the per-slot buffers are overwritten every slot and
-    /// need no reset.
+    /// Zeroes the ledger in place (the session layer's re-arm path); the
+    /// per-slot buffers are overwritten every slot and each run arms the
+    /// fault gate, so neither needs a reset.
     pub fn rearm(&mut self) {
         self.ledger.reset();
-        self.dead.fill(false);
     }
 }
 
@@ -162,69 +161,36 @@ pub(crate) fn run_exact_in(
         actions,
         receptions,
         resolution,
-        dead,
+        gate,
     } = scratch;
-    // Fault state. The dedicated RNG stream is derived only for non-empty
-    // plans, so `FaultPlan::none()` leaves the caller's stream — and hence
-    // every coin flip below — bit-identical to the unfaulted engine.
-    let mut fault_rng = if faults.is_none() {
-        None
-    } else {
-        Some(rng.split())
-    };
-    let mut pending_reboot = faults.reboot_at();
+    gate.arm(faults, protocols.len(), Some);
+    // `FaultPlan::none()` splits no fault stream, so every coin flip below
+    // stays bit-identical to the unfaulted engine.
+    let mut loss = LossCoins::new(faults, rng);
 
     // Deadline checkpoints consume no RNG; the `is_unbounded` gate keeps
     // even the cadenced clock read off the default (unbounded) path.
     let bounded = !deadline.is_unbounded();
 
     let mut slot = 0u64;
-    while slot < config.max_slots {
+    let err = loop {
+        if slot >= config.max_slots {
+            break Some(SimError::SlotBudgetExhausted {
+                max_slots: config.max_slots,
+                slots: slot,
+            });
+        }
         if bounded && slot & DEADLINE_CHECK_MASK == 0 && deadline.exceeded() {
-            let completed = protocols
-                .iter()
-                .zip(&**dead)
-                .all(|(p, &d)| p.is_done() || d);
-            return (
-                ExactOutcome {
-                    ledger: ledger.clone(),
-                    slots: slot,
-                    completed,
-                },
-                (!completed).then_some(SimError::DeadlineExceeded { slots: slot }),
-            );
+            break Some(SimError::DeadlineExceeded { slots: slot });
         }
         let loc = schedule.locate(slot);
         if loc.offset == 0 {
-            // Period-boundary bookkeeping: the battery gauge is sampled
-            // here (overshoot ≤ one period, matching the fast engines) and
-            // a state-losing reboot fires on the first period after the
-            // crash window.
-            if let Some(cap) = faults.battery_capacity() {
-                for (i, d) in dead.iter_mut().enumerate() {
-                    *d = *d || ledger.node_cost(i) >= cap;
-                }
-            }
-            if let Some((node, at)) = pending_reboot {
-                if loc.period >= at {
-                    protocols[node].reboot();
-                    pending_reboot = None;
-                }
+            if let Some(node) = gate.boundary(loc.period, |i| ledger.node_cost(i)) {
+                protocols[node].reboot();
             }
         }
-        if protocols
-            .iter()
-            .zip(&**dead)
-            .all(|(p, &d)| p.is_done() || d)
-        {
-            return (
-                ExactOutcome {
-                    ledger: ledger.clone(),
-                    slots: slot,
-                    completed: true,
-                },
-                None,
-            );
+        if gate.halted(protocols.iter().map(|p| p.is_done())) {
+            break None;
         }
         let ctx = SlotContext {
             slot,
@@ -237,15 +203,11 @@ pub(crate) fn run_exact_in(
         let jam = adversary.decide(&ctx);
 
         actions.clear();
-        for (i, p) in protocols.iter_mut().enumerate() {
+        for (p, &off) in protocols.iter_mut().zip(&gate.off) {
             // Radio off: no acting, no coin flips — the protocol's RNG
             // stream pauses with its radio (and resumes in sync, because
             // the fast engines skip whole-period sampling the same way).
-            if dead[i] || faults.crashed(i, loc.period) {
-                actions.push(Action::Sleep);
-            } else {
-                actions.push(p.act(rng));
-            }
+            actions.push(if off { Action::Sleep } else { p.act(rng) });
         }
 
         resolve_slot_into(actions, &jam, partition, ledger, resolution);
@@ -253,11 +215,9 @@ pub(crate) fn run_exact_in(
             t.record(slot, jam.jam_mask, resolution);
         }
 
-        for r in receptions.iter_mut() {
-            *r = None;
-        }
+        receptions.fill(None);
         for (node, reception) in &resolution.receptions {
-            let heard = match &mut fault_rng {
+            let heard = match &mut loss.rng {
                 None => reception.clone(),
                 Some(frng) => faults
                     .receiver_condition(*node, loc.offset)
@@ -275,22 +235,16 @@ pub(crate) fn run_exact_in(
             resolution,
         });
         slot += 1;
-    }
-    let completed = protocols
-        .iter()
-        .zip(&**dead)
-        .all(|(p, &d)| p.is_done() || d);
-    let err = (!completed).then_some(SimError::SlotBudgetExhausted {
-        max_slots: config.max_slots,
-        slots: slot,
-    });
+    };
+    // A run that halted by the time a cap or the deadline fired completed.
+    let completed = gate.halted(protocols.iter().map(|p| p.is_done()));
     (
         ExactOutcome {
             ledger: ledger.clone(),
             slots: slot,
             completed,
         },
-        err,
+        err.filter(|_| !completed),
     )
 }
 

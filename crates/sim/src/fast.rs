@@ -228,7 +228,7 @@ impl Repetition for FastChannel {
         // sorted send slots are kept for steps 2 and 3.
         own_sends.clear();
         for (u, node) in singles.nodes.iter().enumerate() {
-            if !node.is_terminated() && !singles.offline[u] {
+            if !node.is_terminated() && !singles.gate.off[u] {
                 sample_slots_into(rng, len, node.send_prob(params), scratch);
                 singles.costs[u] += scratch.len() as u64;
                 own_sends.extend_from_slice(scratch);
@@ -253,7 +253,7 @@ impl Repetition for FastChannel {
                 continue;
             }
             let (mut clear, mut messages) = (0, 0);
-            if !singles.offline[u] {
+            if !singles.gate.off[u] {
                 sample_slots_into(rng, len, node.listen_prob(params), scratch);
                 let own = &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]];
                 let skew = rep.faults.skew_slots(singles.ids[u]);

@@ -26,17 +26,16 @@
 //!   overshoot the cap by at most one period's activity — identically in
 //!   distribution everywhere.
 //!
-//! Determinism: the exact, duel and fast engines derive a dedicated fault
-//! RNG stream by `split()` from the per-trial RNG **only when the plan is
-//! non-empty**, and toss their loss coins on it. The cohort engine splits
-//! no stream: it draws each cohort's heard messages in aggregate, so loss
-//! is a `q·(1 − p)` thinning of those draws on the trial stream itself.
-//! Either way [`FaultPlan::none`] is a byte-identical no-op and every
-//! faulted run is replayable from `(master_seed, trial_index)` — the same
-//! `SeedSequence` discipline as `run_trials`. Every engine implements the
-//! same semantics (the conformance differ cross-validates them under
-//! faults); the fast and cohort engines do the period-boundary bookkeeping
-//! in the one repetition loop they share (`population::run_repetitions`).
+//! Determinism: the exact, duel and fast engines toss their loss coins on
+//! a fault stream that `LossCoins::new` splits off the per-trial RNG
+//! **only when the plan is non-empty**. The cohort engine splits none: it
+//! draws each cohort's heard messages in aggregate, so loss is a
+//! `q·(1 − p)` thinning of those draws on the trial stream itself. Either
+//! way [`FaultPlan::none`] is a byte-identical no-op and every faulted run
+//! replays from `(master_seed, trial_index)`, as `run_trials` seeds it.
+//! All four engines (exact, duel, fast, cohort) do the period-boundary
+//! bookkeeping through one `Gate`, so they share one semantics, which the
+//! conformance differ cross-validates under faults.
 
 use rcb_channel::fault::ReceiverCondition;
 use rcb_mathkit::rng::RcbRng;
@@ -64,7 +63,9 @@ pub struct CrashFault {
     /// Window length in periods (must be ≥ 1).
     pub periods: u64,
     /// Whether volatile state (rate variables, helper bookkeeping) is lost
-    /// at restart. Stable storage — the message `m` — always survives.
+    /// at restart. Stable storage — the message `m` — always survives. A
+    /// no-op on a duel: Figure 1's state is the epoch (re-synced from the
+    /// clock), `done` and `got_message` (stable storage).
     pub lose_state: bool,
 }
 
@@ -304,6 +305,77 @@ impl LossCoins {
             Some(r) if p > 0.0 => (0..received).filter(|_| !bernoulli(r, p)).count() as u64,
             _ => received,
         }
+    }
+}
+
+/// The period-boundary fault bookkeeping every engine goes through: the
+/// battery gauge, the pending state-losing reboot, the crash window, and
+/// which nodes (engine indices; [`Gate::arm`] maps ids) are battery-dead,
+/// counted as halted, or radio-off this period. Sessions keep one, so only
+/// a session's first run allocates.
+#[derive(Debug, Default)]
+pub(crate) struct Gate {
+    plan: FaultPlan,
+    /// The crash target's index and id.
+    crash: Option<(usize, usize)>,
+    /// The reboot target's index and the period it is due in.
+    reboot: Option<(usize, u64)>,
+    dead: Vec<bool>,
+    /// Which radios are off this period, by index.
+    pub(crate) off: Vec<bool>,
+}
+
+impl Gate {
+    /// Arms the gate for a run of `plan` over `nodes` nodes; `index` maps a
+    /// node id to its index (`None`: never crashed or rebooted).
+    pub(crate) fn arm(
+        &mut self,
+        plan: &FaultPlan,
+        nodes: usize,
+        index: impl Fn(usize) -> Option<usize>,
+    ) {
+        self.plan = *plan;
+        self.crash = plan.crash.and_then(|c| Some((index(c.node)?, c.node)));
+        self.reboot = plan.reboot_at().and_then(|(u, at)| Some((index(u)?, at)));
+        for flags in [&mut self.dead, &mut self.off] {
+            flags.clear();
+            flags.resize(nodes, false);
+        }
+    }
+
+    /// The boundary of `period`: reads the battery gauge from `cost` (a cap
+    /// is overshot by at most one period), refreshes `off`, and returns the
+    /// node whose state-losing reboot is due, once. Without a battery or a
+    /// gated crash (every empty plan) it returns at the first branch.
+    #[inline]
+    pub(crate) fn boundary(&mut self, period: u64, cost: impl Fn(usize) -> u64) -> Option<usize> {
+        if self.plan.battery.is_none() && self.crash.is_none() {
+            return None;
+        }
+        if let Some(cap) = self.plan.battery_capacity() {
+            for (i, dead) in self.dead.iter_mut().enumerate() {
+                *dead = *dead || cost(i) >= cap;
+            }
+        }
+        self.off.copy_from_slice(&self.dead);
+        if let Some((i, node)) = self.crash {
+            self.off[i] |= self.plan.crashed(node, period);
+        }
+        let (i, at) = self.reboot?;
+        (period >= at).then(|| {
+            self.reboot = None;
+            i
+        })
+    }
+
+    /// Whether every node has halted: each is `done` or battery-dead.
+    pub(crate) fn halted(&self, done: impl IntoIterator<Item = bool>) -> bool {
+        done.into_iter().zip(&self.dead).all(|(d, &x)| d || x)
+    }
+
+    /// [`halted`](Gate::halted) under a battery cap; false without one.
+    pub(crate) fn gauge_halts(&self, done: impl IntoIterator<Item = bool>) -> bool {
+        self.plan.battery.is_some() && self.halted(done)
     }
 }
 

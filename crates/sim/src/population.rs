@@ -17,21 +17,19 @@ use rcb_mathkit::rng::RcbRng;
 use crate::deadline::Deadline;
 use crate::error::SimError;
 use crate::fast::BroadcastObserver;
-use crate::faults::FaultPlan;
+use crate::faults::{FaultPlan, Gate};
 use crate::outcome::BroadcastOutcome;
 
 /// The nodes simulated one by one: every node in the fast engine and in the
 /// cohort engine's all-tracked mode; the sources and fault targets in its
-/// aggregate mode. Parallel vectors indexed alike, sorted by node id.
+/// aggregate mode. Parallel vectors indexed alike, sorted by node id, and
+/// the fault gate over the same indices.
 #[derive(Debug)]
 pub(crate) struct Singletons {
     pub(crate) ids: Vec<usize>,
     pub(crate) nodes: Vec<OneToNNode>,
     pub(crate) costs: Vec<u64>,
-    /// Battery-dead: radio off for good, counted as halted.
-    pub(crate) dead: Vec<bool>,
-    /// Radio off this repetition (dead or inside the crash window).
-    pub(crate) offline: Vec<bool>,
+    pub(crate) gate: Gate,
 }
 
 impl Singletons {
@@ -45,20 +43,17 @@ impl Singletons {
             nodes: nodes.collect(),
             ids,
             costs: vec![0; k],
-            dead: vec![false; k],
-            offline: vec![false; k],
+            gate: Gate::default(),
         }
     }
 
     /// Returns every node and counter to the just-constructed state,
-    /// keeping the allocations.
+    /// keeping the allocations. (Each run arms the gate itself.)
     pub(crate) fn rearm(&mut self, params: &OneToNParams, sources: &[usize]) {
         for (node, id) in self.nodes.iter_mut().zip(&self.ids) {
             node.rearm(params, sources.contains(id));
         }
         self.costs.fill(0);
-        self.dead.fill(false);
-        self.offline.fill(false);
     }
 }
 
@@ -117,11 +112,10 @@ fn members(singles: &[OneToNNode], bulk: &[Cohort], pred: impl Fn(&OneToNNode) -
 /// Runs one broadcast from the current (armed) population to termination,
 /// the epoch cap, or the deadline, with `step` resolving each repetition.
 ///
-/// Faults follow the exact engine's semantics: the battery gauge is read
-/// and a pending state-losing reboot fires at each repetition boundary,
-/// where the radio-off set is refreshed; battery-dead nodes count as
-/// halted. Deadline checkpoints sit at the same boundaries and consume no
-/// RNG. `observer` sees the singletons after every repetition.
+/// Faults go through the singletons' [`Gate`] at each repetition boundary,
+/// as in every engine; battery-dead nodes count as halted. Deadline
+/// checkpoints sit at the same boundaries and consume no RNG. `observer`
+/// sees the singletons after every repetition.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_repetitions<R: Repetition>(
     singles: &mut Singletons,
@@ -139,7 +133,8 @@ pub(crate) fn run_repetitions<R: Repetition>(
     let mut slots = 0u64;
     let mut period = 0u64;
     let mut truncated = true;
-    let mut pending_reboot = faults.reboot_at();
+    let (ids, gate) = (&singles.ids, &mut singles.gate);
+    gate.arm(faults, ids.len(), |u| ids.binary_search(&u).ok());
     // The `is_unbounded` gate keeps the clock read off the default path.
     let bounded = !deadline.is_unbounded();
     let mut err = None;
@@ -152,29 +147,12 @@ pub(crate) fn run_repetitions<R: Repetition>(
                 err = Some(SimError::DeadlineExceeded { slots });
                 break 'epochs;
             }
-            if !faults.is_none() {
-                if let Some(cap) = faults.battery_capacity() {
-                    for (d, &cost) in singles.dead.iter_mut().zip(&singles.costs) {
-                        *d = *d || cost >= cap;
-                    }
-                }
-                if let Some((node, at)) = pending_reboot {
-                    if period >= at {
-                        if let Ok(i) = singles.ids.binary_search(&node) {
-                            singles.nodes[i].reboot(params);
-                        }
-                        pending_reboot = None;
-                    }
-                }
-                for (i, off) in singles.offline.iter_mut().enumerate() {
-                    *off = singles.dead[i] || faults.crashed(singles.ids[i], period);
-                }
+            if let Some(i) = singles.gate.boundary(period, |i| singles.costs[i]) {
+                singles.nodes[i].reboot(params);
             }
             let all_halted = singles
-                .nodes
-                .iter()
-                .zip(&singles.dead)
-                .all(|(v, &d)| v.is_terminated() || d)
+                .gate
+                .halted(singles.nodes.iter().map(OneToNNode::is_terminated))
                 && step.bulk().iter().all(|c| c.node.is_terminated());
             if all_halted {
                 truncated = false;
@@ -183,7 +161,7 @@ pub(crate) fn run_repetitions<R: Repetition>(
             let active = singles
                 .nodes
                 .iter()
-                .zip(&singles.offline)
+                .zip(&singles.gate.off)
                 .filter(|(v, &off)| !v.is_terminated() && !off)
                 .count()
                 + members(&[], step.bulk(), |v| !v.is_terminated());
