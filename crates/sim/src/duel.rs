@@ -233,7 +233,7 @@ impl Periods<'_> {
     ) -> bool {
         // A due reboot loses nothing (see `CrashFault::lose_state`).
         let _ = self.gate.boundary(self.period, |i| self.costs[i]);
-        if sender == 0 && self.gate.gauge_halts(done) {
+        if self.gate.gauge_halts(done) {
             return false;
         }
         let ctx = RepetitionContext {

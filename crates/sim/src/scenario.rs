@@ -994,7 +994,7 @@ fn exact_duel<P: DuelProfile + Copy>(
     (
         DuelOutcome {
             delivered,
-            bob_premature: !delivered && out.completed,
+            bob_premature: bob.is_done() && !delivered,
             alice_cost: out.ledger.node_cost(0),
             bob_cost: out.ledger.node_cost(1),
             adversary_cost: out.ledger.adversary_cost(),

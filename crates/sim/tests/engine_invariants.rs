@@ -13,6 +13,7 @@ use rcb_sim::fast::{BroadcastSession, FastConfig};
 use rcb_sim::faults::FaultPlan;
 use rcb_sim::outcome::{BroadcastOutcome, DuelOutcome};
 use rcb_sim::runner::{run_trials, Parallelism};
+use rcb_sim::scenario::{AdversarySpec, DuelProtocol, Engine, ScenarioSpec};
 use rcb_sim::session::Session;
 
 /// A fault-free, unbounded duel on a fresh session at `seed`.
@@ -205,4 +206,45 @@ fn unjammed_broadcast_latency_matches_schedule_estimate() {
             "n={n}: measured {measured} outside [{lo}, {hi}]"
         );
     }
+}
+
+/// A battery cap halts a jammed duel the same way on both engines: once
+/// the gauge leaves no live party, the duel stops at that phase boundary
+/// as the exact engine does (it used to plan, charge and count one more
+/// phase), and a battery-dead Bob is not a premature halt on either (the
+/// exact engine used to count every battery-killed run as one).
+#[test]
+fn battery_capped_duel_stops_where_the_exact_engine_stops() {
+    let run = |engine| {
+        let outs: Vec<DuelOutcome> = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 6))
+            .with_engine(engine)
+            .with_adversary(AdversarySpec::Budgeted {
+                budget: 4096,
+                fraction: 1.0,
+            })
+            .with_faults(FaultPlan::none().with_battery(64))
+            .with_trials(400)
+            .run_batch_raw()
+            .into_iter()
+            .map(|(o, _)| o.into_duel())
+            .collect();
+        let mean = |f: fn(&DuelOutcome) -> f64| outs.iter().map(f).sum::<f64>() / 400.0;
+        (
+            mean(|o| o.slots as f64),
+            mean(|o| o.bob_premature as u8 as f64),
+        )
+    };
+    let (duel_slots, duel_premature) = run(Engine::Fast);
+    let (exact_slots, exact_premature) = run(Engine::Exact);
+    assert!(
+        (duel_slots / exact_slots - 1.0).abs() < 0.05,
+        "mean slots: duel {duel_slots}, exact {exact_slots}"
+    );
+    // Equal up to sampling noise: a Bob who listened to few enough jammed
+    // slots halts early on either engine now and then (about 1 in 400
+    // here; the difference of two such rates has σ ≈ 0.0035).
+    assert!(
+        (duel_premature - exact_premature).abs() < 0.02,
+        "bob_premature rates: duel {duel_premature}, exact {exact_premature}"
+    );
 }
