@@ -121,7 +121,8 @@ impl Args {
 ///
 /// * `--fault-loss F` — drop each decodable reception with probability `F`
 /// * `--fault-crash NODE:START:PERIODS[:lose]` — radio off for the window;
-///   `:lose` wipes volatile state on reboot
+///   `:lose` wipes volatile state on reboot (a no-op on a duel, whose
+///   Figure 1 state is all re-synced or stable)
 /// * `--fault-skew NODE:SLOTS` — the first `SLOTS` slots of every period
 ///   decode as noise for `NODE`
 /// * `--fault-battery N` — hard per-node energy cap of `N` slot-units
@@ -211,6 +212,7 @@ FAULT INJECTION (duel and broadcast):
   --fault-crash NODE:START:PERIODS[:lose]
                                        radio off for the window; `:lose`
                                        wipes volatile state on reboot
+                                       (a duel has none: a no-op there)
   --fault-skew NODE:SLOTS              first SLOTS slots of each period
                                        decode as noise for NODE
   --fault-battery N                    hard per-node energy cap

@@ -88,9 +88,9 @@ pub(crate) fn run_on<S: Session + OwnsRng>(
 
 /// A re-armable slot-granular 1-to-n execution: one [`OneToNSlotNode`] per
 /// node driven by the exact engine, with the node vector, schedule,
-/// partition, and [`ExactScratch`] (ledger + per-slot buffers) all retained
-/// across runs. [`rearm`](Self::rearm) resets each node via [`Rearm`] and
-/// zeroes the ledger in place.
+/// partition, and [`ExactScratch`] (ledger, fault gate, per-slot buffers)
+/// all retained across runs. [`rearm`](Self::rearm) resets each node via
+/// [`Rearm`] and zeroes the ledger in place.
 #[derive(Debug)]
 pub struct ExactBroadcastSession {
     n: usize,
@@ -142,8 +142,8 @@ impl ExactBroadcastSession {
 impl Session for ExactBroadcastSession {
     type Outcome = BroadcastOutcome;
 
-    /// Re-arms every node, the ledger, and the fault flags to slot 0 on a
-    /// fresh RNG stream, reusing every allocation.
+    /// Re-arms every node and the ledger to slot 0 on a fresh RNG stream,
+    /// reusing every allocation (each run arms the fault gate).
     fn rearm(&mut self, seed: u64) {
         for node in &mut self.nodes {
             node.rearm();
