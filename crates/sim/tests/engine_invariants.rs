@@ -209,10 +209,10 @@ fn unjammed_broadcast_latency_matches_schedule_estimate() {
 }
 
 /// A battery cap halts a jammed duel the same way on both engines: once
-/// the gauge leaves no live party, the duel stops at that phase boundary
-/// as the exact engine does (it used to plan, charge and count one more
-/// phase), and a battery-dead Bob is not a premature halt on either (the
-/// exact engine used to count every battery-killed run as one).
+/// the gauge leaves no live party, the duel stops at that phase boundary,
+/// as the exact engine does, rather than planning, charging and counting
+/// one more phase; and a battery-dead Bob has not halted, so his run is
+/// not premature on either engine.
 #[test]
 fn battery_capped_duel_stops_where_the_exact_engine_stops() {
     let run = |engine| {

@@ -635,8 +635,6 @@ const LOOP_CHECKSUMS: [(&str, Engine, usize, u64); 16] = [
     ("crash_send", Engine::Fast, 2, 0x0186_a362_a16a_7b79),
     ("crash_nack_lose", Engine::Fast, 2, 0xac79_15a3_d297_1323),
     ("loss_skew", Engine::Fast, 2, 0xde3f_b307_bb56_88e0),
-    // Re-pinned once, from 0xd8e3_f2cf_4c08_8634: the duel now stops at a
-    // nack-phase boundary whose battery read halts the last live party.
     ("battery", Engine::Fast, 2, 0x3890_c1a6_30c1_944c),
     ("epoch_cap", Engine::Fast, 2, 0x980d_dd9e_03e3_f325),
     ("crash_send", Engine::Exact, 2, 0x52de_0490_a0af_0e4e),
