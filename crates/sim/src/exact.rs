@@ -91,8 +91,8 @@ const DEADLINE_CHECK_MASK: u64 = 0xFFF;
 /// Retained per-session state of the exact engine: the energy ledger, the
 /// fault gate and every per-slot buffer. Sessions hold one across runs;
 /// [`run_exact`] builds a fresh one per run, so both paths execute the
-/// identical slot loop. The outcome clones the ledger (node counts, not slots — the
-/// only per-run copy the session layer introduces).
+/// identical slot loop. The outcome clones the ledger (node counts, not
+/// slots — the only per-run copy the session layer introduces).
 #[derive(Debug)]
 pub struct ExactScratch {
     ledger: EnergyLedger,
