@@ -4,9 +4,11 @@
 //!
 //! 1. every live node's send slots and listen slots are sampled as exact
 //!    Bernoulli processes (geometric skips);
-//! 2. all send events go into a per-repetition slot map, an open-addressing
-//!    table from slot to channel state (single `m` / single noise /
-//!    collision) whose capacity follows the send count, never `2^i`;
+//! 2. all send events go into a per-repetition slot map from slot to
+//!    channel state (single `m` / single noise / collision): a byte per slot
+//!    when the repetition fits in the bytes an open-addressing table sized
+//!    by the send count would take, else that table, so memory follows the
+//!    send count, never `2^i`;
 //! 3. each node's sorted listen slots are resolved by run. Two binary
 //!    searches split off the prefix its clock skew garbles and the plan's
 //!    jammed suffix (Lemma 1's canonical form), which are only counted;
@@ -21,8 +23,9 @@
 //!    engine drives.
 //!
 //! Work per repetition is one map insert per send and, per listener, two
-//! binary searches, one per own send, and one expected-`O(1)` lookup per
-//! audible listen, independent of `2^i`.
+//! binary searches, one per own send, and one lookup per audible listen
+//! (one byte load in the dense form, expected `O(1)` probes in the hashed
+//! one), independent of `2^i`.
 
 use rcb_adversary::traits::{JamPlan, RepetitionAdversary, RepetitionSummary};
 use rcb_core::one_to_n::node::OneToNNode;
@@ -65,16 +68,24 @@ enum SlotContent {
     Collision = 3,
 }
 
-/// One repetition's channel state: an open-addressing table from busy slot
-/// to [`SlotContent`]. Capacity is the next power of two ≥ `max(2·sends,
-/// 16)`, so the load stays ≤ ½ and memory is `O(sends)` whatever the
-/// repetition's length. Slot `t` probes linearly from `t & (cap − 1)`; send
-/// slots are uniform, so the low bits hash well, and a repetition no longer
-/// than the table is indexed directly, without a collision.
+/// One repetition's channel state: the [`SlotContent`] code of every busy
+/// slot, in one of two forms chosen per repetition by [`reset`](Self::reset).
+/// The hashed form is an open-addressing table whose capacity is the next
+/// power of two ≥ `max(2·sends, 16)`, so the load stays ≤ ½ and memory is
+/// `O(sends)` whatever the repetition's length; slot `t` probes linearly
+/// from `t & (cap − 1)` (send slots are uniform, so the low bits hash well).
+/// A repetition whose `len` slots fit in that table's bytes (`len ≤ 8·cap`)
+/// takes the dense form instead: one code byte per slot, indexed by the slot,
+/// so a lookup is one load with no probe loop, and no repetition fills more
+/// bytes than the table would.
 #[derive(Debug, Default)]
 struct SlotMap {
-    /// `t << 2 | code` per busy slot; 0 marks an empty bucket (no code is 0).
-    /// `OneToNParams::slots` keeps `t < 2^61`, so the shift loses no bit.
+    /// The dense form: slot `t`'s code at `codes[t]`. Empty in the hashed
+    /// form.
+    codes: Vec<u8>,
+    /// The hashed form: `t << 2 | code` per busy slot; 0 marks an empty
+    /// bucket (no code is 0). `OneToNParams::slots` keeps `t < 2^61`, so the
+    /// shift loses no bit. Empty in the dense form.
     buckets: Vec<u64>,
     /// Slots holding at least one transmission.
     busy_slots: u64,
@@ -83,11 +94,17 @@ struct SlotMap {
 }
 
 impl SlotMap {
-    /// Empties the map and sizes it for `sends` send events.
-    fn reset(&mut self, sends: usize) {
+    /// Empties the map for a `len`-slot repetition with `sends` send events
+    /// and picks its form.
+    fn reset(&mut self, sends: usize, len: u64) {
+        let cap = (2 * sends).max(16).next_power_of_two();
+        self.codes.clear();
         self.buckets.clear();
-        self.buckets
-            .resize((2 * sends).max(16).next_power_of_two(), 0);
+        if len <= 8 * cap as u64 {
+            self.codes.resize(len as usize, 0);
+        } else {
+            self.buckets.resize(cap, 0);
+        }
         self.busy_slots = 0;
         self.message_slots = 0;
     }
@@ -104,26 +121,30 @@ impl SlotMap {
 
     /// Records one transmission in slot `t`, of `m` if `message`.
     fn insert(&mut self, t: u64, message: bool) {
-        let i = self.bucket_of(t);
-        let bucket = &mut self.buckets[i];
-        if *bucket == 0 {
-            let content = if message {
-                SlotContent::Message
-            } else {
-                SlotContent::SingleNoise
-            };
-            *bucket = t << 2 | content as u64;
-            self.busy_slots += 1;
-            self.message_slots += u64::from(message);
+        let old = self.code(t);
+        let new = match (old, message) {
+            (0, true) => SlotContent::Message,
+            (0, false) => SlotContent::SingleNoise,
+            _ => SlotContent::Collision,
+        } as u8;
+        if self.buckets.is_empty() {
+            self.codes[t as usize] = new;
         } else {
-            self.message_slots -= u64::from(*bucket & 3 == SlotContent::Message as u64);
-            *bucket = t << 2 | SlotContent::Collision as u64;
+            let i = self.bucket_of(t);
+            self.buckets[i] = t << 2 | u64::from(new);
         }
+        self.busy_slots += u64::from(old == 0);
+        self.message_slots += u64::from(new == SlotContent::Message as u8);
+        self.message_slots -= u64::from(old == SlotContent::Message as u8);
     }
 
     /// Slot `t`'s code: 0 for a silent slot, else its [`SlotContent`].
-    fn code(&self, t: u64) -> u64 {
-        self.buckets[self.bucket_of(t)] & 3
+    fn code(&self, t: u64) -> u8 {
+        if self.buckets.is_empty() {
+            self.codes[t as usize]
+        } else {
+            (self.buckets[self.bucket_of(t)] & 3) as u8
+        }
     }
 }
 
@@ -167,14 +188,14 @@ fn resolve_listener(
         }
         let code = map.code(t);
         clear += u64::from(code == 0);
-        raw_m += u64::from(code == SlotContent::Message as u64);
+        raw_m += u64::from(code == SlotContent::Message as u8);
     }
     // An own send slot is busy in the map, so it never counted as clear;
     // it counted as `m` if it is audible and this node sent `m` there alone.
     let mut own_listens = 0u64;
     for s in shared_slots(own, listens) {
         own_listens += 1;
-        if s >= skew && !plan.is_jammed(s, len) && map.code(s) == SlotContent::Message as u64 {
+        if s >= skew && !plan.is_jammed(s, len) && map.code(s) == SlotContent::Message as u8 {
             raw_m -= 1;
         }
     }
@@ -237,7 +258,7 @@ impl Repetition for FastChannel {
         }
 
         // 2. The channel state, sized now that every send is drawn.
-        slot_map.reset(own_sends.len());
+        slot_map.reset(own_sends.len(), len);
         for (u, node) in singles.nodes.iter().enumerate() {
             let message = node.sends_message();
             for &t in &own_sends[own_send_offsets[u]..own_send_offsets[u + 1]] {
@@ -574,11 +595,11 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Builds a map from `sends` and checks it against [`collapse`] on every
-    /// busy slot, on the `silent` slots and in both counters.
-    fn map_matching_collapse(sends: &[(u64, bool)], silent: &[u64]) -> SlotMap {
-        let mut map = SlotMap::default();
-        map.reset(sends.len());
+    /// Fills `map` for a `len`-slot repetition of `sends` and checks it
+    /// against [`collapse`] on every busy slot, on the `silent` slots and in
+    /// both counters.
+    fn check_against_collapse(map: &mut SlotMap, len: u64, sends: &[(u64, bool)], silent: &[u64]) {
+        map.reset(sends.len(), len);
         for &(t, message) in sends {
             map.insert(t, message);
         }
@@ -593,6 +614,12 @@ pub(crate) mod tests {
         let messages = expected.iter().filter(|e| e.1 == SlotContent::Message);
         assert_eq!(map.busy_slots, expected.len() as u64);
         assert_eq!(map.message_slots, messages.count() as u64);
+    }
+
+    /// [`check_against_collapse`] on a fresh map.
+    fn map_matching_collapse(len: u64, sends: &[(u64, bool)], silent: &[u64]) -> SlotMap {
+        let mut map = SlotMap::default();
+        check_against_collapse(&mut map, len, sends, silent);
         map
     }
 
@@ -606,22 +633,23 @@ pub(crate) mod tests {
             (12_345_678_901, true),
             (0, true),
         ];
-        let map = map_matching_collapse(&few, &[1, 16, len - 2, len / 2]);
-        assert_eq!(map.buckets.len(), 16);
+        let map = map_matching_collapse(len, &few, &[1, 16, len - 2, len / 2]);
+        assert_eq!((map.buckets.len(), map.codes.len()), (16, 0));
 
         let spread: Vec<(u64, bool)> = (1..=20u64)
             .map(|k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24, k % 3 == 0))
             .collect();
         assert!(spread.iter().all(|&(t, _)| t < len));
-        let map = map_matching_collapse(&spread, &[2, len - 3]);
+        let map = map_matching_collapse(len, &spread, &[2, len - 3]);
         assert_eq!(map.buckets.len(), 64, "next_pow2(2 · 20)");
     }
 
     #[test]
     fn slot_map_resolves_keys_that_share_low_bits() {
-        // Seven sends size the table at 16 buckets; slots `16k + 15` chain
-        // from the last bucket round to the first, and the `16k` slots queue
-        // up behind them.
+        // Seven sends size the table at 16 buckets, and a repetition longer
+        // than its 128 bytes keeps it hashed; slots `16k + 15` chain from the
+        // last bucket round to the first, and the `16k` slots queue up
+        // behind them.
         let sends = [
             (15, true),
             (31, false),
@@ -631,7 +659,7 @@ pub(crate) mod tests {
             (16, true),
             (31, true), // mid-chain: noise + m collide
         ];
-        let map = map_matching_collapse(&sends, &[79, 32, 48, 1]);
+        let map = map_matching_collapse(129, &sends, &[79, 32, 48, 1]);
         assert_eq!(map.buckets.len(), 16);
         assert_eq!(content(&map, 31), Some(SlotContent::Collision));
     }
@@ -640,7 +668,7 @@ pub(crate) mod tests {
     fn slot_map_collides_three_or_more_senders() {
         let mut sends = vec![(5, true); 3];
         sends.extend([(9, true), (9, false), (9, false), (9, true), (2, true)]);
-        let map = map_matching_collapse(&sends, &[0, 3]);
+        let map = map_matching_collapse(16, &sends, &[0, 3]);
         assert_eq!(content(&map, 5), Some(SlotContent::Collision));
         assert_eq!(content(&map, 9), Some(SlotContent::Collision));
         assert_eq!((map.busy_slots, map.message_slots), (3, 1));
@@ -656,7 +684,7 @@ pub(crate) mod tests {
             (8, false),
             (8, true),
         ];
-        let map = map_matching_collapse(&sends, &[0, 5, 6]);
+        let map = map_matching_collapse(16, &sends, &[0, 5, 6]);
         assert_eq!(content(&map, 3), Some(SlotContent::Message));
         assert_eq!(content(&map, 4), Some(SlotContent::SingleNoise));
         assert_eq!(
@@ -670,7 +698,8 @@ pub(crate) mod tests {
     #[test]
     fn slot_map_matches_collapse_on_sampled_repetitions() {
         // Per-node Bernoulli send slots, as step 1 draws them, at lengths
-        // below, at and above the table's capacity; the map is reused.
+        // below, at and above the table's capacity (dense at 2^6 and 2^10,
+        // hashed at 2^20 and 2^40); the map is reused.
         let mut rng = RcbRng::new(24);
         let mut map = SlotMap::default();
         let mut slots = Vec::new();
@@ -685,7 +714,7 @@ pub(crate) mod tests {
                 sample_slots_into(&mut rng, len, p, &mut slots);
                 sends.extend(slots.iter().map(|&t| (t, u % 2 == 0)));
             }
-            map.reset(sends.len());
+            map.reset(sends.len(), len);
             for &(t, message) in &sends {
                 map.insert(t, message);
             }
@@ -695,6 +724,51 @@ pub(crate) mod tests {
                 assert_eq!(content(&map, t), want, "len {len}, slot {t}");
             }
             assert_eq!(map.busy_slots, expected.len() as u64, "len {len}");
+        }
+    }
+
+    #[test]
+    fn slot_map_forms_match_collapse_either_side_of_the_dense_bound() {
+        // Lengths one below, at and one above `8·cap` (dense, dense,
+        // hashed) and 2^40, for several send counts, with repeated slots.
+        // One map serves every repetition, switching dense → hashed →
+        // dense → hashed → dense, and every slot busy in an earlier
+        // repetition is checked silent unless busy now, so no stale code
+        // or bucket can leak through a switch.
+        let mut rng = RcbRng::new(33);
+        let mut map = SlotMap::default();
+        let mut earlier = Vec::new();
+        for sends_n in [0u64, 7, 40, 300] {
+            let cap = (2 * sends_n).max(16).next_power_of_two();
+            let bound = 8 * cap;
+            for len in [bound - 1, bound + 1, bound, 1 << 40, bound - 1] {
+                let mut sends: Vec<(u64, bool)> = Vec::new();
+                for k in 0..sends_n {
+                    let t = if k % 3 == 2 {
+                        sends[rng.below(k) as usize].0
+                    } else {
+                        rng.below(len)
+                    };
+                    sends.push((t, rng.below(2) == 0));
+                }
+                let busy = |t: u64| sends.iter().any(|s| s.0 == t);
+                let probes = (0..64).map(|_| rng.below(len));
+                let silent: Vec<u64> = [0, len / 2, len - 1]
+                    .into_iter()
+                    .chain(earlier.iter().copied().filter(|&t| t < len))
+                    .chain(probes)
+                    .filter(|&t| !busy(t))
+                    .collect();
+                check_against_collapse(&mut map, len, &sends, &silent);
+                let dense = len <= bound;
+                assert_eq!(map.codes.len() as u64, if dense { len } else { 0 });
+                assert_eq!(map.buckets.len() as u64, if dense { 0 } else { cap });
+                assert!(
+                    map.codes.len() as u64 <= cap * std::mem::size_of::<u64>() as u64,
+                    "the dense table holds more bytes than the hashed one would"
+                );
+                earlier.extend(sends.iter().map(|s| s.0));
+            }
         }
     }
 
@@ -1046,7 +1120,7 @@ pub(crate) mod tests {
                 sends.push(own);
                 informed.push(rng.below(2) == 0);
             }
-            map.reset(sends.iter().map(Vec::len).sum());
+            map.reset(sends.iter().map(Vec::len).sum(), len);
             for (own, &m) in sends.iter().zip(&informed) {
                 for &t in own {
                     map.insert(t, m);
