@@ -219,10 +219,11 @@ struct Periods<'a> {
 
 impl Periods<'_> {
     /// One period, a phase of `len` slots in `epoch` in which `sender`
-    /// transmits: the gate's boundary (false if the gauge halts every
-    /// party), the adversary's plan, `phase` (given the radio-off flags,
-    /// the plan and the first slot, it draws the sender's sends and the
-    /// listener's listens), the adversary's observation, the clocks.
+    /// transmits: the gate's boundary (false if every party has halted,
+    /// done or battery-dead), the adversary's plan, `phase` (given the
+    /// radio-off flags, the plan and the first slot, it draws the sender's
+    /// sends and the listener's listens), the adversary's observation, the
+    /// clocks.
     fn step(
         &mut self,
         epoch: u32,
@@ -233,7 +234,7 @@ impl Periods<'_> {
     ) -> bool {
         // A due reboot loses nothing (see `CrashFault::lose_state`).
         let _ = self.gate.boundary(self.period, |i| self.costs[i]);
-        if self.gate.gauge_halts(done) {
+        if self.gate.halted(done) {
             return false;
         }
         let ctx = RepetitionContext {

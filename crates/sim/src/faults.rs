@@ -372,11 +372,6 @@ impl Gate {
     pub(crate) fn halted(&self, done: impl IntoIterator<Item = bool>) -> bool {
         done.into_iter().zip(&self.dead).all(|(d, &x)| d || x)
     }
-
-    /// [`halted`](Gate::halted) under a battery cap; false without one.
-    pub(crate) fn gauge_halts(&self, done: impl IntoIterator<Item = bool>) -> bool {
-        self.plan.battery.is_some() && self.halted(done)
-    }
 }
 
 impl fmt::Display for FaultPlan {

@@ -208,6 +208,28 @@ fn unjammed_broadcast_latency_matches_schedule_estimate() {
     }
 }
 
+/// Mean slots and `bob_premature` rate of 400 fully jammed `fig1(0.1, 6)`
+/// duels (budget 4096) under `faults` on `engine`.
+fn jammed_duel_means(engine: Engine, faults: FaultPlan) -> (f64, f64) {
+    let outs: Vec<DuelOutcome> = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 6))
+        .with_engine(engine)
+        .with_adversary(AdversarySpec::Budgeted {
+            budget: 4096,
+            fraction: 1.0,
+        })
+        .with_faults(faults)
+        .with_trials(400)
+        .run_batch_raw()
+        .into_iter()
+        .map(|(o, _)| o.into_duel())
+        .collect();
+    let mean = |f: fn(&DuelOutcome) -> f64| outs.iter().map(f).sum::<f64>() / 400.0;
+    (
+        mean(|o| o.slots as f64),
+        mean(|o| o.bob_premature as u8 as f64),
+    )
+}
+
 /// A battery cap halts a jammed duel the same way on both engines: once
 /// the gauge leaves no live party, the duel stops at that phase boundary,
 /// as the exact engine does, rather than planning, charging and counting
@@ -215,25 +237,7 @@ fn unjammed_broadcast_latency_matches_schedule_estimate() {
 /// not premature on either engine.
 #[test]
 fn battery_capped_duel_stops_where_the_exact_engine_stops() {
-    let run = |engine| {
-        let outs: Vec<DuelOutcome> = ScenarioSpec::duel(DuelProtocol::fig1(0.1, 6))
-            .with_engine(engine)
-            .with_adversary(AdversarySpec::Budgeted {
-                budget: 4096,
-                fraction: 1.0,
-            })
-            .with_faults(FaultPlan::none().with_battery(64))
-            .with_trials(400)
-            .run_batch_raw()
-            .into_iter()
-            .map(|(o, _)| o.into_duel())
-            .collect();
-        let mean = |f: fn(&DuelOutcome) -> f64| outs.iter().map(f).sum::<f64>() / 400.0;
-        (
-            mean(|o| o.slots as f64),
-            mean(|o| o.bob_premature as u8 as f64),
-        )
-    };
+    let run = |engine| jammed_duel_means(engine, FaultPlan::none().with_battery(64));
     let (duel_slots, duel_premature) = run(Engine::Fast);
     let (exact_slots, exact_premature) = run(Engine::Exact);
     assert!(
@@ -246,5 +250,20 @@ fn battery_capped_duel_stops_where_the_exact_engine_stops() {
     assert!(
         (duel_premature - exact_premature).abs() < 0.02,
         "bob_premature rates: duel {duel_premature}, exact {exact_premature}"
+    );
+}
+
+/// Without a battery cap too: when Alice has halted (here after a
+/// state-losing crash in nack-phase period 3) and Bob halts at the end of a
+/// send phase, the duel stops at that boundary, as the exact engine does,
+/// rather than planning, charging and counting one more nack phase.
+#[test]
+fn crashed_duel_stops_where_the_exact_engine_stops() {
+    let faults = FaultPlan::none().with_crash(0, 3, 1, true);
+    let (duel_slots, _) = jammed_duel_means(Engine::Fast, faults);
+    let (exact_slots, _) = jammed_duel_means(Engine::Exact, faults);
+    assert!(
+        (duel_slots / exact_slots - 1.0).abs() < 0.05,
+        "mean slots: duel {duel_slots}, exact {exact_slots}"
     );
 }

@@ -633,7 +633,7 @@ const LOOP_CHECKSUMS: [(&str, Engine, usize, u64); 16] = [
     ("epoch_cap", Engine::CohortFast, 64, 0x1ba2_f3a6_8c3d_3189),
     ("epoch_cap", Engine::CohortFast, 512, 0xa1b6_738f_72fd_c954),
     ("crash_send", Engine::Fast, 2, 0x0186_a362_a16a_7b79),
-    ("crash_nack_lose", Engine::Fast, 2, 0xac79_15a3_d297_1323),
+    ("crash_nack_lose", Engine::Fast, 2, 0xdfaa_9e25_beec_06ee),
     ("loss_skew", Engine::Fast, 2, 0xde3f_b307_bb56_88e0),
     ("battery", Engine::Fast, 2, 0x3890_c1a6_30c1_944c),
     ("epoch_cap", Engine::Fast, 2, 0x980d_dd9e_03e3_f325),
