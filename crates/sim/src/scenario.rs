@@ -871,7 +871,10 @@ enum SpecSession {
     Fig1(DuelSession<Fig1Profile>),
     Ksy(DuelSession<KsyProfile>),
     /// The exact-engine duel rebuilds its two slot-level state machines
-    /// per run, so it carries only its RNG between runs.
+    /// and, through [`run_exact`], its [`ExactScratch`](crate::exact::ExactScratch)
+    /// per run, so it carries only its RNG between runs. A spec builds a
+    /// fresh session per duel trial anyway (no stream runs a duel), so
+    /// there is nothing for it to reuse.
     ExactDuel {
         workload: DuelWorkload,
         faults: FaultPlan,

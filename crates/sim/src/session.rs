@@ -4,7 +4,9 @@
 //! and [`Session::rearm`] to run again. A session owns its RNG and its
 //! allocations; `rearm` resets protocol state, epoch position, and cost
 //! ledgers to slot 0 **without reallocating**, and hands the next run a
-//! fresh RNG stream. After `rearm(seed)`, a session's run is bit-identical
+//! fresh RNG stream. A run still allocates its outcome (per-node costs),
+//! and the exact broadcast session a little more (see
+//! [`ExactBroadcastSession`]). After `rearm(seed)`, a session's run is bit-identical
 //! to a freshly constructed session at `seed` (certified by the golden
 //! suite in `crates/sim/tests/rearm_equivalence.rs`).
 //!
@@ -90,7 +92,11 @@ pub(crate) fn run_on<S: Session + OwnsRng>(
 /// node driven by the exact engine, with the node vector, schedule,
 /// partition, and [`ExactScratch`] (ledger, fault gate, per-slot buffers)
 /// all retained across runs. [`rearm`](Self::rearm) resets each node via
-/// [`Rearm`] and zeroes the ledger in place.
+/// [`Rearm`] and zeroes the ledger in place. Each run still allocates four
+/// `n`-entry vectors: the `&mut dyn SlotProtocol` view of the nodes that
+/// the slot loop takes, the [`RepAsSlotAdversary`] wrapper's activity
+/// flags, the ledger clone in the engine's outcome and the outcome's node
+/// costs. They are small next to a loop over every slot (not measured).
 #[derive(Debug)]
 pub struct ExactBroadcastSession {
     n: usize,
@@ -143,7 +149,7 @@ impl Session for ExactBroadcastSession {
     type Outcome = BroadcastOutcome;
 
     /// Re-arms every node and the ledger to slot 0 on a fresh RNG stream,
-    /// reusing every allocation (each run arms the fault gate).
+    /// without allocating (each run arms the fault gate).
     fn rearm(&mut self, seed: u64) {
         for node in &mut self.nodes {
             node.rearm();
