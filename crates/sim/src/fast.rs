@@ -724,6 +724,7 @@ pub(crate) mod tests {
                 assert_eq!(content(&map, t), want, "len {len}, slot {t}");
             }
             assert_eq!(map.busy_slots, expected.len() as u64, "len {len}");
+            assert_eq!(map.buckets.is_empty(), len <= 1 << 10, "len {len}: form");
         }
     }
 
