@@ -605,11 +605,11 @@ pub(crate) mod tests {
         }
         let expected = collapse(sends);
         for &(t, busy) in &expected {
-            assert_eq!(content(&map, t), Some(busy), "busy slot {t}");
+            assert_eq!(content(map, t), Some(busy), "busy slot {t}");
         }
         for &t in silent {
             assert!(expected.iter().all(|e| e.0 != t), "slot {t} is busy");
-            assert_eq!(content(&map, t), None, "silent slot {t}");
+            assert_eq!(content(map, t), None, "silent slot {t}");
         }
         let messages = expected.iter().filter(|e| e.1 == SlotContent::Message);
         assert_eq!(map.busy_slots, expected.len() as u64);
