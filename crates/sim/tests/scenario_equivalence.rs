@@ -619,11 +619,12 @@ fn repetition_summaries_match_pins() {
 /// mode at n = 512, except the battery case, whose fault forces
 /// all-tracked mode. Duel rows (n = 2): a crash in a send phase, a
 /// state-losing crash in a nack phase, loss plus skew, a battery cap and
-/// the duel engine's epoch-62 cap, plus a crashed and a battery-capped
-/// duel on the exact engine; and an exact-engine broadcast at n = 8 under
-/// a battery cap and a state-losing crash. Batch checksums at 4 trials (32 for the fast
-/// duel rows); a change here is a behaviour change and must be declared.
-const LOOP_CHECKSUMS: [(&str, Engine, usize, u64); 16] = [
+/// the duel engine's epoch-62 cap, plus a crashed, a battery-capped and a
+/// lossy, skewed duel on the exact engine. Exact-engine broadcasts at
+/// n = 8: a battery cap with a state-losing crash, and loss plus skew.
+/// Batch checksums at 4 trials (32 for the fast duel rows); a change here
+/// is a behaviour change and must be declared.
+const LOOP_CHECKSUMS: [(&str, Engine, usize, u64); 18] = [
     ("battery", Engine::Fast, 64, 0x72c3_2742_5864_6981),
     ("battery", Engine::CohortFast, 64, 0x8e57_0448_2a72_8bd7),
     ("faulted", Engine::Fast, 64, 0x5225_b6ed_3b69_aa96),
@@ -640,6 +641,8 @@ const LOOP_CHECKSUMS: [(&str, Engine, usize, u64); 16] = [
     ("crash_send", Engine::Exact, 2, 0x52de_0490_a0af_0e4e),
     ("battery", Engine::Exact, 2, 0x9e0e_3cfb_6064_f87a),
     ("battery_crash", Engine::Exact, 8, 0x9c07_cd8a_09fe_fa77),
+    ("loss_skew", Engine::Exact, 2, 0xb4b0_fb35_eb90_5c6b),
+    ("loss_skew", Engine::Exact, 8, 0xeb0c_dbe9_2041_fcda),
 ];
 
 /// Epoch cap of the broadcast `epoch_cap` case, below the epoch every
