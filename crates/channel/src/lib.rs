@@ -21,7 +21,6 @@
 //! and `rcb-adversary`.
 
 pub mod battery;
-pub mod fault;
 pub mod ledger;
 pub mod message;
 pub mod partition;
@@ -29,7 +28,6 @@ pub mod slot;
 pub mod trace;
 
 pub use battery::{BankruptcyReport, Battery};
-pub use fault::ReceiverCondition;
 pub use ledger::EnergyLedger;
 pub use message::{Payload, PayloadKind};
 pub use partition::Partition;

@@ -217,13 +217,8 @@ pub(crate) fn run_exact_in(
 
         receptions.fill(None);
         for (node, reception) in &resolution.receptions {
-            let heard = match &mut loss.rng {
-                None => reception.clone(),
-                Some(frng) => faults
-                    .receiver_condition(*node, loc.offset)
-                    .apply(reception.clone(), frng),
-            };
-            receptions[*node] = Some(heard);
+            let skewed = loc.offset < faults.skew_slots(*node);
+            receptions[*node] = Some(degrade(reception, skewed, &mut loss));
         }
         for (i, p) in protocols.iter_mut().enumerate() {
             p.end_slot(receptions[i].as_ref());
@@ -248,10 +243,26 @@ pub(crate) fn run_exact_in(
     )
 }
 
+/// What a receiver decodes of the `reception` the channel resolved for it,
+/// by the receiver rule the duel and fast engines share: a `skewed` slot is
+/// noise and draws no coin; otherwise a payload that would decode is lost
+/// (heard as noise) on one coin from `loss`; anything else is heard as
+/// resolved. Faults only remove information: the result is `reception`
+/// or noise.
+fn degrade(reception: &Reception, skewed: bool, loss: &mut LossCoins) -> Reception {
+    match reception {
+        _ if skewed => Reception::Noise,
+        Reception::Received(_) if loss.lost() => Reception::Noise,
+        heard => heard.clone(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rcb_adversary::slot_strategies::{BudgetedPhaseBlocker, NoJam};
+    use rcb_channel::Payload;
     use rcb_core::one_to_one::profile::Fig1Profile;
     use rcb_core::one_to_one::schedule::DuelSchedule;
     use rcb_core::one_to_one::slot::{AliceProtocol, BobProtocol};
@@ -487,6 +498,85 @@ mod tests {
         .0;
         assert_eq!(out.ledger.node_cost(1), 0, "radio off costs nothing");
         assert!(out.ledger.node_cost(0) > 0, "Alice still runs");
+    }
+
+    /// Every reception a listener can resolve to.
+    fn receptions() -> [Reception; 3] {
+        [
+            Reception::Clear,
+            Reception::Noise,
+            Reception::Received(Payload::message()),
+        ]
+    }
+
+    #[test]
+    fn an_empty_plan_draws_nothing_and_degrades_nothing() {
+        let mut rng = RcbRng::new(7);
+        let mut loss = LossCoins::new(&FaultPlan::none(), &mut rng);
+        assert_eq!(rng, RcbRng::new(7), "no fault stream is split off");
+        for r in receptions() {
+            assert_eq!(degrade(&r, false, &mut loss), r);
+        }
+        assert_eq!(loss, LossCoins::default(), "no coins consumed");
+    }
+
+    #[test]
+    fn skew_yields_noise_and_draws_no_coin() {
+        let mut loss = LossCoins::new(&FaultPlan::none().with_loss(0.5), &mut RcbRng::new(8));
+        let before = loss.clone();
+        for r in receptions() {
+            assert_eq!(degrade(&r, true, &mut loss), Reception::Noise);
+        }
+        assert_eq!(loss, before, "skew consumes no loss coin");
+    }
+
+    #[test]
+    fn loss_touches_only_decodable_payloads() {
+        let mut loss = LossCoins::new(&FaultPlan::none().with_loss(0.5), &mut RcbRng::new(9));
+        let before = loss.clone();
+        assert_eq!(
+            degrade(&Reception::Clear, false, &mut loss),
+            Reception::Clear
+        );
+        assert_eq!(
+            degrade(&Reception::Noise, false, &mut loss),
+            Reception::Noise
+        );
+        assert_eq!(loss, before, "no coin for a slot that would not decode");
+        // One coin per payload; a lost one is heard as noise (the energy was
+        // real, only the decode failed).
+        let m = Reception::Received(Payload::message());
+        let mut reference = before;
+        for _ in 0..64 {
+            let expected = if reference.lost() {
+                Reception::Noise
+            } else {
+                m.clone()
+            };
+            assert_eq!(degrade(&m, false, &mut loss), expected);
+        }
+        assert_eq!(loss, reference);
+    }
+
+    proptest! {
+        /// No fault creates a reception: each comes out as resolved or as
+        /// noise, and a skewed slot is always noise.
+        #[test]
+        fn faults_never_create_receptions(
+            skewed in any::<bool>(),
+            loss_p in 0.0f64..=1.0,
+            seed in any::<u64>(),
+        ) {
+            let plan = FaultPlan::none().with_loss(loss_p);
+            let mut loss = LossCoins::new(&plan, &mut RcbRng::new(seed));
+            for heard in receptions() {
+                let out = degrade(&heard, skewed, &mut loss);
+                prop_assert!(
+                    out == Reception::Noise || (!skewed && out == heard),
+                    "{:?} became {:?}", heard, out
+                );
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,6 @@
 //! bookkeeping through one `Gate`, so they share one semantics, which the
 //! conformance differ cross-validates under faults.
 
-use rcb_channel::fault::ReceiverCondition;
 use rcb_mathkit::rng::RcbRng;
 use rcb_mathkit::sample::bernoulli;
 use serde::{Deserialize, Serialize};
@@ -259,21 +258,11 @@ impl FaultPlan {
     pub fn battery_capacity(&self) -> Option<u64> {
         self.battery.map(|b| b.capacity)
     }
-
-    /// The [`ReceiverCondition`] of `node` at `offset` within a period —
-    /// the channel-facing summary the exact engine feeds to
-    /// [`ReceiverCondition::apply`].
-    pub fn receiver_condition(&self, node: usize, offset: u64) -> ReceiverCondition {
-        ReceiverCondition {
-            skewed: offset < self.skew_slots(node),
-            loss_p: self.loss_p(),
-        }
-    }
 }
 
-/// A fast engine's receiver-side loss coins: one Bernoulli(`p`) toss per
-/// `m` reception that would otherwise decode, from the run's dedicated
-/// fault stream. The stream is split off the trial RNG only for a
+/// The exact, duel and fast engines' receiver-side loss coins: one
+/// Bernoulli(`p`) toss per payload reception that would otherwise decode,
+/// from the run's dedicated fault stream. The stream is split off the trial RNG only for a
 /// non-empty plan, so [`FaultPlan::none`] leaves that RNG untouched.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct LossCoins {
@@ -420,7 +409,6 @@ mod tests {
         assert_eq!(plan.skew_slots(0), 0);
         assert_eq!(plan.battery_capacity(), None);
         assert_eq!(plan.reboot_at(), None);
-        assert!(plan.receiver_condition(0, 0).is_nominal());
         assert_eq!(plan.to_string(), "none");
     }
 
@@ -486,13 +474,11 @@ mod tests {
     }
 
     #[test]
-    fn receiver_condition_reflects_skew_and_loss() {
+    fn skew_is_per_node_and_loss_per_plan() {
         let plan = FaultPlan::none().with_loss(0.25).with_skew(1, 2);
-        assert!(plan.receiver_condition(1, 0).skewed);
-        assert!(plan.receiver_condition(1, 1).skewed);
-        assert!(!plan.receiver_condition(1, 2).skewed);
-        assert!(!plan.receiver_condition(0, 0).skewed, "node 0 is on time");
-        assert_eq!(plan.receiver_condition(0, 5).loss_p, 0.25);
+        assert_eq!(plan.skew_slots(1), 2);
+        assert_eq!(plan.skew_slots(0), 0, "node 0 is on time");
+        assert_eq!(plan.loss_p(), 0.25);
     }
 
     #[test]
