@@ -243,12 +243,9 @@ pub(crate) fn run_exact_in(
     )
 }
 
-/// What a receiver decodes of the `reception` the channel resolved for it,
-/// by the receiver rule the duel and fast engines share: a `skewed` slot is
-/// noise and draws no coin; otherwise a payload that would decode is lost
-/// (heard as noise) on one coin from `loss`; anything else is heard as
-/// resolved. Faults only remove information: the result is `reception`
-/// or noise.
+/// The receiver rule the duel and fast engines share: a `skewed` slot is
+/// noise and draws no coin; a payload that would decode is lost (heard as
+/// noise) on one coin from `loss`; anything else is heard as resolved.
 fn degrade(reception: &Reception, skewed: bool, loss: &mut LossCoins) -> Reception {
     match reception {
         _ if skewed => Reception::Noise,

@@ -127,10 +127,10 @@ fn broadcast_engines_agree_under_jamming() {
     assert_conformant(&run_cell(cell, &c));
 }
 
-/// Fault injection under jamming: the loss coin lives in different places
-/// in the two engines (a per-reception receiver condition vs. a coin on
-/// each sampled message event), so a lossy cell guards the equivalence of
-/// both implementations.
+/// Fault injection under jamming: the two engines toss the loss coin at
+/// different points (on each resolved reception vs. on each sampled
+/// message event), so a lossy cell guards that both toss it on the same
+/// receptions.
 #[test]
 fn duel_engines_agree_under_loss_and_jamming() {
     let cell = Cell::duel(
