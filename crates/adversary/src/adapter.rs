@@ -1,15 +1,16 @@
 //! Granularity adapter: drive the exact engine with a
 //! [`RepetitionAdversary`].
 //!
-//! The conformance harness must run *the same* adversary policy on both
-//! engines, or every cross-engine comparison confounds engine drift with
-//! adversary drift. Historically the validation tests paired
-//! `BudgetedPhaseBlocker` (slot-level, jams **every** group, 2 units per
-//! slot on the pair partition) with `BudgetedRepBlocker` (repetition-level,
-//! 1 unit per slot) — two different attacks with different effective
-//! budgets. [`RepAsSlotAdversary`] removes the confound: it asks the wrapped
-//! repetition strategy for a [`JamPlan`] at each period boundary and unrolls
+//! Every planned jammer is a repetition strategy, and this adapter is how
+//! the exact engine runs one, so a cross-engine comparison never confounds
+//! engine drift with adversary drift. [`RepAsSlotAdversary`] asks the
+//! wrapped strategy for a [`JamPlan`] at each period boundary and unrolls
 //! it slot by slot, targeting the groups the fast engines charge for.
+//!
+//! The wrapped strategy counts jammed *slots*; the exact engine's ledger
+//! counts (group, slot) pairs. A [`JamTarget::Mask`] of `k` groups is
+//! charged `k` ledger units per jammed slot, so it takes an inner budget of
+//! `T / k` to spend `T`.
 
 use crate::traits::{
     JamPlan, RepetitionAdversary, RepetitionContext, RepetitionSummary, SlotAdversary, SlotContext,
@@ -189,10 +190,6 @@ impl<A: RepetitionAdversary> SlotAdversary for RepAsSlotAdversary<A> {
             self.summary.message_slots += 1;
         }
     }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        self.inner.remaining_budget()
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +247,7 @@ mod tests {
             .collect();
         // Budget 20 affords two 8-slot plans, then nothing.
         assert_eq!(per_period, vec![8, 8, 0, 0]);
-        assert_eq!(adapter.remaining_budget(), Some(4));
+        assert_eq!(adapter.inner().remaining_budget(), Some(4));
         // Jammed slots are the period suffix.
         assert!(masks[0][..8].iter().all(|&m| m == 0));
         assert!(masks[0][8..].iter().all(|&m| m != 0));
@@ -276,7 +273,7 @@ mod tests {
             assert_eq!(adapted, plan.jam_count(len), "period {period}");
         }
         assert_eq!(
-            adapter.remaining_budget(),
+            adapter.inner().remaining_budget(),
             direct.remaining_budget(),
             "same spend on both paths"
         );

@@ -8,12 +8,14 @@
 //!
 //! Two granularities of strategy exist, matching the two simulation engines:
 //!
-//! * [`SlotAdversary`] — consulted every slot by the exact engine;
-//! * [`RepetitionAdversary`] — plans a whole 2^i-slot repetition at once for
-//!   the fast 1-to-n engine. Lemma 1 of the paper proves that within a
-//!   phase/repetition, jamming a *suffix* is without loss of generality, so
-//!   the canonical plans are suffix plans; explicit slot sets are supported
-//!   for the non-canonical jammers used in the robustness ablation (E11).
+//! * [`RepetitionAdversary`] — plans a whole 2^i-slot repetition at once;
+//!   every planned jammer is one, and runs on every engine. Lemma 1 of the
+//!   paper proves that within a phase/repetition, jamming a *suffix* is
+//!   without loss of generality, so the canonical plans are suffix plans;
+//!   explicit slot sets serve the non-canonical jammers of E11;
+//! * [`SlotAdversary`] — consulted every slot by the exact engine, which
+//!   runs a repetition strategy through [`RepAsSlotAdversary`];
+//!   [`slot_strategies`] holds the few that no plan can express.
 //!
 //! The lower-bound constructions get dedicated modules: [`threshold`]
 //! implements Theorem 2's `a_i·b_i > 1/T` rule and [`spoof`] the Theorem 5
@@ -32,10 +34,7 @@ pub use error::AdversaryConfigError;
 pub use rep_strategies::{
     BanditBlocker, BudgetedRepBlocker, KeepAliveBlocker, NoJamRep, RandomRep, SuffixFractionRep,
 };
-pub use slot_strategies::{
-    BudgetedPhaseBlocker, NackSpoofer, NoJam, PeriodicJammer, RandomJammer, ReactiveJammer,
-    ScheduleJammer,
-};
+pub use slot_strategies::{NackSpoofer, NoJam, ReactiveJammer};
 pub use spoof::SpoofScenario;
 pub use threshold::ThresholdAdversary;
 pub use traits::{

@@ -1,11 +1,15 @@
-//! Slot-granularity jamming strategies for the exact engine.
+//! The slot-granularity strategies that no [`JamPlan`] can express.
 //!
-//! `BudgetedPhaseBlocker` is the canonical attacker for the cost-vs-T
-//! experiments: per Lemma 1 it jams a *suffix* of each protocol period, and
-//! per the Theorem 1 analysis the adversary must (1/16)-block a phase to
-//! keep Alice and Bob running — so blocking whole early periods is the
-//! budget-optimal way to inflate good-node cost. The others (random,
-//! periodic, reactive) populate the robustness ablation (E11).
+//! Every planned jammer is a [`RepetitionAdversary`]: by Lemma 1 jamming a
+//! suffix of each period is without loss of generality, so those strategies
+//! live in [`rep_strategies`](crate::rep_strategies) and reach the exact
+//! engine through [`RepAsSlotAdversary`](crate::adapter::RepAsSlotAdversary).
+//! What stays here has no plan form: [`NoJam`] is the trivial slot-level base case, [`ReactiveJammer`] jams
+//! the slot after a busy one, and [`NackSpoofer`] injects spoofed nacks
+//! (Theorem 5).
+//!
+//! [`JamPlan`]: crate::traits::JamPlan
+//! [`RepetitionAdversary`]: crate::traits::RepetitionAdversary
 
 use crate::traits::{SlotAdversary, SlotContext, SlotObservation};
 use rcb_channel::slot::JamDecision;
@@ -19,159 +23,6 @@ pub struct NoJam;
 impl SlotAdversary for NoJam {
     fn decide(&mut self, _ctx: &SlotContext) -> JamDecision {
         JamDecision::none()
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        Some(0)
-    }
-}
-
-/// Jams a `fraction`-suffix of every period until the budget is spent.
-///
-/// With `fraction = 1.0` this blocks whole periods outright, which keeps the
-/// protocol in its early (cheap) epochs while the budget lasts — the
-/// strategy the upper-bound proofs identify as the adversary's best play.
-/// `group_mask` selects which partition groups to jam (e.g. only Bob's).
-#[derive(Debug, Clone)]
-pub struct BudgetedPhaseBlocker {
-    budget: u64,
-    spent: u64,
-    fraction: f64,
-    group_mask: Option<u64>,
-}
-
-impl BudgetedPhaseBlocker {
-    /// Jam all groups, `fraction` of each period, with total budget
-    /// `budget` (in (group, slot) units).
-    pub fn new(budget: u64, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction), "fraction in [0,1]");
-        Self {
-            budget,
-            spent: 0,
-            fraction,
-            group_mask: None,
-        }
-    }
-
-    /// Restrict jamming to the groups in `mask`.
-    pub fn with_group_mask(mut self, mask: u64) -> Self {
-        self.group_mask = Some(mask);
-        self
-    }
-
-    pub fn spent(&self) -> u64 {
-        self.spent
-    }
-}
-
-impl SlotAdversary for BudgetedPhaseBlocker {
-    fn decide(&mut self, ctx: &SlotContext) -> JamDecision {
-        let mask = self.group_mask.unwrap_or(ctx.all_groups_mask()) & ctx.all_groups_mask();
-        let cost = mask.count_ones() as u64;
-        if cost == 0 || self.spent + cost > self.budget {
-            return JamDecision::none();
-        }
-        // Suffix of the period: offsets in [len - ceil(f·len), len).
-        let jam_len = (self.fraction * ctx.period_len as f64).ceil() as u64;
-        let start = ctx.period_len.saturating_sub(jam_len);
-        if ctx.offset >= start {
-            self.spent += cost;
-            JamDecision {
-                jam_mask: mask,
-                inject: None,
-            }
-        } else {
-            JamDecision::none()
-        }
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        Some(self.budget - self.spent)
-    }
-}
-
-/// Jams each slot independently with probability `rate` until the budget is
-/// spent (the random-failure adversary of Pelc–Peleg, cited in §1.4).
-#[derive(Debug)]
-pub struct RandomJammer {
-    rate: f64,
-    budget: u64,
-    spent: u64,
-    rng: RcbRng,
-}
-
-impl RandomJammer {
-    pub fn new(rate: f64, budget: u64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "rate in [0,1]");
-        Self {
-            rate,
-            budget,
-            spent: 0,
-            rng: RcbRng::new(seed),
-        }
-    }
-}
-
-impl SlotAdversary for RandomJammer {
-    fn decide(&mut self, ctx: &SlotContext) -> JamDecision {
-        let mask = ctx.all_groups_mask();
-        let cost = mask.count_ones() as u64;
-        if self.spent + cost > self.budget || !bernoulli(&mut self.rng, self.rate) {
-            return JamDecision::none();
-        }
-        self.spent += cost;
-        JamDecision {
-            jam_mask: mask,
-            inject: None,
-        }
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        Some(self.budget - self.spent)
-    }
-}
-
-/// Jams `duty` consecutive slots out of every `period` slots (bursty
-/// interference: e.g. a co-located legacy transmitter).
-#[derive(Debug, Clone)]
-pub struct PeriodicJammer {
-    period: u64,
-    duty: u64,
-    budget: u64,
-    spent: u64,
-}
-
-impl PeriodicJammer {
-    pub fn new(period: u64, duty: u64, budget: u64) -> Self {
-        assert!(
-            period > 0 && duty <= period,
-            "need duty <= period, period > 0"
-        );
-        Self {
-            period,
-            duty,
-            budget,
-            spent: 0,
-        }
-    }
-}
-
-impl SlotAdversary for PeriodicJammer {
-    fn decide(&mut self, ctx: &SlotContext) -> JamDecision {
-        let mask = ctx.all_groups_mask();
-        let cost = mask.count_ones() as u64;
-        if self.spent + cost > self.budget || ctx.slot % self.period >= self.duty {
-            return JamDecision::none();
-        }
-        self.spent += cost;
-        JamDecision {
-            jam_mask: mask,
-            inject: None,
-        }
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        Some(self.budget - self.spent)
     }
 }
 
@@ -211,10 +62,6 @@ impl SlotAdversary for ReactiveJammer {
 
     fn observe(&mut self, obs: &SlotObservation<'_>) {
         self.trigger = obs.resolution.senders > 0;
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        Some(self.budget - self.spent)
     }
 }
 
@@ -265,53 +112,6 @@ impl SlotAdversary for NackSpoofer {
             JamDecision::none()
         }
     }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        Some(self.budget - self.spent)
-    }
-}
-
-/// Replays an explicit, precomputed jam schedule (slot indices, sorted).
-/// Used by tests that need exact control.
-#[derive(Debug, Clone)]
-pub struct ScheduleJammer {
-    schedule: Vec<u64>,
-    cursor: usize,
-}
-
-impl ScheduleJammer {
-    /// `schedule` must be sorted ascending.
-    pub fn new(schedule: Vec<u64>) -> Self {
-        assert!(
-            schedule.windows(2).all(|w| w[0] < w[1]),
-            "schedule must be sorted and deduplicated"
-        );
-        Self {
-            schedule,
-            cursor: 0,
-        }
-    }
-}
-
-impl SlotAdversary for ScheduleJammer {
-    fn decide(&mut self, ctx: &SlotContext) -> JamDecision {
-        while self.cursor < self.schedule.len() && self.schedule[self.cursor] < ctx.slot {
-            self.cursor += 1;
-        }
-        if self.cursor < self.schedule.len() && self.schedule[self.cursor] == ctx.slot {
-            self.cursor += 1;
-            JamDecision {
-                jam_mask: ctx.all_groups_mask(),
-                inject: None,
-            }
-        } else {
-            JamDecision::none()
-        }
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        Some((self.schedule.len() - self.cursor) as u64)
-    }
 }
 
 #[cfg(test)]
@@ -334,86 +134,6 @@ mod tests {
         let mut a = NoJam;
         for s in 0..100 {
             assert_eq!(a.decide(&ctx(s, s % 10, 10, 1)), JamDecision::none());
-        }
-    }
-
-    #[test]
-    fn full_blocker_jams_until_budget_exhausted() {
-        let mut a = BudgetedPhaseBlocker::new(5, 1.0);
-        let mut jammed = 0;
-        for s in 0..20 {
-            if a.decide(&ctx(s, s % 10, 10, 1)).jam_count() > 0 {
-                jammed += 1;
-            }
-        }
-        assert_eq!(jammed, 5);
-        assert_eq!(a.remaining_budget(), Some(0));
-        assert_eq!(a.spent(), 5);
-    }
-
-    #[test]
-    fn fraction_blocker_jams_only_suffix() {
-        let mut a = BudgetedPhaseBlocker::new(1000, 0.25);
-        // Period of 8: suffix = ceil(2) = 2 slots (offsets 6 and 7).
-        for off in 0..8u64 {
-            let d = a.decide(&ctx(off, off, 8, 1));
-            if off >= 6 {
-                assert_eq!(d.jam_count(), 1, "offset {off} should be jammed");
-            } else {
-                assert_eq!(d.jam_count(), 0, "offset {off} should be clear");
-            }
-        }
-    }
-
-    #[test]
-    fn blocker_respects_group_mask_and_pays_per_group() {
-        let mut a = BudgetedPhaseBlocker::new(4, 1.0).with_group_mask(0b10);
-        // 2-group partition: only group 1 jammed, cost 1 per slot.
-        for s in 0..4 {
-            let d = a.decide(&ctx(s, s, 4, 2));
-            assert_eq!(d.jam_mask, 0b10);
-        }
-        assert_eq!(a.remaining_budget(), Some(0));
-
-        // Jamming both groups costs 2 per slot: budget 4 lasts 2 slots.
-        let mut b = BudgetedPhaseBlocker::new(4, 1.0);
-        let mut slots = 0;
-        for s in 0..10 {
-            if b.decide(&ctx(s, s, 10, 2)).jam_count() > 0 {
-                slots += 1;
-            }
-        }
-        assert_eq!(slots, 2);
-    }
-
-    #[test]
-    fn random_jammer_rate_and_budget() {
-        let mut a = RandomJammer::new(0.5, 100, 7);
-        let mut jammed = 0u64;
-        for s in 0..10_000 {
-            jammed += a.decide(&ctx(s, 0, 1, 1)).jam_count();
-        }
-        assert_eq!(jammed, 100, "budget caps the spend");
-
-        let mut b = RandomJammer::new(0.3, u64::MAX / 2, 8);
-        let mut hits = 0u64;
-        let n = 20_000;
-        for s in 0..n {
-            hits += b.decide(&ctx(s, 0, 1, 1)).jam_count();
-        }
-        let rate = hits as f64 / n as f64;
-        assert!((rate - 0.3).abs() < 0.02, "rate {rate}");
-    }
-
-    #[test]
-    fn periodic_jammer_duty_cycle() {
-        let mut a = PeriodicJammer::new(10, 3, u64::MAX / 2);
-        let mut pattern = Vec::new();
-        for s in 0..20 {
-            pattern.push(a.decide(&ctx(s, 0, 1, 1)).jam_count() > 0);
-        }
-        for (s, &j) in pattern.iter().enumerate() {
-            assert_eq!(j, s % 10 < 3, "slot {s}");
         }
     }
 
@@ -476,22 +196,5 @@ mod tests {
             }
         }
         assert_eq!(injected, 10);
-        assert_eq!(a.remaining_budget(), Some(0));
-    }
-
-    #[test]
-    fn schedule_jammer_replays_exactly() {
-        let mut a = ScheduleJammer::new(vec![2, 5, 6]);
-        let jams: Vec<u64> = (0..10)
-            .filter(|&s| a.decide(&ctx(s, 0, 1, 1)).jam_count() > 0)
-            .collect();
-        assert_eq!(jams, vec![2, 5, 6]);
-        assert_eq!(a.remaining_budget(), Some(0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn schedule_jammer_rejects_unsorted() {
-        ScheduleJammer::new(vec![5, 2]);
     }
 }

@@ -58,11 +58,6 @@ pub trait SlotAdversary {
 
     /// Observe the resolved slot (adaptive strategies update state here).
     fn observe(&mut self, _obs: &SlotObservation<'_>) {}
-
-    /// Remaining budget in (group, slot) units, if bounded.
-    fn remaining_budget(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// A jam plan for one whole repetition of the 1-to-n protocol.

@@ -14,8 +14,7 @@
 
 use crate::experiments::Report;
 use crate::scale::Scale;
-use rcb_adversary::slot_strategies::{BudgetedPhaseBlocker, NoJam};
-use rcb_adversary::traits::SlotAdversary;
+use rcb_adversary::{BudgetedRepBlocker, JamTarget, RepAsSlotAdversary};
 use rcb_analysis::table::{num, TableBuilder};
 use rcb_channel::Partition;
 use rcb_core::one_to_n::{OneToNParams, OneToNSchedule, OneToNSlotNode};
@@ -61,13 +60,9 @@ fn run_cell(
         } else {
             Partition::uniform(n)
         };
-        let mut adv: Box<dyn SlotAdversary> = if budget == 0 {
-            Box::new(NoJam)
-        } else if two_uniform {
-            Box::new(BudgetedPhaseBlocker::new(budget, 1.0).with_group_mask(0b10))
-        } else {
-            Box::new(BudgetedPhaseBlocker::new(budget, 1.0))
-        };
+        // One jammed group either way: the ledger charges 1 per slot.
+        let target = JamTarget::Mask(if two_uniform { 0b10 } else { 0b1 });
+        let mut adv = RepAsSlotAdversary::new(BudgetedRepBlocker::new(budget, 1.0), target, n);
         let schedule = OneToNSchedule::new(*params);
         let mut rng = seeds.rng(t);
         let mut refs: Vec<&mut dyn SlotProtocol> = Vec::new();
@@ -76,7 +71,7 @@ fn run_cell(
         }
         let (out, err) = run_exact(
             &mut refs,
-            adv.as_mut(),
+            &mut adv,
             &schedule,
             &partition,
             &mut rng,

@@ -11,14 +11,10 @@
 //! uniform, so `p < alpha` with `alpha = 1e-3` is a 1-in-1000 fluke per
 //! test and treated as an engine divergence.
 //!
-//! This replaces the ad-hoc mean±tolerance checks the validation tests used
-//! to hand-roll, and fixes their confound: the old tests compared
-//! `BudgetedPhaseBlocker` (2 budget units per slot, both parties hear
-//! noise) on the exact engine against `BudgetedRepBlocker` (1 unit, only
-//! the listener) on the fast engine — two different attacks. Here one
-//! [`AdversarySpec`] builds the *same* repetition strategy for both
-//! engines; the exact engine drives it through
-//! [`RepAsSlotAdversary`](rcb_adversary::RepAsSlotAdversary).
+//! Each cell runs one attack on every engine: one [`AdversarySpec`] builds
+//! the *same* repetition strategy for both, and the exact engine drives it
+//! through [`RepAsSlotAdversary`](rcb_adversary::RepAsSlotAdversary), the
+//! only way it runs a planned jammer.
 //!
 //! ## Reading the worst p-value
 //!

@@ -258,8 +258,12 @@ fn degrade(reception: &Reception, skewed: bool, loss: &mut LossCoins) -> Recepti
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rcb_adversary::slot_strategies::{BudgetedPhaseBlocker, NoJam};
+    use rcb_adversary::adapter::{JamTarget, RepAsSlotAdversary};
+    use rcb_adversary::rep_strategies::BudgetedRepBlocker;
+    use rcb_adversary::slot_strategies::NoJam;
+    use rcb_adversary::traits::RepetitionAdversary;
     use rcb_channel::Payload;
+    use rcb_core::one_to_n::{OneToNParams, OneToNSchedule, OneToNSlotNode};
     use rcb_core::one_to_one::profile::Fig1Profile;
     use rcb_core::one_to_one::schedule::DuelSchedule;
     use rcb_core::one_to_one::slot::{AliceProtocol, BobProtocol};
@@ -322,7 +326,7 @@ mod tests {
         let (mut alice, mut bob, schedule) = fig1_pair(6);
         let mut rng = RcbRng::new(7);
         // Fully block early phases with a healthy budget.
-        let mut adv = BudgetedPhaseBlocker::new(2_000, 1.0);
+        let mut adv = RepAsSlotAdversary::duel(BudgetedRepBlocker::new(2_000, 1.0));
         let partition = Partition::pair();
         let out = run_exact(
             &mut [&mut alice, &mut bob],
@@ -340,6 +344,77 @@ mod tests {
         assert!(out.ledger.adversary_cost() > 0);
         // Heavy early jamming must push the pair past the first epoch.
         assert!(out.slots > 128, "slots {}", out.slots);
+    }
+
+    /// Runs `protocols` to completion against a full blocker with inner
+    /// budget `budget` aimed at `target`; returns the ledger's adversary
+    /// charge and the inner strategy's spend.
+    fn ledger_and_inner_spend(
+        protocols: &mut [&mut dyn SlotProtocol],
+        schedule: &dyn Schedule,
+        partition: &Partition,
+        target: JamTarget,
+        budget: u64,
+        seed: u64,
+    ) -> (u64, u64) {
+        let blocker = BudgetedRepBlocker::new(budget, 1.0);
+        let mut adv = RepAsSlotAdversary::new(blocker, target, protocols.len());
+        let out = run_exact(
+            protocols,
+            &mut adv,
+            schedule,
+            partition,
+            &mut RcbRng::new(seed),
+            ExactConfig::default(),
+            None,
+            &FaultPlan::none(),
+            &Deadline::NONE,
+        )
+        .0;
+        assert!(out.completed, "seed {seed}");
+        let left = adv.inner().remaining_budget().expect("budgeted");
+        (out.ledger.adversary_cost(), budget - left)
+    }
+
+    #[test]
+    fn a_group_mask_charges_the_ledger_once_per_group_and_slot() {
+        for seed in 0..8 {
+            // Both groups of the pair partition: 2 ledger units per slot
+            // the inner strategy pays 1 for (E9's combined device).
+            let (mut alice, mut bob, schedule) = fig1_pair(6);
+            let (ledger, spent) = ledger_and_inner_spend(
+                &mut [&mut alice, &mut bob],
+                &schedule,
+                &Partition::pair(),
+                JamTarget::Mask(0b11),
+                1_000,
+                seed,
+            );
+            assert!(spent > 0, "seed {seed}: the blocker jams");
+            assert_eq!(ledger, 2 * spent, "seed {seed}: two groups");
+
+            // One group of a custom partition: 1 unit per slot (E14's
+            // 2-uniform row).
+            let mut params = OneToNParams::practical();
+            params.first_epoch = 4;
+            let mut nodes: Vec<OneToNSlotNode> = (0..4)
+                .map(|u| OneToNSlotNode::new(params, u == 0))
+                .collect();
+            let mut refs: Vec<&mut dyn SlotProtocol> = Vec::new();
+            for node in nodes.iter_mut() {
+                refs.push(node);
+            }
+            let (ledger, spent) = ledger_and_inner_spend(
+                &mut refs,
+                &OneToNSchedule::new(params),
+                &Partition::custom(vec![0, 1, 0, 1]),
+                JamTarget::Mask(0b10),
+                1_000,
+                seed,
+            );
+            assert!(spent > 0, "seed {seed}: the blocker jams");
+            assert_eq!(ledger, spent, "seed {seed}: one group");
+        }
     }
 
     #[test]

@@ -83,9 +83,7 @@ pub mod prelude {
     pub use rcb_adversary::rep_strategies::{
         BudgetedRepBlocker, NoJamRep, RandomRep, SuffixFractionRep,
     };
-    pub use rcb_adversary::slot_strategies::{
-        BudgetedPhaseBlocker, NoJam, PeriodicJammer, RandomJammer, ReactiveJammer,
-    };
+    pub use rcb_adversary::slot_strategies::{NoJam, ReactiveJammer};
     pub use rcb_adversary::threshold::ThresholdAdversary;
     pub use rcb_adversary::traits::{JamPlan, RepetitionAdversary, SlotAdversary};
     pub use rcb_baselines::combined::{combined_alice, combined_bob};

@@ -200,7 +200,7 @@ proptest! {
             }
             prop_assert_eq!(unrolled, plan.jam_count(len), "period {}", period);
         }
-        prop_assert_eq!(adapter.remaining_budget(), direct.remaining_budget());
+        prop_assert_eq!(adapter.inner().remaining_budget(), direct.remaining_budget());
     }
 
     /// Duel schedule: locate is the inverse of cumulative phase lengths.
